@@ -1,8 +1,12 @@
-"""Output checkers: each inspects one job's CSV artifacts and returns the
-list of problems it found (empty when the job's outputs are correct)."""
+"""Output checkers: each inspects one job step's CSV artifacts and returns
+the list of problems it found (empty when the step's outputs are correct).
+The crosscheckers compare a traced step's wrapper counts with counts the
+program itself reports, so a lookup site the tracer missed shows up as a
+mismatch."""
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -42,10 +46,26 @@ def _metrics(artifacts: dict[str, bytes], suffix: str) -> dict[str, str]:
     return {r["metric"]: r["value"] for r in _table(artifacts, suffix)}
 
 
-def check_trials(artifacts: dict[str, bytes], trials: int, events: tuple[str, ...]) -> list[str]:
-    """Every trial carries one known event, the event frequencies match the
-    rows and sum to 1, and clean trials decode their own bin within the
-    distortion bound."""
+def _guarded(checker):
+    """Report a malformed artifact as a problem instead of raising."""
+
+    @functools.wraps(checker)
+    def guarded(*args, **kwargs) -> list[str]:
+        try:
+            return checker(*args, **kwargs)
+        except (KeyError, ValueError, IndexError) as e:
+            return [f"malformed artifact: {type(e).__name__}: {e}"]
+
+    return guarded
+
+
+@_guarded
+def check_trials(artifacts: dict[str, bytes], trials: int) -> list[str]:
+    """Every trial carries one event of ``secembed.sim.EVENTS``, the event
+    frequencies match the rows and sum to 1, and clean trials decode their
+    own bin within the distortion bound."""
+    from secembed.sim import EVENTS as events
+
     problems = []
     rows = _table(artifacts, "_trials.csv")
     summary = _metrics(artifacts, "_summary.csv")
@@ -72,6 +92,7 @@ def check_trials(artifacts: dict[str, bytes], trials: int, events: tuple[str, ..
     return problems
 
 
+@_guarded
 def check_equivocation(artifacts: dict[str, bytes], h_u: float) -> list[str]:
     summary = _metrics(artifacts, "_summary.csv")
     problems = []
@@ -82,6 +103,7 @@ def check_equivocation(artifacts: dict[str, bytes], h_u: float) -> list[str]:
     return problems
 
 
+@_guarded
 def check_audit(artifacts: dict[str, bytes], rebuilds: int) -> list[str]:
     """Every rebuild passes the bin-multiplicity audit and the compression
     rates respect their bounds, as criteria 08 and 09 check them."""
@@ -100,6 +122,7 @@ def check_audit(artifacts: dict[str, bytes], rebuilds: int) -> list[str]:
     return problems
 
 
+@_guarded
 def check_region(artifacts: dict[str, bytes], restarts: int) -> list[str]:
     """Every condition is satisfied and the penalty is negligible, at the
     requested restart budget."""
@@ -122,44 +145,27 @@ def opt_value(artifacts: dict[str, bytes]) -> float:
     return float(_metrics(artifacts, "_summary.csv")["value"])
 
 
-def check(step, artifacts: dict[str, bytes], *, events: tuple[str, ...], h_u: float) -> list[str]:
-    """All output checks of one job step."""
-    try:
-        if step.name == "sim-trials":
-            return check_trials(artifacts, step.trials, events)
-        if step.name == "sim-exact":
-            return check_trials(artifacts, step.trials, events) + check_equivocation(artifacts, h_u)
-        if step.name == "build-audit":
-            return check_audit(artifacts, step.rebuilds)
-        if step.name == "region-opt":
-            return check_region(artifacts, step.restarts)
-    except (KeyError, ValueError, IndexError) as e:
-        return [f"malformed artifact: {type(e).__name__}: {e}"]
-    raise ValueError(f"no checker for step {step.name!r}")
+def crosscheck_trials(m: dict[str, float], trials: int) -> list[str]:
+    if m["sim.decode.calls"] == trials and m["sim.trials.count"] == trials:
+        return []
+    return [f"traced {m['sim.decode.calls']} decodes over {m['sim.trials.count']} trials, expected {trials}"]
 
 
-def trace_crosscheck(step, m: dict[str, float], artifacts: dict[str, bytes]) -> list[str]:
-    """Wrapper counts against counts the program itself reports; a lookup
-    site the tracer missed shows up here as a mismatch."""
-    problems = []
-    if step.name == "sim-trials":
-        if m["sim.decode.calls"] != step.trials or m["sim.trials.count"] != step.trials:
-            problems.append(
-                f"traced {m['sim.decode.calls']} decodes over {m['sim.trials.count']} trials, "
-                f"expected {step.trials}"
-            )
-    if step.name == "sim-exact":
-        # run_trials encodes each trial once and the enumeration each word once
-        expected = m["sim.enum.states"] + step.trials
-        if m["sim.encode.calls"] != expected:
-            problems.append(f"traced {m['sim.encode.calls']} encodes, expected {expected}")
-    if step.name == "build-audit" and m["sim.build.calls"] != step.rebuilds:
-        problems.append(f"traced {m['sim.build.calls']} builds, expected {step.rebuilds}")
-    if step.name == "region-opt":
-        reported = int(_metrics(artifacts, "_summary.csv")["restarts"])
-        if not m["region.optimize.restarts"] == m["region.optimize.requested"] == reported:
-            problems.append(
-                f"traced {m['region.optimize.restarts']} restarts of "
-                f"{m['region.optimize.requested']} requested, summary reports {reported}"
-            )
-    return problems
+def crosscheck_enumeration(m: dict[str, float], trials: int) -> list[str]:
+    # run_trials encodes each trial once and the enumeration each word once
+    expected = m["sim.enum.states"] + trials
+    if m["sim.encode.calls"] == expected:
+        return []
+    return [f"traced {m['sim.encode.calls']} encodes, expected {expected}"]
+
+
+def crosscheck_builds(m: dict[str, float], rebuilds: int) -> list[str]:
+    if m["sim.build.calls"] == rebuilds:
+        return []
+    return [f"traced {m['sim.build.calls']} builds, expected {rebuilds}"]
+
+
+def crosscheck_optimize(m: dict[str, float]) -> list[str]:
+    if m["region.optimize.calls"] == 1:
+        return []
+    return [f"traced {m['region.optimize.calls']} optimizer calls, expected 1"]

@@ -33,7 +33,7 @@ import workloads  # noqa: E402
 from tracing import COMPUTED, PER_LAYER  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
-SETUP_REPEATS = 4  # before the workload, and as many again after it
+SETUP_REPEATS = 10  # before the workload, and as many again after it
 TIME_LIMIT_S = 170  # one run must end well within the 180 s a run may take
 DEFAULT_SEED = 1
 DEFAULT_SECONDS = 60
@@ -131,8 +131,10 @@ def percentile_note(samples: list[float]) -> str:
 def summarize(result: dict, setup: list[float], trace: int) -> dict:
     jobs = result["jobs"]
     failed = [j for j in jobs if j["problems"]]
-    plain = [j["seconds"] for j in jobs if not j["traced"]]
+    plain = [j["seconds"] for j in jobs if not j["traced"] and not j["warmup"]]
     summary = {
+        "planned_jobs": result["planned_jobs"],
+        "capped": result["capped"],
         "attempted": len(jobs),
         "failed": len(failed),
         "problems": [f"job {j['index']} (verb seed {j['verb_seed']}): {p}" for j in failed for p in j["problems"]],
@@ -168,8 +170,9 @@ def report_lines(workload, seed: int, trace: int, s: dict) -> list[str]:
     v = s["end_to_end"]
     lines.append(f"  setup_s      {v['setup_s']:.4f} s     median of {len(s['setup_samples_s'])} fresh interpreters")
     jobs = s["job_samples_s"]
+    cap = f" of {s['planned_jobs']} planned, stopped at the time cap" if s["capped"] else ""
     lines.append(
-        f"  job_s        {v['job_s']:.4f} s     median of {len(jobs)} untraced jobs; {percentile_note(jobs)}"
+        f"  job_s        {v['job_s']:.4f} s     median of {len(jobs)} untraced jobs{cap}; {percentile_note(jobs)}"
     )
     lines.append(f"  peak_rss_mb  {v['peak_rss_mb']:.2f} MB")
     lines.append(f"  failed_frac  {s['failed'] / s['attempted']:.4f} ratio")

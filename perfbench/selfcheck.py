@@ -97,9 +97,7 @@ def spec_mismatches() -> list[str]:
 
 def main() -> int:
     import secembed.cli
-    import secembed.sim
 
-    events = tuple(secembed.sim.EVENTS)
     scratch = ROOT / ".perfbench"
     scratch.mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="selfcheck-", dir=scratch))
@@ -109,16 +107,15 @@ def main() -> int:
     bad = len(mismatches)
     try:
         inputs = workloads.write_inputs(ROOT / "configs", work / "inputs")
-        h_u = workloads.message_entropy_bits(inputs.demo_system)
         for name, corruptions in CORRUPTIONS.items():
-            w = workloads.STEPS[name]
+            step = workloads.STEPS[name]
             out = work / "job"
-            _, rc, artifacts, error = run_cli(secembed.cli, w.argv(inputs, 0, out / "art"), out)
-            clean = checks.check(w, artifacts, events=events, h_u=h_u) if rc == 0 else [error or f"exit {rc}"]
+            _, rc, artifacts, error = run_cli(secembed.cli, step.argv(inputs, 0, out / "art"), out)
+            clean = step.check(artifacts, inputs) if rc == 0 else [error or f"exit {rc}"]
             print(f"{'ok  ' if not clean else 'FAIL'} {name}: clean artifacts accepted", *clean[:3])
             bad += bool(clean)
             for label, (suffix, edit) in corruptions.items():
-                problems = checks.check(w, edit_csv(artifacts, suffix, edit), events=events, h_u=h_u)
+                problems = step.check(edit_csv(artifacts, suffix, edit), inputs)
                 print(f"{'ok  ' if problems else 'FAIL'} {name}: rejects {label}", *problems[:1])
                 bad += not problems
             csv = next(n for n in artifacts if n.endswith(".csv"))

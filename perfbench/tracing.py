@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import gzip
 import importlib
-import inspect
 import math
 import time
 import weakref
@@ -143,9 +142,6 @@ class Tracer:
         self._mod = {m: importlib.import_module(f"{PACKAGE}.{m}") for m in MODULES}
         # every namespace a caller can look a covered function up through
         self.modules = [importlib.import_module(PACKAGE), *self._mod.values()]
-        self._default_restarts = (
-            inspect.signature(self._mod["region"].optimize_region).parameters["restarts"].default
-        )
         self.names = list(LAYERS)
         self._id = {n: i for i, n in enumerate(self.names)}
         self.origin = time.perf_counter()
@@ -244,7 +240,6 @@ class Tracer:
         self.job = job
         self._agg = [[0, 0.0, 0.0] for _ in self.names]  # calls, total s, self s
         self._count = dict.fromkeys(PER_LAYER, 0.0)
-        self._count["region.optimize.requested"] = 0.0
         self._stego_seen: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._enum_decodes = 0
 
@@ -275,7 +270,6 @@ class Tracer:
 
     def _on_optimize(self, args, kwargs, res) -> None:
         self._count["region.optimize.restarts"] += len(res.restart_values)
-        self._count["region.optimize.requested"] += kwargs.get("restarts", self._default_restarts)
         self._count["region.optimize.value"] = res.value
 
     def _on_build(self, args, kwargs, books) -> None:

@@ -1,10 +1,12 @@
 """One workload run in its own process: a closed loop of CLI jobs.
 
-Untraced runs execute jobs with fresh verb seeds until the time budget is
-spent, then repeat the first seed to check determinism.  Traced runs execute
-each seed twice, untraced then traced, which checks determinism,
-byte-identity of traced artifacts, and the tracing overhead at once.  The result is written
-as JSON to ``<work>/result.json``.
+A run first repeats job 0 untimed as a warm-up, then runs the workload's
+fixed number of jobs, so every commit takes its median over the same verb
+seeds; job 0's artifacts must equal the warm-up's (determinism).  Traced
+runs execute half as many seeds, each twice, untraced then traced, which
+checks byte-identity of traced artifacts and gives the tracing overhead.
+``--seconds`` is only a safety cap: after the warm-up, no job starts that
+would likely end after it.  The result is written as JSON to ``<work>/result.json``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import json
 import resource
 import shutil
-import statistics
 import sys
 import time
 import traceback
@@ -40,26 +41,32 @@ def run_cli(cli, argv: list[str], out_dir: Path) -> tuple[float, int, dict[str, 
 class Run:
     def __init__(self, args: argparse.Namespace):
         import secembed.cli
-        import secembed.sim
 
         self.cli = secembed.cli
-        self.events = tuple(secembed.sim.EVENTS)
         self.workload = workloads.WORKLOADS[args.workload]
         self.seed = args.seed
         self.work = Path(args.work)
         self.inputs = workloads.write_inputs(Path(args.root) / "configs", self.work / "inputs")
-        self.h_u = workloads.message_entropy_bits(self.inputs.demo_system)
         self.jobs: list[dict] = []
+        self.planned = 0
+        self.capped = False
         self.tracer = None
         if args.trace:
             from tracing import Tracer
 
             self.tracer = Tracer()
 
-    def job(self, index: int, traced: bool = False) -> dict:
+    def job(self, index: int, traced: bool = False, warmup: bool = False) -> dict:
         """Run job ``index`` of this run's seed sequence and check it."""
         vseed = workloads.verb_seed(self.seed, index)
-        record = {"index": index, "verb_seed": vseed, "traced": traced, "seconds": 0.0, "artifact_bytes": 0}
+        record = {
+            "index": index,
+            "verb_seed": vseed,
+            "traced": traced,
+            "warmup": warmup,
+            "seconds": 0.0,
+            "artifact_bytes": 0,
+        }
         problems, data = [], {}
         if traced:
             self.tracer.begin_job(len(self.jobs))
@@ -74,13 +81,12 @@ class Run:
                 if error:
                     step_problems.append(error)
                 if rc == 0:
-                    step_problems += checks.check(step, artifacts, events=self.events, h_u=self.h_u)
+                    step_problems += step.check(artifacts, self.inputs)
                     if traced:
                         after = self.tracer.job_metrics()
-                        delta = {k: after[k] - before[k] for k in after}
-                        step_problems += checks.trace_crosscheck(step, delta, artifacts)
-                    if step.name == "region-opt" and not step_problems:
-                        record["opt_value"] = checks.opt_value(artifacts)
+                        step_problems += step.crosscheck({k: after[k] - before[k] for k in after})
+                    if step.opt_value is not None and not step_problems:
+                        record["opt_value"] = step.opt_value(artifacts)
                 problems += [f"{step.name}: {p}" for p in step_problems]
                 record["artifact_bytes"] += sum(map(len, artifacts.values()))
                 data.update({f"{step.name}/{k}": v for k, v in checks.data_bytes(artifacts).items()})
@@ -102,22 +108,20 @@ class Run:
             )
 
     def loop(self, seconds: float) -> None:
+        warmup = self.job(0, warmup=True)
         deadline = time.perf_counter() + seconds
-        if self.tracer is None:
-            first = self.job(0)
-            # fresh seeds while there is room for one more job and the
-            # closing determinism repeat of the first seed
-            while time.perf_counter() + 2 * statistics.median(j["seconds"] for j in self.jobs) <= deadline:
-                self.job(len(self.jobs))
-            self.require_same_artifacts(first, self.job(0), "determinism")
-            return
-        index = 0
-        while True:
+        count = self.workload.jobs if self.tracer is None else max(1, self.workload.jobs // 2)
+        self.planned = count
+        for index in range(count):
             start = time.perf_counter()
             plain = self.job(index)
-            self.require_same_artifacts(plain, self.job(index, traced=True), "traced vs untraced")
-            index += 1
-            if time.perf_counter() + (time.perf_counter() - start) > deadline:
+            if index == 0:
+                self.require_same_artifacts(warmup, plain, "determinism")
+            if self.tracer is not None:
+                self.require_same_artifacts(plain, self.job(index, traced=True), "traced vs untraced")
+            now = time.perf_counter()
+            if index + 1 < count and now + (now - start) > deadline:
+                self.capped = True
                 return
 
 
@@ -136,6 +140,8 @@ def main() -> int:
     run.loop(args.seconds)
     result = {
         "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "planned_jobs": run.planned,
+        "capped": run.capped,
         "jobs": [{k: v for k, v in j.items() if k != "artifacts"} for j in run.jobs],
     }
     if run.tracer is not None and args.spans:

@@ -12,10 +12,13 @@ workloads need beyond ``configs/`` is written into a scratch directory;
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
+
+import checks
 
 SEED_STRIDE = 10_000
 
@@ -41,26 +44,32 @@ BINARY_SYSTEM = {
 
 @dataclass(frozen=True)
 class Inputs:
-    """Paths of the YAML files a run reads."""
+    """Paths of the YAML files a run reads, and H(U) of the demo system."""
 
     demo_system: Path
     demo_aux: Path
     audit_system: Path  # the demo system at lambda = 0.2
     binary_system: Path
+    h_u: float  # the ceiling on the demo system's equivocation, in bits
 
 
 @dataclass(frozen=True)
 class Step:
-    """One CLI call of a job, with the counts its outputs must agree with."""
+    """One CLI call of a job: its arguments, the checks its outputs must
+    pass, and the checks of the traced counts against those outputs."""
 
     name: str
-    verb: str
-    trials: int = 0
-    rebuilds: int = 0
-    restarts: int = 0
+    # (inputs) -> verb and arguments other than --seed and --out
+    args: Callable[[Inputs], list[str]]
+    # (artifacts, inputs) -> problems
+    check: Callable[[dict[str, bytes], Inputs], list[str]]
+    # (traced metrics of the step) -> problems
+    crosscheck: Callable[[dict[str, float]], list[str]]
+    # (artifacts) -> the certified objective value, for steps that have one
+    opt_value: Callable[[dict[str, bytes]], float] | None = None
 
     def argv(self, inputs: Inputs, verb_seed: int, out: Path) -> list[str]:
-        return [self.verb, *_ARGS[self.name](self, inputs), "--seed", str(verb_seed), "--out", str(out)]
+        return [*self.args(inputs), "--seed", str(verb_seed), "--out", str(out)]
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,10 @@ class Workload:
     name: str
     why: str
     steps: tuple[Step, ...]
+    # untraced jobs per run: a fixed count, so every commit takes its median
+    # over the same verb seeds; sized to about 45 s at the seed commit's
+    # speed on a 2-core machine, so a 60 s cap leaves a third in reserve
+    jobs: int
 
 
 def write_inputs(configs: Path, scratch: Path) -> Inputs:
@@ -81,11 +94,11 @@ def write_inputs(configs: Path, scratch: Path) -> Inputs:
     audit_system.write_text(yaml.safe_dump(audit))
     binary_system = scratch / "binary_system.yaml"
     binary_system.write_text(yaml.safe_dump(BINARY_SYSTEM))
-    return Inputs(demo_system, demo_aux, audit_system, binary_system)
+    return Inputs(demo_system, demo_aux, audit_system, binary_system, message_entropy_bits(demo_system))
 
 
 def message_entropy_bits(system_file: Path) -> float:
-    """H(U) of a system file's message source, the ceiling on equivocation."""
+    """H(U) of a system file's message source."""
     p = yaml.safe_load(system_file.read_text())["message_source"]
     return -sum(x * math.log2(x) for x in p if x > 0)
 
@@ -98,25 +111,10 @@ def verb_seed(seed: int, job: int) -> int:
 # delta=0.6, D'=0, a 2^5-row bin, no stegotext spread and a 4-bit pad.
 _DEMO_CODE = ["--delta", "0.6", "--dprime", "0.0", "--m2-bits", "5", "--m3-bits", "0", "--j-bits", "4"]
 
-_ARGS = {
-    "sim-trials": lambda w, i: [
-        "--spec", str(i.demo_system), "--aux", str(i.demo_aux),
-        "--n", "16", "--trials", str(w.trials), *_DEMO_CODE,
-    ],
-    "sim-exact": lambda w, i: [
-        "--spec", str(i.demo_system), "--aux", str(i.demo_aux),
-        "--n", "8", "--trials", str(w.trials), *_DEMO_CODE, "--exact-equivocation",
-    ],
-    "build-audit": lambda w, i: [
-        "--spec", str(i.audit_system), "--aux", str(i.demo_aux),
-        "--n", "10", "--delta", "0.2", "--gamma", "0.5", "--dprime", "0.0",
-        "--m2-bits", "7", "--m3-bits", "0", "--j-bits", "1", "--rebuilds", str(w.rebuilds),
-    ],
-    "region-opt": lambda w, i: [
-        "--spec", str(i.binary_system), "--objective", "embedding_rate",
-        "--fix", "d_prime=0.25,d=1.0",
-    ],
-}
+SIM_TRIALS = 500
+EXACT_TRIALS = 20
+REBUILDS = 8
+RESTARTS = 32  # the CLI's default, which the workload leaves in place
 
 STEPS = {
     s.name: s
@@ -124,20 +122,54 @@ STEPS = {
         # The Monte-Carlo path users run most: the per-trial encode ->
         # attack -> decode loop and the codebook build (sampling plus the RD
         # cover) take about even shares at 500 trials.
-        Step("sim-trials", "simulate", trials=500),
+        Step(
+            "sim-trials",
+            lambda i: [
+                "simulate", "--spec", str(i.demo_system), "--aux", str(i.demo_aux),
+                "--n", "16", "--trials", str(SIM_TRIALS), *_DEMO_CODE,
+            ],
+            lambda art, i: checks.check_trials(art, SIM_TRIALS),
+            lambda m: checks.crosscheck_trials(m, SIM_TRIALS),
+        ),
         # The same encoder and decoder run once per enumerated (u, x, k)
         # word (4,096 at n=8) behind a decode cache instead of once per
         # random trial, and the call pays the double codebook build.  A
         # batched engine that helps trials but slows per-word calls shows.
-        Step("sim-exact", "simulate", trials=20),
+        Step(
+            "sim-exact",
+            lambda i: [
+                "simulate", "--spec", str(i.demo_system), "--aux", str(i.demo_aux),
+                "--n", "8", "--trials", str(EXACT_TRIALS), *_DEMO_CODE, "--exact-equivocation",
+            ],
+            lambda art, i: checks.check_trials(art, EXACT_TRIALS) + checks.check_equivocation(art, i.h_u),
+            lambda m: checks.crosscheck_enumeration(m, EXACT_TRIALS),
+        ),
         # Construction and audits with no trials: stegotext-book sampler
         # construction, sampling and the bin and compression audits.  Kept
         # at n=10 (criteria 08 and 09) because the compression audit on the
         # n=16 code takes minutes.
-        Step("build-audit", "audit", rebuilds=8),
+        Step(
+            "build-audit",
+            lambda i: [
+                "audit", "--spec", str(i.audit_system), "--aux", str(i.demo_aux),
+                "--n", "10", "--delta", "0.2", "--gamma", "0.5", "--dprime", "0.0",
+                "--m2-bits", "7", "--m3-bits", "0", "--j-bits", "1", "--rebuilds", str(REBUILDS),
+            ],
+            lambda art, i: checks.check_audit(art, REBUILDS),
+            lambda m: checks.crosscheck_builds(m, REBUILDS),
+        ),
         # Pure region math at the default restarts and V cardinality
         # (criterion 02's system).
-        Step("region-opt", "region-opt", restarts=32),
+        Step(
+            "region-opt",
+            lambda i: [
+                "region-opt", "--spec", str(i.binary_system), "--objective", "embedding_rate",
+                "--fix", "d_prime=0.25,d=1.0",
+            ],
+            lambda art, i: checks.check_region(art, RESTARTS),
+            checks.crosscheck_optimize,
+            checks.opt_value,
+        ),
     )
 }
 
@@ -156,6 +188,7 @@ WORKLOADS = {
             "sim-session",
             "n=16 Monte-Carlo simulate, n=8 exact equivocation and n=10 audit: every sim, typical and rd layer",
             (STEPS["sim-trials"], STEPS["sim-exact"], STEPS["build-audit"]),
+            jobs=7,
         ),
         # The optimizer loop over the information quantities, bypassing
         # everything in sim and typical: the control for simulator changes.
@@ -163,6 +196,7 @@ WORKLOADS = {
             "region-opt",
             "default-settings region optimizer on the binary system: region math with no simulation",
             (STEPS["region-opt"],),
+            jobs=8,
         ),
     )
 }
