@@ -30,6 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import workloads  # noqa: E402
+from hostspeed import REFERENCE_LOOP_S, rescale  # noqa: E402
 from tracing import COMPUTED, PER_LAYER  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
@@ -44,6 +45,15 @@ THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
+# what a set-up sample runs: the probe's loop three times, the import, the
+# loop three times again; it prints the time taken to import the probe and
+# then the six loop times
+SETUP_CODE = (
+    f"import sys, time; sys.path.insert(0, {str(HERE)!r}); start = time.perf_counter(); "
+    "from hostspeed import loop_probe as probe; ready = time.perf_counter() - start; "
+    "before = [probe() for _ in range(3)]; import secembed.cli; "
+    "print(ready, *before, *(probe() for _ in range(3)))"
+)
 END_TO_END_UNITS = {"setup_s": "s", "job_s": "s", "peak_rss_mb": "MB"}
 
 
@@ -57,11 +67,18 @@ def nproc() -> int:
 
 def child_env(root: Path) -> dict[str, str]:
     """Environment of every child: the checkout's sources first on the path,
-    BLAS/OpenMP thread pools capped at the usable CPUs."""
+    BLAS/OpenMP thread pools at one thread.
+
+    secembed's arrays are too small for a BLAS pool to do any work (jobs use
+    one CPU), but OpenBLAS starts its pool while numpy is imported.  With two
+    threads, that start added about 0.06 s to a 0.25 s import whenever the
+    second CPU of a 2-core machine was busy elsewhere, and nothing when it was
+    free, so set-up time jumped between two levels at the same CPU speed.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     for var in THREAD_VARS:
-        env[var] = str(nproc())
+        env[var] = "1"
     return env
 
 
@@ -72,15 +89,19 @@ def check_checkout(root: Path) -> None:
         raise BenchError(f"not a secembed checkout (missing {', '.join(missing)}); run from the repository root")
 
 
-def measure_setup(env: dict[str, str], deadline: float, warm_up: bool) -> list[float]:
-    """Wall seconds from starting a fresh interpreter until ``secembed.cli``
-    is imported (and the interpreter has exited), optionally after one
-    untimed warm-up that compiles the bytecode caches."""
+def measure_setup(env: dict[str, str], deadline: float, warm_up: bool) -> list[tuple[float, float]]:
+    """(rescaled, wall) seconds from starting a fresh interpreter until
+    ``secembed.cli`` is imported (and the interpreter has exited), optionally
+    after one untimed warm-up that compiles the bytecode caches.  The
+    interpreter runs the host-speed probe's loop right before and after the
+    import; the probe's own time is left out of the wall time, and the median
+    loop time (which a single loop caught in a blip does not move) sets the
+    rescaling."""
     samples = []
     for i in range(SETUP_REPEATS + warm_up):
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-c", "import secembed.cli"],
+            [sys.executable, "-c", SETUP_CODE],
             env=env,
             capture_output=True,
             text=True,
@@ -89,8 +110,10 @@ def measure_setup(env: dict[str, str], deadline: float, warm_up: bool) -> list[f
         elapsed = time.perf_counter() - start
         if proc.returncode != 0:
             raise BenchError(f"importing secembed.cli failed:\n{proc.stderr}")
+        ready, *probes = (float(x) for x in proc.stdout.split())
+        wall = elapsed - ready - sum(probes)
         if i or not warm_up:
-            samples.append(elapsed)
+            samples.append((rescale(wall, [statistics.median(probes)], REFERENCE_LOOP_S), wall))
     return samples
 
 
@@ -128,24 +151,28 @@ def percentile_note(samples: list[float]) -> str:
     return f"p{p} {value:.4f} s"
 
 
-def summarize(result: dict, setup: list[float], trace: int) -> dict:
+def summarize(result: dict, setup: list[tuple[float, float]], trace: int) -> dict:
     jobs = result["jobs"]
     failed = [j for j in jobs if j["problems"]]
-    plain = [j["seconds"] for j in jobs if not j["traced"] and not j["warmup"]]
+    plain = [j for j in jobs if not j["traced"] and not j["warmup"]]
     summary = {
         "planned_jobs": result["planned_jobs"],
         "capped": result["capped"],
         "attempted": len(jobs),
         "failed": len(failed),
         "problems": [f"job {j['index']} (verb seed {j['verb_seed']}): {p}" for j in failed for p in j["problems"]],
-        "job_samples_s": plain,
-        "setup_samples_s": setup,
+        "job_samples_s": [j["seconds"] for j in plain],
+        "job_wall_samples_s": [j["wall_s"] for j in plain],
+        "setup_samples_s": [rescaled for rescaled, _ in setup],
+        "setup_wall_samples_s": [wall for _, wall in setup],
     }
     values = {
-        "setup_s": statistics.median(setup),
-        "job_s": statistics.median(plain),
+        "setup_s": statistics.median(summary["setup_samples_s"]),
+        "job_s": statistics.median(summary["job_samples_s"]),
         "peak_rss_mb": result["peak_rss_kib"] * 1024 / 1e6,
     }
+    summary["setup_wall_s"] = statistics.median(summary["setup_wall_samples_s"])
+    summary["job_wall_s"] = statistics.median(summary["job_wall_samples_s"])
     opt = [j["opt_value"] for j in jobs if "opt_value" in j]
     summary["opt_value_bits"] = statistics.median(opt) if opt else None
     summary["end_to_end"] = values
@@ -156,8 +183,9 @@ def summarize(result: dict, setup: list[float], trace: int) -> dict:
             for name in PER_LAYER
             if name != "trace.overhead_s"
         }
-        traced_s = [j["seconds"] for j in jobs if j["traced"]]
-        layer["trace.overhead_s"] = statistics.median(traced_s) - statistics.median(plain)
+        # both wall times leave the probe out: traced jobs run without it
+        traced_s = [j["wall_s"] for j in jobs if j["traced"]]
+        layer["trace.overhead_s"] = statistics.median(traced_s) - summary["job_wall_s"]
         summary["per_layer"] = layer
         summary["metrics"] = {k: {"value": v, "unit": PER_LAYER[k]} for k, v in layer.items()}
     else:
@@ -168,11 +196,15 @@ def summarize(result: dict, setup: list[float], trace: int) -> dict:
 def report_lines(workload, seed: int, trace: int, s: dict) -> list[str]:
     lines = [f"{workload.name}  seed {seed}  trace {trace}: {s['attempted']} jobs, {s['failed']} failed"]
     v = s["end_to_end"]
-    lines.append(f"  setup_s      {v['setup_s']:.4f} s     median of {len(s['setup_samples_s'])} fresh interpreters")
+    lines.append(
+        f"  setup_s      {v['setup_s']:.4f} s     median of {len(s['setup_samples_s'])} fresh interpreters"
+        f" at the reference host speed; wall {s['setup_wall_s']:.4f} s"
+    )
     jobs = s["job_samples_s"]
     cap = f" of {s['planned_jobs']} planned, stopped at the time cap" if s["capped"] else ""
     lines.append(
-        f"  job_s        {v['job_s']:.4f} s     median of {len(jobs)} untraced jobs{cap}; {percentile_note(jobs)}"
+        f"  job_s        {v['job_s']:.4f} s     median of {len(jobs)} untraced jobs at the reference host speed{cap};"
+        f" wall {s['job_wall_s']:.4f} s; {percentile_note(jobs)}"
     )
     lines.append(f"  peak_rss_mb  {v['peak_rss_mb']:.2f} MB")
     lines.append(f"  failed_frac  {s['failed'] / s['attempted']:.4f} ratio")

@@ -3,15 +3,19 @@
 A run first repeats job 0 untimed as a warm-up, then runs the workload's
 fixed number of jobs, so every commit takes its median over the same verb
 seeds; job 0's artifacts must equal the warm-up's (determinism).  Traced
-runs execute half as many seeds, each twice, untraced then traced, which
+runs execute a third as many seeds, each twice, untraced then traced, which
 checks byte-identity of traced artifacts and gives the tracing overhead.
-``--seconds`` is only a safety cap: after the warm-up, no job starts that
+Untraced jobs run under the host-speed probe (``hostspeed``): a job's
+``seconds`` are rescaled to the reference host speed, and ``wall_s`` keeps
+its wall time less the probe's own.
+``--seconds`` is only a safety cap: no job after the warm-up starts that
 would likely end after it.  The result is written as JSON to ``<work>/result.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import resource
 import shutil
@@ -22,19 +26,27 @@ from pathlib import Path
 
 import checks
 import workloads
+from hostspeed import Sampler, probe, rescale
 
 
-def run_cli(cli, argv: list[str], out_dir: Path) -> tuple[float, int, dict[str, bytes], str]:
-    """One ``cli.main`` call: wall seconds, exit code, artifacts, error text."""
+def run_cli(
+    cli, argv: list[str], out_dir: Path, sampler: Sampler | None = None
+) -> tuple[float, int, dict[str, bytes], str]:
+    """One ``cli.main`` call: wall seconds (less the time ``sampler``'s
+    probes took during it), exit code, artifacts, error text."""
     shutil.rmtree(out_dir, ignore_errors=True)
     out_dir.mkdir(parents=True)
     error = ""
-    start = time.perf_counter()
-    try:
-        rc = cli.main(argv)
-    except Exception:  # a crashing call fails its job; the run goes on
-        rc, error = -1, traceback.format_exc()
-    seconds = time.perf_counter() - start
+    since = len(sampler.samples) if sampler is not None else 0
+    with sampler if sampler is not None else contextlib.nullcontext():
+        start = time.perf_counter()
+        try:
+            rc = cli.main(argv)
+        except Exception:  # a crashing call fails its job; the run goes on
+            rc, error = -1, traceback.format_exc()
+        seconds = time.perf_counter() - start
+    if sampler is not None:
+        seconds -= sampler.spent(since)
     return seconds, rc, checks.read_artifacts(out_dir), error
 
 
@@ -51,6 +63,7 @@ class Run:
         self.planned = 0
         self.capped = False
         self.tracer = None
+        probe()  # builds the probe's list, so that no timed probe pays for it
         if args.trace:
             from tracing import Tracer
 
@@ -64,19 +77,27 @@ class Run:
             "verb_seed": vseed,
             "traced": traced,
             "warmup": warmup,
-            "seconds": 0.0,
+            "wall_s": 0.0,
             "artifact_bytes": 0,
         }
         problems, data = [], {}
+        # untraced jobs are timed under the host-speed probe; traced ones
+        # are not, so the probe's time stays out of their spans
+        sampler = None
         if traced:
             self.tracer.begin_job(len(self.jobs))
             self.tracer.install()
+        else:
+            sampler = Sampler()
+            sampler.samples.append(probe())
         try:
             for step in self.workload.steps:
                 before = self.tracer.job_metrics() if traced else None
                 out_dir = self.work / "job" / step.name
-                seconds, rc, artifacts, error = run_cli(self.cli, step.argv(self.inputs, vseed, out_dir / "art"), out_dir)
-                record["seconds"] += seconds
+                seconds, rc, artifacts, error = run_cli(
+                    self.cli, step.argv(self.inputs, vseed, out_dir / "art"), out_dir, sampler
+                )
+                record["wall_s"] += seconds
                 step_problems = [f"exit code {rc}"] if rc != 0 else []
                 if error:
                     step_problems.append(error)
@@ -95,6 +116,11 @@ class Run:
                 self.tracer.uninstall()
         if traced:
             record["metrics"] = {**self.tracer.job_metrics(), "cli.artifact_bytes": record["artifact_bytes"]}
+            record["seconds"] = record["wall_s"]
+        else:
+            record["seconds"] = rescale(record["wall_s"], sampler.samples)
+            record["probe_s"] = sum(sampler.samples) / len(sampler.samples)
+            record["probes"] = len(sampler.samples)
         record["problems"] = problems
         record["artifacts"] = data
         self.jobs.append(record)
@@ -108,9 +134,9 @@ class Run:
             )
 
     def loop(self, seconds: float) -> None:
-        warmup = self.job(0, warmup=True)
         deadline = time.perf_counter() + seconds
-        count = self.workload.jobs if self.tracer is None else max(1, self.workload.jobs // 2)
+        warmup = self.job(0, warmup=True)
+        count = self.workload.jobs if self.tracer is None else max(1, self.workload.jobs // 3)
         self.planned = count
         for index in range(count):
             start = time.perf_counter()

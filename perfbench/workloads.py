@@ -78,8 +78,9 @@ class Workload:
     why: str
     steps: tuple[Step, ...]
     # untraced jobs per run: a fixed count, so every commit takes its median
-    # over the same verb seeds; sized to about 45 s at the seed commit's
-    # speed on a 2-core machine, so a 60 s cap leaves a third in reserve
+    # over the same verb seeds; with the warm-up job, sized to about 50 s of
+    # wall time at the seed commit on a 2-core machine, so a 60 s cap leaves
+    # room for the machine's slow spells
     jobs: int
 
 
@@ -173,11 +174,10 @@ STEPS = {
     )
 }
 
-# Two workloads, not one per step: on a shared 2-core machine the same job
-# runs up to a third slower during slow spells lasting tens of seconds, so
-# runs are 60 s long to span several spells, and at that length only two
-# workloads fit the benchmark's total time.  With one workload per step and
-# 25-30 s runs, job_s spread by up to a third across workload seeds.
+# Two workloads, not one per step: the work of a job depends on its verb
+# seed (the optimizer's by a fifth either side), so a run takes its median over
+# six or seven seeds, and runs that long fit the benchmark's total time for
+# two workloads only.
 WORKLOADS = {
     w.name: w
     for w in (
@@ -188,7 +188,7 @@ WORKLOADS = {
             "sim-session",
             "n=16 Monte-Carlo simulate, n=8 exact equivocation and n=10 audit: every sim, typical and rd layer",
             (STEPS["sim-trials"], STEPS["sim-exact"], STEPS["build-audit"]),
-            jobs=7,
+            jobs=6,
         ),
         # The optimizer loop over the information quantities, bypassing
         # everything in sim and typical: the control for simulator changes.
@@ -196,7 +196,7 @@ WORKLOADS = {
             "region-opt",
             "default-settings region optimizer on the binary system: region math with no simulation",
             (STEPS["region-opt"],),
-            jobs=8,
+            jobs=7,
         ),
     )
 }
