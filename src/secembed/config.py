@@ -3,7 +3,7 @@
 One YAML document describes a run: the command, its parameters, the system
 tables (alphabets declared with explicit symbol lists, probability tables as
 nested lists of exact decimals), and optionally an aux channel, a test
-channel, or a region point.  Tables are validated on load to 1e-9 and never
+channel, or a region point.  Tables are validated on load to 1e-12 and never
 silently renormalized; every invariant violation names the offending table.
 """
 
@@ -19,9 +19,7 @@ import yaml
 
 from .errors import ValidationError
 from .region import AuxChannel, RegionPoint, SystemSpec
-from .tables import Axis, DistTable, DistortionMeasure
-
-CONFIG_TABLE_ATOL = 1e-9
+from .tables import NORMALIZATION_ATOL, Axis, DistTable, DistortionMeasure
 
 COMMANDS = ("rd", "region-eval", "region-opt", "simulate", "audit", "sweep")
 RANDOMIZED_COMMANDS = ("region-opt", "simulate", "audit")
@@ -45,7 +43,7 @@ def _check_joint(name: str, arr: np.ndarray) -> None:
     if np.any(arr < 0):
         raise ValidationError(f"table {name!r} has negative entries")
     s = float(arr.sum())
-    if abs(s - 1.0) > CONFIG_TABLE_ATOL:
+    if abs(s - 1.0) > NORMALIZATION_ATOL:
         raise ValidationError(f"table {name!r} must sum to 1, got {s!r}")
 
 
@@ -53,7 +51,7 @@ def _check_rows(name: str, arr: np.ndarray) -> None:
     if np.any(arr < 0):
         raise ValidationError(f"table {name!r} has negative entries")
     sums = arr.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > CONFIG_TABLE_ATOL
+    bad = np.abs(sums - 1.0) > NORMALIZATION_ATOL
     if np.any(bad):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ValidationError(

@@ -560,7 +560,9 @@ def attack(y_seq: np.ndarray, spec: SystemSpec, rng: np.random.Generator) -> np.
     att = spec.p_z_given_y.conditional_matrix((spec.y_axis.name,), (spec.z_axis.name,))
     cum = att.cumsum(axis=1)
     r = rng.random(y.size)
-    return (r[:, None] > cum[y]).sum(axis=1).astype(np.int64)
+    # a row may sum to just under 1; a draw above its total takes the last symbol
+    z = np.minimum((r[:, None] > cum[y]).sum(axis=1), cum.shape[1] - 1)
+    return z.astype(np.int64)
 
 
 @dataclass

@@ -78,6 +78,18 @@ class TestSystemLoading:
         with pytest.raises(ValidationError, match="line"):
             parse_config("command: [unclosed")
 
+    @pytest.mark.parametrize(
+        "table, value",
+        [
+            ("message_source", [0.5 + 1e-10, 0.5]),
+            ("attack", [[1.0, 0.0], [1e-10, 1.0]]),
+        ],
+    )
+    def test_tolerance_is_the_tables_one(self, table, value):
+        # off by less than 1e-9 but more than 1e-12: named, not generic
+        with pytest.raises(ValidationError, match=table):
+            load_system(dict(SYSTEM, **{table: value}))
+
     def test_no_renormalization(self):
         bad = dict(SYSTEM, message_source=[0.499, 0.5])
         with pytest.raises(ValidationError):

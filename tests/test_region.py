@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from secembed import region
 from secembed.errors import InfeasibleError, ValidationError
 from secembed.rd import blahut_arimoto
 from secembed.region import (
     AuxChannel,
     RegionPoint,
+    SystemSpec,
     attack_free_witness,
     chain_row,
     check_attack_free_reduction,
@@ -21,9 +25,9 @@ from secembed.region import (
     random_aux_channel,
     system_quantities,
 )
-from secembed.tables import Axis, DistTable
+from secembed.tables import LOG_ZERO_CUTOFF, Axis, DistTable, DistortionMeasure
 
-from conftest import binary_spec, copy_embedder_aux
+from conftest import UHAT, U, binary_spec, copy_embedder_aux
 
 
 def h2(x):
@@ -327,6 +331,207 @@ class TestOptimizer:
     def test_unknown_objective(self):
         with pytest.raises(ValidationError):
             optimize_region(self.spec, {"d_prime": 0.2}, "speed", restarts=1, seed=0)
+
+    # one case per fixed coordinate, so every branch of the penalty runs
+    @pytest.mark.parametrize(
+        "fixed, objective",
+        [
+            ({"d_prime": 0.25, "d": 1.0, "r_c": 1.5}, "embedding_rate"),
+            ({"d_prime": 0.25, "r_c_prime": 1.0}, "h"),
+            ({"d_prime": 0.25, "h": 0.5}, "r_c"),
+            ({"d_prime": 0.25, "h_prime": 0.5}, "r_c_prime"),
+        ],
+    )
+    def test_fixed_coordinate_certified(self, fixed, objective):
+        res = optimize_region(self.spec, fixed, objective, v_cardinality=2, restarts=3, seed=5)
+        assert res.report.all_satisfied
+        assert res.penalty <= 1e-6
+        for name, value in fixed.items():
+            assert getattr(res.point, name) == value
+
+    @pytest.mark.parametrize(
+        "fixed, objective",
+        [
+            ({"d_prime": 0.25, "r_c": 0.05}, "h"),  # below lambda R_U(D') = 0.189
+            ({"d_prime": 0.25, "r_c_prime": 0.05}, "h_prime"),
+            ({"d_prime": 0.25, "h": 3.0}, "embedding_rate"),  # above H(K|Y) + H(U) - R
+            ({"d_prime": 0.25, "h_prime": 1.5}, "embedding_rate"),  # above H(K) = 1
+        ],
+    )
+    def test_fixed_coordinate_out_of_reach(self, fixed, objective):
+        with pytest.raises(InfeasibleError):
+            optimize_region(self.spec, fixed, objective, v_cardinality=2, restarts=3, seed=5)
+
+
+def _rows_with_zeros(rng, shape, zero_frac):
+    """Dirichlet rows over the last axis with exact zeros injected; every
+    row keeps at least one nonzero entry."""
+    p = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    p[rng.random(p.shape) < zero_frac] = 0.0
+    p[p.sum(axis=-1) == 0.0, 0] = 1.0
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _random_system(rng, sizes, zero_frac):
+    ks, xs, ys, zs = sizes
+    K, X, Y, Z = Axis("K", ks), Axis("X", xs), Axis("Y", ys), Axis("Z", zs)
+    cost = rng.random((xs, ys))
+    cost[rng.random(cost.shape) < zero_frac] = 0.0
+    return SystemSpec(
+        p_u=DistTable([U], [0.5, 0.5]),
+        p_xk=DistTable([X, K], _rows_with_zeros(rng, (xs * ks,), zero_frac).reshape(xs, ks)),
+        p_z_given_y=DistTable([Y, Z], _rows_with_zeros(rng, (ys, zs), zero_frac), given=("Y",)),
+        lam=float(rng.uniform(0.2, 2.0)),
+        d=DistortionMeasure(X, Y, cost),
+        d_prime=DistortionMeasure.hamming(U, UHAT),
+    )
+
+
+def _random_kernels(rng, spec, v_size, batch, zero_frac):
+    ks, xs, ys = spec.k_axis.size, spec.x_axis.size, spec.y_axis.size
+    q = _rows_with_zeros(rng, (batch, ks, xs, v_size * ys), zero_frac)
+    return q.reshape(batch, ks, xs, v_size, ys)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+ALL_FIXED = {"d": 0.4, "d_prime": 0.1, "r_c": 1.0, "r_c_prime": 0.8, "h": 0.6, "h_prime": 0.3}
+
+system_draws = dict(
+    sizes=st.tuples(*[st.integers(1, 3)] * 4),
+    v_size=st.integers(1, 4),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.6]),
+    batch=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestFastEvaluator:
+    """The optimizer's batched evaluator against the table-level quantities,
+    and a stack of kernels against the same kernels one at a time."""
+
+    @given(**system_draws)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_system_quantities(self, sizes, v_size, zero_frac, batch, seed):
+        rng = np.random.default_rng(seed)
+        spec = _random_system(rng, sizes, zero_frac)
+        v_size = min(v_size, spec.v_cardinality_bound())
+        q = _random_kernels(rng, spec, v_size, batch, zero_frac)
+        fast = region._FastEvaluator(spec, 0.1, None).quantities(q)
+        axes = (spec.k_axis, spec.x_axis, Axis("V", v_size), spec.y_axis)
+        for b in range(batch):
+            aux = AuxChannel(DistTable(axes, q[b], given=("K", "X")))
+            slow = system_quantities(spec, aux)
+            for name, values in fast.items():
+                assert values[b] == pytest.approx(slow[name], abs=1e-12), name
+
+    @given(**system_draws)
+    @settings(max_examples=60, deadline=None)
+    def test_batch_is_bit_identical_to_singles(self, sizes, v_size, zero_frac, batch, seed):
+        rng = np.random.default_rng(seed)
+        spec = _random_system(rng, sizes, zero_frac)
+        q = _random_kernels(rng, spec, min(v_size, spec.v_cardinality_bound()), batch, zero_frac)
+        ev = region._FastEvaluator(spec, 0.1, None)
+        stacked = ev.quantities(q)
+        singles = [ev.quantities(q[b : b + 1]) for b in range(batch)]
+        for name, values in stacked.items():
+            assert np.array_equal(_bits(values), _bits([s[name][0] for s in singles])), name
+        for objective in ("h", "r_c"):
+            score = ev.score(q, ALL_FIXED, objective, 1.0, 100.0)
+            alone = [ev.score(q[b : b + 1], ALL_FIXED, objective, 1.0, 100.0)[0] for b in range(batch)]
+            assert np.array_equal(_bits(score), _bits(alone))
+
+    @given(
+        width=st.integers(1, 300),
+        batch=st.integers(1, 12),
+        zero_frac=st.sampled_from([0.0, 0.2, 0.7, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_entropy_sums_each_row_alone(self, width, batch, zero_frac, seed):
+        # the same floating-point sum as the row's own nonzero terms
+        rng = np.random.default_rng(seed)
+        arr = rng.random((batch, width))
+        arr[rng.random(arr.shape) < zero_frac] = 0.0
+        (got,) = region._FastEvaluator._h(arr)
+        for b, row in enumerate(arr):
+            nz = row[row > LOG_ZERO_CUTOFF]
+            want = -(nz * np.log2(nz)).sum() if nz.size else 0.0
+            assert _bits(got[b]) == _bits(want)
+
+def _sequential_optimize(spec, fixed, objective, v_size, restarts, seed):
+    """Reference schedule for the optimizer: restarts one after another, one
+    evaluation per finite-difference coordinate and per step size."""
+    sign = 1.0 if objective in region._MAXIMIZED else -1.0
+    ev = region._FastEvaluator(spec, fixed["d_prime"], None)
+    ks, xs, ys = spec.k_axis.size, spec.x_axis.size, spec.y_axis.size
+    dim = v_size * ys
+
+    def score(q):
+        return ev.score(q[None], fixed, objective, sign, 100.0)[0]
+
+    values, kernels = [], []
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        q = rng.dirichlet(np.ones(dim), size=(ks, xs)).reshape(ks, xs, v_size, ys)
+        s = score(q)
+        for _ in range(60):
+            improved = 0.0
+            for k in range(ks):
+                for x in range(xs):
+                    block = q[k, x].reshape(dim)
+                    grad = np.empty(dim)
+                    for i in range(dim):
+                        trial = q.copy()
+                        trial[k, x].reshape(dim)[i] += 1e-6
+                        grad[i] = (score(trial) - s) / 1e-6
+                    step = 0.5
+                    while step > 1e-6:
+                        cand = q.copy()
+                        moved = (block + step * grad)[None]
+                        cand[k, x] = region._project_simplex(moved).reshape(v_size, ys)
+                        cand_score = score(cand)
+                        if cand_score > s + 1e-12:
+                            improved += cand_score - s
+                            q, s = cand, cand_score
+                            break
+                        step *= 0.5
+            if improved < 1e-7:
+                break
+        values.append(s)
+        kernels.append(q)
+    return values, kernels
+
+
+class TestLockstepSchedule:
+    """Batching the restarts, coordinates and step sizes changes no value."""
+
+    @pytest.mark.parametrize(
+        "spec_kw, fixed, objective",
+        [
+            ({}, {"d_prime": 0.25, "d": 1.0}, "embedding_rate"),
+            ({"attack": [[0.85, 0.15], [0.2, 0.8]]}, {"d_prime": 0.2, "h": 0.5}, "r_c"),
+            ({"x_size": 1, "lam": 0.5, "d_cost": [[0.0, 1.0]]}, {"d_prime": 0.1, "d": 0.5}, "h_prime"),
+        ],
+    )
+    def test_matches_sequential_restarts(self, spec_kw, fixed, objective):
+        spec = binary_spec(**spec_kw)
+        values, kernels = _sequential_optimize(spec, fixed, objective, 2, 4, 3)
+        res = optimize_region(spec, fixed, objective, v_cardinality=2, restarts=4, seed=3)
+        assert np.array_equal(_bits(res.restart_values), _bits(values))
+        best = kernels[int(np.argmax(values))]
+        assert np.array_equal(_bits(res.aux.table.values), _bits(best / best.sum(axis=(2, 3), keepdims=True)))
+
+    def test_chunk_size_changes_nothing(self, monkeypatch):
+        spec = binary_spec(attack=[[0.9, 0.1], [0.2, 0.8]])
+        kw = dict(v_cardinality=3, restarts=3, seed=8)
+        whole = optimize_region(spec, {"d_prime": 0.2, "d": 0.6}, "embedding_rate", **kw)
+        monkeypatch.setattr(region, "_EVAL_CHUNK", 1)  # one kernel per evaluation
+        chunked = optimize_region(spec, {"d_prime": 0.2, "d": 0.6}, "embedding_rate", **kw)
+        assert np.array_equal(_bits(whole.restart_values), _bits(chunked.restart_values))
+        assert np.array_equal(_bits(whole.aux.table.values), _bits(chunked.aux.table.values))
 
 
 class TestComposeSystem:

@@ -258,6 +258,17 @@ class TestAttack:
         flips = float(np.mean(y != z))
         assert abs(flips - 0.1) < 0.01
 
+    def test_draw_in_normalization_gap_stays_in_range(self):
+        # a row may sum to 1 - 5e-13 (within the tables' tolerance); a draw
+        # above its cumulative total still picks the last forgery symbol
+        class TopDraw:
+            def random(self, size):
+                return np.full(size, 1.0 - 1e-13)
+
+        spec = binary_spec(attack=[[1.0, 0.0], [0.5, 0.5 - 5e-13]])
+        z = sim.attack(np.array([0, 1, 1]), spec, TopDraw())
+        assert z.tolist() == [0, 1, 1]
+
 
 class TestDecode:
     def test_single_bin_always_decodes_that_bin(self):
