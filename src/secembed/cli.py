@@ -171,6 +171,11 @@ def run(config: RunConfig) -> int:
     )
 
     if config.command == "simulate":
+        books = None
+        if config.exact_equivocation:  # the trials and the enumeration share one build
+            books = sim.build_codebooks(
+                spec, config.aux, config.n, config.delta, config.seed, config.d_prime, **build_kwargs
+            )
         agg = sim.run_trials(
             spec,
             config.aux,
@@ -179,6 +184,7 @@ def run(config: RunConfig) -> int:
             config.delta,
             config.seed,
             config.d_prime,
+            codebooks=books,
             collect_transcripts=True,
             **build_kwargs,
         )
@@ -226,9 +232,6 @@ def run(config: RunConfig) -> int:
         summary.append(["mean_distortion_uuhat", agg.mean_distortion_uuhat])
         summary.append(["distortion_bound", agg.distortion_bound])
         if config.exact_equivocation:
-            books = sim.build_codebooks(
-                spec, config.aux, config.n, config.delta, config.seed, config.d_prime, **build_kwargs
-            )
             if config.ensemble_average:
                 seeds = [config.seed + i for i in range(config.rebuilds)]
                 h_u, h_uhat, _ = sim.estimate_equivocation_ensemble(

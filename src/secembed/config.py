@@ -306,9 +306,11 @@ def parse_config(text: str) -> RunConfig:
     cfg.d_prime = take("d_prime", float)
     cfg.out = doc.get("out")
     cfg.objective = doc.get("objective")
-    cfg.restarts = take("restarts", int) or 32
     cfg.v_cardinality = take("v_cardinality", int)
-    cfg.rebuilds = take("rebuilds", int) or 1
+    for name in ("restarts", "rebuilds"):  # absent or null keeps the default
+        count = take(name, int)
+        if count is not None:
+            setattr(cfg, name, count)
     cfg.m2_bits = take("m2_bits", int)
     cfg.m3_bits = take("m3_bits", int)
     cfg.j_bits = take("j_bits", int)
@@ -333,6 +335,9 @@ def _validate_required(cfg: RunConfig) -> None:
     c = cfg.command
     if c in RANDOMIZED_COMMANDS and cfg.seed is None:
         raise ValidationError(f"command {c!r} is randomized: field 'seed' is required")
+    for name in ("restarts", "rebuilds"):
+        if getattr(cfg, name) < 1:
+            raise ValidationError(f"field {name!r} must be at least 1, got {getattr(cfg, name)}")
     if c in ("rd", "sweep") and not cfg.grid and cfg.d_prime is None:
         need.append("grid or d_prime")
     if c == "region-eval":

@@ -231,15 +231,14 @@ def build_rd_codebook(
         return dists <= radius + 1e-12
 
     pool = np.array([c.symbols for c in candidates], dtype=np.int64).reshape(-1, n_symbols)
+    covers = cover_matrix(pool)
+    # gains[i] counts the uncovered sources candidate i covers; a pick
+    # subtracts the sources it newly covers from every candidate's gain
+    gains = covers.sum(axis=1)
     chosen: list[np.ndarray] = []
     uncovered = np.ones(len(sources), dtype=bool)
     extended = False
     while uncovered.any():
-        if pool.size == 0:
-            gains = np.zeros(0)
-        else:
-            covers = cover_matrix(pool)
-            gains = covers[:, uncovered].sum(axis=1)
         if gains.size == 0 or gains.max() == 0:
             if extended or d_prime.cols.size**n_symbols > cap:
                 raise InfeasibleError(
@@ -252,11 +251,15 @@ def build_rd_codebook(
             pool = np.array(
                 list(product(range(d_prime.cols.size), repeat=n_symbols)), dtype=np.int64
             )
+            covers = cover_matrix(pool)
+            gains = covers[:, uncovered].sum(axis=1)
             extended = True
             continue
         best = int(np.argmax(gains))
         chosen.append(pool[best])
-        uncovered &= ~covers[best]
+        newly = covers[best] & uncovered
+        uncovered &= ~newly
+        gains -= covers[:, newly].sum(axis=1)
 
     distinct = len(chosen)
     index_bits = (math.ceil(math.log2(distinct)) if distinct > 1 else 0) + extra_index_bits

@@ -672,6 +672,8 @@ def optimize_region(
         raise ValidationError(f"unknown objective {objective!r}")
     if "d_prime" not in fixed:
         raise ValidationError("fixed coordinates must include d_prime")
+    if restarts < 1:
+        raise ValidationError(f"restarts must be at least 1, got {restarts}")
     sign = 1.0 if objective in _MAXIMIZED else -1.0
     v_size = v_cardinality or spec.v_cardinality_bound()
     if v_size > spec.v_cardinality_bound():

@@ -14,10 +14,11 @@ reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +47,8 @@ DEFAULT_AUX_ROWS_CAP = 1 << 18
 DEFAULT_ENUM_CAP = 1 << 26
 DEFAULT_STEGO_AUDIT_CAP = 1 << 22
 DEFAULT_KEY_ENUM_CAP = 1 << 20
+# stegotext words the compression audit moves to key positions at once
+_AUDIT_CHUNK_ROWS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +131,13 @@ class CodebookSet:
         self.kxv_box = count_box(joint.marginal(k, x, v).values.ravel(), n, delta)
         self.kxvy_box = count_box(joint.marginal(k, x, v, y).values.ravel(), n, delta)
         self.kvz_box = count_box(joint.marginal(k, v, z).values.ravel(), n, delta)
+
+        # the search and decode tests as (context, value) boxes, the value
+        # being the letter of the book row under test
+        ks, xs, vs, ys, zs = self.k_size, self.x_size, self.v_size, self.y_size, self.z_size
+        self.kxv_cells = _cell_bounds(self.kxv_box, (ks, xs, vs), 2)
+        self.kxvy_cells = _cell_bounds(self.kxvy_box, (ks, xs, vs, ys), 3)
+        self.kzv_cells = _cell_bounds(self.kvz_box, (ks, vs, zs), 1)
 
         kv = joint.marginal(k, v).values
         pk = kv.sum(axis=1)
@@ -228,6 +238,15 @@ class CodebookSet:
         }
 
 
+def _message_length(spec: SystemSpec, n: int) -> int:
+    """The message blocklength lambda * n at covertext blocklength n; it must
+    be a positive integer."""
+    n_message = spec.lam * n
+    if abs(n_message - round(n_message)) > 1e-9 or n_message < 1:
+        raise ValidationError(f"lambda * n = {n_message} must be a positive integer")
+    return int(round(n_message))
+
+
 def _enumerate_key_types(box: CountBox, n: int, k_size: int) -> list[KeyType]:
     lo = [int(v) for v in box.lo]
     hi = [int(v) for v in box.hi]
@@ -276,10 +295,7 @@ def build_codebooks(
     joint = compose_system(spec, aux)
     q = system_quantities(spec, aux, joint)
     lam = spec.lam
-    n_message = lam * n
-    if abs(n_message - round(n_message)) > 1e-9 or n_message < 1:
-        raise ValidationError(f"lambda * n = {n_message} must be a positive integer")
-    n_message = int(round(n_message))
+    n_message = _message_length(spec, n)
 
     sol = rd_solution or blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value)
     r = sol.rate_bits
@@ -426,12 +442,36 @@ def sw_encode(k_seq: np.ndarray, codebooks: CodebookSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rows_in_box(cells: np.ndarray, n_cells: int, box: CountBox) -> np.ndarray:
-    """Boolean mask of rows whose cell counts lie in the box."""
-    m = cells.shape[0]
-    counts = np.zeros((m, n_cells), dtype=np.int64)
-    np.add.at(counts, (np.arange(m)[:, None], cells), 1)
-    return (counts >= box.lo[None, :]).all(axis=1) & (counts <= box.hi[None, :]).all(axis=1)
+def _cell_bounds(box: CountBox, shape: tuple[int, ...], value_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """A count box over the row-major cells of ``shape`` as (context, value)
+    tables: the value axis moved last, the other axes flattened row-major
+    into the context.  Float32, which holds every count up to 2^24 exactly."""
+    lo, hi = (
+        np.moveaxis(b.reshape(shape), value_axis, -1).reshape(-1, shape[value_axis]).astype(np.float32)
+        for b in (box.lo, box.hi)
+    )
+    return lo, hi
+
+
+def _rows_in_box(
+    book: np.ndarray, context: np.ndarray, bounds: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Boolean mask of the book rows whose (context, value) cell counts lie
+    in the box: row r counts cell (c, v) once per position t with
+    context[t] == c and book[r, t] == v, and every cell, including those of
+    contexts no position has, must lie in lo[c, v] .. hi[c, v].
+
+    The counts of all rows are one GEMM of the positions' context indicator
+    with the rows' one-hot value indicators."""
+    lo, hi = bounds
+    n_ctx, n_val = lo.shape
+    rows, n = book.shape
+    onehot = (book == np.arange(n_val)[:, None, None]).astype(np.float32).reshape(-1, n)
+    place = (np.arange(n_ctx)[:, None] == context).astype(np.float32)
+    counts = (place @ onehot.T).reshape(n_ctx, n_val, rows)
+    ok = counts >= lo[:, :, None]
+    ok &= counts <= hi[:, :, None]
+    return np.logical_and.reduce(ok.reshape(-1, rows), axis=0)
 
 
 @dataclass
@@ -468,12 +508,8 @@ def embed_in_bin(
     book = codebooks.aux_book(type_idx)
     lo_row = (m - 1) * sizes.m2
     rows = book[lo_row : lo_row + sizes.m2]
-    base3 = (rep * codebooks.x_size + x_rep) * codebooks.v_size
-    mask = _rows_in_box(
-        base3[None, :] + rows,
-        codebooks.k_size * codebooks.x_size * codebooks.v_size,
-        codebooks.kxv_box,
-    )
+    ctx3 = rep * codebooks.x_size + x_rep
+    mask = _rows_in_box(rows, ctx3, codebooks.kxv_cells)
     hits = np.flatnonzero(mask)
     if hits.size == 0:
         return None, "e2", {"type_idx": type_idx, "order": order}
@@ -481,12 +517,7 @@ def embed_in_bin(
     v_rep = rows[j]
 
     stego = codebooks.stego_book(type_idx, v_rep)
-    base4 = (base3 + v_rep) * codebooks.y_size
-    mask_y = _rows_in_box(
-        base4[None, :] + stego,
-        codebooks.k_size * codebooks.x_size * codebooks.v_size * codebooks.y_size,
-        codebooks.kxvy_box,
-    )
+    mask_y = _rows_in_box(stego, ctx3 * codebooks.v_size + v_rep, codebooks.kxvy_cells)
     hits_y = np.flatnonzero(mask_y)
     details = {"type_idx": type_idx, "order": order, "v_rep": v_rep, "j": j}
     if hits_y.size == 0:
@@ -587,9 +618,7 @@ def decode(z_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> Deco
     z_rep = z_arr[order]
 
     book = codebooks.aux_book(type_idx)
-    base = rep * codebooks.v_size
-    cells = (base[None, :] + book) * codebooks.z_size + z_rep[None, :]
-    mask = _rows_in_box(cells, codebooks.k_size * codebooks.v_size * codebooks.z_size, codebooks.kvz_box)
+    mask = _rows_in_box(book, rep * codebooks.z_size + z_rep, codebooks.kzv_cells)
     hits = np.flatnonzero(mask)
     if hits.size == 0:
         return DecodeResult(None, "e4", None, ())
@@ -770,10 +799,7 @@ def run_trials(
 def input_atypicality_probability(spec: SystemSpec, n: int, delta: float) -> float:
     """Exact Pr{message word or (covertext, key) pair word atypical} under
     the product sources, via box-constrained multinomial tail sums."""
-    n_message = spec.lam * n
-    if abs(n_message - round(n_message)) > 1e-9 or n_message < 1:
-        raise ValidationError("lambda * n must be a positive integer")
-    p_u_typ = typical_set_probability(spec.p_u, int(round(n_message)), delta)
+    p_u_typ = typical_set_probability(spec.p_u, _message_length(spec, n), delta)
     kx = spec.p_xk.reorder((spec.k_axis.name, spec.x_axis.name)).values.ravel()
     p_kx_typ = typical_set_probability(kx, n, delta)
     return 1.0 - p_u_typ * p_kx_typ
@@ -785,7 +811,7 @@ def input_atypicality_frequency(
     """Monte-Carlo counterpart of input_atypicality_probability; samples the
     sources and applies the same typicality tests the encoder uses, without
     building codebooks."""
-    n_message = int(round(spec.lam * n))
+    n_message = _message_length(spec, n)
     u_box = count_box(spec.p_u.values, n_message, delta)
     kx = spec.p_xk.reorder((spec.k_axis.name, spec.x_axis.name)).values.ravel()
     kx_box = count_box(kx, n, delta)
@@ -1114,28 +1140,9 @@ def compression_audits(
     if n_keys > key_cap:
         raise ResourceCapError(f"{n_keys} typical keys exceed the enumeration cap {key_cap}")
 
-    powers = codebooks.y_size ** np.arange(n, dtype=np.int64)
-    distinct: set[int] = set()
-    for t_idx, ktype in enumerate(codebooks.key_types):
-        book = codebooks.aux_book(t_idx)
-        rep_rows = []
-        seen = set()
-        for m in range(1, sizes.bins + 1):
-            for j in range(sizes.m2):
-                v = book[(m - 1) * sizes.m2 + j]
-                vb = v.tobytes()
-                if vb in seen:
-                    continue
-                seen.add(vb)
-                rep_rows.append(codebooks.stego_book(t_idx, v))
-        rep_mat = np.unique(np.vstack(rep_rows), axis=0) if rep_rows else np.empty((0, n), dtype=np.int64)
-        for key_word in _multiset_perms(ktype.counts):
-            order = np.argsort(key_word, kind="stable")
-            permuted = np.empty_like(rep_mat)
-            permuted[:, order] = rep_mat
-            distinct.update((permuted @ powers).tolist())
-
-    count = len(distinct)
+    # symbols in the narrowest dtype that holds the alphabet: fewer bytes to hash
+    symbols = np.min_scalar_type(codebooks.y_size - 1)
+    count = _distinct_row_count(_typical_key_stego_words(codebooks, symbols))
     public_rate = math.log2(count) / n if count else 0.0
     k_y = codebooks.k_size * codebooks.y_size
     delta_prime = (
@@ -1159,6 +1166,42 @@ def compression_audits(
         rate_identity_lhs=n_c_rate,
         rate_identity_rhs=(sizes.l_bits / n) + (sizes.m2_bits / n) + (sizes.m3_bits / n),
     )
+
+
+def _typical_key_stego_words(codebooks: CodebookSet, dtype: np.dtype) -> Iterator[np.ndarray]:
+    """The stegotext books of all typical keys, a few keys of one type at a
+    time as a (rows, keys, n) array: the type's distinct stegotext rows,
+    moved from the representative frame to each key's positions."""
+    sizes = codebooks.sizes
+    for t_idx, ktype in enumerate(codebooks.key_types):
+        book = codebooks.aux_book(t_idx)
+        rep_rows = []
+        seen = set()
+        for m in range(1, sizes.bins + 1):
+            for j in range(sizes.m2):
+                v = book[(m - 1) * sizes.m2 + j]
+                vb = v.tobytes()
+                if vb in seen:
+                    continue
+                seen.add(vb)
+                rep_rows.append(codebooks.stego_book(t_idx, v))
+        rep_mat = np.unique(np.vstack(rep_rows), axis=0).astype(dtype)
+        keys = _multiset_perms(ktype.counts)
+        while chunk := list(itertools.islice(keys, max(1, _AUDIT_CHUNK_ROWS // len(rep_mat)))):
+            # slot i of the representative lands on position order[i] of a key
+            order = np.argsort(np.array(chunk), axis=1, kind="stable")
+            yield rep_mat[:, np.argsort(order, axis=1)]
+
+
+def _distinct_row_count(blocks: Iterable[np.ndarray]) -> int:
+    """Number of distinct length-n rows (the last axis) across arrays of one
+    dtype.  Rows are keyed by their raw bytes, so no word length or alphabet
+    size can make two different rows collide."""
+    seen: set[bytes] = set()
+    for block in blocks:
+        rows = np.ascontiguousarray(block).reshape(-1, block.shape[-1])
+        seen.update(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist())
+    return len(seen)
 
 
 def _multinomial_count(counts: Sequence[int]) -> int:

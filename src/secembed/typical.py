@@ -10,6 +10,9 @@ float-boundary flakiness.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -335,6 +338,38 @@ def _compositions(total: int, lo: Sequence[int], hi: Sequence[int]) -> Iterator[
     yield from rec(0, total, [])
 
 
+@dataclass(frozen=True)
+class _LetterTable:
+    """The admissible b-count vectors of one conditioning letter: each
+    composition, the running sum of their arrangement counts, and the letter
+    word each composition spells before it is permuted."""
+
+    comps: tuple[tuple[int, ...], ...]
+    cum: tuple[int, ...]
+    words: tuple[np.ndarray, ...]
+
+    @property
+    def total(self) -> int:
+        return self.cum[-1]
+
+
+# one entry per (letter count, channel row, delta): a codebook build touches
+# a few dozen, and every word it samples reuses them
+_LETTER_TABLES_MAXSIZE = 256
+
+
+@functools.lru_cache(maxsize=_LETTER_TABLES_MAXSIZE)
+def _letter_table(count: int, row: tuple[float, ...], delta: float) -> _LetterTable:
+    box = conditional_count_box(np.array([count]), np.array([row]), delta)
+    comps = tuple(_compositions(count, box.lo.tolist(), box.hi.tolist()))
+    cum = tuple(itertools.accumulate(_multinomial(count, c) for c in comps))
+    letters = np.arange(len(row))
+    words = tuple(np.repeat(letters, c) for c in comps)
+    for w in words:
+        w.flags.writeable = False  # shared by every sampler with this letter
+    return _LetterTable(comps, cum, words)
+
+
 class ConditionalTypicalSampler:
     """Uniform sampler over T^delta(b | a-word) for a fixed conditioning word.
 
@@ -343,7 +378,9 @@ class ConditionalTypicalSampler:
     composition family, and arrangements within the a-positions are free.
     Sampling therefore draws one composition per letter (weighted by its
     multinomial arrangement count) and then a uniformly random arrangement,
-    which is exactly uniform over the whole set.
+    which is exactly uniform over the whole set.  A letter's compositions
+    depend only on its count, its channel row and delta, so samplers share
+    them through a bounded cache.
     """
 
     def __init__(self, seq_a: np.ndarray, a_size: int, k_matrix: np.ndarray, delta: float):
@@ -352,62 +389,44 @@ class ConditionalTypicalSampler:
         self.b_size = k_matrix.shape[1]
         self.delta = delta
         counts_a = _counts(self.seq_a, a_size)
-        box = conditional_count_box(counts_a, k_matrix, delta)
-        lo = box.lo.reshape(a_size, self.b_size)
-        hi = box.hi.reshape(a_size, self.b_size)
         self.positions = [np.flatnonzero(self.seq_a == a) for a in range(a_size)]
-        self._comps: list[list[tuple[int, ...]]] = []
-        self._cums: list[list[int]] = []
-        self._totals: list[int] = []
+        self._tables: list[_LetterTable | None] = []
         for a in range(a_size):
             na = int(counts_a[a])
             if na == 0:
-                self._comps.append([])
-                self._cums.append([])
-                self._totals.append(1)
+                self._tables.append(None)
                 continue
-            comps = list(_compositions(na, [int(v) for v in lo[a]], [int(v) for v in hi[a]]))
-            weights = [_multinomial(na, c) for c in comps]
-            if not comps:
+            table = _letter_table(na, tuple(float(p) for p in k_matrix[a]), float(delta))
+            if not table.comps:
                 raise EmptyTypicalSetError(
                     f"conditional typical set empty: letter {a} admits no count vector"
                 )
-            cum = []
-            running = 0
-            for w in weights:
-                running += w
-                cum.append(running)
-            self._comps.append(comps)
-            self._cums.append(cum)
-            self._totals.append(running)
+            self._tables.append(table)
 
     @property
     def set_size(self) -> int:
         size = 1
-        for t in self._totals:
-            size *= t
+        for table in self._tables:
+            if table is not None:
+                size *= table.total
         return size
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         out = np.zeros(len(self.seq_a), dtype=np.int64)
-        for a in range(self.a_size):
-            pos = self.positions[a]
-            if pos.size == 0:
+        for pos, table in zip(self.positions, self._tables):
+            if table is None:
                 continue
-            r = _randrange(rng, self._totals[a])
-            comp = self._comps[a][_bisect(self._cums[a], r)]
-            letters = np.repeat(np.arange(self.b_size), comp)
-            out[pos] = rng.permutation(letters)
+            r = _randrange(rng, table.total)
+            out[pos] = rng.permutation(table.words[bisect.bisect_right(table.cum, r)])
         return out
 
     def contains(self, seq_b: np.ndarray) -> bool:
         seq_b = np.asarray(seq_b, dtype=np.int64)
-        for a in range(self.a_size):
-            pos = self.positions[a]
-            if pos.size == 0:
+        for pos, table in zip(self.positions, self._tables):
+            if table is None:
                 continue
             c = tuple(_counts(seq_b[pos], self.b_size))
-            if c not in self._comps[a]:
+            if c not in table.comps:
                 return False
         return True
 
@@ -415,12 +434,11 @@ class ConditionalTypicalSampler:
         if self.set_size > cap:
             raise ResourceCapError(f"conditional typical set size {self.set_size} exceeds {cap}")
         partial = [np.zeros(len(self.seq_a), dtype=np.int64)]
-        for a in range(self.a_size):
-            pos = self.positions[a]
-            if pos.size == 0:
+        for pos, table in zip(self.positions, self._tables):
+            if table is None:
                 continue
             arrangements: list[np.ndarray] = []
-            for comp in self._comps[a]:
+            for comp in table.comps:
                 arrangements.extend(_multiset_perms(comp))
             nxt = []
             for base in partial:
@@ -430,17 +448,6 @@ class ConditionalTypicalSampler:
                     nxt.append(w)
             partial = nxt
         return partial
-
-
-def _bisect(cum: list[int], r: int) -> int:
-    lo, hi = 0, len(cum) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if r < cum[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _multinomial(n: int, counts: Sequence[int]) -> int:

@@ -5,6 +5,7 @@ import sys
 import pytest
 import yaml
 
+from secembed import cli
 from secembed.config import load_aux, load_system, parse_config, stable_hash
 from secembed.errors import ValidationError
 
@@ -63,6 +64,19 @@ class TestSystemLoading:
                "trials": 10, "delta": 0.6, "d_prime": 0.0}
         with pytest.raises(ValidationError, match="seed"):
             parse_config(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize("field,value", [("restarts", 0), ("restarts", -1), ("rebuilds", 0)])
+    def test_counts_below_one_rejected(self, field, value):
+        doc = {"command": "region-opt", "system": SYSTEM, "objective": "h",
+               "fixed": {"d_prime": 0.25}, "seed": 0, field: value}
+        with pytest.raises(ValidationError, match=field):
+            parse_config(yaml.safe_dump(doc))
+
+    def test_absent_or_null_counts_keep_defaults(self):
+        doc = {"command": "region-opt", "system": SYSTEM, "objective": "h",
+               "fixed": {"d_prime": 0.25}, "seed": 0, "rebuilds": None}
+        cfg = parse_config(yaml.safe_dump(doc))
+        assert (cfg.restarts, cfg.rebuilds) == (32, 1)
 
     def test_bad_table_named(self):
         bad = dict(SYSTEM, message_source=[0.6, 0.6])
@@ -180,6 +194,32 @@ class TestCli:
         ])
         assert r.returncode == 2
         assert "validation" in r.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["region-opt", "--objective", "h", "--fix", "d_prime=0.25", "--restarts", "0"],
+            ["region-opt", "--objective", "h", "--fix", "d_prime=0.25", "--restarts", "-1"],
+            ["audit", "--n", "10", "--delta", "0.2", "--gamma", "0.5", "--dprime", "0.0",
+             "--rebuilds", "0"],
+        ],
+        ids=["restarts-0", "restarts-negative", "rebuilds-0"],
+    )
+    def test_counts_below_one_exit_code(self, workdir, args, capsys):
+        code = cli.main([
+            args[0], "--spec", str(workdir / "sys.yaml"), "--aux", str(workdir / "aux.yaml"),
+            *args[1:], "--seed", "1", "--out", str(workdir / "x"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert "validation" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
+
+    def test_run_file_counts_below_one_exit_code(self, workdir, capsys):
+        doc = {"command": "region-opt", "system": SYSTEM, "objective": "h",
+               "fixed": {"d_prime": 0.25}, "seed": 0, "restarts": 0, "out": str(workdir / "x")}
+        (workdir / "run.yaml").write_text(yaml.safe_dump(doc))
+        assert cli.main(["run", str(workdir / "run.yaml")]) == cli.EXIT_VALIDATION
+        assert "restarts" in capsys.readouterr().err
 
     def test_infeasible_exit_code(self, workdir, tmp_path):
         # |V| = 1 with Y = const makes the counting constraint fail

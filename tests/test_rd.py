@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secembed.errors import ValidationError
+from secembed.errors import EmptyTypicalSetError, InfeasibleError, ValidationError
 from secembed.rd import blahut_arimoto, build_rd_codebook, rd_curve, rd_decode, rd_encode
 from secembed.tables import Axis, DistTable, DistortionMeasure
 from secembed.typical import SymbolSequence, enumerate_typical
@@ -203,3 +206,93 @@ class TestEncodeDecode:
     def test_decode_range_checked(self):
         with pytest.raises(ValidationError):
             rd_decode(self.cb.size, self.cb)
+
+
+def _reference_cover(p_u, d_prime, target_d, n_symbols, delta, eps_cov=0.0, cap=1 << 24):
+    """The greedy cover as first written, kept as the reference for the
+    incremental gains: the full candidate x source cover matrix recomputed
+    for every pick.  Returns the picked codewords and whether the pool was
+    extended to the whole reproduction space."""
+    sol = blahut_arimoto(p_u, d_prime, target_d)
+    sources = enumerate_typical(p_u, n_symbols, delta, cap=cap)
+    if not sources:
+        raise EmptyTypicalSetError("no typical source words")
+    q_out = p_u.values @ sol.test_channel.conditional_matrix((d_prime.rows.name,), (d_prime.cols.name,))
+    q_table = DistTable((d_prime.cols,), q_out / q_out.sum())
+    candidates = enumerate_typical(q_table, n_symbols, delta, cap=cap)
+    src = np.array([s.symbols for s in sources], dtype=np.int64)
+    radius = n_symbols * (target_d + eps_cov)
+
+    def cover_matrix(cands):
+        dists = d_prime.cost[src[None, :, :], cands[:, None, :]].sum(axis=2)
+        return dists <= radius + 1e-12
+
+    pool = np.array([c.symbols for c in candidates], dtype=np.int64).reshape(-1, n_symbols)
+    chosen = []
+    uncovered = np.ones(len(sources), dtype=bool)
+    extended = False
+    while uncovered.any():
+        if pool.size == 0:
+            gains = np.zeros(0)
+        else:
+            covers = cover_matrix(pool)
+            gains = covers[:, uncovered].sum(axis=1)
+        if gains.size == 0 or gains.max() == 0:
+            if extended or d_prime.cols.size**n_symbols > cap:
+                raise InfeasibleError("greedy cover stalled")
+            pool = np.array(
+                list(itertools.product(range(d_prime.cols.size), repeat=n_symbols)), dtype=np.int64
+            )
+            extended = True
+            continue
+        best = int(np.argmax(gains))
+        chosen.append(pool[best])
+        uncovered &= ~covers[best]
+    return np.array(chosen, dtype=np.int64), extended
+
+
+@st.composite
+def _cover_cases(draw):
+    u_size = draw(st.integers(2, 3))
+    uhat_size = draw(st.integers(2, 3))
+    weights = np.array(draw(st.lists(st.integers(1, 3), min_size=u_size, max_size=u_size)), float)
+    cost = np.array(
+        draw(st.lists(st.integers(0, 3), min_size=u_size * uhat_size, max_size=u_size * uhat_size)),
+        float,
+    ).reshape(u_size, uhat_size)
+    p_u = DistTable([Axis("U", u_size)], weights / weights.sum())
+    d_prime = DistortionMeasure(Axis("U", u_size), Axis("Uhat", uhat_size), cost)
+    # targets from the cheapest deterministic map to past the rate-zero
+    # distortion, where the fall-back to the whole space is likely
+    p = p_u.values
+    d_min = float((p * cost.min(axis=1)).sum())
+    d_zero = float((p @ cost).min())
+    target = d_min + draw(st.sampled_from([0.0, 0.5, 1.0, 1.25])) * (d_zero - d_min)
+    n_symbols = draw(st.integers(2, 6))
+    delta = draw(st.sampled_from([0.6, 0.9]))
+    eps_cov = draw(st.sampled_from([0.0, 0.25]))
+    return p_u, d_prime, target, n_symbols, delta, eps_cov
+
+
+class TestCoverMatchesReference:
+    @given(_cover_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_same_codewords(self, case):
+        p_u, d_prime, target, n_symbols, delta, eps_cov = case
+        try:
+            ref, _ = _reference_cover(p_u, d_prime, target, n_symbols, delta, eps_cov)
+        except (InfeasibleError, EmptyTypicalSetError) as e:
+            with pytest.raises(type(e)):
+                build_rd_codebook(p_u, d_prime, target, n_symbols, delta, eps_cov=eps_cov)
+            return
+        cb = build_rd_codebook(p_u, d_prime, target, n_symbols, delta, eps_cov=eps_cov)
+        assert np.array_equal(cb.codewords[: cb.distinct_count], ref)
+
+    def test_fallback_to_full_reproduction_space(self):
+        # at the rate-zero distortion the only candidate is the all-zero
+        # word, which leaves the typical words with three ones uncovered
+        ref, extended = _reference_cover(BSS, HAMMING, 0.5, 4, 0.6)
+        assert extended
+        cb = build_rd_codebook(BSS, HAMMING, 0.5, 4, 0.6)
+        assert np.array_equal(cb.codewords[: cb.distinct_count], ref)
+        assert cb.distinct_count > 1

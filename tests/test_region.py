@@ -332,6 +332,11 @@ class TestOptimizer:
         with pytest.raises(ValidationError):
             optimize_region(self.spec, {"d_prime": 0.2}, "speed", restarts=1, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_must_be_positive(self, restarts):
+        with pytest.raises(ValidationError, match="restarts"):
+            optimize_region(self.spec, {"d_prime": 0.2}, "h", restarts=restarts, seed=0)
+
     # one case per fixed coordinate, so every branch of the penalty runs
     @pytest.mark.parametrize(
         "fixed, objective",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from secembed import sim
@@ -13,6 +15,7 @@ from secembed.errors import (
 )
 from secembed.region import AuxChannel
 from secembed.tables import Axis, DistTable
+from secembed.typical import CountBox
 
 from conftest import binary_spec, copy_embedder_aux, noise_aux
 
@@ -502,3 +505,83 @@ class TestInputAtypicality:
         hi_u = math.floor((1 + delta) * 0.5 * m)
         pu = float(binom_m.cdf(hi_u) - binom_m.cdf(lo_u - 1))
         assert p == pytest.approx(1 - pk * pu, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 1])  # lambda n = 1.5 and 0.5
+    def test_frequency_validates_message_length_like_the_oracle(self, trend_spec, n):
+        with pytest.raises(ValidationError, match="lambda"):
+            sim.input_atypicality_probability(trend_spec, n, 0.5)
+        with pytest.raises(ValidationError, match="lambda"):
+            sim.input_atypicality_frequency(trend_spec, n, 0.5, trials=10, seed=0)
+
+
+@st.composite
+def _box_cases(draw):
+    """A book over one axis of a cell grid, each position's context on the
+    other axes, and a count box around one row's counts."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    value_axis = draw(st.integers(0, len(shape) - 1))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    book = rng.integers(0, shape[value_axis], size=(rows, n))
+    others = [s for i, s in enumerate(shape) if i != value_axis]
+    ctx_idx = [rng.integers(0, s, size=n) for s in others]
+    ref_cells = _reference_cells(book, ctx_idx, shape, value_axis)
+    counts = np.bincount(ref_cells[0], minlength=math.prod(shape))
+    lo = counts - rng.integers(0, 3, size=counts.size)
+    hi = counts + rng.integers(-1, 3, size=counts.size)
+    return book, ctx_idx, shape, value_axis, CountBox(lo, hi, n)
+
+
+def _reference_cells(book, ctx_idx, shape, value_axis):
+    """The row-major cell of every (row, position) of the book."""
+    idx = [c[None, :] for c in ctx_idx]
+    idx.insert(value_axis, book)
+    return np.ravel_multi_index(tuple(np.broadcast_arrays(*idx)), shape)
+
+
+class TestBoxCountKernel:
+    @given(_box_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_add_at_reference(self, case):
+        book, ctx_idx, shape, value_axis, box = case
+        cells = _reference_cells(book, ctx_idx, shape, value_axis)
+        counts = np.zeros((book.shape[0], math.prod(shape)), dtype=np.int64)
+        np.add.at(counts, (np.arange(book.shape[0])[:, None], cells), 1)
+        expected = (counts >= box.lo).all(axis=1) & (counts <= box.hi).all(axis=1)
+        others = [s for i, s in enumerate(shape) if i != value_axis]
+        context = np.ravel_multi_index(tuple(ctx_idx), others)
+        got = sim._rows_in_box(book, context, sim._cell_bounds(box, shape, value_axis))
+        assert got.dtype == bool
+        assert np.array_equal(got, expected)
+
+
+class TestDistinctRowCount:
+    def test_long_binary_words_do_not_collide(self):
+        # 2^64 wraps to 0 in int64, so base-2 codes of these two words agree
+        words = np.zeros((2, 65), dtype=np.int64)
+        words[1, -1] = 1
+        powers = 2 ** np.arange(65, dtype=np.int64)
+        assert len(set((words @ powers).tolist())) == 1
+        assert sim._distinct_row_count([words]) == 2
+
+    @given(
+        st.integers(1, 70),
+        st.sampled_from([2, 3, 255, 256, 300]),
+        st.lists(st.integers(0, 30), min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_set_of_tuples(self, n, alphabet, block_rows, seed):
+        rng = np.random.default_rng(seed)
+        dtype = np.min_scalar_type(alphabet - 1)
+        # rows drawn from a few words, two of which differ in the last symbol
+        # only, so rows repeat within and across blocks and nearly collide
+        words = rng.integers(0, alphabet, size=(4, n))
+        words[1] = words[0]
+        words[1, -1] = (words[0, -1] + 1) % alphabet
+        blocks = [words[rng.integers(0, 4, size=r)].astype(dtype) for r in block_rows]
+        expected = {tuple(row) for b in blocks for row in b.tolist()}
+        assert sim._distinct_row_count(blocks) == len(expected)
+        assert sim._distinct_row_count(b.astype(np.int64) for b in blocks) == len(expected)

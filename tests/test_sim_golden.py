@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from secembed import cli
+from secembed import cli, sim
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -77,6 +77,23 @@ def test_sim_artifacts_match_golden(name, tmp_path):
     for suffix in CASES[name][2]:
         got = Path(str(out) + suffix).read_bytes()
         assert got == (DATA / f"{name}{suffix}").read_bytes(), suffix
+
+
+def test_exact_equivocation_builds_codebooks_once(tmp_path, monkeypatch):
+    """The trials and the exact enumeration share one codebook build, and
+    the summary stays the one two builds of the same seed wrote."""
+    calls = []
+    build = sim.build_codebooks
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "build_codebooks", counting_build)
+    out = _run_case("exact_n8", tmp_path)
+    assert len(calls) == 1
+    got = Path(str(out) + "_summary.csv").read_bytes()
+    assert got == (DATA / "exact_n8_summary.csv").read_bytes()
 
 
 if __name__ == "__main__":

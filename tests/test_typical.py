@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from secembed.errors import EmptyTypicalSetError, ResourceCapError, ValidationError
@@ -355,3 +357,94 @@ class TestEpsilonSchedule:
             0.5 + 2 * math.exp(-(2.0**2)) + 2.0**-2
         )
         assert epsilon_from_delta(0.25, 4000) == pytest.approx(0.5 + 0.0625)
+
+
+def _reference_sample(seq_a, a_size, k_matrix, delta, rng):
+    """The sampler as first written, kept as the reference for the cached
+    tables: every table rebuilt from the count box, a hand-written
+    bisection, and the letter word rebuilt per draw."""
+    from secembed.typical import _compositions, _multinomial, _randrange, conditional_count_box
+
+    counts_a = np.bincount(seq_a, minlength=a_size)
+    box = conditional_count_box(counts_a, k_matrix, delta)
+    b_size = k_matrix.shape[1]
+    lo = box.lo.reshape(a_size, b_size)
+    hi = box.hi.reshape(a_size, b_size)
+    out = np.zeros(len(seq_a), dtype=np.int64)
+    for a in range(a_size):
+        pos = np.flatnonzero(seq_a == a)
+        if pos.size == 0:
+            continue
+        na = int(counts_a[a])
+        comps = list(_compositions(na, [int(v) for v in lo[a]], [int(v) for v in hi[a]]))
+        if not comps:
+            raise EmptyTypicalSetError(f"letter {a} admits no count vector")
+        cum = list(itertools.accumulate(_multinomial(na, c) for c in comps))
+        r = _randrange(rng, cum[-1])
+        first, last = 0, len(cum) - 1
+        while first < last:
+            mid = (first + last) // 2
+            if r < cum[mid]:
+                last = mid
+            else:
+                first = mid + 1
+        out[pos] = rng.permutation(np.repeat(np.arange(b_size), comps[first]))
+    return out
+
+
+@st.composite
+def _sampler_cases(draw):
+    a_size = draw(st.integers(1, 3))
+    b_size = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 16))
+    seq_a = np.array(draw(st.lists(st.integers(0, a_size - 1), min_size=n, max_size=n)))
+    weights = np.array(
+        draw(st.lists(st.integers(1, 4), min_size=a_size * b_size, max_size=a_size * b_size)),
+        dtype=np.float64,
+    ).reshape(a_size, b_size)
+    k_matrix = weights / weights.sum(axis=1, keepdims=True)
+    delta = draw(st.sampled_from([0.3, 0.8, 0.99]))
+    return seq_a, a_size, k_matrix, delta, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSamplerMatchesReference:
+    @given(_sampler_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_draw_for_draw(self, case):
+        seq_a, a_size, k_matrix, delta, seed = case
+        try:
+            sampler = ConditionalTypicalSampler(seq_a, a_size, k_matrix, delta)
+        except EmptyTypicalSetError:
+            with pytest.raises(EmptyTypicalSetError):
+                _reference_sample(seq_a, a_size, k_matrix, delta, np.random.default_rng(0))
+            return
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            got = sampler.sample(rng)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _reference_sample(seq_a, a_size, k_matrix, delta, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_big_integer_totals(self):
+        # one admissible composition with 40! / 5!^8 > 2^62 arrangements: the
+        # composition draw goes through the arbitrary-precision path
+        k_matrix = np.full((1, 8), 0.125)
+        seq_a = np.zeros(40, dtype=np.int64)
+        sampler = ConditionalTypicalSampler(seq_a, 1, k_matrix, 0.05)
+        assert sampler.set_size > 1 << 62
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(3):
+            assert np.array_equal(
+                sampler.sample(rng), _reference_sample(seq_a, 1, k_matrix, 0.05, ref_rng)
+            )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_letter_tables_are_shared_and_read_only(self):
+        from secembed.typical import _letter_table
+
+        kmat = np.array([[0.5, 0.5], [0.25, 0.75]])
+        s1 = ConditionalTypicalSampler(np.array([0, 0, 1, 1, 0, 1, 1, 1]), 2, kmat, 0.5)
+        s2 = ConditionalTypicalSampler(np.array([1, 1, 0, 1, 1, 0, 0, 1]), 2, kmat, 0.5)
+        assert s1._tables[0] is s2._tables[0] and s1._tables[1] is s2._tables[1]
+        assert not any(w.flags.writeable for w in s1._tables[1].words)
+        assert _letter_table.cache_info().maxsize is not None
