@@ -59,6 +59,13 @@ CASES = {
         ["--objective", "embedding_rate", "--fix", "d_prime=0.25,d=1.0",
          "--restarts", "4", "--seed", "0"],
     ),
+    # fixes three coordinates besides d_prime, so the order in which the
+    # optimizer sums its penalty terms shows in the bytes
+    "binary_multi_fixed": (
+        BINARY_SYSTEM,
+        ["--objective", "embedding_rate", "--fix", "d_prime=0.25,d=0.3,r_c=1.5,h=0.5",
+         "--restarts", "4", "--seed", "0"],
+    ),
 }
 SUFFIXES = ("_summary.csv", "_conditions.csv")
 

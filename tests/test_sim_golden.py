@@ -44,6 +44,14 @@ CASES = {
          "--m2-bits", "3", "--j-bits", "2", "--seed", "4", "--exact-equivocation"],
         ("_summary.csv",),
     ),
+    # the same run averaged over a two-build codebook ensemble
+    "ensemble_n8": (
+        "simulate",
+        [*_DEMO, "--n", "8", "--trials", "10", "--dprime", "0.25",
+         "--m2-bits", "3", "--j-bits", "2", "--seed", "4", "--exact-equivocation",
+         "--ensemble-average", "--rebuilds", "2"],
+        ("_summary.csv",),
+    ),
     # bin-multiplicity audit of two rebuilds and the compression audit of the
     # first, with two stegotext words per auxiliary word
     "audit_n10": (
