@@ -59,12 +59,18 @@ CASES = {
         ["--objective", "embedding_rate", "--fix", "d_prime=0.25,d=1.0",
          "--restarts", "4", "--seed", "0"],
     ),
-    # fixes three coordinates besides d_prime, so the order in which the
-    # optimizer sums its penalty terms shows in the bytes
+    # fix three coordinates besides d_prime
     "binary_multi_fixed": (
         BINARY_SYSTEM,
         ["--objective", "embedding_rate", "--fix", "d_prime=0.25,d=0.3,r_c=1.5,h=0.5",
          "--restarts", "4", "--seed", "0"],
+    ),
+    # three tight fixed coordinates and the default 32 restarts: summing the
+    # optimizer's penalty terms in another order changes these bytes
+    "binary_tight_fixed": (
+        BINARY_SYSTEM,
+        ["--objective", "embedding_rate", "--fix", "d_prime=0.25,d=0.25,h=1.2,r_c=0.45",
+         "--seed", "0"],
     ),
 }
 SUFFIXES = ("_summary.csv", "_conditions.csv")
