@@ -232,14 +232,15 @@ def run(config: RunConfig) -> int:
         summary.append(["mean_distortion_uuhat", agg.mean_distortion_uuhat])
         summary.append(["distortion_bound", agg.distortion_bound])
         if config.exact_equivocation:
-            if config.ensemble_average:
-                seeds = [config.seed + i for i in range(config.rebuilds)]
-                h_u, h_uhat, _ = sim.estimate_equivocation_ensemble(
-                    spec, config.aux, config.n, config.delta, seeds, config.d_prime, **build_kwargs
+            est = sim.estimate_equivocation(books)
+            if config.ensemble_average:  # the run's own build is the first member
+                rebuilt = (
+                    sim.build_codebooks(spec, config.aux, config.n, config.delta, s, config.d_prime, **build_kwargs)
+                    for s in range(config.seed + 1, config.seed + config.rebuilds)
                 )
+                h_u, h_uhat = sim.ensemble_mean([est, *map(sim.estimate_equivocation, rebuilt)])
                 summary.append(["h_u_given_yz_ensemble", h_u])
                 summary.append(["h_uhat_given_yz_ensemble", h_uhat])
-            est = sim.estimate_equivocation(books)
             summary.append(["h_u_given_yz", est.h_u_given_yz])
             summary.append(["h_uhat_given_yz", est.h_uhat_given_yz])
             summary.extend([k, v] for k, v in sorted(est.extras.items()))

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .errors import ValidationError
-from .region import AuxChannel, RegionPoint, SystemSpec
+from .region import COORDINATES, AuxChannel, RegionPoint, SystemSpec
 from .tables import NORMALIZATION_ATOL, Axis, DistTable, DistortionMeasure
 
 COMMANDS = ("rd", "region-eval", "region-opt", "simulate", "audit", "sweep")
@@ -180,11 +180,10 @@ def load_test_channel(data, spec: SystemSpec) -> DistTable:
 def load_point(mapping: Mapping[str, Any]) -> RegionPoint:
     if not isinstance(mapping, Mapping):
         raise ValidationError("point must be a mapping of the six coordinates")
-    needed = ("d", "d_prime", "r_c", "r_c_prime", "h", "h_prime")
-    missing = [k for k in needed if k not in mapping]
+    missing = [k for k in COORDINATES if k not in mapping]
     if missing:
         raise ValidationError(f"point is missing coordinates {missing}")
-    return RegionPoint(**{k: float(mapping[k]) for k in needed})
+    return RegionPoint(**{k: float(mapping[k]) for k in COORDINATES})
 
 
 @dataclass

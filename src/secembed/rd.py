@@ -26,11 +26,6 @@ class RdSolution:
     iterations: int
 
 
-def _plogp(v: np.ndarray) -> float:
-    m = v > LOG_ZERO_CUTOFF
-    return float(-(v[m] * np.log2(v[m])).sum()) if np.any(m) else 0.0
-
-
 def _channel_rate(p: np.ndarray, w: np.ndarray) -> float:
     """I(U; Uhat) for source p and channel rows w."""
     q = p @ w

@@ -10,8 +10,8 @@ coordinate-ascent search over the auxiliary kernel.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,13 +21,13 @@ from .tables import (
     Axis,
     DistTable,
     DistortionMeasure,
-    LOG_ZERO_CUTOFF,
     compose_joint,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
     expected_distortion,
     mutual_information,
+    row_entropies,
 )
 
 SLACK_TOL = 1e-9
@@ -163,10 +163,18 @@ class RegionPoint:
                 raise ValidationError(f"coordinate {name} must be >= 0, got {v}")
 
 
+# the names a caller may hold fixed in the optimizer
+COORDINATES = tuple(f.name for f in fields(RegionPoint))
+
+
+def _slack(kind: str, attained, bound):
+    """``upper`` means attained <= bound, ``lower`` attained >= bound."""
+    return bound - attained if kind == "upper" else attained - bound
+
+
 @dataclass(frozen=True)
 class ConditionEntry:
-    """One inequality: ``upper`` means attained <= bound, ``lower`` means
-    attained >= bound.  slack >= -SLACK_TOL <=> satisfied."""
+    """One inequality; slack >= -SLACK_TOL <=> satisfied."""
 
     name: str
     kind: str
@@ -176,14 +184,9 @@ class ConditionEntry:
     satisfied: bool
 
     @classmethod
-    def upper(cls, name: str, attained: float, bound: float) -> "ConditionEntry":
-        slack = bound - attained
-        return cls(name, "upper", attained, bound, slack, slack >= -SLACK_TOL)
-
-    @classmethod
-    def lower(cls, name: str, attained: float, bound: float) -> "ConditionEntry":
-        slack = attained - bound
-        return cls(name, "lower", attained, bound, slack, slack >= -SLACK_TOL)
+    def of(cls, name: str, kind: str, attained: float, bound: float) -> "ConditionEntry":
+        slack = _slack(kind, attained, bound)
+        return cls(name, kind, attained, bound, slack, slack >= -SLACK_TOL)
 
 
 @dataclass
@@ -246,6 +249,54 @@ def system_quantities(spec: SystemSpec, aux: AuxChannel, joint: DistTable | None
 
 
 # ---------------------------------------------------------------------------
+# the keyed region's conditions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KeyedCondition:
+    """One of the keyed region's conditions a-f.  ``bound`` maps the
+    quantities (floats, or length-B arrays in the optimizer), lambda and the
+    message rate R to the bound.  The optimizer maximizes an ``upper`` bound
+    and minimizes a ``lower`` one."""
+
+    name: str
+    kind: str
+    bound: Callable[[Mapping[str, Any], float, float], Any]
+
+    @property
+    def sign(self) -> float:
+        return 1.0 if self.kind == "upper" else -1.0
+
+
+# keyed by the coordinate each condition bounds, which is also the bound's
+# name as an optimizer objective; c bounds lambda R by the embedding rate
+KEYED_CONDITIONS = {
+    "h": KeyedCondition("a", "upper", lambda q, lam, r: q["H(K|Y)"] / lam + q["H(U)"] - r),
+    "h_prime": KeyedCondition("b", "upper", lambda q, lam, r: q["H(K|Y)"] / lam),
+    "embedding_rate": KeyedCondition("c", "upper", lambda q, lam, r: q["I(V;Z|K)"] - q["I(V;X|K)"]),
+    "r_c": KeyedCondition("d", "lower", lambda q, lam, r: lam * r + q["I(X;Y,V|K)"] + q["I(K;Y)"]),
+    "r_c_prime": KeyedCondition("e", "lower", lambda q, lam, r: lam * r + q["I(X;Y,V|K)"]),
+    "d": KeyedCondition("f", "lower", lambda q, lam, r: q["Ed(X,Y)"]),
+}
+
+
+def counting_excess(q: Mapping[str, Any], lam: float, r: float):
+    """lambda R + I(X;Y,V|K) - H(Y|K): the counting constraint that every
+    realizable operating point meets holds where this is <= 0."""
+    return lam * r + q["I(X;Y,V|K)"] - q["H(Y|K)"]
+
+
+def _keyed_entries(point: RegionPoint, q: Mapping[str, float], lam: float, r: float) -> dict[str, ConditionEntry]:
+    """Conditions a-f at ``point`` with message rate ``r``, in table order."""
+    attained = {**vars(point), "embedding_rate": lam * r}
+    return {
+        c.name: ConditionEntry.of(c.name, c.kind, attained[coord], c.bound(q, lam, r))
+        for coord, c in KEYED_CONDITIONS.items()
+    }
+
+
+# ---------------------------------------------------------------------------
 # region condition sets
 # ---------------------------------------------------------------------------
 
@@ -260,18 +311,9 @@ def eval_keyed_region(
     joint = compose_system(spec, aux)
     q = system_quantities(spec, aux, joint)
     r, _ = _rd_rate(spec, point.d_prime, rd_solution)
-    lam = spec.lam
-    _warn_key_assumption(q["H(K)"], lam, r)
+    _warn_key_assumption(q["H(K)"], spec.lam, r)
     q["R_U(D')"] = r
-    c = {
-        "a": ConditionEntry.upper("a", point.h, q["H(K|Y)"] / lam + q["H(U)"] - r),
-        "b": ConditionEntry.upper("b", point.h_prime, q["H(K|Y)"] / lam),
-        "c": ConditionEntry.upper("c", lam * r, q["I(V;Z|K)"] - q["I(V;X|K)"]),
-        "d": ConditionEntry.lower("d", point.r_c, lam * r + q["I(X;Y,V|K)"] + q["I(K;Y)"]),
-        "e": ConditionEntry.lower("e", point.r_c_prime, lam * r + q["I(X;Y,V|K)"]),
-        "f": ConditionEntry.lower("f", point.d, q["Ed(X,Y)"]),
-    }
-    return ConditionReport(c, q)
+    return ConditionReport(_keyed_entries(point, q, spec.lam, r), q)
 
 
 def _attack_free_xy(spec: SystemSpec, p_y_given_x: DistTable) -> DistTable:
@@ -305,10 +347,10 @@ def eval_lossless_region(spec: SystemSpec, p_y_given_x: DistTable, point: Region
         "Ed(X,Y)": expected_distortion(xy, spec.d),
     }
     c = {
-        "a": ConditionEntry.upper("a", point.h, q["H(K)"] / lam),
-        "b_i": ConditionEntry.upper("b_i", lam * q["H(U)"], q["H(Y|X)"]),
-        "b_ii": ConditionEntry.lower("b_ii", point.r_c, lam * q["H(U)"] + q["I(X;Y)"]),
-        "b_iii": ConditionEntry.lower("b_iii", point.d, q["Ed(X,Y)"]),
+        "a": ConditionEntry.of("a", "upper", point.h, q["H(K)"] / lam),
+        "b_i": ConditionEntry.of("b_i", "upper", lam * q["H(U)"], q["H(Y|X)"]),
+        "b_ii": ConditionEntry.of("b_ii", "lower", point.r_c, lam * q["H(U)"] + q["I(X;Y)"]),
+        "b_iii": ConditionEntry.of("b_iii", "lower", point.d, q["Ed(X,Y)"]),
     }
     return ConditionReport(c, q)
 
@@ -335,11 +377,11 @@ def eval_attack_free_region(
     }
     _warn_key_assumption(q["H(K)"], lam, r)
     c = {
-        "a": ConditionEntry.upper("a", point.h, q["H(K)"] / lam + q["H(U)"] - r),
-        "b": ConditionEntry.upper("b", point.h_prime, q["H(K)"] / lam),
-        "c_i": ConditionEntry.upper("c_i", lam * r, q["H(Y|X)"]),
-        "c_ii": ConditionEntry.lower("c_ii", point.r_c, lam * r + q["I(X;Y)"]),
-        "c_iii": ConditionEntry.lower("c_iii", point.d, q["Ed(X,Y)"]),
+        "a": ConditionEntry.of("a", "upper", point.h, q["H(K)"] / lam + q["H(U)"] - r),
+        "b": ConditionEntry.of("b", "upper", point.h_prime, q["H(K)"] / lam),
+        "c_i": ConditionEntry.of("c_i", "upper", lam * r, q["H(Y|X)"]),
+        "c_ii": ConditionEntry.of("c_ii", "lower", point.r_c, lam * r + q["I(X;Y)"]),
+        "c_iii": ConditionEntry.of("c_iii", "lower", point.d, q["Ed(X,Y)"]),
     }
     return ConditionReport(c, q)
 
@@ -375,13 +417,10 @@ def eval_extended(
 
     a_bound = q["H(U)"] - max(0.0, i_uu - q["H(K|Y)"] / lam)
     c = {
-        "a": ConditionEntry.upper("a", point.h, a_bound),
-        "b": ConditionEntry.upper("b", point.h_prime, min(h_uhat, q["H(K|Y)"] / lam)),
-        "c": ConditionEntry.upper("c", lam * i_uu, q["I(V;Z|K)"] - q["I(V;X|K)"]),
-        "d": ConditionEntry.lower("d", point.r_c, lam * i_uu + q["I(X;Y,V|K)"] + q["I(K;Y)"]),
-        "e": ConditionEntry.lower("e", point.r_c_prime, lam * i_uu + q["I(X;Y,V|K)"]),
-        "f": ConditionEntry.lower("f", point.d, q["Ed(X,Y)"]),
-        "g": ConditionEntry.upper("g", ed_prime, point.d_prime),
+        **_keyed_entries(point, q, lam, i_uu),  # a and b are replaced in place
+        "a": ConditionEntry.of("a", "upper", point.h, a_bound),
+        "b": ConditionEntry.of("b", "upper", point.h_prime, min(h_uhat, q["H(K|Y)"] / lam)),
+        "g": ConditionEntry.of("g", "upper", ed_prime, point.d_prime),
     }
     return ConditionReport(c, q)
 
@@ -396,7 +435,7 @@ def inherent_constraint_check(
     realizable operating point must satisfy; returns (ok, slack)."""
     q = system_quantities(spec, aux)
     r, _ = _rd_rate(spec, d_prime_value, rd_solution)
-    slack = q["H(Y|K)"] - spec.lam * r - q["I(X;Y,V|K)"]
+    slack = -counting_excess(q, spec.lam, r)
     return slack >= -SLACK_TOL, slack
 
 
@@ -509,8 +548,6 @@ def check_attack_free_reduction(
 # optimizer
 # ---------------------------------------------------------------------------
 
-_MAXIMIZED = {"h", "h_prime", "embedding_rate"}
-_MINIMIZED = {"r_c", "r_c_prime", "d"}
 _EVAL_CHUNK = 1 << 13  # (B, K, X, V, Y, Z) joint entries per evaluation, to bound memory
 
 
@@ -539,28 +576,11 @@ class _FastEvaluator:
         self.h_u = entropy(spec.p_u)
         self.r, self.rd = _rd_rate(spec, d_prime_value, rd_solution)
 
-    @staticmethod
-    def _h(*stacks: np.ndarray) -> list[np.ndarray]:
-        """Entropy of each row of each (B, ...) stack.  A row's nonzero terms
-        are summed as one contiguous block of their own length, so numpy's
-        pairwise summation groups them the same way whatever the batch."""
-        rows = [s.reshape(len(s), -1) for s in stacks]
-        masks = [v > LOG_ZERO_CUTOFF for v in rows]
-        nz = np.concatenate([v[m] for v, m in zip(rows, masks)])
-        terms = nz * np.log2(nz)
-        counts = np.concatenate([m.sum(axis=1) for m in masks])
-        starts = np.cumsum(counts) - counts
-        out = np.zeros(len(counts))
-        for n in np.unique(counts[counts > 0]):
-            idx = np.nonzero(counts == n)[0]
-            out[idx] = -terms[starts[idx, None] + np.arange(n)].sum(axis=1)
-        return np.split(out, len(stacks))
-
     def quantities(self, q_kxvy: np.ndarray) -> dict[str, np.ndarray]:
         j4 = self.xk[:, :, None, None] * q_kxvy  # (B,K,X,V,Y)
         j5 = j4[..., None] * self.att  # (B,K,X,V,Y,Z)
         p_ky = j4.sum(axis=(2, 3))
-        h_k, h_ky, h_y, h_kv, h_kx, h_kz, h_kvz, h_kxv, h_kyv, h_j = self._h(
+        h_k, h_ky, h_y, h_kv, h_kx, h_kz, h_kvz, h_kxv, h_kyv, h_j = row_entropies(
             j4.sum(axis=(2, 3, 4)),
             p_ky,
             p_ky.sum(axis=1),
@@ -573,6 +593,7 @@ class _FastEvaluator:
             j4,
         )
         return {
+            "H(U)": np.full(len(q_kxvy), self.h_u),
             "H(K|Y)": h_ky - h_y,
             "I(K;Y)": _max0(h_k + h_y - h_ky),
             "I(V;Z|K)": _max0(h_kv + h_kz - h_k - h_kvz),
@@ -582,41 +603,24 @@ class _FastEvaluator:
             "Ed(X,Y)": (j4.sum(axis=(1, 3)) * self.cost).sum(axis=(1, 2)),
         }
 
-    def objective_value(self, objective: str, q: dict[str, np.ndarray]) -> np.ndarray:
-        lam, r = self.lam, self.r
-        if objective == "h":
-            return q["H(K|Y)"] / lam + self.h_u - r
-        if objective == "h_prime":
-            return q["H(K|Y)"] / lam
-        if objective == "embedding_rate":
-            return q["I(V;Z|K)"] - q["I(V;X|K)"]
-        if objective == "r_c":
-            return lam * r + q["I(X;Y,V|K)"] + q["I(K;Y)"]
-        if objective == "r_c_prime":
-            return lam * r + q["I(X;Y,V|K)"]
-        if objective == "d":
-            return q["Ed(X,Y)"]
-        raise ValidationError(f"unknown objective {objective!r}")
-
     def penalty(self, fixed: Mapping[str, float], objective: str, q: dict[str, np.ndarray]) -> np.ndarray:
+        """The counting constraint's excess, then the shortfalls of c and of
+        the fixed coordinates but the objective, in RegionPoint's field order."""
         lam, r = self.lam, self.r
-        pen = _pos(lam * r + q["I(X;Y,V|K)"] - q["H(Y|K)"])  # counting constraint
-        pen += _pos(lam * r - (q["I(V;Z|K)"] - q["I(V;X|K)"]))  # embedding condition
-        if "d" in fixed and objective != "d":
-            pen += _pos(q["Ed(X,Y)"] - fixed["d"])
-        if "r_c" in fixed and objective != "r_c":
-            pen += _pos(lam * r + q["I(X;Y,V|K)"] + q["I(K;Y)"] - fixed["r_c"])
-        if "r_c_prime" in fixed and objective != "r_c_prime":
-            pen += _pos(lam * r + q["I(X;Y,V|K)"] - fixed["r_c_prime"])
-        if "h" in fixed and objective != "h":
-            pen += _pos(fixed["h"] - (q["H(K|Y)"] / lam + self.h_u - r))
-        if "h_prime" in fixed and objective != "h_prime":
-            pen += _pos(fixed["h_prime"] - q["H(K|Y)"] / lam)
+        pen = _pos(counting_excess(q, lam, r))
+        held = [("embedding_rate", lam * r)] + [
+            (name, fixed[name])
+            for name in COORDINATES
+            if name in fixed and name != objective and name in KEYED_CONDITIONS
+        ]
+        for name, attained in held:
+            c = KEYED_CONDITIONS[name]
+            pen += _pos(-_slack(c.kind, attained, c.bound(q, lam, r)))
         return pen
 
     def score(self, q_kxvy: np.ndarray, fixed, objective, sign: float, penalty_weight: float) -> np.ndarray:
         q = self.quantities(q_kxvy)
-        return sign * self.objective_value(objective, q) - penalty_weight * self.penalty(
+        return sign * KEYED_CONDITIONS[objective].bound(q, self.lam, self.r) - penalty_weight * self.penalty(
             fixed, objective, q
         )
 
@@ -668,13 +672,16 @@ def optimize_region(
     not).  ``d_prime`` must be fixed since the message rate enters almost all
     conditions.
     """
-    if objective not in _MAXIMIZED | _MINIMIZED:
+    if objective not in KEYED_CONDITIONS:
         raise ValidationError(f"unknown objective {objective!r}")
+    unknown = sorted(set(fixed) - set(COORDINATES))
+    if unknown:
+        raise ValidationError(f"unknown fixed coordinates {unknown}; the coordinates are {list(COORDINATES)}")
     if "d_prime" not in fixed:
         raise ValidationError("fixed coordinates must include d_prime")
     if restarts < 1:
         raise ValidationError(f"restarts must be at least 1, got {restarts}")
-    sign = 1.0 if objective in _MAXIMIZED else -1.0
+    sign = KEYED_CONDITIONS[objective].sign
     v_size = v_cardinality or spec.v_cardinality_bound()
     if v_size > spec.v_cardinality_bound():
         raise ValidationError("v_cardinality exceeds the support bound")
@@ -750,21 +757,15 @@ def optimize_region(
         given=(spec.k_axis.name, spec.x_axis.name),
     )
     aux = AuxChannel(table)
-    lam, r = spec.lam, ev.r
-    a_bound = quantities["H(K|Y)"] / lam + ev.h_u - r
-    b_bound = quantities["H(K|Y)"] / lam
-    d_bound = lam * r + quantities["I(X;Y,V|K)"] + quantities["I(K;Y)"]
-    e_bound = lam * r + quantities["I(X;Y,V|K)"]
+    # a free coordinate sits on its bound, floored at 0 (only a's and b's can be negative)
     point = RegionPoint(
-        d=float(fixed.get("d", quantities["Ed(X,Y)"])),
-        d_prime=float(fixed["d_prime"]),
-        r_c=float(fixed.get("r_c", d_bound)),
-        r_c_prime=float(fixed.get("r_c_prime", e_bound)),
-        h=float(fixed.get("h", max(a_bound, 0.0))),
-        h_prime=float(fixed.get("h_prime", max(b_bound, 0.0))),
+        **{
+            name: float(fixed[name] if name in fixed else max(KEYED_CONDITIONS[name].bound(quantities, ev.lam, ev.r), 0.0))
+            for name in COORDINATES
+        }
     )
     report = eval_keyed_region(spec, aux, point, rd_solution=ev.rd)
-    value = ev.objective_value(objective, quantities)
+    value = KEYED_CONDITIONS[objective].bound(quantities, ev.lam, ev.r)
     return OptimizationResult(
         aux=aux,
         point=point,

@@ -29,11 +29,20 @@ from .errors import (
     ValidationError,
 )
 from .rd import RdCodebook, RdSolution, blahut_arimoto, build_rd_codebook, rd_decode, rd_encode
-from .region import AuxChannel, SystemSpec, compose_system, system_quantities
+from .region import (
+    KEYED_CONDITIONS,
+    AuxChannel,
+    SystemSpec,
+    compose_system,
+    counting_excess,
+    system_quantities,
+)
 from .tables import DistTable
 from .typical import (
     ConditionalTypicalSampler,
     CountBox,
+    _compositions,
+    _multinomial,
     _multiset_perms,
     count_box,
     epsilon_schedule,
@@ -247,27 +256,6 @@ def _message_length(spec: SystemSpec, n: int) -> int:
     return int(round(n_message))
 
 
-def _enumerate_key_types(box: CountBox, n: int, k_size: int) -> list[KeyType]:
-    lo = [int(v) for v in box.lo]
-    hi = [int(v) for v in box.hi]
-    out: list[KeyType] = []
-
-    def rec(i: int, rem: int, acc: list[int]) -> None:
-        if i == k_size - 1:
-            if lo[i] <= rem <= hi[i]:
-                counts = tuple(acc + [rem])
-                rep = np.repeat(np.arange(k_size), counts)
-                out.append(KeyType(counts, rep))
-            return
-        tail_lo = sum(lo[i + 1 :])
-        tail_hi = sum(hi[i + 1 :])
-        for c in range(max(lo[i], rem - tail_hi), min(hi[i], rem - tail_lo) + 1):
-            rec(i + 1, rem - c, acc + [c])
-
-    rec(0, n, [])
-    return out
-
-
 def build_codebooks(
     spec: SystemSpec,
     aux: AuxChannel,
@@ -300,10 +288,10 @@ def build_codebooks(
     sol = rd_solution or blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value)
     r = sol.rate_bits
 
-    slack = q["H(Y|K)"] - lam * r - q["I(X;Y,V|K)"]
-    if slack < -1e-9:
+    excess = counting_excess(q, lam, r)
+    if excess > 1e-9:
         raise InfeasibleError(
-            f"counting constraint violated: lambda R + I(X;Y,V|K) exceeds H(Y|K) by {-slack:.4f} bits"
+            f"counting constraint violated: lambda R + I(X;Y,V|K) exceeds H(Y|K) by {excess:.4f} bits"
         )
 
     eps1, eps2, eps3 = epsilon_schedule(joint, delta)
@@ -313,7 +301,7 @@ def build_codebooks(
     r2_target = i_xv_k + eps1 + delta
     r3_target = i_xy_vk + eps2 + delta
     j_target = q["H(K|Y)"] + delta
-    c_slack = (q["I(V;Z|K)"] - q["I(V;X|K)"]) - lam * r
+    c_slack = KEYED_CONDITIONS["embedding_rate"].bound(q, lam, r) - lam * r
     if c_slack <= 0:
         warnings.warn(
             f"embedding condition is not strict (slack {c_slack:.4f} bits); the "
@@ -378,7 +366,10 @@ def build_codebooks(
 
     k_name = joint.names[0]
     key_box = count_box(joint.marginal(k_name).values, n, delta)
-    key_types = _enumerate_key_types(key_box, n, spec.k_axis.size)
+    letters = np.arange(spec.k_axis.size)
+    key_types = [
+        KeyType(c, np.repeat(letters, c)) for c in _compositions(n, key_box.lo.tolist(), key_box.hi.tolist())
+    ]
     if not key_types:
         raise EmptyTypicalSetError(f"no typical key words at n={n}, delta={delta}")
 
@@ -1030,13 +1021,20 @@ def estimate_equivocation_ensemble(
 ) -> tuple[float, float, list[EquivocationEstimate]]:
     """Average the exact fixed-codebook equivocations over seeded rebuilds
     (the analysis's ensemble average, at desk scale)."""
-    estimates = []
-    for s in seeds:
-        books = build_codebooks(spec, aux, n, delta, s, d_prime_value, **build_kwargs)
-        estimates.append(estimate_equivocation(books))
-    h_u = float(np.mean([e.h_u_given_yz for e in estimates]))
-    h_uhat = float(np.mean([e.h_uhat_given_yz for e in estimates]))
-    return h_u, h_uhat, estimates
+    estimates = [
+        estimate_equivocation(build_codebooks(spec, aux, n, delta, s, d_prime_value, **build_kwargs))
+        for s in seeds
+    ]
+    return (*ensemble_mean(estimates), estimates)
+
+
+def ensemble_mean(estimates: Sequence[EquivocationEstimate]) -> tuple[float, float]:
+    """The mean per-symbol equivocations of the message word and of its
+    reproduction over fixed-codebook estimates."""
+    return (
+        float(np.mean([e.h_u_given_yz for e in estimates])),
+        float(np.mean([e.h_uhat_given_yz for e in estimates])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1130,13 +1128,11 @@ def compression_audits(
 
     n_c_bits = sizes.l_bits + sizes.m2_bits + sizes.m3_bits
     n_c_rate = n_c_bits / n
-    private_bound = lam * r + q["I(X;Y,V|K)"]
+    private_bound = KEYED_CONDITIONS["r_c_prime"].bound(q, lam, r)
     rate_adjust = n_c_rate - (lam * r + sched["r2_target"] + sched["r3_target"])
     private_budget = eps1 + eps2 + 2 * delta + max(0.0, rate_adjust)
 
-    n_keys = sum(
-        _multinomial_count(t.counts) for t in codebooks.key_types
-    )
+    n_keys = sum(_multinomial(n, t.counts) for t in codebooks.key_types)
     if n_keys > key_cap:
         raise ResourceCapError(f"{n_keys} typical keys exceed the enumeration cap {key_cap}")
 
@@ -1151,9 +1147,7 @@ def compression_audits(
         + delta * (q["H(K)"] + q["H(K|Y)"] + 4.0)
         + k_y * math.log2(n + 1) / n
     )
-    public_bound = (
-        lam * r + q["I(X;Y,V|K)"] + q["I(K;Y)"] + delta_prime + max(0.0, rate_adjust)
-    )
+    public_bound = KEYED_CONDITIONS["r_c"].bound(q, lam, r) + delta_prime + max(0.0, rate_adjust)
     return CompressionAudit(
         n_c_bits=float(n_c_bits),
         n_c_rate=n_c_rate,
@@ -1202,14 +1196,6 @@ def _distinct_row_count(blocks: Iterable[np.ndarray]) -> int:
         rows = np.ascontiguousarray(block).reshape(-1, block.shape[-1])
         seen.update(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist())
     return len(seen)
-
-
-def _multinomial_count(counts: Sequence[int]) -> int:
-    out, rem = 1, sum(counts)
-    for c in counts:
-        out *= math.comb(rem, c)
-        rem -= c
-    return out
 
 
 # ---------------------------------------------------------------------------

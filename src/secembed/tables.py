@@ -180,13 +180,21 @@ class DistTable:
 # ---------------------------------------------------------------------------
 
 
-def _plogp_sum(vals: np.ndarray) -> float:
-    v = vals.ravel()
-    mask = v > LOG_ZERO_CUTOFF
-    if not np.any(mask):
-        return 0.0
-    v = v[mask]
-    return float(-(v * np.log2(v)).sum())
+def row_entropies(*stacks: np.ndarray) -> list[np.ndarray]:
+    """Entropy of each row of each (B, ...) stack.  A row's nonzero terms
+    are summed as one contiguous block of their own length, so numpy's
+    pairwise summation groups them the same way whatever the batch."""
+    rows = [s.reshape(len(s), -1) for s in stacks]
+    masks = [v > LOG_ZERO_CUTOFF for v in rows]
+    nz = np.concatenate([v[m] for v, m in zip(rows, masks)])
+    terms = nz * np.log2(nz)
+    counts = np.concatenate([m.sum(axis=1) for m in masks])
+    starts = np.cumsum(counts) - counts
+    out = np.zeros(len(counts))
+    for n in np.unique(counts[counts > 0]):
+        idx = np.nonzero(counts == n)[0]
+        out[idx] = -terms[starts[idx, None] + np.arange(n)].sum(axis=1)
+    return np.split(out, len(stacks))
 
 
 def entropy(p: DistTable, axes: Sequence[str] | None = None) -> float:
@@ -194,7 +202,8 @@ def entropy(p: DistTable, axes: Sequence[str] | None = None) -> float:
     if p.is_conditional:
         raise ValidationError("entropy expects a joint PMF")
     t = p if axes is None else p.marginal(*axes)
-    return _plogp_sum(t.values)
+    ((h,),) = row_entropies(t.values[None])
+    return float(h)
 
 
 def conditional_entropy(joint: DistTable, target_axes: Sequence[str], given_axes: Sequence[str]) -> float:

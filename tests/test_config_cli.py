@@ -221,6 +221,22 @@ class TestCli:
         assert cli.main(["run", str(workdir / "run.yaml")]) == cli.EXIT_VALIDATION
         assert "restarts" in capsys.readouterr().err
 
+    def test_unknown_fixed_coordinate_exit_code(self, workdir, capsys):
+        code = cli.main([
+            "region-opt", "--spec", str(workdir / "sys.yaml"), "--objective", "embedding_rate",
+            "--fix", "d_prime=0.25,rc=0.01", "--seed", "0", "--out", str(workdir / "x"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert "'rc'" in capsys.readouterr().err
+        assert not list(workdir.glob("x*.csv"))
+
+    def test_run_file_unknown_fixed_coordinate_exit_code(self, workdir, capsys):
+        doc = {"command": "region-opt", "system": SYSTEM, "objective": "embedding_rate",
+               "fixed": {"d_prime": 0.25, "rc": 0.01}, "seed": 0, "out": str(workdir / "x")}
+        (workdir / "run.yaml").write_text(yaml.safe_dump(doc))
+        assert cli.main(["run", str(workdir / "run.yaml")]) == cli.EXIT_VALIDATION
+        assert "'rc'" in capsys.readouterr().err
+
     def test_infeasible_exit_code(self, workdir, tmp_path):
         # |V| = 1 with Y = const makes the counting constraint fail
         aux = {"v": ["v0"], "table": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}

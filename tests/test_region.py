@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secembed import region
+from secembed import region, tables
 from secembed.errors import InfeasibleError, ValidationError
 from secembed.rd import blahut_arimoto
 from secembed.region import (
@@ -332,6 +332,13 @@ class TestOptimizer:
         with pytest.raises(ValidationError):
             optimize_region(self.spec, {"d_prime": 0.2}, "speed", restarts=1, seed=0)
 
+    # a misspelt coordinate, and the embedding rate, which is no coordinate of
+    # an operating point
+    @pytest.mark.parametrize("name", ["rc", "embedding_rate"])
+    def test_unknown_fixed_coordinate(self, name):
+        with pytest.raises(ValidationError, match=f"'{name}'"):
+            optimize_region(self.spec, {"d_prime": 0.2, name: 0.01}, "h", restarts=1, seed=0)
+
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_restarts_must_be_positive(self, restarts):
         with pytest.raises(ValidationError, match="restarts"):
@@ -460,7 +467,7 @@ class TestFastEvaluator:
         rng = np.random.default_rng(seed)
         arr = rng.random((batch, width))
         arr[rng.random(arr.shape) < zero_frac] = 0.0
-        (got,) = region._FastEvaluator._h(arr)
+        (got,) = tables.row_entropies(arr)
         for b, row in enumerate(arr):
             nz = row[row > LOG_ZERO_CUTOFF]
             want = -(nz * np.log2(nz)).sum() if nz.size else 0.0
@@ -469,7 +476,7 @@ class TestFastEvaluator:
 def _sequential_optimize(spec, fixed, objective, v_size, restarts, seed):
     """Reference schedule for the optimizer: restarts one after another, one
     evaluation per finite-difference coordinate and per step size."""
-    sign = 1.0 if objective in region._MAXIMIZED else -1.0
+    sign = region.KEYED_CONDITIONS[objective].sign
     ev = region._FastEvaluator(spec, fixed["d_prime"], None)
     ks, xs, ys = spec.k_axis.size, spec.x_axis.size, spec.y_axis.size
     dim = v_size * ys

@@ -104,6 +104,24 @@ def test_exact_equivocation_builds_codebooks_once(tmp_path, monkeypatch):
     assert got == (DATA / "exact_n8_summary.csv").read_bytes()
 
 
+def test_ensemble_reuses_the_runs_build(tmp_path, monkeypatch):
+    """The run's own codebook is the ensemble's first member, so two
+    rebuilds build seeds 4 and 5 once each, and the summary stays the one
+    three builds wrote."""
+    seeds = []
+    build = sim.build_codebooks
+
+    def counting_build(*args, **kwargs):
+        seeds.append(args[4])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "build_codebooks", counting_build)
+    out = _run_case("ensemble_n8", tmp_path)
+    assert seeds == [4, 5]
+    got = Path(str(out) + "_summary.csv").read_bytes()
+    assert got == (DATA / "ensemble_n8_summary.csv").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
