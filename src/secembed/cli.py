@@ -235,7 +235,9 @@ def run(config: RunConfig) -> int:
             est = sim.estimate_equivocation(books)
             if config.ensemble_average:  # the run's own build is the first member
                 rebuilt = (
-                    sim.build_codebooks(spec, config.aux, config.n, config.delta, s, config.d_prime, **build_kwargs)
+                    sim.build_codebooks(
+                        spec, config.aux, config.n, config.delta, s, config.d_prime, **build_kwargs
+                    )
                     for s in range(config.seed + 1, config.seed + config.rebuilds)
                 )
                 h_u, h_uhat = sim.ensemble_mean([est, *map(sim.estimate_equivocation, rebuilt)])

@@ -287,7 +287,9 @@ def counting_excess(q: Mapping[str, Any], lam: float, r: float):
     return lam * r + q["I(X;Y,V|K)"] - q["H(Y|K)"]
 
 
-def _keyed_entries(point: RegionPoint, q: Mapping[str, float], lam: float, r: float) -> dict[str, ConditionEntry]:
+def _keyed_entries(
+    point: RegionPoint, q: Mapping[str, float], lam: float, r: float
+) -> dict[str, ConditionEntry]:
     """Conditions a-f at ``point`` with message rate ``r``, in table order."""
     attained = {**vars(point), "embedding_rate": lam * r}
     return {
@@ -620,9 +622,8 @@ class _FastEvaluator:
 
     def score(self, q_kxvy: np.ndarray, fixed, objective, sign: float, penalty_weight: float) -> np.ndarray:
         q = self.quantities(q_kxvy)
-        return sign * KEYED_CONDITIONS[objective].bound(q, self.lam, self.r) - penalty_weight * self.penalty(
-            fixed, objective, q
-        )
+        objective_value = KEYED_CONDITIONS[objective].bound(q, self.lam, self.r)
+        return sign * objective_value - penalty_weight * self.penalty(fixed, objective, q)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -676,7 +677,7 @@ def optimize_region(
         raise ValidationError(f"unknown objective {objective!r}")
     unknown = sorted(set(fixed) - set(COORDINATES))
     if unknown:
-        raise ValidationError(f"unknown fixed coordinates {unknown}; the coordinates are {list(COORDINATES)}")
+        raise ValidationError(f"unknown fixed coordinates {unknown}; choose from {list(COORDINATES)}")
     if "d_prime" not in fixed:
         raise ValidationError("fixed coordinates must include d_prime")
     if restarts < 1:
@@ -758,11 +759,9 @@ def optimize_region(
     )
     aux = AuxChannel(table)
     # a free coordinate sits on its bound, floored at 0 (only a's and b's can be negative)
+    free = {name: max(c.bound(quantities, ev.lam, ev.r), 0.0) for name, c in KEYED_CONDITIONS.items()}
     point = RegionPoint(
-        **{
-            name: float(fixed[name] if name in fixed else max(KEYED_CONDITIONS[name].bound(quantities, ev.lam, ev.r), 0.0))
-            for name in COORDINATES
-        }
+        **{name: float(fixed[name] if name in fixed else free[name]) for name in COORDINATES}
     )
     report = eval_keyed_region(spec, aux, point, rd_solution=ev.rd)
     value = KEYED_CONDITIONS[objective].bound(quantities, ev.lam, ev.r)

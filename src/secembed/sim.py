@@ -367,9 +367,8 @@ def build_codebooks(
     k_name = joint.names[0]
     key_box = count_box(joint.marginal(k_name).values, n, delta)
     letters = np.arange(spec.k_axis.size)
-    key_types = [
-        KeyType(c, np.repeat(letters, c)) for c in _compositions(n, key_box.lo.tolist(), key_box.hi.tolist())
-    ]
+    comps = _compositions(n, key_box.lo.tolist(), key_box.hi.tolist())
+    key_types = [KeyType(c, np.repeat(letters, c)) for c in comps]
     if not key_types:
         raise EmptyTypicalSetError(f"no typical key words at n={n}, delta={delta}")
 
