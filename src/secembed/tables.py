@@ -191,7 +191,7 @@ def row_entropies(*stacks: np.ndarray) -> list[np.ndarray]:
     counts = np.concatenate([m.sum(axis=1) for m in masks])
     starts = np.cumsum(counts) - counts
     out = np.zeros(len(counts))
-    for n in np.unique(counts[counts > 0]):
+    for n in set(counts[counts > 0].tolist()):  # not np.unique, which imports numpy.ma
         idx = np.nonzero(counts == n)[0]
         out[idx] = -terms[starts[idx, None] + np.arange(n)].sum(axis=1)
     return np.split(out, len(stacks))
