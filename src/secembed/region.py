@@ -163,7 +163,7 @@ class RegionPoint:
                 raise ValidationError(f"coordinate {name} must be >= 0, got {v}")
 
 
-# the names a caller may hold fixed in the optimizer
+# the operating point's coordinates, and the names the optimizer can hold fixed
 COORDINATES = tuple(f.name for f in fields(RegionPoint))
 
 
@@ -622,8 +622,8 @@ class _FastEvaluator:
 
     def score(self, q_kxvy: np.ndarray, fixed, objective, sign: float, penalty_weight: float) -> np.ndarray:
         q = self.quantities(q_kxvy)
-        objective_value = KEYED_CONDITIONS[objective].bound(q, self.lam, self.r)
-        return sign * objective_value - penalty_weight * self.penalty(fixed, objective, q)
+        value = KEYED_CONDITIONS[objective].bound(q, self.lam, self.r)
+        return sign * value - penalty_weight * self.penalty(fixed, objective, q)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
