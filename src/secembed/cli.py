@@ -57,14 +57,6 @@ def _write_csv(path: Path, manifest_hash: str, header: list[str], rows: list[lis
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(base: Path, manifest: dict) -> str:
-    text = json.dumps(manifest, sort_keys=True, indent=2, default=str)
-    # the embedded digest covers the run content, not where it is written
-    digest = stable_hash({k: v for k, v in manifest.items() if k != "out"})
-    base.with_suffix(".manifest.json").write_text(text + "\n")
-    return digest
-
-
 def _report_rows(report) -> list[list]:
     rows = []
     for name, c in report.conditions.items():
@@ -81,11 +73,20 @@ def _seq_str(arr) -> str:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one validated run configuration and write its artifacts."""
+    """Execute one validated run configuration and write its artifacts, then
+    its manifest: a run the library rejects leaves no manifest behind."""
     out = Path(config.out or f"secembed_{config.command}")
     out.parent.mkdir(parents=True, exist_ok=True)
     manifest = config.manifest()
-    digest = _write_manifest(out, manifest)
+    # the embedded digest covers the run content, not where it is written
+    digest = stable_hash({k: v for k, v in manifest.items() if k != "out"})
+    status = _write_artifacts(config, out, digest)
+    text = json.dumps(manifest, sort_keys=True, indent=2, default=str)
+    out.with_suffix(".manifest.json").write_text(text + "\n")
+    return status
+
+
+def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
     spec = config.system.spec
 
     if config.command in ("rd", "sweep") and config.objective is None:

@@ -188,10 +188,8 @@ class CodebookSet:
             rng = np.random.default_rng(
                 np.random.SeedSequence((self.seed, _AUX_TAG, type_idx))
             )
-            rows = self.sizes.bins * self.sizes.m2
-            book = np.empty((rows, self.n), dtype=np.int64)
-            for r in range(rows):
-                book[r] = sampler.sample(rng)
+            # the book owns this generator and drops it, so the batch may over-draw
+            book = sampler.sample_rows(rng, self.sizes.bins * self.sizes.m2)
             self._aux_books[type_idx] = book
         return book
 

@@ -342,11 +342,12 @@ def _compositions(total: int, lo: Sequence[int], hi: Sequence[int]) -> Iterator[
 class _LetterTable:
     """The admissible b-count vectors of one conditioning letter: each
     composition, the running sum of their arrangement counts, and the letter
-    word each composition spells before it is permuted."""
+    word each composition spells before it is permuted (one row per
+    composition)."""
 
     comps: tuple[tuple[int, ...], ...]
     cum: tuple[int, ...]
-    words: tuple[np.ndarray, ...]
+    words: np.ndarray
 
     @property
     def total(self) -> int:
@@ -364,10 +365,88 @@ def _letter_table(count: int, row: tuple[float, ...], delta: float) -> _LetterTa
     comps = tuple(_compositions(count, box.lo.tolist(), box.hi.tolist()))
     cum = tuple(itertools.accumulate(_multinomial(count, c) for c in comps))
     letters = np.arange(len(row))
-    words = tuple(np.repeat(letters, c) for c in comps)
-    for w in words:
-        w.flags.writeable = False  # shared by every sampler with this letter
+    words = np.array([np.repeat(letters, c) for c in comps], dtype=np.int64)
+    words = words.reshape(len(comps), count)
+    words.flags.writeable = False  # shared by every sampler with this letter
     return _LetterTable(comps, cum, words)
+
+
+# numpy draws a bounded integer below at most this total from one 32-bit word
+# per try, and every Fisher-Yates swap index of a permutation likewise
+_WORD = 1 << 32
+
+# rows that ConditionalTypicalSampler.sample_rows parses from one block of
+# pre-drawn words; it bounds the block and its per-step index tables
+_SAMPLE_ROWS_CHUNK = 512
+
+# the most draws a row may take for sample_rows to replay it: the replay's
+# work per row grows with the square of its draws, and past about this many
+# (n = 32 in two letters) the scalar loop is as fast
+_REPLAY_MAX_DRAWS = 32
+
+
+def _bounded_draws(words: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``integers(0, total)`` for 1 < total <= 2^32, replayed on
+    32-bit words held as uint64 (Lemire's multiply-shift method): each word's
+    value and whether numpy keeps it rather than drawing again."""
+    m = words * np.uint64(total)
+    threshold = (_WORD - total) % total
+    return m >> np.uint64(32), (m & np.uint64(_WORD - 1)) >= np.uint64(threshold)
+
+
+def _swap_draws(words: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The swap index of step i >= 1 of numpy's Fisher-Yates ``permutation``
+    (which runs i = m-1 down to 1), replayed on 32-bit words held as uint64:
+    each word masked to the bit width of i and whether numpy keeps it, which
+    it does when the index is at most i."""
+    j = words & np.uint64((1 << i.bit_length()) - 1)
+    return j, j <= np.uint64(i)
+
+
+def _kept_words(draws, bound: int) -> int:
+    """How many of the 2^32 words one replayed draw keeps."""
+    if draws is _bounded_draws:
+        return _WORD - (_WORD - bound) % bound
+    return (bound + 1) << (32 - bound.bit_length())
+
+
+def _parse_rows(words: np.ndarray, steps: list, want: int) -> tuple[list[np.ndarray], int, int]:
+    """Replay ``steps``, one row's draws in stream order, row after row from
+    the first of ``words``: the kept word of each step for each of the first
+    rows that fit whole (at most ``want``), their number, and the position
+    after the last of them."""
+    size = words.size
+    # after[step][p]: the position after the first word at or after p that
+    # the step keeps, or size + 1 when none is left.  A step that keeps
+    # every word has no table: it moves one word on.  A row's end runs at
+    # most one word per step past the block, so the tables are padded by that.
+    after = {}
+    for step in dict.fromkeys(steps):
+        if _kept_words(*step) == _WORD:
+            after[step] = None
+            continue
+        _, keep = step[0](words, step[1])
+        kept_at = np.flatnonzero(keep).astype(np.int32)
+        table = np.repeat(kept_at + 1, np.diff(kept_at, prepend=-1))
+        pad = np.full(size + len(steps) - table.size, size + 1, np.int32)
+        after[step] = np.concatenate([table, pad])
+    end = np.arange(size + 1, dtype=np.int32)  # where a row from each position ends
+    for step in steps:
+        table = after[step]
+        end = end + 1 if table is None else table.take(end)
+    ends = end.tolist()
+    starts = []
+    p = 0
+    while len(starts) < want and ends[p] <= size:
+        starts.append(p)
+        p = ends[p]
+    at = np.array(starts, dtype=np.intp)
+    kept = []
+    for step in steps:
+        table = after[step]
+        at = at + 1 if table is None else table.take(at)
+        kept.append(words.take(at - 1))
+    return kept, len(starts), p
 
 
 class ConditionalTypicalSampler:
@@ -418,6 +497,70 @@ class ConditionalTypicalSampler:
                 continue
             r = _randrange(rng, table.total)
             out[pos] = rng.permutation(table.words[bisect.bisect_right(table.cum, r)])
+        return out
+
+    def sample_rows(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """The words of ``rows`` successive ``sample(rng)`` calls, as a
+        (rows, n) array, drawn in blocks.
+
+        The scalar path reads the generator's 32-bit words through two numpy
+        consumers only: the bounded-integer draw of each letter's composition
+        and the Fisher-Yates shuffle of its arrangement.  This draws the
+        words in blocks, ``_SAMPLE_ROWS_CHUNK`` rows' worth at a time, and
+        replays both consumers over every row at once, so the rows equal the
+        scalar ones.  The blocks over-draw, which leaves the generator past
+        words no row used: only a caller that owns the generator and then
+        discards it may call this.
+
+        The sampler loops over ``sample`` instead when a letter total is
+        above 2^32, which numpy draws through its 64-bit or big-integer path
+        and this does not replay.  It also loops when no letter draws a
+        composition, since numpy shuffles in C and the scalar loop is then
+        cheap, and when a row takes more than ``_REPLAY_MAX_DRAWS`` draws.
+        """
+        out = np.empty((rows, len(self.seq_a)), dtype=np.int64)
+        letters = [(pos, t) for pos, t in zip(self.positions, self._tables) if t is not None]
+        steps = []
+        for pos, table in letters:
+            if table.total > 1:  # a lone composition takes no draw
+                steps.append((_bounded_draws, table.total))
+            steps.extend((_swap_draws, i) for i in range(pos.size - 1, 0, -1))
+        if (
+            any(table.total > _WORD for _, table in letters)
+            or all(draws is _swap_draws for draws, _ in steps)
+            or len(steps) > _REPLAY_MAX_DRAWS
+        ):
+            for r in range(rows):
+                out[r] = self.sample(rng)
+            return out
+        words_per_row = sum(_WORD / _kept_words(*step) for step in steps)
+        cums = [np.array(table.cum, dtype=np.uint64) for _, table in letters]
+        words = np.empty(0, dtype=np.uint64)
+        done = 0
+        while done < rows:
+            want = min(_SAMPLE_ROWS_CHUNK, rows - done)
+            draw = math.ceil(1.05 * want * words_per_row) + 64  # rarely too few: then loop
+            fresh = rng.integers(0, _WORD, size=draw, dtype=np.uint32)
+            words = np.concatenate([words, fresh.astype(np.uint64)])
+            kept, got, used = _parse_rows(words, steps, want)
+            words = words[used:]  # carried into the next block
+            block = out[done : done + got]
+            lines = np.arange(got)
+            taken = iter(kept)
+            for (pos, table), cum in zip(letters, cums):
+                if table.total > 1:
+                    value, _ = _bounded_draws(next(taken), table.total)
+                    arranged = table.words[np.searchsorted(cum, value, side="right")]
+                else:
+                    arranged = np.repeat(table.words, got, axis=0)
+                for i in range(pos.size - 1, 0, -1):
+                    j, _ = _swap_draws(next(taken), i)
+                    j = j.astype(np.intp)
+                    held = arranged[lines, j]
+                    arranged[lines, j] = arranged[:, i]
+                    arranged[:, i] = held
+                block[:, pos] = arranged
+            done += got
         return out
 
     def contains(self, seq_b: np.ndarray) -> bool:

@@ -228,7 +228,7 @@ class TestCli:
         ])
         assert code == cli.EXIT_VALIDATION
         assert "'rc'" in capsys.readouterr().err
-        assert not list(workdir.glob("x*.csv"))
+        assert not list(workdir.glob("x*"))  # no CSVs and no manifest
 
     def test_run_file_unknown_fixed_coordinate_exit_code(self, workdir, capsys):
         doc = {"command": "region-opt", "system": SYSTEM, "objective": "embedding_rate",
@@ -236,6 +236,7 @@ class TestCli:
         (workdir / "run.yaml").write_text(yaml.safe_dump(doc))
         assert cli.main(["run", str(workdir / "run.yaml")]) == cli.EXIT_VALIDATION
         assert "'rc'" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
 
     def test_infeasible_exit_code(self, workdir, tmp_path):
         # |V| = 1 with Y = const makes the counting constraint fail
@@ -248,6 +249,7 @@ class TestCli:
         ])
         assert r.returncode == 3
         assert "infeasible" in r.stderr
+        assert not list(workdir.glob("x*"))  # no CSVs and no manifest
 
     def test_resource_cap_exit_code(self, workdir):
         r = run_cli([
@@ -257,6 +259,7 @@ class TestCli:
         ])
         assert r.returncode == 4
         assert "resource-cap" in r.stderr
+        assert not list(workdir.glob("x*"))
 
     def test_region_eval_csv(self, workdir):
         pt = "d=1.0,d_prime=0.25,r_c=2.0,r_c_prime=2.0,h=0.1,h_prime=0.1"

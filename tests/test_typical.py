@@ -1,10 +1,11 @@
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -448,3 +449,101 @@ class TestSamplerMatchesReference:
         assert s1._tables[0] is s2._tables[0] and s1._tables[1] is s2._tables[1]
         assert not any(w.flags.writeable for w in s1._tables[1].words)
         assert _letter_table.cache_info().maxsize is not None
+
+
+class TestSampleRows:
+    """``sample_rows`` must return exactly the rows of successive ``sample``
+    calls, and its replay of numpy's two word consumers must match numpy."""
+
+    @given(_sampler_cases(), st.integers(0, 9), st.sampled_from([1, 2, 3, 512]))
+    @example(  # letter 0's total is 1: it makes no composition draw, only shuffles
+        case=(np.array([0, 1, 0, 0, 1, 1]), 2, np.array([[1.0, 0.0], [0.5, 0.5]]), 0.8, 5),
+        rows=4,
+        chunk=3,
+    )
+    @example(  # letter 0 has a single position
+        case=(np.array([1, 0, 1, 1, 1, 1]), 2, np.array([[0.5, 0.5], [0.25, 0.75]]), 0.8, 9),
+        rows=7,
+        chunk=2,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_scalar_draws(self, case, rows, chunk):
+        from secembed import typical
+
+        seq_a, a_size, k_matrix, delta, seed = case
+        try:
+            sampler = ConditionalTypicalSampler(seq_a, a_size, k_matrix, delta)
+        except EmptyTypicalSetError:
+            return  # the scalar path's own property covers empty sets
+        with mock.patch.object(typical, "_SAMPLE_ROWS_CHUNK", chunk):
+            got = sampler.sample_rows(np.random.default_rng(seed), rows)
+        assert got.shape == (rows, len(seq_a)) and got.dtype == np.int64
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for row in got:
+            assert np.array_equal(row, sampler.sample(rng))
+            assert np.array_equal(row, _reference_sample(seq_a, a_size, k_matrix, delta, ref_rng))
+
+    def test_rows_across_the_real_chunk(self):
+        from secembed.typical import _SAMPLE_ROWS_CHUNK
+
+        k_matrix = np.array([[0.5, 0.25, 0.25], [0.2, 0.4, 0.4]])
+        seq_a = np.array([0, 1] * 8)
+        sampler = ConditionalTypicalSampler(seq_a, 2, k_matrix, 0.6)
+        rows = 2 * _SAMPLE_ROWS_CHUNK + 3
+        got = sampler.sample_rows(np.random.default_rng(21), rows)
+        rng = np.random.default_rng(21)
+        assert np.array_equal(got, np.array([sampler.sample(rng) for _ in range(rows)]))
+
+    @pytest.mark.parametrize(
+        "seq_a, k_matrix, delta, replayed",
+        [
+            # one composition with 40! / 5!^8 > 2^62 arrangements: big integers
+            (np.zeros(40, dtype=np.int64), np.full((1, 8), 0.125), 0.05, False),
+            # one composition with C(36, 18) arrangements, in (2^32, 2^62]:
+            # numpy's 64-bit bounded draw
+            (np.zeros(36, dtype=np.int64), np.full((1, 2), 0.5), 0.05, False),
+            # 2^32 - 2 arrangements in all, in 32 draws a row: the largest
+            # total and the most draws that are replayed
+            (np.zeros(32, dtype=np.int64), np.full((1, 2), 0.5), 0.99, True),
+            # 33 draws a row: one composition draw among 33, then 32 swaps
+            (np.zeros(33, dtype=np.int64), np.array([[0.97, 0.03]]), 0.5, False),
+            # no composition draw: only shuffles
+            (np.zeros(12, dtype=np.int64), np.array([[1.0, 0.0]]), 0.5, False),
+        ],
+        ids=["big-integer", "64-bit", "32-bit", "33-draws", "shuffles-only"],
+    )
+    def test_scalar_loop_where_not_replayed(self, seq_a, k_matrix, delta, replayed):
+        sampler = ConditionalTypicalSampler(seq_a, 1, k_matrix, delta)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = sampler.sample_rows(rng, 5)
+        for row in got:
+            assert np.array_equal(row, _reference_sample(seq_a, 1, k_matrix, delta, ref_rng))
+        # the scalar loop reads exactly the words it uses; a replayed batch over-draws
+        assert (rng.bit_generator.state == ref_rng.bit_generator.state) != replayed
+
+    @pytest.mark.parametrize("total", [3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32])
+    def test_bounded_replay_matches_numpy(self, total):
+        from secembed.typical import _bounded_draws
+
+        words = np.random.default_rng(11).integers(0, 2**32, size=4000, dtype=np.uint32)
+        values, keep = _bounded_draws(words.astype(np.uint64), total)
+        ref = np.random.default_rng(11)
+        assert values[keep][:1000].tolist() == [int(ref.integers(0, total)) for _ in range(1000)]
+
+    def test_shuffle_replay_matches_numpy(self):
+        from secembed.typical import _swap_draws
+
+        words = np.random.default_rng(12).integers(0, 2**32, size=6000, dtype=np.uint32)
+        words = words.astype(np.uint64)
+        ref = np.random.default_rng(12)
+        at = 0
+        for m in range(1, 65):
+            arranged = np.arange(m)
+            for i in range(m - 1, 0, -1):
+                j, keep = _swap_draws(words[at : at + 64], i)
+                first = int(np.argmax(keep))
+                assert keep[first]
+                swap = int(j[first])
+                arranged[[i, swap]] = arranged[[swap, i]]
+                at += first + 1
+            assert np.array_equal(arranged, ref.permutation(np.arange(m)))
