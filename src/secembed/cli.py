@@ -207,26 +207,6 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
             ]
             for i, r in enumerate(agg.results)
         ]
-        _write_csv(
-            Path(str(out) + "_trials.csv"),
-            digest,
-            [
-                "trial",
-                "event",
-                "message_correct",
-                "distortion_xy",
-                "distortion_uuhat",
-                "true_bin",
-                "decoded_bin",
-                "u",
-                "x",
-                "k",
-                "y",
-                "z",
-                "uhat",
-            ],
-            trial_rows,
-        )
         summary = [["trials", agg.trials], ["message_error_rate", agg.message_error_rate]]
         summary.extend([f"freq_{e}", f] for e, f in sorted(agg.event_frequencies.items()))
         summary.append(["mean_distortion_xy", agg.mean_distortion_xy])
@@ -247,6 +227,27 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
             summary.append(["h_u_given_yz", est.h_u_given_yz])
             summary.append(["h_uhat_given_yz", est.h_uhat_given_yz])
             summary.extend([k, v] for k, v in sorted(est.extras.items()))
+        # the enumeration above may hit its cap: write nothing before it is done
+        _write_csv(
+            Path(str(out) + "_trials.csv"),
+            digest,
+            [
+                "trial",
+                "event",
+                "message_correct",
+                "distortion_xy",
+                "distortion_uuhat",
+                "true_bin",
+                "decoded_bin",
+                "u",
+                "x",
+                "k",
+                "y",
+                "z",
+                "uhat",
+            ],
+            trial_rows,
+        )
         _write_csv(Path(str(out) + "_summary.csv"), digest, ["metric", "value"], summary)
         return EXIT_OK
 

@@ -379,9 +379,10 @@ _WORD = 1 << 32
 # pre-drawn words; it bounds the block and its per-step index tables
 _SAMPLE_ROWS_CHUNK = 512
 
-# the most draws a row may take for sample_rows to replay it: the replay's
-# work per row grows with the square of its draws, and past about this many
-# (n = 32 in two letters) the scalar loop is as fast
+# the most draws a row may take for sample_rows to replay it.  The replay's
+# work and memory per row grow with the square of its draws, so this caps
+# them; that the scalar loop wins past it is an unverified crossover, from a
+# few timings at n = 32 and n = 200 that no benchmark workload reaches
 _REPLAY_MAX_DRAWS = 32
 
 
@@ -403,16 +404,26 @@ def _swap_draws(words: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     return j, j <= np.uint64(i)
 
 
-def _kept_words(draws, bound: int) -> int:
-    """How many of the 2^32 words one replayed draw keeps."""
-    if draws is _bounded_draws:
+def _draws(step: tuple[str, int], words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of a row, ``("bounded", total)`` or ``("swap", i)``,
+    replayed on ``words``."""
+    kind, bound = step
+    if kind == "bounded":
+        return _bounded_draws(words, bound)
+    return _swap_draws(words, bound)
+
+
+def _kept_words(step: tuple[str, int]) -> int:
+    """How many of the 2^32 words one step keeps."""
+    kind, bound = step
+    if kind == "bounded":
         return _WORD - (_WORD - bound) % bound
     return (bound + 1) << (32 - bound.bit_length())
 
 
 def _parse_rows(words: np.ndarray, steps: list, want: int) -> tuple[list[np.ndarray], int, int]:
     """Replay ``steps``, one row's draws in stream order, row after row from
-    the first of ``words``: the kept word of each step for each of the first
+    the first of ``words``: the value each step draws for each of the first
     rows that fit whole (at most ``want``), their number, and the position
     after the last of them."""
     size = words.size
@@ -422,10 +433,10 @@ def _parse_rows(words: np.ndarray, steps: list, want: int) -> tuple[list[np.ndar
     # most one word per step past the block, so the tables are padded by that.
     after = {}
     for step in dict.fromkeys(steps):
-        if _kept_words(*step) == _WORD:
+        if _kept_words(step) == _WORD:
             after[step] = None
             continue
-        _, keep = step[0](words, step[1])
+        _, keep = _draws(step, words)
         kept_at = np.flatnonzero(keep).astype(np.int32)
         table = np.repeat(kept_at + 1, np.diff(kept_at, prepend=-1))
         pad = np.full(size + len(steps) - table.size, size + 1, np.int32)
@@ -441,12 +452,12 @@ def _parse_rows(words: np.ndarray, steps: list, want: int) -> tuple[list[np.ndar
         starts.append(p)
         p = ends[p]
     at = np.array(starts, dtype=np.intp)
-    kept = []
+    values = []
     for step in steps:
         table = after[step]
         at = at + 1 if table is None else table.take(at)
-        kept.append(words.take(at - 1))
-    return kept, len(starts), p
+        values.append(_draws(step, words.take(at - 1))[0])
+    return values, len(starts), p
 
 
 class ConditionalTypicalSampler:
@@ -514,26 +525,21 @@ class ConditionalTypicalSampler:
 
         The sampler loops over ``sample`` instead when a letter total is
         above 2^32, which numpy draws through its 64-bit or big-integer path
-        and this does not replay.  It also loops when no letter draws a
-        composition, since numpy shuffles in C and the scalar loop is then
-        cheap, and when a row takes more than ``_REPLAY_MAX_DRAWS`` draws.
+        and this does not replay, and when a row takes more than
+        ``_REPLAY_MAX_DRAWS`` draws.
         """
         out = np.empty((rows, len(self.seq_a)), dtype=np.int64)
         letters = [(pos, t) for pos, t in zip(self.positions, self._tables) if t is not None]
         steps = []
         for pos, table in letters:
             if table.total > 1:  # a lone composition takes no draw
-                steps.append((_bounded_draws, table.total))
-            steps.extend((_swap_draws, i) for i in range(pos.size - 1, 0, -1))
-        if (
-            any(table.total > _WORD for _, table in letters)
-            or all(draws is _swap_draws for draws, _ in steps)
-            or len(steps) > _REPLAY_MAX_DRAWS
-        ):
+                steps.append(("bounded", table.total))
+            steps.extend(("swap", i) for i in range(pos.size - 1, 0, -1))
+        if any(table.total > _WORD for _, table in letters) or len(steps) > _REPLAY_MAX_DRAWS:
             for r in range(rows):
                 out[r] = self.sample(rng)
             return out
-        words_per_row = sum(_WORD / _kept_words(*step) for step in steps)
+        words_per_row = sum(_WORD / _kept_words(step) for step in steps)
         cums = [np.array(table.cum, dtype=np.uint64) for _, table in letters]
         words = np.empty(0, dtype=np.uint64)
         done = 0
@@ -542,20 +548,18 @@ class ConditionalTypicalSampler:
             draw = math.ceil(1.05 * want * words_per_row) + 64  # rarely too few: then loop
             fresh = rng.integers(0, _WORD, size=draw, dtype=np.uint32)
             words = np.concatenate([words, fresh.astype(np.uint64)])
-            kept, got, used = _parse_rows(words, steps, want)
+            values, got, used = _parse_rows(words, steps, want)
             words = words[used:]  # carried into the next block
             block = out[done : done + got]
             lines = np.arange(got)
-            taken = iter(kept)
+            taken = iter(values)
             for (pos, table), cum in zip(letters, cums):
                 if table.total > 1:
-                    value, _ = _bounded_draws(next(taken), table.total)
-                    arranged = table.words[np.searchsorted(cum, value, side="right")]
+                    arranged = table.words[np.searchsorted(cum, next(taken), side="right")]
                 else:
                     arranged = np.repeat(table.words, got, axis=0)
                 for i in range(pos.size - 1, 0, -1):
-                    j, _ = _swap_draws(next(taken), i)
-                    j = j.astype(np.intp)
+                    j = next(taken).astype(np.intp)
                     held = arranged[lines, j]
                     arranged[lines, j] = arranged[:, i]
                     arranged[:, i] = held

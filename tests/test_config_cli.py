@@ -261,6 +261,18 @@ class TestCli:
         assert "resource-cap" in r.stderr
         assert not list(workdir.glob("x*"))
 
+    def test_enumeration_cap_after_trials_writes_nothing(self, workdir):
+        # the trials run; the exact enumeration over 2^9 * 2^18 states then hits its cap
+        r = run_cli([
+            "simulate", "--spec", str(workdir / "sys.yaml"), "--aux", str(workdir / "aux.yaml"),
+            "--n", "18", "--trials", "2", "--delta", "0.6", "--dprime", "0.0", "--seed", "1",
+            "--m2-bits", "0", "--m3-bits", "0", "--j-bits", "0", "--exact-equivocation",
+            "--out", str(workdir / "x"),
+        ])
+        assert r.returncode == 4
+        assert "exact enumeration" in r.stderr
+        assert not list(workdir.glob("x*"))  # no trials CSV and no manifest
+
     def test_region_eval_csv(self, workdir):
         pt = "d=1.0,d_prime=0.25,r_c=2.0,r_c_prime=2.0,h=0.1,h_prime=0.1"
         r = run_cli([

@@ -508,11 +508,13 @@ class TestSampleRows:
             # 33 draws a row: one composition draw among 33, then 32 swaps
             (np.zeros(33, dtype=np.int64), np.array([[0.97, 0.03]]), 0.5, False),
             # no composition draw: only shuffles
-            (np.zeros(12, dtype=np.int64), np.array([[1.0, 0.0]]), 0.5, False),
+            (np.zeros(12, dtype=np.int64), np.array([[1.0, 0.0]]), 0.5, True),
+            # one composition in one position: no draw at all
+            (np.zeros(1, dtype=np.int64), np.array([[1.0, 0.0]]), 0.5, True),
         ],
-        ids=["big-integer", "64-bit", "32-bit", "33-draws", "shuffles-only"],
+        ids=["big-integer", "64-bit", "32-bit", "33-draws", "shuffles-only", "no-draws"],
     )
-    def test_scalar_loop_where_not_replayed(self, seq_a, k_matrix, delta, replayed):
+    def test_replay_or_scalar_loop(self, seq_a, k_matrix, delta, replayed):
         sampler = ConditionalTypicalSampler(seq_a, 1, k_matrix, delta)
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         got = sampler.sample_rows(rng, 5)
