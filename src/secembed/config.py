@@ -334,6 +334,8 @@ def _validate_required(cfg: RunConfig) -> None:
     c = cfg.command
     if c in RANDOMIZED_COMMANDS and cfg.seed is None:
         raise ValidationError(f"command {c!r} is randomized: field 'seed' is required")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ValidationError(f"field 'seed' must be non-negative, got {cfg.seed}")
     for name in ("restarts", "rebuilds"):
         if getattr(cfg, name) < 1:
             raise ValidationError(f"field {name!r} must be at least 1, got {getattr(cfg, name)}")

@@ -159,6 +159,7 @@ class CodebookSet:
 
         self._aux_books: dict[int, np.ndarray] = {}
         self._stego_books: dict[tuple[int, bytes], np.ndarray] = {}
+        self._stego_samplers: dict[bytes, ConditionalTypicalSampler] = {}
         self._sw_bits: dict[bytes, np.ndarray] = {}
 
     # -- key machinery -----------------------------------------------------
@@ -196,33 +197,51 @@ class CodebookSet:
     def stego_book(self, type_idx: int, v_rep: np.ndarray) -> np.ndarray:
         """The M_3 stegotext words attached to one auxiliary word value (the
         books are keyed by the word itself, so bins sharing a word share its
-        stegotext book)."""
+        stegotext book).
+
+        A draw reads the generator through each (k, v) letter's count only;
+        its positions just place the letters.  So the words are drawn by the
+        sampler of the letter-sorted (k, v) word, shared by every word of
+        that joint composition, and moved to this word's positions through
+        its stable argsort: slot i of the sorted word is position order[i]."""
         key = (type_idx, v_rep.tobytes())
         book = self._stego_books.get(key)
         if book is None:
-            rep = self.key_types[type_idx].representative
-            combined = rep * self.v_size + v_rep
-            sampler = ConditionalTypicalSampler(
-                combined, self.k_size * self.v_size, self._p_y_given_kv, self.delta
-            )
+            combined = self.key_types[type_idx].representative * self.v_size + v_rep
+            order = np.argsort(combined, kind="stable")
+            sampler = self._stego_sampler(combined[order])
             rng = np.random.default_rng(
-                np.random.SeedSequence((self.seed, _STEGO_TAG, type_idx, *map(int, v_rep)))
+                np.random.SeedSequence((self.seed, _STEGO_TAG, type_idx, v_rep.astype(np.uint32)))
             )
             book = np.empty((self.sizes.m3, self.n), dtype=np.int64)
             for r in range(self.sizes.m3):
-                book[r] = sampler.sample(rng)
+                book[r, order] = sampler.sample(rng)
             self._stego_books[key] = book
         return book
+
+    def _stego_sampler(self, sorted_kv: np.ndarray) -> ConditionalTypicalSampler:
+        """The stegotext sampler of one joint (k, v) composition, given as
+        its letter-sorted word; one per composition, so the cache is bounded
+        by their number."""
+        key = sorted_kv.tobytes()
+        sampler = self._stego_samplers.get(key)
+        if sampler is None:
+            sampler = ConditionalTypicalSampler(
+                sorted_kv, self.k_size * self.v_size, self._p_y_given_kv, self.delta
+            )
+            self._stego_samplers[key] = sampler
+        return sampler
 
     def sw_bits(self, k_arr: np.ndarray) -> np.ndarray:
         """The pre-assigned random bin index of a typical key, as J bits.
         Uniform over bitstrings across the codebook ensemble, deterministic
         per key within one build."""
-        key = np.asarray(k_arr, dtype=np.int64).tobytes()
+        k_arr = np.asarray(k_arr, dtype=np.int64)
+        key = k_arr.tobytes()
         bits = self._sw_bits.get(key)
         if bits is None:
             rng = np.random.default_rng(
-                np.random.SeedSequence((self.seed, _SW_TAG, *map(int, k_arr)))
+                np.random.SeedSequence((self.seed, _SW_TAG, k_arr.astype(np.uint32)))
             )
             bits = rng.integers(0, 2, size=self.sizes.j_bits, dtype=np.uint8)
             self._sw_bits[key] = bits
@@ -573,11 +592,19 @@ def embed_encode(
     )
 
 
-def attack(y_seq: np.ndarray, spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
-    """Memoryless per-symbol attack sampling."""
-    y = np.asarray(y_seq, dtype=np.int64)
+def attack_cdf(spec: SystemSpec) -> np.ndarray:
+    """The attack channel's cumulative rows, one per stegotext letter."""
     att = spec.p_z_given_y.conditional_matrix((spec.y_axis.name,), (spec.z_axis.name,))
-    cum = att.cumsum(axis=1)
+    return att.cumsum(axis=1)
+
+
+def attack(
+    y_seq: np.ndarray, spec: SystemSpec, rng: np.random.Generator, cdf: np.ndarray | None = None
+) -> np.ndarray:
+    """Memoryless per-symbol attack sampling; ``cdf`` is ``attack_cdf(spec)``,
+    passed by callers that attack many words."""
+    y = np.asarray(y_seq, dtype=np.int64)
+    cum = attack_cdf(spec) if cdf is None else cdf
     r = rng.random(y.size)
     # a row may sum to just under 1; a draw above its total takes the last symbol
     z = np.minimum((r[:, None] > cum[y]).sum(axis=1), cum.shape[1] - 1)
@@ -696,6 +723,7 @@ def run_trials(
     k_size = spec.k_axis.size
     d = spec.d
     dp = spec.d_prime
+    cdf = attack_cdf(spec)
 
     counts = {e: 0 for e in EVENTS}
     n_correct = 0
@@ -712,7 +740,7 @@ def run_trials(
         x, k = cells // k_size, cells % k_size
 
         enc = embed_encode(u, x, k, books)
-        z = attack(enc.y, spec, rng)
+        z = attack(enc.y, spec, rng, cdf)
         dec = decode(z, k, books)
 
         if not enc.input_ok:
@@ -1062,29 +1090,32 @@ def bin_multiplicity_audit(
     total = len(codebooks.key_types) * sizes.bins * sizes.m2 * sizes.m3
     if total > cap:
         raise ResourceCapError(f"audit would scan {total} stegotext words (> cap {cap})")
-    n = codebooks.n
+    n, bins = codebooks.n, sizes.bins
     max_within = 0
-    across: dict[bytes, set] = {}
+    type_words, type_counts = [], []
     for t in range(len(codebooks.key_types)):
-        book = codebooks.aux_book(t)
-        per_y: dict[bytes, set] = {}
-        for m in range(1, sizes.bins + 1):
-            for j in range(sizes.m2):
-                v = book[(m - 1) * sizes.m2 + j]
-                stego = codebooks.stego_book(t, v)
-                for row in stego:
-                    key = row.tobytes()
-                    per_y.setdefault(key, set()).add(m)
-                    across.setdefault(key, set()).add((t, m))
-        if per_y:
-            max_within = max(max_within, max(len(s) for s in per_y.values()))
+        books, book_of_row = _distinct_stego_books(codebooks, t)
+        # each distinct auxiliary row with each bin it lies in
+        held = np.unique(book_of_row * bins + np.arange(book_of_row.size) // sizes.m2)
+        book_idx, bin_idx = np.divmod(held, bins)
+        # each distinct stegotext word with each bin one of its books lies in
+        words, word_of = np.unique(books.reshape(-1, n), axis=0, return_inverse=True)
+        word_of = word_of.reshape(books.shape[:2])
+        word_bins = np.unique(word_of[book_idx] * bins + bin_idx[:, None])
+        per_word = np.bincount(word_bins // bins, minlength=len(words))
+        max_within = max(max_within, int(per_word.max()))
+        type_words.append(words)
+        type_counts.append(per_word)
+    # across types a word's (type, bin) pairs number its bins summed over types
+    _, word_at = np.unique(np.concatenate(type_words), axis=0, return_inverse=True)
+    across = np.bincount(word_at.ravel(), weights=np.concatenate(type_counts))
     bound = 2.0 ** (n * gamma)
     k_y = codebooks.k_size * codebooks.y_size
     return BinAuditResult(
         max_bins_per_y=max_within,
         bound=bound,
         passed=max_within <= bound + 1e-9,
-        max_bins_across_types=max((len(s) for s in across.values()), default=0),
+        max_bins_across_types=int(across.max()),
         poly_bound_across=(n + 1) ** k_y * bound,
         h_bin_given_y_bound=n * gamma + k_y * math.log2(n + 1),
     )
@@ -1159,24 +1190,22 @@ def compression_audits(
     )
 
 
+def _distinct_stego_books(codebooks: CodebookSet, type_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """One type's stegotext books, one per distinct auxiliary row, as a
+    (distinct rows, M_3, n) array, and for each row of its auxiliary book
+    the index of that row's book."""
+    rows, book_of_row = np.unique(codebooks.aux_book(type_idx), axis=0, return_inverse=True)
+    books = np.stack([codebooks.stego_book(type_idx, v) for v in rows])
+    return books, book_of_row.ravel()
+
+
 def _typical_key_stego_words(codebooks: CodebookSet, dtype: np.dtype) -> Iterator[np.ndarray]:
     """The stegotext books of all typical keys, a few keys of one type at a
     time as a (rows, keys, n) array: the type's distinct stegotext rows,
     moved from the representative frame to each key's positions."""
-    sizes = codebooks.sizes
     for t_idx, ktype in enumerate(codebooks.key_types):
-        book = codebooks.aux_book(t_idx)
-        rep_rows = []
-        seen = set()
-        for m in range(1, sizes.bins + 1):
-            for j in range(sizes.m2):
-                v = book[(m - 1) * sizes.m2 + j]
-                vb = v.tobytes()
-                if vb in seen:
-                    continue
-                seen.add(vb)
-                rep_rows.append(codebooks.stego_book(t_idx, v))
-        rep_mat = np.unique(np.vstack(rep_rows), axis=0).astype(dtype)
+        books, _ = _distinct_stego_books(codebooks, t_idx)
+        rep_mat = np.unique(books.reshape(-1, codebooks.n), axis=0).astype(dtype)
         keys = _multiset_perms(ktype.counts)
         while chunk := list(itertools.islice(keys, max(1, _AUDIT_CHUNK_ROWS // len(rep_mat)))):
             # slot i of the representative lands on position order[i] of a key

@@ -214,6 +214,33 @@ class TestCli:
         assert "validation" in capsys.readouterr().err
         assert not list(workdir.glob("x*"))
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--aux", "aux.yaml", "--n", "8", "--trials", "10", "--delta", "0.6",
+             "--dprime", "0.0", "--m2-bits", "5", "--m3-bits", "0", "--j-bits", "2"],
+            ["region-opt", "--objective", "h", "--fix", "d_prime=0.25"],
+        ],
+        ids=["simulate", "region-opt"],
+    )
+    def test_negative_seed_exit_code(self, workdir, args, capsys):
+        args = [str(workdir / a) if a.endswith(".yaml") else a for a in args]
+        code = cli.main([
+            args[0], "--spec", str(workdir / "sys.yaml"), *args[1:],
+            "--seed", "-1", "--out", str(workdir / "x"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert "'seed' must be non-negative" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
+
+    def test_run_file_negative_seed_exit_code(self, workdir, capsys):
+        doc = {"command": "region-opt", "system": SYSTEM, "objective": "h",
+               "fixed": {"d_prime": 0.25}, "seed": -1, "out": str(workdir / "x")}
+        (workdir / "run.yaml").write_text(yaml.safe_dump(doc))
+        assert cli.main(["run", str(workdir / "run.yaml")]) == cli.EXIT_VALIDATION
+        assert "'seed' must be non-negative" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
+
     def test_run_file_counts_below_one_exit_code(self, workdir, capsys):
         doc = {"command": "region-opt", "system": SYSTEM, "objective": "h",
                "fixed": {"d_prime": 0.25}, "seed": 0, "restarts": 0, "out": str(workdir / "x")}

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -13,8 +14,8 @@ from secembed.errors import (
     ResourceCapError,
     ValidationError,
 )
-from secembed.region import AuxChannel
-from secembed.tables import Axis, DistTable
+from secembed.region import AuxChannel, SystemSpec
+from secembed.tables import Axis, DistortionMeasure, DistTable
 from secembed.typical import CountBox
 
 from conftest import binary_spec, copy_embedder_aux, noise_aux
@@ -135,6 +136,119 @@ class TestKeyMachinery:
         arr = np.array(bits)
         freq = arr.mean(axis=0)
         assert np.all(np.abs(freq - 0.5) < 0.05)
+
+
+def _reference_stego_book(books, type_idx, v_rep):
+    """``CodebookSet.stego_book`` as first written, kept as the reference for
+    the composition-shared samplers and the array entropy: one sampler per
+    word over the word's own positions, seeded from a tuple of ints."""
+    from secembed.typical import ConditionalTypicalSampler
+
+    rep = books.key_types[type_idx].representative
+    combined = rep * books.v_size + v_rep
+    sampler = ConditionalTypicalSampler(
+        combined, books.k_size * books.v_size, books._p_y_given_kv, books.delta
+    )
+    stego_tag = 2
+    rng = np.random.default_rng(
+        np.random.SeedSequence((books.seed, stego_tag, type_idx, *map(int, v_rep)))
+    )
+    book = np.empty((books.sizes.m3, books.n), dtype=np.int64)
+    for r in range(books.sizes.m3):
+        book[r] = sampler.sample(rng)
+    return book
+
+
+@st.composite
+def _stego_cases(draw):
+    """A small random system with a degenerate covertext (so the counting
+    constraint always holds), its codebooks, and auxiliary words to query."""
+    k_size, v_size, y_size = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    X, K, V = Axis("X", 1), Axis("K", k_size), Axis("V", v_size)
+    Y, Z = Axis("Y", y_size), Axis("Z", y_size)
+    U, UHAT = Axis("U", 2), Axis("Uhat", 2)
+    k_weights = np.array(draw(st.lists(st.integers(1, 4), min_size=k_size, max_size=k_size)), float)
+    spec = SystemSpec(
+        p_u=DistTable([U], [0.5, 0.5]),
+        p_xk=DistTable([X, K], (k_weights / k_weights.sum())[None, :]),
+        p_z_given_y=DistTable([Y, Z], np.eye(y_size), given=("Y",)),
+        lam=1.0,
+        d=DistortionMeasure(X, Y, np.zeros((1, y_size))),
+        d_prime=DistortionMeasure.hamming(U, UHAT),
+    )
+    cells = k_size * v_size * y_size
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=cells, max_size=cells)), float)
+    weights = weights.reshape(k_size, 1, v_size, y_size) + np.eye(v_size, y_size)  # no empty row
+    aux = AuxChannel(
+        DistTable([K, X, V, Y], weights / weights.sum(axis=(2, 3), keepdims=True), given=("K", "X"))
+    )
+    n = draw(st.integers(2, 8))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            books = sim.build_codebooks(
+                spec, aux, n, draw(st.sampled_from([0.3, 0.6, 0.9])), draw(st.integers(0, 2**40)),
+                0.5, m2_bits=draw(st.integers(0, 2)), m3_bits=draw(st.integers(0, 2)), j_bits=0,
+            )
+    except EmptyTypicalSetError:
+        assume(False)
+    words = draw(st.lists(st.lists(st.integers(0, v_size - 1), min_size=n, max_size=n), max_size=4))
+    return books, [np.array(w, dtype=np.int64) for w in words]
+
+
+class TestStegoStream:
+    """Stegotext books drawn through one sampler per joint (k, v)
+    composition, with array-seeded generators, must equal the per-word
+    books row for row."""
+
+    @given(_stego_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_composition_sampler_matches_per_word_books(self, case):
+        books, words = case
+        for t in range(len(books.key_types)):
+            aux_rows = books.aux_book(t)[:4]
+            for v in [*aux_rows, *words]:
+                try:
+                    ref = _reference_stego_book(books, t, v)
+                except EmptyTypicalSetError:
+                    with pytest.raises(EmptyTypicalSetError):
+                        books.stego_book(t, v)
+                    continue
+                got = books.stego_book(t, v)
+                assert got.shape == (books.sizes.m3, books.n) and got.dtype == np.int64
+                assert np.array_equal(got, ref)
+        comps = set()
+        for t, v in books._stego_books:
+            kv = books.key_types[t].representative * books.v_size + np.frombuffer(v, dtype=np.int64)
+            comps.add(np.sort(kv).tobytes())
+        assert len(books._stego_samplers) == len(comps)
+
+    def test_multi_row_books_of_one_composition_share_a_sampler(self, trend_spec):
+        # Y is uniform noise beside V, so every book row is a fresh draw
+        K, X, V, Y = trend_spec.k_axis, trend_spec.x_axis, Axis("V", 2), trend_spec.y_axis
+        aux = AuxChannel(DistTable([K, X, V, Y], np.full((2, 1, 2, 2), 0.25), given=("K", "X")))
+        books = build_trend(trend_spec, aux, 8, m3_bits=2)
+        t = books._type_index[(4, 4)]
+        v1 = np.array([0, 1, 0, 1, 1, 0, 1, 0])
+        v2 = np.array([1, 1, 0, 0, 0, 0, 1, 1])  # the same (k, v) counts
+        for v in (v1, v2):
+            assert np.array_equal(books.stego_book(t, v), _reference_stego_book(books, t, v))
+        assert books.sizes.m3 == 4 and len(books._stego_samplers) == 1
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_array_entropy_equals_int_tuple(self, seed):
+        # a uint32 word enters numpy's entropy pool as the same 32-bit words
+        # as one int per letter, so stegotext and pad generators keep their
+        # streams; a change to numpy's entropy coercion fails here
+        word = np.concatenate([np.arange(0, 70_001, 997), [0, 65_535, 65_536, 69_999, 70_000]])
+        for head in ((seed, 2, 5), (seed, 3)):
+            as_ints = np.random.SeedSequence((*head, *map(int, word)))
+            as_array = np.random.SeedSequence((*head, word.astype(np.uint32)))
+            assert np.array_equal(as_ints.pool, as_array.pool)
+            assert np.array_equal(as_ints.generate_state(8), as_array.generate_state(8))
+            assert np.array_equal(
+                as_ints.generate_state(4, np.uint64), as_array.generate_state(4, np.uint64)
+            )
 
 
 class TestEncryption:
@@ -440,6 +554,33 @@ class TestAudits:
         assert audit.passed
         assert audit.max_bins_per_y <= audit.bound
         assert audit.max_bins_across_types <= audit.poly_bound_across
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["two-keys", "noisy-multi-row"])
+    def test_bin_counts_match_row_by_row_sets(self, noisy):
+        # the audit as first written: a set of bins per stegotext word, filled
+        # row by row, within each type and across types
+        if noisy:  # one key letter; Y is uniform noise beside V, four rows a book
+            spec = binary_spec(x_size=1, k_probs=(1.0,), lam=0.4, d_cost=[[0.0, 1.0]])
+            K, X, V, Y = spec.k_axis, spec.x_axis, Axis("V", 2), spec.y_axis
+            aux = AuxChannel(DistTable([K, X, V, Y], np.full((1, 1, 2, 2), 0.25), given=("K", "X")))
+            books = sim.build_codebooks(spec, aux, 10, 0.6, 1, 0.0, m2_bits=3, m3_bits=2, j_bits=0)
+        else:
+            books = self._audit_books()
+        s = books.sizes
+        max_within, across = 0, {}
+        for t in range(len(books.key_types)):
+            per_y = {}
+            for row in range(s.bins * s.m2):
+                for y in books.stego_book(t, books.aux_book(t)[row]):
+                    per_y.setdefault(y.tobytes(), set()).add(row // s.m2 + 1)
+                    across.setdefault(y.tobytes(), set()).add((t, row // s.m2 + 1))
+            max_within = max(max_within, max(len(b) for b in per_y.values()))
+        audit = sim.bin_multiplicity_audit(books, 0.5)
+        assert (audit.max_bins_per_y, audit.max_bins_across_types) == (
+            max_within,
+            max(len(b) for b in across.values()),
+        )
+        assert type(audit.max_bins_per_y) is int and type(audit.max_bins_across_types) is int
 
     def test_compression_rate_identity(self):
         comp = sim.compression_audits(self._audit_books())
