@@ -15,19 +15,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import sim
-from .config import (
-    RunConfig,
-    _validate_required,
-    load_aux,
-    load_point,
-    load_system,
-    load_test_channel,
-    parse_config,
-    stable_hash,
-)
+from .config import COMMANDS, SCHEMA, RunConfig, flag_of, from_document, parse_config, read_text, stable_hash
 from .errors import (
     InfeasibleError,
     ResourceCapError,
@@ -57,11 +47,10 @@ def _write_csv(path: Path, manifest_hash: str, header: list[str], rows: list[lis
     path.write_text("\n".join(lines) + "\n")
 
 
-def _report_rows(report) -> list[list]:
-    rows = []
-    for name, c in report.conditions.items():
-        rows.append([name, c.kind, c.attained, c.bound, c.slack, int(c.satisfied)])
-    return rows
+def _write_conditions(out: Path, digest: str, report) -> None:
+    rows = [[k, c.kind, c.attained, c.bound, c.slack, int(c.satisfied)] for k, c in report.conditions.items()]
+    header = ["condition", "kind", "attained", "bound", "slack", "satisfied"]
+    _write_csv(Path(str(out) + "_conditions.csv"), digest, header, rows)
 
 
 def _quantity_rows(report) -> list[list]:
@@ -89,8 +78,24 @@ def run(config: RunConfig) -> int:
 def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
     spec = config.system.spec
 
+    def optimize(fixed):
+        return optimize_region(
+            spec,
+            fixed,
+            config.objective,
+            restarts=config.restarts,
+            seed=config.seed,
+            v_cardinality=config.v_cardinality,
+        )
+
+    def build(seed):
+        return sim.build_codebooks(
+            spec, config.aux, config.n, config.delta, seed, config.d_prime,
+            m2_bits=config.m2_bits, m3_bits=config.m3_bits, j_bits=config.j_bits, eps_cov=config.eps_cov,
+        )
+
+    grid = config.grid or [config.d_prime]
     if config.command in ("rd", "sweep") and config.objective is None:
-        grid = config.grid or [config.d_prime]
         rows = []
         for g, sol in rd_curve(spec.p_u, spec.d_prime, sorted(grid)):
             rows.append([g, sol.rate_bits, sol.distortion, sol.iterations])
@@ -101,17 +106,8 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
 
     if config.command == "sweep":  # region sweep over one fixed coordinate grid
         rows = []
-        for g in config.grid:
-            fixed = dict(config.fixed)
-            fixed["d_prime"] = g
-            res = optimize_region(
-                spec,
-                fixed,
-                config.objective,
-                restarts=config.restarts,
-                seed=config.seed or 0,
-                v_cardinality=config.v_cardinality,
-            )
+        for g in grid:
+            res = optimize({**config.fixed, "d_prime": g})
             slacks = ";".join(f"{k}={c.slack:.6g}" for k, c in res.report.conditions.items())
             rows.append([g, res.objective, res.value, slacks])
         _write_csv(
@@ -124,32 +120,15 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
             report = eval_extended(spec, config.aux, config.test_channel, config.point)
         else:
             report = eval_keyed_region(spec, config.aux, config.point)
-        _write_csv(
-            Path(str(out) + "_conditions.csv"),
-            digest,
-            ["condition", "kind", "attained", "bound", "slack", "satisfied"],
-            _report_rows(report),
-        )
+        _write_conditions(out, digest, report)
         _write_csv(
             Path(str(out) + "_quantities.csv"), digest, ["quantity", "value"], _quantity_rows(report)
         )
         return EXIT_OK
 
     if config.command == "region-opt":
-        res = optimize_region(
-            spec,
-            config.fixed,
-            config.objective,
-            restarts=config.restarts,
-            seed=config.seed,
-            v_cardinality=config.v_cardinality,
-        )
-        _write_csv(
-            Path(str(out) + "_conditions.csv"),
-            digest,
-            ["condition", "kind", "attained", "bound", "slack", "satisfied"],
-            _report_rows(res.report),
-        )
+        res = optimize(config.fixed)
+        _write_conditions(out, digest, res.report)
         summary = [
             ["objective", res.objective],
             ["value", res.value],
@@ -164,19 +143,8 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
         _write_csv(Path(str(out) + "_summary.csv"), digest, ["metric", "value"], summary)
         return EXIT_OK
 
-    build_kwargs = dict(
-        m2_bits=config.m2_bits,
-        m3_bits=config.m3_bits,
-        j_bits=config.j_bits,
-        eps_cov=config.eps_cov,
-    )
-
     if config.command == "simulate":
-        books = None
-        if config.exact_equivocation:  # the trials and the enumeration share one build
-            books = sim.build_codebooks(
-                spec, config.aux, config.n, config.delta, config.seed, config.d_prime, **build_kwargs
-            )
+        books = build(config.seed)  # the trials and the enumeration share one build
         agg = sim.run_trials(
             spec,
             config.aux,
@@ -187,7 +155,6 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
             config.d_prime,
             codebooks=books,
             collect_transcripts=True,
-            **build_kwargs,
         )
         trial_rows = [
             [
@@ -215,12 +182,7 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
         if config.exact_equivocation:
             est = sim.estimate_equivocation(books)
             if config.ensemble_average:  # the run's own build is the first member
-                rebuilt = (
-                    sim.build_codebooks(
-                        spec, config.aux, config.n, config.delta, s, config.d_prime, **build_kwargs
-                    )
-                    for s in range(config.seed + 1, config.seed + config.rebuilds)
-                )
+                rebuilt = map(build, range(config.seed + 1, config.seed + config.rebuilds))
                 h_u, h_uhat = sim.ensemble_mean([est, *map(sim.estimate_equivocation, rebuilt)])
                 summary.append(["h_u_given_yz_ensemble", h_u])
                 summary.append(["h_uhat_given_yz_ensemble", h_uhat])
@@ -256,9 +218,7 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
         comp_rows = []
         for i in range(config.rebuilds):
             seed_i = config.seed + i
-            books = sim.build_codebooks(
-                spec, config.aux, config.n, config.delta, seed_i, config.d_prime, **build_kwargs
-            )
+            books = build(seed_i)
             audit = sim.bin_multiplicity_audit(books, config.gamma)
             rows.append(
                 [i, seed_i, audit.max_bins_per_y, audit.bound, int(audit.passed), audit.max_bins_across_types]
@@ -284,99 +244,28 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", required=True, help="system tables (YAML)")
-    p.add_argument("--aux", help="aux channel (YAML)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dprime", type=float, dest="d_prime")
-    p.add_argument("--out")
-    p.add_argument("--extended", action="store_true")
-    p.add_argument("--exact-equivocation", action="store_true", dest="exact_equivocation")
-    p.add_argument("--ensemble-average", action="store_true", dest="ensemble_average")
-    p.add_argument("--grid", help="comma-separated distortion grid")
-    p.add_argument("--point", help="d=..,d_prime=..,r_c=..,r_c_prime=..,h=..,h_prime=..")
-    p.add_argument("--fix", help="coordinate=value pairs, comma separated")
-    p.add_argument("--objective")
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--v-cardinality", type=int, dest="v_cardinality")
-    p.add_argument("--rebuilds", type=int, default=1)
-    p.add_argument("--m2-bits", type=int, dest="m2_bits")
-    p.add_argument("--m3-bits", type=int, dest="m3_bits")
-    p.add_argument("--j-bits", type=int, dest="j_bits")
-    p.add_argument("--eps-cov", type=float, dest="eps_cov", default=0.0)
-    p.add_argument("--test-channel", dest="test_channel", help="test channel (YAML)")
-
-
-def _parse_kv(text: str) -> dict[str, float]:
-    out = {}
-    for part in text.split(","):
-        if not part.strip():
-            continue
-        if "=" not in part:
-            raise ValidationError(f"expected key=value, got {part!r}")
-        k, v = part.split("=", 1)
-        out[k.strip()] = float(v)
-    return out
-
-
-def _load_yaml_file(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e}") from e
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as e:
-        raise ValidationError(f"YAML error in {path}: {e}") from e
+    for f in SCHEMA:  # a flag not given leaves its field's default to the schema
+        kind = f.metadata["kind"]
+        if kind.text is None:
+            p.add_argument(flag_of(f), dest=f.name, action="store_true", default=argparse.SUPPRESS)
+        else:
+            required = f.metadata["need"] == COMMANDS
+            p.add_argument(flag_of(f), dest=f.name, default=argparse.SUPPRESS, required=required, help=kind.help)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    system = load_system(_load_yaml_file(args.spec))
-    cfg = RunConfig(command=args.command, system=system)
-    if args.aux:
-        cfg.aux, cfg.aux_labels = load_aux(_load_yaml_file(args.aux), system.spec)
-    if args.test_channel:
-        cfg.test_channel = load_test_channel(_load_yaml_file(args.test_channel), system.spec)
-    if args.point:
-        cfg.point = load_point(_parse_kv(args.point))
-    if args.fix:
-        cfg.fixed = _parse_kv(args.fix)
-    if args.grid:
-        cfg.grid = [float(g) for g in args.grid.split(",") if g.strip()]
-    for f in (
-        "n",
-        "trials",
-        "delta",
-        "gamma",
-        "seed",
-        "d_prime",
-        "out",
-        "objective",
-        "restarts",
-        "v_cardinality",
-        "rebuilds",
-        "extended",
-        "exact_equivocation",
-        "ensemble_average",
-        "m2_bits",
-        "m3_bits",
-        "j_bits",
-        "eps_cov",
-    ):
-        v = getattr(args, f, None)
-        if v is not None:
-            setattr(cfg, f, v)
-    _validate_required(cfg)
-    return cfg
+    doc = {"command": args.command}
+    for f in SCHEMA:
+        if hasattr(args, f.name):
+            value, text = getattr(args, f.name), f.metadata["kind"].text
+            doc[f.name] = text(value) if text else value
+    return from_document(doc)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="secembed")
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb in ("rd", "region-eval", "region-opt", "simulate", "audit", "sweep"):
+    for verb in COMMANDS:
         _add_common(sub.add_parser(verb))
     runp = sub.add_parser("run", help="execute a consolidated run-config file")
     runp.add_argument("config", help="YAML run configuration")
@@ -384,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
-            cfg = parse_config(Path(args.config).read_text())
+            cfg = parse_config(read_text(args.config))
         else:
             cfg = _config_from_args(args)
         return run(cfg)

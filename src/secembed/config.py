@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from pathlib import Path
+from typing import Any, Callable, Mapping
 
 import numpy as np
 import yaml
@@ -22,7 +23,6 @@ from .region import COORDINATES, AuxChannel, RegionPoint, SystemSpec
 from .tables import NORMALIZATION_ATOL, Axis, DistTable, DistortionMeasure
 
 COMMANDS = ("rd", "region-eval", "region-opt", "simulate", "audit", "sweep")
-RANDOMIZED_COMMANDS = ("region-opt", "simulate", "audit")
 
 _REQUIRED_AXES = ("U", "X", "K", "Y", "Z", "Uhat")
 
@@ -183,37 +183,153 @@ def load_point(mapping: Mapping[str, Any]) -> RegionPoint:
     missing = [k for k in COORDINATES if k not in mapping]
     if missing:
         raise ValidationError(f"point is missing coordinates {missing}")
-    return RegionPoint(**{k: float(mapping[k]) for k in COORDINATES})
+    return RegionPoint(**{k: _number(f"point.{k}", mapping[k]) for k in COORDINATES})
+
+
+def read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise ValidationError(f"cannot read {path}: {e}") from e
+
+
+def load_yaml_file(path: str):
+    try:
+        return yaml.safe_load(read_text(path))
+    except yaml.YAMLError as e:
+        raise ValidationError(f"YAML error in {path}: {e}") from e
+
+
+# ---------------------------------------------------------------------------
+# the run-config schema
+# ---------------------------------------------------------------------------
+# A check takes a run file's value to the field's value, or raises a
+# ValidationError that names the field.  Flags reach the same checks: a
+# flag's text is first read as the value a run file would hold.
+
+
+def _typed(typ: type, what: str, low: int | None = None):
+    def check(name: str, v):
+        if not isinstance(v, typ) or isinstance(v, bool) != (typ is bool):
+            raise ValidationError(f"field {name!r} must be {what}, got {v!r}")
+        if low is not None and v < low:
+            bound = "non-negative" if low == 0 else f"at least {low}"
+            raise ValidationError(f"field {name!r} must be {bound}, got {v}")
+        return v
+
+    return check
+
+
+def _number(name: str, v) -> float:
+    # a string too: YAML 1.1 reads an exponent with no dot, such as 1e-3, as one
+    if not isinstance(v, bool) and isinstance(v, (int, float, str)):
+        try:
+            return float(v)
+        except ValueError:
+            pass
+    raise ValidationError(f"field {name!r} must be a number, got {v!r}")
+
+
+def _grid(name: str, v) -> list[float]:
+    if not isinstance(v, list):
+        raise ValidationError(f"field {name!r} must be a list of numbers, got {v!r}")
+    return [_number(f"{name}[{i}]", g) for i, g in enumerate(v)]
+
+
+def _coordinates(name: str, v) -> dict[str, float]:
+    if not isinstance(v, Mapping):
+        raise ValidationError(f"field {name!r} must map coordinate names to values")
+    return {str(k): _number(f"{name}.{k}", x) for k, x in v.items()}
+
+
+def _number_text(text: str):
+    for typ in (int, float):
+        try:
+            return typ(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _list_text(text: str) -> list[str]:
+    return [part for part in text.split(",") if part.strip()]
+
+
+def _pairs_text(text: str) -> dict[str, str]:
+    pairs = {}
+    for part in _list_text(text):
+        if "=" not in part:
+            raise ValidationError(f"expected key=value, got {part!r}")
+        k, v = part.split("=", 1)
+        pairs[k.strip()] = v
+    return pairs
+
+
+@dataclass(frozen=True)
+class Kind:
+    """How a schema field is read.  `check` takes a run file's value to the
+    field's (None for a section, which has its own loader); `text` takes a
+    flag's text to a run file's value (None for an on/off flag)."""
+
+    check: Callable[[str, Any], Any] | None
+    text: Callable[[str], Any] | None
+    help: str | None = None
+
+
+_INTEGER = Kind(_typed(int, "an integer"), _number_text)
+_SEED = Kind(_typed(int, "an integer", 0), _number_text)
+_COUNT = Kind(_typed(int, "an integer", 1), _number_text)
+_NUMBER = Kind(_number, _number_text)
+_STRING = Kind(_typed(str, "a string"), str)
+_SWITCH = Kind(_typed(bool, "true or false"), None)
+_GRID = Kind(_grid, _list_text, "comma-separated distortion grid")
+_FIXED = Kind(_coordinates, _pairs_text, "coordinate=value pairs, comma separated")
+_POINT = Kind(None, _pairs_text, "d=..,d_prime=..,r_c=..,r_c_prime=..,h=..,h_prime=..")
+_FILE = Kind(None, load_yaml_file, "YAML file")
+
+
+def _row(kind: Kind, default=None, flag: str | None = None, need: tuple[str, ...] = ()):
+    """One schema field: its kind, its default, its flag when that is not
+    `--` and the name with dashes, and the commands that cannot run without
+    it; a need such as "sweep with objective" holds when that field is set."""
+    meta = {"kind": kind, "flag": flag, "need": need}
+    if isinstance(default, (list, dict)):
+        return field(default_factory=type(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
+    """One run.  Every field but `command` and `aux_labels` is a row of the
+    run-config schema, which drives the run-file reader, the manifest, the
+    command-line flags and the required-field checks."""
+
     command: str
-    system: SystemConfig
-    aux: AuxChannel | None = None
+    system: SystemConfig = _row(_FILE, MISSING, "--spec", COMMANDS)
+    aux: AuxChannel | None = _row(_FILE, need=("region-eval", "simulate", "audit"))
     aux_labels: list[str] = field(default_factory=list)
-    point: RegionPoint | None = None
-    test_channel: DistTable | None = None
-    n: int | None = None
-    trials: int | None = None
-    delta: float | None = None
-    gamma: float | None = None
-    seed: int | None = None
-    d_prime: float | None = None
-    out: str | None = None
-    grid: list[float] = field(default_factory=list)
-    objective: str | None = None
-    fixed: dict[str, float] = field(default_factory=dict)
-    restarts: int = 32
-    v_cardinality: int | None = None
-    rebuilds: int = 1
-    extended: bool = False
-    exact_equivocation: bool = False
-    ensemble_average: bool = False
-    m2_bits: int | None = None
-    m3_bits: int | None = None
-    j_bits: int | None = None
-    eps_cov: float = 0.0
+    point: RegionPoint | None = _row(_POINT, need=("region-eval",))
+    test_channel: DistTable | None = _row(_FILE, need=("region-eval with extended",))
+    n: int | None = _row(_INTEGER, need=("simulate", "audit"))
+    trials: int | None = _row(_INTEGER, need=("simulate",))
+    delta: float | None = _row(_NUMBER, need=("simulate", "audit"))
+    gamma: float | None = _row(_NUMBER, need=("audit",))
+    seed: int | None = _row(_SEED, need=("region-opt", "simulate", "audit", "sweep with objective"))
+    d_prime: float | None = _row(_NUMBER, flag="--dprime", need=("simulate", "audit"))
+    out: str | None = _row(_STRING)
+    grid: list[float] = _row(_GRID, [])
+    objective: str | None = _row(_STRING, need=("region-opt",))
+    fixed: dict[str, float] = _row(_FIXED, {}, "--fix")
+    restarts: int = _row(_COUNT, 32)
+    v_cardinality: int | None = _row(_INTEGER)
+    rebuilds: int = _row(_COUNT, 1)
+    extended: bool = _row(_SWITCH, False)
+    exact_equivocation: bool = _row(_SWITCH, False)
+    ensemble_average: bool = _row(_SWITCH, False)
+    m2_bits: int | None = _row(_INTEGER)
+    m3_bits: int | None = _row(_INTEGER)
+    j_bits: int | None = _row(_INTEGER)
+    eps_cov: float = _row(_NUMBER, 0.0)
 
     def manifest(self) -> dict:
         """A self-contained record of the run: feeding the manifest file back
@@ -224,26 +340,7 @@ class RunConfig:
             "command": self.command,
             "system": system_mapping,
             "system_sha256": stable_hash(system_mapping),
-            "n": self.n,
-            "trials": self.trials,
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "d_prime": self.d_prime,
-            "out": self.out,
-            "grid": self.grid,
-            "objective": self.objective,
-            "fixed": dict(sorted(self.fixed.items())),
-            "restarts": self.restarts,
-            "v_cardinality": self.v_cardinality,
-            "rebuilds": self.rebuilds,
-            "extended": self.extended,
-            "exact_equivocation": self.exact_equivocation,
-            "ensemble_average": self.ensemble_average,
-            "m2_bits": self.m2_bits,
-            "m3_bits": self.m3_bits,
-            "j_bits": self.j_bits,
-            "eps_cov": self.eps_cov,
+            **{f.name: getattr(self, f.name) for f in _PARAMETERS},
         }
         if self.aux is not None:
             aux_mapping = aux_to_mapping(self.aux, self.aux_labels)
@@ -254,6 +351,16 @@ class RunConfig:
         if self.point is not None:
             m["point"] = {k: float(v) for k, v in vars(self.point).items()}
         return m
+
+
+SCHEMA = tuple(f for f in fields(RunConfig) if f.metadata)
+_PARAMETERS = tuple(f for f in SCHEMA if f.metadata["kind"].check)
+# a manifest is a run file with its tables' digests added
+_DOCUMENT_KEYS = {"command", "system_sha256", "aux_sha256", *(f.name for f in SCHEMA)}
+
+
+def flag_of(f) -> str:
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
 
 
 def stable_hash(obj) -> str:
@@ -272,7 +379,14 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(f"config parse error{where}: {e}") from e
     if not isinstance(doc, Mapping):
         raise ValidationError("config must be a mapping")
+    return from_document(doc)
 
+
+def from_document(doc: Mapping[str, Any]) -> RunConfig:
+    """Validate one run-config document, read from a run file or from flags."""
+    unknown = sorted(str(k) for k in doc if k not in _DOCUMENT_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown run-config fields {unknown}")
     command = doc.get("command")
     if command not in COMMANDS:
         raise ValidationError(f"'command' must be one of {COMMANDS}, got {command!r}")
@@ -281,89 +395,35 @@ def parse_config(text: str) -> RunConfig:
     system = load_system(doc["system"])
 
     cfg = RunConfig(command=command, system=system)
-    if "aux" in doc and doc["aux"] is not None:
+    if doc.get("aux") is not None:
         cfg.aux, cfg.aux_labels = load_aux(doc["aux"], system.spec)
-    if "point" in doc and doc["point"] is not None:
+    if doc.get("point") is not None:
         cfg.point = load_point(doc["point"])
-    if "test_channel" in doc and doc["test_channel"] is not None:
+    if doc.get("test_channel") is not None:
         cfg.test_channel = load_test_channel(doc["test_channel"], system.spec)
-
-    def take(name, typ, default=None):
-        v = doc.get(name, default)
-        if v is None:
-            return None
-        try:
-            return typ(v)
-        except (TypeError, ValueError) as e:
-            raise ValidationError(f"field {name!r} is not a valid {typ.__name__}") from e
-
-    cfg.n = take("n", int)
-    cfg.trials = take("trials", int)
-    cfg.delta = take("delta", float)
-    cfg.gamma = take("gamma", float)
-    cfg.seed = take("seed", int)
-    cfg.d_prime = take("d_prime", float)
-    cfg.out = doc.get("out")
-    cfg.objective = doc.get("objective")
-    cfg.v_cardinality = take("v_cardinality", int)
-    for name in ("restarts", "rebuilds"):  # absent or null keeps the default
-        count = take(name, int)
-        if count is not None:
-            setattr(cfg, name, count)
-    cfg.m2_bits = take("m2_bits", int)
-    cfg.m3_bits = take("m3_bits", int)
-    cfg.j_bits = take("j_bits", int)
-    cfg.eps_cov = take("eps_cov", float) or 0.0
-    for flag in ("extended", "exact_equivocation", "ensemble_average"):
-        setattr(cfg, flag, bool(doc.get(flag, False)))
-    grid = doc.get("grid", [])
-    if grid:
-        cfg.grid = [float(g) for g in grid]
-    fixed = doc.get("fixed", {})
-    if fixed:
-        if not isinstance(fixed, Mapping):
-            raise ValidationError("'fixed' must map coordinate names to values")
-        cfg.fixed = {str(k): float(v) for k, v in fixed.items()}
-
+    for f in _PARAMETERS:  # absent or null keeps the default
+        if doc.get(f.name) is not None:
+            setattr(cfg, f.name, f.metadata["kind"].check(f.name, doc[f.name]))
     _validate_required(cfg)
     return cfg
 
 
+def _needed(cfg: RunConfig, use: str) -> bool:
+    """Whether a need, such as "simulate" or "sweep with objective", applies."""
+    command, _, given = use.partition(" with ")
+    return command == cfg.command and (not given or getattr(cfg, given) not in (None, False))
+
+
 def _validate_required(cfg: RunConfig) -> None:
-    need: list[str] = []
     c = cfg.command
-    if c in RANDOMIZED_COMMANDS and cfg.seed is None:
-        raise ValidationError(f"command {c!r} is randomized: field 'seed' is required")
-    if cfg.seed is not None and cfg.seed < 0:
-        raise ValidationError(f"field 'seed' must be non-negative, got {cfg.seed}")
-    for name in ("restarts", "rebuilds"):
-        if getattr(cfg, name) < 1:
-            raise ValidationError(f"field {name!r} must be at least 1, got {getattr(cfg, name)}")
+    need = [
+        f.name
+        for f in SCHEMA
+        if getattr(cfg, f.name) is None and any(_needed(cfg, use) for use in f.metadata["need"])
+    ]
     if c in ("rd", "sweep") and not cfg.grid and cfg.d_prime is None:
         need.append("grid or d_prime")
-    if c == "region-eval":
-        if cfg.aux is None:
-            need.append("aux")
-        if cfg.point is None:
-            need.append("point")
-        if cfg.extended and cfg.test_channel is None:
-            need.append("test_channel")
-    if c == "region-opt":
-        if cfg.objective is None:
-            need.append("objective")
-        if "d_prime" not in cfg.fixed:
-            need.append("fixed.d_prime")
-    if c == "simulate":
-        for f in ("n", "trials", "delta", "d_prime"):
-            if getattr(cfg, f) is None:
-                need.append(f)
-        if cfg.aux is None:
-            need.append("aux")
-    if c == "audit":
-        for f in ("n", "delta", "gamma", "d_prime"):
-            if getattr(cfg, f) is None:
-                need.append(f)
-        if cfg.aux is None:
-            need.append("aux")
+    if c == "region-opt" and "d_prime" not in cfg.fixed:
+        need.append("fixed.d_prime")
     if need:
         raise ValidationError(f"command {c!r} is missing required fields: {need}")

@@ -1,13 +1,18 @@
+import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secembed import cli
-from secembed.config import load_aux, load_system, parse_config, stable_hash
+from secembed.config import COMMANDS, load_aux, load_system, parse_config, stable_hash
 from secembed.errors import ValidationError
+from secembed.region import COORDINATES
 
 SYSTEM = {
     "alphabets": {
@@ -379,3 +384,216 @@ class TestCli:
         assert len(lines) == 2 + 3
         assert all(l.split(",")[4] == "1" for l in lines[2:])
         assert (workdir / "aud_compression.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the run-config schema: both front doors, the manifest round trip
+# ---------------------------------------------------------------------------
+
+TEST_CHANNEL = [[0.75, 0.25], [0.125, 0.875]]
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_ints = st.integers(-(2**40), 2**40)
+_counts = st.integers(1, 2**20)
+_words = st.from_regex(r"[a-z][a-z0-9_/.]{0,12}", fullmatch=True)
+_coords = st.dictionaries(st.sampled_from(COORDINATES), _floats, max_size=6)
+
+# every run-config field but the sections, with a strategy of valid values
+_FIELDS = {
+    "n": _ints, "trials": _ints, "delta": _floats, "gamma": _floats, "d_prime": _floats,
+    "v_cardinality": _ints, "m2_bits": _ints, "m3_bits": _ints, "j_bits": _ints,
+    "eps_cov": _floats, "out": _words, "objective": _words, "restarts": _counts,
+    "rebuilds": _counts, "extended": st.booleans(), "exact_equivocation": st.booleans(),
+    "ensemble_average": st.booleans(), "grid": st.lists(_floats, min_size=1, max_size=4),
+    "fixed": _coords,
+}
+
+# what each command needs beyond a seed, which every drawn run has
+_NEEDS = {
+    "simulate": ("n", "trials", "delta", "d_prime", "aux"),
+    "audit": ("n", "delta", "gamma", "d_prime", "aux"),
+    "region-eval": ("aux", "point"),
+    "region-opt": ("objective",),
+}
+
+
+@st.composite
+def run_docs(draw):
+    """A valid run-config document with random field values."""
+    command = draw(st.sampled_from(COMMANDS))
+    doc = {"command": command, "system": SYSTEM, "seed": draw(st.integers(0, 2**40))}
+    for name, values in _FIELDS.items():
+        if draw(st.booleans()):
+            doc[name] = draw(values)
+    for name in _NEEDS.get(command, ()):
+        if name == "aux":
+            doc["aux"] = AUX
+        elif name == "point":
+            doc["point"] = {k: draw(st.floats(0, 1e6)) for k in COORDINATES}
+        elif name not in doc:
+            doc[name] = draw(_FIELDS[name])
+    if command in ("rd", "sweep") and "grid" not in doc and "d_prime" not in doc:
+        doc["d_prime"] = draw(_floats)
+    if command == "region-opt":
+        doc["fixed"] = {**doc.get("fixed", {}), "d_prime": draw(_floats)}
+    if command == "region-eval" and doc.get("extended"):
+        doc["test_channel"] = TEST_CHANNEL
+    return doc
+
+
+_FLAG_SPELLINGS = {"d_prime": "--dprime", "fixed": "--fix"}
+
+
+def _argv(doc, files):
+    """The same run as command-line flags."""
+    argv = [doc["command"], "--spec", str(files / "sys.yaml")]
+    if "aux" in doc:
+        argv += ["--aux", str(files / "aux.yaml")]
+    if "test_channel" in doc:
+        argv += ["--test-channel", str(files / "tc.yaml")]
+    for name, value in doc.items():
+        if name in ("command", "system", "aux", "test_channel"):
+            continue
+        flag = _FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-"))
+        if isinstance(value, bool):
+            argv += [flag] if value else []
+        elif isinstance(value, dict):
+            argv.append(f"{flag}=" + ",".join(f"{k}={v!r}" for k, v in value.items()))
+        elif isinstance(value, list):
+            argv.append(f"{flag}=" + ",".join(repr(v) for v in value))
+        else:  # '--flag=value', since argparse reads '-1e+16' as an option
+            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    return argv
+
+
+def _config_from_argv(argv):
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser.add_subparsers(dest="command").add_parser(argv[0]))
+    return cli._config_from_args(parser.parse_args(argv))
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("inputs")
+    (files / "sys.yaml").write_text(yaml.safe_dump(SYSTEM))
+    (files / "aux.yaml").write_text(yaml.safe_dump(AUX))
+    (files / "tc.yaml").write_text(yaml.safe_dump(TEST_CHANNEL))
+    return files
+
+
+class TestSchemaProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(run_docs())
+    def test_manifest_round_trip(self, doc):
+        cfg = parse_config(yaml.safe_dump(doc))
+        again = parse_config(yaml.safe_dump(cfg.manifest()))
+        assert again.manifest() == cfg.manifest()
+        for name in _FIELDS:  # every field the document set survives the trip
+            assert getattr(again, name) == getattr(cfg, name) == doc.get(name, getattr(cfg, name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(run_docs())
+    def test_flags_and_run_file_agree(self, input_files, doc):
+        from_file = parse_config(yaml.safe_dump(doc))
+        from_flags = _config_from_argv(_argv(doc, input_files))
+        assert from_flags.manifest() == from_file.manifest()
+
+
+class TestStrictFields:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n", 8.9),
+            ("trials", 20.7),
+            ("seed", True),
+            ("restarts", 2.5),
+            ("extended", "false"),
+            ("exact_equivocation", 1),
+            ("out", 5),
+            ("objective", 3),
+            ("d_prime", True),
+        ],
+    )
+    def test_run_file_value_of_wrong_type_rejected(self, tmp_path, monkeypatch, capsys, name, value):
+        monkeypatch.chdir(tmp_path)
+        doc = {"command": "rd", "system": SYSTEM, "grid": [0.1], "out": "x", name: value}
+        (tmp_path / "run.yaml").write_text(yaml.safe_dump(doc))
+        assert cli.main(["run", "run.yaml"]) == cli.EXIT_VALIDATION
+        assert f"'{name}'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["region-opt", "--objective", "h", "--fix", "d_prime=abc", "--seed", "0"], "fixed.d_prime"),
+            (["rd", "--grid", "0.1,abc"], "grid[1]"),
+            (["region-eval", "--aux", "aux.yaml",
+              "--point", "d=1,d_prime=0,r_c=2,r_c_prime=2,h=x,h_prime=0.1"], "point.h"),
+        ],
+        ids=["fix", "grid", "point"],
+    )
+    def test_malformed_flag_number_exit_code(self, workdir, capsys, args, named):
+        args = [str(workdir / a) if a.endswith(".yaml") else a for a in args]
+        code = cli.main([args[0], "--spec", str(workdir / "sys.yaml"), *args[1:],
+                         "--out", str(workdir / "x")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"'{named}'" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"command": "region-opt", "objective": "h", "fixed": {"d_prime": "abc"}, "seed": 0},
+             "fixed.d_prime"),
+            ({"command": "rd", "grid": ["a"]}, "grid[0]"),
+            ({"command": "rd", "grid": 0.3}, "grid"),
+            ({"command": "region-eval", "aux": AUX, "point": {
+                "d": 1.0, "d_prime": 0.0, "r_c": "two", "r_c_prime": 2.0, "h": 0.1, "h_prime": 0.1}},
+             "point.r_c"),
+        ],
+        ids=["fixed", "grid-item", "grid-scalar", "point"],
+    )
+    def test_run_file_malformed_number_exit_code(self, workdir, capsys, fields, named):
+        doc = {"system": SYSTEM, "out": str(workdir / "x"), **fields}
+        (workdir / "run.yaml").write_text(yaml.safe_dump(doc))
+        assert cli.main(["run", str(workdir / "run.yaml")]) == cli.EXIT_VALIDATION
+        assert f"'{named}'" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
+
+    def test_missing_run_file_exit_code(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path / "nosuch.yaml")]) == cli.EXIT_VALIDATION
+        assert "nosuch.yaml" in capsys.readouterr().err
+
+    def test_unknown_run_file_key_rejected(self):
+        doc = {"command": "region-opt", "system": SYSTEM, "objective": "h",
+               "fixed": {"d_prime": 0.25}, "seed": 0, "restart": 4}
+        with pytest.raises(ValidationError, match="'restart'"):
+            parse_config(yaml.safe_dump(doc))
+
+
+class TestRegionSweep:
+    def test_rows_match_region_opt(self, workdir):
+        common = ["--spec", str(workdir / "sys.yaml"), "--objective", "h", "--seed", "5",
+                  "--restarts", "3", "--v-cardinality", "2"]
+        assert cli.main(["sweep", *common, "--grid", "0.3,0.1", "--out", str(workdir / "sw")]) == 0
+        rows = [l.split(",") for l in (workdir / "sw.csv").read_text().splitlines()[2:]]
+        assert [r[0] for r in rows] == ["0.3", "0.1"]
+        for g, objective, value, _ in rows:
+            out = workdir / f"opt{g}"
+            assert cli.main(["region-opt", *common, "--fix", f"d_prime={g}", "--out", str(out)]) == 0
+            summary = dict(l.split(",") for l in Path(f"{out}_summary.csv").read_text().splitlines()[2:])
+            assert (objective, value) == (summary["objective"], summary["value"])
+
+    def test_seed_required(self, workdir, capsys):
+        code = cli.main(["sweep", "--spec", str(workdir / "sys.yaml"), "--objective", "h",
+                         "--grid", "0.1", "--out", str(workdir / "x")])
+        assert code == cli.EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
+
+    def test_dprime_without_grid_is_one_row(self, workdir):
+        code = cli.main(["sweep", "--spec", str(workdir / "sys.yaml"), "--objective", "h",
+                         "--dprime", "0.25", "--seed", "1", "--restarts", "2", "--out", str(workdir / "one")])
+        assert code == 0
+        rows = (workdir / "one.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[0] for r in rows] == ["0.25"]
