@@ -10,6 +10,7 @@ silently renormalized; every invariant violation names the offending table.
 from __future__ import annotations
 
 import hashlib
+import math
 import json
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -224,9 +225,13 @@ def _number(name: str, v) -> float:
     # a string too: YAML 1.1 reads an exponent with no dot, such as 1e-3, as one
     if not isinstance(v, bool) and isinstance(v, (int, float, str)):
         try:
-            return float(v)
-        except ValueError:
+            x = float(v)
+        except (ValueError, OverflowError):
             pass
+        else:
+            if math.isfinite(x):
+                return x
+            raise ValidationError(f"field {name!r} must be a finite number, got {v!r}")
     raise ValidationError(f"field {name!r} must be a number, got {v!r}")
 
 
@@ -321,7 +326,7 @@ class RunConfig:
     objective: str | None = _row(_STRING, need=("region-opt",))
     fixed: dict[str, float] = _row(_FIXED, {}, "--fix")
     restarts: int = _row(_COUNT, 32)
-    v_cardinality: int | None = _row(_INTEGER)
+    v_cardinality: int | None = _row(_COUNT)
     rebuilds: int = _row(_COUNT, 1)
     extended: bool = _row(_SWITCH, False)
     exact_equivocation: bool = _row(_SWITCH, False)

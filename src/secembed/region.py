@@ -683,9 +683,10 @@ def optimize_region(
     if restarts < 1:
         raise ValidationError(f"restarts must be at least 1, got {restarts}")
     sign = KEYED_CONDITIONS[objective].sign
-    v_size = v_cardinality or spec.v_cardinality_bound()
-    if v_size > spec.v_cardinality_bound():
-        raise ValidationError("v_cardinality exceeds the support bound")
+    bound = spec.v_cardinality_bound()
+    v_size = bound if v_cardinality is None else v_cardinality
+    if not 1 <= v_size <= bound:
+        raise ValidationError(f"v_cardinality must lie in 1..{bound} (the support bound), got {v_size}")
     ev = _FastEvaluator(spec, float(fixed["d_prime"]), rd_solution)
 
     ks, xs, ys = spec.k_axis.size, spec.x_axis.size, spec.y_axis.size

@@ -58,6 +58,8 @@ DEFAULT_STEGO_AUDIT_CAP = 1 << 22
 DEFAULT_KEY_ENUM_CAP = 1 << 20
 # stegotext words the compression audit moves to key positions at once
 _AUDIT_CHUNK_ROWS = 1 << 16
+# mask bytes one box-test kernel call ANDs at once
+_BOX_CHUNK_BYTES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +160,7 @@ class CodebookSet:
         ).reshape(self.k_size * self.v_size, self.y_size)
 
         self._aux_books: dict[int, np.ndarray] = {}
+        self._aux_masks: dict[int, np.ndarray] = {}
         self._stego_books: dict[tuple[int, bytes], np.ndarray] = {}
         self._stego_samplers: dict[bytes, ConditionalTypicalSampler] = {}
         self._sw_bits: dict[bytes, np.ndarray] = {}
@@ -192,7 +195,14 @@ class CodebookSet:
             # the book owns this generator and drops it, so the batch may over-draw
             book = sampler.sample_rows(rng, self.sizes.bins * self.sizes.m2)
             self._aux_books[type_idx] = book
+            self._aux_masks[type_idx] = _letter_masks(book, self.v_size)
         return book
+
+    def aux_masks(self, type_idx: int) -> np.ndarray:
+        """The auxiliary book of one representative as packed letter masks
+        (``_letter_masks``), built once with the book."""
+        self.aux_book(type_idx)
+        return self._aux_masks[type_idx]
 
     def stego_book(self, type_idx: int, v_rep: np.ndarray) -> np.ndarray:
         """The M_3 stegotext words attached to one auxiliary word value (the
@@ -452,33 +462,51 @@ def sw_encode(k_seq: np.ndarray, codebooks: CodebookSet) -> np.ndarray:
 def _cell_bounds(box: CountBox, shape: tuple[int, ...], value_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """A count box over the row-major cells of ``shape`` as (context, value)
     tables: the value axis moved last, the other axes flattened row-major
-    into the context.  Float32, which holds every count up to 2^24 exactly."""
-    lo, hi = (
-        np.moveaxis(b.reshape(shape), value_axis, -1).reshape(-1, shape[value_axis]).astype(np.float32)
-        for b in (box.lo, box.hi)
+    into the context.  A count lies in 0..n, so the bounds are clipped to
+    0..n+1, a cell whose upper bound is negative gets the unreachable lower
+    bound n+1, and the tables take the smallest unsigned type holding n+1."""
+    n = box.n
+    lo = np.where(box.hi < 0, n + 1, np.clip(box.lo, 0, n + 1))
+    hi = np.clip(box.hi, 0, n)
+    dtype = np.min_scalar_type(n + 1)
+    return tuple(
+        np.moveaxis(b.reshape(shape), value_axis, -1).reshape(-1, shape[value_axis]).astype(dtype)
+        for b in (lo, hi)
     )
-    return lo, hi
+
+
+def _letter_masks(book: np.ndarray, n_val: int) -> np.ndarray:
+    """(ceil(n/8), n_val, rows) uint8 bit masks: byte b of the positions
+    where each book row holds each letter."""
+    return np.packbits(book.T[:, None, :] == np.arange(n_val)[:, None], axis=0)
+
+
+def _rows_in_boxes(
+    masks: np.ndarray, contexts: np.ndarray, bounds: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """(contexts, rows) boolean table: whether each book row, given as its
+    letter masks, has its (context, value) cell counts in the box against
+    each context word.  Row r counts cell (c, v) once per position t with
+    context[t] == c and book[r, t] == v, and every cell, including those of
+    contexts no position has, must lie in lo[c, v] .. hi[c, v].
+
+    A count is the popcount of the context's position mask ANDed with the
+    row's letter mask, summed over the masks' bytes."""
+    lo, hi = bounds
+    place = np.packbits(contexts[:, None, :] == np.arange(lo.shape[0])[:, None], axis=-1)
+    both = place[:, :, :, None, None] & masks
+    counts = np.add.reduce(np.bitwise_count(both), axis=2, dtype=lo.dtype)
+    ok = counts >= lo[:, :, None]
+    ok &= counts <= hi[:, :, None]
+    return np.logical_and.reduce(ok, axis=(1, 2))
 
 
 def _rows_in_box(
     book: np.ndarray, context: np.ndarray, bounds: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Boolean mask of the book rows whose (context, value) cell counts lie
-    in the box: row r counts cell (c, v) once per position t with
-    context[t] == c and book[r, t] == v, and every cell, including those of
-    contexts no position has, must lie in lo[c, v] .. hi[c, v].
-
-    The counts of all rows are one GEMM of the positions' context indicator
-    with the rows' one-hot value indicators."""
-    lo, hi = bounds
-    n_ctx, n_val = lo.shape
-    rows, n = book.shape
-    onehot = (book == np.arange(n_val)[:, None, None]).astype(np.float32).reshape(-1, n)
-    place = (np.arange(n_ctx)[:, None] == context).astype(np.float32)
-    counts = (place @ onehot.T).reshape(n_ctx, n_val, rows)
-    ok = counts >= lo[:, :, None]
-    ok &= counts <= hi[:, :, None]
-    return np.logical_and.reduce(ok.reshape(-1, rows), axis=0)
+    in the box, for one context word (``_rows_in_boxes``)."""
+    return _rows_in_boxes(_letter_masks(book, bounds[0].shape[1]), context[None], bounds)[0]
 
 
 @dataclass
@@ -498,30 +526,33 @@ class EmbedResult:
 
 
 def embed_in_bin(
-    codebooks: CodebookSet, m: int, x_arr: np.ndarray, k_arr: np.ndarray
+    codebooks: CodebookSet,
+    m: int,
+    x_arr: np.ndarray,
+    k_arr: np.ndarray,
+    key_type: tuple[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, str | None, dict]:
     """The embedding unit: scan bin m for the first jointly typical auxiliary
     word, then that word's stegotext book for the first jointly typical
     output.  Returns (y or None, failure event, details).  Works entirely in
-    the representative frame, so permuting (x, k) permutes y covariantly."""
-    ktp = codebooks.key_type_and_order(k_arr)
+    the representative frame, so permuting (x, k) permutes y covariantly.
+    ``key_type`` is the key's ``key_type_and_order``, when the caller has it."""
+    ktp = codebooks.key_type_and_order(k_arr) if key_type is None else key_type
     if ktp is None:
         return None, "e2", {}
     type_idx, order = ktp
     rep = codebooks.key_types[type_idx].representative
     x_rep = np.asarray(x_arr, dtype=np.int64)[order]
 
-    sizes = codebooks.sizes
-    book = codebooks.aux_book(type_idx)
-    lo_row = (m - 1) * sizes.m2
-    rows = book[lo_row : lo_row + sizes.m2]
+    lo_row = (m - 1) * codebooks.sizes.m2
+    rows = slice(lo_row, lo_row + codebooks.sizes.m2)
     ctx3 = rep * codebooks.x_size + x_rep
-    mask = _rows_in_box(rows, ctx3, codebooks.kxv_cells)
+    mask = _rows_in_boxes(codebooks.aux_masks(type_idx)[:, :, rows], ctx3[None], codebooks.kxv_cells)[0]
     hits = np.flatnonzero(mask)
     if hits.size == 0:
         return None, "e2", {"type_idx": type_idx, "order": order}
     j = int(hits[0])
-    v_rep = rows[j]
+    v_rep = codebooks.aux_book(type_idx)[lo_row + j]
 
     stego = codebooks.stego_book(type_idx, v_rep)
     mask_y = _rows_in_box(stego, ctx3 * codebooks.v_size + v_rep, codebooks.kxvy_cells)
@@ -571,7 +602,7 @@ def embed_encode(
     search_event: str | None = None
     details: dict = {}
     if ktp is not None and pair_ok:
-        y, search_event, details = embed_in_bin(codebooks, m, x_arr, k_arr)
+        y, search_event, details = embed_in_bin(codebooks, m, x_arr, k_arr, ktp)
     search_ok = y is not None
     if y is None:
         y = np.zeros(codebooks.n, dtype=np.int64)
@@ -619,33 +650,46 @@ class DecodeResult:
     bins_found: tuple[int, ...]
 
 
-def decode(z_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> DecodeResult:
-    """Joint-typicality unique-bin decoding, then decrypt and map through the
+def decode_many(z_rows: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> list[DecodeResult]:
+    """Joint-typicality unique-bin decoding of every forged word (row) of
+    ``z_rows`` under one key, then decrypt and map through the
     rate-distortion codebook.  No typical auxiliary word -> e4; words in two
-    or more bins -> e5."""
-    z_arr = np.asarray(z_seq, dtype=np.int64)
+    or more bins -> e5.  A kernel call tests a chunk of words against the
+    whole auxiliary book."""
+    z_rows = np.asarray(z_rows, dtype=np.int64)
     k_arr = np.asarray(k_seq, dtype=np.int64)
     ktp = codebooks.key_type_and_order(k_arr)
     if ktp is None:
-        return DecodeResult(None, "e4", None, ())
+        return [DecodeResult(None, "e4", None, ()) for _ in z_rows]
     type_idx, order = ktp
     rep = codebooks.key_types[type_idx].representative
-    z_rep = z_arr[order]
+    contexts = rep * codebooks.z_size + z_rows[:, order]
+    masks = codebooks.aux_masks(type_idx)
+    sizes = codebooks.sizes
+    chunk = max(1, _BOX_CHUNK_BYTES // (codebooks.kzv_cells[0].shape[0] * masks.size))
+    s = None
+    results = []
+    for start in range(0, len(contexts), chunk):
+        hits = _rows_in_boxes(masks, contexts[start : start + chunk], codebooks.kzv_cells)
+        for bin_hits in hits.reshape(len(hits), sizes.bins, sizes.m2).any(axis=2):
+            bins = tuple((np.flatnonzero(bin_hits) + 1).tolist())
+            if not bins:
+                results.append(DecodeResult(None, "e4", None, ()))
+            elif len(bins) > 1:
+                results.append(DecodeResult(None, "e5", None, bins))
+            else:
+                if s is None:
+                    s = codebooks.sw_bits(k_arr)[: sizes.j_bits]
+                w = decrypt(int_to_bits(bins[0] - 1, sizes.l_bits), s)
+                uhat = rd_decode(bits_to_int(w), codebooks.rd_codebook).as_array()
+                results.append(DecodeResult(uhat, "ok", bins[0], bins))
+    return results
 
-    book = codebooks.aux_book(type_idx)
-    mask = _rows_in_box(book, rep * codebooks.z_size + z_rep, codebooks.kzv_cells)
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
-        return DecodeResult(None, "e4", None, ())
-    bins = tuple(sorted(set(int(h) // codebooks.sizes.m2 + 1 for h in hits)))
-    if len(bins) > 1:
-        return DecodeResult(None, "e5", None, bins)
-    m_hat = bins[0]
-    wt = int_to_bits(m_hat - 1, codebooks.sizes.l_bits)
-    s = codebooks.sw_bits(k_arr)[: codebooks.sizes.j_bits]
-    w = decrypt(wt, s)
-    uhat = rd_decode(bits_to_int(w), codebooks.rd_codebook).as_array()
-    return DecodeResult(uhat, "ok", m_hat, bins)
+
+def decode(z_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> DecodeResult:
+    """``decode_many`` of one forged word."""
+    (result,) = decode_many(np.asarray(z_seq)[None], k_seq, codebooks)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -959,13 +1003,27 @@ def estimate_equivocation(
                 return
 
     u_words = [(u, float(np.prod(pu[u]))) for u in words(u_size, n_msg)]
+    if identity_attack:
+
+        def forged(y: np.ndarray) -> list[tuple[np.ndarray, float]]:
+            return [(y, 1.0)]
+
+    else:
+        # every forged word, in words() order
+        z_all = np.ascontiguousarray(np.indices((spec.z_axis.size,) * n).reshape(n, -1).T)
+
+        def forged(y: np.ndarray) -> list[tuple[np.ndarray, float]]:
+            """The forged words of y that have positive probability, each with it."""
+            pz = np.prod(att[y, z_all], axis=1)
+            keep = np.flatnonzero(pz > 0)
+            return list(zip(z_all[keep], pz[keep].tolist()))
 
     u_rows: dict[bytes, dict] = {}
     uhat_rows: dict[bytes, dict] = {}
     bin_rows: dict[bytes, dict] = {}
     bin_rows_enc: dict[bytes, dict] = {}
     enc_path_prob = 0.0
-    decode_cache: dict[bytes, tuple] = {}
+    decode_cache: dict[bytes, bytes] = {}
 
     for xk in words(xk_size, n):
         x = xk // spec.k_axis.size
@@ -974,36 +1032,35 @@ def estimate_equivocation(
         if p_xk_word == 0.0:
             continue
         k_typical = codebooks.key_type_and_order(k) is not None
+        states = []
         for u, p_u_word in u_words:
             p_word = p_u_word * p_xk_word
-            if p_word == 0.0:
-                continue
-            enc = embed_encode(u, x, k, codebooks)
-            if identity_attack:
-                z_iter = [(enc.y, 1.0)]
-            else:
-                z_iter = []
-                for z in words(spec.z_axis.size, n):
-                    pz = float(np.prod(att[enc.y, z]))
-                    if pz > 0:
-                        z_iter.append((z.copy(), pz))
+            if p_word != 0.0:
+                states.append((u, p_word, embed_encode(u, x, k, codebooks)))
+        # decode the key's forged words not decoded yet, as one batch
+        kb = k.tobytes()
+        fresh = {}
+        for _, _, enc in states:
+            for z, _ in forged(enc.y):
+                dkey = kb + z.tobytes()
+                if dkey not in decode_cache:
+                    fresh[dkey] = z
+        if fresh:
+            decoded = decode_many(np.array(list(fresh.values())), k, codebooks)
+            for dkey, dec in zip(fresh, decoded):
+                decode_cache[dkey] = dec.uhat.tobytes() if dec.uhat is not None else b"err"
+        for u, p_word, enc in states:
             u_on_path = k_typical and codebooks.u_box.contains(
                 np.bincount(u, minlength=u_size)
             )
             if u_on_path:
                 enc_path_prob += p_word
-            for z, pz in z_iter:
+            for z, pz in forged(enc.y):
                 p = p_word * pz
                 key = enc.y.tobytes() + z.tobytes()
                 u_rows.setdefault(key, {}).setdefault(u.tobytes(), 0.0)
                 u_rows[key][u.tobytes()] += p
-                dkey = k.tobytes() + z.tobytes()
-                if dkey not in decode_cache:
-                    dec = decode(z, k, codebooks)
-                    decode_cache[dkey] = (
-                        dec.uhat.tobytes() if dec.uhat is not None else b"err",
-                    )
-                (uh,) = decode_cache[dkey]
+                uh = decode_cache[kb + z.tobytes()]
                 uhat_rows.setdefault(key, {}).setdefault(uh, 0.0)
                 uhat_rows[key][uh] += p
                 ykey = enc.y.tobytes()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from secembed import cli
 from secembed.config import COMMANDS, load_aux, load_system, parse_config, stable_hash
 from secembed.errors import ValidationError
-from secembed.region import COORDINATES
+from secembed.region import COORDINATES, optimize_region
 
 SYSTEM = {
     "alphabets": {
@@ -401,7 +401,7 @@ _coords = st.dictionaries(st.sampled_from(COORDINATES), _floats, max_size=6)
 # every run-config field but the sections, with a strategy of valid values
 _FIELDS = {
     "n": _ints, "trials": _ints, "delta": _floats, "gamma": _floats, "d_prime": _floats,
-    "v_cardinality": _ints, "m2_bits": _ints, "m3_bits": _ints, "j_bits": _ints,
+    "v_cardinality": _counts, "m2_bits": _ints, "m3_bits": _ints, "j_bits": _ints,
     "eps_cov": _floats, "out": _words, "objective": _words, "restarts": _counts,
     "rebuilds": _counts, "extended": st.booleans(), "exact_equivocation": st.booleans(),
     "ensemble_average": st.booleans(), "grid": st.lists(_floats, min_size=1, max_size=4),
@@ -569,6 +569,52 @@ class TestStrictFields:
                "fixed": {"d_prime": 0.25}, "seed": 0, "restart": 4}
         with pytest.raises(ValidationError, match="'restart'"):
             parse_config(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["rd", "--dprime", "nan"], "d_prime"),
+            (["rd", "--grid", "0.1,inf"], "grid[1]"),
+            (["region-opt", "--objective", "h", "--fix", "d_prime=nan", "--seed", "0"], "fixed.d_prime"),
+        ],
+        ids=["dprime", "grid", "fix"],
+    )
+    def test_non_finite_flag_number_exit_code(self, workdir, capsys, args, named):
+        code = cli.main([args[0], "--spec", str(workdir / "sys.yaml"), *args[1:],
+                         "--out", str(workdir / "x")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"'{named}' must be a finite number" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
+
+    def test_run_file_non_finite_number_exit_code(self, workdir, capsys):
+        text = yaml.safe_dump({"command": "rd", "system": SYSTEM, "out": str(workdir / "x")})
+        (workdir / "run.yaml").write_text(text + "d_prime: .nan\n")
+        assert cli.main(["run", str(workdir / "run.yaml")]) == cli.EXIT_VALIDATION
+        assert "'d_prime' must be a finite number" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_v_cardinality_below_one_flag_exit_code(self, workdir, capsys, value):
+        code = cli.main(["region-opt", "--spec", str(workdir / "sys.yaml"), "--objective", "h",
+                         "--fix", "d_prime=0.2", "--seed", "1", "--restarts", "2",
+                         f"--v-cardinality={value}", "--out", str(workdir / "x")])
+        assert code == cli.EXIT_VALIDATION
+        assert "'v_cardinality' must be at least 1" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
+
+    def test_run_file_v_cardinality_below_one_exit_code(self, workdir, capsys):
+        doc = {"command": "region-opt", "system": SYSTEM, "objective": "h", "seed": 1,
+               "fixed": {"d_prime": 0.2}, "v_cardinality": 0, "out": str(workdir / "x")}
+        (workdir / "run.yaml").write_text(yaml.safe_dump(doc))
+        assert cli.main(["run", str(workdir / "run.yaml")]) == cli.EXIT_VALIDATION
+        assert "'v_cardinality' must be at least 1" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
+
+    @pytest.mark.parametrize("v_cardinality", [0, -2])
+    def test_library_v_cardinality_below_one_rejected(self, v_cardinality):
+        spec = load_system(SYSTEM).spec
+        with pytest.raises(ValidationError, match="v_cardinality"):
+            optimize_region(spec, {"d_prime": 0.2}, "h", v_cardinality=v_cardinality, restarts=2, seed=1)
 
 
 class TestRegionSweep:

@@ -1,5 +1,8 @@
+import dataclasses
+import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -475,6 +478,45 @@ class TestTrials:
             expected[order] = y_rep
             assert np.array_equal(y_prm, expected)
 
+    @given(
+        seed=st.integers(0, 7),
+        m3_bits=st.integers(0, 2),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_covariance_property(self, seed, m3_bits, draw_seed):
+        # a key of the representative's type class sees the representative's
+        # codebook through its own positions: with the covertext moved along,
+        # the search ends the same way and its word lands on those positions
+        books = _covariance_books(seed, m3_bits)
+        rng = np.random.default_rng(draw_seed)
+        n = books.n
+        rep = books.key_types[rng.integers(len(books.key_types))].representative
+        x_rep = rng.integers(0, books.x_size, size=n)
+        m = int(rng.integers(1, books.sizes.bins + 1))
+        k_perm = rng.permutation(rep)
+        order = np.argsort(k_perm, kind="stable")
+        x_perm = np.empty(n, dtype=np.int64)
+        x_perm[order] = x_rep
+        y_rep, ev1, _ = sim.embed_in_bin(books, m, x_rep, rep)
+        y_prm, ev2, _ = sim.embed_in_bin(books, m, x_perm, k_perm)
+        assert ev1 == ev2
+        if ev1 is None:
+            assert np.array_equal(y_prm[order], y_rep)
+
+
+@functools.lru_cache(maxsize=None)
+def _covariance_books(seed: int, m3_bits: int) -> sim.CodebookSet:
+    """An n=12 build with a binary covertext and two or more stegotext words
+    per auxiliary word when m3_bits > 0."""
+    spec = binary_spec(x_size=2, lam=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return sim.build_codebooks(
+            spec, copy_embedder_aux(spec, [0.5, 0.5]), 12, 0.6, seed, 0.0,
+            m2_bits=3, m3_bits=m3_bits, j_bits=2,
+        )
+
 
 class TestEquivocation:
     def _exact_spec(self, d_prime, k_probs=(0.5, 0.5), v_probs=(0.5, 0.5), j_bits=0):
@@ -696,6 +738,284 @@ class TestBoxCountKernel:
         got = sim._rows_in_box(book, context, sim._cell_bounds(box, shape, value_axis))
         assert got.dtype == bool
         assert np.array_equal(got, expected)
+
+
+@st.composite
+def _batched_box_cases(draw):
+    """A book of near-copies of one word over one axis of a cell grid, a few
+    near-copies of one context word over the other axes, and a count box
+    around the first row's counts against the first context; n runs up to
+    200, so the masks run to 25 bytes."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    value_axis = draw(st.integers(0, len(shape) - 1))
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    others = [s for i, s in enumerate(shape) if i != value_axis]
+
+    def near_copies(word, sizes, copies):
+        out = np.repeat(word[None], copies, axis=0)
+        for row in out[1:]:
+            pos = rng.integers(0, n, size=rng.integers(0, 3))
+            row[pos] = rng.integers(0, sizes, size=pos.size)
+        return out
+
+    book = near_copies(rng.integers(0, shape[value_axis], size=n), shape[value_axis], draw(st.integers(1, 30)))
+    ctx_words = near_copies(
+        np.ravel_multi_index(tuple(rng.integers(0, s, size=n) for s in others), others),
+        math.prod(others),
+        draw(st.integers(1, 5)),
+    )
+    ctx_idx = np.unravel_index(ctx_words[0], others)
+    counts = np.bincount(_reference_cells(book, ctx_idx, shape, value_axis)[0], minlength=math.prod(shape))
+    lo = counts - rng.integers(0, 3, size=counts.size)
+    hi = counts + rng.integers(0, 3, size=counts.size)
+    if draw(st.booleans()):  # an upper bound below the first row's count
+        hi[rng.integers(counts.size)] -= 3
+    return book, ctx_words, shape, value_axis, CountBox(lo, hi, n)
+
+
+def _in_box_reference(book, ctx_idx, shape, value_axis, box):
+    """Which book rows have their cell counts in the box, by np.add.at."""
+    cells = _reference_cells(book, ctx_idx, shape, value_axis)
+    counts = np.zeros((book.shape[0], math.prod(shape)), dtype=np.int64)
+    np.add.at(counts, (np.arange(book.shape[0])[:, None], cells), 1)
+    return (counts >= box.lo).all(axis=1) & (counts <= box.hi).all(axis=1)
+
+
+class TestBatchedBoxKernel:
+    @given(_batched_box_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_single_calls_and_add_at_reference(self, case):
+        book, ctx_words, shape, value_axis, box = case
+        others = [s for i, s in enumerate(shape) if i != value_axis]
+        bounds = sim._cell_bounds(box, shape, value_axis)
+        got = sim._rows_in_boxes(sim._letter_masks(book, shape[value_axis]), ctx_words, bounds)
+        assert got.dtype == bool and got.shape == (len(ctx_words), len(book))
+        for context, row in zip(ctx_words, got):
+            assert np.array_equal(row, sim._rows_in_box(book, context, bounds))
+            expected = _in_box_reference(book, np.unravel_index(context, others), shape, value_axis, box)
+            assert np.array_equal(row, expected)
+
+    def test_masks_are_built_with_the_book(self, trend_spec, trend_aux):
+        books = build_trend(trend_spec, trend_aux, 8)
+        for t in range(len(books.key_types)):
+            book = books.aux_book(t)
+            assert np.array_equal(books.aux_masks(t), sim._letter_masks(book, books.v_size))
+            assert books.aux_masks(t).dtype == np.uint8
+            assert books.aux_masks(t).shape == (1, books.v_size, len(book))  # n=8 fits one byte
+
+
+@functools.lru_cache(maxsize=None)
+def _decode_books(seed: int, n: int, m2_bits: int) -> sim.CodebookSet:
+    spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
+    return sim.build_codebooks(
+        spec, copy_embedder_aux(spec, [0.5, 0.5]), n, 0.6, seed, 0.0,
+        m2_bits=m2_bits, m3_bits=0, j_bits=2,
+    )
+
+
+def _reference_decode(z, k, books):
+    """(event, bin, bins found, uhat) of one forged word, from the whole
+    auxiliary book's (k, v, z) counts by np.add.at."""
+    from secembed.rd import rd_decode
+
+    ktp = books.key_type_and_order(k)
+    if ktp is None:
+        return "e4", None, (), None
+    t, order = ktp
+    rep = books.key_types[t].representative
+    book = books.aux_book(t)
+    cells = (rep * books.v_size + book) * books.z_size + z[order]
+    counts = np.zeros((len(book), books.k_size * books.v_size * books.z_size), dtype=np.int64)
+    np.add.at(counts, (np.arange(len(book))[:, None], cells), 1)
+    hits = np.flatnonzero((counts >= books.kvz_box.lo).all(axis=1) & (counts <= books.kvz_box.hi).all(axis=1))
+    bins = tuple(sorted({int(h) // books.sizes.m2 + 1 for h in hits}))
+    if not bins:
+        return "e4", None, (), None
+    if len(bins) > 1:
+        return "e5", None, bins, None
+    s = books.sw_bits(k)[: books.sizes.j_bits]
+    w = sim.decrypt(sim.int_to_bits(bins[0] - 1, books.sizes.l_bits), s)
+    return "ok", bins[0], bins, rd_decode(sim.bits_to_int(w), books.rd_codebook).as_array()
+
+
+def _decode_fields(d):
+    return d.event, d.bin_index, d.bins_found, None if d.uhat is None else d.uhat.tolist()
+
+
+class TestDecodeMany:
+    @given(
+        seed=st.integers(0, 3),
+        n=st.sampled_from([8, 12]),
+        m2_bits=st.integers(0, 4),
+        key_kind=st.sampled_from(["typical", "atypical"]),
+        one_word_chunks=st.booleans(),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_word_decode_and_reference(
+        self, seed, n, m2_bits, key_kind, one_word_chunks, draw_seed
+    ):
+        books = _decode_books(seed, n, m2_bits)
+        rng = np.random.default_rng(draw_seed)
+        if key_kind == "typical":
+            k = rng.permutation(books.key_types[rng.integers(len(books.key_types))].representative)
+        else:
+            k = np.zeros(n, dtype=np.int64)
+        # encoded words (which decode, or fall in several bins) and random ones
+        z_rows = rng.integers(0, 2, size=(int(rng.integers(1, 12)), n))
+        for row in z_rows[::2]:
+            u = rng.integers(0, 2, size=books.n_message)
+            row[:] = sim.embed_encode(u, np.zeros(n, dtype=np.int64), k, books).y
+        with mock.patch.object(sim, "_BOX_CHUNK_BYTES", 1 if one_word_chunks else sim._BOX_CHUNK_BYTES):
+            batch = sim.decode_many(z_rows, k, books)
+        assert len(batch) == len(z_rows)
+        for z, got in zip(z_rows, batch):
+            assert _decode_fields(got) == _decode_fields(sim.decode(z, k, books))
+            event, bin_index, bins, uhat = _reference_decode(z, k, books)
+            assert _decode_fields(got) == (event, bin_index, bins, None if uhat is None else uhat.tolist())
+
+    def test_batch_covers_every_event(self):
+        books = _decode_books(0, 8, 2)
+        rng = np.random.default_rng(3)
+        k = books.key_types[1].representative
+        z_rows = rng.integers(0, 2, size=(200, 8))
+        batch = sim.decode_many(z_rows, k, books)
+        assert {d.event for d in batch} == {"ok", "e4", "e5"}
+        assert [_decode_fields(d) for d in batch] == [_decode_fields(sim.decode(z, k, books)) for z in z_rows]
+        assert sim.decode_many(np.zeros((0, 8), dtype=np.int64), k, books) == []
+
+
+def _per_state_enumeration(codebooks):
+    """The extras of ``estimate_equivocation``'s exact enumeration as the
+    per-state loop computed them before the decode was batched per key word:
+    one encode and, behind a (key, forged word) cache, one decode per state."""
+    spec = codebooks.spec
+    n, n_msg = codebooks.n, codebooks.n_message
+    u_size = spec.u_axis.size
+    xk_size = spec.x_axis.size * spec.k_axis.size
+    identity_attack = spec.has_identity_attack()
+    pu = spec.p_u.values
+    pxk = spec.p_xk.values
+    att = spec.p_z_given_y.conditional_matrix((spec.y_axis.name,), (spec.z_axis.name,))
+
+    def words(size, length):
+        idx = np.zeros(length, dtype=np.int64)
+        while True:
+            yield idx.copy()
+            for pos in range(length - 1, -1, -1):
+                idx[pos] += 1
+                if idx[pos] < size:
+                    break
+                idx[pos] = 0
+            else:
+                return
+
+    u_words = [(u, float(np.prod(pu[u]))) for u in words(u_size, n_msg)]
+    u_rows, uhat_rows, bin_rows, bin_rows_enc = {}, {}, {}, {}
+    enc_path_prob = 0.0
+    decode_cache = {}
+    for xk in words(xk_size, n):
+        x = xk // spec.k_axis.size
+        k = xk % spec.k_axis.size
+        p_xk_word = float(np.prod(pxk[x, k]))
+        if p_xk_word == 0.0:
+            continue
+        k_typical = codebooks.key_type_and_order(k) is not None
+        for u, p_u_word in u_words:
+            p_word = p_u_word * p_xk_word
+            if p_word == 0.0:
+                continue
+            enc = sim.embed_encode(u, x, k, codebooks)
+            if identity_attack:
+                z_iter = [(enc.y, 1.0)]
+            else:
+                z_iter = []
+                for z in words(spec.z_axis.size, n):
+                    pz = float(np.prod(att[enc.y, z]))
+                    if pz > 0:
+                        z_iter.append((z.copy(), pz))
+            u_on_path = k_typical and codebooks.u_box.contains(np.bincount(u, minlength=u_size))
+            if u_on_path:
+                enc_path_prob += p_word
+            for z, pz in z_iter:
+                p = p_word * pz
+                key = enc.y.tobytes() + z.tobytes()
+                u_rows.setdefault(key, {}).setdefault(u.tobytes(), 0.0)
+                u_rows[key][u.tobytes()] += p
+                dkey = k.tobytes() + z.tobytes()
+                if dkey not in decode_cache:
+                    dec = sim.decode(z, k, codebooks)
+                    decode_cache[dkey] = dec.uhat.tobytes() if dec.uhat is not None else b"err"
+                uh = decode_cache[dkey]
+                uhat_rows.setdefault(key, {}).setdefault(uh, 0.0)
+                uhat_rows[key][uh] += p
+                ykey = enc.y.tobytes()
+                bin_rows.setdefault(ykey, {}).setdefault(enc.m, 0.0)
+                bin_rows[ykey][enc.m] += p
+                if u_on_path:
+                    bin_rows_enc.setdefault(ykey, {}).setdefault(enc.m, 0.0)
+                    bin_rows_enc[ykey][enc.m] += p
+
+    h_bin_enc = sim._entropy_of_rows(bin_rows_enc)
+    return {
+        "h_u_given_yz_bits": sim._entropy_of_rows(u_rows),
+        "h_uhat_given_yz_bits": sim._entropy_of_rows(uhat_rows),
+        "h_bin_given_y": sim._entropy_of_rows(bin_rows),
+        "h_bin_given_y_encrypted_path": (h_bin_enc / enc_path_prob) if enc_path_prob > 0 else 0.0,
+        "encrypted_path_probability": enc_path_prob,
+    }
+
+
+@st.composite
+def _enumeration_cases(draw):
+    """A small binary system at n=4 with a random binary attack channel
+    (often noisy) and message source, and one codebook draw for it.  Uneven
+    probabilities make the float sums depend on their order."""
+    flip = st.sampled_from([0.0, 0.1, 0.3, 0.5])
+    a, b = draw(flip), draw(flip)
+    x_probs = draw(st.sampled_from([(1.0,), (0.5, 0.5), (0.4, 0.6)]))
+    spec = dataclasses.replace(
+        binary_spec(
+            x_size=len(x_probs),
+            x_probs=x_probs,
+            k_probs=draw(st.sampled_from([(0.5, 0.5), (1.0,)])),
+            lam=0.5,
+            attack=[[1.0 - a, a], [b, 1.0 - b]],
+        ),
+        p_u=DistTable([Axis("U", 2)], draw(st.sampled_from([[0.5, 0.5], [0.4, 0.6]]))),
+    )
+    aux = draw(st.sampled_from([
+        copy_embedder_aux(spec, [0.5, 0.5]),
+        copy_embedder_aux(spec, [0.25, 0.75]),
+        noise_aux(spec, [0.5, 0.5]),
+    ]))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return sim.build_codebooks(
+                spec, aux, 4, draw(st.sampled_from([0.3, 0.6])), draw(st.integers(0, 2**16)),
+                draw(st.sampled_from([0.0, 0.25])),
+                m2_bits=draw(st.integers(0, 2)), m3_bits=draw(st.integers(0, 1)),
+                j_bits=draw(st.integers(0, 1)),
+            )
+    except (EmptyTypicalSetError, InfeasibleError, ValidationError):
+        assume(False)
+
+
+class TestBatchedEnumeration:
+    @given(_enumeration_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_state_loop_bit_for_bit(self, books):
+        try:
+            expected = _per_state_enumeration(books)
+        except EmptyTypicalSetError:  # a stegotext book with no word to draw
+            with pytest.raises(EmptyTypicalSetError):
+                sim.estimate_equivocation(books)
+            return
+        est = sim.estimate_equivocation(books)
+        assert est.extras == expected
+        assert est.h_u_given_yz == est.extras["h_u_given_yz_bits"] / books.n_message
 
 
 class TestDistinctRowCount:
