@@ -26,6 +26,21 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 # of criteria 08 and 09 uses it
 AUDIT_SYSTEM = {**yaml.safe_load((CONFIGS / "demo_system.yaml").read_text()), "lambda": 0.2}
 
+# a binary covertext that equals the key, a two-letter message word at n=8,
+# and a Z-channel attack (y0 passes, y1 turns into z0 or z1 with even odds),
+# so the exact enumeration sums over many forged words per stegotext word
+NOISY_SYSTEM = {
+    **yaml.safe_load((CONFIGS / "demo_system.yaml").read_text()),
+    "alphabets": {"U": ["u0", "u1"], "X": ["x0", "x1"], "K": ["k0", "k1"],
+                  "Y": ["y0", "y1"], "Z": ["z0", "z1"], "Uhat": ["u0", "u1"]},
+    "lambda": 0.25,
+    "covertext_key": [[0.5, 0.0], [0.0, 0.5]],
+    "attack": [[1.0, 0.0], [0.5, 0.5]],
+    "embedding_distortion": [[0.0, 1.0], [1.0, 0.0]],
+}
+# V uniform and independent of (K, X), and Y a copy of V; indexed [k][x][v][y]
+NOISY_AUX = {"v": ["v0", "v1"], "table": [[[[0.5, 0.0], [0.0, 0.5]]] * 2] * 2}
+
 _DEMO = ["--spec", "{demo}", "--aux", "{aux}", "--delta", "0.6", "--m3-bits", "0"]
 
 CASES = {
@@ -52,6 +67,16 @@ CASES = {
          "--ensemble-average", "--rebuilds", "2"],
         ("_summary.csv",),
     ),
+    # n=8 exact equivocation under the noisy attack, with a binary covertext
+    # and two stegotext words per auxiliary word; its trials include e1, e4,
+    # e5, encode_fallback and clean decodes
+    "exact_noisy_n8": (
+        "simulate",
+        ["--spec", "{noisy}", "--aux", "{noisy_aux}", "--n", "8", "--trials", "40",
+         "--delta", "0.6", "--dprime", "0.0", "--m2-bits", "3", "--m3-bits", "1",
+         "--j-bits", "1", "--seed", "5", "--exact-equivocation"],
+        ("_summary.csv",),
+    ),
     # bin-multiplicity audit of two rebuilds and the compression audit of the
     # first, with two stegotext words per auxiliary word
     "audit_n10": (
@@ -66,13 +91,10 @@ CASES = {
 
 def _run_case(name: str, workdir: Path) -> Path:
     verb, args, _ = CASES[name]
-    audit_path = workdir / "audit_system.yaml"
-    audit_path.write_text(yaml.safe_dump(AUDIT_SYSTEM))
-    paths = {
-        "demo": str(CONFIGS / "demo_system.yaml"),
-        "aux": str(CONFIGS / "demo_aux.yaml"),
-        "audit": str(audit_path),
-    }
+    paths = {"demo": str(CONFIGS / "demo_system.yaml"), "aux": str(CONFIGS / "demo_aux.yaml")}
+    for key, table in (("audit", AUDIT_SYSTEM), ("noisy", NOISY_SYSTEM), ("noisy_aux", NOISY_AUX)):
+        paths[key] = str(workdir / f"{key}.yaml")
+        Path(paths[key]).write_text(yaml.safe_dump(table))
     out = workdir / name
     argv = [verb, *(a.format(**paths) for a in args), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
