@@ -425,7 +425,8 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
 
 
 def bits_to_int(bits: np.ndarray) -> int:
-    return int(sum(int(b) << i for i, b in enumerate(bits)))
+    """The value of little-endian 0/1 bits."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def encrypt(w_bits: np.ndarray, s_bits: np.ndarray) -> np.ndarray:
@@ -477,8 +478,10 @@ def _cell_bounds(box: CountBox, shape: tuple[int, ...], value_axis: int) -> tupl
 
 def _letter_masks(book: np.ndarray, n_val: int) -> np.ndarray:
     """(ceil(n/8), n_val, rows) uint8 bit masks: byte b of the positions
-    where each book row holds each letter."""
-    return np.packbits(book.T[:, None, :] == np.arange(n_val)[:, None], axis=0)
+    where each book row holds each letter.  A stack of books (..., rows, n)
+    gives a stack of masks (..., ceil(n/8), n_val, rows)."""
+    letters = np.swapaxes(book, -1, -2)[..., None, :] == np.arange(n_val)[:, None]
+    return np.packbits(letters, axis=-3)
 
 
 def _rows_in_boxes(
@@ -490,23 +493,19 @@ def _rows_in_boxes(
     context[t] == c and book[r, t] == v, and every cell, including those of
     contexts no position has, must lie in lo[c, v] .. hi[c, v].
 
+    ``masks`` is one book's masks, tested against every context, or a stack
+    of books' masks, one per context, each tested against its own context.
     A count is the popcount of the context's position mask ANDed with the
     row's letter mask, summed over the masks' bytes."""
     lo, hi = bounds
     place = np.packbits(contexts[:, None, :] == np.arange(lo.shape[0])[:, None], axis=-1)
+    if masks.ndim == 4:
+        masks = masks[:, None]
     both = place[:, :, :, None, None] & masks
     counts = np.add.reduce(np.bitwise_count(both), axis=2, dtype=lo.dtype)
     ok = counts >= lo[:, :, None]
     ok &= counts <= hi[:, :, None]
     return np.logical_and.reduce(ok, axis=(1, 2))
-
-
-def _rows_in_box(
-    book: np.ndarray, context: np.ndarray, bounds: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Boolean mask of the book rows whose (context, value) cell counts lie
-    in the box, for one context word (``_rows_in_boxes``)."""
-    return _rows_in_boxes(_letter_masks(book, bounds[0].shape[1]), context[None], bounds)[0]
 
 
 @dataclass
@@ -525,6 +524,67 @@ class EmbedResult:
     j_prime: int | None
 
 
+def _first_rows(codebooks: CodebookSet, type_idx: int, context: np.ndarray, rows: slice) -> np.ndarray:
+    """For each whole bin in the auxiliary ``rows`` of one representative,
+    the index within the bin of its first row jointly typical with the
+    (key, covertext) ``context`` word, or -1: one box test over the rows."""
+    mask = _rows_in_boxes(codebooks.aux_masks(type_idx)[:, :, rows], context[None], codebooks.kxv_cells)
+    mask = mask.reshape(-1, codebooks.sizes.m2)
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+
+
+def _search_bins(
+    codebooks: CodebookSet,
+    key_type: tuple[int, np.ndarray],
+    context: np.ndarray,
+    bins: Sequence[int],
+    first: np.ndarray,
+) -> list[tuple[np.ndarray | None, str | None, dict]]:
+    """The embedding search's second half in each of ``bins``, given each
+    bin's first typical auxiliary row ``first`` (``_first_rows``): the first
+    word of that row's stegotext book jointly typical with the context, as
+    ``embed_in_bin`` returns it.  No typical row is e2; no typical word, or
+    a book with no word to draw, is e3.  One box test covers the bins'
+    books, each against its own context."""
+    type_idx, order = key_type
+    aux = codebooks.aux_book(type_idx)
+    out, drawn = [], []
+    for m, j in zip(bins, first.tolist()):
+        details = {"type_idx": type_idx, "order": order}
+        out.append((None, "e2", details))
+        if j < 0:
+            continue
+        v_rep = aux[(m - 1) * codebooks.sizes.m2 + j]
+        details.update(v_rep=v_rep, j=j)
+        out[-1] = (None, "e3", details)
+        try:
+            drawn.append((len(out) - 1, codebooks.stego_book(type_idx, v_rep)))
+        except EmptyTypicalSetError:  # the book has no word to draw
+            pass
+    if drawn:
+        hits = _rows_in_boxes(
+            _letter_masks(np.stack([book for _, book in drawn]), codebooks.y_size),
+            np.stack([context * codebooks.v_size + out[i][2]["v_rep"] for i, _ in drawn]),
+            codebooks.kxvy_cells,
+        )
+        for (i, book), row_hits in zip(drawn, hits):
+            if row_hits.any():
+                details = out[i][2]
+                details["j_prime"] = int(row_hits.argmax())
+                y = np.empty(codebooks.n, dtype=np.int64)
+                y[order] = book[details["j_prime"]]
+                out[i] = (y, None, details)
+    return out
+
+
+def _search_context(
+    codebooks: CodebookSet, key_type: tuple[int, np.ndarray], x_arr: np.ndarray
+) -> np.ndarray:
+    """The (key, covertext) word in the representative frame, as cells."""
+    type_idx, order = key_type
+    return codebooks.key_types[type_idx].representative * codebooks.x_size + x_arr[order]
+
+
 def embed_in_bin(
     codebooks: CodebookSet,
     m: int,
@@ -532,77 +592,135 @@ def embed_in_bin(
     k_arr: np.ndarray,
     key_type: tuple[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, str | None, dict]:
-    """The embedding unit: scan bin m for the first jointly typical auxiliary
-    word, then that word's stegotext book for the first jointly typical
-    output.  Returns (y or None, failure event, details).  Works entirely in
-    the representative frame, so permuting (x, k) permutes y covariantly.
-    ``key_type`` is the key's ``key_type_and_order``, when the caller has it."""
+    """The embedding unit: scan bin m for the first jointly typical
+    auxiliary word, then that word's stegotext book for the first jointly
+    typical output.  Returns (y or None, failure event, details).  Works
+    entirely in the representative frame, so permuting (x, k) permutes y
+    covariantly.  ``key_type`` is the key's ``key_type_and_order``, when the
+    caller has it.  This is the one-bin call of the search that
+    ``WordSearch.search`` runs over many bins."""
     ktp = codebooks.key_type_and_order(k_arr) if key_type is None else key_type
     if ktp is None:
         return None, "e2", {}
-    type_idx, order = ktp
-    rep = codebooks.key_types[type_idx].representative
-    x_rep = np.asarray(x_arr, dtype=np.int64)[order]
-
+    context = _search_context(codebooks, ktp, np.asarray(x_arr, dtype=np.int64))
     lo_row = (m - 1) * codebooks.sizes.m2
-    rows = slice(lo_row, lo_row + codebooks.sizes.m2)
-    ctx3 = rep * codebooks.x_size + x_rep
-    mask = _rows_in_boxes(codebooks.aux_masks(type_idx)[:, :, rows], ctx3[None], codebooks.kxv_cells)[0]
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
-        return None, "e2", {"type_idx": type_idx, "order": order}
-    j = int(hits[0])
-    v_rep = codebooks.aux_book(type_idx)[lo_row + j]
+    first = _first_rows(codebooks, ktp[0], context, slice(lo_row, lo_row + codebooks.sizes.m2))
+    return _search_bins(codebooks, ktp, context, [m], first)[0]
 
-    stego = codebooks.stego_book(type_idx, v_rep)
-    mask_y = _rows_in_box(stego, ctx3 * codebooks.v_size + v_rep, codebooks.kxvy_cells)
-    hits_y = np.flatnonzero(mask_y)
-    details = {"type_idx": type_idx, "order": order, "v_rep": v_rep, "j": j}
-    if hits_y.size == 0:
-        return None, "e3", details
-    j_prime = int(hits_y[0])
-    y_rep = stego[j_prime]
-    y = np.empty(codebooks.n, dtype=np.int64)
-    y[order] = y_rep
-    details["j_prime"] = j_prime
-    return y, None, details
+
+def _message_index(u_arr: np.ndarray, codebooks: CodebookSet) -> int | None:
+    """The encoder's work on the message word alone: its rate-distortion
+    index, or None when the word is atypical."""
+    if not codebooks.u_box.contains(np.bincount(u_arr, minlength=codebooks.spec.u_axis.size)):
+        return None
+    return rd_encode(u_arr, codebooks.rd_codebook)
+
+
+class WordSearch:
+    """The encoder's work on one (covertext, key) word, done once for every
+    message word encoded with it: the key's type and order, the (k, x) pair
+    test, the pad, and the embedding search of each bin, kept once run.
+
+    ``messages``, when given, maps each message word's bytes to its
+    ``_message_index``, computed once for all the words it is used with."""
+
+    def __init__(
+        self,
+        codebooks: CodebookSet,
+        x_seq: np.ndarray,
+        k_seq: np.ndarray,
+        messages: dict[bytes, int | None] | None = None,
+    ):
+        self.codebooks = codebooks
+        self.x = np.asarray(x_seq, dtype=np.int64)
+        k_arr = np.asarray(k_seq, dtype=np.int64)
+        self.messages = messages
+        self.key_type = codebooks.key_type_and_order(k_arr)
+        pair_cells = k_arr * codebooks.x_size + self.x
+        self.pair_ok = codebooks.kx_box.contains(
+            np.bincount(pair_cells, minlength=codebooks.k_size * codebooks.x_size)
+        )
+        self.embeds = self.key_type is not None and self.pair_ok
+        # the pad XORs the low J bits of the message index
+        self.pad = 0
+        if self.key_type is not None:
+            self.pad = bits_to_int(codebooks.sw_bits(k_arr)[: codebooks.sizes.j_bits])
+        self._first: np.ndarray | None = None
+        self._found: dict[int, tuple[np.ndarray | None, str | None, dict]] = {}
+
+    def message_index(self, u_arr: np.ndarray) -> int | None:
+        """``_message_index`` of a message word, from ``messages`` when given."""
+        if self.messages is None:
+            return _message_index(u_arr, self.codebooks)
+        return self.messages[u_arr.tobytes()]
+
+    def bin_of(self, w: int | None) -> tuple[int, int]:
+        """The index the encoder sends for message index ``w``
+        (``message_index``) and the bin (1-based) it embeds in, the sent
+        index encrypted by the pad: an atypical message or key sends the
+        all-zero index in the clear."""
+        if w is None or self.key_type is None:
+            return 0, 1
+        return w, (w ^ self.pad) + 1
+
+    def search(self, bins: Iterable[int]) -> None:
+        """Run the embedding search in each of ``bins`` not searched yet:
+        one box test over the whole auxiliary book, the first time, then
+        one stacked stegotext test over the new bins' rows."""
+        new = sorted(set(bins) - self._found.keys())
+        if not new:
+            return
+        type_idx, _ = self.key_type
+        context = _search_context(self.codebooks, self.key_type, self.x)
+        if self._first is None:
+            self._first = _first_rows(self.codebooks, type_idx, context, slice(None))
+        found = _search_bins(self.codebooks, self.key_type, context, new, self._first[np.array(new) - 1])
+        self._found.update(zip(new, found))
+
+    def result(self, m: int) -> tuple[np.ndarray | None, str | None, dict]:
+        """``embed_in_bin``'s result for bin m, from ``search``."""
+        if m not in self._found:
+            self.search([m])
+        return self._found[m]
 
 
 def embed_encode(
-    u_seq: np.ndarray, x_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet
+    u_seq: np.ndarray,
+    x_seq: np.ndarray,
+    k_seq: np.ndarray,
+    codebooks: CodebookSet,
+    search: WordSearch | None = None,
 ) -> EmbedResult:
     """Full encoder: message path (rate-distortion index, pad, bin choice)
     then the embedding search.  Atypical inputs fall back to the all-zero
     message; a failed search transmits the all-zero stegotext word.  Both
-    fallbacks are in-protocol and tagged, never exceptions."""
+    fallbacks are in-protocol and tagged, never exceptions.
+
+    The work is split by what it depends on:
+    - per message word u: its typicality and rate-distortion index
+      (``_message_index``);
+    - per (x, k) word: the key's type and order, the (k, x) pair test, the
+      pad, and each bin's search, all carried by ``search`` (a
+      ``WordSearch``), which may also carry the index of every u;
+    - per call: the encryption, the bin choice and the result's fields.
+    Without ``search`` the first two are computed here, and the bin's search
+    is one ``embed_in_bin`` call."""
     u_arr = np.asarray(u_seq, dtype=np.int64)
-    x_arr = np.asarray(x_seq, dtype=np.int64)
-    k_arr = np.asarray(k_seq, dtype=np.int64)
-    sizes = codebooks.sizes
-
-    typical_u = codebooks.u_box.contains(np.bincount(u_arr, minlength=codebooks.spec.u_axis.size))
-    ktp = codebooks.key_type_and_order(k_arr)
-    pair_cells = k_arr * codebooks.x_size + x_arr
-    pair_ok = codebooks.kx_box.contains(
-        np.bincount(pair_cells, minlength=codebooks.k_size * codebooks.x_size)
-    )
-
-    if typical_u and ktp is not None:
-        w_int = rd_encode(u_arr, codebooks.rd_codebook)
-        w = int_to_bits(w_int, sizes.l_bits)
-        s = codebooks.sw_bits(k_arr)[: sizes.j_bits]
-        wt = encrypt(w, s)
-    else:
-        w = np.zeros(sizes.l_bits, dtype=np.uint8)
-        wt = w.copy()
-    m = bits_to_int(wt) + 1
-    input_ok = bool(typical_u and pair_ok)  # pair typicality implies key typicality
+    batched = search is not None
+    if search is None:
+        search = WordSearch(codebooks, x_seq, k_seq)
+    w_typical = search.message_index(u_arr)
+    w, m = search.bin_of(w_typical)
+    input_ok = w_typical is not None and search.pair_ok  # pair typicality implies key typicality
 
     y = None
     search_event: str | None = None
     details: dict = {}
-    if ktp is not None and pair_ok:
-        y, search_event, details = embed_in_bin(codebooks, m, x_arr, k_arr, ktp)
+    if search.embeds:
+        if batched:
+            y, search_event, details = search.result(m)
+        else:
+            y, search_event, details = embed_in_bin(codebooks, m, search.x, k_seq, search.key_type)
     search_ok = y is not None
     if y is None:
         y = np.zeros(codebooks.n, dtype=np.int64)
@@ -610,8 +728,8 @@ def embed_encode(
     return EmbedResult(
         y=y,
         m=m,
-        w_bits=w,
-        wt_bits=wt,
+        w_bits=int_to_bits(w, codebooks.sizes.l_bits),
+        wt_bits=int_to_bits(m - 1, codebooks.sizes.l_bits),
         input_ok=input_ok,
         search_ok=search_ok,
         search_event=search_event if (input_ok and not search_ok) else None,
@@ -934,6 +1052,15 @@ def estimate_equivocation(
     size).  The analysis this mirrors averages over the codebook ensemble,
     so treat single-build numbers as conditional on the draw; see
     estimate_equivocation_ensemble.
+
+    The enumeration does each piece of work once per word it depends on:
+    - once per message word u: its typicality and rate-distortion index;
+    - once per (x, k) word: a ``WordSearch`` (key type and order, pair test,
+      pad), one box test over the whole auxiliary book, one stacked
+      stegotext test over the distinct bins the word's states reach, the
+      forged words of each distinct stegotext word, and one ``decode_many``
+      of the key's forged words not decoded yet;
+    - once per (u, x, k) state: one ``embed_encode`` call and the sums.
     """
     spec = codebooks.spec
     n, n_msg = codebooks.n, codebooks.n_message
@@ -1003,6 +1130,8 @@ def estimate_equivocation(
                 return
 
     u_words = [(u, float(np.prod(pu[u]))) for u in words(u_size, n_msg)]
+    # the message path of each u word, once per enumeration
+    messages = {u.tobytes(): _message_index(u, codebooks) for u, _ in u_words}
     if identity_attack:
 
         def forged(y: np.ndarray) -> list[tuple[np.ndarray, float]]:
@@ -1031,17 +1160,26 @@ def estimate_equivocation(
         p_xk_word = float(np.prod(pxk[x, k]))
         if p_xk_word == 0.0:
             continue
-        k_typical = codebooks.key_type_and_order(k) is not None
-        states = []
+        search = WordSearch(codebooks, x, k, messages)
+        live = []
         for u, p_u_word in u_words:
             p_word = p_u_word * p_xk_word
             if p_word != 0.0:
-                states.append((u, p_word, embed_encode(u, x, k, codebooks)))
+                live.append((u, p_word))
+        if search.embeds:
+            search.search(search.bin_of(messages[u.tobytes()])[1] for u, _ in live)
+        states = [(u, p_word, embed_encode(u, x, k, codebooks, search)) for u, p_word in live]
+        # the forged words of each distinct stegotext word
+        forgeries: dict[bytes, list[tuple[np.ndarray, float]]] = {}
+        for _, _, enc in states:
+            ykey = enc.y.tobytes()
+            if ykey not in forgeries:
+                forgeries[ykey] = forged(enc.y)
         # decode the key's forged words not decoded yet, as one batch
         kb = k.tobytes()
         fresh = {}
-        for _, _, enc in states:
-            for z, _ in forged(enc.y):
+        for zs in forgeries.values():
+            for z, _ in zs:
                 dkey = kb + z.tobytes()
                 if dkey not in decode_cache:
                     fresh[dkey] = z
@@ -1050,20 +1188,18 @@ def estimate_equivocation(
             for dkey, dec in zip(fresh, decoded):
                 decode_cache[dkey] = dec.uhat.tobytes() if dec.uhat is not None else b"err"
         for u, p_word, enc in states:
-            u_on_path = k_typical and codebooks.u_box.contains(
-                np.bincount(u, minlength=u_size)
-            )
+            u_on_path = search.key_type is not None and messages[u.tobytes()] is not None
             if u_on_path:
                 enc_path_prob += p_word
-            for z, pz in forged(enc.y):
+            ykey = enc.y.tobytes()
+            for z, pz in forgeries[ykey]:
                 p = p_word * pz
-                key = enc.y.tobytes() + z.tobytes()
+                key = ykey + z.tobytes()
                 u_rows.setdefault(key, {}).setdefault(u.tobytes(), 0.0)
                 u_rows[key][u.tobytes()] += p
                 uh = decode_cache[kb + z.tobytes()]
                 uhat_rows.setdefault(key, {}).setdefault(uh, 0.0)
                 uhat_rows[key][uh] += p
-                ykey = enc.y.tobytes()
                 bin_rows.setdefault(ykey, {}).setdefault(enc.m, 0.0)
                 bin_rows[ykey][enc.m] += p
                 if u_on_path:

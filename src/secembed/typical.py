@@ -90,7 +90,7 @@ class CountBox:
 
     def contains(self, counts: np.ndarray) -> bool:
         c = np.asarray(counts)
-        return bool(np.all(c >= self.lo) and np.all(c <= self.hi))
+        return bool(((c >= self.lo) & (c <= self.hi)).all())
 
 
 def count_box(probs: np.ndarray, n: int, delta: float) -> CountBox:

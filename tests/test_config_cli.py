@@ -360,6 +360,23 @@ class TestCli:
         text = (workdir / "eq_summary.csv").read_text()
         assert "h_u_given_yz,1.0" in text
 
+    def test_undrawable_stegotext_book_counts_e3(self, workdir):
+        # V constant and Y uniform at n=4, delta 0.6: the keys with a single
+        # k0 or k1 are typical, but their stegotext books have no word to
+        # draw, so their searches fail (e3) instead of ending the run
+        noise = {"v": ["v0"], "table": [[[[0.5, 0.5]]], [[[0.5, 0.5]]]]}
+        (workdir / "noise.yaml").write_text(yaml.safe_dump(noise))
+        r = run_cli([
+            "simulate", "--spec", str(workdir / "sys.yaml"), "--aux", str(workdir / "noise.yaml"),
+            "--n", "4", "--trials", "20", "--delta", "0.6", "--dprime", "0.0", "--seed", "2",
+            "--m2-bits", "1", "--m3-bits", "1", "--j-bits", "1", "--exact-equivocation",
+            "--out", str(workdir / "e3"),
+        ])
+        assert r.returncode == 0, r.stderr
+        rows = dict(line.split(",") for line in (workdir / "e3_summary.csv").read_text().splitlines()[2:])
+        assert float(rows["freq_e3"]) > 0
+        assert "h_u_given_yz" in rows
+
     def test_sweep_rd_mode_matches_rd(self, workdir):
         a = run_cli(["rd", "--spec", str(workdir / "sys.yaml"), "--grid", "0.1,0.3", "--out", str(workdir / "g1")])
         b = run_cli(["sweep", "--spec", str(workdir / "sys.yaml"), "--grid", "0.1,0.3", "--out", str(workdir / "g2")])

@@ -735,7 +735,9 @@ class TestBoxCountKernel:
         expected = (counts >= box.lo).all(axis=1) & (counts <= box.hi).all(axis=1)
         others = [s for i, s in enumerate(shape) if i != value_axis]
         context = np.ravel_multi_index(tuple(ctx_idx), others)
-        got = sim._rows_in_box(book, context, sim._cell_bounds(box, shape, value_axis))
+        got = sim._rows_in_boxes(
+            sim._letter_masks(book, shape[value_axis]), context[None], sim._cell_bounds(box, shape, value_axis)
+        )[0]
         assert got.dtype == bool
         assert np.array_equal(got, expected)
 
@@ -789,12 +791,18 @@ class TestBatchedBoxKernel:
         book, ctx_words, shape, value_axis, box = case
         others = [s for i, s in enumerate(shape) if i != value_axis]
         bounds = sim._cell_bounds(box, shape, value_axis)
-        got = sim._rows_in_boxes(sim._letter_masks(book, shape[value_axis]), ctx_words, bounds)
+        masks = sim._letter_masks(book, shape[value_axis])
+        got = sim._rows_in_boxes(masks, ctx_words, bounds)
         assert got.dtype == bool and got.shape == (len(ctx_words), len(book))
-        for context, row in zip(ctx_words, got):
-            assert np.array_equal(row, sim._rows_in_box(book, context, bounds))
+        # the paired form: context i against its own book, here the book rolled by i rows
+        rolled = np.stack([np.roll(book, i, axis=0) for i in range(len(ctx_words))])
+        paired = sim._rows_in_boxes(sim._letter_masks(rolled, shape[value_axis]), ctx_words, bounds)
+        assert paired.dtype == bool and paired.shape == got.shape
+        for i, (context, row) in enumerate(zip(ctx_words, got)):
+            assert np.array_equal(row, sim._rows_in_boxes(masks, context[None], bounds)[0])
             expected = _in_box_reference(book, np.unravel_index(context, others), shape, value_axis, box)
             assert np.array_equal(row, expected)
+            assert np.array_equal(paired[i], np.roll(expected, i))
 
     def test_masks_are_built_with_the_book(self, trend_spec, trend_aux):
         books = build_trend(trend_spec, trend_aux, 8)
@@ -1007,15 +1015,211 @@ class TestBatchedEnumeration:
     @given(_enumeration_cases())
     @settings(max_examples=25, deadline=None)
     def test_matches_per_state_loop_bit_for_bit(self, books):
-        try:
-            expected = _per_state_enumeration(books)
-        except EmptyTypicalSetError:  # a stegotext book with no word to draw
-            with pytest.raises(EmptyTypicalSetError):
-                sim.estimate_equivocation(books)
-            return
+        expected = _per_state_enumeration(books)
         est = sim.estimate_equivocation(books)
         assert est.extras == expected
         assert est.h_u_given_yz == est.extras["h_u_given_yz_bits"] / books.n_message
+
+
+def _frozen_embed_in_bin(codebooks, m, x_arr, k_arr, key_type=None):
+    """``embed_in_bin`` as it was before bins were searched in batches:
+    one box test over the bin's rows, then one over its row's stegotext
+    book, which raises when the book has no word to draw."""
+    ktp = codebooks.key_type_and_order(k_arr) if key_type is None else key_type
+    if ktp is None:
+        return None, "e2", {}
+    type_idx, order = ktp
+    rep = codebooks.key_types[type_idx].representative
+    x_rep = np.asarray(x_arr, dtype=np.int64)[order]
+    lo_row = (m - 1) * codebooks.sizes.m2
+    rows = slice(lo_row, lo_row + codebooks.sizes.m2)
+    ctx3 = rep * codebooks.x_size + x_rep
+    mask = sim._rows_in_boxes(codebooks.aux_masks(type_idx)[:, :, rows], ctx3[None], codebooks.kxv_cells)[0]
+    hits = np.flatnonzero(mask)
+    if hits.size == 0:
+        return None, "e2", {"type_idx": type_idx, "order": order}
+    j = int(hits[0])
+    v_rep = codebooks.aux_book(type_idx)[lo_row + j]
+    stego = codebooks.stego_book(type_idx, v_rep)
+    mask_y = sim._rows_in_boxes(
+        sim._letter_masks(stego, codebooks.y_size), (ctx3 * codebooks.v_size + v_rep)[None], codebooks.kxvy_cells
+    )[0]
+    hits_y = np.flatnonzero(mask_y)
+    details = {"type_idx": type_idx, "order": order, "v_rep": v_rep, "j": j}
+    if hits_y.size == 0:
+        return None, "e3", details
+    j_prime = int(hits_y[0])
+    y = np.empty(codebooks.n, dtype=np.int64)
+    y[order] = stego[j_prime]
+    details["j_prime"] = j_prime
+    return y, None, details
+
+
+def _frozen_embed_encode(u_arr, x_arr, k_arr, codebooks):
+    """``embed_encode`` as it was before its work was split by the words it
+    depends on, with ``_frozen_embed_in_bin`` as its search."""
+    sizes = codebooks.sizes
+    typical_u = codebooks.u_box.contains(np.bincount(u_arr, minlength=codebooks.spec.u_axis.size))
+    ktp = codebooks.key_type_and_order(k_arr)
+    pair_ok = codebooks.kx_box.contains(
+        np.bincount(k_arr * codebooks.x_size + x_arr, minlength=codebooks.k_size * codebooks.x_size)
+    )
+    if typical_u and ktp is not None:
+        w = sim.int_to_bits(sim.rd_encode(u_arr, codebooks.rd_codebook), sizes.l_bits)
+        wt = sim.encrypt(w, codebooks.sw_bits(k_arr)[: sizes.j_bits])
+    else:
+        w = np.zeros(sizes.l_bits, dtype=np.uint8)
+        wt = w.copy()
+    m = int(sum(int(b) << i for i, b in enumerate(wt))) + 1
+    input_ok = bool(typical_u and pair_ok)
+    y, search_event, details = None, None, {}
+    if ktp is not None and pair_ok:
+        y, search_event, details = _frozen_embed_in_bin(codebooks, m, x_arr, k_arr, ktp)
+    search_ok = y is not None
+    if y is None:
+        y = np.zeros(codebooks.n, dtype=np.int64)
+    return sim.EmbedResult(
+        y=y, m=m, w_bits=w, wt_bits=wt, input_ok=input_ok, search_ok=search_ok,
+        search_event=search_event if (input_ok and not search_ok) else None,
+        type_idx=details.get("type_idx"), order=details.get("order"), v_rep=details.get("v_rep"),
+        j=details.get("j"), j_prime=details.get("j_prime"),
+    )
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is not None and b is not None and np.array_equal(a, b) and a.dtype == b.dtype
+    return a == b and type(a) is type(b)
+
+
+@st.composite
+def _search_cases(draw):
+    """A small system at n=4 (two message letters) with one codebook draw,
+    and covertext and key words drawn uniformly, so most (k, x) pairs and
+    half the message words are atypical.  A binary covertext equal to the
+    key is the binary covertext whose searches can succeed at n=4."""
+    x_probs = draw(st.sampled_from([(0.5, 0.5), (0.4, 0.6), (1.0,), "key"]))
+    if x_probs == "key":
+        spec = binary_spec(lam=0.5, xk_joint=[[0.5, 0.0], [0.0, 0.5]])
+    else:
+        spec = binary_spec(
+            x_size=len(x_probs), x_probs=x_probs, k_probs=draw(st.sampled_from([(0.5, 0.5), (0.25, 0.75)])),
+            lam=0.5,
+        )
+    aux = draw(st.sampled_from([
+        copy_embedder_aux(spec, [0.5, 0.5]),
+        copy_embedder_aux(spec, [0.25, 0.75]),
+        noise_aux(spec, [0.5, 0.5]),
+    ]))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            books = sim.build_codebooks(
+                spec, aux, 4, draw(st.sampled_from([0.3, 0.6])), draw(st.integers(0, 2**16)),
+                draw(st.sampled_from([0.0, 0.25])),
+                m2_bits=draw(st.integers(0, 2)), m3_bits=draw(st.integers(0, 2)),
+                j_bits=draw(st.integers(0, 1)),
+            )
+    except (EmptyTypicalSetError, InfeasibleError, ValidationError):
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.integers(0, spec.x_axis.size, size=(12, 4))
+    ks = rng.integers(0, spec.k_axis.size, size=(12, 4))
+    # and every key type's representative, with a covertext word drawn for
+    # it and, for a binary covertext, with the covertext equal to the key
+    reps = [t.representative for t in books.key_types]
+    copies = reps if spec.x_axis.size == 2 else []
+    return books, [*xs, *xs[: len(reps)], *copies], [*ks, *reps, *copies]
+
+
+class TestBatchedSearch:
+    """The batched search against frozen copies of the one-bin search and
+    the encoder it replaced, field by field.  Where the frozen search raises
+    because a stegotext book has no word to draw, the batched one fails the
+    search (e3)."""
+
+    @given(_search_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_frozen_one_bin_search(self, case):
+        books, xs, ks = case
+        u_words = [np.array(u, dtype=np.int64) for u in np.ndindex(2, 2)]
+        messages = {u.tobytes(): sim._message_index(u, books) for u in u_words}
+        for x, k in zip(xs, ks):
+            search = sim.WordSearch(books, x, k, messages)
+            if search.embeds:
+                search.search(range(1, books.sizes.bins + 1))
+            for u in u_words:
+                got = sim.embed_encode(u, x, k, books, search)
+                alone = sim.embed_encode(u, x, k, books)
+                try:
+                    want = _frozen_embed_encode(u, x, k, books)
+                except EmptyTypicalSetError:
+                    for enc in (got, alone):
+                        assert not enc.search_ok and not enc.y.any()
+                        assert enc.search_event == ("e3" if enc.input_ok else None)
+                        assert enc.v_rep is not None and enc.j_prime is None
+                    continue
+                for f in dataclasses.fields(sim.EmbedResult):
+                    assert _same(getattr(got, f.name), getattr(want, f.name)), f.name
+                    assert _same(getattr(alone, f.name), getattr(want, f.name)), f.name
+            if search.key_type is None:
+                continue
+            for m in range(1, books.sizes.bins + 1):
+                try:
+                    want = _frozen_embed_in_bin(books, m, x, k)
+                except EmptyTypicalSetError:
+                    want = None
+                for y, event, details in (sim.embed_in_bin(books, m, x, k), search.result(m)):
+                    if want is None:
+                        assert y is None and event == "e3" and "j_prime" not in details
+                        continue
+                    assert _same(y, want[0]) and event == want[1]
+                    assert details.keys() == want[2].keys()
+                    assert all(_same(details[key], want[2][key]) for key in details)
+
+
+class TestUndrawableStegoBook:
+    """n=4 with a uniform key, one covertext letter, V constant and Y
+    uniform, at delta 0.6: a key with a single k0 (or k1) is typical, but no
+    stegotext word has one y0 and one y1 against that one key letter, so the
+    book of its type cannot be drawn."""
+
+    @staticmethod
+    def _books():
+        spec = binary_spec(x_size=1, lam=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return sim.build_codebooks(
+                spec, noise_aux(spec, [0.5, 0.5]), 4, 0.6, 3, 0.0, m2_bits=1, m3_bits=1, j_bits=1
+            )
+
+    def _lopsided(self, books):
+        return next(t for t, kt in enumerate(books.key_types) if min(kt.counts) == 1)
+
+    def test_book_draw_still_raises(self):
+        books = self._books()
+        t = self._lopsided(books)
+        with pytest.raises(EmptyTypicalSetError):
+            books.stego_book(t, books.aux_book(t)[0])
+
+    def test_search_fails_with_e3(self):
+        books = self._books()
+        k = books.key_types[self._lopsided(books)].representative
+        enc = sim.embed_encode(np.array([0, 1]), np.zeros(4, dtype=np.int64), k, books)
+        assert enc.input_ok and not enc.search_ok
+        assert enc.search_event == "e3" and not enc.y.any()
+        assert enc.j == 0 and enc.j_prime is None
+
+    def test_enumeration_completes(self):
+        books = self._books()
+        est = sim.estimate_equivocation(books)
+        assert est.extras == _per_state_enumeration(books)
+        x = np.zeros(4, dtype=np.int64)
+        events = {
+            sim.embed_encode(np.array(u), x, np.array(k), books).search_event
+            for u in np.ndindex(2, 2) for k in np.ndindex(2, 2, 2, 2)
+        }
+        assert "e3" in events
 
 
 class TestDistinctRowCount:
