@@ -1160,15 +1160,15 @@ def estimate_equivocation(
         p_xk_word = float(np.prod(pxk[x, k]))
         if p_xk_word == 0.0:
             continue
-        search = WordSearch(codebooks, x, k, messages)
+        word = WordSearch(codebooks, x, k, messages)
         live = []
         for u, p_u_word in u_words:
             p_word = p_u_word * p_xk_word
             if p_word != 0.0:
                 live.append((u, p_word))
-        if search.embeds:
-            search.search(search.bin_of(messages[u.tobytes()])[1] for u, _ in live)
-        states = [(u, p_word, embed_encode(u, x, k, codebooks, search)) for u, p_word in live]
+        if word.embeds:
+            word.search(word.bin_of(messages[u.tobytes()])[1] for u, _ in live)
+        states = [(u, p_word, embed_encode(u, x, k, codebooks, word)) for u, p_word in live]
         # the forged words of each distinct stegotext word
         forgeries: dict[bytes, list[tuple[np.ndarray, float]]] = {}
         for _, _, enc in states:
@@ -1188,7 +1188,7 @@ def estimate_equivocation(
             for dkey, dec in zip(fresh, decoded):
                 decode_cache[dkey] = dec.uhat.tobytes() if dec.uhat is not None else b"err"
         for u, p_word, enc in states:
-            u_on_path = search.key_type is not None and messages[u.tobytes()] is not None
+            u_on_path = word.key_type is not None and messages[u.tobytes()] is not None
             if u_on_path:
                 enc_path_prob += p_word
             ykey = enc.y.tobytes()
