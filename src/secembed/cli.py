@@ -58,7 +58,7 @@ def _quantity_rows(report) -> list[list]:
 
 
 def _seq_str(arr) -> str:
-    return "" if arr is None else "".join(str(int(s)) for s in arr)
+    return "" if arr is None else "".join(map(str, arr.tolist()))
 
 
 def run(config: RunConfig) -> int:

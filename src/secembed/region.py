@@ -550,7 +550,7 @@ def check_attack_free_reduction(
 # optimizer
 # ---------------------------------------------------------------------------
 
-_EVAL_CHUNK = 1 << 13  # (B, K, X, V, Y, Z) joint entries per evaluation, to bound memory
+_EVAL_CHUNK = 1 << 15  # kernels per evaluation, counted in (B, K, X, V, Y, Z) joint entries, to bound memory
 
 
 def _max0(x: np.ndarray) -> np.ndarray:
@@ -561,6 +561,16 @@ def _max0(x: np.ndarray) -> np.ndarray:
 def _pos(x: np.ndarray) -> np.ndarray:
     """Elementwise ``max(0.0, x)``, signed zeros and NaN included."""
     return np.where(x > 0.0, x, 0.0)
+
+
+def _running_sum(terms) -> np.ndarray:
+    """``((0.0 + t0) + t1) + ...``: numpy's own order when it sums over
+    axes that are not the innermost, so the bits match ``.sum``."""
+    terms = iter(terms)
+    acc = next(terms) + 0.0
+    for t in terms:
+        acc += t
+    return acc
 
 
 class _FastEvaluator:
@@ -579,19 +589,41 @@ class _FastEvaluator:
         self.r, self.rd = _rd_rate(spec, d_prime_value, rd_solution)
 
     def quantities(self, q_kxvy: np.ndarray) -> dict[str, np.ndarray]:
+        """The keyed region's quantities of each kernel in the stack.
+
+        The marginals are those of the (B,K,X,V,Y,Z) joint summed the way
+        numpy's reduce sums them.  Where the innermost kept axis has more
+        than one letter, numpy adds whole slices in C order of the summed
+        indices, so a running sum of slices gives the same bits, and the
+        Z marginals are taken from ``j4`` slices times attack rows without
+        building the joint.  A summed last axis is added pairwise, which is
+        a running sum only below numpy's 8-element block."""
         j4 = self.xk[:, :, None, None] * q_kxvy  # (B,K,X,V,Y)
-        j5 = j4[..., None] * self.att  # (B,K,X,V,Y,Z)
-        p_ky = j4.sum(axis=(2, 3))
+        bs, ks, xs, vs, ys = j4.shape
+        flat = j4.reshape(bs, ks, xs * vs, ys)  # (B,K,XV,Y)
+        att = self.att
+        if ys > 1:
+            p_ky = _running_sum(np.moveaxis(flat, 2, 0))
+            p_kvy = _running_sum(np.moveaxis(j4, 2, 0))
+        else:
+            p_ky, p_kvy = j4.sum(axis=(2, 3)), j4.sum(axis=2)
+        p_kxv = _running_sum(np.moveaxis(j4, 4, 0)) if ys < 8 else j4.sum(axis=4)
+        if att.shape[1] > 1:
+            p_kz = _running_sum(flat[:, :, i, y, None] * att[y] for i in range(xs * vs) for y in range(ys))
+            p_kvz = _running_sum(j4[:, :, x, :, y, None] * att[y] for x in range(xs) for y in range(ys))
+        else:
+            j5 = j4[..., None] * att  # (B,K,X,V,Y,1)
+            p_kz, p_kvz = j5.sum(axis=(2, 3, 4)), j5.sum(axis=(2, 4))
         h_k, h_ky, h_y, h_kv, h_kx, h_kz, h_kvz, h_kxv, h_kyv, h_j = row_entropies(
             j4.sum(axis=(2, 3, 4)),
             p_ky,
             p_ky.sum(axis=1),
             j4.sum(axis=(2, 4)),
             j4.sum(axis=(3, 4)),
-            j5.sum(axis=(2, 3, 4)),
-            j5.sum(axis=(2, 4)),
-            j4.sum(axis=4),
-            j4.sum(axis=2),
+            p_kz,
+            p_kvz,
+            p_kxv,
+            p_kvy,
             j4,
         )
         return {

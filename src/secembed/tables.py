@@ -194,7 +194,7 @@ def row_entropies(*stacks: np.ndarray) -> list[np.ndarray]:
     for n in set(counts[counts > 0].tolist()):  # not np.unique, which imports numpy.ma
         idx = np.nonzero(counts == n)[0]
         out[idx] = -terms[starts[idx, None] + np.arange(n)].sum(axis=1)
-    return np.split(out, len(stacks))
+    return np.split(out, np.cumsum([len(v) for v in rows[:-1]]))
 
 
 def entropy(p: DistTable, axes: Sequence[str] | None = None) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secembed import region, tables
@@ -472,6 +472,76 @@ class TestFastEvaluator:
             nz = row[row > LOG_ZERO_CUTOFF]
             want = -(nz * np.log2(nz)).sum() if nz.size else 0.0
             assert _bits(got[b]) == _bits(want)
+
+
+def _frozen_quantities(ev, q_kxvy):
+    """``_FastEvaluator.quantities`` as it stood with the whole
+    (B,K,X,V,Y,Z) joint built and every marginal taken by ``.sum``."""
+    j4 = ev.xk[:, :, None, None] * q_kxvy
+    j5 = j4[..., None] * ev.att
+    p_ky = j4.sum(axis=(2, 3))
+    h_k, h_ky, h_y, h_kv, h_kx, h_kz, h_kvz, h_kxv, h_kyv, h_j = tables.row_entropies(
+        j4.sum(axis=(2, 3, 4)),
+        p_ky,
+        p_ky.sum(axis=1),
+        j4.sum(axis=(2, 4)),
+        j4.sum(axis=(3, 4)),
+        j5.sum(axis=(2, 3, 4)),
+        j5.sum(axis=(2, 4)),
+        j4.sum(axis=4),
+        j4.sum(axis=2),
+        j4,
+    )
+    return {
+        "H(U)": np.full(len(q_kxvy), ev.h_u),
+        "H(K|Y)": h_ky - h_y,
+        "I(K;Y)": region._max0(h_k + h_y - h_ky),
+        "I(V;Z|K)": region._max0(h_kv + h_kz - h_k - h_kvz),
+        "I(V;X|K)": region._max0(h_kv + h_kx - h_k - h_kxv),
+        "I(X;Y,V|K)": region._max0(h_kx + h_kyv - h_k - h_j),
+        "H(Y|K)": h_ky - h_k,
+        "Ed(X,Y)": (j4.sum(axis=(1, 3)) * ev.cost).sum(axis=(1, 2)),
+    }
+
+
+def _frozen_score(ev, q_kxvy, fixed, objective, sign, penalty_weight):
+    q = _frozen_quantities(ev, q_kxvy)
+    value = region.KEYED_CONDITIONS[objective].bound(q, ev.lam, ev.r)
+    return sign * value - penalty_weight * ev.penalty(fixed, objective, q)
+
+
+class TestFrozenEvaluator:
+    """The evaluator's marginals follow numpy's reduction order, so every
+    quantity and score keeps the bits of the frozen ``.sum`` evaluator: on
+    both sides of numpy's 8-element pairwise block (|Y| up to 9), with a
+    one-letter axis anywhere, and with exact zeros."""
+
+    @given(
+        sizes=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 3)),
+        v_frac=st.floats(0.0, 1.0),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.6]),
+        batch=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a one-letter Y under 21 summed (x, v) letters: numpy sums those pairwise
+    @example(sizes=(2, 3, 1, 2), v_frac=1.0, zero_frac=0.0, batch=4, seed=1)
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_frozen_sums(self, sizes, v_frac, zero_frac, batch, seed):
+        rng = np.random.default_rng(seed)
+        spec = _random_system(rng, sizes, zero_frac)
+        v_size = 1 + round(v_frac * (spec.v_cardinality_bound() - 1))
+        # at most 2^17 joint entries, four evaluation chunks: memory stays small
+        batch = min(batch, max(1, 2**17 // (np.prod(sizes) * v_size)))
+        q = _random_kernels(rng, spec, v_size, batch, zero_frac)
+        ev = region._FastEvaluator(spec, 0.1, None)
+        got, want = ev.quantities(q), _frozen_quantities(ev, q)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(_bits(got[name]), _bits(want[name])), name
+        for objective, sign in (("h", 1.0), ("r_c", -1.0)):
+            want = _frozen_score(ev, q, ALL_FIXED, objective, sign, 100.0)
+            assert np.array_equal(_bits(ev.score(q, ALL_FIXED, objective, sign, 100.0)), _bits(want))
+
 
 def _sequential_optimize(spec, fixed, objective, v_size, restarts, seed):
     """Reference schedule for the optimizer: restarts one after another, one

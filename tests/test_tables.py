@@ -14,6 +14,7 @@ from secembed.tables import (
     entropy,
     expected_distortion,
     mutual_information,
+    row_entropies,
 )
 
 A = Axis("A", 2)
@@ -89,6 +90,26 @@ class TestEntropy:
         lhs = entropy(t, ("A", "B"))
         rhs = entropy(t, ("A",)) + conditional_entropy(t, ("B",), ("A",))
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_row_entropies_split_at_each_stack(self):
+        two, four = np.full((2, 2), 0.5), np.eye(4)
+        got = row_entropies(two, four)
+        assert [g.tolist() for g in got] == [[1.0, 1.0], [0.0] * 4]
+        assert [len(g) for g in row_entropies(two, np.full((3, 4), 0.25))] == [2, 3]
+
+    @given(
+        shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 12)), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_entropies_of_unequal_stacks_match_single_calls(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        stacks = [rng.random(shape) * (rng.random(shape) < 0.7) for shape in shapes]
+        got = row_entropies(*stacks)
+        assert len(got) == len(stacks)
+        for h, stack in zip(got, stacks):
+            (alone,) = row_entropies(stack)
+            assert np.array_equal(h.view(np.int64), alone.view(np.int64))
 
 
 class TestConditionalEntropy:
