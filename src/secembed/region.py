@@ -702,8 +702,9 @@ def optimize_region(
 
     Every reported point is certified by re-evaluating the full condition set
     (inner-bound semantics: local optima are acceptable, infeasibility is
-    not).  ``d_prime`` must be fixed since the message rate enters almost all
-    conditions.
+    not): a point whose report is not ``all_satisfied`` raises
+    ``InfeasibleError`` naming the violated conditions.  ``d_prime`` must be
+    fixed since the message rate enters almost all conditions.
     """
     if objective not in KEYED_CONDITIONS:
         raise ValidationError(f"unknown objective {objective!r}")
@@ -797,6 +798,11 @@ def optimize_region(
         **{name: float(fixed[name] if name in fixed else free[name]) for name in COORDINATES}
     )
     report = eval_keyed_region(spec, aux, point, rd_solution=ev.rd)
+    # the penalty tolerates 1e-6 bits; the certificate holds every slack to SLACK_TOL
+    violated = {name: c.slack for name, c in report.conditions.items() if not c.satisfied}
+    if violated:
+        slacks = ", ".join(f"{name} (slack {slack:.3e})" for name, slack in violated.items())
+        raise InfeasibleError(f"the best aux channel for fixed={dict(fixed)} violates {slacks}")
     value = KEYED_CONDITIONS[objective].bound(quantities, ev.lam, ev.r)
     return OptimizationResult(
         aux=aux,

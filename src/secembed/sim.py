@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -137,7 +138,6 @@ class CodebookSet:
         self.z_size = spec.z_axis.size
 
         self.u_box = count_box(spec.p_u.values, self.n_message, delta)
-        self.k_box = count_box(joint.marginal(k).values, n, delta)
         self.kx_box = count_box(joint.marginal(k, x).values.ravel(), n, delta)
         self.kxv_box = count_box(joint.marginal(k, x, v).values.ravel(), n, delta)
         self.kxvy_box = count_box(joint.marginal(k, x, v, y).values.ravel(), n, delta)
@@ -159,11 +159,17 @@ class CodebookSet:
             pkv[:, :, None] > 0, kvy / np.where(pkv[:, :, None] > 0, pkv[:, :, None], 1.0), 1.0 / self.y_size
         ).reshape(self.k_size * self.v_size, self.y_size)
 
-        self._aux_books: dict[int, np.ndarray] = {}
-        self._aux_masks: dict[int, np.ndarray] = {}
+        # every auxiliary book, drawn in type order, and its packed letter masks
+        self._aux_books: list[np.ndarray] = []
+        for type_idx, ktype in enumerate(key_types):
+            sampler = ConditionalTypicalSampler(ktype.representative, self.k_size, self._p_v_given_k, delta)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, _AUX_TAG, type_idx)))
+            # the book owns this generator and drops it, so the batch may over-draw
+            self._aux_books.append(sampler.sample_rows(rng, sizes.bins * sizes.m2))
+        self._aux_masks = [_letter_masks(book, self.v_size) for book in self._aux_books]
         self._stego_books: dict[tuple[int, bytes], np.ndarray] = {}
         self._stego_samplers: dict[bytes, ConditionalTypicalSampler] = {}
-        self._sw_bits: dict[bytes, np.ndarray] = {}
+        self._pads: dict[bytes, int] = {}
 
     # -- key machinery -----------------------------------------------------
 
@@ -185,23 +191,11 @@ class CodebookSet:
     def aux_book(self, type_idx: int) -> np.ndarray:
         """All M_U * M_2 auxiliary codewords of one representative, grouped by
         bin: row (m-1) * M_2 + (j-1) is codeword j of bin m."""
-        book = self._aux_books.get(type_idx)
-        if book is None:
-            rep = self.key_types[type_idx].representative
-            sampler = ConditionalTypicalSampler(rep, self.k_size, self._p_v_given_k, self.delta)
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self.seed, _AUX_TAG, type_idx))
-            )
-            # the book owns this generator and drops it, so the batch may over-draw
-            book = sampler.sample_rows(rng, self.sizes.bins * self.sizes.m2)
-            self._aux_books[type_idx] = book
-            self._aux_masks[type_idx] = _letter_masks(book, self.v_size)
-        return book
+        return self._aux_books[type_idx]
 
     def aux_masks(self, type_idx: int) -> np.ndarray:
         """The auxiliary book of one representative as packed letter masks
         (``_letter_masks``), built once with the book."""
-        self.aux_book(type_idx)
         return self._aux_masks[type_idx]
 
     def stego_book(self, type_idx: int, v_rep: np.ndarray) -> np.ndarray:
@@ -242,36 +236,24 @@ class CodebookSet:
             self._stego_samplers[key] = sampler
         return sampler
 
-    def sw_bits(self, k_arr: np.ndarray) -> np.ndarray:
-        """The pre-assigned random bin index of a typical key, as J bits.
-        Uniform over bitstrings across the codebook ensemble, deterministic
+    def pad(self, k_arr: np.ndarray) -> int:
+        """The pre-assigned random bin index of a typical key, as the integer
+        its J bits spell (``bits_to_int``), which XORs the low J bits of a
+        message index.  Uniform across the codebook ensemble, deterministic
         per key within one build."""
         k_arr = np.asarray(k_arr, dtype=np.int64)
         key = k_arr.tobytes()
-        bits = self._sw_bits.get(key)
-        if bits is None:
+        pad = self._pads.get(key)
+        if pad is None:
             rng = np.random.default_rng(
                 np.random.SeedSequence((self.seed, _SW_TAG, k_arr.astype(np.uint32)))
             )
-            bits = rng.integers(0, 2, size=self.sizes.j_bits, dtype=np.uint8)
-            self._sw_bits[key] = bits
-        return bits
+            pad = self._pads[key] = bits_to_int(rng.integers(0, 2, size=self.sizes.j_bits, dtype=np.uint8))
+        return pad
 
-    def describe(self) -> dict:
-        """Reproducibility manifest fragment: sizes, schedule, seed."""
-        return {
-            "n": self.n,
-            "n_message": self.n_message,
-            "delta": self.delta,
-            "seed": self.seed,
-            "l_bits": self.sizes.l_bits,
-            "m2_bits": self.sizes.m2_bits,
-            "m3_bits": self.sizes.m3_bits,
-            "j_bits": self.sizes.j_bits,
-            "rd_distinct": self.rd_codebook.distinct_count,
-            "key_types": len(self.key_types),
-            "schedule": dict(self.sizes.schedule),
-        }
+    def sw_bits(self, k_arr: np.ndarray) -> np.ndarray:
+        """The key's pad as J bits."""
+        return int_to_bits(self.pad(k_arr), self.sizes.j_bits)
 
 
 def _message_length(spec: SystemSpec, n: int) -> int:
@@ -399,19 +381,14 @@ def build_codebooks(
     if not key_types:
         raise EmptyTypicalSetError(f"no typical key words at n={n}, delta={delta}")
 
-    books = CodebookSet(
-        spec, aux, n, delta, seed, sizes, rd_book, sol, joint, q, key_types
-    )
-    # materialize aux books now so empty conditional sets fail the build
+    # the set draws its auxiliary books, so an empty conditional set fails the build
     try:
-        for i in range(len(key_types)):
-            books.aux_book(i)
+        return CodebookSet(spec, aux, n, delta, seed, sizes, rd_book, sol, joint, q, key_types)
     except EmptyTypicalSetError as e:
         raise EmptyTypicalSetError(
             f"auxiliary codeword set empty at n={n}, delta={delta}: {e}; "
             "increase n or delta"
         ) from e
-    return books
 
 
 # ---------------------------------------------------------------------------
@@ -524,29 +501,25 @@ class EmbedResult:
     j_prime: int | None
 
 
-def _first_rows(codebooks: CodebookSet, type_idx: int, context: np.ndarray, rows: slice) -> np.ndarray:
-    """For each whole bin in the auxiliary ``rows`` of one representative,
-    the index within the bin of its first row jointly typical with the
-    (key, covertext) ``context`` word, or -1: one box test over the rows."""
-    mask = _rows_in_boxes(codebooks.aux_masks(type_idx)[:, :, rows], context[None], codebooks.kxv_cells)
-    mask = mask.reshape(-1, codebooks.sizes.m2)
-    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
-
-
 def _search_bins(
     codebooks: CodebookSet,
     key_type: tuple[int, np.ndarray],
     context: np.ndarray,
     bins: Sequence[int],
-    first: np.ndarray,
 ) -> list[tuple[np.ndarray | None, str | None, dict]]:
-    """The embedding search's second half in each of ``bins``, given each
-    bin's first typical auxiliary row ``first`` (``_first_rows``): the first
-    word of that row's stegotext book jointly typical with the context, as
-    ``embed_in_bin`` returns it.  No typical row is e2; no typical word, or
-    a book with no word to draw, is e3.  One box test covers the bins'
-    books, each against its own context."""
+    """The embedding search in each of ``bins``, as ``embed_in_bin`` returns
+    it: the first auxiliary row of the bin jointly typical with the (key,
+    covertext) ``context`` word, then the first word of that row's
+    stegotext book jointly typical with the context.  No typical row is e2;
+    no typical word, or a book with no word to draw, is e3.  One box test
+    covers the bins' auxiliary rows, and one the rows' books, each against
+    its own context."""
     type_idx, order = key_type
+    m2 = codebooks.sizes.m2
+    rows = ((np.asarray(bins) - 1)[:, None] * m2 + np.arange(m2)).ravel()
+    typical = _rows_in_boxes(codebooks.aux_masks(type_idx)[:, :, rows], context[None], codebooks.kxv_cells)
+    typical = typical.reshape(-1, m2)
+    first = np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
     aux = codebooks.aux_book(type_idx)
     out, drawn = [], []
     for m, j in zip(bins, first.tolist()):
@@ -554,7 +527,7 @@ def _search_bins(
         out.append((None, "e2", details))
         if j < 0:
             continue
-        v_rep = aux[(m - 1) * codebooks.sizes.m2 + j]
+        v_rep = aux[(m - 1) * m2 + j]
         details.update(v_rep=v_rep, j=j)
         out[-1] = (None, "e3", details)
         try:
@@ -603,9 +576,7 @@ def embed_in_bin(
     if ktp is None:
         return None, "e2", {}
     context = _search_context(codebooks, ktp, np.asarray(x_arr, dtype=np.int64))
-    lo_row = (m - 1) * codebooks.sizes.m2
-    first = _first_rows(codebooks, ktp[0], context, slice(lo_row, lo_row + codebooks.sizes.m2))
-    return _search_bins(codebooks, ktp, context, [m], first)[0]
+    return _search_bins(codebooks, ktp, context, [m])[0]
 
 
 def _message_index(u_arr: np.ndarray, codebooks: CodebookSet) -> int | None:
@@ -641,11 +612,7 @@ class WordSearch:
             np.bincount(pair_cells, minlength=codebooks.k_size * codebooks.x_size)
         )
         self.embeds = self.key_type is not None and self.pair_ok
-        # the pad XORs the low J bits of the message index
-        self.pad = 0
-        if self.key_type is not None:
-            self.pad = bits_to_int(codebooks.sw_bits(k_arr)[: codebooks.sizes.j_bits])
-        self._first: np.ndarray | None = None
+        self.pad = 0 if self.key_type is None else codebooks.pad(k_arr)
         self._found: dict[int, tuple[np.ndarray | None, str | None, dict]] = {}
 
     def message_index(self, u_arr: np.ndarray) -> int | None:
@@ -664,18 +631,12 @@ class WordSearch:
         return w, (w ^ self.pad) + 1
 
     def search(self, bins: Iterable[int]) -> None:
-        """Run the embedding search in each of ``bins`` not searched yet:
-        one box test over the whole auxiliary book, the first time, then
-        one stacked stegotext test over the new bins' rows."""
+        """Run the embedding search (``_search_bins``) in each of ``bins``
+        not searched yet."""
         new = sorted(set(bins) - self._found.keys())
-        if not new:
-            return
-        type_idx, _ = self.key_type
-        context = _search_context(self.codebooks, self.key_type, self.x)
-        if self._first is None:
-            self._first = _first_rows(self.codebooks, type_idx, context, slice(None))
-        found = _search_bins(self.codebooks, self.key_type, context, new, self._first[np.array(new) - 1])
-        self._found.update(zip(new, found))
+        if new:
+            context = _search_context(self.codebooks, self.key_type, self.x)
+            self._found.update(zip(new, _search_bins(self.codebooks, self.key_type, context, new)))
 
     def result(self, m: int) -> tuple[np.ndarray | None, str | None, dict]:
         """``embed_in_bin``'s result for bin m, from ``search``."""
@@ -771,21 +732,21 @@ class DecodeResult:
 def decode_many(z_rows: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> list[DecodeResult]:
     """Joint-typicality unique-bin decoding of every forged word (row) of
     ``z_rows`` under one key, then decrypt and map through the
-    rate-distortion codebook.  No typical auxiliary word -> e4; words in two
-    or more bins -> e5.  A kernel call tests a chunk of words against the
-    whole auxiliary book."""
+    rate-distortion codebook: bin m carries index (m - 1) XOR the key's pad.
+    No typical auxiliary word -> e4; words in two or more bins -> e5.  A
+    kernel call tests a chunk of words against the whole auxiliary book."""
     z_rows = np.asarray(z_rows, dtype=np.int64)
     k_arr = np.asarray(k_seq, dtype=np.int64)
     ktp = codebooks.key_type_and_order(k_arr)
     if ktp is None:
         return [DecodeResult(None, "e4", None, ()) for _ in z_rows]
     type_idx, order = ktp
+    pad = codebooks.pad(k_arr)
     rep = codebooks.key_types[type_idx].representative
     contexts = rep * codebooks.z_size + z_rows[:, order]
     masks = codebooks.aux_masks(type_idx)
     sizes = codebooks.sizes
     chunk = max(1, _BOX_CHUNK_BYTES // (codebooks.kzv_cells[0].shape[0] * masks.size))
-    s = None
     results = []
     for start in range(0, len(contexts), chunk):
         hits = _rows_in_boxes(masks, contexts[start : start + chunk], codebooks.kzv_cells)
@@ -796,10 +757,7 @@ def decode_many(z_rows: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -
             elif len(bins) > 1:
                 results.append(DecodeResult(None, "e5", None, bins))
             else:
-                if s is None:
-                    s = codebooks.sw_bits(k_arr)[: sizes.j_bits]
-                w = decrypt(int_to_bits(bins[0] - 1, sizes.l_bits), s)
-                uhat = rd_decode(bits_to_int(w), codebooks.rd_codebook).as_array()
+                uhat = rd_decode((bins[0] - 1) ^ pad, codebooks.rd_codebook).as_array()
                 results.append(DecodeResult(uhat, "ok", bins[0], bins))
     return results
 
@@ -843,13 +801,6 @@ class TrialAggregate:
     mean_distortion_uuhat: float
     distortion_bound: float
     results: list[TrialResult] = field(repr=False, default_factory=list)
-
-    @property
-    def e1_total(self) -> float:
-        """Atypical-input frequency regardless of fallback outcome."""
-        return self.event_frequencies.get("e1", 0.0) + self.event_frequencies.get(
-            "encode_fallback", 0.0
-        )
 
 
 def run_trials(
@@ -1021,6 +972,12 @@ class EquivocationEstimate:
     extras: dict[str, float] = field(default_factory=dict)
 
 
+def _mass_table() -> defaultdict:
+    """Unnormalized masses by key, then by outcome, each in first-seen order
+    (``_entropy_of_rows`` sums them in that order)."""
+    return defaultdict(lambda: defaultdict(float))
+
+
 def _entropy_of_rows(table: dict) -> float:
     """Sum over keys of P(key) H(outcome | key), from unnormalized masses."""
     h = 0.0
@@ -1056,8 +1013,8 @@ def estimate_equivocation(
     The enumeration does each piece of work once per word it depends on:
     - once per message word u: its typicality and rate-distortion index;
     - once per (x, k) word: a ``WordSearch`` (key type and order, pair test,
-      pad), one box test over the whole auxiliary book, one stacked
-      stegotext test over the distinct bins the word's states reach, the
+      pad), one search of the distinct bins the word's states reach (one
+      box test over their auxiliary rows, one stacked stegotext test), the
       forged words of each distinct stegotext word, and one ``decode_many``
       of the key's forged words not decoded yet;
     - once per (u, x, k) state: one ``embed_encode`` call and the sums.
@@ -1078,16 +1035,12 @@ def estimate_equivocation(
             codebooks=codebooks,
             collect_transcripts=True,
         )
-        u_rows: dict[bytes, dict] = {}
-        uhat_rows: dict[bytes, dict] = {}
+        u_rows, uhat_rows = _mass_table(), _mass_table()
         w = 1.0 / trials
         for r in agg.results:
             key = r.y.tobytes() + r.z.tobytes()
-            u_rows.setdefault(key, {}).setdefault(r.u.tobytes(), 0.0)
             u_rows[key][r.u.tobytes()] += w
-            uh = r.uhat.tobytes() if r.uhat is not None else b"err"
-            uhat_rows.setdefault(key, {}).setdefault(uh, 0.0)
-            uhat_rows[key][uh] += w
+            uhat_rows[key][r.uhat.tobytes() if r.uhat is not None else b"err"] += w
         warnings.warn(
             f"plug-in conditional entropy over {len(u_rows)} observed (y,z) "
             f"cells and {trials} trials is biased downward",
@@ -1117,17 +1070,9 @@ def estimate_equivocation(
     pxk = spec.p_xk.values  # (X, K)
     att = spec.p_z_given_y.conditional_matrix((spec.y_axis.name,), (spec.z_axis.name,))
 
-    def words(size: int, length: int):
-        idx = np.zeros(length, dtype=np.int64)
-        while True:
-            yield idx.copy()
-            for pos in range(length - 1, -1, -1):
-                idx[pos] += 1
-                if idx[pos] < size:
-                    break
-                idx[pos] = 0
-            else:
-                return
+    def words(size: int, length: int) -> Iterator[np.ndarray]:
+        """Every word over ``size`` letters, the last position fastest."""
+        return (np.array(w, dtype=np.int64) for w in itertools.product(range(size), repeat=length))
 
     u_words = [(u, float(np.prod(pu[u]))) for u in words(u_size, n_msg)]
     # the message path of each u word, once per enumeration
@@ -1147,10 +1092,7 @@ def estimate_equivocation(
             keep = np.flatnonzero(pz > 0)
             return list(zip(z_all[keep], pz[keep].tolist()))
 
-    u_rows: dict[bytes, dict] = {}
-    uhat_rows: dict[bytes, dict] = {}
-    bin_rows: dict[bytes, dict] = {}
-    bin_rows_enc: dict[bytes, dict] = {}
+    u_rows, uhat_rows, bin_rows, bin_rows_enc = (_mass_table() for _ in range(4))
     enc_path_prob = 0.0
     decode_cache: dict[bytes, bytes] = {}
 
@@ -1195,15 +1137,10 @@ def estimate_equivocation(
             for z, pz in forgeries[ykey]:
                 p = p_word * pz
                 key = ykey + z.tobytes()
-                u_rows.setdefault(key, {}).setdefault(u.tobytes(), 0.0)
                 u_rows[key][u.tobytes()] += p
-                uh = decode_cache[kb + z.tobytes()]
-                uhat_rows.setdefault(key, {}).setdefault(uh, 0.0)
-                uhat_rows[key][uh] += p
-                bin_rows.setdefault(ykey, {}).setdefault(enc.m, 0.0)
+                uhat_rows[key][decode_cache[kb + z.tobytes()]] += p
                 bin_rows[ykey][enc.m] += p
                 if u_on_path:
-                    bin_rows_enc.setdefault(ykey, {}).setdefault(enc.m, 0.0)
                     bin_rows_enc[ykey][enc.m] += p
 
     h_u = _entropy_of_rows(u_rows)

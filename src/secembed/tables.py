@@ -122,22 +122,6 @@ class DistTable:
         dims = ", ".join(f"{a.name}:{a.size}" for a in self.axes)
         return f"DistTable({dims}; {kind})"
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def joint(cls, axes: Iterable, values) -> "DistTable":
-        return cls(axes, values)
-
-    @classmethod
-    def conditional(cls, axes: Iterable, values, given: Sequence[str]) -> "DistTable":
-        return cls(axes, values, given=given)
-
-    @classmethod
-    def uniform(cls, axes: Iterable) -> "DistTable":
-        axes = tuple(_as_axis(a) for a in axes)
-        n = int(np.prod([a.size for a in axes]))
-        return cls(axes, np.full([a.size for a in axes], 1.0 / n))
-
     # -- manipulation ------------------------------------------------------
 
     def marginal(self, *names: str) -> "DistTable":

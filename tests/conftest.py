@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from secembed import region
 from secembed.region import AuxChannel, SystemSpec
 from secembed.tables import Axis, DistTable, DistortionMeasure
 
@@ -61,6 +64,23 @@ def noise_aux(spec, y_probs):
     return AuxChannel(
         DistTable([spec.k_axis, spec.x_axis, V, spec.y_axis], vals, given=("K", "X"))
     )
+
+
+def miss_one_condition(monkeypatch) -> list[str]:
+    """Make every keyed-region report miss its last condition by 2e-8 bits,
+    inside the optimizer's 1e-6 penalty tolerance; returns the names missed."""
+    certify = region.eval_keyed_region
+    missed = []
+
+    def short_of_one_bound(*args, **kwargs):
+        report = certify(*args, **kwargs)
+        name, entry = list(report.conditions.items())[-1]
+        report.conditions[name] = dataclasses.replace(entry, slack=-2e-8, satisfied=False)
+        missed.append(name)
+        return report
+
+    monkeypatch.setattr(region, "eval_keyed_region", short_of_one_bound)
+    return missed
 
 
 @pytest.fixture

@@ -14,6 +14,8 @@ from secembed.config import COMMANDS, load_aux, load_system, parse_config, stabl
 from secembed.errors import ValidationError
 from secembed.region import COORDINATES, optimize_region
 
+from conftest import miss_one_condition
+
 SYSTEM = {
     "alphabets": {
         "U": ["u0", "u1"],
@@ -281,6 +283,17 @@ class TestCli:
         ])
         assert r.returncode == 3
         assert "infeasible" in r.stderr
+        assert not list(workdir.glob("x*"))  # no CSVs and no manifest
+
+    def test_uncertified_optimum_exit_code(self, workdir, monkeypatch, capsys):
+        # the optimizer's point fails its own report: exit 3 and write nothing
+        miss_one_condition(monkeypatch)
+        code = cli.main([
+            "region-opt", "--spec", str(workdir / "sys.yaml"), "--objective", "h",
+            "--fix", "d_prime=0.25", "--restarts", "2", "--seed", "1", "--out", str(workdir / "x"),
+        ])
+        assert code == cli.EXIT_INFEASIBLE
+        assert "infeasible" in capsys.readouterr().err
         assert not list(workdir.glob("x*"))  # no CSVs and no manifest
 
     def test_resource_cap_exit_code(self, workdir):

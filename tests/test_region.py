@@ -27,7 +27,7 @@ from secembed.region import (
 )
 from secembed.tables import LOG_ZERO_CUTOFF, Axis, DistTable, DistortionMeasure
 
-from conftest import UHAT, U, binary_spec, copy_embedder_aux
+from conftest import UHAT, U, binary_spec, copy_embedder_aux, miss_one_condition
 
 
 def h2(x):
@@ -323,6 +323,14 @@ class TestOptimizer:
                 restarts=2,
                 seed=0,
             )
+
+    def test_uncertified_point_is_infeasible(self, monkeypatch):
+        # a point the penalty accepts (violation under 1e-6) whose own report
+        # misses SLACK_TOL on one condition must not be reported
+        missed = miss_one_condition(monkeypatch)
+        with pytest.raises(InfeasibleError) as info:
+            optimize_region(self.spec, {"d_prime": 0.25, "d": 1.0}, "h", v_cardinality=2, restarts=2, seed=1)
+        assert f"{missed[0]} (slack -2.000e-08)" in str(info.value)
 
     def test_requires_d_prime(self):
         with pytest.raises(ValidationError):

@@ -894,6 +894,63 @@ class TestDecodeMany:
         assert sim.decode_many(np.zeros((0, 8), dtype=np.int64), k, books) == []
 
 
+@functools.lru_cache(maxsize=None)
+def _pad_books(width: str) -> sim.CodebookSet:
+    """A small build with no pad, or with a pad as wide as the message index."""
+    spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
+    aux = copy_embedder_aux(spec, [0.5, 0.5])
+    books = sim.build_codebooks(spec, aux, 8, 0.6, 2, 0.0, m2_bits=2, m3_bits=0, j_bits=0)
+    if width == "full":
+        books = sim.build_codebooks(
+            spec, aux, 8, 0.6, 2, 0.0, m2_bits=2, m3_bits=0, j_bits=books.sizes.l_bits
+        )
+    return books
+
+
+def _typical_keys(books):
+    from secembed.typical import _multiset_perms
+
+    return [np.array(w, dtype=np.int64) for t in books.key_types for w in _multiset_perms(t.counts)]
+
+
+class TestPad:
+    """The key's pad as one integer, against its bits and the bit-level
+    ``decrypt``."""
+
+    @pytest.mark.parametrize("width", ["zero", "full"])
+    def test_pad_is_the_integer_of_its_drawn_bits(self, width):
+        books = _pad_books(width)
+        j_bits = books.sizes.j_bits
+        assert j_bits == (0 if width == "zero" else books.sizes.l_bits) and books.sizes.l_bits > 0
+        keys = _typical_keys(books)
+        for k in keys:
+            drawn = np.random.default_rng(
+                np.random.SeedSequence((books.seed, sim._SW_TAG, *k.tolist()))
+            ).integers(0, 2, size=j_bits, dtype=np.uint8)
+            assert np.array_equal(books.sw_bits(k), drawn) and books.sw_bits(k).dtype == np.uint8
+            assert books.pad(k) == sim.bits_to_int(books.sw_bits(k))
+            assert 0 <= books.pad(k) < 1 << j_bits
+        if width == "full":  # the pads differ across keys
+            assert len({books.pad(k) for k in keys}) > 1
+
+    @pytest.mark.parametrize("width", ["zero", "full"])
+    def test_decode_many_matches_bit_level_decrypt(self, width):
+        books = _pad_books(width)
+        rng = np.random.default_rng(5)
+        keys = _typical_keys(books)
+        for k in [keys[i] for i in rng.choice(len(keys), size=8, replace=False)]:
+            z_rows = rng.integers(0, 2, size=(24, books.n))
+            for row in z_rows[::2]:  # encoded words, which mostly decode
+                u = rng.integers(0, 2, size=books.n_message)
+                row[:] = sim.embed_encode(u, np.zeros(books.n, dtype=np.int64), k, books).y
+            batch = sim.decode_many(z_rows, k, books)
+            expected = [_reference_decode(z, k, books) for z in z_rows]
+            assert [_decode_fields(d) for d in batch] == [
+                (e, b, bins, None if uhat is None else uhat.tolist()) for e, b, bins, uhat in expected
+            ]
+            assert any(d.event == "ok" for d in batch)
+
+
 def _per_state_enumeration(codebooks):
     """The extras of ``estimate_equivocation``'s exact enumeration as the
     per-state loop computed them before the decode was batched per key word:
