@@ -16,6 +16,9 @@ from .typical import DEFAULT_ENUMERATION_CAP, SymbolSequence, enumerate_typical
 
 RATE_TOL = 1e-9
 MAX_ITERATIONS = 100_000
+# bytes of candidate-to-source distances the cover builds at once; the n=16
+# demo build's 3.6 MB of distances are taken in four chunks
+_COVER_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -221,9 +224,15 @@ def build_rd_codebook(
     radius = n_symbols * (target_d + eps_cov)
 
     def cover_matrix(cands: np.ndarray) -> np.ndarray:
-        # pairwise additive distortion candidates x sources
-        dists = d_prime.cost[src[None, :, :], cands[:, None, :]].sum(axis=2)
-        return dists <= radius + 1e-12
+        # pairwise additive distortion candidates x sources, a chunk of
+        # candidates at a time; each distance sums the same axis as at once
+        covers = np.empty((len(cands), len(src)), dtype=bool)
+        chunk = max(1, _COVER_CHUNK_BYTES // (src.size * 8))
+        for start in range(0, len(cands), chunk):
+            part = cands[start : start + chunk]
+            dists = d_prime.cost[src[None, :, :], part[:, None, :]].sum(axis=2)
+            covers[start : start + len(part)] = dists <= radius + 1e-12
+        return covers
 
     pool = np.array([c.symbols for c in candidates], dtype=np.int64).reshape(-1, n_symbols)
     covers = cover_matrix(pool)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +47,7 @@ from .typical import (
     _multiset_perms,
     count_box,
     epsilon_schedule,
+    letter_dtype,
     typical_distortion_bound,
     typical_set_probability,
 )
@@ -61,6 +62,31 @@ DEFAULT_KEY_ENUM_CAP = 1 << 20
 _AUDIT_CHUNK_ROWS = 1 << 16
 # mask bytes one box-test kernel call ANDs at once
 _BOX_CHUNK_BYTES = 1 << 22
+# entries each word-keyed cache of a CodebookSet (pads, stegotext books)
+# keeps; it drops the least recently used beyond that.  An entry is a pure
+# function of (seed, word), so a dropped one is redrawn the same.  A
+# benchmark job keeps at most about 500.  At n=16 with one stegotext word a
+# book, a full stegotext cache takes about 5.5 MB and a full pad cache 4.0 MB
+_WORD_CACHE_ENTRIES = 1 << 14
+
+
+class _LruCache(OrderedDict):
+    """A mapping that keeps at most ``capacity`` entries, dropping the least
+    recently used one when a new one would pass it."""
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = capacity
+
+    def lookup(self, key, make):
+        """The entry of ``key``; when there is none, ``make()``, kept."""
+        try:
+            self.move_to_end(key)
+        except KeyError:
+            self[key] = make()
+            if len(self) > self.capacity:
+                self.popitem(last=False)
+        return self[key]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +185,10 @@ class CodebookSet:
             pkv[:, :, None] > 0, kvy / np.where(pkv[:, :, None] > 0, pkv[:, :, None], 1.0), 1.0 / self.y_size
         ).reshape(self.k_size * self.v_size, self.y_size)
 
+        # books store letters in letter_dtype; words handed out are int64
+        self._v_dtype = letter_dtype(self.v_size)
+        self._y_dtype = letter_dtype(self.y_size)
+
         # every auxiliary book, drawn in type order, and its packed letter masks
         self._aux_books: list[np.ndarray] = []
         for type_idx, ktype in enumerate(key_types):
@@ -167,9 +197,9 @@ class CodebookSet:
             # the book owns this generator and drops it, so the batch may over-draw
             self._aux_books.append(sampler.sample_rows(rng, sizes.bins * sizes.m2))
         self._aux_masks = [_letter_masks(book, self.v_size) for book in self._aux_books]
-        self._stego_books: dict[tuple[int, bytes], np.ndarray] = {}
+        self._stego_books = _LruCache(_WORD_CACHE_ENTRIES)
         self._stego_samplers: dict[bytes, ConditionalTypicalSampler] = {}
-        self._pads: dict[bytes, int] = {}
+        self._pads = _LruCache(_WORD_CACHE_ENTRIES)
 
     # -- key machinery -----------------------------------------------------
 
@@ -190,7 +220,8 @@ class CodebookSet:
 
     def aux_book(self, type_idx: int) -> np.ndarray:
         """All M_U * M_2 auxiliary codewords of one representative, grouped by
-        bin: row (m-1) * M_2 + (j-1) is codeword j of bin m."""
+        bin: row (m-1) * M_2 + (j-1) is codeword j of bin m.  Its letters are
+        of ``letter_dtype(|V|)``."""
         return self._aux_books[type_idx]
 
     def aux_masks(self, type_idx: int) -> np.ndarray:
@@ -199,29 +230,31 @@ class CodebookSet:
         return self._aux_masks[type_idx]
 
     def stego_book(self, type_idx: int, v_rep: np.ndarray) -> np.ndarray:
-        """The M_3 stegotext words attached to one auxiliary word value (the
-        books are keyed by the word itself, so bins sharing a word share its
-        stegotext book).
+        """The M_3 stegotext words attached to one auxiliary word value, with
+        letters of ``letter_dtype(|Y|)`` (the books are keyed by the word
+        itself in the auxiliary books' dtype, so bins sharing a word share
+        its stegotext book, and so do callers holding it as int64).
 
         A draw reads the generator through each (k, v) letter's count only;
         its positions just place the letters.  So the words are drawn by the
         sampler of the letter-sorted (k, v) word, shared by every word of
         that joint composition, and moved to this word's positions through
         its stable argsort: slot i of the sorted word is position order[i]."""
-        key = (type_idx, v_rep.tobytes())
-        book = self._stego_books.get(key)
-        if book is None:
+        v_rep = np.asarray(v_rep, dtype=self._v_dtype)
+
+        def draw() -> np.ndarray:
             combined = self.key_types[type_idx].representative * self.v_size + v_rep
             order = np.argsort(combined, kind="stable")
             sampler = self._stego_sampler(combined[order])
             rng = np.random.default_rng(
                 np.random.SeedSequence((self.seed, _STEGO_TAG, type_idx, v_rep.astype(np.uint32)))
             )
-            book = np.empty((self.sizes.m3, self.n), dtype=np.int64)
+            book = np.empty((self.sizes.m3, self.n), dtype=self._y_dtype)
             for r in range(self.sizes.m3):
                 book[r, order] = sampler.sample(rng)
-            self._stego_books[key] = book
-        return book
+            return book
+
+        return self._stego_books.lookup((type_idx, v_rep.tobytes()), draw)
 
     def _stego_sampler(self, sorted_kv: np.ndarray) -> ConditionalTypicalSampler:
         """The stegotext sampler of one joint (k, v) composition, given as
@@ -242,14 +275,14 @@ class CodebookSet:
         message index.  Uniform across the codebook ensemble, deterministic
         per key within one build."""
         k_arr = np.asarray(k_arr, dtype=np.int64)
-        key = k_arr.tobytes()
-        pad = self._pads.get(key)
-        if pad is None:
+
+        def draw() -> int:
             rng = np.random.default_rng(
                 np.random.SeedSequence((self.seed, _SW_TAG, k_arr.astype(np.uint32)))
             )
-            pad = self._pads[key] = bits_to_int(rng.integers(0, 2, size=self.sizes.j_bits, dtype=np.uint8))
-        return pad
+            return bits_to_int(rng.integers(0, 2, size=self.sizes.j_bits, dtype=np.uint8))
+
+        return self._pads.lookup(k_arr.tobytes(), draw)
 
     def sw_bits(self, k_arr: np.ndarray) -> np.ndarray:
         """The key's pad as J bits."""
@@ -457,7 +490,7 @@ def _letter_masks(book: np.ndarray, n_val: int) -> np.ndarray:
     """(ceil(n/8), n_val, rows) uint8 bit masks: byte b of the positions
     where each book row holds each letter.  A stack of books (..., rows, n)
     gives a stack of masks (..., ceil(n/8), n_val, rows)."""
-    letters = np.swapaxes(book, -1, -2)[..., None, :] == np.arange(n_val)[:, None]
+    letters = np.swapaxes(book, -1, -2)[..., None, :] == np.arange(n_val, dtype=book.dtype)[:, None]
     return np.packbits(letters, axis=-3)
 
 
@@ -488,9 +521,8 @@ def _rows_in_boxes(
 @dataclass
 class EmbedResult:
     y: np.ndarray
-    m: int
-    w_bits: np.ndarray
-    wt_bits: np.ndarray
+    m: int  # the bin, 1-based: the sent index encrypted by the pad, plus 1
+    w: int  # the sent index: the message's rate-distortion index, or 0
     input_ok: bool
     search_ok: bool
     search_event: str | None  # "e2" | "e3" | None
@@ -689,8 +721,7 @@ def embed_encode(
     return EmbedResult(
         y=y,
         m=m,
-        w_bits=int_to_bits(w, codebooks.sizes.l_bits),
-        wt_bits=int_to_bits(m - 1, codebooks.sizes.l_bits),
+        w=w,
         input_ok=input_ok,
         search_ok=search_ok,
         search_event=search_event if (input_ok and not search_ok) else None,
@@ -729,6 +760,12 @@ class DecodeResult:
     bins_found: tuple[int, ...]
 
 
+def _sent_index(m: int, pad: int) -> int:
+    """The index bin m (1-based) carries under a key's pad: the inverse of
+    ``WordSearch.bin_of``'s (index XOR pad) + 1."""
+    return (m - 1) ^ pad
+
+
 def decode_many(z_rows: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> list[DecodeResult]:
     """Joint-typicality unique-bin decoding of every forged word (row) of
     ``z_rows`` under one key, then decrypt and map through the
@@ -757,7 +794,7 @@ def decode_many(z_rows: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -
             elif len(bins) > 1:
                 results.append(DecodeResult(None, "e5", None, bins))
             else:
-                uhat = rd_decode((bins[0] - 1) ^ pad, codebooks.rd_codebook).as_array()
+                uhat = rd_decode(_sent_index(bins[0], pad), codebooks.rd_codebook).as_array()
                 results.append(DecodeResult(uhat, "ok", bins[0], bins))
     return results
 
@@ -1294,9 +1331,7 @@ def compression_audits(
     if n_keys > key_cap:
         raise ResourceCapError(f"{n_keys} typical keys exceed the enumeration cap {key_cap}")
 
-    # symbols in the narrowest dtype that holds the alphabet: fewer bytes to hash
-    symbols = np.min_scalar_type(codebooks.y_size - 1)
-    count = _distinct_row_count(_typical_key_stego_words(codebooks, symbols))
+    count = _distinct_row_count(_typical_key_stego_words(codebooks))
     public_rate = math.log2(count) / n if count else 0.0
     k_y = codebooks.k_size * codebooks.y_size
     delta_prime = (
@@ -1329,13 +1364,13 @@ def _distinct_stego_books(codebooks: CodebookSet, type_idx: int) -> tuple[np.nda
     return books, book_of_row.ravel()
 
 
-def _typical_key_stego_words(codebooks: CodebookSet, dtype: np.dtype) -> Iterator[np.ndarray]:
+def _typical_key_stego_words(codebooks: CodebookSet) -> Iterator[np.ndarray]:
     """The stegotext books of all typical keys, a few keys of one type at a
     time as a (rows, keys, n) array: the type's distinct stegotext rows,
     moved from the representative frame to each key's positions."""
     for t_idx, ktype in enumerate(codebooks.key_types):
         books, _ = _distinct_stego_books(codebooks, t_idx)
-        rep_mat = np.unique(books.reshape(-1, codebooks.n), axis=0).astype(dtype)
+        rep_mat = np.unique(books.reshape(-1, codebooks.n), axis=0)
         keys = _multiset_perms(ktype.counts)
         while chunk := list(itertools.islice(keys, max(1, _AUDIT_CHUNK_ROWS // len(rep_mat)))):
             # slot i of the representative lands on position order[i] of a key

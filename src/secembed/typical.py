@@ -308,6 +308,14 @@ def typical_set_probability(p: DistTable | np.ndarray, n: int, delta: float) -> 
 # ---------------------------------------------------------------------------
 
 
+def letter_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds the letters 0 .. size-1
+    (uint8 up to 256 letters).  The simulator's auxiliary and stegotext
+    books keep their letters in it; a word handed back to a caller stays
+    int64."""
+    return np.min_scalar_type(size - 1)
+
+
 def _randrange(rng: np.random.Generator, n: int) -> int:
     """Uniform integer in [0, n) including arbitrary-precision n."""
     if n <= 1:
@@ -514,7 +522,8 @@ class ConditionalTypicalSampler:
 
     def sample_rows(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         """The words of ``rows`` successive ``sample(rng)`` calls, as a
-        (rows, n) array, drawn in blocks.
+        (rows, n) array of ``letter_dtype(b_size)``, drawn in blocks straight
+        into it.
 
         The scalar path reads the generator's 32-bit words through two numpy
         consumers only: the bounded-integer draw of each letter's composition
@@ -530,7 +539,7 @@ class ConditionalTypicalSampler:
         and this does not replay, and when a row takes more than
         ``_REPLAY_MAX_DRAWS`` draws.
         """
-        out = np.empty((rows, len(self.seq_a)), dtype=np.int64)
+        out = np.empty((rows, len(self.seq_a)), dtype=letter_dtype(self.b_size))
         letters = [(pos, t) for pos, t in zip(self.positions, self._tables) if t is not None]
         steps = []
         for pos, table in letters:

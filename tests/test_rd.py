@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secembed import rd
 from secembed.errors import EmptyTypicalSetError, InfeasibleError, ValidationError
 from secembed.rd import blahut_arimoto, build_rd_codebook, rd_curve, rd_decode, rd_encode
 from secembed.tables import Axis, DistTable, DistortionMeasure
@@ -274,19 +276,30 @@ def _cover_cases(draw):
     return p_u, d_prime, target, n_symbols, delta, eps_cov
 
 
+def _check_cover_matches_reference(case):
+    p_u, d_prime, target, n_symbols, delta, eps_cov = case
+    try:
+        ref, _ = _reference_cover(p_u, d_prime, target, n_symbols, delta, eps_cov)
+    except (InfeasibleError, EmptyTypicalSetError) as e:
+        with pytest.raises(type(e)):
+            build_rd_codebook(p_u, d_prime, target, n_symbols, delta, eps_cov=eps_cov)
+        return
+    cb = build_rd_codebook(p_u, d_prime, target, n_symbols, delta, eps_cov=eps_cov)
+    assert np.array_equal(cb.codewords[: cb.distinct_count], ref)
+
+
 class TestCoverMatchesReference:
     @given(_cover_cases())
     @settings(max_examples=80, deadline=None)
     def test_same_codewords(self, case):
-        p_u, d_prime, target, n_symbols, delta, eps_cov = case
-        try:
-            ref, _ = _reference_cover(p_u, d_prime, target, n_symbols, delta, eps_cov)
-        except (InfeasibleError, EmptyTypicalSetError) as e:
-            with pytest.raises(type(e)):
-                build_rd_codebook(p_u, d_prime, target, n_symbols, delta, eps_cov=eps_cov)
-            return
-        cb = build_rd_codebook(p_u, d_prime, target, n_symbols, delta, eps_cov=eps_cov)
-        assert np.array_equal(cb.codewords[: cb.distinct_count], ref)
+        _check_cover_matches_reference(case)
+
+    @given(_cover_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_one_candidate_chunks(self, case):
+        # the distances of one candidate at a time give the same cover
+        with mock.patch.object(rd, "_COVER_CHUNK_BYTES", 1):
+            _check_cover_matches_reference(case)
 
     def test_fallback_to_full_reproduction_space(self):
         # at the rate-zero distortion the only candidate is the all-zero

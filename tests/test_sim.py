@@ -2,15 +2,18 @@ import dataclasses
 import functools
 import math
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from secembed import sim
+from secembed.config import load_aux, load_system
 from secembed.errors import (
     EmptyTypicalSetError,
     InfeasibleError,
@@ -19,7 +22,7 @@ from secembed.errors import (
 )
 from secembed.region import AuxChannel, SystemSpec
 from secembed.tables import Axis, DistortionMeasure, DistTable
-from secembed.typical import CountBox
+from secembed.typical import CountBox, letter_dtype
 
 from conftest import binary_spec, copy_embedder_aux, noise_aux
 
@@ -53,6 +56,18 @@ class TestBuild:
         assert s.m3_bits == math.ceil(8 * (0.1 * 1 + 0.1))
         assert s.l_bits == 7  # log2 of the 70 exactly-balanced words
         assert s.j_bits <= s.l_bits
+
+    def test_demo_books_take_one_byte_a_letter(self):
+        # the n=16 demo build of the benchmark: nine 8,192-row books over
+        # |V| = 2, stored as uint8 (int64 rows took eight times as much)
+        configs = Path(__file__).parent.parent / "configs"
+        spec = load_system(yaml.safe_load((configs / "demo_system.yaml").read_text())).spec
+        aux, _ = load_aux(yaml.safe_load((configs / "demo_aux.yaml").read_text()), spec)
+        books = sim.build_codebooks(spec, aux, 16, 0.6, 1, 0.0, m2_bits=5, m3_bits=0, j_bits=4)
+        aux_books = [books.aux_book(t) for t in range(len(books.key_types))]
+        assert len(aux_books) == 9
+        assert all(b.dtype == np.uint8 and b.shape == (8192, 16) for b in aux_books)
+        assert sum(b.nbytes for b in aux_books) == 1_179_648
 
     def test_lambda_n_must_be_integer(self, trend_spec, trend_aux):
         with pytest.raises(ValidationError):
@@ -218,11 +233,13 @@ class TestStegoStream:
                         books.stego_book(t, v)
                     continue
                 got = books.stego_book(t, v)
-                assert got.shape == (books.sizes.m3, books.n) and got.dtype == np.int64
+                assert got.shape == (books.sizes.m3, books.n) and got.dtype == letter_dtype(books.y_size)
                 assert np.array_equal(got, ref)
+                # an int64 word and a stored book row share one entry
+                assert books.stego_book(t, v.astype(np.int64)) is got
         comps = set()
         for t, v in books._stego_books:
-            kv = books.key_types[t].representative * books.v_size + np.frombuffer(v, dtype=np.int64)
+            kv = books.key_types[t].representative * books.v_size + np.frombuffer(v, dtype=letter_dtype(books.v_size))
             comps.add(np.sort(kv).tobytes())
         assert len(books._stego_samplers) == len(comps)
 
@@ -306,8 +323,8 @@ class TestEncode:
         x = np.zeros(8, dtype=np.int64)
         enc = sim.embed_encode(u, x, k, books)
         assert not enc.input_ok
-        assert enc.m == 1
-        assert np.all(enc.wt_bits == 0)
+        assert enc.m == 1 and enc.w == 0
+        assert not sim.int_to_bits(enc.m - 1, books.sizes.l_bits).any()
 
     def test_deterministic_channels_find_first_entry(self):
         # V and Y deterministic given (K, X): every bin entry works
@@ -933,6 +950,26 @@ class TestPad:
         if width == "full":  # the pads differ across keys
             assert len({books.pad(k) for k in keys}) > 1
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_pad_xor_is_an_involution(self, data):
+        """The encoder's bin (index XOR pad) + 1 and the decoder's map back
+        to (bin - 1) XOR pad at message widths L up to 40 and pad widths
+        J <= L, against the bit-level ``encrypt`` and ``decrypt``."""
+        l_bits = data.draw(st.integers(0, 40))
+        j_bits = data.draw(st.integers(0, l_bits))
+        w = data.draw(st.integers(0, (1 << l_bits) - 1))
+        pad = data.draw(st.integers(0, (1 << j_bits) - 1))
+        # the search of a typical key with this pad; bin_of reads no codebook
+        search = sim.WordSearch.__new__(sim.WordSearch)
+        search.key_type, search.pad = (0, None), pad
+        sent, m = search.bin_of(w)
+        assert sent == w and 1 <= m <= 1 << l_bits
+        assert sim._sent_index(m, pad) == w
+        w_bits, s_bits = sim.int_to_bits(w, l_bits), sim.int_to_bits(pad, j_bits)
+        assert sim.bits_to_int(sim.encrypt(w_bits, s_bits)) == w ^ pad == m - 1
+        assert np.array_equal(sim.decrypt(sim.encrypt(w_bits, s_bits), s_bits), w_bits)
+
     @pytest.mark.parametrize("width", ["zero", "full"])
     def test_decode_many_matches_bit_level_decrypt(self, width):
         books = _pad_books(width)
@@ -1136,7 +1173,7 @@ def _frozen_embed_encode(u_arr, x_arr, k_arr, codebooks):
     if y is None:
         y = np.zeros(codebooks.n, dtype=np.int64)
     return sim.EmbedResult(
-        y=y, m=m, w_bits=w, wt_bits=wt, input_ok=input_ok, search_ok=search_ok,
+        y=y, m=m, w=sim.bits_to_int(w), input_ok=input_ok, search_ok=search_ok,
         search_event=search_event if (input_ok and not search_ok) else None,
         type_idx=details.get("type_idx"), order=details.get("order"), v_rep=details.get("v_rep"),
         j=details.get("j"), j_prime=details.get("j_prime"),

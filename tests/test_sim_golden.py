@@ -144,6 +144,35 @@ def test_ensemble_reuses_the_runs_build(tmp_path, monkeypatch):
     assert got == (DATA / "ensemble_n8_summary.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_two_entry_word_caches_write_the_same_bytes(name, tmp_path, monkeypatch):
+    """A pad or stegotext book is a pure function of (seed, word), so word
+    caches bounded at two entries redraw what they drop and every artifact
+    stays the golden one; no cache ever holds more than two entries."""
+    lookup = sim._LruCache.lookup
+    seen: dict[int, set] = {}
+    drops = redraws = 0
+
+    def bounded_lookup(cache, key, make):
+        nonlocal drops, redraws
+        keys = seen.setdefault(id(cache), set())
+        if key not in cache:
+            drops += len(cache) == cache.capacity
+            redraws += key in keys
+        keys.add(key)
+        value = lookup(cache, key, make)
+        assert len(cache) <= cache.capacity == 2
+        return value
+
+    monkeypatch.setattr(sim, "_WORD_CACHE_ENTRIES", 2)
+    monkeypatch.setattr(sim._LruCache, "lookup", bounded_lookup)
+    out = _run_case(name, tmp_path)
+    for suffix in CASES[name][2]:
+        got = Path(str(out) + suffix).read_bytes()
+        assert got == (DATA / f"{name}{suffix}").read_bytes(), suffix
+    assert drops > 0 and redraws > 0
+
+
 if __name__ == "__main__":
     import tempfile
 

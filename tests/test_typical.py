@@ -25,6 +25,7 @@ from secembed.typical import (
     is_delta_typical,
     is_jointly_delta_typical,
     is_tuple_typical,
+    letter_dtype,
     sample_uniform_conditional_typical,
     typical_distortion_bound,
     typical_set_probability,
@@ -477,7 +478,7 @@ class TestSampleRows:
             return  # the scalar path's own property covers empty sets
         with mock.patch.object(typical, "_SAMPLE_ROWS_CHUNK", chunk):
             got = sampler.sample_rows(np.random.default_rng(seed), rows)
-        assert got.shape == (rows, len(seq_a)) and got.dtype == np.int64
+        assert got.shape == (rows, len(seq_a)) and got.dtype == letter_dtype(k_matrix.shape[1])
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for row in got:
             assert np.array_equal(row, sampler.sample(rng))
@@ -518,6 +519,7 @@ class TestSampleRows:
         sampler = ConditionalTypicalSampler(seq_a, 1, k_matrix, delta)
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         got = sampler.sample_rows(rng, 5)
+        assert got.dtype == letter_dtype(k_matrix.shape[1])
         for row in got:
             assert np.array_equal(row, _reference_sample(seq_a, 1, k_matrix, delta, ref_rng))
         # the scalar loop reads exactly the words it uses; a replayed batch over-draws
