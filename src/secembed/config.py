@@ -25,6 +25,12 @@ from .tables import NORMALIZATION_ATOL, Axis, DistTable, DistortionMeasure
 
 COMMANDS = ("rd", "region-eval", "region-opt", "simulate", "audit", "sweep")
 
+# the random stream that simulate and audit draw codebooks from, recorded in
+# their manifests: stream 1 drew an auxiliary book's rows as successive
+# `ConditionalTypicalSampler.sample` calls, stream 2 draws each book with one
+# `sample_rows` batch.  A manifest of another stream cannot be reproduced.
+RANDOM_STREAM = 2
+
 _REQUIRED_AXES = ("U", "X", "K", "Y", "Z", "Uhat")
 
 
@@ -355,13 +361,16 @@ class RunConfig:
             m["test_channel"] = np.asarray(self.test_channel.values, dtype=float).tolist()
         if self.point is not None:
             m["point"] = {k: float(v) for k, v in vars(self.point).items()}
+        if self.command in ("simulate", "audit"):
+            m["random_stream"] = RANDOM_STREAM
         return m
 
 
 SCHEMA = tuple(f for f in fields(RunConfig) if f.metadata)
 _PARAMETERS = tuple(f for f in SCHEMA if f.metadata["kind"].check)
-# a manifest is a run file with its tables' digests added
-_DOCUMENT_KEYS = {"command", "system_sha256", "aux_sha256", *(f.name for f in SCHEMA)}
+# a manifest is a run file with its tables' digests, and for simulate and
+# audit its random stream, added
+_DOCUMENT_KEYS = {"command", "system_sha256", "aux_sha256", "random_stream", *(f.name for f in SCHEMA)}
 
 
 def flag_of(f) -> str:
@@ -395,6 +404,11 @@ def from_document(doc: Mapping[str, Any]) -> RunConfig:
     command = doc.get("command")
     if command not in COMMANDS:
         raise ValidationError(f"'command' must be one of {COMMANDS}, got {command!r}")
+    stream = doc.get("random_stream", RANDOM_STREAM)
+    if stream != RANDOM_STREAM:
+        raise ValidationError(
+            f"'random_stream' is {stream!r}, but this version draws codebooks from stream {RANDOM_STREAM}"
+        )
     if "system" not in doc:
         raise ValidationError("config needs a 'system' section")
     system = load_system(doc["system"])

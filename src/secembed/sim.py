@@ -194,7 +194,6 @@ class CodebookSet:
         for type_idx, ktype in enumerate(key_types):
             sampler = ConditionalTypicalSampler(ktype.representative, self.k_size, self._p_v_given_k, delta)
             rng = np.random.default_rng(np.random.SeedSequence((seed, _AUX_TAG, type_idx)))
-            # the book owns this generator and drops it, so the batch may over-draw
             self._aux_books.append(sampler.sample_rows(rng, sizes.bins * sizes.m2))
         self._aux_masks = [_letter_masks(book, self.v_size) for book in self._aux_books]
         self._stego_books = _LruCache(_WORD_CACHE_ENTRIES)
@@ -636,15 +635,15 @@ class WordSearch:
     ):
         self.codebooks = codebooks
         self.x = np.asarray(x_seq, dtype=np.int64)
-        k_arr = np.asarray(k_seq, dtype=np.int64)
+        self.k = np.asarray(k_seq, dtype=np.int64)
         self.messages = messages
-        self.key_type = codebooks.key_type_and_order(k_arr)
-        pair_cells = k_arr * codebooks.x_size + self.x
+        self.key_type = codebooks.key_type_and_order(self.k)
+        pair_cells = self.k * codebooks.x_size + self.x
         self.pair_ok = codebooks.kx_box.contains(
             np.bincount(pair_cells, minlength=codebooks.k_size * codebooks.x_size)
         )
         self.embeds = self.key_type is not None and self.pair_ok
-        self.pad = 0 if self.key_type is None else codebooks.pad(k_arr)
+        self.pad = 0 if self.key_type is None else codebooks.pad(self.k)
         self._found: dict[int, tuple[np.ndarray | None, str | None, dict]] = {}
 
     def message_index(self, u_arr: np.ndarray) -> int | None:
@@ -671,9 +670,11 @@ class WordSearch:
             self._found.update(zip(new, _search_bins(self.codebooks, self.key_type, context, new)))
 
     def result(self, m: int) -> tuple[np.ndarray | None, str | None, dict]:
-        """``embed_in_bin``'s result for bin m, from ``search``."""
+        """``embed_in_bin``'s result for bin m, kept once found: from
+        ``search`` when it has run in bin m, else from one ``embed_in_bin``
+        call."""
         if m not in self._found:
-            self.search([m])
+            self._found[m] = embed_in_bin(self.codebooks, m, self.x, self.k, self.key_type)
         return self._found[m]
 
 
@@ -696,10 +697,8 @@ def embed_encode(
       pad, and each bin's search, all carried by ``search`` (a
       ``WordSearch``), which may also carry the index of every u;
     - per call: the encryption, the bin choice and the result's fields.
-    Without ``search`` the first two are computed here, and the bin's search
-    is one ``embed_in_bin`` call."""
+    Without ``search`` the first two are computed here."""
     u_arr = np.asarray(u_seq, dtype=np.int64)
-    batched = search is not None
     if search is None:
         search = WordSearch(codebooks, x_seq, k_seq)
     w_typical = search.message_index(u_arr)
@@ -710,10 +709,7 @@ def embed_encode(
     search_event: str | None = None
     details: dict = {}
     if search.embeds:
-        if batched:
-            y, search_event, details = search.result(m)
-        else:
-            y, search_event, details = embed_in_bin(codebooks, m, search.x, k_seq, search.key_type)
+        y, search_event, details = search.result(m)
     search_ok = y is not None
     if y is None:
         y = np.zeros(codebooks.n, dtype=np.int64)

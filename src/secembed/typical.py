@@ -151,21 +151,12 @@ def is_tuple_typical(seqs: Sequence[SymbolSequence], joint: DistTable, delta: fl
 
 
 def conditional_count_box(counts_a: np.ndarray, k_matrix: np.ndarray, delta: float) -> CountBox:
-    """Pair-count bounds ceil((1-d) N(a) K(b|a)) .. floor((1+d) N(a) K(b|a))."""
-    if not 0.0 < delta < 1.0:
-        raise ValidationError("delta must lie in (0, 1)")
-    one_minus = Fraction(1) - Fraction(delta)
-    one_plus = Fraction(1) + Fraction(delta)
-    a_size, b_size = k_matrix.shape
-    lo = np.empty((a_size, b_size), dtype=np.int64)
-    hi = np.empty((a_size, b_size), dtype=np.int64)
-    for a in range(a_size):
-        na = int(counts_a[a])
-        for b in range(b_size):
-            q = Fraction(float(k_matrix[a, b])) * na
-            lo[a, b] = math.ceil(one_minus * q)
-            hi[a, b] = math.floor(one_plus * q)
-    return CountBox(lo.ravel(), hi.ravel(), int(np.sum(counts_a)))
+    """Pair-count bounds ceil((1-d) N(a) K(b|a)) .. floor((1+d) N(a) K(b|a)):
+    row a is ``count_box`` of channel row a at blocklength N(a)."""
+    rows = [count_box(k_matrix[a], int(counts_a[a]), delta) for a in range(k_matrix.shape[0])]
+    lo = np.concatenate([r.lo for r in rows])
+    hi = np.concatenate([r.hi for r in rows])
+    return CountBox(lo, hi, int(np.sum(counts_a)))
 
 
 def _flatten_conditional(k_ba: DistTable) -> tuple[np.ndarray, int, int]:
@@ -379,97 +370,6 @@ def _letter_table(count: int, row: tuple[float, ...], delta: float) -> _LetterTa
     return _LetterTable(comps, cum, words)
 
 
-# numpy draws a bounded integer below at most this total from one 32-bit word
-# per try, and every Fisher-Yates swap index of a permutation likewise
-_WORD = 1 << 32
-
-# rows that ConditionalTypicalSampler.sample_rows parses from one block of
-# pre-drawn words; it bounds the block and its per-step index tables.  On
-# the n=16 demo build 1,024 rows take 0.37 s of CPU against 0.44 s at 512,
-# for about 1.6 MB more peak memory (2,048 rows: 0.32 s, +5 MB)
-_SAMPLE_ROWS_CHUNK = 1024
-
-# the most draws a row may take for sample_rows to replay it.  The replay's
-# work and memory per row grow with the square of its draws, so this caps
-# them; that the scalar loop wins past it is an unverified crossover, from a
-# few timings at n = 32 and n = 200 that no benchmark workload reaches
-_REPLAY_MAX_DRAWS = 32
-
-
-def _bounded_draws(words: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ``integers(0, total)`` for 1 < total <= 2^32, replayed on
-    32-bit words held as uint64 (Lemire's multiply-shift method): each word's
-    value and whether numpy keeps it rather than drawing again."""
-    m = words * np.uint64(total)
-    threshold = (_WORD - total) % total
-    return m >> np.uint64(32), (m & np.uint64(_WORD - 1)) >= np.uint64(threshold)
-
-
-def _swap_draws(words: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """The swap index of step i >= 1 of numpy's Fisher-Yates ``permutation``
-    (which runs i = m-1 down to 1), replayed on 32-bit words held as uint64:
-    each word masked to the bit width of i and whether numpy keeps it, which
-    it does when the index is at most i."""
-    j = words & np.uint64((1 << i.bit_length()) - 1)
-    return j, j <= np.uint64(i)
-
-
-def _draws(step: tuple[str, int], words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One step of a row, ``("bounded", total)`` or ``("swap", i)``,
-    replayed on ``words``."""
-    kind, bound = step
-    if kind == "bounded":
-        return _bounded_draws(words, bound)
-    return _swap_draws(words, bound)
-
-
-def _kept_words(step: tuple[str, int]) -> int:
-    """How many of the 2^32 words one step keeps."""
-    kind, bound = step
-    if kind == "bounded":
-        return _WORD - (_WORD - bound) % bound
-    return (bound + 1) << (32 - bound.bit_length())
-
-
-def _parse_rows(words: np.ndarray, steps: list, want: int) -> tuple[list[np.ndarray], int, int]:
-    """Replay ``steps``, one row's draws in stream order, row after row from
-    the first of ``words``: the value each step draws for each of the first
-    rows that fit whole (at most ``want``), their number, and the position
-    after the last of them."""
-    size = words.size
-    # after[step][p]: the position after the first word at or after p that
-    # the step keeps, or size + 1 when none is left.  A step that keeps
-    # every word has no table: it moves one word on.  A row's end runs at
-    # most one word per step past the block, so the tables are padded by that.
-    after = {}
-    for step in dict.fromkeys(steps):
-        if _kept_words(step) == _WORD:
-            after[step] = None
-            continue
-        _, keep = _draws(step, words)
-        kept_at = np.flatnonzero(keep).astype(np.int32)
-        table = np.repeat(kept_at + 1, np.diff(kept_at, prepend=-1))
-        pad = np.full(size + len(steps) - table.size, size + 1, np.int32)
-        after[step] = np.concatenate([table, pad])
-    end = np.arange(size + 1, dtype=np.int32)  # where a row from each position ends
-    for step in steps:
-        table = after[step]
-        end = end + 1 if table is None else table.take(end)
-    ends = end.tolist()
-    starts = []
-    p = 0
-    while len(starts) < want and ends[p] <= size:
-        starts.append(p)
-        p = ends[p]
-    at = np.array(starts, dtype=np.intp)
-    values = []
-    for step in steps:
-        table = after[step]
-        at = at + 1 if table is None else table.take(at)
-        values.append(_draws(step, words.take(at - 1))[0])
-    return values, len(starts), p
-
-
 class ConditionalTypicalSampler:
     """Uniform sampler over T^delta(b | a-word) for a fixed conditioning word.
 
@@ -521,61 +421,28 @@ class ConditionalTypicalSampler:
         return out
 
     def sample_rows(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        """The words of ``rows`` successive ``sample(rng)`` calls, as a
-        (rows, n) array of ``letter_dtype(b_size)``, drawn in blocks straight
-        into it.
+        """``rows`` uniform words of the set, as a (rows, n) array of
+        ``letter_dtype(b_size)``.
 
-        The scalar path reads the generator's 32-bit words through two numpy
-        consumers only: the bounded-integer draw of each letter's composition
-        and the Fisher-Yates shuffle of its arrangement.  This draws the
-        words in blocks, ``_SAMPLE_ROWS_CHUNK`` rows' worth at a time, and
-        replays both consumers over every row at once, so the rows equal the
-        scalar ones.  The blocks over-draw, which leaves the generator past
-        words no row used: only a caller that owns the generator and then
-        discards it may call this.
-
-        The sampler loops over ``sample`` instead when a letter total is
-        above 2^32, which numpy draws through its 64-bit or big-integer path
-        and this does not replay, and when a row takes more than
-        ``_REPLAY_MAX_DRAWS`` draws.
-        """
+        Per conditioning letter, one ``integers`` draw picks every row's
+        composition and one ``permuted`` call arranges every row's letter
+        word; a letter total above 2^62 draws each row's composition as
+        ``sample`` does.  A one-row batch draws exactly what ``sample`` draws,
+        so ``sample_rows(rng, 1)[0]`` equals ``sample(rng)``, generator state
+        included.  More rows draw all of a letter's compositions before its
+        arrangements, so they are not the words of successive ``sample``
+        calls."""
         out = np.empty((rows, len(self.seq_a)), dtype=letter_dtype(self.b_size))
-        letters = [(pos, t) for pos, t in zip(self.positions, self._tables) if t is not None]
-        steps = []
-        for pos, table in letters:
-            if table.total > 1:  # a lone composition takes no draw
-                steps.append(("bounded", table.total))
-            steps.extend(("swap", i) for i in range(pos.size - 1, 0, -1))
-        if any(table.total > _WORD for _, table in letters) or len(steps) > _REPLAY_MAX_DRAWS:
-            for r in range(rows):
-                out[r] = self.sample(rng)
-            return out
-        words_per_row = sum(_WORD / _kept_words(step) for step in steps)
-        cums = [np.array(table.cum, dtype=np.uint64) for _, table in letters]
-        words = np.empty(0, dtype=np.uint64)
-        done = 0
-        while done < rows:
-            want = min(_SAMPLE_ROWS_CHUNK, rows - done)
-            draw = math.ceil(1.05 * want * words_per_row) + 64  # rarely too few: then loop
-            fresh = rng.integers(0, _WORD, size=draw, dtype=np.uint32)
-            words = np.concatenate([words, fresh.astype(np.uint64)])
-            values, got, used = _parse_rows(words, steps, want)
-            words = words[used:]  # carried into the next block
-            block = out[done : done + got]
-            lines = np.arange(got)
-            taken = iter(values)
-            for (pos, table), cum in zip(letters, cums):
-                if table.total > 1:
-                    arranged = table.words[np.searchsorted(cum, next(taken), side="right")]
-                else:
-                    arranged = np.repeat(table.words, got, axis=0)
-                for i in range(pos.size - 1, 0, -1):
-                    j = next(taken).astype(np.intp)
-                    held = arranged[lines, j]
-                    arranged[lines, j] = arranged[:, i]
-                    arranged[:, i] = held
-                block[:, pos] = arranged
-            done += got
+        for pos, table in zip(self.positions, self._tables):
+            if table is None:
+                continue
+            if table.total > 1 << 62:  # sample's arbitrary-precision path, row by row
+                idx = [bisect.bisect_right(table.cum, _randrange(rng, table.total)) for _ in range(rows)]
+            elif table.total > 1:
+                idx = np.searchsorted(table.cum, rng.integers(0, table.total, size=rows), side="right")
+            else:  # a lone composition takes no draw
+                idx = np.zeros(rows, dtype=np.intp)
+            out[:, pos] = rng.permuted(table.words[idx], axis=1)
         return out
 
     def contains(self, seq_b: np.ndarray) -> bool:

@@ -179,6 +179,7 @@ class TestCli:
         digest = stable_hash({k: v for k, v in manifest.items() if k != "out"})
         first = (workdir / "m.csv").read_text().splitlines()[0]
         assert first == f"# manifest={digest}"
+        assert "random_stream" not in manifest  # only simulate and audit draw codebooks
 
     def test_rerun_from_manifest_reproduces(self, workdir):
         args = [
@@ -187,11 +188,22 @@ class TestCli:
             "--m2-bits", "5", "--m3-bits", "0", "--j-bits", "2", "--out", str(workdir / "orig"),
         ]
         assert run_cli(args).returncode == 0
+        assert json.loads((workdir / "orig.manifest.json").read_text())["random_stream"] == 2
         original = (workdir / "orig_trials.csv").read_bytes()
         (workdir / "orig_trials.csv").unlink()
         r = run_cli(["run", str(workdir / "orig.manifest.json")])
         assert r.returncode == 0, r.stderr
         assert (workdir / "orig_trials.csv").read_bytes() == original
+
+    def test_run_rejects_another_random_stream(self, workdir, capsys):
+        doc = {"command": "simulate", "system": SYSTEM, "aux": AUX, "n": 8, "trials": 5,
+               "delta": 0.6, "d_prime": 0.0, "seed": 6, "out": str(workdir / "x")}
+        manifest = parse_config(yaml.safe_dump(doc)).manifest()
+        assert manifest["random_stream"] == 2
+        (workdir / "old.manifest.json").write_text(json.dumps({**manifest, "random_stream": 1}))
+        assert cli.main(["run", str(workdir / "old.manifest.json")]) == cli.EXIT_VALIDATION
+        assert "'random_stream' is 1, but this version draws codebooks from stream 2" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
 
     def test_missing_seed_exit_code(self, workdir):
         r = run_cli([
@@ -414,6 +426,7 @@ class TestCli:
         assert len(lines) == 2 + 3
         assert all(l.split(",")[4] == "1" for l in lines[2:])
         assert (workdir / "aud_compression.csv").exists()
+        assert json.loads((workdir / "aud.manifest.json").read_text())["random_stream"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -210,12 +210,12 @@ class TestEncodeDecode:
             rd_decode(self.cb.size, self.cb)
 
 
-def _reference_cover(p_u, d_prime, target_d, n_symbols, delta, eps_cov=0.0, cap=1 << 24):
+def _reference_cover(p_u, d_prime, target_d, n_symbols, delta, eps_cov=0.0, cap=1 << 24, solution=None):
     """The greedy cover as first written, kept as the reference for the
     incremental gains: the full candidate x source cover matrix recomputed
     for every pick.  Returns the picked codewords and whether the pool was
     extended to the whole reproduction space."""
-    sol = blahut_arimoto(p_u, d_prime, target_d)
+    sol = solution or blahut_arimoto(p_u, d_prime, target_d)
     sources = enumerate_typical(p_u, n_symbols, delta, cap=cap)
     if not sources:
         raise EmptyTypicalSetError("no typical source words")
@@ -278,13 +278,15 @@ def _cover_cases(draw):
 
 def _check_cover_matches_reference(case):
     p_u, d_prime, target, n_symbols, delta, eps_cov = case
+    # one Blahut-Arimoto solve, the slowest step of a case, serves both covers
+    sol = blahut_arimoto(p_u, d_prime, target)
     try:
-        ref, _ = _reference_cover(p_u, d_prime, target, n_symbols, delta, eps_cov)
+        ref, _ = _reference_cover(p_u, d_prime, target, n_symbols, delta, eps_cov, solution=sol)
     except (InfeasibleError, EmptyTypicalSetError) as e:
         with pytest.raises(type(e)):
-            build_rd_codebook(p_u, d_prime, target, n_symbols, delta, eps_cov=eps_cov)
+            build_rd_codebook(p_u, d_prime, target, n_symbols, delta, eps_cov=eps_cov, solution=sol)
         return
-    cb = build_rd_codebook(p_u, d_prime, target, n_symbols, delta, eps_cov=eps_cov)
+    cb = build_rd_codebook(p_u, d_prime, target, n_symbols, delta, eps_cov=eps_cov, solution=sol)
     assert np.array_equal(cb.codewords[: cb.distinct_count], ref)
 
 

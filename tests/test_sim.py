@@ -485,15 +485,20 @@ class TestTrials:
         rep = books.key_types[1].representative
         rng = np.random.default_rng(7)
         x = np.zeros(12, dtype=np.int64)
+        found = 0
         for _ in range(5):
             k_perm = rng.permutation(rep)
             order = np.argsort(k_perm, kind="stable")
-            y_rep, ev1, _ = sim.embed_in_bin(books, 2, x, rep)
-            y_prm, ev2, _ = sim.embed_in_bin(books, 2, x, k_perm)
-            assert ev1 is None and ev2 is None
-            expected = np.empty(12, dtype=np.int64)
-            expected[order] = y_rep
-            assert np.array_equal(y_prm, expected)
+            for m in range(1, books.sizes.bins + 1):
+                y_rep, ev1, _ = sim.embed_in_bin(books, m, x, rep)
+                y_prm, ev2, _ = sim.embed_in_bin(books, m, x, k_perm)
+                assert ev1 == ev2
+                if ev1 is None:
+                    found += 1
+                    expected = np.empty(12, dtype=np.int64)
+                    expected[order] = y_rep
+                    assert np.array_equal(y_prm, expected)
+        assert found > 0
 
     @given(
         seed=st.integers(0, 7),

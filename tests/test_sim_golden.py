@@ -1,9 +1,11 @@
 """Byte-level regression of `simulate` and `audit` artifacts.
 
-The files under ``tests/data/`` were written by the simulator before its
-sampler tables, box-count kernel and RD cover were rewritten for speed.
-Those rewrites keep the random stream and every decision exactly as they
-were, so every artifact must stay identical to the byte.
+The files under ``tests/data/`` were last written when the codebooks moved
+to random stream 2, which draws each auxiliary book with one
+``ConditionalTypicalSampler.sample_rows`` batch per conditioning letter
+instead of successive ``sample`` calls.  Rewrites for speed keep the random
+stream and every decision exactly as they were, so every artifact must stay
+identical to the byte.
 
 Regenerate (only after an intended change of results, such as a declared
 change of the random stream) with ``PYTHONPATH=src python tests/test_sim_golden.py``.
@@ -69,7 +71,7 @@ CASES = {
     ),
     # n=8 exact equivocation under the noisy attack, with a binary covertext
     # and two stegotext words per auxiliary word; its trials include e1, e4,
-    # e5, encode_fallback and clean decodes
+    # encode_fallback and clean decodes
     "exact_noisy_n8": (
         "simulate",
         ["--spec", "{noisy}", "--aux", "{noisy_aux}", "--n", "8", "--trials", "40",
