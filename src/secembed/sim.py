@@ -29,7 +29,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .rd import RdCodebook, RdSolution, blahut_arimoto, build_rd_codebook, rd_decode, rd_encode
+from .rd import RdCodebook, RdSolution, blahut_arimoto, build_rd_codebook, rd_encode
 from .region import (
     KEYED_CONDITIONS,
     AuxChannel,
@@ -60,8 +60,13 @@ DEFAULT_STEGO_AUDIT_CAP = 1 << 22
 DEFAULT_KEY_ENUM_CAP = 1 << 20
 # stegotext words the compression audit moves to key positions at once
 _AUDIT_CHUNK_ROWS = 1 << 16
-# mask bytes one box-test kernel call ANDs at once
-_BOX_CHUNK_BYTES = 1 << 22
+# mask bytes one box-test kernel call ANDs at once; past about 512 KB its
+# working set leaves the cache and each context word costs 3-4x as much
+_BOX_CHUNK_BYTES = 1 << 18
+# trials, and enumerated (x, k) words, whose searches (and, for words,
+# decodes) run as one batch
+_TRIAL_CHUNK = 64
+_WORD_CHUNK = 8
 # entries each word-keyed cache of a CodebookSet (pads, stegotext books)
 # keeps; it drops the least recently used beyond that.  An entry is a pure
 # function of (seed, word), so a dropped one is redrawn the same.  A
@@ -154,7 +159,8 @@ class CodebookSet:
         self.joint = joint
         self.quantities = quantities
         self.key_types = key_types
-        self._type_index = {t.counts: i for i, t in enumerate(key_types)}
+        # a typical key's letters, sorted, spell its type's representative
+        self._type_index = {t.representative.tobytes(): i for i, t in enumerate(key_types)}
 
         k, x, v, y, z = joint.names
         self.k_size = spec.k_axis.size
@@ -189,13 +195,16 @@ class CodebookSet:
         self._v_dtype = letter_dtype(self.v_size)
         self._y_dtype = letter_dtype(self.y_size)
 
-        # every auxiliary book, drawn in type order, and its packed letter masks
-        self._aux_books: list[np.ndarray] = []
+        # every auxiliary book, drawn in type order, and its packed letter
+        # masks, stacked by type so a search can gather rows of many types
+        rows = sizes.bins * sizes.m2
+        self._aux_books = np.empty((len(key_types), rows, n), dtype=self._v_dtype)
+        self._aux_masks = np.empty((len(key_types), -(-n // 8), self.v_size, rows), dtype=np.uint8)
         for type_idx, ktype in enumerate(key_types):
             sampler = ConditionalTypicalSampler(ktype.representative, self.k_size, self._p_v_given_k, delta)
             rng = np.random.default_rng(np.random.SeedSequence((seed, _AUX_TAG, type_idx)))
-            self._aux_books.append(sampler.sample_rows(rng, sizes.bins * sizes.m2))
-        self._aux_masks = [_letter_masks(book, self.v_size) for book in self._aux_books]
+            self._aux_books[type_idx] = sampler.sample_rows(rng, rows)
+            self._aux_masks[type_idx] = _letter_masks(self._aux_books[type_idx], self.v_size)
         self._stego_books = _LruCache(_WORD_CACHE_ENTRIES)
         self._stego_samplers: dict[bytes, ConditionalTypicalSampler] = {}
         self._pads = _LruCache(_WORD_CACHE_ENTRIES)
@@ -210,12 +219,10 @@ class CodebookSet:
         the representative to this key: slot i of the representative
         corresponds to position order[i] of the key (stable per-letter
         matching)."""
-        counts = tuple(int(c) for c in np.bincount(k_arr, minlength=self.k_size))
-        idx = self._type_index.get(counts)
-        if idx is None:
-            return None
+        k_arr = np.asarray(k_arr, dtype=np.int64)
         order = np.argsort(k_arr, kind="stable")
-        return idx, order
+        idx = self._type_index.get(k_arr[order].tobytes())
+        return None if idx is None else (idx, order)
 
     def aux_book(self, type_idx: int) -> np.ndarray:
         """All M_U * M_2 auxiliary codewords of one representative, grouped by
@@ -505,13 +512,20 @@ def _rows_in_boxes(
     ``masks`` is one book's masks, tested against every context, or a stack
     of books' masks, one per context, each tested against its own context.
     A count is the popcount of the context's position mask ANDed with the
-    row's letter mask, summed over the masks' bytes."""
+    row's letter mask, summed over the masks' bytes.  A kernel call ANDs at
+    most ``_BOX_CHUNK_BYTES`` of masks, so longer stacks go in chunks."""
     lo, hi = bounds
+    stacked = masks.ndim == 4
+    chunk = max(1, _BOX_CHUNK_BYTES // (lo.shape[0] * math.prod(masks.shape[-3:])))
+    if len(contexts) > chunk:
+        starts = range(0, len(contexts), chunk)
+        parts = [(masks[s : s + chunk] if stacked else masks, contexts[s : s + chunk]) for s in starts]
+        return np.concatenate([_rows_in_boxes(m, c, bounds) for m, c in parts])
     place = np.packbits(contexts[:, None, :] == np.arange(lo.shape[0])[:, None], axis=-1)
-    if masks.ndim == 4:
+    if stacked:
         masks = masks[:, None]
     both = place[:, :, :, None, None] & masks
-    counts = np.add.reduce(np.bitwise_count(both), axis=2, dtype=lo.dtype)
+    counts = np.add.reduce(np.bitwise_count(both, out=both), axis=2, dtype=lo.dtype)
     ok = counts >= lo[:, :, None]
     ok &= counts <= hi[:, :, None]
     return np.logical_and.reduce(ok, axis=(1, 2))
@@ -533,51 +547,57 @@ class EmbedResult:
 
 
 def _search_bins(
-    codebooks: CodebookSet,
-    key_type: tuple[int, np.ndarray],
-    context: np.ndarray,
-    bins: Sequence[int],
+    codebooks: CodebookSet, pairs: Sequence[tuple[tuple[int, np.ndarray], np.ndarray, int]]
 ) -> list[tuple[np.ndarray | None, str | None, dict]]:
-    """The embedding search in each of ``bins``, as ``embed_in_bin`` returns
-    it: the first auxiliary row of the bin jointly typical with the (key,
-    covertext) ``context`` word, then the first word of that row's
+    """The embedding search of each (key type, context, bin) pair, as
+    ``embed_in_bin`` returns it: the first auxiliary row of the bin jointly
+    typical with the (key, covertext) ``context`` word, in the frame of the
+    key type ``(type index, order)``, then the first word of that row's
     stegotext book jointly typical with the context.  No typical row is e2;
-    no typical word, or a book with no word to draw, is e3.  One box test
-    covers the bins' auxiliary rows, and one the rows' books, each against
-    its own context."""
-    type_idx, order = key_type
+    no typical word, or a book with no word to draw, is e3.  Pairs of any
+    keys and key types go together: one box test covers every pair's bin
+    rows, and one the rows' books, each against its pair's context."""
+    if not pairs:
+        return []
     m2 = codebooks.sizes.m2
-    rows = ((np.asarray(bins) - 1)[:, None] * m2 + np.arange(m2)).ravel()
-    typical = _rows_in_boxes(codebooks.aux_masks(type_idx)[:, :, rows], context[None], codebooks.kxv_cells)
-    typical = typical.reshape(-1, m2)
-    first = np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
-    aux = codebooks.aux_book(type_idx)
-    out, drawn = [], []
-    for m, j in zip(bins, first.tolist()):
-        details = {"type_idx": type_idx, "order": order}
-        out.append((None, "e2", details))
-        if j < 0:
-            continue
-        v_rep = aux[(m - 1) * m2 + j]
-        details.update(v_rep=v_rep, j=j)
-        out[-1] = (None, "e3", details)
+    key_types, contexts, bins = zip(*pairs)
+    contexts = np.stack(contexts)
+    types = np.array([type_idx for type_idx, _ in key_types])
+    rows = (np.array(bins) - 1)[:, None] * m2 + np.arange(m2)
+    # each pair's bin rows as (pairs, bytes, letters, rows) masks
+    masks = np.moveaxis(codebooks._aux_masks[types[:, None], :, :, rows], 1, -1)
+    typical = _rows_in_boxes(masks, contexts, codebooks.kxv_cells)
+    j = np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
+    v_reps = codebooks._aux_books[types, rows[np.arange(len(rows)), j]]
+    drawn, books = [], []
+    for i in np.flatnonzero(j >= 0).tolist():
         try:
-            drawn.append((len(out) - 1, codebooks.stego_book(type_idx, v_rep)))
+            books.append(codebooks.stego_book(key_types[i][0], v_reps[i]))
+            drawn.append(i)
         except EmptyTypicalSetError:  # the book has no word to draw
             pass
+    j_prime = np.full(len(pairs), -1)
+    ys = np.empty((len(pairs), codebooks.n), dtype=np.int64)
     if drawn:
+        books = np.stack(books)
         hits = _rows_in_boxes(
-            _letter_masks(np.stack([book for _, book in drawn]), codebooks.y_size),
-            np.stack([context * codebooks.v_size + out[i][2]["v_rep"] for i, _ in drawn]),
+            _letter_masks(books, codebooks.y_size),
+            contexts[drawn] * codebooks.v_size + v_reps[drawn],
             codebooks.kxvy_cells,
         )
-        for (i, book), row_hits in zip(drawn, hits):
-            if row_hits.any():
-                details = out[i][2]
-                details["j_prime"] = int(row_hits.argmax())
-                y = np.empty(codebooks.n, dtype=np.int64)
-                y[order] = book[details["j_prime"]]
-                out[i] = (y, None, details)
+        j_prime[drawn] = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+        # each pair's first typical word, moved from the representative frame
+        # to its key's positions: slot t lands on position order[t]
+        orders = np.stack([key_types[i][1] for i in drawn])
+        ys[np.array(drawn)[:, None], orders] = books[np.arange(len(drawn)), j_prime[drawn]]
+    out = []
+    for (type_idx, order), row, row_prime, v_rep, y in zip(key_types, j.tolist(), j_prime.tolist(), v_reps, ys):
+        details = {"type_idx": type_idx, "order": order}
+        if row >= 0:
+            details.update(v_rep=v_rep, j=row)
+        if row_prime >= 0:
+            details["j_prime"] = row_prime
+        out.append((y, None, details) if row_prime >= 0 else (None, "e3" if row >= 0 else "e2", details))
     return out
 
 
@@ -601,13 +621,12 @@ def embed_in_bin(
     typical output.  Returns (y or None, failure event, details).  Works
     entirely in the representative frame, so permuting (x, k) permutes y
     covariantly.  ``key_type`` is the key's ``key_type_and_order``, when the
-    caller has it.  This is the one-bin call of the search that
-    ``WordSearch.search`` runs over many bins."""
+    caller has it.  This is the one-bin call of ``_search_bins``."""
     ktp = codebooks.key_type_and_order(k_arr) if key_type is None else key_type
     if ktp is None:
         return None, "e2", {}
     context = _search_context(codebooks, ktp, np.asarray(x_arr, dtype=np.int64))
-    return _search_bins(codebooks, ktp, context, [m])[0]
+    return _search_bins(codebooks, [(ktp, context, m)])[0]
 
 
 def _message_index(u_arr: np.ndarray, codebooks: CodebookSet) -> int | None:
@@ -621,7 +640,8 @@ def _message_index(u_arr: np.ndarray, codebooks: CodebookSet) -> int | None:
 class WordSearch:
     """The encoder's work on one (covertext, key) word, done once for every
     message word encoded with it: the key's type and order, the (k, x) pair
-    test, the pad, and the embedding search of each bin, kept once run.
+    test, the pad, the search context, and the embedding search of each
+    bin, kept once run; ``search_words`` searches many words at once.
 
     ``messages``, when given, maps each message word's bytes to its
     ``_message_index``, computed once for all the words it is used with."""
@@ -644,6 +664,7 @@ class WordSearch:
         )
         self.embeds = self.key_type is not None and self.pair_ok
         self.pad = 0 if self.key_type is None else codebooks.pad(self.k)
+        self.context = None if self.key_type is None else _search_context(codebooks, self.key_type, self.x)
         self._found: dict[int, tuple[np.ndarray | None, str | None, dict]] = {}
 
     def message_index(self, u_arr: np.ndarray) -> int | None:
@@ -662,20 +683,25 @@ class WordSearch:
         return w, (w ^ self.pad) + 1
 
     def search(self, bins: Iterable[int]) -> None:
-        """Run the embedding search (``_search_bins``) in each of ``bins``
-        not searched yet."""
-        new = sorted(set(bins) - self._found.keys())
-        if new:
-            context = _search_context(self.codebooks, self.key_type, self.x)
-            self._found.update(zip(new, _search_bins(self.codebooks, self.key_type, context, new)))
+        """Run the embedding search in each of ``bins`` not searched yet:
+        ``search_words`` of this word alone.  The key must be typical."""
+        search_words(self.codebooks, [(self, bins)])
 
     def result(self, m: int) -> tuple[np.ndarray | None, str | None, dict]:
-        """``embed_in_bin``'s result for bin m, kept once found: from
-        ``search`` when it has run in bin m, else from one ``embed_in_bin``
-        call."""
+        """``embed_in_bin``'s result for bin m, searched once."""
         if m not in self._found:
-            self._found[m] = embed_in_bin(self.codebooks, m, self.x, self.k, self.key_type)
+            self.search([m])
         return self._found[m]
+
+
+def search_words(codebooks: CodebookSet, requests: Iterable[tuple[WordSearch, Iterable[int]]]) -> None:
+    """Run the embedding search of each (word, bins) request in the bins
+    its word has not searched yet, with typical keys only; every word's
+    bins go in one ``_search_bins`` call, and each word keeps its results."""
+    todo = [(word, m) for word, bins in requests for m in sorted(set(bins) - word._found.keys())]
+    found = _search_bins(codebooks, [(word.key_type, word.context, m) for word, m in todo])
+    for (word, m), result in zip(todo, found):
+        word._found[m] = result
 
 
 def embed_encode(
@@ -756,49 +782,53 @@ class DecodeResult:
     bins_found: tuple[int, ...]
 
 
-def _sent_index(m: int, pad: int) -> int:
+def _sent_index(m: int | np.ndarray, pad: int | np.ndarray) -> int | np.ndarray:
     """The index bin m (1-based) carries under a key's pad: the inverse of
-    ``WordSearch.bin_of``'s (index XOR pad) + 1."""
+    ``WordSearch.bin_of``'s (index XOR pad) + 1; ints, or arrays of them."""
     return (m - 1) ^ pad
 
 
-def decode_many(z_rows: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> list[DecodeResult]:
+def decode_many(
+    z_rows: np.ndarray, k_rows: np.ndarray, codebooks: CodebookSet
+) -> tuple[np.ndarray, np.ndarray]:
     """Joint-typicality unique-bin decoding of every forged word (row) of
-    ``z_rows`` under one key, then decrypt and map through the
-    rate-distortion codebook: bin m carries index (m - 1) XOR the key's pad.
-    No typical auxiliary word -> e4; words in two or more bins -> e5.  A
-    kernel call tests a chunk of words against the whole auxiliary book."""
+    ``z_rows`` under the key on its row of ``k_rows``, as ``(hits, uhat)``:
+    ``hits[i, m - 1]`` says bin m holds an auxiliary word jointly typical
+    with forgery i (none does under an atypical key).  No bin is e4, two or
+    more e5; one bin m decodes to ``uhat[i]``, the rate-distortion codeword
+    of index (m - 1) XOR the key's pad.  One box test per key type covers
+    its keys' forgeries against its whole auxiliary book."""
     z_rows = np.asarray(z_rows, dtype=np.int64)
-    k_arr = np.asarray(k_seq, dtype=np.int64)
-    ktp = codebooks.key_type_and_order(k_arr)
-    if ktp is None:
-        return [DecodeResult(None, "e4", None, ()) for _ in z_rows]
-    type_idx, order = ktp
-    pad = codebooks.pad(k_arr)
-    rep = codebooks.key_types[type_idx].representative
-    contexts = rep * codebooks.z_size + z_rows[:, order]
-    masks = codebooks.aux_masks(type_idx)
+    k_rows = np.asarray(k_rows, dtype=np.int64)
     sizes = codebooks.sizes
-    chunk = max(1, _BOX_CHUNK_BYTES // (codebooks.kzv_cells[0].shape[0] * masks.size))
-    results = []
-    for start in range(0, len(contexts), chunk):
-        hits = _rows_in_boxes(masks, contexts[start : start + chunk], codebooks.kzv_cells)
-        for bin_hits in hits.reshape(len(hits), sizes.bins, sizes.m2).any(axis=2):
-            bins = tuple((np.flatnonzero(bin_hits) + 1).tolist())
-            if not bins:
-                results.append(DecodeResult(None, "e4", None, ()))
-            elif len(bins) > 1:
-                results.append(DecodeResult(None, "e5", None, bins))
-            else:
-                uhat = rd_decode(_sent_index(bins[0], pad), codebooks.rd_codebook).as_array()
-                results.append(DecodeResult(uhat, "ok", bins[0], bins))
-    return results
+    # the rows of each key type and each row's pad, once per distinct key
+    pads = np.zeros(len(k_rows), dtype=np.int64)
+    of_type = defaultdict(list)
+    keys: dict[bytes, tuple[int, int] | None] = {}
+    for i, k in enumerate(k_rows):
+        if (kb := k.tobytes()) not in keys:
+            ktp = codebooks.key_type_and_order(k)
+            keys[kb] = None if ktp is None else (ktp[0], codebooks.pad(k))
+        if keys[kb] is not None:
+            type_idx, pads[i] = keys[kb]
+            of_type[type_idx].append(i)
+    # each forged word in its key's representative frame
+    z_rep = z_rows[np.arange(len(z_rows))[:, None], np.argsort(k_rows, axis=1, kind="stable")]
+    hits = np.zeros((len(z_rows), sizes.bins), dtype=bool)
+    for type_idx, rows in of_type.items():
+        contexts = codebooks.key_types[type_idx].representative * codebooks.z_size + z_rep[rows]
+        in_box = _rows_in_boxes(codebooks.aux_masks(type_idx), contexts, codebooks.kzv_cells)
+        hits[rows] = in_box.reshape(len(rows), sizes.bins, sizes.m2).any(axis=2)
+    return hits, codebooks.rd_codebook.codewords[_sent_index(hits.argmax(axis=1) + 1, pads)]
 
 
 def decode(z_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> DecodeResult:
-    """``decode_many`` of one forged word."""
-    (result,) = decode_many(np.asarray(z_seq)[None], k_seq, codebooks)
-    return result
+    """``decode_many`` of one forged word, with its event."""
+    hits, uhat = decode_many(np.asarray(z_seq)[None], np.asarray(k_seq)[None], codebooks)
+    bins = tuple((np.flatnonzero(hits[0]) + 1).tolist())
+    if len(bins) != 1:
+        return DecodeResult(None, "e5" if bins else "e4", None, bins)
+    return DecodeResult(uhat[0], "ok", bins[0], bins)
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +885,10 @@ def run_trials(
     fallback embedding still produced a codebook word, encode_fallback when
     the all-zero word had to be transmitted, e2/e3 for failed searches on
     typical inputs, e4/e5 for decode-side failures, and none otherwise.
+
+    Trials go ``_TRIAL_CHUNK`` at a time: each draws u and (x, k) from its
+    own generator, the chunk's searches run as one ``search_words`` call,
+    then each trial encodes, draws its attack and decodes in turn.
     """
     if codebooks is not None and (codebooks.n != n or codebooks.delta != delta):
         raise ValidationError(
@@ -879,13 +913,22 @@ def run_trials(
     n_dup = 0
     results: list[TrialResult] = []
 
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _TRIAL_TAG, t)))
-        u = rng.choice(pu.size, size=books.n_message, p=pu)
-        cells = rng.choice(pxk.size, size=n, p=pxk)
-        x, k = cells // k_size, cells % k_size
+    def chunk(start: int) -> list[tuple[np.random.Generator, np.ndarray, WordSearch]]:
+        """The chunk's trials from ``start`` on as (generator, u, searched word)."""
+        messages: dict[bytes, int | None] = {}
+        drawn = []
+        for t in range(start, min(trials, start + _TRIAL_CHUNK)):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, _TRIAL_TAG, t)))
+            u = rng.choice(pu.size, size=books.n_message, p=pu)
+            cells = rng.choice(pxk.size, size=n, p=pxk)
+            messages[u.tobytes()] = _message_index(u, books)
+            drawn.append((rng, u, WordSearch(books, cells // k_size, cells % k_size, messages)))
+        search_words(books, [(w, [w.bin_of(messages[u.tobytes()])[1]]) for _, u, w in drawn if w.embeds])
+        return drawn
 
-        enc = embed_encode(u, x, k, books)
+    for rng, u, word in itertools.chain.from_iterable(map(chunk, range(0, trials, _TRIAL_CHUNK))):
+        x, k = word.x, word.k
+        enc = embed_encode(u, x, k, books, word)
         z = attack(enc.y, spec, rng, cdf)
         dec = decode(z, k, books)
 
@@ -1046,11 +1089,12 @@ def estimate_equivocation(
     The enumeration does each piece of work once per word it depends on:
     - once per message word u: its typicality and rate-distortion index;
     - once per (x, k) word: a ``WordSearch`` (key type and order, pair test,
-      pad), one search of the distinct bins the word's states reach (one
-      box test over their auxiliary rows, one stacked stegotext test), the
-      forged words of each distinct stegotext word, and one ``decode_many``
-      of the key's forged words not decoded yet;
-    - once per (u, x, k) state: one ``embed_encode`` call and the sums.
+      pad), and the forged words of each distinct stegotext word;
+    - once per ``_WORD_CHUNK`` (x, k) words: one ``search_words`` of the
+      distinct bins each word's states reach, and one ``decode_many`` of
+      the (key, forged word) pairs not decoded yet;
+    - once per (u, x, k) state: one ``embed_encode`` call and the sums,
+      word by word in enumeration order.
     """
     spec = codebooks.spec
     n, n_msg = codebooks.n, codebooks.n_message
@@ -1129,52 +1173,47 @@ def estimate_equivocation(
     enc_path_prob = 0.0
     decode_cache: dict[bytes, bytes] = {}
 
-    for xk in words(xk_size, n):
-        x = xk // spec.k_axis.size
-        k = xk % spec.k_axis.size
-        p_xk_word = float(np.prod(pxk[x, k]))
-        if p_xk_word == 0.0:
-            continue
-        word = WordSearch(codebooks, x, k, messages)
-        live = []
-        for u, p_u_word in u_words:
-            p_word = p_u_word * p_xk_word
-            if p_word != 0.0:
-                live.append((u, p_word))
-        if word.embeds:
-            word.search(word.bin_of(messages[u.tobytes()])[1] for u, _ in live)
-        states = [(u, p_word, embed_encode(u, x, k, codebooks, word)) for u, p_word in live]
-        # the forged words of each distinct stegotext word
-        forgeries: dict[bytes, list[tuple[np.ndarray, float]]] = {}
-        for _, _, enc in states:
-            ykey = enc.y.tobytes()
-            if ykey not in forgeries:
-                forgeries[ykey] = forged(enc.y)
-        # decode the key's forged words not decoded yet, as one batch
-        kb = k.tobytes()
-        fresh = {}
-        for zs in forgeries.values():
-            for z, _ in zs:
-                dkey = kb + z.tobytes()
-                if dkey not in decode_cache:
-                    fresh[dkey] = z
+    xk_words = words(xk_size, n)
+    while chunk := list(itertools.islice(xk_words, _WORD_CHUNK)):
+        batch = []  # the chunk's (x, k) words of positive probability, with their states
+        for xk in chunk:
+            x, k = xk // spec.k_axis.size, xk % spec.k_axis.size
+            p_xk_word = float(np.prod(pxk[x, k]))
+            if p_xk_word != 0.0:
+                live = [(u, p_u * p_xk_word) for u, p_u in u_words if p_u * p_xk_word != 0.0]
+                batch.append((WordSearch(codebooks, x, k, messages), live))
+        search_words(
+            codebooks,
+            [(w, [w.bin_of(messages[u.tobytes()])[1] for u, _ in live]) for w, live in batch if w.embeds],
+        )
+        for i, (word, live) in enumerate(batch):
+            states = [(u, p_word, embed_encode(u, word.x, word.k, codebooks, word)) for u, p_word in live]
+            # the forged words of each distinct stegotext word
+            ys = {enc.y.tobytes(): enc.y for _, _, enc in states}
+            batch[i] = (word, states, {ykey: forged(y) for ykey, y in ys.items()})
+        # the chunk's (key, forged word) pairs not decoded yet, decoded at once
+        pairs = {w.k.tobytes() + z.tobytes(): (w.k, z) for w, _, fs in batch for zs in fs.values() for z, _ in zs}
+        fresh = {dkey: pair for dkey, pair in pairs.items() if dkey not in decode_cache}
         if fresh:
-            decoded = decode_many(np.array(list(fresh.values())), k, codebooks)
-            for dkey, dec in zip(fresh, decoded):
-                decode_cache[dkey] = dec.uhat.tobytes() if dec.uhat is not None else b"err"
-        for u, p_word, enc in states:
-            u_on_path = word.key_type is not None and messages[u.tobytes()] is not None
-            if u_on_path:
-                enc_path_prob += p_word
-            ykey = enc.y.tobytes()
-            for z, pz in forgeries[ykey]:
-                p = p_word * pz
-                key = ykey + z.tobytes()
-                u_rows[key][u.tobytes()] += p
-                uhat_rows[key][decode_cache[kb + z.tobytes()]] += p
-                bin_rows[ykey][enc.m] += p
+            keys, zs = zip(*fresh.values())
+            hits, uhat = decode_many(np.array(zs), np.array(keys), codebooks)
+            for dkey, ok, row in zip(fresh, (hits.sum(axis=1) == 1).tolist(), uhat):
+                decode_cache[dkey] = row.tobytes() if ok else b"err"
+        for word, states, forgeries in batch:
+            kb = word.k.tobytes()
+            for u, p_word, enc in states:
+                u_on_path = word.key_type is not None and messages[u.tobytes()] is not None
                 if u_on_path:
-                    bin_rows_enc[ykey][enc.m] += p
+                    enc_path_prob += p_word
+                ykey = enc.y.tobytes()
+                for z, pz in forgeries[ykey]:
+                    p = p_word * pz
+                    key = ykey + z.tobytes()
+                    u_rows[key][u.tobytes()] += p
+                    uhat_rows[key][decode_cache[kb + z.tobytes()]] += p
+                    bin_rows[ykey][enc.m] += p
+                    if u_on_path:
+                        bin_rows_enc[ykey][enc.m] += p
 
     h_u = _entropy_of_rows(u_rows)
     h_uhat = _entropy_of_rows(uhat_rows)

@@ -248,7 +248,7 @@ class TestStegoStream:
         K, X, V, Y = trend_spec.k_axis, trend_spec.x_axis, Axis("V", 2), trend_spec.y_axis
         aux = AuxChannel(DistTable([K, X, V, Y], np.full((2, 1, 2, 2), 0.25), given=("K", "X")))
         books = build_trend(trend_spec, aux, 8, m3_bits=2)
-        t = books._type_index[(4, 4)]
+        t, _ = books.key_type_and_order(np.repeat([0, 1], 4))
         v1 = np.array([0, 1, 0, 1, 1, 0, 1, 0])
         v2 = np.array([1, 1, 0, 0, 0, 0, 1, 1])  # the same (k, v) counts
         for v in (v1, v2):
@@ -873,12 +873,28 @@ def _decode_fields(d):
     return d.event, d.bin_index, d.bins_found, None if d.uhat is None else d.uhat.tolist()
 
 
+def _decode_many_fields(z_rows, k_rows, books):
+    """``_decode_fields`` of each row of one ``decode_many`` call, read
+    from its (hits, uhat) arrays."""
+    hits, uhat = sim.decode_many(z_rows, k_rows, books)
+    assert hits.dtype == bool and hits.shape == (len(z_rows), books.sizes.bins)
+    assert uhat.dtype == np.int64 and uhat.shape == (len(z_rows), books.n_message)
+    out = []
+    for row_hits, row_uhat in zip(hits, uhat):
+        bins = tuple(int(b) + 1 for b in np.flatnonzero(row_hits))
+        if len(bins) == 1:
+            out.append(("ok", bins[0], bins, row_uhat.tolist()))
+        else:
+            out.append(("e5" if bins else "e4", None, bins, None))
+    return out
+
+
 class TestDecodeMany:
     @given(
         seed=st.integers(0, 3),
         n=st.sampled_from([8, 12]),
         m2_bits=st.integers(0, 4),
-        key_kind=st.sampled_from(["typical", "atypical"]),
+        key_kind=st.sampled_from(["typical", "atypical", "per_row"]),
         one_word_chunks=st.booleans(),
         draw_seed=st.integers(0, 2**32 - 1),
     )
@@ -886,34 +902,44 @@ class TestDecodeMany:
     def test_matches_per_word_decode_and_reference(
         self, seed, n, m2_bits, key_kind, one_word_chunks, draw_seed
     ):
+        """One key for every row, or a key per row of several types, some
+        atypical; with one-word kernel chunks or the default ones."""
         books = _decode_books(seed, n, m2_bits)
         rng = np.random.default_rng(draw_seed)
+        rows = int(rng.integers(1, 12))
+
+        def typical_key():
+            return rng.permutation(books.key_types[rng.integers(len(books.key_types))].representative)
+
         if key_kind == "typical":
-            k = rng.permutation(books.key_types[rng.integers(len(books.key_types))].representative)
+            k_rows = np.repeat(typical_key()[None], rows, axis=0)
+        elif key_kind == "atypical":
+            k_rows = np.zeros((rows, n), dtype=np.int64)
         else:
-            k = np.zeros(n, dtype=np.int64)
+            k_rows = np.stack([typical_key() if rng.random() < 0.8 else np.zeros(n, dtype=np.int64)
+                               for _ in range(rows)])
         # encoded words (which decode, or fall in several bins) and random ones
-        z_rows = rng.integers(0, 2, size=(int(rng.integers(1, 12)), n))
-        for row in z_rows[::2]:
+        z_rows = rng.integers(0, 2, size=(rows, n))
+        for row, k in zip(z_rows[::2], k_rows[::2]):
             u = rng.integers(0, 2, size=books.n_message)
             row[:] = sim.embed_encode(u, np.zeros(n, dtype=np.int64), k, books).y
         with mock.patch.object(sim, "_BOX_CHUNK_BYTES", 1 if one_word_chunks else sim._BOX_CHUNK_BYTES):
-            batch = sim.decode_many(z_rows, k, books)
+            batch = _decode_many_fields(z_rows, k_rows, books)
         assert len(batch) == len(z_rows)
-        for z, got in zip(z_rows, batch):
-            assert _decode_fields(got) == _decode_fields(sim.decode(z, k, books))
+        for z, k, got in zip(z_rows, k_rows, batch):
+            assert got == _decode_fields(sim.decode(z, k, books))
             event, bin_index, bins, uhat = _reference_decode(z, k, books)
-            assert _decode_fields(got) == (event, bin_index, bins, None if uhat is None else uhat.tolist())
+            assert got == (event, bin_index, bins, None if uhat is None else uhat.tolist())
 
     def test_batch_covers_every_event(self):
         books = _decode_books(0, 8, 2)
         rng = np.random.default_rng(3)
         k = books.key_types[1].representative
         z_rows = rng.integers(0, 2, size=(200, 8))
-        batch = sim.decode_many(z_rows, k, books)
-        assert {d.event for d in batch} == {"ok", "e4", "e5"}
-        assert [_decode_fields(d) for d in batch] == [_decode_fields(sim.decode(z, k, books)) for z in z_rows]
-        assert sim.decode_many(np.zeros((0, 8), dtype=np.int64), k, books) == []
+        batch = _decode_many_fields(z_rows, np.repeat(k[None], 200, axis=0), books)
+        assert {event for event, *_ in batch} == {"ok", "e4", "e5"}
+        assert batch == [_decode_fields(sim.decode(z, k, books)) for z in z_rows]
+        assert _decode_many_fields(np.zeros((0, 8), dtype=np.int64), np.zeros((0, 8), dtype=np.int64), books) == []
 
 
 @functools.lru_cache(maxsize=None)
@@ -985,12 +1011,12 @@ class TestPad:
             for row in z_rows[::2]:  # encoded words, which mostly decode
                 u = rng.integers(0, 2, size=books.n_message)
                 row[:] = sim.embed_encode(u, np.zeros(books.n, dtype=np.int64), k, books).y
-            batch = sim.decode_many(z_rows, k, books)
+            batch = _decode_many_fields(z_rows, np.repeat(k[None], len(z_rows), axis=0), books)
             expected = [_reference_decode(z, k, books) for z in z_rows]
-            assert [_decode_fields(d) for d in batch] == [
+            assert batch == [
                 (e, b, bins, None if uhat is None else uhat.tolist()) for e, b, bins, uhat in expected
             ]
-            assert any(d.event == "ok" for d in batch)
+            assert any(event == "ok" for event, *_ in batch)
 
 
 def _per_state_enumeration(codebooks):
@@ -1264,17 +1290,60 @@ class TestBatchedSearch:
             if search.key_type is None:
                 continue
             for m in range(1, books.sizes.bins + 1):
-                try:
-                    want = _frozen_embed_in_bin(books, m, x, k)
-                except EmptyTypicalSetError:
-                    want = None
-                for y, event, details in (sim.embed_in_bin(books, m, x, k), search.result(m)):
-                    if want is None:
-                        assert y is None and event == "e3" and "j_prime" not in details
-                        continue
-                    assert _same(y, want[0]) and event == want[1]
-                    assert details.keys() == want[2].keys()
-                    assert all(_same(details[key], want[2][key]) for key in details)
+                _assert_frozen_bin(books, m, x, k, sim.embed_in_bin(books, m, x, k))
+                _assert_frozen_bin(books, m, x, k, search.result(m))
+
+    @given(_search_cases(), st.sampled_from([1, 2, None]))
+    @settings(max_examples=60, deadline=None)
+    def test_words_of_many_key_types_in_one_call(self, case, contexts_per_kernel_call):
+        _check_one_search_call(*case, contexts_per_kernel_call)
+
+    @pytest.mark.parametrize("contexts_per_kernel_call", [1, 2, None])
+    def test_one_call_fails_undrawable_books_with_e3(self, contexts_per_kernel_call):
+        books = TestUndrawableStegoBook._books()
+        keys = [np.array(k) for k in np.ndindex(2, 2, 2, 2)]
+        _check_one_search_call(books, [np.zeros(4, dtype=np.int64)] * len(keys), keys, contexts_per_kernel_call)
+
+
+def _assert_frozen_bin(books, m, x, k, got):
+    """A search result for bin m against ``_frozen_embed_in_bin``, field by
+    field; where that raises for a book with no word to draw, e3."""
+    y, event, details = got
+    try:
+        want = _frozen_embed_in_bin(books, m, x, k)
+    except EmptyTypicalSetError:
+        assert y is None and event == "e3" and "j_prime" not in details
+        return
+    assert _same(y, want[0]) and event == want[1]
+    assert details.keys() == want[2].keys()
+    assert all(_same(details[key], want[2][key]) for key in details)
+
+
+def _check_one_search_call(books, xs, ks, contexts_per_kernel_call):
+    """Every bin of every (x, k) word with a typical key, of all key types,
+    searched by one ``search_words`` call, with box-test kernel calls of
+    one or two auxiliary contexts each or of the default size."""
+    words = [(x, k, sim.WordSearch(books, x, k)) for x, k in zip(xs, ks)]
+    words = [(x, k, w) for x, k, w in words if w.key_type is not None]
+    bins = range(1, books.sizes.bins + 1)
+    chunk = sim._BOX_CHUNK_BYTES
+    if contexts_per_kernel_call is not None:  # the bytes of that many contexts' bin masks
+        masks = books.aux_masks(0)
+        chunk = contexts_per_kernel_call * len(books.kxv_cells[0]) * math.prod(masks.shape[:-1]) * books.sizes.m2
+    calls = []
+    search_bins = sim._search_bins
+
+    def counted(codebooks, pairs):
+        calls.append(len(pairs))
+        return search_bins(codebooks, pairs)
+
+    with mock.patch.object(sim, "_BOX_CHUNK_BYTES", chunk), mock.patch.object(sim, "_search_bins", counted):
+        sim.search_words(books, [(w, bins) for _, _, w in words])
+        assert calls == [len(words) * len(bins)]
+        for x, k, w in words:
+            for m in bins:
+                _assert_frozen_bin(books, m, x, k, w.result(m))
+        assert len(calls) == 1  # every result came from the one call
 
 
 class TestUndrawableStegoBook:

@@ -175,6 +175,30 @@ def test_two_entry_word_caches_write_the_same_bytes(name, tmp_path, monkeypatch)
     assert drops > 0 and redraws > 0
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_trial_and_one_word_chunks_write_the_same_bytes(name, tmp_path, monkeypatch):
+    """Trials and enumerated (x, k) words searched, and words decoded, one
+    at a time write the golden bytes too, so batching them changes no
+    result; no search call then holds more than one word."""
+    search_words = sim.search_words
+    words_per_call = []
+
+    def counted(codebooks, requests):
+        requests = list(requests)
+        words_per_call.append(len(requests))
+        return search_words(codebooks, requests)
+
+    monkeypatch.setattr(sim, "_TRIAL_CHUNK", 1)
+    monkeypatch.setattr(sim, "_WORD_CHUNK", 1)
+    monkeypatch.setattr(sim, "search_words", counted)
+    out = _run_case(name, tmp_path)
+    for suffix in CASES[name][2]:
+        got = Path(str(out) + suffix).read_bytes()
+        assert got == (DATA / f"{name}{suffix}").read_bytes(), suffix
+    assert max(words_per_call, default=0) <= 1
+    assert bool(words_per_call) == (CASES[name][0] == "simulate")
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -118,7 +118,7 @@ class TestJointMembership:
         hits = 0
         for _ in range(trials):
             a = rng.choice(2, size=n, p=[0.4, 0.6])
-            b = np.array([rng.choice(2, p=kmat[ai]) for ai in a])
+            b = (rng.random(n) < kmat[a, 1]).astype(np.int64)  # B = 1 with probability K(1 | a)
             hits += is_jointly_delta_typical(
                 SymbolSequence(tuple(a), A), SymbolSequence(tuple(b), Axis("B", 2)), p, k, delta
             )
