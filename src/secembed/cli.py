@@ -145,17 +145,7 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
 
     if config.command == "simulate":
         books = build(config.seed)  # the trials and the enumeration share one build
-        agg = sim.run_trials(
-            spec,
-            config.aux,
-            config.n,
-            config.trials,
-            config.delta,
-            config.seed,
-            config.d_prime,
-            codebooks=books,
-            collect_transcripts=True,
-        )
+        agg = sim.run_trials(books, config.trials, config.seed)
         trial_rows = [
             [
                 i,

@@ -43,33 +43,26 @@ def _channel_rate(p: np.ndarray, w: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-def _ba_fixed_slope(p: np.ndarray, cost: np.ndarray, s: float, rate_tol: float, max_iter: int):
+def _ba_fixed_slope(p: np.ndarray, cost: np.ndarray, s: float):
     """Inner Blahut-Arimoto loop at slope parameter s (bits per unit
     distortion).  Returns (rate, distortion, channel, iterations)."""
     m_out = cost.shape[1]
     q = np.full(m_out, 1.0 / m_out)
     a = np.exp2(-s * cost)
     prev_rate = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         denom = a @ q
         w = (q[None, :] * a) / denom[:, None]
         q = p @ w
         rate = _channel_rate(p, w)
-        if abs(prev_rate - rate) < rate_tol:
+        if abs(prev_rate - rate) < RATE_TOL:
             dist = float((p[:, None] * w * cost).sum())
             return rate, dist, w, it
         prev_rate = rate
-    raise ConvergenceError(f"Blahut-Arimoto did not converge within {max_iter} iterations")
+    raise ConvergenceError(f"Blahut-Arimoto did not converge within {MAX_ITERATIONS} iterations")
 
 
-def blahut_arimoto(
-    p_u: DistTable,
-    d_prime: DistortionMeasure,
-    target_d: float,
-    *,
-    rate_tol: float = RATE_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-) -> RdSolution:
+def blahut_arimoto(p_u: DistTable, d_prime: DistortionMeasure, target_d: float) -> RdSolution:
     """R_U(D') = min { I(U;Uhat) : E d'(U,Uhat) <= D' } on finite alphabets.
 
     Below the minimum distortion of any deterministic map the solver returns
@@ -108,20 +101,20 @@ def blahut_arimoto(
 
     total_iters = 0
     s_lo, s_hi = 0.0, 1.0
-    rate_hi, dist_hi, w_hi, it = _ba_fixed_slope(p, cost, s_hi, rate_tol, max_iterations)
+    rate_hi, dist_hi, w_hi, it = _ba_fixed_slope(p, cost, s_hi)
     total_iters += it
     while dist_hi > target_d:
         s_hi *= 2.0
         if s_hi > 2.0**40:
             raise ConvergenceError("slope bisection failed to bracket the target distortion")
-        rate_hi, dist_hi, w_hi, it = _ba_fixed_slope(p, cost, s_hi, rate_tol, max_iterations)
+        rate_hi, dist_hi, w_hi, it = _ba_fixed_slope(p, cost, s_hi)
         total_iters += it
 
     for _ in range(200):
         if target_d - dist_hi < 1e-11:
             break
         mid = 0.5 * (s_lo + s_hi)
-        rate_m, dist_m, w_m, it = _ba_fixed_slope(p, cost, mid, rate_tol, max_iterations)
+        rate_m, dist_m, w_m, it = _ba_fixed_slope(p, cost, mid)
         total_iters += it
         if dist_m > target_d:
             s_lo = mid
@@ -134,17 +127,12 @@ def blahut_arimoto(
     return RdSolution(rate_hi, ch, dist_hi, total_iters)
 
 
-def rd_curve(
-    p_u: DistTable,
-    d_prime: DistortionMeasure,
-    grid,
-    **kwargs,
-) -> list[tuple[float, RdSolution]]:
+def rd_curve(p_u: DistTable, d_prime: DistortionMeasure, grid) -> list[tuple[float, RdSolution]]:
     """Solve along an ascending grid of distortion targets."""
     grid = [float(g) for g in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValidationError("distortion grid must be sorted ascending")
-    return [(g, blahut_arimoto(p_u, d_prime, g, **kwargs)) for g in grid]
+    return [(g, blahut_arimoto(p_u, d_prime, g)) for g in grid]
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +181,9 @@ def build_rd_codebook(
     target_d: float,
     n_symbols: int,
     delta: float,
-    rng: np.random.Generator | None = None,
     *,
     eps_cov: float = 0.0,
     extra_index_bits: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     solution: RdSolution | None = None,
 ) -> RdCodebook:
     """Greedy set cover of the typical source words at radius
@@ -211,14 +197,14 @@ def build_rd_codebook(
     toward the lowest index.
     """
     sol = solution or blahut_arimoto(p_u, d_prime, target_d)
-    sources = enumerate_typical(p_u, n_symbols, delta, cap=cap)
+    sources = enumerate_typical(p_u, n_symbols, delta)
     if not sources:
         raise EmptyTypicalSetError(
             f"no typical source words at n={n_symbols}, delta={delta}"
         )
     q_out = p_u.values @ sol.test_channel.conditional_matrix((d_prime.rows.name,), (d_prime.cols.name,))
     q_table = DistTable((d_prime.cols,), q_out / q_out.sum())
-    candidates = enumerate_typical(q_table, n_symbols, delta, cap=cap)
+    candidates = enumerate_typical(q_table, n_symbols, delta)
 
     src = np.array([s.symbols for s in sources], dtype=np.int64)
     radius = n_symbols * (target_d + eps_cov)
@@ -244,7 +230,7 @@ def build_rd_codebook(
     extended = False
     while uncovered.any():
         if gains.size == 0 or gains.max() == 0:
-            if extended or d_prime.cols.size**n_symbols > cap:
+            if extended or d_prime.cols.size**n_symbols > DEFAULT_ENUMERATION_CAP:
                 raise InfeasibleError(
                     "greedy cover stalled: some typical source words are not "
                     "coverable at this radius; increase eps_cov or delta"

@@ -213,11 +213,6 @@ def compose_system(spec: SystemSpec, aux: AuxChannel) -> DistTable:
     return compose_joint(spec.p_xk, aux.table, spec.p_z_given_y)
 
 
-def _rd_rate(spec: SystemSpec, d_prime_value: float, rd: RdSolution | None) -> tuple[float, RdSolution]:
-    sol = rd or blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value)
-    return sol.rate_bits, sol
-
-
 def _warn_key_assumption(h_k: float, lam: float, r: float) -> None:
     if h_k > lam * r + SLACK_TOL:
         warnings.warn(
@@ -312,7 +307,7 @@ def eval_keyed_region(
     """The six-condition report for the general (keyed, attacked) region."""
     joint = compose_system(spec, aux)
     q = system_quantities(spec, aux, joint)
-    r, _ = _rd_rate(spec, point.d_prime, rd_solution)
+    r = (rd_solution or blahut_arimoto(spec.p_u, spec.d_prime, point.d_prime)).rate_bits
     _warn_key_assumption(q["H(K)"], spec.lam, r)
     q["R_U(D')"] = r
     return ConditionReport(_keyed_entries(point, q, spec.lam, r), q)
@@ -361,14 +356,13 @@ def eval_attack_free_region(
     spec: SystemSpec,
     p_y_given_x: DistTable,
     point: RegionPoint,
-    rd_solution: RdSolution | None = None,
 ) -> ConditionReport:
     """Attack-free region with lossy message reconstruction."""
     _require_independent_key(spec)
     xy = _attack_free_xy(spec, p_y_given_x)
     x_name, y_name = xy.names
     lam = spec.lam
-    r, _ = _rd_rate(spec, point.d_prime, rd_solution)
+    r = blahut_arimoto(spec.p_u, spec.d_prime, point.d_prime).rate_bits
     q = {
         "H(U)": entropy(spec.p_u),
         "H(K)": entropy(spec.p_xk, (spec.k_axis.name,)),
@@ -431,12 +425,11 @@ def inherent_constraint_check(
     spec: SystemSpec,
     aux: AuxChannel,
     d_prime_value: float,
-    rd_solution: RdSolution | None = None,
 ) -> tuple[bool, float]:
     """The counting constraint lambda R_U(D') + I(X;Y,V|K) <= H(Y|K) that any
     realizable operating point must satisfy; returns (ok, slack)."""
     q = system_quantities(spec, aux)
-    r, _ = _rd_rate(spec, d_prime_value, rd_solution)
+    r = blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value).rate_bits
     slack = -counting_excess(q, spec.lam, r)
     return slack >= -SLACK_TOL, slack
 
@@ -551,6 +544,8 @@ def check_attack_free_reduction(
 # ---------------------------------------------------------------------------
 
 _EVAL_CHUNK = 1 << 15  # kernels per evaluation, counted in (B, K, X, V, Y, Z) joint entries, to bound memory
+_MAX_SWEEPS, _OBJ_TOL = 60, 1e-7  # a restart's sweep limit, and the least gain of a sweep that keeps it going
+_PENALTY_WEIGHT = 100.0  # the penalty's weight in a restart's score
 
 
 def _max0(x: np.ndarray) -> np.ndarray:
@@ -578,7 +573,7 @@ class _FastEvaluator:
     of shape (B, K, X, V, Y); skips DistTable validation inside the inner
     loop.  Every kernel's values are bit-identical to a stack of one."""
 
-    def __init__(self, spec: SystemSpec, d_prime_value: float, rd_solution: RdSolution | None):
+    def __init__(self, spec: SystemSpec, d_prime_value: float):
         self.lam = spec.lam
         self.xk = spec.p_xk.reorder((spec.k_axis.name, spec.x_axis.name)).values
         self.att = spec.p_z_given_y.conditional_matrix(
@@ -586,7 +581,8 @@ class _FastEvaluator:
         )
         self.cost = spec.d.cost
         self.h_u = entropy(spec.p_u)
-        self.r, self.rd = _rd_rate(spec, d_prime_value, rd_solution)
+        self.rd = blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value)
+        self.r = self.rd.rate_bits
 
     def quantities(self, q_kxvy: np.ndarray) -> dict[str, np.ndarray]:
         """The keyed region's quantities of each kernel in the stack.
@@ -686,10 +682,6 @@ def optimize_region(
     v_cardinality: int | None = None,
     restarts: int = 32,
     seed: int | None = 0,
-    max_sweeps: int = 60,
-    obj_tol: float = 1e-7,
-    penalty_weight: float = 100.0,
-    rd_solution: RdSolution | None = None,
 ) -> OptimizationResult:
     """Extremize one region coordinate over the aux kernel, holding the given
     coordinates fixed, by multi-start projected coordinate ascent on the
@@ -698,7 +690,7 @@ def optimize_region(
     All restarts sweep the (k, x) blocks in lockstep: per block, one batched
     call scores every forward-difference copy, and at most two more find each
     restart's first projected step in 0.5, 0.25, ... (above 1e-6) that gains
-    over 1e-12.  A restart stops after its first sweep gaining under ``obj_tol``.
+    over 1e-12.  A restart stops after its first sweep gaining under ``_OBJ_TOL``.
 
     Every reported point is certified by re-evaluating the full condition set
     (inner-bound semantics: local optima are acceptable, infeasibility is
@@ -720,7 +712,7 @@ def optimize_region(
     v_size = bound if v_cardinality is None else v_cardinality
     if not 1 <= v_size <= bound:
         raise ValidationError(f"v_cardinality must lie in 1..{bound} (the support bound), got {v_size}")
-    ev = _FastEvaluator(spec, float(fixed["d_prime"]), rd_solution)
+    ev = _FastEvaluator(spec, float(fixed["d_prime"]))
 
     ks, xs, ys = spec.k_axis.size, spec.x_axis.size, spec.y_axis.size
     dim = v_size * ys
@@ -728,7 +720,7 @@ def optimize_region(
     ss = np.random.SeedSequence(seed)
     draws = [np.random.default_rng(c).dirichlet(np.ones(dim), size=(ks, xs)) for c in ss.spawn(restarts)]
     q = np.stack(draws).reshape(restarts, ks, xs, v_size, ys)
-    score = ev.score(q, fixed, objective, sign, penalty_weight)
+    score = ev.score(q, fixed, objective, sign, _PENALTY_WEIGHT)
     chunk = max(1, _EVAL_CHUNK // (q[0].size * spec.z_axis.size))
 
     def scores(rows: np.ndarray, k: int, x: int, blocks: np.ndarray) -> np.ndarray:
@@ -738,11 +730,11 @@ def optimize_region(
         for i in range(0, len(rows), chunk):
             stack = q[rows[i : i + chunk]]
             stack[:, k, x] = blocks[i : i + chunk].reshape(-1, v_size, ys)
-            out.append(ev.score(stack, fixed, objective, sign, penalty_weight))
+            out.append(ev.score(stack, fixed, objective, sign, _PENALTY_WEIGHT))
         return np.concatenate(out)
 
     active = np.arange(restarts)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         improved = np.zeros(len(active))
         for k in range(ks):
             for x in range(xs):
@@ -768,8 +760,8 @@ def optimize_region(
                     q[active[r], k, x] = cand.reshape(-1, part.size, v_size, ys)[hit, first]
                     score[active[r]] = cand_score[hit, first]
                     rows = rows[~hit]
-        # a restart stops after its first sweep that gains less than obj_tol
-        active = active[~(improved < obj_tol)]
+        # a restart stops after its first sweep that gains less than _OBJ_TOL
+        active = active[~(improved < _OBJ_TOL)]
         if not active.size:
             break
 

@@ -52,7 +52,7 @@ from .typical import (
     typical_set_probability,
 )
 
-_AUX_TAG, _STEGO_TAG, _SW_TAG, _TRIAL_TAG, _BUILD_TAG = 1, 2, 3, 4, 5
+_AUX_TAG, _STEGO_TAG, _SW_TAG, _TRIAL_TAG = 1, 2, 3, 4
 
 DEFAULT_AUX_ROWS_CAP = 1 << 18
 DEFAULT_ENUM_CAP = 1 << 26
@@ -315,10 +315,7 @@ def build_codebooks(
     m2_bits: int | None = None,
     m3_bits: int | None = None,
     j_bits: int | None = None,
-    rd_extra_bits: int = 0,
     eps_cov: float = 0.0,
-    aux_rows_cap: int = DEFAULT_AUX_ROWS_CAP,
-    rd_solution: RdSolution | None = None,
 ) -> CodebookSet:
     """Generate all codebooks for one run.
 
@@ -333,7 +330,7 @@ def build_codebooks(
     lam = spec.lam
     n_message = _message_length(spec, n)
 
-    sol = rd_solution or blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value)
+    sol = blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value)
     r = sol.rate_bits
 
     excess = counting_excess(q, lam, r)
@@ -358,17 +355,8 @@ def build_codebooks(
             stacklevel=2,
         )
 
-    rng_rd = np.random.default_rng(np.random.SeedSequence((seed, _BUILD_TAG)))
     rd_book = build_rd_codebook(
-        spec.p_u,
-        spec.d_prime,
-        d_prime_value,
-        n_message,
-        delta,
-        rng_rd,
-        eps_cov=eps_cov,
-        extra_index_bits=rd_extra_bits,
-        solution=sol,
+        spec.p_u, spec.d_prime, d_prime_value, n_message, delta, eps_cov=eps_cov, solution=sol
     )
     l_bits = rd_book.index_bits
 
@@ -376,10 +364,10 @@ def build_codebooks(
     m3_real = m3_bits if m3_bits is not None else max(0, math.ceil(n * r3_target - 1e-12))
     j_real = j_bits if j_bits is not None else max(0, math.ceil(n * j_target - 1e-12))
 
-    if l_bits + m2_real > int(math.log2(aux_rows_cap)):
+    if l_bits + m2_real > int(math.log2(DEFAULT_AUX_ROWS_CAP)):
         raise ResourceCapError(
-            f"auxiliary codebook would need 2^{l_bits + m2_real} rows; override "
-            "m2_bits (the schedule width is asymptotic) or raise aux_rows_cap"
+            f"auxiliary codebook would need 2^{l_bits + m2_real} rows (> cap {DEFAULT_AUX_ROWS_CAP}); "
+            "override m2_bits (the schedule width is asymptotic)"
         )
     if j_real > l_bits:
         raise ValidationError(
@@ -863,23 +851,21 @@ class TrialAggregate:
     mean_distortion_xy: float
     mean_distortion_uuhat: float
     distortion_bound: float
-    results: list[TrialResult] = field(repr=False, default_factory=list)
+    results: list[TrialResult] = field(repr=False)
 
 
-def run_trials(
-    spec: SystemSpec,
-    aux: AuxChannel,
-    n: int,
-    trials: int,
-    delta: float,
-    seed: int,
-    d_prime_value: float,
-    *,
-    codebooks: CodebookSet | None = None,
-    collect_transcripts: bool = False,
-    **build_kwargs,
-) -> TrialAggregate:
-    """Monte-Carlo end-to-end runs with per-trial derived seeds.
+def _mean(values: list[float]) -> float:
+    """The mean of ``values`` added left to right, or nan when there are
+    none (the built-in ``sum`` rounds otherwise from Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values) if values else math.nan
+
+
+def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate:
+    """Monte-Carlo end-to-end runs of one codebook draw, with per-trial
+    derived seeds, every trial's record kept.
 
     Every trial gets exactly one label: e1 for atypical inputs whose
     fallback embedding still produced a codebook word, encode_fallback when
@@ -890,27 +876,11 @@ def run_trials(
     own generator, the chunk's searches run as one ``search_words`` call,
     then each trial encodes, draws its attack and decodes in turn.
     """
-    if codebooks is not None and (codebooks.n != n or codebooks.delta != delta):
-        raise ValidationError(
-            f"codebooks were built for (n={codebooks.n}, delta={codebooks.delta}), "
-            f"not (n={n}, delta={delta})"
-        )
-    books = codebooks or build_codebooks(
-        spec, aux, n, delta, seed, d_prime_value, **build_kwargs
-    )
+    spec, n = codebooks.spec, codebooks.n
     pu = spec.p_u.values
     pxk = spec.p_xk.values.ravel()
     k_size = spec.k_axis.size
-    d = spec.d
-    dp = spec.d_prime
     cdf = attack_cdf(spec)
-
-    counts = {e: 0 for e in EVENTS}
-    n_correct = 0
-    sum_dxy = 0.0
-    n_dxy = 0
-    sum_dup = 0.0
-    n_dup = 0
     results: list[TrialResult] = []
 
     def chunk(start: int) -> list[tuple[np.random.Generator, np.ndarray, WordSearch]]:
@@ -919,18 +889,18 @@ def run_trials(
         drawn = []
         for t in range(start, min(trials, start + _TRIAL_CHUNK)):
             rng = np.random.default_rng(np.random.SeedSequence((seed, _TRIAL_TAG, t)))
-            u = rng.choice(pu.size, size=books.n_message, p=pu)
+            u = rng.choice(pu.size, size=codebooks.n_message, p=pu)
             cells = rng.choice(pxk.size, size=n, p=pxk)
-            messages[u.tobytes()] = _message_index(u, books)
-            drawn.append((rng, u, WordSearch(books, cells // k_size, cells % k_size, messages)))
-        search_words(books, [(w, [w.bin_of(messages[u.tobytes()])[1]]) for _, u, w in drawn if w.embeds])
+            messages[u.tobytes()] = _message_index(u, codebooks)
+            drawn.append((rng, u, WordSearch(codebooks, cells // k_size, cells % k_size, messages)))
+        search_words(codebooks, [(w, [w.bin_of(messages[u.tobytes()])[1]]) for _, u, w in drawn if w.embeds])
         return drawn
 
     for rng, u, word in itertools.chain.from_iterable(map(chunk, range(0, trials, _TRIAL_CHUNK))):
         x, k = word.x, word.k
-        enc = embed_encode(u, x, k, books, word)
+        enc = embed_encode(u, x, k, codebooks, word)
         z = attack(enc.y, spec, rng, cdf)
-        dec = decode(z, k, books)
+        dec = decode(z, k, codebooks)
 
         if not enc.input_ok:
             event = "e1" if enc.search_ok else "encode_fallback"
@@ -940,10 +910,10 @@ def run_trials(
             # decode-side classification against the transmitted word
             order = enc.order
             z_rep = z[order]
-            rep = books.key_types[enc.type_idx].representative
-            cells_true = (rep * books.v_size + enc.v_rep) * books.z_size + z_rep
-            true_ok = books.kvz_box.contains(
-                np.bincount(cells_true, minlength=books.k_size * books.v_size * books.z_size)
+            rep = codebooks.key_types[enc.type_idx].representative
+            cells_true = (rep * codebooks.v_size + enc.v_rep) * codebooks.z_size + z_rep
+            true_ok = codebooks.kvz_box.contains(
+                np.bincount(cells_true, minlength=codebooks.k_size * codebooks.v_size * codebooks.z_size)
             )
             if not true_ok:
                 event = "e4"
@@ -951,47 +921,36 @@ def run_trials(
                 event = "e5"
             else:
                 event = "none"
-        counts[event] += 1
 
-        correct = dec.event == "ok" and dec.bin_index == enc.m and event == "none"
-        n_correct += int(correct)
-        dxy = d.per_sequence(x, enc.y) / n
-        if enc.search_ok:
-            sum_dxy += dxy
-            n_dxy += 1
-        dup = math.nan
+        dup = math.nan  # measured on clean trials only
         if event == "none" and dec.uhat is not None:
-            dup = dp.per_sequence(u, dec.uhat) / books.n_message
-            sum_dup += dup
-            n_dup += 1
-        if collect_transcripts:
-            results.append(
-                TrialResult(
-                    error_event=event,
-                    message_correct=correct,
-                    distortion_xy=dxy,
-                    distortion_uuhat=dup,
-                    encode_search_ok=enc.search_ok,
-                    true_bin=enc.m,
-                    decoded_bin=dec.bin_index,
-                    u=u,
-                    x=x,
-                    k=k,
-                    y=enc.y,
-                    z=z,
-                    uhat=dec.uhat,
-                )
+            dup = spec.d_prime.per_sequence(u, dec.uhat) / codebooks.n_message
+        results.append(
+            TrialResult(
+                error_event=event,
+                message_correct=dec.event == "ok" and dec.bin_index == enc.m and event == "none",
+                distortion_xy=spec.d.per_sequence(x, enc.y) / n,
+                distortion_uuhat=dup,
+                encode_search_ok=enc.search_ok,
+                true_bin=enc.m,
+                decoded_bin=dec.bin_index,
+                u=u,
+                x=x,
+                k=k,
+                y=enc.y,
+                z=z,
+                uhat=dec.uhat,
             )
+        )
 
-    freq = {e: (counts[e] / trials if trials else 0.0) for e in EVENTS}
-    bound = typical_distortion_bound(delta, books.quantities["Ed(X,Y)"])
+    events = [r.error_event for r in results]
     return TrialAggregate(
         trials=trials,
-        event_frequencies=freq,
-        message_error_rate=(1.0 - n_correct / trials) if trials else 0.0,
-        mean_distortion_xy=(sum_dxy / n_dxy) if n_dxy else math.nan,
-        mean_distortion_uuhat=(sum_dup / n_dup) if n_dup else math.nan,
-        distortion_bound=bound,
+        event_frequencies={e: (events.count(e) / trials if trials else 0.0) for e in EVENTS},
+        message_error_rate=(1.0 - sum(r.message_correct for r in results) / trials) if trials else 0.0,
+        mean_distortion_xy=_mean([r.distortion_xy for r in results if r.encode_search_ok]),
+        mean_distortion_uuhat=_mean([r.distortion_uuhat for r in results if not math.isnan(r.distortion_uuhat)]),
+        distortion_bound=typical_distortion_bound(codebooks.delta, codebooks.quantities["Ed(X,Y)"]),
         results=results,
     )
 
@@ -1083,8 +1042,8 @@ def estimate_equivocation(
     realization; plug_in reports the empirical conditional-entropy estimate
     from Monte-Carlo trials (biased downward; a warning records the support
     size).  The analysis this mirrors averages over the codebook ensemble,
-    so treat single-build numbers as conditional on the draw; see
-    estimate_equivocation_ensemble.
+    so treat single-build numbers as conditional on the draw, and average
+    the estimates of seeded rebuilds with ``ensemble_mean``.
 
     The enumeration does each piece of work once per word it depends on:
     - once per message word u: its typicality and rate-distortion index;
@@ -1101,17 +1060,7 @@ def estimate_equivocation(
     if mode == "plug_in":
         if not trials or trials < 10_000:
             raise ValidationError("plug_in mode needs trials >= 10000")
-        agg = run_trials(
-            spec,
-            codebooks.aux,
-            n,
-            trials,
-            codebooks.delta,
-            seed if seed is not None else codebooks.seed,
-            codebooks.rd_codebook.target_d,
-            codebooks=codebooks,
-            collect_transcripts=True,
-        )
+        agg = run_trials(codebooks, trials, seed if seed is not None else codebooks.seed)
         u_rows, uhat_rows = _mass_table(), _mass_table()
         w = 1.0 / trials
         for r in agg.results:
@@ -1237,24 +1186,6 @@ def estimate_equivocation(
     )
 
 
-def estimate_equivocation_ensemble(
-    spec: SystemSpec,
-    aux: AuxChannel,
-    n: int,
-    delta: float,
-    seeds: Sequence[int],
-    d_prime_value: float,
-    **build_kwargs,
-) -> tuple[float, float, list[EquivocationEstimate]]:
-    """Average the exact fixed-codebook equivocations over seeded rebuilds
-    (the analysis's ensemble average, at desk scale)."""
-    estimates = [
-        estimate_equivocation(build_codebooks(spec, aux, n, delta, s, d_prime_value, **build_kwargs))
-        for s in seeds
-    ]
-    return (*ensemble_mean(estimates), estimates)
-
-
 def ensemble_mean(estimates: Sequence[EquivocationEstimate]) -> tuple[float, float]:
     """The mean per-symbol equivocations of the message word and of its
     reproduction over fixed-codebook estimates."""
@@ -1279,9 +1210,7 @@ class BinAuditResult:
     h_bin_given_y_bound: float
 
 
-def bin_multiplicity_audit(
-    codebooks: CodebookSet, gamma: float, cap: int = DEFAULT_STEGO_AUDIT_CAP
-) -> BinAuditResult:
+def bin_multiplicity_audit(codebooks: CodebookSet, gamma: float) -> BinAuditResult:
     """Count, per distinct stegotext word, how many bins contain it.
 
     Within one representative's code the count is compared against 2^{n
@@ -1290,8 +1219,8 @@ def bin_multiplicity_audit(
     corresponding cap on the encrypted-bin equivocation is reported."""
     sizes = codebooks.sizes
     total = len(codebooks.key_types) * sizes.bins * sizes.m2 * sizes.m3
-    if total > cap:
-        raise ResourceCapError(f"audit would scan {total} stegotext words (> cap {cap})")
+    if total > DEFAULT_STEGO_AUDIT_CAP:
+        raise ResourceCapError(f"audit would scan {total} stegotext words (> cap {DEFAULT_STEGO_AUDIT_CAP})")
     n, bins = codebooks.n, sizes.bins
     max_within = 0
     type_words, type_counts = [], []
@@ -1337,9 +1266,7 @@ class CompressionAudit:
     rate_identity_rhs: float
 
 
-def compression_audits(
-    codebooks: CodebookSet, key_cap: int = DEFAULT_KEY_ENUM_CAP
-) -> CompressionAudit:
+def compression_audits(codebooks: CodebookSet) -> CompressionAudit:
     """Composite-count and distinct-stegotext audits.
 
     N_c = M_U M_2 M_3 bounds the keyed compressibility; the number of
@@ -1363,8 +1290,8 @@ def compression_audits(
     private_budget = eps1 + eps2 + 2 * delta + max(0.0, rate_adjust)
 
     n_keys = sum(_multinomial(n, t.counts) for t in codebooks.key_types)
-    if n_keys > key_cap:
-        raise ResourceCapError(f"{n_keys} typical keys exceed the enumeration cap {key_cap}")
+    if n_keys > DEFAULT_KEY_ENUM_CAP:
+        raise ResourceCapError(f"{n_keys} typical keys exceed the enumeration cap {DEFAULT_KEY_ENUM_CAP}")
 
     count = _distinct_row_count(_typical_key_stego_words(codebooks))
     public_rate = math.log2(count) / n if count else 0.0

@@ -145,9 +145,7 @@ def test_criterion_05_simulator_core():
     books = sim.build_codebooks(
         spec, aux, 12, 0.4, 3, 0.0, m2_bits=5, m3_bits=0, j_bits=2
     )
-    agg = sim.run_trials(
-        spec, aux, 12, 10_000, 0.4, 77, 0.0, codebooks=books, collect_transcripts=True
-    )
+    agg = sim.run_trials(books, 10_000, 77)
     cert_violations = sum(
         1
         for r in agg.results
@@ -171,9 +169,7 @@ def test_criterion_06_error_decay_and_input_oracle(trend_spec, trend_aux):
         books = sim.build_codebooks(
             trend_spec, trend_aux, n, 0.6, 11, 0.0, m2_bits=5, m3_bits=0, j_bits=4
         )
-        agg = sim.run_trials(
-            trend_spec, trend_aux, n, 500, 0.6, 101, 0.0, codebooks=books
-        )
+        agg = sim.run_trials(books, 500, 101)
         err[n] = round(agg.message_error_rate * 500)
     table = [[err[16], 500 - err[16]], [err[8], 500 - err[8]]]
     pvalue = stats.fisher_exact(table, alternative="greater").pvalue

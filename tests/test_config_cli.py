@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secembed import cli
+from secembed import cli, sim
 from secembed.config import COMMANDS, load_aux, load_system, parse_config, stable_hash
 from secembed.errors import ValidationError
 from secembed.region import COORDINATES, optimize_region
@@ -329,6 +329,20 @@ class TestCli:
         assert r.returncode == 4
         assert "exact enumeration" in r.stderr
         assert not list(workdir.glob("x*"))  # no trials CSV and no manifest
+
+    def test_key_enumeration_cap_exit_code(self, workdir, tmp_path, monkeypatch, capsys):
+        # the bin audit runs; the compression audit's typical keys then pass a lowered cap
+        monkeypatch.setattr(sim, "DEFAULT_KEY_ENUM_CAP", 1)
+        (tmp_path / "sysa.yaml").write_text(yaml.safe_dump({**SYSTEM, "lambda": 0.2}))
+        code = cli.main([
+            "audit", "--spec", str(tmp_path / "sysa.yaml"), "--aux", str(workdir / "aux.yaml"),
+            "--n", "10", "--delta", "0.2", "--gamma", "0.5", "--dprime", "0.0", "--seed", "2",
+            "--m2-bits", "6", "--m3-bits", "0", "--j-bits", "1", "--out", str(workdir / "x"),
+        ])
+        assert code == cli.EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "resource-cap" in err and "exceed the enumeration cap 1" in err
+        assert not list(workdir.glob("x*"))  # no CSVs and no manifest
 
     def test_region_eval_csv(self, workdir):
         pt = "d=1.0,d_prime=0.25,r_c=2.0,r_c_prime=2.0,h=0.1,h_prime=0.1"

@@ -439,7 +439,7 @@ class TestFastEvaluator:
         spec = _random_system(rng, sizes, zero_frac)
         v_size = min(v_size, spec.v_cardinality_bound())
         q = _random_kernels(rng, spec, v_size, batch, zero_frac)
-        fast = region._FastEvaluator(spec, 0.1, None).quantities(q)
+        fast = region._FastEvaluator(spec, 0.1).quantities(q)
         axes = (spec.k_axis, spec.x_axis, Axis("V", v_size), spec.y_axis)
         for b in range(batch):
             aux = AuxChannel(DistTable(axes, q[b], given=("K", "X")))
@@ -453,7 +453,7 @@ class TestFastEvaluator:
         rng = np.random.default_rng(seed)
         spec = _random_system(rng, sizes, zero_frac)
         q = _random_kernels(rng, spec, min(v_size, spec.v_cardinality_bound()), batch, zero_frac)
-        ev = region._FastEvaluator(spec, 0.1, None)
+        ev = region._FastEvaluator(spec, 0.1)
         stacked = ev.quantities(q)
         singles = [ev.quantities(q[b : b + 1]) for b in range(batch)]
         for name, values in stacked.items():
@@ -541,7 +541,7 @@ class TestFrozenEvaluator:
         # at most 2^17 joint entries, four evaluation chunks: memory stays small
         batch = min(batch, max(1, 2**17 // (np.prod(sizes) * v_size)))
         q = _random_kernels(rng, spec, v_size, batch, zero_frac)
-        ev = region._FastEvaluator(spec, 0.1, None)
+        ev = region._FastEvaluator(spec, 0.1)
         got, want = ev.quantities(q), _frozen_quantities(ev, q)
         assert got.keys() == want.keys()
         for name in want:
@@ -555,7 +555,7 @@ def _sequential_optimize(spec, fixed, objective, v_size, restarts, seed):
     """Reference schedule for the optimizer: restarts one after another, one
     evaluation per finite-difference coordinate and per step size."""
     sign = region.KEYED_CONDITIONS[objective].sign
-    ev = region._FastEvaluator(spec, fixed["d_prime"], None)
+    ev = region._FastEvaluator(spec, fixed["d_prime"])
     ks, xs, ys = spec.k_axis.size, spec.x_axis.size, spec.y_axis.size
     dim = v_size * ys
 

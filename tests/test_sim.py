@@ -22,7 +22,7 @@ from secembed.errors import (
 )
 from secembed.region import AuxChannel, SystemSpec
 from secembed.tables import Axis, DistortionMeasure, DistTable
-from secembed.typical import CountBox, letter_dtype
+from secembed.typical import CountBox, _multinomial, letter_dtype
 
 from conftest import binary_spec, copy_embedder_aux, noise_aux
 
@@ -347,9 +347,7 @@ class TestEncode:
         books = sim.build_codebooks(
             trend_spec, trend_aux, 12, 0.7, 55, 0.0, m2_bits=5, m3_bits=0, j_bits=4
         )
-        agg = sim.run_trials(
-            trend_spec, trend_aux, 12, 300, 0.7, 55, 0.0, codebooks=books, collect_transcripts=True
-        )
+        agg = sim.run_trials(books, 300, 55)
         ran = succeeded = 0
         for r in agg.results:
             pair = r.k * books.x_size + r.x
@@ -364,9 +362,7 @@ class TestEncode:
 
     def test_distortion_certificate_each_trial(self, trend_spec, trend_aux):
         books = build_trend(trend_spec, trend_aux, 8)
-        agg = sim.run_trials(
-            trend_spec, trend_aux, 8, 400, 0.6, 91, 0.0, codebooks=books, collect_transcripts=True
-        )
+        agg = sim.run_trials(books, 400, 91)
         for r in agg.results:
             if r.encode_search_ok:
                 assert r.distortion_xy <= agg.distortion_bound + 1e-12
@@ -432,9 +428,7 @@ class TestDecode:
         from secembed.rd import rd_decode
 
         books = build_trend(trend_spec, trend_aux, 8)
-        agg = sim.run_trials(
-            trend_spec, trend_aux, 8, 300, 0.6, 17, 0.0, codebooks=books, collect_transcripts=True
-        )
+        agg = sim.run_trials(books, 300, 17)
         clean = [r for r in agg.results if r.error_event == "none"]
         assert clean
         for r in clean:
@@ -449,26 +443,19 @@ class TestDecode:
 class TestTrials:
     def test_zero_trials_empty_aggregate(self, trend_spec, trend_aux):
         books = build_trend(trend_spec, trend_aux, 8)
-        agg = sim.run_trials(trend_spec, trend_aux, 8, 0, 0.6, 1, 0.0, codebooks=books)
+        agg = sim.run_trials(books, 0, 1)
         assert agg.trials == 0
         assert agg.message_error_rate == 0.0
 
     def test_event_partition(self, trend_spec, trend_aux):
         books = build_trend(trend_spec, trend_aux, 8)
-        agg = sim.run_trials(trend_spec, trend_aux, 8, 250, 0.6, 23, 0.0, codebooks=books)
+        agg = sim.run_trials(books, 250, 23)
         assert sum(agg.event_frequencies.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_codebook_consistency_guard(self, trend_spec, trend_aux):
-        books = build_trend(trend_spec, trend_aux, 8)
-        with pytest.raises(ValidationError):
-            sim.run_trials(trend_spec, trend_aux, 12, 5, 0.6, 1, 0.0, codebooks=books)
-        with pytest.raises(ValidationError):
-            sim.run_trials(trend_spec, trend_aux, 8, 5, 0.3, 1, 0.0, codebooks=books)
 
     def test_seed_reproducibility(self, trend_spec, trend_aux):
         books = build_trend(trend_spec, trend_aux, 8)
-        a = sim.run_trials(trend_spec, trend_aux, 8, 100, 0.6, 42, 0.0, codebooks=books, collect_transcripts=True)
-        b = sim.run_trials(trend_spec, trend_aux, 8, 100, 0.6, 42, 0.0, codebooks=books, collect_transcripts=True)
+        a = sim.run_trials(books, 100, 42)
+        b = sim.run_trials(books, 100, 42)
         assert a.event_frequencies == b.event_frequencies
         for ra, rb in zip(a.results, b.results):
             assert np.array_equal(ra.y, rb.y) and np.array_equal(ra.z, rb.z)
@@ -591,10 +578,11 @@ class TestEquivocation:
     def test_ensemble_average(self):
         spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
         aux = copy_embedder_aux(spec, [0.5, 0.5])
-        h_u, h_uhat, ests = sim.estimate_equivocation_ensemble(
-            spec, aux, 4, 0.3, seeds=[1, 2, 3], d_prime_value=0.5,
-            m2_bits=0, m3_bits=0, j_bits=0,
-        )
+        builds = [
+            sim.build_codebooks(spec, aux, 4, 0.3, s, 0.5, m2_bits=0, m3_bits=0, j_bits=0) for s in (1, 2, 3)
+        ]
+        ests = [sim.estimate_equivocation(books) for books in builds]
+        h_u, _ = sim.ensemble_mean(ests)
         assert h_u == pytest.approx(1.0, abs=1e-12)
         assert len(ests) == 3
 
@@ -645,6 +633,23 @@ class TestAudits:
             max(len(b) for b in across.values()),
         )
         assert type(audit.max_bins_per_y) is int and type(audit.max_bins_across_types) is int
+
+    def test_key_enumeration_cap(self, monkeypatch):
+        # a cap one below the build's typical-key count stops the compression audit
+        books = self._audit_books()
+        n_keys = sum(_multinomial(books.n, t.counts) for t in books.key_types)
+        monkeypatch.setattr(sim, "DEFAULT_KEY_ENUM_CAP", n_keys - 1)
+        with pytest.raises(ResourceCapError, match=f"{n_keys} typical keys exceed the enumeration cap {n_keys - 1}"):
+            sim.compression_audits(books)
+
+    def test_stegotext_audit_cap(self, monkeypatch):
+        # a cap one below the build's stegotext word count stops the bin audit
+        books = self._audit_books()
+        s = books.sizes
+        words = len(books.key_types) * s.bins * s.m2 * s.m3
+        monkeypatch.setattr(sim, "DEFAULT_STEGO_AUDIT_CAP", words - 1)
+        with pytest.raises(ResourceCapError, match=f"audit would scan {words} stegotext words"):
+            sim.bin_multiplicity_audit(books, 0.5)
 
     def test_compression_rate_identity(self):
         comp = sim.compression_audits(self._audit_books())
