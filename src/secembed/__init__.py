@@ -15,7 +15,7 @@ from .errors import (
     ValidationError,
     WorkbenchError,
 )
-from .rd import RdCodebook, RdSolution, blahut_arimoto, build_rd_codebook, rd_curve, rd_decode, rd_encode
+from .rd import RdCodebook, RdSolution, blahut_arimoto, build_rd_codebook, rd_curve, rd_encode
 from .region import (
     AuxChannel,
     ConditionReport,
@@ -46,15 +46,11 @@ from .tables import (
 )
 from .typical import (
     SymbolSequence,
-    TypicalityParams,
-    empirical_pmf,
     enumerate_typical,
     epsilon_from_delta,
     epsilon_schedule,
     is_delta_typical,
     is_jointly_delta_typical,
-    is_tuple_typical,
-    sample_uniform_conditional_typical,
     typical_distortion_bound,
     typical_set_probability,
     typicality_size_bounds,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConvergenceError, EmptyTypicalSetError, InfeasibleError, ValidationError
 from .tables import Axis, DistTable, DistortionMeasure, LOG_ZERO_CUTOFF
-from .typical import DEFAULT_ENUMERATION_CAP, SymbolSequence, enumerate_typical
+from .typical import DEFAULT_ENUMERATION_CAP, enumerate_typical
 
 RATE_TOL = 1e-9
 MAX_ITERATIONS = 100_000
@@ -183,30 +183,27 @@ def build_rd_codebook(
     delta: float,
     *,
     eps_cov: float = 0.0,
-    extra_index_bits: int = 0,
     solution: RdSolution | None = None,
 ) -> RdCodebook:
     """Greedy set cover of the typical source words at radius
     n (target_d + eps_cov), with candidates restricted to words typical under
     the test-channel output marginal.
 
-    The index width is ceil(log2 of the achieved cover) + extra_index_bits;
-    small-n covers routinely overshoot or undershoot the asymptotic budget
-    ceil(n R_U(D')), so both are recorded (index_bits vs budget_bits) and the
-    achieved rate keeps downstream accounting honest.  Ties always break
-    toward the lowest index.
+    The index width is ceil(log2 of the achieved cover); small-n covers
+    routinely overshoot or undershoot the asymptotic budget ceil(n R_U(D')),
+    so both are recorded (index_bits vs budget_bits) and the achieved rate
+    keeps downstream accounting honest.  Ties always break toward the lowest
+    index.
     """
     sol = solution or blahut_arimoto(p_u, d_prime, target_d)
-    sources = enumerate_typical(p_u, n_symbols, delta)
-    if not sources:
+    src = enumerate_typical(p_u, n_symbols, delta)
+    if len(src) == 0:
         raise EmptyTypicalSetError(
             f"no typical source words at n={n_symbols}, delta={delta}"
         )
     q_out = p_u.values @ sol.test_channel.conditional_matrix((d_prime.rows.name,), (d_prime.cols.name,))
     q_table = DistTable((d_prime.cols,), q_out / q_out.sum())
-    candidates = enumerate_typical(q_table, n_symbols, delta)
-
-    src = np.array([s.symbols for s in sources], dtype=np.int64)
+    pool = enumerate_typical(q_table, n_symbols, delta)
     radius = n_symbols * (target_d + eps_cov)
 
     def cover_matrix(cands: np.ndarray) -> np.ndarray:
@@ -220,13 +217,12 @@ def build_rd_codebook(
             covers[start : start + len(part)] = dists <= radius + 1e-12
         return covers
 
-    pool = np.array([c.symbols for c in candidates], dtype=np.int64).reshape(-1, n_symbols)
     covers = cover_matrix(pool)
     # gains[i] counts the uncovered sources candidate i covers; a pick
     # subtracts the sources it newly covers from every candidate's gain
     gains = covers.sum(axis=1)
     chosen: list[np.ndarray] = []
-    uncovered = np.ones(len(sources), dtype=bool)
+    uncovered = np.ones(len(src), dtype=bool)
     extended = False
     while uncovered.any():
         if gains.size == 0 or gains.max() == 0:
@@ -252,7 +248,7 @@ def build_rd_codebook(
         gains -= covers[:, newly].sum(axis=1)
 
     distinct = len(chosen)
-    index_bits = (math.ceil(math.log2(distinct)) if distinct > 1 else 0) + extra_index_bits
+    index_bits = math.ceil(math.log2(distinct)) if distinct > 1 else 0
     size = 1 << index_bits
     rows = np.array(chosen, dtype=np.int64)
     if size > distinct:
@@ -273,16 +269,11 @@ def build_rd_codebook(
     )
 
 
-def rd_encode(u_seq: SymbolSequence | np.ndarray, codebook: RdCodebook) -> int:
+def rd_encode(u_seq: np.ndarray, codebook: RdCodebook) -> int:
     """Index of the minimum-distortion codeword (first index on ties)."""
-    u = u_seq.as_array() if isinstance(u_seq, SymbolSequence) else np.asarray(u_seq)
+    u = np.asarray(u_seq)
     if u.shape != (codebook.n_symbols,):
         raise ValidationError(f"expected a length-{codebook.n_symbols} word")
     dists = codebook.distortion.cost[u[None, :], codebook.codewords].sum(axis=1)
     return int(np.argmin(dists))
 
-
-def rd_decode(index: int, codebook: RdCodebook) -> SymbolSequence:
-    if not 0 <= index < codebook.size:
-        raise ValidationError(f"index {index} out of range for {codebook.size} codewords")
-    return SymbolSequence(tuple(int(s) for s in codebook.codewords[index]), codebook.alphabet)

@@ -31,6 +31,10 @@ from .tables import (
 )
 
 SLACK_TOL = 1e-9
+# entrywise tolerances of the structural tests: p(x, k) against p(x) p(k),
+# and the attack channel against the identity
+_KEY_INDEPENDENCE_TOL = 1e-9
+_IDENTITY_ATTACK_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +104,16 @@ class SystemSpec:
     def v_cardinality_bound(self) -> int:
         return self.k_axis.size * self.x_axis.size * self.y_axis.size + 1
 
-    def key_independent(self, tol: float = 1e-9) -> bool:
+    def key_independent(self) -> bool:
         px = self.p_xk.values.sum(axis=1)
         pk = self.p_xk.values.sum(axis=0)
-        return bool(np.max(np.abs(self.p_xk.values - np.outer(px, pk))) <= tol)
+        return bool(np.max(np.abs(self.p_xk.values - np.outer(px, pk))) <= _KEY_INDEPENDENCE_TOL)
 
-    def has_identity_attack(self, tol: float = 1e-12) -> bool:
+    def has_identity_attack(self) -> bool:
         if self.y_axis.size != self.z_axis.size:
             return False
         m = self.p_z_given_y.conditional_matrix((self.y_axis.name,), (self.z_axis.name,))
-        return bool(np.max(np.abs(m - np.eye(self.y_axis.size))) <= tol)
+        return bool(np.max(np.abs(m - np.eye(self.y_axis.size))) <= _IDENTITY_ATTACK_TOL)
 
 
 @dataclass(frozen=True)

@@ -290,10 +290,6 @@ class CodebookSet:
 
         return self._pads.lookup(k_arr.tobytes(), draw)
 
-    def sw_bits(self, k_arr: np.ndarray) -> np.ndarray:
-        """The key's pad as J bits."""
-        return int_to_bits(self.pad(k_arr), self.sizes.j_bits)
-
 
 def _message_length(spec: SystemSpec, n: int) -> int:
     """The message blocklength lambda * n at covertext blocklength n; it must
@@ -423,40 +419,9 @@ def build_codebooks(
 # ---------------------------------------------------------------------------
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Little-endian bits: bit i carries 2**i."""
-    return np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
-
-
 def bits_to_int(bits: np.ndarray) -> int:
     """The value of little-endian 0/1 bits."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def encrypt(w_bits: np.ndarray, s_bits: np.ndarray) -> np.ndarray:
-    """XOR the first J message bits with the pad; bits J+1..L pass through.
-    An involution together with decrypt."""
-    w = np.asarray(w_bits, dtype=np.uint8)
-    s = np.asarray(s_bits, dtype=np.uint8)
-    if s.size > w.size:
-        raise ValidationError(
-            f"pad of {s.size} bits cannot encrypt a {w.size}-bit message; this is "
-            "the surplus-key regime, evaluate it with the extended region conditions"
-        )
-    out = w.copy()
-    out[: s.size] ^= s
-    return out
-
-
-decrypt = encrypt  # modulo-2 addition is its own inverse
-
-
-def sw_encode(k_seq: np.ndarray, codebooks: CodebookSet) -> np.ndarray:
-    """The key's pre-assigned random bin index as a J-bit string."""
-    k_arr = np.asarray(k_seq, dtype=np.int64)
-    if codebooks.key_type_and_order(k_arr) is None:
-        raise ValidationError("key word is atypical; no bin index is assigned")
-    return codebooks.sw_bits(k_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +968,6 @@ class EquivocationEstimate:
     method: str
     n: int
     n_message: int
-    trials: int | None
     extras: dict[str, float] = field(default_factory=dict)
 
 
@@ -1027,23 +991,14 @@ def _entropy_of_rows(table: dict) -> float:
     return h
 
 
-def estimate_equivocation(
-    codebooks: CodebookSet,
-    mode: str = "exact_enumeration",
-    *,
-    trials: int | None = None,
-    seed: int | None = None,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> EquivocationEstimate:
+def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
     """Equivocation of the message word and of the decoded reproduction given
     the composite and forged words, for THIS fixed codebook draw.
 
-    exact_enumeration walks every (message, covertext, key, forgery)
-    realization; plug_in reports the empirical conditional-entropy estimate
-    from Monte-Carlo trials (biased downward; a warning records the support
-    size).  The analysis this mirrors averages over the codebook ensemble,
-    so treat single-build numbers as conditional on the draw, and average
-    the estimates of seeded rebuilds with ``ensemble_mean``.
+    It walks every (message, covertext, key, forgery) realization.  The
+    analysis this mirrors averages over the codebook ensemble, so treat
+    single-build numbers as conditional on the draw, and average the
+    estimates of seeded rebuilds with ``ensemble_mean``.
 
     The enumeration does each piece of work once per word it depends on:
     - once per message word u: its typicality and rate-distortion index;
@@ -1057,40 +1012,13 @@ def estimate_equivocation(
     """
     spec = codebooks.spec
     n, n_msg = codebooks.n, codebooks.n_message
-    if mode == "plug_in":
-        if not trials or trials < 10_000:
-            raise ValidationError("plug_in mode needs trials >= 10000")
-        agg = run_trials(codebooks, trials, seed if seed is not None else codebooks.seed)
-        u_rows, uhat_rows = _mass_table(), _mass_table()
-        w = 1.0 / trials
-        for r in agg.results:
-            key = r.y.tobytes() + r.z.tobytes()
-            u_rows[key][r.u.tobytes()] += w
-            uhat_rows[key][r.uhat.tobytes() if r.uhat is not None else b"err"] += w
-        warnings.warn(
-            f"plug-in conditional entropy over {len(u_rows)} observed (y,z) "
-            f"cells and {trials} trials is biased downward",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return EquivocationEstimate(
-            h_u_given_yz=_entropy_of_rows(u_rows) / n_msg,
-            h_uhat_given_yz=_entropy_of_rows(uhat_rows) / n_msg,
-            method="plug_in",
-            n=n,
-            n_message=n_msg,
-            trials=trials,
-        )
-    if mode != "exact_enumeration":
-        raise ValidationError(f"unknown mode {mode!r}")
-
     u_size = spec.u_axis.size
     xk_size = spec.x_axis.size * spec.k_axis.size
     identity_attack = spec.has_identity_attack()
     z_states = 1 if identity_attack else spec.z_axis.size**n
     cost = u_size**n_msg * xk_size**n * z_states
-    if cost > enum_cap:
-        raise ResourceCapError(f"exact enumeration needs {cost} states (> cap {enum_cap})")
+    if cost > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"exact enumeration needs {cost} states (> cap {DEFAULT_ENUM_CAP})")
 
     pu = spec.p_u.values
     pxk = spec.p_xk.values  # (X, K)
@@ -1181,7 +1109,6 @@ def estimate_equivocation(
         method="exact_enumeration",
         n=n,
         n_message=n_msg,
-        trials=None,
         extras=extras,
     )
 

@@ -47,34 +47,6 @@ class SymbolSequence:
         return np.asarray(self.symbols, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class TypicalityParams:
-    delta: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError("delta must lie in (0, 1)")
-        if self.n < 1:
-            raise ValidationError("blocklength must be >= 1")
-
-
-def combine_sequences(seqs: Sequence[SymbolSequence], name: str | None = None) -> SymbolSequence:
-    """Zip sequences into one word over the row-major product alphabet."""
-    if not seqs:
-        raise ValidationError("need at least one sequence")
-    n = len(seqs[0])
-    if any(len(s) != n for s in seqs):
-        raise ValidationError("sequences must have equal length")
-    idx = np.zeros(n, dtype=np.int64)
-    size = 1
-    for s in seqs:
-        idx = idx * s.alphabet.size + s.as_array()
-        size *= s.alphabet.size
-    name = name or "*".join(s.alphabet.name for s in seqs)
-    return SymbolSequence(tuple(int(i) for i in idx), Axis(name, size))
-
-
 # ---------------------------------------------------------------------------
 # count boxes
 # ---------------------------------------------------------------------------
@@ -113,16 +85,6 @@ def _counts(seq: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(np.asarray(seq, dtype=np.int64), minlength=size)
 
 
-def empirical_pmf(seq: SymbolSequence) -> DistTable:
-    """Relative letter frequencies (exact rationals, emitted as floats)."""
-    if len(seq) == 0:
-        raise ValidationError("empty sequence has no empirical PMF")
-    c = _counts(seq.as_array(), seq.alphabet.size)
-    n = len(seq)
-    vals = np.array([float(Fraction(int(ci), n)) for ci in c])
-    return DistTable((seq.alphabet,), vals)
-
-
 def is_delta_typical(seq: SymbolSequence, p: DistTable, delta: float) -> bool:
     """Membership in the delta-typical set of p (letters with p=0 require
     count 0, since their bounds collapse to [0, 0])."""
@@ -132,22 +94,6 @@ def is_delta_typical(seq: SymbolSequence, p: DistTable, delta: float) -> bool:
         raise ValidationError("alphabet mismatch between sequence and PMF")
     box = count_box(p.values, len(seq), delta)
     return box.contains(_counts(seq.as_array(), seq.alphabet.size))
-
-
-def is_tuple_typical(seqs: Sequence[SymbolSequence], joint: DistTable, delta: float) -> bool:
-    """Vector-valued typicality: the tuple word (a_t, b_t, ...) is tested
-    letter-wise against the joint PMF over the product alphabet.  The order
-    of ``seqs`` must match the axis order of ``joint``."""
-    if joint.is_conditional:
-        raise ValidationError("joint must be an unconditional PMF")
-    if len(seqs) != len(joint.axes):
-        raise ValidationError("one sequence per joint axis required")
-    for s, a in zip(seqs, joint.axes):
-        if s.alphabet.size != a.size:
-            raise ValidationError(f"alphabet mismatch on axis {a.name!r}")
-    combined = combine_sequences(seqs)
-    box = count_box(joint.values.ravel(), len(combined), delta)
-    return box.contains(_counts(combined.as_array(), combined.alphabet.size))
 
 
 def conditional_count_box(counts_a: np.ndarray, k_matrix: np.ndarray, delta: float) -> CountBox:
@@ -177,8 +123,8 @@ def is_jointly_delta_typical(
     per pair, (1-d) Pemp(a) K(b|a) <= Pemp(a,b) <= (1+d) Pemp(a) K(b|a), with
     the membership context seq_a in the delta-typical set of p_a.
 
-    For multi-axis conditioning, pass seq_a as a combined product word (see
-    combine_sequences) ordered like the channel's conditioning axes.
+    For multi-axis conditioning, pass seq_a as the product word over the
+    channel's conditioning axes, in their order, row-major.
     """
     if len(seq_a) != len(seq_b):
         raise ValidationError("sequences must have equal length")
@@ -198,74 +144,82 @@ def is_jointly_delta_typical(
 # ---------------------------------------------------------------------------
 
 
-def enumerate_typical(
-    p: DistTable,
-    n: int,
-    delta: float,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[SymbolSequence]:
-    """All members of the delta-typical set, in lexicographic order.
+def _compositions(total: int, lo: Sequence[int], hi: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    m = len(lo)
 
-    Guarded by |alphabet|^n <= cap; generation prunes by count feasibility so
-    the actual work scales with the typical set, not the full space.
+    def rec(i: int, rem: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if i == m - 1:
+            if lo[i] <= rem <= hi[i]:
+                yield tuple(acc + [rem])
+            return
+        tail_lo = sum(lo[i + 1 :])
+        tail_hi = sum(hi[i + 1 :])
+        for c in range(max(lo[i], rem - tail_hi), min(hi[i], rem - tail_lo) + 1):
+            yield from rec(i + 1, rem - c, acc + [c])
+
+    yield from rec(0, total, [])
+
+
+def _multinomial(n: int, counts: Sequence[int]) -> int:
+    out = 1
+    rem = n
+    for c in counts:
+        out *= math.comb(rem, c)
+        rem -= c
+    return out
+
+
+def _multiset_perms(counts: Sequence[int]) -> Iterator[np.ndarray]:
+    m = len(counts)
+    n = sum(counts)
+    word = np.zeros(n, dtype=np.int64)
+    c = list(counts)
+
+    def rec(t: int) -> Iterator[np.ndarray]:
+        if t == n:
+            yield word.copy()
+            return
+        for s in range(m):
+            if c[s] > 0:
+                c[s] -= 1
+                word[t] = s
+                yield from rec(t + 1)
+                c[s] += 1
+
+    yield from rec(0)
+
+
+def enumerate_typical(p: DistTable, n: int, delta: float) -> np.ndarray:
+    """All members of the delta-typical set, as a (words, n) int64 array in
+    lexicographic order: the arrangements of each composition in the count
+    box.
+
+    Guarded by |alphabet|^n <= DEFAULT_ENUMERATION_CAP; the work scales with
+    the typical set, not the full space.
     """
     if p.is_conditional or len(p.axes) != 1:
         raise ValidationError("p must be a joint PMF over a single axis")
     m = p.axes[0].size
-    if m**n > cap:
-        raise ResourceCapError(f"|A|^n = {m}**{n} exceeds enumeration cap {cap}")
+    if m**n > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(f"|A|^n = {m}**{n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     box = count_box(p.values, n, delta)
-    lo, hi = box.lo, box.hi
-    out: list[SymbolSequence] = []
-    word = [0] * n
-    counts = [0] * m
-
-    def rec(t: int) -> None:
-        if t == n:
-            out.append(SymbolSequence(tuple(word), p.axes[0]))
-            return
-        rem = n - t
-        for s in range(m):
-            if counts[s] >= hi[s]:
-                continue
-            counts[s] += 1
-            deficit = sum(max(int(lo[j]) - counts[j], 0) for j in range(m))
-            headroom = sum(int(hi[j]) - counts[j] for j in range(m))
-            if deficit <= rem - 1 <= headroom:
-                word[t] = s
-                rec(t + 1)
-            counts[s] -= 1
-
-    if hi.sum() >= n and lo.sum() <= n:
-        rec(0)
-    return out
+    comps = _compositions(n, box.lo.tolist(), box.hi.tolist())
+    words = np.array([w for c in comps for w in _multiset_perms(c)], dtype=np.int64).reshape(-1, n)
+    return words[np.lexsort(words.T[::-1])]
 
 
 def count_typical(p: DistTable | np.ndarray, n: int, delta: float) -> int:
-    """Exact size of the typical set via a box-constrained multinomial DP."""
+    """Exact size of the typical set: the arrangements of each composition
+    in the count box."""
     probs = p.values if isinstance(p, DistTable) else np.asarray(p)
     box = count_box(probs.ravel(), n, delta)
-    m = probs.size
-    # ways[s] = number of length-s words over the first k letters respecting
-    # each letter's count box
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for i in range(m):
-        lo_i, hi_i = int(box.lo[i]), int(box.hi[i])
-        nxt = [0] * (n + 1)
-        for s in range(n + 1):
-            w = ways[s]
-            if w == 0:
-                continue
-            for c in range(lo_i, min(hi_i, n - s) + 1):
-                nxt[s + c] += w * math.comb(s + c, c)
-        ways = nxt
-    return ways[n]
+    return sum(_multinomial(n, c) for c in _compositions(n, box.lo.tolist(), box.hi.tolist()))
 
 
 def typical_set_log2_probability(p: DistTable | np.ndarray, n: int, delta: float) -> float:
     """log2 Pr{ A^n typical } for A^n i.i.d. from p, computed exactly (up to
-    float rounding) by the same box-constrained DP in the log domain."""
+    float rounding) by a box-constrained DP over the letters in the log
+    domain."""
     probs = (p.values if isinstance(p, DistTable) else np.asarray(p)).ravel()
     box = count_box(probs, n, delta)
     m = probs.size
@@ -321,28 +275,13 @@ def _randrange(rng: np.random.Generator, n: int) -> int:
             return r
 
 
-def _compositions(total: int, lo: Sequence[int], hi: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    m = len(lo)
-
-    def rec(i: int, rem: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == m - 1:
-            if lo[i] <= rem <= hi[i]:
-                yield tuple(acc + [rem])
-            return
-        tail_lo = sum(lo[i + 1 :])
-        tail_hi = sum(hi[i + 1 :])
-        for c in range(max(lo[i], rem - tail_hi), min(hi[i], rem - tail_lo) + 1):
-            yield from rec(i + 1, rem - c, acc + [c])
-
-    yield from rec(0, total, [])
-
-
 @dataclass(frozen=True)
 class _LetterTable:
     """The admissible b-count vectors of one conditioning letter: each
     composition, the running sum of their arrangement counts, and the letter
     word each composition spells before it is permuted (one row per
-    composition)."""
+    composition, in ``letter_dtype``: a shuffle draws the same whatever the
+    dtype, and ``sample_rows`` gathers and shuffles a row per book row)."""
 
     comps: tuple[tuple[int, ...], ...]
     cum: tuple[int, ...]
@@ -364,7 +303,7 @@ def _letter_table(count: int, row: tuple[float, ...], delta: float) -> _LetterTa
     comps = tuple(_compositions(count, box.lo.tolist(), box.hi.tolist()))
     cum = tuple(itertools.accumulate(_multinomial(count, c) for c in comps))
     letters = np.arange(len(row))
-    words = np.array([np.repeat(letters, c) for c in comps], dtype=np.int64)
+    words = np.array([np.repeat(letters, c) for c in comps], dtype=letter_dtype(len(row)))
     words = words.reshape(len(comps), count)
     words.flags.writeable = False  # shared by every sampler with this letter
     return _LetterTable(comps, cum, words)
@@ -455,9 +394,11 @@ class ConditionalTypicalSampler:
                 return False
         return True
 
-    def enumerate(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[np.ndarray]:
-        if self.set_size > cap:
-            raise ResourceCapError(f"conditional typical set size {self.set_size} exceeds {cap}")
+    def enumerate(self) -> list[np.ndarray]:
+        if self.set_size > DEFAULT_ENUMERATION_CAP:
+            raise ResourceCapError(
+                f"conditional typical set size {self.set_size} exceeds {DEFAULT_ENUMERATION_CAP}"
+            )
         partial = [np.zeros(len(self.seq_a), dtype=np.int64)]
         for pos, table in zip(self.positions, self._tables):
             if table is None:
@@ -473,54 +414,6 @@ class ConditionalTypicalSampler:
                     nxt.append(w)
             partial = nxt
         return partial
-
-
-def _multinomial(n: int, counts: Sequence[int]) -> int:
-    out = 1
-    rem = n
-    for c in counts:
-        out *= math.comb(rem, c)
-        rem -= c
-    return out
-
-
-def _multiset_perms(counts: Sequence[int]) -> Iterator[np.ndarray]:
-    m = len(counts)
-    n = sum(counts)
-    word = np.zeros(n, dtype=np.int64)
-    c = list(counts)
-
-    def rec(t: int) -> Iterator[np.ndarray]:
-        if t == n:
-            yield word.copy()
-            return
-        for s in range(m):
-            if c[s] > 0:
-                c[s] -= 1
-                word[t] = s
-                yield from rec(t + 1)
-                c[s] += 1
-
-    yield from rec(0)
-
-
-def sample_uniform_conditional_typical(
-    seq_a: SymbolSequence,
-    k_ba: DistTable,
-    delta: float,
-    rng: np.random.Generator,
-) -> SymbolSequence:
-    """One uniform draw from T^delta(b | seq_a) under channel k_ba.
-
-    Raises EmptyTypicalSetError when the set is empty (callers treat this as
-    an encoding failure at the current blocklength)."""
-    k_mat, a_size, b_size = _flatten_conditional(k_ba)
-    if seq_a.alphabet.size != a_size:
-        raise ValidationError("conditioning alphabet mismatch")
-    sampler = ConditionalTypicalSampler(seq_a.as_array(), a_size, k_mat, delta)
-    target_names = k_ba.target_names
-    axis = k_ba.axis(target_names[0]) if len(target_names) == 1 else Axis("*".join(target_names), b_size)
-    return SymbolSequence(tuple(int(s) for s in sampler.sample(rng)), axis)
 
 
 # ---------------------------------------------------------------------------

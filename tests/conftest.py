@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from secembed import region
+from secembed.errors import ValidationError
 from secembed.region import AuxChannel, SystemSpec
 from secembed.tables import Axis, DistTable, DistortionMeasure
 
@@ -81,6 +82,43 @@ def miss_one_condition(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(region, "eval_keyed_region", short_of_one_bound)
     return missed
+
+
+def int_to_bits(value, width):
+    """Little-endian bits: bit i carries 2**i."""
+    return np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
+
+
+def encrypt(w_bits, s_bits):
+    """The bit-level one-time pad, the reference for the simulator's integer
+    pad: XOR the first J message bits with the pad; bits J+1..L pass
+    through.  An involution together with decrypt."""
+    w = np.asarray(w_bits, dtype=np.uint8)
+    s = np.asarray(s_bits, dtype=np.uint8)
+    if s.size > w.size:
+        raise ValidationError(
+            f"pad of {s.size} bits cannot encrypt a {w.size}-bit message; this is "
+            "the surplus-key regime, evaluate it with the extended region conditions"
+        )
+    out = w.copy()
+    out[: s.size] ^= s
+    return out
+
+
+decrypt = encrypt  # modulo-2 addition is its own inverse
+
+
+def sw_bits(books, k_arr):
+    """A key's pad (``CodebookSet.pad``) as its J bits."""
+    return int_to_bits(books.pad(k_arr), books.sizes.j_bits)
+
+
+def sw_encode(k_seq, books):
+    """The key's pre-assigned random bin index as a J-bit string."""
+    k_arr = np.asarray(k_seq, dtype=np.int64)
+    if books.key_type_and_order(k_arr) is None:
+        raise ValidationError("key word is atypical; no bin index is assigned")
+    return sw_bits(books, k_arr)
 
 
 @pytest.fixture

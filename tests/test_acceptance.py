@@ -27,7 +27,7 @@ from secembed.region import (
 )
 from secembed.tables import Axis, DistTable, DistortionMeasure
 
-from conftest import binary_spec, copy_embedder_aux, noise_aux
+from conftest import binary_spec, copy_embedder_aux, decrypt, encrypt, int_to_bits, noise_aux
 
 
 def report(num: int, label: str, checks: dict) -> None:
@@ -133,9 +133,9 @@ def test_criterion_05_simulator_core():
             rng.integers(0, 2, width).astype(np.uint8),
         ]
         for value in range(2**width):
-            w = sim.int_to_bits(value, width)
+            w = int_to_bits(value, width)
             for s in pads:
-                if not np.array_equal(sim.decrypt(sim.encrypt(w, s), s), w):
+                if not np.array_equal(decrypt(encrypt(w, s), s), w):
                     involution_ok = False
     checks["involution exhaustive L<=12"] = involution_ok
 

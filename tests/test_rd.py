@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from secembed import rd
 from secembed.errors import EmptyTypicalSetError, InfeasibleError, ValidationError
-from secembed.rd import blahut_arimoto, build_rd_codebook, rd_curve, rd_decode, rd_encode
+from secembed.rd import blahut_arimoto, build_rd_codebook, rd_curve, rd_encode
 from secembed.tables import Axis, DistTable, DistortionMeasure
-from secembed.typical import SymbolSequence, enumerate_typical
+from secembed.typical import enumerate_typical
 
 U = Axis("U", 2)
 UHAT = Axis("Uhat", 2)
@@ -119,7 +119,7 @@ class TestCodebook:
         typ = enumerate_typical(BSS, 6, 0.25)
         assert cb.distinct_count == len(typ)
         assert sorted(tuple(r) for r in cb.codewords[: cb.distinct_count]) == sorted(
-            t.symbols for t in typ
+            tuple(t) for t in typ
         )
         assert cb.index_bits == math.ceil(math.log2(len(typ)))
 
@@ -133,7 +133,7 @@ class TestCodebook:
         cb = build_rd_codebook(BSS, HAMMING, 0.125, 8, 0.25)
         for t in enumerate_typical(BSS, 8, 0.25):
             dmin = min(
-                HAMMING.per_sequence(t.symbols, cw) for cw in cb.codewords
+                HAMMING.per_sequence(t, cw) for cw in cb.codewords
             )
             assert dmin <= cb.coverage_radius + 1e-12
 
@@ -141,7 +141,7 @@ class TestCodebook:
         cb = build_rd_codebook(BSS, HAMMING, 0.125, 8, 0.25, eps_cov=0.125)
         assert cb.coverage_radius == pytest.approx(2.0)
         for t in enumerate_typical(BSS, 8, 0.25):
-            dmin = min(HAMMING.per_sequence(t.symbols, cw) for cw in cb.codewords)
+            dmin = min(HAMMING.per_sequence(t, cw) for cw in cb.codewords)
             assert dmin <= 2.0 + 1e-12
 
     def test_padding_reported(self):
@@ -155,10 +155,6 @@ class TestCodebook:
         assert cb.budget_bits == 4
         assert cb.index_bits == math.ceil(math.log2(cb.distinct_count))
 
-    def test_extra_index_bits(self):
-        cb = build_rd_codebook(BSS, HAMMING, 0.0, 4, 0.4, extra_index_bits=2)
-        assert cb.size == 4 * 2 ** math.ceil(math.log2(cb.distinct_count))
-
 
 class TestEncodeDecode:
     def setup_method(self):
@@ -166,10 +162,10 @@ class TestEncodeDecode:
 
     def test_codeword_maps_to_itself(self):
         for i in range(min(4, self.cb.distinct_count)):
-            w = SymbolSequence(tuple(self.cb.codewords[i]), UHAT)
+            w = self.cb.codewords[i]
             j = rd_encode(w, self.cb)
             assert np.array_equal(self.cb.codewords[j], self.cb.codewords[i])
-            assert HAMMING.per_sequence(w.symbols, self.cb.codewords[j]) == 0
+            assert HAMMING.per_sequence(w, self.cb.codewords[j]) == 0
 
     def test_tie_breaks_to_lowest_index(self):
         cw = np.array([[0, 0], [1, 1]])
@@ -187,7 +183,7 @@ class TestEncodeDecode:
             distortion=HAMMING,
         )
         # (0, 1) is Hamming-1 from both
-        assert rd_encode(SymbolSequence((0, 1), U), cb) == 0
+        assert rd_encode(np.array([0, 1]), cb) == 0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(4)
@@ -195,19 +191,15 @@ class TestEncodeDecode:
         for t in rng.choice(len(typ), size=20, replace=False):
             w = typ[int(t)]
             i = rd_encode(w, self.cb)
-            dists = [HAMMING.per_sequence(w.symbols, cw) for cw in self.cb.codewords]
+            dists = [HAMMING.per_sequence(w, cw) for cw in self.cb.codewords]
             assert dists[i] == min(dists)
             assert i == int(np.argmin(dists))
 
     def test_roundtrip_within_certificate(self):
         for t in enumerate_typical(BSS, 8, 0.25):
             i = rd_encode(t, self.cb)
-            back = rd_decode(i, self.cb)
-            assert HAMMING.per_sequence(t.symbols, back.symbols) <= self.cb.coverage_radius + 1e-12
-
-    def test_decode_range_checked(self):
-        with pytest.raises(ValidationError):
-            rd_decode(self.cb.size, self.cb)
+            back = self.cb.codewords[i]
+            assert HAMMING.per_sequence(t, back) <= self.cb.coverage_radius + 1e-12
 
 
 def _reference_cover(p_u, d_prime, target_d, n_symbols, delta, eps_cov=0.0, cap=1 << 24, solution=None):
@@ -216,22 +208,21 @@ def _reference_cover(p_u, d_prime, target_d, n_symbols, delta, eps_cov=0.0, cap=
     for every pick.  Returns the picked codewords and whether the pool was
     extended to the whole reproduction space."""
     sol = solution or blahut_arimoto(p_u, d_prime, target_d)
-    sources = enumerate_typical(p_u, n_symbols, delta, cap=cap)
-    if not sources:
+    src = enumerate_typical(p_u, n_symbols, delta)
+    if len(src) == 0:
         raise EmptyTypicalSetError("no typical source words")
     q_out = p_u.values @ sol.test_channel.conditional_matrix((d_prime.rows.name,), (d_prime.cols.name,))
     q_table = DistTable((d_prime.cols,), q_out / q_out.sum())
-    candidates = enumerate_typical(q_table, n_symbols, delta, cap=cap)
-    src = np.array([s.symbols for s in sources], dtype=np.int64)
+    candidates = enumerate_typical(q_table, n_symbols, delta)
     radius = n_symbols * (target_d + eps_cov)
 
     def cover_matrix(cands):
         dists = d_prime.cost[src[None, :, :], cands[:, None, :]].sum(axis=2)
         return dists <= radius + 1e-12
 
-    pool = np.array([c.symbols for c in candidates], dtype=np.int64).reshape(-1, n_symbols)
+    pool = candidates
     chosen = []
-    uncovered = np.ones(len(sources), dtype=bool)
+    uncovered = np.ones(len(src), dtype=bool)
     extended = False
     while uncovered.any():
         if pool.size == 0:

@@ -24,7 +24,7 @@ from secembed.region import AuxChannel, SystemSpec
 from secembed.tables import Axis, DistortionMeasure, DistTable
 from secembed.typical import CountBox, _multinomial, letter_dtype
 
-from conftest import binary_spec, copy_embedder_aux, noise_aux
+from conftest import binary_spec, copy_embedder_aux, decrypt, encrypt, int_to_bits, noise_aux, sw_bits, sw_encode
 
 
 def build_trend(spec, aux, n, seed=11, **kw):
@@ -137,10 +137,10 @@ class TestKeyMachinery:
     def test_sw_is_deterministic_and_requires_typical_key(self, trend_spec, trend_aux):
         books = build_trend(trend_spec, trend_aux, 8)
         k = books.key_types[0].representative
-        assert np.array_equal(sim.sw_encode(k, books), sim.sw_encode(k, books))
-        assert sim.sw_encode(k, books).shape == (4,)
+        assert np.array_equal(sw_encode(k, books), sw_encode(k, books))
+        assert sw_encode(k, books).shape == (4,)
         with pytest.raises(ValidationError):
-            sim.sw_encode(np.zeros(8, dtype=np.int64), books)
+            sw_encode(np.zeros(8, dtype=np.int64), books)
 
     def test_sw_uniform_across_keys(self, trend_spec, trend_aux):
         # random binning: bit frequencies across typical keys near half
@@ -150,7 +150,7 @@ class TestKeyMachinery:
         bits = []
         for ktype in books.key_types:
             for word in _multiset_perms(ktype.counts):
-                bits.append(books.sw_bits(word))
+                bits.append(sw_bits(books, word))
         arr = np.array(bits)
         freq = arr.mean(axis=0)
         assert np.all(np.abs(freq - 0.5) < 0.05)
@@ -273,20 +273,20 @@ class TestStegoStream:
 
 class TestEncryption:
     def test_zero_pad_is_identity(self):
-        w = sim.int_to_bits(0b10110, 5)
-        out = sim.encrypt(w, np.zeros(5, dtype=np.uint8))
+        w = int_to_bits(0b10110, 5)
+        out = encrypt(w, np.zeros(5, dtype=np.uint8))
         assert np.array_equal(out, w)
 
     def test_known_xor(self):
         # w = 10110, s = 01100 (left to right) -> 11010
         w = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         s = np.array([0, 1, 1, 0, 0], dtype=np.uint8)
-        assert np.array_equal(sim.encrypt(w, s), np.array([1, 1, 0, 1, 0], dtype=np.uint8))
+        assert np.array_equal(encrypt(w, s), np.array([1, 1, 0, 1, 0], dtype=np.uint8))
 
     def test_partial_pad_passthrough(self):
         w = np.array([1, 0, 1, 1], dtype=np.uint8)
         s = np.array([1, 1], dtype=np.uint8)
-        out = sim.encrypt(w, s)
+        out = encrypt(w, s)
         assert np.array_equal(out, [0, 1, 1, 1])
 
     @pytest.mark.parametrize("width", range(1, 13))
@@ -294,25 +294,25 @@ class TestEncryption:
         rng = np.random.default_rng(width)
         pads = [np.zeros(width, np.uint8), np.ones(width, np.uint8), rng.integers(0, 2, width).astype(np.uint8)]
         for value in range(2**width):
-            w = sim.int_to_bits(value, width)
+            w = int_to_bits(value, width)
             for s in pads:
-                assert np.array_equal(sim.decrypt(sim.encrypt(w, s), s), w)
+                assert np.array_equal(decrypt(encrypt(w, s), s), w)
 
     def test_uniform_pad_gives_uniform_ciphertext(self):
         rng = np.random.default_rng(0)
-        w = sim.int_to_bits(0b1010, 4)
+        w = int_to_bits(0b1010, 4)
         draws = rng.integers(0, 2, size=(100_000, 4)).astype(np.uint8)
-        vals = [sim.bits_to_int(sim.encrypt(w, s)) for s in draws]
+        vals = [sim.bits_to_int(encrypt(w, s)) for s in draws]
         counts = np.bincount(vals, minlength=16)
         assert stats.chisquare(counts).pvalue > 1e-3
 
     def test_oversized_pad_rejected(self):
         with pytest.raises(ValidationError):
-            sim.encrypt(np.zeros(3, np.uint8), np.zeros(4, np.uint8))
+            encrypt(np.zeros(3, np.uint8), np.zeros(4, np.uint8))
 
     def test_bit_order_little_endian(self):
         assert sim.bits_to_int(np.array([1, 0, 1])) == 5
-        assert np.array_equal(sim.int_to_bits(5, 3), [1, 0, 1])
+        assert np.array_equal(int_to_bits(5, 3), [1, 0, 1])
 
 
 class TestEncode:
@@ -324,7 +324,7 @@ class TestEncode:
         enc = sim.embed_encode(u, x, k, books)
         assert not enc.input_ok
         assert enc.m == 1 and enc.w == 0
-        assert not sim.int_to_bits(enc.m - 1, books.sizes.l_bits).any()
+        assert not int_to_bits(enc.m - 1, books.sizes.l_bits).any()
 
     def test_deterministic_channels_find_first_entry(self):
         # V and Y deterministic given (K, X): every bin entry works
@@ -425,8 +425,6 @@ class TestDecode:
         assert dec.event == "e4"
 
     def test_roundtrip_exact_when_clean(self, trend_spec, trend_aux):
-        from secembed.rd import rd_decode
-
         books = build_trend(trend_spec, trend_aux, 8)
         agg = sim.run_trials(books, 300, 17)
         clean = [r for r in agg.results if r.error_event == "none"]
@@ -434,10 +432,10 @@ class TestDecode:
         for r in clean:
             assert r.message_correct
             assert r.decoded_bin == r.true_bin
-            expect = rd_decode(r.true_bin - 1 if books.sizes.j_bits == 0 else sim.bits_to_int(
-                sim.decrypt(sim.int_to_bits(r.true_bin - 1, books.sizes.l_bits), books.sw_bits(r.k)[: books.sizes.j_bits])
-            ), books.rd_codebook)
-            assert np.array_equal(r.uhat, expect.as_array())
+            expect = books.rd_codebook.codewords[r.true_bin - 1 if books.sizes.j_bits == 0 else sim.bits_to_int(
+                decrypt(int_to_bits(r.true_bin - 1, books.sizes.l_bits), sw_bits(books, r.k)[: books.sizes.j_bits])
+            )]
+            assert np.array_equal(r.uhat, expect)
 
 
 class TestTrials:
@@ -555,25 +553,11 @@ class TestEquivocation:
         est = sim.estimate_equivocation(books)
         assert est.extras["h_bin_given_y_encrypted_path"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_plug_in_estimate_runs(self, trend_spec, trend_aux):
+    def test_exact_mode_cap(self, trend_spec, trend_aux, monkeypatch):
         books = build_trend(trend_spec, trend_aux, 8)
-        with pytest.warns(RuntimeWarning, match="biased"):
-            est = sim.estimate_equivocation(
-                books, mode="plug_in", trials=10_000, seed=4
-            )
-        assert est.method == "plug_in"
-        assert 0.0 <= est.h_u_given_yz <= 1.0 + 1e-9
-        assert 0.0 <= est.h_uhat_given_yz <= 1.0 + 1e-9
-
-    def test_plug_in_needs_many_trials(self, trend_spec, trend_aux):
-        books = build_trend(trend_spec, trend_aux, 8)
-        with pytest.raises(ValidationError):
-            sim.estimate_equivocation(books, mode="plug_in", trials=100)
-
-    def test_exact_mode_cap(self, trend_spec, trend_aux):
-        books = build_trend(trend_spec, trend_aux, 8)
+        monkeypatch.setattr(sim, "DEFAULT_ENUM_CAP", 10)
         with pytest.raises(ResourceCapError):
-            sim.estimate_equivocation(books, enum_cap=10)
+            sim.estimate_equivocation(books)
 
     def test_ensemble_average(self):
         spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
@@ -852,8 +836,6 @@ def _decode_books(seed: int, n: int, m2_bits: int) -> sim.CodebookSet:
 def _reference_decode(z, k, books):
     """(event, bin, bins found, uhat) of one forged word, from the whole
     auxiliary book's (k, v, z) counts by np.add.at."""
-    from secembed.rd import rd_decode
-
     ktp = books.key_type_and_order(k)
     if ktp is None:
         return "e4", None, (), None
@@ -869,9 +851,9 @@ def _reference_decode(z, k, books):
         return "e4", None, (), None
     if len(bins) > 1:
         return "e5", None, bins, None
-    s = books.sw_bits(k)[: books.sizes.j_bits]
-    w = sim.decrypt(sim.int_to_bits(bins[0] - 1, books.sizes.l_bits), s)
-    return "ok", bins[0], bins, rd_decode(sim.bits_to_int(w), books.rd_codebook).as_array()
+    s = sw_bits(books, k)[: books.sizes.j_bits]
+    w = decrypt(int_to_bits(bins[0] - 1, books.sizes.l_bits), s)
+    return "ok", bins[0], bins, books.rd_codebook.codewords[sim.bits_to_int(w)]
 
 
 def _decode_fields(d):
@@ -980,8 +962,8 @@ class TestPad:
             drawn = np.random.default_rng(
                 np.random.SeedSequence((books.seed, sim._SW_TAG, *k.tolist()))
             ).integers(0, 2, size=j_bits, dtype=np.uint8)
-            assert np.array_equal(books.sw_bits(k), drawn) and books.sw_bits(k).dtype == np.uint8
-            assert books.pad(k) == sim.bits_to_int(books.sw_bits(k))
+            assert np.array_equal(sw_bits(books, k), drawn) and sw_bits(books, k).dtype == np.uint8
+            assert books.pad(k) == sim.bits_to_int(sw_bits(books, k))
             assert 0 <= books.pad(k) < 1 << j_bits
         if width == "full":  # the pads differ across keys
             assert len({books.pad(k) for k in keys}) > 1
@@ -1002,9 +984,9 @@ class TestPad:
         sent, m = search.bin_of(w)
         assert sent == w and 1 <= m <= 1 << l_bits
         assert sim._sent_index(m, pad) == w
-        w_bits, s_bits = sim.int_to_bits(w, l_bits), sim.int_to_bits(pad, j_bits)
-        assert sim.bits_to_int(sim.encrypt(w_bits, s_bits)) == w ^ pad == m - 1
-        assert np.array_equal(sim.decrypt(sim.encrypt(w_bits, s_bits), s_bits), w_bits)
+        w_bits, s_bits = int_to_bits(w, l_bits), int_to_bits(pad, j_bits)
+        assert sim.bits_to_int(encrypt(w_bits, s_bits)) == w ^ pad == m - 1
+        assert np.array_equal(decrypt(encrypt(w_bits, s_bits), s_bits), w_bits)
 
     @pytest.mark.parametrize("width", ["zero", "full"])
     def test_decode_many_matches_bit_level_decrypt(self, width):
@@ -1195,8 +1177,8 @@ def _frozen_embed_encode(u_arr, x_arr, k_arr, codebooks):
         np.bincount(k_arr * codebooks.x_size + x_arr, minlength=codebooks.k_size * codebooks.x_size)
     )
     if typical_u and ktp is not None:
-        w = sim.int_to_bits(sim.rd_encode(u_arr, codebooks.rd_codebook), sizes.l_bits)
-        wt = sim.encrypt(w, codebooks.sw_bits(k_arr)[: sizes.j_bits])
+        w = int_to_bits(sim.rd_encode(u_arr, codebooks.rd_codebook), sizes.l_bits)
+        wt = encrypt(w, sw_bits(codebooks, k_arr)[: sizes.j_bits])
     else:
         w = np.zeros(sizes.l_bits, dtype=np.uint8)
         wt = w.copy()

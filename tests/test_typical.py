@@ -8,24 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from secembed import typical
 from secembed.errors import EmptyTypicalSetError, ResourceCapError, ValidationError
 from secembed.tables import Axis, DistTable, DistortionMeasure, expected_distortion
 from secembed.typical import (
     ConditionalTypicalSampler,
     SymbolSequence,
-    TypicalityParams,
-    combine_sequences,
     count_box,
     count_typical,
-    empirical_pmf,
     enumerate_typical,
     epsilon_from_delta,
     epsilon_schedule,
     is_delta_typical,
     is_jointly_delta_typical,
-    is_tuple_typical,
     letter_dtype,
-    sample_uniform_conditional_typical,
     typical_distortion_bound,
     typical_set_probability,
     typicality_size_bounds,
@@ -37,31 +33,6 @@ T = Axis("T", 3)
 
 def seq(symbols, axis=A):
     return SymbolSequence(tuple(symbols), axis)
-
-
-class TestEmpiricalPmf:
-    def test_balanced_binary(self):
-        np.testing.assert_array_equal(empirical_pmf(seq([0, 0, 1, 1])).values, [0.5, 0.5])
-
-    def test_constant(self):
-        np.testing.assert_array_equal(
-            empirical_pmf(seq([0] * 5)).values, [1.0, 0.0]
-        )
-
-    def test_ternary(self):
-        np.testing.assert_array_equal(
-            empirical_pmf(seq([0, 1, 2, 0], T)).values, [0.5, 0.25, 0.25]
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            empirical_pmf(seq([]))
-
-    def test_params_validation(self):
-        with pytest.raises(ValidationError):
-            TypicalityParams(delta=0.0, n=4)
-        with pytest.raises(ValidationError):
-            TypicalityParams(delta=0.5, n=0)
 
 
 class TestMembership:
@@ -155,22 +126,11 @@ class TestJointMembership:
         assert checked > 50
 
 
-class TestTupleTypicality:
-    def test_matches_pairwise_counting(self):
-        joint = DistTable([A, ("B", 2)], [[0.4, 0.1], [0.1, 0.4]])
-        sa = seq([0, 0, 1, 1, 0, 1, 0, 1, 0, 0])
-        sb = seq([0, 0, 1, 1, 0, 1, 1, 0, 0, 0], Axis("B", 2))
-        combined = combine_sequences([sa, sb])
-        box = count_box(joint.values.ravel(), 10, 0.5)
-        counts = np.bincount(combined.as_array(), minlength=4)
-        assert is_tuple_typical([sa, sb], joint, 0.5) == box.contains(counts)
-
-
 class TestEnumeration:
     def test_balanced_pairs_only(self):
         p = DistTable([A], [0.5, 0.5])
         out = enumerate_typical(p, 2, 0.1)
-        assert [t.symbols for t in out] == [(0, 1), (1, 0)]
+        assert out.tolist() == [[0, 1], [1, 0]]
 
     def test_vacuous_delta_admits_all(self):
         p = DistTable([A], [0.5, 0.5])
@@ -181,23 +141,29 @@ class TestEnumeration:
     def test_point_mass(self):
         p = DistTable([A], [1.0, 0.0])
         out = enumerate_typical(p, 5, 0.1)
-        assert [t.symbols for t in out] == [(0, 0, 0, 0, 0)]
+        assert out.tolist() == [[0, 0, 0, 0, 0]]
 
     def test_matches_brute_force_filter(self):
-        p = DistTable([A], [0.3, 0.7])
-        for delta in (0.2, 0.5, 0.8):
-            mine = [t.symbols for t in enumerate_typical(p, 10, delta)]
+        cases = [(DistTable([A], [0.3, 0.7]), 10, delta) for delta in (0.2, 0.5, 0.8)]
+        # a zero-probability letter, and a box that admits no word (letter 0
+        # needs a count in [ceil(0.25), floor(0.75)])
+        cases += [(DistTable([T], [0.4, 0.0, 0.6]), 6, 0.5), (DistTable([A], [0.25, 0.75]), 2, 0.5)]
+        for p, n, delta in cases:
+            axis = p.axes[0]
+            mine = enumerate_typical(p, n, delta)
             brute = [
                 s
-                for s in itertools.product(range(2), repeat=10)
-                if is_delta_typical(SymbolSequence(s, A), p, delta)
+                for s in itertools.product(range(axis.size), repeat=n)
+                if is_delta_typical(SymbolSequence(s, axis), p, delta)
             ]
-            assert mine == brute
+            assert mine.dtype == np.int64 and mine.shape == (len(brute), n)
+            assert [tuple(w) for w in mine.tolist()] == brute
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         p = DistTable([A], [0.5, 0.5])
+        monkeypatch.setattr(typical, "DEFAULT_ENUMERATION_CAP", 2**20)
         with pytest.raises(ResourceCapError):
-            enumerate_typical(p, 30, 0.2, cap=2**20)
+            enumerate_typical(p, 21, 0.2)
 
 
 class TestCountingOracles:
@@ -257,11 +223,10 @@ class TestSizeAndDistortionBounds:
 
 class TestConditionalSampling:
     def test_identity_channel_returns_input(self):
-        k = DistTable([A, ("B", 2)], np.eye(2), given=("A",))
         rng = np.random.default_rng(0)
-        s = seq([0, 1, 1, 0])
-        out = sample_uniform_conditional_typical(s, k, 0.2, rng)
-        assert out.symbols == s.symbols
+        s = np.array([0, 1, 1, 0])
+        out = ConditionalTypicalSampler(s, 2, np.eye(2), 0.2).sample(rng)
+        assert np.array_equal(out, s)
 
     def test_uniform_channel_vacuous_delta_uniform_over_words(self):
         # chi-square sanity against the exact uniform law at n = 4
@@ -282,15 +247,13 @@ class TestConditionalSampling:
         # deterministic on one letter, balanced on the other; delta = 0.01
         # pins the balanced letter's counts exactly
         kmat = np.array([[1.0, 0.0], [0.5, 0.5]])
-        k = DistTable([A, ("B", 2)], kmat, given=("A",))
         s = seq([0, 0, 1, 1])
         sampler = ConditionalTypicalSampler(s.as_array(), 2, kmat, 0.01)
         members = {tuple(m) for m in sampler.enumerate()}
         assert members == {(0, 0, 0, 1), (0, 0, 1, 0)}
         rng = np.random.default_rng(11)
         for _ in range(20):
-            out = sample_uniform_conditional_typical(s, k, 0.01, rng)
-            assert out.symbols in members
+            assert tuple(sampler.sample(rng).tolist()) in members
 
     def test_empty_set_raises(self):
         # p = 0.25 cells with single occurrences admit no integer count
@@ -299,24 +262,24 @@ class TestConditionalSampling:
             ConditionalTypicalSampler(np.array([0, 1]), 2, kmat, 0.5)
 
     def test_multi_axis_conditioning(self):
-        # channel conditioned on a (K, V) pair via a combined word; every
-        # pair occurs twice so the balanced cells admit a count
+        # channel conditioned on a (K, V) pair via the row-major product
+        # word; every pair occurs twice so the balanced cells admit a count
         k = DistTable(
             [("K", 2), ("V", 2), ("B", 2)],
             np.full((2, 2, 2), 0.5),
             given=("K", "V"),
         )
-        sk = seq([0, 0, 1, 1, 0, 0, 1, 1], Axis("K", 2))
-        sv = seq([0, 1, 0, 1, 0, 1, 0, 1], Axis("V", 2))
-        combined = combine_sequences([sk, sv])
+        sk = np.array([0, 0, 1, 1, 0, 0, 1, 1])
+        sv = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        combined = sk * 2 + sv
+        kmat = k.conditional_matrix(("K", "V"), ("B",))
         rng = np.random.default_rng(3)
-        out = sample_uniform_conditional_typical(combined, k, 0.99, rng)
+        out = ConditionalTypicalSampler(combined, 4, kmat, 0.99).sample(rng)
         assert len(out) == 8
         # each pair's two positions carry exactly one of each output letter
-        arr = out.as_array()
         for pair in range(4):
-            pos = np.flatnonzero(combined.as_array() == pair)
-            assert sorted(arr[pos]) == [0, 1]
+            pos = np.flatnonzero(combined == pair)
+            assert sorted(out[pos]) == [0, 1]
 
 
 class TestEpsilonSchedule:
