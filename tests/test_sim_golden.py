@@ -42,6 +42,9 @@ NOISY_SYSTEM = {
 }
 # V uniform and independent of (K, X), and Y a copy of V; indexed [k][x][v][y]
 NOISY_AUX = {"v": ["v0", "v1"], "table": [[[[0.5, 0.0], [0.0, 0.5]]] * 2] * 2}
+# V uniform and independent of (K, X), and Y equal to V with probability
+# 3/5: no stegotext letter is fixed, so every stegotext book is drawn
+DRAWN_AUX = {"v": ["v0", "v1"], "table": [[[[0.3, 0.2], [0.2, 0.3]]]] * 2}
 
 _DEMO = ["--spec", "{demo}", "--aux", "{aux}", "--delta", "0.6", "--m3-bits", "0"]
 
@@ -88,13 +91,32 @@ CASES = {
          "--j-bits", "1", "--rebuilds", "2", "--seed", "6"],
         ("_bins.csv", "_compression.csv"),
     ),
+    # the same audits over drawn stegotext books, at a delta where every
+    # auxiliary row's books admit a word
+    "audit_drawn_n10": (
+        "audit",
+        ["--spec", "{audit}", "--aux", "{drawn_aux}", "--n", "10", "--delta", "0.3",
+         "--gamma", "0.5", "--dprime", "0.0", "--m2-bits", "5", "--m3-bits", "1",
+         "--j-bits", "1", "--rebuilds", "2", "--seed", "6"],
+        ("_bins.csv", "_compression.csv"),
+    ),
+    # n=8 exact equivocation over drawn stegotext books, some of which admit
+    # no word; its trials include e3, e5 and encode_fallback
+    "exact_drawn_n8": (
+        "simulate",
+        ["--spec", "{demo}", "--aux", "{drawn_aux}", "--n", "8", "--trials", "20",
+         "--delta", "0.6", "--dprime", "0.25", "--m2-bits", "3", "--m3-bits", "1",
+         "--j-bits", "2", "--seed", "8", "--exact-equivocation"],
+        ("_summary.csv",),
+    ),
 }
 
 
 def _run_case(name: str, workdir: Path) -> Path:
     verb, args, _ = CASES[name]
     paths = {"demo": str(CONFIGS / "demo_system.yaml"), "aux": str(CONFIGS / "demo_aux.yaml")}
-    for key, table in (("audit", AUDIT_SYSTEM), ("noisy", NOISY_SYSTEM), ("noisy_aux", NOISY_AUX)):
+    tables = (("audit", AUDIT_SYSTEM), ("noisy", NOISY_SYSTEM), ("noisy_aux", NOISY_AUX), ("drawn_aux", DRAWN_AUX))
+    for key, table in tables:
         paths[key] = str(workdir / f"{key}.yaml")
         Path(paths[key]).write_text(yaml.safe_dump(table))
     out = workdir / name
