@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, EmptyTypicalSetError, InfeasibleError, ValidationError
-from .tables import Axis, DistTable, DistortionMeasure, LOG_ZERO_CUTOFF
+from .tables import DistTable, DistortionMeasure, LOG_ZERO_CUTOFF
 from .typical import DEFAULT_ENUMERATION_CAP, enumerate_typical
 
 RATE_TOL = 1e-9
@@ -150,7 +150,6 @@ class RdCodebook:
     """
 
     codewords: np.ndarray  # (2**index_bits, n_symbols) int64
-    alphabet: Axis
     n_symbols: int
     index_bits: int
     coverage_delta: float
@@ -256,7 +255,6 @@ def build_rd_codebook(
         rows = np.vstack([rows, pad])
     return RdCodebook(
         codewords=rows,
-        alphabet=d_prime.cols,
         n_symbols=n_symbols,
         index_bits=index_bits,
         coverage_delta=delta,

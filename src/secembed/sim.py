@@ -190,10 +190,15 @@ class CodebookSet:
         self._p_y_given_kv = np.where(
             pkv[:, :, None] > 0, kvy / np.where(pkv[:, :, None] > 0, pkv[:, :, None], 1.0), 1.0 / self.y_size
         ).reshape(self.k_size * self.v_size, self.y_size)
+        # the stegotext letter of each (k, v) whose row of p(y|k,v) has
+        # exactly one positive entry, and -1 where a letter is drawn
+        point = np.count_nonzero(self._p_y_given_kv > 0, axis=1) == 1
+        self._y_of_kv = np.where(point, self._p_y_given_kv.argmax(axis=1), -1)
 
         # books store letters in letter_dtype; words handed out are int64
         self._v_dtype = letter_dtype(self.v_size)
         self._y_dtype = letter_dtype(self.y_size)
+        self._reps = np.array([t.representative for t in key_types], dtype=np.int64).reshape(-1, n)
 
         # every auxiliary book, drawn in type order, and its packed letter
         # masks, stacked by type so a search can gather rows of many types
@@ -241,12 +246,22 @@ class CodebookSet:
         itself in the auxiliary books' dtype, so bins sharing a word share
         its stegotext book, and so do callers holding it as int64).
 
-        A draw reads the generator through each (k, v) letter's count only;
-        its positions just place the letters.  So the words are drawn by the
-        sampler of the letter-sorted (k, v) word, shared by every word of
-        that joint composition, and moved to this word's positions through
-        its stable argsort: slot i of the sorted word is position order[i]."""
+        A word whose (k, v) letters are all fixed has one stegotext word,
+        and its book repeats it M_3 times: a draw would only permute
+        constant letter words.  That book is built with no generator, no
+        sampler and no cache entry.
+
+        Any other draw reads the generator through each (k, v) letter's
+        count only; its positions just place the letters.  So the words are
+        drawn by the sampler of the letter-sorted (k, v) word, shared by
+        every word of that joint composition, and moved to this word's
+        positions through its stable argsort: slot i of the sorted word is
+        position order[i].  A fixed letter still takes its place in that
+        draw, as it consumes the generator like any other."""
         v_rep = np.asarray(v_rep, dtype=self._v_dtype)
+        word, fixed = self.fixed_stego_words(type_idx, v_rep)
+        if fixed:
+            return np.repeat(word[None], self.sizes.m3, axis=0)
 
         def draw() -> np.ndarray:
             combined = self.key_types[type_idx].representative * self.v_size + v_rep
@@ -261,6 +276,15 @@ class CodebookSet:
             return book
 
         return self._stego_books.lookup((type_idx, v_rep.tobytes()), draw)
+
+    def fixed_stego_words(self, types, v_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For (type index, auxiliary word) pairs, given as broadcastable
+        type indices and a (..., n) stack of words, the stegotext word of
+        each pair whose (k, v) letters are all fixed, in ``letter_dtype(|Y|)``,
+        and whether each pair's letters are all fixed.  One gather for all
+        pairs; the words of the other pairs are meaningless."""
+        ys = self._y_of_kv[self._reps[types] * self.v_size + v_words]
+        return ys.astype(self._y_dtype), (ys >= 0).all(axis=-1)
 
     def _stego_sampler(self, sorted_kv: np.ndarray) -> ConditionalTypicalSampler:
         """The stegotext sampler of one joint (k, v) composition, given as
@@ -522,17 +546,22 @@ def _search_bins(
     typical = _rows_in_boxes(masks, contexts, codebooks.kxv_cells)
     j = np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
     v_reps = codebooks._aux_books[types, rows[np.arange(len(rows)), j]]
-    drawn, books = [], []
-    for i in np.flatnonzero(j >= 0).tolist():
+    # the books of the pairs with a typical row: fixed words' in one
+    # gather, the others drawn book by book
+    found = np.flatnonzero(j >= 0)
+    words, has_book = codebooks.fixed_stego_words(types[found], v_reps[found])
+    books = np.empty((len(found), codebooks.sizes.m3, codebooks.n), dtype=words.dtype)
+    books[has_book] = words[has_book, None]
+    for i in np.flatnonzero(~has_book).tolist():
         try:
-            books.append(codebooks.stego_book(key_types[i][0], v_reps[i]))
-            drawn.append(i)
+            books[i] = codebooks.stego_book(key_types[found[i]][0], v_reps[found[i]])
+            has_book[i] = True
         except EmptyTypicalSetError:  # the book has no word to draw
             pass
+    drawn, books = found[has_book], books[has_book]
     j_prime = np.full(len(pairs), -1)
     ys = np.empty((len(pairs), codebooks.n), dtype=np.int64)
-    if drawn:
-        books = np.stack(books)
+    if drawn.size:
         hits = _rows_in_boxes(
             _letter_masks(books, codebooks.y_size),
             contexts[drawn] * codebooks.v_size + v_reps[drawn],
@@ -542,7 +571,7 @@ def _search_bins(
         # each pair's first typical word, moved from the representative frame
         # to its key's positions: slot t lands on position order[t]
         orders = np.stack([key_types[i][1] for i in drawn])
-        ys[np.array(drawn)[:, None], orders] = books[np.arange(len(drawn)), j_prime[drawn]]
+        ys[drawn[:, None], orders] = books[np.arange(len(drawn)), j_prime[drawn]]
     out = []
     for (type_idx, order), row, row_prime, v_rep, y in zip(key_types, j.tolist(), j_prime.tolist(), v_reps, ys):
         details = {"type_idx": type_idx, "order": order}
@@ -1247,9 +1276,15 @@ def compression_audits(codebooks: CodebookSet) -> CompressionAudit:
 def _distinct_stego_books(codebooks: CodebookSet, type_idx: int) -> tuple[np.ndarray, np.ndarray]:
     """One type's stegotext books, one per distinct auxiliary row, as a
     (distinct rows, M_3, n) array, and for each row of its auxiliary book
-    the index of that row's book."""
+    the index of that row's book.  The books of rows whose (k, v) letters
+    are all fixed are one gather; ``stego_book`` draws the others one row
+    at a time."""
     rows, book_of_row = np.unique(codebooks.aux_book(type_idx), axis=0, return_inverse=True)
-    books = np.stack([codebooks.stego_book(type_idx, v) for v in rows])
+    words, fixed = codebooks.fixed_stego_words(type_idx, rows)
+    books = np.empty((len(rows), codebooks.sizes.m3, codebooks.n), dtype=words.dtype)
+    books[fixed] = words[fixed, None]
+    for i in np.flatnonzero(~fixed).tolist():
+        books[i] = codebooks.stego_book(type_idx, rows[i])
     return books, book_of_row.ravel()
 
 

@@ -171,7 +171,6 @@ class TestEncodeDecode:
         cw = np.array([[0, 0], [1, 1]])
         cb = self.cb.__class__(
             codewords=cw,
-            alphabet=UHAT,
             n_symbols=2,
             index_bits=1,
             coverage_delta=0.5,

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import math
@@ -214,10 +215,34 @@ def _stego_cases(draw):
     return books, [np.array(w, dtype=np.int64) for w in words]
 
 
+def _all_letters_fixed(books, type_idx, v_rep):
+    """Whether every (k, v) letter of the word has a point-mass p(y|k,v)
+    row: exactly one positive entry."""
+    rows = books._p_y_given_kv[books.key_types[type_idx].representative * books.v_size + v_rep]
+    return bool((np.count_nonzero(rows > 0, axis=1) == 1).all())
+
+
+@contextlib.contextmanager
+def _counting_seed_sequences():
+    """Count the ``SeedSequence``s built inside the block, which every
+    word-keyed generator starts from."""
+    made = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "SeedSequence", counting)
+        yield made
+
+
 class TestStegoStream:
     """Stegotext books drawn through one sampler per joint (k, v)
     composition, with array-seeded generators, must equal the per-word
-    books row for row."""
+    books row for row; so must the books of words whose letters are all
+    fixed, which are built with no draw."""
 
     @given(_stego_cases())
     @settings(max_examples=60, deadline=None)
@@ -232,11 +257,19 @@ class TestStegoStream:
                     with pytest.raises(EmptyTypicalSetError):
                         books.stego_book(t, v)
                     continue
-                got = books.stego_book(t, v)
+                entries = (len(books._stego_books), len(books._stego_samplers))
+                with _counting_seed_sequences() as made:
+                    got = books.stego_book(t, v)
                 assert got.shape == (books.sizes.m3, books.n) and got.dtype == letter_dtype(books.y_size)
                 assert np.array_equal(got, ref)
-                # an int64 word and a stored book row share one entry
-                assert books.stego_book(t, v.astype(np.int64)) is got
+                if _all_letters_fixed(books, t, v):
+                    # no generator, no sampler and no cache entry
+                    assert not made
+                    assert (len(books._stego_books), len(books._stego_samplers)) == entries
+                else:
+                    # an int64 word and a stored book row share one entry
+                    assert books.stego_book(t, v.astype(np.int64)) is got
+        # the cached books are the drawn ones, with one sampler per composition
         comps = set()
         for t, v in books._stego_books:
             kv = books.key_types[t].representative * books.v_size + np.frombuffer(v, dtype=letter_dtype(books.v_size))
@@ -254,6 +287,98 @@ class TestStegoStream:
         for v in (v1, v2):
             assert np.array_equal(books.stego_book(t, v), _reference_stego_book(books, t, v))
         assert books.sizes.m3 == 4 and len(books._stego_samplers) == 1
+
+    def test_near_point_mass_row_is_drawn(self, trend_spec):
+        # p(y|k,v0) puts 1e-13 on y1: two positive entries, so v0 letters
+        # are drawn, and no count of them admits the 1e-13 letter; v1
+        # letters are fixed at y1
+        K, X, V, Y = trend_spec.k_axis, trend_spec.x_axis, Axis("V", 2), trend_spec.y_axis
+        table = np.array([[0.5 * (1 - 1e-13), 0.5 * 1e-13], [0.0, 0.5]])
+        aux = AuxChannel(DistTable([K, X, V, Y], np.broadcast_to(table, (2, 1, 2, 2)), given=("K", "X")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            books = build_trend(trend_spec, aux, 8, m3_bits=1)
+        assert books._y_of_kv.tolist() == [-1, 1, -1, 1]
+        t, _ = books.key_type_and_order(np.repeat([0, 1], 4))
+        for v in (np.ones(8, dtype=np.int64), np.array([0, 1, 1, 1, 1, 1, 1, 0]), np.zeros(8, dtype=np.int64)):
+            assert bool(books.fixed_stego_words(t, v)[1]) == (not (v == 0).any())
+            try:
+                ref = _reference_stego_book(books, t, v)
+            except EmptyTypicalSetError:
+                with pytest.raises(EmptyTypicalSetError):
+                    books.stego_book(t, v)
+                continue
+            assert np.array_equal(books.stego_book(t, v), ref)
+        with pytest.raises(EmptyTypicalSetError):
+            _reference_stego_book(books, t, np.zeros(8, dtype=np.int64))
+
+    def test_word_of_fixed_and_drawn_letters_is_drawn(self, trend_spec):
+        # v0 letters copy into y0, v1 letters draw Y uniformly; the fixed
+        # letters take their place in the draw of the v1 letters
+        K, X, V, Y = trend_spec.k_axis, trend_spec.x_axis, Axis("V", 2), trend_spec.y_axis
+        table = np.array([[0.5, 0.0], [0.25, 0.25]])
+        aux = AuxChannel(DistTable([K, X, V, Y], np.broadcast_to(table, (2, 1, 2, 2)), given=("K", "X")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            books = build_trend(trend_spec, aux, 8, m3_bits=2)
+        t, _ = books.key_type_and_order(np.repeat([0, 1], 4))
+        v = np.array([0, 1, 1, 0, 1, 1, 0, 0])
+        with _counting_seed_sequences() as made:
+            got = books.stego_book(t, v)
+        assert len(made) == 1 and len(books._stego_books) == 1
+        assert np.array_equal(got, _reference_stego_book(books, t, v))
+        assert (got[:, v == 0] == 0).all() and len({row.tobytes() for row in got}) > 1
+        drawn = 0
+        for v_row in books.aux_book(t):
+            assert not books.fixed_stego_words(t, v_row)[1]
+            try:
+                ref = _reference_stego_book(books, t, v_row)
+            except EmptyTypicalSetError:  # a lone v1 letter admits no word
+                with pytest.raises(EmptyTypicalSetError):
+                    books.stego_book(t, v_row)
+                continue
+            assert np.array_equal(books.stego_book(t, v_row), ref)
+            drawn += 1
+        assert drawn > 0
+
+    def test_fixed_layer_repeats_its_one_word(self, trend_spec, trend_aux):
+        # Y copies V, so with M_3 = 4 each book is its auxiliary word 4 times
+        books = build_trend(trend_spec, trend_aux, 8, m3_bits=2)
+        for t in range(len(books.key_types)):
+            with _counting_seed_sequences() as made:
+                books_of_type, book_of_row = sim._distinct_stego_books(books, t)
+                got = [books.stego_book(t, v) for v in books.aux_book(t)[:8]]
+            assert not made and not books._stego_books and not books._stego_samplers
+            assert np.array_equal(books_of_type[book_of_row], np.repeat(books.aux_book(t)[:, None], 4, axis=1))
+            for book, v in zip(got, books.aux_book(t)):
+                assert np.array_equal(book, np.repeat(v[None], 4, axis=0))
+                assert np.array_equal(book, _reference_stego_book(books, t, v))
+
+    def test_one_letter_stegotext_alphabet(self):
+        # |Y| = 1: every letter is fixed at y0, so each book is all zeros
+        X, K, V, Y, Z = Axis("X", 1), Axis("K", 2), Axis("V", 2), Axis("Y", 1), Axis("Z", 1)
+        spec = SystemSpec(
+            p_u=DistTable([Axis("U", 2)], [0.5, 0.5]),
+            p_xk=DistTable([X, K], [[0.5, 0.5]]),
+            p_z_given_y=DistTable([Y, Z], [[1.0]], given=("Y",)),
+            lam=0.5,
+            d=DistortionMeasure(X, Y, [[0.0]]),
+            d_prime=DistortionMeasure.hamming(Axis("U", 2), Axis("Uhat", 2)),
+        )
+        aux = AuxChannel(DistTable([K, X, V, Y], np.full((2, 1, 2, 1), 0.5), given=("K", "X")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            books = sim.build_codebooks(spec, aux, 8, 0.6, 3, 0.5, m2_bits=2, m3_bits=1, j_bits=1)
+        assert books._y_of_kv.tolist() == [0, 0, 0, 0]
+        for t in range(len(books.key_types)):
+            for v in books.aux_book(t)[:4]:
+                got = books.stego_book(t, v)
+                assert got.shape == (2, 8) and not got.any()
+                assert np.array_equal(got, _reference_stego_book(books, t, v))
+        audit = sim.bin_multiplicity_audit(books, 0.5)
+        assert audit.max_bins_per_y == books.sizes.bins
+        agg = sim.run_trials(books, 8, seed=1)
+        assert agg.trials == 8 and not books._stego_books
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
     def test_array_entropy_equals_int_tuple(self, seed):
