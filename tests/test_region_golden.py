@@ -72,6 +72,13 @@ CASES = {
         ["--objective", "embedding_rate", "--fix", "d_prime=0.25,d=0.25,h=1.2,r_c=0.45",
          "--seed", "0"],
     ),
+    # a BSC(0.1) attack: Z differs from Y, so the evaluator takes its
+    # general path, not the one that shares the Y marginals with Z
+    "binary_bsc_embedding_rate": (
+        {**BINARY_SYSTEM, "attack": [[0.9, 0.1], [0.1, 0.9]]},
+        ["--objective", "embedding_rate", "--fix", "d_prime=0.25,d=1.0",
+         "--restarts", "4", "--seed", "0"],
+    ),
 }
 SUFFIXES = ("_summary.csv", "_conditions.csv")
 
