@@ -583,6 +583,9 @@ class _FastEvaluator:
         self.att = spec.p_z_given_y.conditional_matrix(
             (spec.y_axis.name,), (spec.z_axis.name,)
         )
+        # exactly Z = Y: not has_identity_attack(), whose tolerance admits
+        # rows whose products are no longer exact
+        self.z_is_y = np.array_equal(self.att, np.eye(len(self.att)))
         self.cost = spec.d.cost
         self.h_u = entropy(spec.p_u)
         self.rd = blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value)
@@ -597,7 +600,10 @@ class _FastEvaluator:
         indices, so a running sum of slices gives the same bits, and the
         Z marginals are taken from ``j4`` slices times attack rows without
         building the joint.  A summed last axis is added pairwise, which is
-        a running sum only below numpy's 8-element block."""
+        a running sum only below numpy's 8-element block.  When the attack
+        is exactly the identity, the Z marginals and their entropies are the
+        Y ones: each term is a Y slice times 1.0 or 0.0, and adding +0.0 to
+        a sum of nonnegative terms leaves its bits as they are."""
         j4 = self.xk[:, :, None, None] * q_kxvy  # (B,K,X,V,Y)
         bs, ks, xs, vs, ys = j4.shape
         flat = j4.reshape(bs, ks, xs * vs, ys)  # (B,K,XV,Y)
@@ -605,27 +611,28 @@ class _FastEvaluator:
         if ys > 1:
             p_ky = _running_sum(np.moveaxis(flat, 2, 0))
             p_kvy = _running_sum(np.moveaxis(j4, 2, 0))
+            p_xy = _running_sum(j4[:, k, :, v] for k in range(ks) for v in range(vs))
         else:
-            p_ky, p_kvy = j4.sum(axis=(2, 3)), j4.sum(axis=2)
-        p_kxv = _running_sum(np.moveaxis(j4, 4, 0)) if ys < 8 else j4.sum(axis=4)
-        if att.shape[1] > 1:
-            p_kz = _running_sum(flat[:, :, i, y, None] * att[y] for i in range(xs * vs) for y in range(ys))
-            p_kvz = _running_sum(j4[:, :, x, :, y, None] * att[y] for x in range(xs) for y in range(ys))
+            p_ky, p_kvy, p_xy = j4.sum(axis=(2, 3)), j4.sum(axis=2), j4.sum(axis=(1, 3))
+        if ys < 8:
+            p_kxv = _running_sum(np.moveaxis(j4, 4, 0))
+            p_kv = _running_sum(np.moveaxis(p_kxv, 2, 0)) if vs > 1 else j4.sum(axis=(2, 4))
+        else:
+            p_kxv, p_kv = j4.sum(axis=4), j4.sum(axis=(2, 4))
+        if self.z_is_y:
+            z_stacks = ()
+        elif att.shape[1] > 1:
+            z_stacks = (
+                _running_sum(flat[:, :, i, y, None] * att[y] for i in range(xs * vs) for y in range(ys)),
+                _running_sum(j4[:, :, x, :, y, None] * att[y] for x in range(xs) for y in range(ys)),
+            )
         else:
             j5 = j4[..., None] * att  # (B,K,X,V,Y,1)
-            p_kz, p_kvz = j5.sum(axis=(2, 3, 4)), j5.sum(axis=(2, 4))
-        h_k, h_ky, h_y, h_kv, h_kx, h_kz, h_kvz, h_kxv, h_kyv, h_j = row_entropies(
-            j4.sum(axis=(2, 3, 4)),
-            p_ky,
-            p_ky.sum(axis=1),
-            j4.sum(axis=(2, 4)),
-            j4.sum(axis=(3, 4)),
-            p_kz,
-            p_kvz,
-            p_kxv,
-            p_kvy,
-            j4,
+            z_stacks = (j5.sum(axis=(2, 3, 4)), j5.sum(axis=(2, 4)))
+        h_k, h_ky, h_y, h_kv, h_kx, h_kxv, h_kyv, h_j, *h_z = row_entropies(
+            j4.sum(axis=(2, 3, 4)), p_ky, p_ky.sum(axis=1), p_kv, j4.sum(axis=(3, 4)), p_kxv, p_kvy, j4, *z_stacks
         )
+        h_kz, h_kvz = h_z or (h_ky, h_kyv)
         return {
             "H(U)": np.full(len(q_kxvy), self.h_u),
             "H(K|Y)": h_ky - h_y,
@@ -634,7 +641,7 @@ class _FastEvaluator:
             "I(V;X|K)": _max0(h_kv + h_kx - h_k - h_kxv),
             "I(X;Y,V|K)": _max0(h_kx + h_kyv - h_k - h_j),
             "H(Y|K)": h_ky - h_k,
-            "Ed(X,Y)": (j4.sum(axis=(1, 3)) * self.cost).sum(axis=(1, 2)),
+            "Ed(X,Y)": (p_xy * self.cost).sum(axis=(1, 2)),
         }
 
     def penalty(self, fixed: Mapping[str, float], objective: str, q: dict[str, np.ndarray]) -> np.ndarray:

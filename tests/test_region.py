@@ -392,15 +392,18 @@ def _rows_with_zeros(rng, shape, zero_frac):
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def _random_system(rng, sizes, zero_frac):
+def _random_system(rng, sizes, zero_frac, attack=None):
     ks, xs, ys, zs = sizes
     K, X, Y, Z = Axis("K", ks), Axis("X", xs), Axis("Y", ys), Axis("Z", zs)
     cost = rng.random((xs, ys))
     cost[rng.random(cost.shape) < zero_frac] = 0.0
+    p_xk = _rows_with_zeros(rng, (xs * ks,), zero_frac).reshape(xs, ks)
+    if attack is None:
+        attack = _rows_with_zeros(rng, (ys, zs), zero_frac)
     return SystemSpec(
         p_u=DistTable([U], [0.5, 0.5]),
-        p_xk=DistTable([X, K], _rows_with_zeros(rng, (xs * ks,), zero_frac).reshape(xs, ks)),
-        p_z_given_y=DistTable([Y, Z], _rows_with_zeros(rng, (ys, zs), zero_frac), given=("Y",)),
+        p_xk=DistTable([X, K], p_xk),
+        p_z_given_y=DistTable([Y, Z], attack, given=("Y",)),
         lam=float(rng.uniform(0.2, 2.0)),
         d=DistortionMeasure(X, Y, cost),
         d_prime=DistortionMeasure.hamming(U, UHAT),
@@ -522,7 +525,8 @@ class TestFrozenEvaluator:
     """The evaluator's marginals follow numpy's reduction order, so every
     quantity and score keeps the bits of the frozen ``.sum`` evaluator: on
     both sides of numpy's 8-element pairwise block (|Y| up to 9), with a
-    one-letter axis anywhere, and with exact zeros."""
+    one-letter axis anywhere, with exact zeros, and with an attack that is
+    exactly the identity or within 1e-13 of it."""
 
     @given(
         sizes=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 3)),
@@ -541,7 +545,34 @@ class TestFrozenEvaluator:
         # at most 2^17 joint entries, four evaluation chunks: memory stays small
         batch = min(batch, max(1, 2**17 // (np.prod(sizes) * v_size)))
         q = _random_kernels(rng, spec, v_size, batch, zero_frac)
+        self._assert_frozen_bits(region._FastEvaluator(spec, 0.1), q)
+
+    # |Y| = 1 takes the one-letter Z branch; 9 lies past numpy's 8-element block
+    @pytest.mark.parametrize("ys", [1, 2, 9])
+    @pytest.mark.parametrize("zero_frac", [0.0, 0.6])
+    def test_identity_attack_shares_the_y_marginals(self, ys, zero_frac):
+        rng = np.random.default_rng(ys)
+        spec = _random_system(rng, (2, 3, ys, ys), zero_frac, attack=np.eye(ys))
         ev = region._FastEvaluator(spec, 0.1)
+        assert ev.z_is_y
+        for v_size in (1, 3):
+            self._assert_frozen_bits(ev, _random_kernels(rng, spec, v_size, 40, zero_frac))
+
+    @pytest.mark.parametrize("ys", [2, 9])
+    def test_near_identity_attack_takes_the_general_path(self, ys):
+        # within has_identity_attack()'s tolerance, but Z is not exactly Y
+        attack = np.eye(ys)
+        attack[0, :2] = [1.0 - 1e-13, 1e-13]
+        rng = np.random.default_rng(ys)
+        spec = _random_system(rng, (2, 3, ys, ys), 0.3, attack=attack)
+        assert spec.has_identity_attack()
+        ev = region._FastEvaluator(spec, 0.1)
+        assert not ev.z_is_y
+        for v_size in (1, 3):
+            self._assert_frozen_bits(ev, _random_kernels(rng, spec, v_size, 40, 0.3))
+
+    @staticmethod
+    def _assert_frozen_bits(ev, q):
         got, want = ev.quantities(q), _frozen_quantities(ev, q)
         assert got.keys() == want.keys()
         for name in want:
