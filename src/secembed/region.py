@@ -547,7 +547,7 @@ def check_attack_free_reduction(
 # optimizer
 # ---------------------------------------------------------------------------
 
-_EVAL_CHUNK = 1 << 15  # kernels per evaluation, counted in (B, K, X, V, Y, Z) joint entries, to bound memory
+_EVAL_CHUNK = 1 << 14  # kernels per evaluation, counted in the (B, K, X, V, Y) entries the evaluator holds, to bound memory
 _MAX_SWEEPS, _OBJ_TOL = 60, 1e-7  # a restart's sweep limit, and the least gain of a sweep that keeps it going
 _PENALTY_WEIGHT = 100.0  # the penalty's weight in a restart's score
 
@@ -732,7 +732,7 @@ def optimize_region(
     draws = [np.random.default_rng(c).dirichlet(np.ones(dim), size=(ks, xs)) for c in ss.spawn(restarts)]
     q = np.stack(draws).reshape(restarts, ks, xs, v_size, ys)
     score = ev.score(q, fixed, objective, sign, _PENALTY_WEIGHT)
-    chunk = max(1, _EVAL_CHUNK // (q[0].size * spec.z_axis.size))
+    chunk = max(1, _EVAL_CHUNK // q[0].size)
 
     def scores(rows: np.ndarray, k: int, x: int, blocks: np.ndarray) -> np.ndarray:
         """Scores of the kernels q[rows] with their (k, x) block replaced by

@@ -1007,10 +1007,13 @@ def _mass_table() -> defaultdict:
 
 
 def _entropy_of_rows(table: dict) -> float:
-    """Sum over keys of P(key) H(outcome | key), from unnormalized masses."""
+    """Sum over keys of P(key) H(outcome | key), from unnormalized masses,
+    each key's masses added left to right as ``_mean`` adds."""
     h = 0.0
     for outcomes in table.values():
-        p_key = sum(outcomes.values())
+        p_key = 0.0
+        for p in outcomes.values():
+            p_key += p
         if p_key <= 0:
             continue
         for p in outcomes.values():

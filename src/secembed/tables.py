@@ -165,20 +165,18 @@ class DistTable:
 
 
 def row_entropies(*stacks: np.ndarray) -> list[np.ndarray]:
-    """Entropy of each row of each (B, ...) stack.  A row's nonzero terms
-    are summed as one contiguous block of their own length, so numpy's
-    pairwise summation groups them the same way whatever the batch."""
-    rows = [s.reshape(len(s), -1) for s in stacks]
-    masks = [v > LOG_ZERO_CUTOFF for v in rows]
-    nz = np.concatenate([v[m] for v, m in zip(rows, masks)])
-    terms = nz * np.log2(nz)
+    """Entropy of each row of each (B, ...) stack.  Each row's nonzero terms
+    follow a lead term 1 * log2(1) = +0.0, and ``reduceat`` adds the rest
+    of a segment to its first element with numpy's pairwise sum, so a row
+    gets 0.0 + pairwise(its terms) whatever the batch, the bits of
+    ``.sum()`` over its nonzero terms alone."""
+    led = [np.concatenate([np.ones((len(s), 1)), s.reshape(len(s), -1)], axis=1) for s in stacks]
+    masks = [v > LOG_ZERO_CUTOFF for v in led]
+    nz = np.concatenate([v[m] for v, m in zip(led, masks)])
     counts = np.concatenate([m.sum(axis=1) for m in masks])
-    starts = np.cumsum(counts) - counts
-    out = np.zeros(len(counts))
-    for n in set(counts[counts > 0].tolist()):  # not np.unique, which imports numpy.ma
-        idx = np.nonzero(counts == n)[0]
-        out[idx] = -terms[starts[idx, None] + np.arange(n)].sum(axis=1)
-    return np.split(out, np.cumsum([len(v) for v in rows[:-1]]))
+    out = np.add.reduceat(nz * np.log2(nz), np.cumsum(counts) - counts)
+    np.negative(out, out=out, where=counts > 1)  # a row of no terms keeps +0.0
+    return np.split(out, np.cumsum([len(s) for s in stacks[:-1]]))
 
 
 def entropy(p: DistTable, axes: Sequence[str] | None = None) -> float:

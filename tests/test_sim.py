@@ -684,6 +684,19 @@ class TestEquivocation:
         with pytest.raises(ResourceCapError):
             sim.estimate_equivocation(books)
 
+    def test_entropy_of_rows_adds_masses_left_to_right(self):
+        # 1.0 left to right, but 1.0000000000000002 compensated, as the
+        # built-in sum adds from Python 3.12 on
+        masses = [1.0, 1e-16, 1e-16]
+        assert math.fsum(masses) != 1.0
+        p_key = 0.0
+        for p in masses:
+            p_key += p
+        want = 0.0
+        for p in masses:
+            want -= p_key * (p / p_key) * math.log2(p / p_key)
+        assert sim._entropy_of_rows({"key": dict(zip("abc", masses))}) == want
+
     def test_ensemble_average(self):
         spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
         aux = copy_embedder_aux(spec, [0.5, 0.5])

@@ -97,6 +97,21 @@ class TestEntropy:
         assert [g.tolist() for g in got] == [[1.0, 1.0], [0.0] * 4]
         assert [len(g) for g in row_entropies(two, np.full((3, 4), 0.25))] == [2, 3]
 
+    def test_row_entropies_at_the_pairwise_boundaries(self):
+        # 0 terms give +0.0 and a lone 1.0 gives -0.0; 8 and 128 terms are
+        # where numpy's pairwise sum changes its grouping
+        rng = np.random.default_rng(0)
+        sizes = [0, 1, 7, 8, 9, 128, 129, 8193]
+        rows = np.zeros((len(sizes), 8200))
+        for row, n in zip(rows, sizes):
+            row[rng.choice(row.size, n, replace=False)] = rng.random(n) if n > 1 else 1.0
+        want = [0.0] + [-(t * np.log2(t)).sum() for t in (row[row > 0] for row in rows[1:])]
+        (got,) = row_entropies(rows)
+        alone = [row_entropies(row[None])[0][0] for row in rows]
+        for h in (got, alone):
+            assert np.array_equal(np.asarray(h).view(np.int64), np.array(want).view(np.int64))
+        assert np.signbit(got[:2]).tolist() == [False, True]
+
     @given(
         shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 12)), min_size=1, max_size=5),
         seed=st.integers(0, 2**32 - 1),
