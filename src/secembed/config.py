@@ -80,9 +80,7 @@ class SystemConfig:
             "lambda": float(s.lam),
             "message_source": [float(v) for v in s.p_u.values],
             "covertext_key": _nested(s.p_xk.values),
-            "attack": _nested(
-                s.p_z_given_y.conditional_matrix((s.y_axis.name,), (s.z_axis.name,))
-            ),
+            "attack": _nested(s.attack_matrix),
             "embedding_distortion": _nested(s.d.cost),
             "message_distortion": _nested(s.d_prime.cost),
         }
@@ -287,8 +285,7 @@ class Kind:
     help: str | None = None
 
 
-_INTEGER = Kind(_typed(int, "an integer"), _number_text)
-_SEED = Kind(_typed(int, "an integer", 0), _number_text)
+_NON_NEGATIVE = Kind(_typed(int, "an integer", 0), _number_text)
 _COUNT = Kind(_typed(int, "an integer", 1), _number_text)
 _NUMBER = Kind(_number, _number_text)
 _STRING = Kind(_typed(str, "a string"), str)
@@ -321,11 +318,11 @@ class RunConfig:
     aux_labels: list[str] = field(default_factory=list)
     point: RegionPoint | None = _row(_POINT, need=("region-eval",))
     test_channel: DistTable | None = _row(_FILE, need=("region-eval with extended",))
-    n: int | None = _row(_INTEGER, need=("simulate", "audit"))
-    trials: int | None = _row(_INTEGER, need=("simulate",))
+    n: int | None = _row(_COUNT, need=("simulate", "audit"))
+    trials: int | None = _row(_NON_NEGATIVE, need=("simulate",))
     delta: float | None = _row(_NUMBER, need=("simulate", "audit"))
     gamma: float | None = _row(_NUMBER, need=("audit",))
-    seed: int | None = _row(_SEED, need=("region-opt", "simulate", "audit", "sweep with objective"))
+    seed: int | None = _row(_NON_NEGATIVE, need=("region-opt", "simulate", "audit", "sweep with objective"))
     d_prime: float | None = _row(_NUMBER, flag="--dprime", need=("simulate", "audit"))
     out: str | None = _row(_STRING)
     grid: list[float] = _row(_GRID, [])
@@ -337,9 +334,9 @@ class RunConfig:
     extended: bool = _row(_SWITCH, False)
     exact_equivocation: bool = _row(_SWITCH, False)
     ensemble_average: bool = _row(_SWITCH, False)
-    m2_bits: int | None = _row(_INTEGER)
-    m3_bits: int | None = _row(_INTEGER)
-    j_bits: int | None = _row(_INTEGER)
+    m2_bits: int | None = _row(_NON_NEGATIVE)
+    m3_bits: int | None = _row(_NON_NEGATIVE)
+    j_bits: int | None = _row(_NON_NEGATIVE)
     eps_cov: float = _row(_NUMBER, 0.0)
 
     def manifest(self) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -109,11 +110,18 @@ class SystemSpec:
         pk = self.p_xk.values.sum(axis=0)
         return bool(np.max(np.abs(self.p_xk.values - np.outer(px, pk))) <= _KEY_INDEPENDENCE_TOL)
 
+    @cached_property
+    def attack_matrix(self) -> np.ndarray:
+        """The attack channel as a read-only (Y, Z) matrix of p(z|y), built
+        on first use and kept, as the spec is frozen."""
+        m = self.p_z_given_y.conditional_matrix((self.y_axis.name,), (self.z_axis.name,))
+        m.flags.writeable = False
+        return m
+
     def has_identity_attack(self) -> bool:
         if self.y_axis.size != self.z_axis.size:
             return False
-        m = self.p_z_given_y.conditional_matrix((self.y_axis.name,), (self.z_axis.name,))
-        return bool(np.max(np.abs(m - np.eye(self.y_axis.size))) <= _IDENTITY_ATTACK_TOL)
+        return bool(np.max(np.abs(self.attack_matrix - np.eye(self.y_axis.size))) <= _IDENTITY_ATTACK_TOL)
 
 
 @dataclass(frozen=True)
@@ -328,25 +336,27 @@ def _attack_free_xy(spec: SystemSpec, p_y_given_x: DistTable) -> DistTable:
     return DistTable((spec.x_axis, p_y_given_x.axis(y_name)), px[:, None] * mat)
 
 
-def _require_independent_key(spec: SystemSpec) -> None:
+def _attack_free_quantities(spec: SystemSpec, p_y_given_x: DistTable) -> dict[str, float]:
+    """The quantities both attack-free regions read, for a key independent
+    of the covertext and an embedding channel."""
     if not spec.key_independent():
         raise ValidationError("this reduced form assumes a key independent of the covertext")
-
-
-def eval_lossless_region(spec: SystemSpec, p_y_given_x: DistTable, point: RegionPoint) -> ConditionReport:
-    """Attack-free, lossless-reconstruction region: secrecy condition (a) and
-    the embedding/compression conditions (b)(i)-(iii)."""
-    _require_independent_key(spec)
     xy = _attack_free_xy(spec, p_y_given_x)
     x_name, y_name = xy.names
-    lam = spec.lam
-    q = {
+    return {
         "H(U)": entropy(spec.p_u),
         "H(K)": entropy(spec.p_xk, (spec.k_axis.name,)),
         "H(Y|X)": conditional_entropy(xy, (y_name,), (x_name,)),
         "I(X;Y)": mutual_information(xy, (x_name,), (y_name,)),
         "Ed(X,Y)": expected_distortion(xy, spec.d),
     }
+
+
+def eval_lossless_region(spec: SystemSpec, p_y_given_x: DistTable, point: RegionPoint) -> ConditionReport:
+    """Attack-free, lossless-reconstruction region: secrecy condition (a) and
+    the embedding/compression conditions (b)(i)-(iii)."""
+    q = _attack_free_quantities(spec, p_y_given_x)
+    lam = spec.lam
     c = {
         "a": ConditionEntry.of("a", "upper", point.h, q["H(K)"] / lam),
         "b_i": ConditionEntry.of("b_i", "upper", lam * q["H(U)"], q["H(Y|X)"]),
@@ -362,19 +372,9 @@ def eval_attack_free_region(
     point: RegionPoint,
 ) -> ConditionReport:
     """Attack-free region with lossy message reconstruction."""
-    _require_independent_key(spec)
-    xy = _attack_free_xy(spec, p_y_given_x)
-    x_name, y_name = xy.names
+    q = _attack_free_quantities(spec, p_y_given_x)
     lam = spec.lam
-    r = blahut_arimoto(spec.p_u, spec.d_prime, point.d_prime).rate_bits
-    q = {
-        "H(U)": entropy(spec.p_u),
-        "H(K)": entropy(spec.p_xk, (spec.k_axis.name,)),
-        "R_U(D')": r,
-        "H(Y|X)": conditional_entropy(xy, (y_name,), (x_name,)),
-        "I(X;Y)": mutual_information(xy, (x_name,), (y_name,)),
-        "Ed(X,Y)": expected_distortion(xy, spec.d),
-    }
+    r = q["R_U(D')"] = blahut_arimoto(spec.p_u, spec.d_prime, point.d_prime).rate_bits
     _warn_key_assumption(q["H(K)"], lam, r)
     c = {
         "a": ConditionEntry.of("a", "upper", point.h, q["H(K)"] / lam + q["H(U)"] - r),
@@ -580,9 +580,7 @@ class _FastEvaluator:
     def __init__(self, spec: SystemSpec, d_prime_value: float):
         self.lam = spec.lam
         self.xk = spec.p_xk.reorder((spec.k_axis.name, spec.x_axis.name)).values
-        self.att = spec.p_z_given_y.conditional_matrix(
-            (spec.y_axis.name,), (spec.z_axis.name,)
-        )
+        self.att = spec.attack_matrix
         # exactly Z = Y: not has_identity_attack(), whose tolerance admits
         # rows whose products are no longer exact
         self.z_is_y = np.array_equal(self.att, np.eye(len(self.att)))

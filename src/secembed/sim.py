@@ -277,6 +277,25 @@ class CodebookSet:
 
         return self._stego_books.lookup((type_idx, v_rep.tobytes()), draw)
 
+    def stego_books(self, types, v_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The stegotext books of (type index, auxiliary word) pairs, given as
+        broadcastable type indices and a (pairs, n) stack of words, as a
+        (pairs, M_3, n) array, and whether each book could be drawn.  The
+        books of words whose (k, v) letters are all fixed are one gather;
+        ``stego_book`` draws the others one at a time.  A book with no word
+        to draw is flagged, and its rows are meaningless."""
+        words, drawn = self.fixed_stego_words(types, v_words)
+        books = np.empty((len(v_words), self.sizes.m3, self.n), dtype=words.dtype)
+        books[drawn] = words[drawn, None]
+        types = np.broadcast_to(types, drawn.shape)
+        for i in np.flatnonzero(~drawn).tolist():
+            try:
+                books[i] = self.stego_book(int(types[i]), v_words[i])
+                drawn[i] = True
+            except EmptyTypicalSetError:
+                pass
+        return books, drawn
+
     def fixed_stego_words(self, types, v_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For (type index, auxiliary word) pairs, given as broadcastable
         type indices and a (..., n) stack of words, the stegotext word of
@@ -546,18 +565,8 @@ def _search_bins(
     typical = _rows_in_boxes(masks, contexts, codebooks.kxv_cells)
     j = np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
     v_reps = codebooks._aux_books[types, rows[np.arange(len(rows)), j]]
-    # the books of the pairs with a typical row: fixed words' in one
-    # gather, the others drawn book by book
     found = np.flatnonzero(j >= 0)
-    words, has_book = codebooks.fixed_stego_words(types[found], v_reps[found])
-    books = np.empty((len(found), codebooks.sizes.m3, codebooks.n), dtype=words.dtype)
-    books[has_book] = words[has_book, None]
-    for i in np.flatnonzero(~has_book).tolist():
-        try:
-            books[i] = codebooks.stego_book(key_types[found[i]][0], v_reps[found[i]])
-            has_book[i] = True
-        except EmptyTypicalSetError:  # the book has no word to draw
-            pass
+    books, has_book = codebooks.stego_books(types[found], v_reps[found])
     drawn, books = found[has_book], books[has_book]
     j_prime = np.full(len(pairs), -1)
     ys = np.empty((len(pairs), codebooks.n), dtype=np.int64)
@@ -592,19 +601,14 @@ def _search_context(
 
 
 def embed_in_bin(
-    codebooks: CodebookSet,
-    m: int,
-    x_arr: np.ndarray,
-    k_arr: np.ndarray,
-    key_type: tuple[int, np.ndarray] | None = None,
+    codebooks: CodebookSet, m: int, x_arr: np.ndarray, k_arr: np.ndarray
 ) -> tuple[np.ndarray | None, str | None, dict]:
     """The embedding unit: scan bin m for the first jointly typical
     auxiliary word, then that word's stegotext book for the first jointly
     typical output.  Returns (y or None, failure event, details).  Works
     entirely in the representative frame, so permuting (x, k) permutes y
-    covariantly.  ``key_type`` is the key's ``key_type_and_order``, when the
-    caller has it.  This is the one-bin call of ``_search_bins``."""
-    ktp = codebooks.key_type_and_order(k_arr) if key_type is None else key_type
+    covariantly.  This is the one-bin call of ``_search_bins``."""
+    ktp = codebooks.key_type_and_order(k_arr)
     if ktp is None:
         return None, "e2", {}
     context = _search_context(codebooks, ktp, np.asarray(x_arr, dtype=np.int64))
@@ -625,15 +629,15 @@ class WordSearch:
     test, the pad, the search context, and the embedding search of each
     bin, kept once run; ``search_words`` searches many words at once.
 
-    ``messages``, when given, maps each message word's bytes to its
-    ``_message_index``, computed once for all the words it is used with."""
+    ``messages`` maps each message word's bytes to its ``_message_index``;
+    the words that share it compute each index once, on its first use."""
 
     def __init__(
         self,
         codebooks: CodebookSet,
         x_seq: np.ndarray,
         k_seq: np.ndarray,
-        messages: dict[bytes, int | None] | None = None,
+        messages: dict[bytes, int | None],
     ):
         self.codebooks = codebooks
         self.x = np.asarray(x_seq, dtype=np.int64)
@@ -650,10 +654,11 @@ class WordSearch:
         self._found: dict[int, tuple[np.ndarray | None, str | None, dict]] = {}
 
     def message_index(self, u_arr: np.ndarray) -> int | None:
-        """``_message_index`` of a message word, from ``messages`` when given."""
-        if self.messages is None:
-            return _message_index(u_arr, self.codebooks)
-        return self.messages[u_arr.tobytes()]
+        """``_message_index`` of an int64 message word, kept in ``messages``."""
+        key = u_arr.tobytes()
+        if key not in self.messages:
+            self.messages[key] = _message_index(u_arr, self.codebooks)
+        return self.messages[key]
 
     def bin_of(self, w: int | None) -> tuple[int, int]:
         """The index the encoder sends for message index ``w``
@@ -664,15 +669,11 @@ class WordSearch:
             return 0, 1
         return w, (w ^ self.pad) + 1
 
-    def search(self, bins: Iterable[int]) -> None:
-        """Run the embedding search in each of ``bins`` not searched yet:
-        ``search_words`` of this word alone.  The key must be typical."""
-        search_words(self.codebooks, [(self, bins)])
-
     def result(self, m: int) -> tuple[np.ndarray | None, str | None, dict]:
-        """``embed_in_bin``'s result for bin m, searched once."""
+        """``embed_in_bin``'s result for bin m, searched once.  The key must
+        be typical."""
         if m not in self._found:
-            self.search([m])
+            search_words(self.codebooks, [(self, [m])])
         return self._found[m]
 
 
@@ -686,13 +687,7 @@ def search_words(codebooks: CodebookSet, requests: Iterable[tuple[WordSearch, It
         word._found[m] = result
 
 
-def embed_encode(
-    u_seq: np.ndarray,
-    x_seq: np.ndarray,
-    k_seq: np.ndarray,
-    codebooks: CodebookSet,
-    search: WordSearch | None = None,
-) -> EmbedResult:
+def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
     """Full encoder: message path (rate-distortion index, pad, bin choice)
     then the embedding search.  Atypical inputs fall back to the all-zero
     message; a failed search transmits the all-zero stegotext word.  Both
@@ -702,13 +697,10 @@ def embed_encode(
     - per message word u: its typicality and rate-distortion index
       (``_message_index``);
     - per (x, k) word: the key's type and order, the (k, x) pair test, the
-      pad, and each bin's search, all carried by ``search`` (a
-      ``WordSearch``), which may also carry the index of every u;
+      pad, and each bin's search;
     - per call: the encryption, the bin choice and the result's fields.
-    Without ``search`` the first two are computed here."""
+    ``search``, the ``WordSearch`` of the (x, k) word, carries the first two."""
     u_arr = np.asarray(u_seq, dtype=np.int64)
-    if search is None:
-        search = WordSearch(codebooks, x_seq, k_seq)
     w_typical = search.message_index(u_arr)
     w, m = search.bin_of(w_typical)
     input_ok = w_typical is not None and search.pair_ok  # pair typicality implies key typicality
@@ -720,7 +712,7 @@ def embed_encode(
         y, search_event, details = search.result(m)
     search_ok = y is not None
     if y is None:
-        y = np.zeros(codebooks.n, dtype=np.int64)
+        y = np.zeros(search.codebooks.n, dtype=np.int64)
 
     return EmbedResult(
         y=y,
@@ -737,19 +729,10 @@ def embed_encode(
     )
 
 
-def attack_cdf(spec: SystemSpec) -> np.ndarray:
-    """The attack channel's cumulative rows, one per stegotext letter."""
-    att = spec.p_z_given_y.conditional_matrix((spec.y_axis.name,), (spec.z_axis.name,))
-    return att.cumsum(axis=1)
-
-
-def attack(
-    y_seq: np.ndarray, spec: SystemSpec, rng: np.random.Generator, cdf: np.ndarray | None = None
-) -> np.ndarray:
-    """Memoryless per-symbol attack sampling; ``cdf`` is ``attack_cdf(spec)``,
-    passed by callers that attack many words."""
+def attack(y_seq: np.ndarray, spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
+    """Memoryless per-symbol attack sampling through ``spec.attack_matrix``."""
     y = np.asarray(y_seq, dtype=np.int64)
-    cum = attack_cdf(spec) if cdf is None else cdf
+    cum = spec.attack_matrix.cumsum(axis=1)
     r = rng.random(y.size)
     # a row may sum to just under 1; a draw above its total takes the last symbol
     z = np.minimum((r[:, None] > cum[y]).sum(axis=1), cum.shape[1] - 1)
@@ -857,6 +840,18 @@ def _mean(values: list[float]) -> float:
     return total / len(values) if values else math.nan
 
 
+def _draw_trial(spec: SystemSpec, n_message: int, n: int, seed: int, t: int):
+    """Trial t's generator, then the message word and the covertext and key
+    words it draws, u from p(u) and the (x, k) cells from p(x, k) in its
+    (X, K) order; the generator goes on to draw the trial's attack."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _TRIAL_TAG, t)))
+    pu = spec.p_u.values
+    pxk = spec.p_xk.values.ravel()
+    u = rng.choice(pu.size, size=n_message, p=pu)
+    cells = rng.choice(pxk.size, size=n, p=pxk)
+    return rng, u, cells // spec.k_axis.size, cells % spec.k_axis.size
+
+
 def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate:
     """Monte-Carlo end-to-end runs of one codebook draw, with per-trial
     derived seeds, every trial's record kept.
@@ -871,10 +866,6 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
     then each trial encodes, draws its attack and decodes in turn.
     """
     spec, n = codebooks.spec, codebooks.n
-    pu = spec.p_u.values
-    pxk = spec.p_xk.values.ravel()
-    k_size = spec.k_axis.size
-    cdf = attack_cdf(spec)
     results: list[TrialResult] = []
 
     def chunk(start: int) -> list[tuple[np.random.Generator, np.ndarray, WordSearch]]:
@@ -882,18 +873,15 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
         messages: dict[bytes, int | None] = {}
         drawn = []
         for t in range(start, min(trials, start + _TRIAL_CHUNK)):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, _TRIAL_TAG, t)))
-            u = rng.choice(pu.size, size=codebooks.n_message, p=pu)
-            cells = rng.choice(pxk.size, size=n, p=pxk)
-            messages[u.tobytes()] = _message_index(u, codebooks)
-            drawn.append((rng, u, WordSearch(codebooks, cells // k_size, cells % k_size, messages)))
-        search_words(codebooks, [(w, [w.bin_of(messages[u.tobytes()])[1]]) for _, u, w in drawn if w.embeds])
+            rng, u, x, k = _draw_trial(spec, codebooks.n_message, n, seed, t)
+            drawn.append((rng, u, WordSearch(codebooks, x, k, messages)))
+        search_words(codebooks, [(w, [w.bin_of(w.message_index(u))[1]]) for _, u, w in drawn if w.embeds])
         return drawn
 
     for rng, u, word in itertools.chain.from_iterable(map(chunk, range(0, trials, _TRIAL_CHUNK))):
         x, k = word.x, word.k
-        enc = embed_encode(u, x, k, codebooks, word)
-        z = attack(enc.y, spec, rng, cdf)
+        enc = embed_encode(u, word)
+        z = attack(enc.y, spec, rng)
         dec = decode(z, k, codebooks)
 
         if not enc.input_ok:
@@ -966,21 +954,18 @@ def input_atypicality_probability(spec: SystemSpec, n: int, delta: float) -> flo
 def input_atypicality_frequency(
     spec: SystemSpec, n: int, delta: float, trials: int, seed: int
 ) -> float:
-    """Monte-Carlo counterpart of input_atypicality_probability; samples the
-    sources and applies the same typicality tests the encoder uses, without
-    building codebooks."""
+    """Monte-Carlo counterpart of input_atypicality_probability; draws each
+    trial's words as ``run_trials`` does and applies the same typicality
+    tests the encoder uses, without building codebooks."""
     n_message = _message_length(spec, n)
     u_box = count_box(spec.p_u.values, n_message, delta)
     kx = spec.p_xk.reorder((spec.k_axis.name, spec.x_axis.name)).values.ravel()
     kx_box = count_box(kx, n, delta)
-    pu = spec.p_u.values
     bad = 0
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _TRIAL_TAG, t)))
-        u = rng.choice(pu.size, size=n_message, p=pu)
-        cells = rng.choice(kx.size, size=n, p=kx)
-        ok_u = u_box.contains(np.bincount(u, minlength=pu.size))
-        ok_kx = kx_box.contains(np.bincount(cells, minlength=kx.size))
+        _, u, x, k = _draw_trial(spec, n_message, n, seed, t)
+        ok_u = u_box.contains(np.bincount(u, minlength=spec.u_axis.size))
+        ok_kx = kx_box.contains(np.bincount(k * spec.x_axis.size + x, minlength=kx.size))
         bad += int(not (ok_u and ok_kx))
     return bad / trials if trials else 0.0
 
@@ -1054,7 +1039,7 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
 
     pu = spec.p_u.values
     pxk = spec.p_xk.values  # (X, K)
-    att = spec.p_z_given_y.conditional_matrix((spec.y_axis.name,), (spec.z_axis.name,))
+    att = spec.attack_matrix
 
     def words(size: int, length: int) -> Iterator[np.ndarray]:
         """Every word over ``size`` letters, the last position fastest."""
@@ -1096,7 +1081,7 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
             [(w, [w.bin_of(messages[u.tobytes()])[1] for u, _ in live]) for w, live in batch if w.embeds],
         )
         for i, (word, live) in enumerate(batch):
-            states = [(u, p_word, embed_encode(u, word.x, word.k, codebooks, word)) for u, p_word in live]
+            states = [(u, p_word, embed_encode(u, word)) for u, p_word in live]
             # the forged words of each distinct stegotext word
             ys = {enc.y.tobytes(): enc.y for _, _, enc in states}
             batch[i] = (word, states, {ykey: forged(y) for ykey, y in ys.items()})
@@ -1279,15 +1264,12 @@ def compression_audits(codebooks: CodebookSet) -> CompressionAudit:
 def _distinct_stego_books(codebooks: CodebookSet, type_idx: int) -> tuple[np.ndarray, np.ndarray]:
     """One type's stegotext books, one per distinct auxiliary row, as a
     (distinct rows, M_3, n) array, and for each row of its auxiliary book
-    the index of that row's book.  The books of rows whose (k, v) letters
-    are all fixed are one gather; ``stego_book`` draws the others one row
-    at a time."""
+    the index of that row's book.  A book with no word to draw raises
+    ``EmptyTypicalSetError``: the audits count every book."""
     rows, book_of_row = np.unique(codebooks.aux_book(type_idx), axis=0, return_inverse=True)
-    words, fixed = codebooks.fixed_stego_words(type_idx, rows)
-    books = np.empty((len(rows), codebooks.sizes.m3, codebooks.n), dtype=words.dtype)
-    books[fixed] = words[fixed, None]
-    for i in np.flatnonzero(~fixed).tolist():
-        books[i] = codebooks.stego_book(type_idx, rows[i])
+    books, drawn = codebooks.stego_books(type_idx, rows)
+    if not drawn.all():
+        raise EmptyTypicalSetError(f"a stegotext book of key type {type_idx} has no word to draw")
     return books, book_of_row.ravel()
 
 

@@ -221,8 +221,15 @@ class TestCli:
             ["region-opt", "--objective", "h", "--fix", "d_prime=0.25", "--restarts", "-1"],
             ["audit", "--n", "10", "--delta", "0.2", "--gamma", "0.5", "--dprime", "0.0",
              "--rebuilds", "0"],
+            ["simulate", "--n", "8", "--trials", "10", "--delta", "0.6", "--dprime", "0.0", "--m2-bits", "-1",
+             "--m3-bits", "0", "--j-bits", "2"],
+            ["simulate", "--n", "8", "--trials", "10", "--delta", "0.6", "--dprime", "0.0", "--m3-bits", "-1"],
+            ["simulate", "--n", "8", "--trials", "10", "--delta", "0.6", "--dprime", "0.0", "--j-bits", "-1"],
+            ["simulate", "--n", "8", "--trials", "-5", "--delta", "0.6", "--dprime", "0.0"],
+            ["simulate", "--n", "0", "--trials", "10", "--delta", "0.6", "--dprime", "0.0"],
         ],
-        ids=["restarts-0", "restarts-negative", "rebuilds-0"],
+        ids=["restarts-0", "restarts-negative", "rebuilds-0", "m2-bits-negative", "m3-bits-negative",
+             "j-bits-negative", "trials-negative", "n-0"],
     )
     def test_counts_below_one_exit_code(self, workdir, args, capsys):
         code = cli.main([
@@ -450,15 +457,15 @@ class TestCli:
 TEST_CHANNEL = [[0.75, 0.25], [0.125, 0.875]]
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
-_ints = st.integers(-(2**40), 2**40)
+_naturals = st.integers(0, 2**40)
 _counts = st.integers(1, 2**20)
 _words = st.from_regex(r"[a-z][a-z0-9_/.]{0,12}", fullmatch=True)
 _coords = st.dictionaries(st.sampled_from(COORDINATES), _floats, max_size=6)
 
 # every run-config field but the sections, with a strategy of valid values
 _FIELDS = {
-    "n": _ints, "trials": _ints, "delta": _floats, "gamma": _floats, "d_prime": _floats,
-    "v_cardinality": _counts, "m2_bits": _ints, "m3_bits": _ints, "j_bits": _ints,
+    "n": _counts, "trials": _naturals, "delta": _floats, "gamma": _floats, "d_prime": _floats,
+    "v_cardinality": _counts, "m2_bits": _naturals, "m3_bits": _naturals, "j_bits": _naturals,
     "eps_cov": _floats, "out": _words, "objective": _words, "restarts": _counts,
     "rebuilds": _counts, "extended": st.booleans(), "exact_equivocation": st.booleans(),
     "ensemble_average": st.booleans(), "grid": st.lists(_floats, min_size=1, max_size=4),

@@ -60,6 +60,12 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             RegionPoint(d=-0.1, d_prime=0, r_c=0, r_c_prime=0, h=0, h_prime=0)
 
+    def test_attack_matrix_is_built_once_and_read_only(self):
+        spec = binary_spec(attack=[[0.9, 0.1], [0.2, 0.8]])
+        att = spec.attack_matrix
+        assert att is spec.attack_matrix and not att.flags.writeable
+        assert np.array_equal(att, spec.p_z_given_y.conditional_matrix(("Y",), ("Z",)))
+
 
 class TestKeyedRegion:
     def test_private_watermarking_degeneracy(self):

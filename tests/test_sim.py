@@ -446,7 +446,7 @@ class TestEncode:
         u = np.zeros(4, dtype=np.int64)  # atypical at delta = 0.6
         k = books.key_types[2].representative
         x = np.zeros(8, dtype=np.int64)
-        enc = sim.embed_encode(u, x, k, books)
+        enc = sim.embed_encode(u, sim.WordSearch(books, x, k, {}))
         assert not enc.input_ok
         assert enc.m == 1 and enc.w == 0
         assert not int_to_bits(enc.m - 1, books.sizes.l_bits).any()
@@ -461,7 +461,7 @@ class TestEncode:
         # H(Y|K) = 0 so the counting constraint needs a zero message rate
         books = sim.build_codebooks(spec, aux, 8, 0.6, 0, 0.5, m2_bits=2, m3_bits=1, j_bits=0)
         enc = sim.embed_encode(
-            np.array([0, 1, 0, 1]), np.zeros(8, np.int64), np.zeros(8, np.int64), books
+            np.array([0, 1, 0, 1]), sim.WordSearch(books, np.zeros(8, np.int64), np.zeros(8, np.int64), {})
         )
         assert enc.search_ok and enc.j == 0 and enc.j_prime == 0
 
@@ -537,7 +537,7 @@ class TestDecode:
         books = sim.build_codebooks(spec, aux, 8, 0.2, 13, 0.5, m2_bits=3, m3_bits=0, j_bits=0)
         assert books.sizes.bins == 1
         k = books.key_types[0].representative
-        enc = sim.embed_encode(np.array([0, 1, 0, 1]), np.zeros(8, np.int64), k, books)
+        enc = sim.embed_encode(np.array([0, 1, 0, 1]), sim.WordSearch(books, np.zeros(8, np.int64), k, {}))
         assert enc.search_ok
         dec = sim.decode(enc.y, k, books)
         assert dec.event == "ok" and dec.bin_index == 1
@@ -838,6 +838,18 @@ class TestInputAtypicality:
         pu = float(binom_m.cdf(hi_u) - binom_m.cdf(lo_u - 1))
         assert p == pytest.approx(1 - pk * pu, rel=1e-9)
 
+    def test_frequency_is_the_trials_share_of_atypical_inputs(self):
+        # a skewed covertext beside a uniform key, so a draw in (K, X) cell
+        # order would give other words than the trials' (X, K) order
+        spec = binary_spec(x_size=2, x_probs=(0.25, 0.75), lam=0.5)
+        books = sim.build_codebooks(
+            spec, copy_embedder_aux(spec, [0.5, 0.5]), 12, 0.6, 4, 0.0, m2_bits=2, m3_bits=0, j_bits=1
+        )
+        agg = sim.run_trials(books, 200, 5)
+        share = sum(r.error_event in ("e1", "encode_fallback") for r in agg.results) / 200
+        assert 0 < share < 1
+        assert sim.input_atypicality_frequency(spec, 12, 0.6, trials=200, seed=5) == share
+
     @pytest.mark.parametrize("n", [3, 1])  # lambda n = 1.5 and 0.5
     def test_frequency_validates_message_length_like_the_oracle(self, trend_spec, n):
         with pytest.raises(ValidationError, match="lambda"):
@@ -1047,7 +1059,7 @@ class TestDecodeMany:
         z_rows = rng.integers(0, 2, size=(rows, n))
         for row, k in zip(z_rows[::2], k_rows[::2]):
             u = rng.integers(0, 2, size=books.n_message)
-            row[:] = sim.embed_encode(u, np.zeros(n, dtype=np.int64), k, books).y
+            row[:] = sim.embed_encode(u, sim.WordSearch(books, np.zeros(n, dtype=np.int64), k, {})).y
         with mock.patch.object(sim, "_BOX_CHUNK_BYTES", 1 if one_word_chunks else sim._BOX_CHUNK_BYTES):
             batch = _decode_many_fields(z_rows, k_rows, books)
         assert len(batch) == len(z_rows)
@@ -1135,7 +1147,7 @@ class TestPad:
             z_rows = rng.integers(0, 2, size=(24, books.n))
             for row in z_rows[::2]:  # encoded words, which mostly decode
                 u = rng.integers(0, 2, size=books.n_message)
-                row[:] = sim.embed_encode(u, np.zeros(books.n, dtype=np.int64), k, books).y
+                row[:] = sim.embed_encode(u, sim.WordSearch(books, np.zeros(books.n, dtype=np.int64), k, {})).y
             batch = _decode_many_fields(z_rows, np.repeat(k[None], len(z_rows), axis=0), books)
             expected = [_reference_decode(z, k, books) for z in z_rows]
             assert batch == [
@@ -1184,7 +1196,7 @@ def _per_state_enumeration(codebooks):
             p_word = p_u_word * p_xk_word
             if p_word == 0.0:
                 continue
-            enc = sim.embed_encode(u, x, k, codebooks)
+            enc = sim.embed_encode(u, sim.WordSearch(codebooks, x, k, {}))
             if identity_attack:
                 z_iter = [(enc.y, 1.0)]
             else:
@@ -1397,10 +1409,10 @@ class TestBatchedSearch:
         for x, k in zip(xs, ks):
             search = sim.WordSearch(books, x, k, messages)
             if search.embeds:
-                search.search(range(1, books.sizes.bins + 1))
+                sim.search_words(books, [(search, range(1, books.sizes.bins + 1))])
             for u in u_words:
-                got = sim.embed_encode(u, x, k, books, search)
-                alone = sim.embed_encode(u, x, k, books)
+                got = sim.embed_encode(u, search)
+                alone = sim.embed_encode(u, sim.WordSearch(books, x, k, {}))
                 try:
                     want = _frozen_embed_encode(u, x, k, books)
                 except EmptyTypicalSetError:
@@ -1448,7 +1460,7 @@ def _check_one_search_call(books, xs, ks, contexts_per_kernel_call):
     """Every bin of every (x, k) word with a typical key, of all key types,
     searched by one ``search_words`` call, with box-test kernel calls of
     one or two auxiliary contexts each or of the default size."""
-    words = [(x, k, sim.WordSearch(books, x, k)) for x, k in zip(xs, ks)]
+    words = [(x, k, sim.WordSearch(books, x, k, {})) for x, k in zip(xs, ks)]
     words = [(x, k, w) for x, k, w in words if w.key_type is not None]
     bins = range(1, books.sizes.bins + 1)
     chunk = sim._BOX_CHUNK_BYTES
@@ -1495,10 +1507,23 @@ class TestUndrawableStegoBook:
         with pytest.raises(EmptyTypicalSetError):
             books.stego_book(t, books.aux_book(t)[0])
 
+    def test_batch_fetch_flags_the_book(self):
+        books = self._books()
+        t = self._lopsided(books)
+        got, drawn = books.stego_books(t, books.aux_book(t)[:1])
+        assert got.shape == (1, books.sizes.m3, books.n) and not drawn.any()
+
+    def test_audits_still_raise(self):
+        books = self._books()
+        with pytest.raises(EmptyTypicalSetError):
+            sim.bin_multiplicity_audit(books, 0.5)
+        with pytest.raises(EmptyTypicalSetError):
+            sim.compression_audits(books)
+
     def test_search_fails_with_e3(self):
         books = self._books()
         k = books.key_types[self._lopsided(books)].representative
-        enc = sim.embed_encode(np.array([0, 1]), np.zeros(4, dtype=np.int64), k, books)
+        enc = sim.embed_encode(np.array([0, 1]), sim.WordSearch(books, np.zeros(4, dtype=np.int64), k, {}))
         assert enc.input_ok and not enc.search_ok
         assert enc.search_event == "e3" and not enc.y.any()
         assert enc.j == 0 and enc.j_prime is None
@@ -1509,7 +1534,7 @@ class TestUndrawableStegoBook:
         assert est.extras == _per_state_enumeration(books)
         x = np.zeros(4, dtype=np.int64)
         events = {
-            sim.embed_encode(np.array(u), x, np.array(k), books).search_event
+            sim.embed_encode(np.array(u), sim.WordSearch(books, x, np.array(k), {})).search_event
             for u in np.ndindex(2, 2) for k in np.ndindex(2, 2, 2, 2)
         }
         assert "e3" in events
