@@ -562,14 +562,8 @@ def _pos(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _running_sum(terms) -> np.ndarray:
-    """``((0.0 + t0) + t1) + ...``: numpy's own order when it sums over
-    axes that are not the innermost, so the bits match ``.sum``."""
-    terms = iter(terms)
-    acc = next(terms) + 0.0
-    for t in terms:
-        acc += t
-    return acc
+def _batch_first(m: np.ndarray) -> np.ndarray:
+    return m.transpose(m.ndim - 1, *range(m.ndim - 1))  # (..., B) as a (B, ...) view
 
 
 class _FastEvaluator:
@@ -595,35 +589,29 @@ class _FastEvaluator:
         The marginals are those of the (B,K,X,V,Y,Z) joint summed the way
         numpy's reduce sums them.  Where the innermost kept axis has more
         than one letter, numpy adds whole slices in C order of the summed
-        indices, so a running sum of slices gives the same bits, and the
-        Z marginals are taken from ``j4`` slices times attack rows without
-        building the joint.  A summed last axis is added pairwise, which is
-        a running sum only below numpy's 8-element block.  When the attack
-        is exactly the identity, the Z marginals and their entropies are the
-        Y ones: each term is a Y slice times 1.0 or 0.0, and adding +0.0 to
-        a sum of nonnegative terms leaves its bits as they are."""
+        indices, so a marginal of ``jb``, the joint with the batch axis
+        innermost, or of its (K,X,V,Y,Z,B) product with a general attack,
+        is one ``.sum`` with the same bits.  A summed last axis is added
+        pairwise, which is that order only below numpy's 8-element block;
+        those marginals keep ``.sum`` over C-contiguous (B, ...) stacks.
+        When the attack is exactly the identity, the Z marginals and their
+        entropies are the Y ones: each term is a Y slice times 1.0 or 0.0,
+        and adding +0.0 to a sum of nonnegative terms leaves its bits."""
         j4 = self.xk[:, :, None, None] * q_kxvy  # (B,K,X,V,Y)
-        bs, ks, xs, vs, ys = j4.shape
-        flat = j4.reshape(bs, ks, xs * vs, ys)  # (B,K,XV,Y)
-        att = self.att
+        vs, ys, att = j4.shape[3], j4.shape[4], self.att
+        jb = j4.transpose(1, 2, 3, 4, 0).copy()  # (K,X,V,Y,B), C-contiguous
         if ys > 1:
-            p_ky = _running_sum(np.moveaxis(flat, 2, 0))
-            p_kvy = _running_sum(np.moveaxis(j4, 2, 0))
-            p_xy = _running_sum(j4[:, k, :, v] for k in range(ks) for v in range(vs))
+            p_ky, p_kvy = _batch_first(jb.sum(axis=(1, 2))), _batch_first(jb.sum(axis=1))
+            p_xy = np.ascontiguousarray(_batch_first(jb.sum(axis=(0, 2))))  # Ed(X,Y) sums it pairwise
         else:
             p_ky, p_kvy, p_xy = j4.sum(axis=(2, 3)), j4.sum(axis=2), j4.sum(axis=(1, 3))
-        if ys < 8:
-            p_kxv = _running_sum(np.moveaxis(j4, 4, 0))
-            p_kv = _running_sum(np.moveaxis(p_kxv, 2, 0)) if vs > 1 else j4.sum(axis=(2, 4))
-        else:
-            p_kxv, p_kv = j4.sum(axis=4), j4.sum(axis=(2, 4))
+        p_kxv = _batch_first(jb.sum(axis=3)) if ys < 8 else j4.sum(axis=4)
+        p_kv = p_kxv.sum(axis=2) if ys < 8 and vs > 1 else j4.sum(axis=(2, 4))
         if self.z_is_y:
             z_stacks = ()
         elif att.shape[1] > 1:
-            z_stacks = (
-                _running_sum(flat[:, :, i, y, None] * att[y] for i in range(xs * vs) for y in range(ys)),
-                _running_sum(j4[:, :, x, :, y, None] * att[y] for x in range(xs) for y in range(ys)),
-            )
+            j5 = jb[:, :, :, :, None] * att[:, :, None]  # (K,X,V,Y,Z,B)
+            z_stacks = (_batch_first(j5.sum(axis=(1, 2, 3))), _batch_first(j5.sum(axis=(1, 3))))
         else:
             j5 = j4[..., None] * att  # (B,K,X,V,Y,1)
             z_stacks = (j5.sum(axis=(2, 3, 4)), j5.sum(axis=(2, 4)))

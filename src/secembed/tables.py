@@ -12,6 +12,7 @@ simulator) works on these tables.  Conventions:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -165,18 +166,29 @@ class DistTable:
 
 
 def row_entropies(*stacks: np.ndarray) -> list[np.ndarray]:
-    """Entropy of each row of each (B, ...) stack.  Each row's nonzero terms
-    follow a lead term 1 * log2(1) = +0.0, and ``reduceat`` adds the rest
-    of a segment to its first element with numpy's pairwise sum, so a row
-    gets 0.0 + pairwise(its terms) whatever the batch, the bits of
-    ``.sum()`` over its nonzero terms alone."""
-    led = [np.concatenate([np.ones((len(s), 1)), s.reshape(len(s), -1)], axis=1) for s in stacks]
-    masks = [v > LOG_ZERO_CUTOFF for v in led]
-    nz = np.concatenate([v[m] for v, m in zip(led, masks)])
-    counts = np.concatenate([m.sum(axis=1) for m in masks])
-    out = np.add.reduceat(nz * np.log2(nz), np.cumsum(counts) - counts)
+    """Entropy of each row of each (B, ...) stack; stacks may differ in row
+    count and width, and need not be contiguous.  Every row goes into one
+    buffer after a lead 1.0, so its nonzero terms follow a lead term
+    1 * log2(1) = +0.0, and ``reduceat`` adds the rest of a segment to its
+    first element with numpy's pairwise sum: a row gets 0.0 + pairwise(its
+    terms) whatever the batch, the bits of ``.sum()`` over them alone."""
+    rows, widths = [len(s) for s in stacks], [s[0].size + 1 for s in stacks]
+    lengths = np.repeat(widths, rows)
+    starts = np.cumsum(lengths) - lengths
+    buf = np.empty(starts[-1] + lengths[-1])
+    buf[starts] = 1.0
+    offsets = itertools.accumulate((n * w for n, w in zip(rows, widths)), initial=0)
+    for s, n, w, at in zip(stacks, rows, widths, offsets):
+        # splitting the row axis of a view never copies, so this writes into buf
+        buf[at : at + n * w].reshape(n, w)[:, 1:].reshape(s.shape)[...] = s
+    mask = buf > LOG_ZERO_CUTOFF
+    nz = buf[mask]
+    counts = np.add.reduceat(mask, starts, dtype=np.int32)  # a cast copy of the mask: int32 halves it
+    terms = np.log2(nz, out=buf[: nz.size])  # into pages already touched, not fresh ones
+    terms *= nz
+    out = np.add.reduceat(terms, np.cumsum(counts) - counts)
     np.negative(out, out=out, where=counts > 1)  # a row of no terms keeps +0.0
-    return np.split(out, np.cumsum([len(s) for s in stacks[:-1]]))
+    return [out[end - n : end] for n, end in zip(rows, itertools.accumulate(rows))]
 
 
 def entropy(p: DistTable, axes: Sequence[str] | None = None) -> float:

@@ -457,6 +457,16 @@ class TestFastEvaluator:
                 assert values[b] == pytest.approx(slow[name], abs=1e-12), name
 
     @given(**system_draws)
+    # layouts where the batch-innermost copy of the joint could change
+    # numpy's order; each single is a batch of one, whose unit axis numpy
+    # drops: Ed(X,Y)'s (x,y) stack with one K and one V letter, a one-letter
+    # Z under a general attack, and |Y| on both sides of numpy's 8-element
+    # pairwise block
+    @example(sizes=(2, 2, 2, 2), v_size=4, zero_frac=0.3, batch=3, seed=0)
+    @example(sizes=(1, 3, 3, 1), v_size=1, zero_frac=0.0, batch=2, seed=0)
+    @example(sizes=(2, 3, 2, 1), v_size=3, zero_frac=0.3, batch=5, seed=1)
+    @example(sizes=(2, 2, 8, 3), v_size=3, zero_frac=0.3, batch=4, seed=2)
+    @example(sizes=(2, 2, 9, 3), v_size=3, zero_frac=0.0, batch=4, seed=3)
     @settings(max_examples=60, deadline=None)
     def test_batch_is_bit_identical_to_singles(self, sizes, v_size, zero_frac, batch, seed):
         rng = np.random.default_rng(seed)
@@ -543,6 +553,15 @@ class TestFrozenEvaluator:
     )
     # a one-letter Y under 21 summed (x, v) letters: numpy sums those pairwise
     @example(sizes=(2, 3, 1, 2), v_frac=1.0, zero_frac=0.0, batch=4, seed=1)
+    # layouts where the batch-innermost copy of the joint could change
+    # numpy's order: a batch of one, whose unit axis numpy drops; Ed(X,Y)'s
+    # (x,y) stack with one K and one V letter; a one-letter Z under a
+    # general attack; |Y| on both sides of numpy's 8-element pairwise block
+    @example(sizes=(2, 2, 2, 2), v_frac=1.0, zero_frac=0.3, batch=1, seed=0)
+    @example(sizes=(1, 3, 3, 1), v_frac=0.0, zero_frac=0.0, batch=2, seed=0)
+    @example(sizes=(2, 3, 2, 1), v_frac=0.5, zero_frac=0.3, batch=5, seed=1)
+    @example(sizes=(2, 2, 8, 3), v_frac=0.1, zero_frac=0.3, batch=40, seed=2)
+    @example(sizes=(2, 2, 9, 3), v_frac=0.1, zero_frac=0.0, batch=40, seed=3)
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_frozen_sums(self, sizes, v_frac, zero_frac, batch, seed):
         rng = np.random.default_rng(seed)

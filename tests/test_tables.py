@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,37 @@ class TestEntropy:
         for h, stack in zip(got, stacks):
             (alone,) = row_entropies(stack)
             assert np.array_equal(h.view(np.int64), alone.view(np.int64))
+
+    def test_row_entropies_of_mixed_layouts_match_single_calls(self):
+        # transposed and batch-last views beside C-contiguous stacks, with
+        # rows on both sides of numpy's 8- and 128-term pairwise boundaries
+        rng = np.random.default_rng(5)
+
+        def logical(shape, counts):
+            rows = np.zeros((len(counts), math.prod(shape)))
+            for row, n in zip(rows, counts):
+                row[rng.choice(row.size, n, replace=False)] = rng.random(n) if n > 1 else 1.0
+            return rows.reshape(len(counts), *shape)
+
+        c_rows = logical((130,), [0, 8, 129])
+        t_rows = logical((130,), [1, 128])
+        b_rows = logical((10, 13), [7, 9, 129])
+        small = logical((3, 3), [9, 0])
+        stacks = [
+            c_rows,
+            np.ascontiguousarray(t_rows.T).T,  # Fortran order
+            np.ascontiguousarray(b_rows.transpose(1, 2, 0)).transpose(2, 0, 1),  # batch axis innermost
+            small,
+        ]
+        assert [s.flags.c_contiguous for s in stacks] == [True, False, False, True]
+        got = row_entropies(*stacks)
+        for h, stack, rows in zip(got, stacks, (c_rows, t_rows, b_rows, small)):
+            assert np.array_equal(stack, rows)
+            alone = np.array([row_entropies(stack[b : b + 1])[0][0] for b in range(len(stack))])
+            nz = [row[row > 0] for row in rows.reshape(len(rows), -1)]
+            want = np.array([-(t * np.log2(t)).sum() if t.size else 0.0 for t in nz])
+            assert np.array_equal(h.view(np.int64), alone.view(np.int64))
+            assert np.array_equal(h.view(np.int64), want.view(np.int64))
 
 
 class TestConditionalEntropy:
