@@ -22,7 +22,6 @@ from .region import (
     RegionPoint,
     SystemSpec,
     attack_free_witness,
-    check_attack_free_reduction,
     compose_system,
     eval_extended,
     eval_lossless_region,

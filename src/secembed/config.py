@@ -148,19 +148,12 @@ def load_aux(mapping: Mapping[str, Any], spec: SystemSpec) -> tuple[AuxChannel, 
     v_syms = mapping.get("v")
     if not isinstance(v_syms, list) or not v_syms:
         raise ValidationError("aux needs a 'v' symbol list")
-    v_ax = Axis("V", len(v_syms))
-    shape = (spec.k_axis.size, spec.x_axis.size, v_ax.size, spec.y_axis.size)
+    shape = (spec.k_axis.size, spec.x_axis.size, len(v_syms), spec.y_axis.size)
     table = _as_float_array("aux.table", mapping.get("table"), shape)
     flat = table.reshape(shape[0] * shape[1], -1)
     _check_rows("aux.table", flat)
     try:
-        aux = AuxChannel(
-            DistTable(
-                (spec.k_axis, spec.x_axis, v_ax, spec.y_axis),
-                table,
-                given=(spec.k_axis.name, spec.x_axis.name),
-            )
-        )
+        aux = AuxChannel.of(spec, table)
         aux.validate_for(spec)
     except ValidationError as e:
         raise ValidationError(f"aux table rejected: {e}") from e

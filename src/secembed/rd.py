@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, EmptyTypicalSetError, InfeasibleError, ValidationError
+from .errors import ConvergenceError, EmptyTypicalSetError, InfeasibleError, ResourceCapError, ValidationError
 from .tables import DistTable, DistortionMeasure, LOG_ZERO_CUTOFF
 from .typical import DEFAULT_ENUMERATION_CAP, enumerate_typical
 
@@ -19,6 +19,9 @@ MAX_ITERATIONS = 100_000
 # bytes of candidate-to-source distances the cover builds at once; the n=16
 # demo build's 3.6 MB of distances are taken in four chunks
 _COVER_CHUNK_BYTES = 1 << 20
+# candidate x source cells of a cover matrix, one byte each: 3,938 x 3,938
+# at 12 binary message symbols fits, 8,008 x 8,008 at 13 does not
+COVER_CELL_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -205,6 +208,13 @@ def build_rd_codebook(
     pool = enumerate_typical(q_table, n_symbols, delta)
     radius = n_symbols * (target_d + eps_cov)
 
+    def check_cover_size(n_cands: int) -> None:
+        if n_cands * len(src) > COVER_CELL_CAP:
+            raise ResourceCapError(
+                f"RD cover of {n_cands} candidates x {len(src)} source words exceeds "
+                f"the cap of {COVER_CELL_CAP} cells"
+            )
+
     def cover_matrix(cands: np.ndarray) -> np.ndarray:
         # pairwise additive distortion candidates x sources, a chunk of
         # candidates at a time; each distance sums the same axis as at once
@@ -216,6 +226,7 @@ def build_rd_codebook(
             covers[start : start + len(part)] = dists <= radius + 1e-12
         return covers
 
+    check_cover_size(len(pool))
     covers = cover_matrix(pool)
     # gains[i] counts the uncovered sources candidate i covers; a pick
     # subtracts the sources it newly covers from every candidate's gain
@@ -233,6 +244,7 @@ def build_rd_codebook(
             # fall back to the full reproduction space once
             from itertools import product
 
+            check_cover_size(d_prime.cols.size**n_symbols)
             pool = np.array(
                 list(product(range(d_prime.cols.size), repeat=n_symbols)), dtype=np.int64
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -134,6 +134,13 @@ class AuxChannel:
         t = self.table
         if not t.is_conditional or len(t.given) != 2 or len(t.target_names) != 2:
             raise ValidationError("aux channel must be (V, Y) conditional on (K, X)")
+
+    @classmethod
+    def of(cls, spec: SystemSpec, kernel: np.ndarray) -> "AuxChannel":
+        """The kernel p(v, y | k, x), indexed [k][x][v][y], on the spec's K, X
+        and Y axes and a V axis as long as the kernel's third dimension."""
+        axes = (spec.k_axis, spec.x_axis, Axis("V", kernel.shape[2]), spec.y_axis)
+        return cls(DistTable(axes, kernel, given=(spec.k_axis.name, spec.x_axis.name)))
 
     @property
     def v_axis(self) -> Axis:
@@ -476,71 +483,20 @@ def attack_free_witness(spec: SystemSpec, p_y_given_x: DistTable) -> AuxChannel:
     """The aux channel with V = Y, both independent of K, realizing a given
     embedding channel; the choice that collapses the general region onto the
     attack-free one."""
-    x_name = spec.x_axis.name
     (y_name,) = p_y_given_x.target_names
-    y_ax = p_y_given_x.axis(y_name)
-    mat = p_y_given_x.conditional_matrix((x_name,), (y_name,))
-    vals = np.zeros((spec.k_axis.size, spec.x_axis.size, y_ax.size, y_ax.size))
-    for yy in range(y_ax.size):
-        vals[:, :, yy, yy] = mat[None, :, yy]
-    table = DistTable(
-        (spec.k_axis, spec.x_axis, Axis("V", y_ax.size), y_ax),
-        vals,
-        given=(spec.k_axis.name, x_name),
-    )
-    return AuxChannel(table)
+    mat = p_y_given_x.conditional_matrix((spec.x_axis.name,), (y_name,))
+    ys = np.arange(mat.shape[1])
+    vals = np.zeros((spec.k_axis.size, *mat.shape, len(ys)))
+    vals[:, :, ys, ys] = mat
+    return AuxChannel.of(spec, vals)
 
 
 def random_aux_channel(spec: SystemSpec, v_size: int, rng: np.random.Generator) -> AuxChannel:
-    """Dirichlet(1) kernel per (k, x) cell; handy for grids and restarts."""
-    ky, xs, ys = spec.k_axis.size, spec.x_axis.size, spec.y_axis.size
-    vals = rng.dirichlet(np.ones(v_size * ys), size=(ky, xs)).reshape(ky, xs, v_size, ys)
-    table = DistTable(
-        (spec.k_axis, spec.x_axis, Axis("V", v_size), spec.y_axis),
-        vals,
-        given=(spec.k_axis.name, spec.x_axis.name),
-    )
-    return AuxChannel(table)
-
-
-@dataclass
-class ReductionReport:
-    rows: list[ChainRow]
-    witness_row: ChainRow | None
-
-    @property
-    def all_ok(self) -> bool:
-        ok = all(r.ok for r in self.rows)
-        if self.witness_row is not None:
-            ok = ok and self.witness_row.ok and self.witness_row.tight
-        return ok
-
-
-def check_attack_free_reduction(
-    spec: SystemSpec,
-    aux_channels: Sequence[AuxChannel] = (),
-    *,
-    n_random: int = 50,
-    v_size: int | None = None,
-    rng: np.random.Generator | None = None,
-    p_y_given_x: DistTable | None = None,
-) -> ReductionReport:
-    """On an identity-attack spec, evaluate the chain inequality on a grid of
-    aux channels, and the all-links-tight identity on the V = Y witness."""
-    if not spec.has_identity_attack():
-        raise ValidationError("reduction check requires an identity attack (Z = Y)")
-    rng = rng or np.random.default_rng(0)
-    v_size = v_size or min(spec.v_cardinality_bound(), spec.y_axis.size + 1)
-    channels = list(aux_channels) + [
-        random_aux_channel(spec, v_size, rng) for _ in range(n_random)
-    ]
-    rows = [chain_row(spec, a) for a in channels]
-    witness = None
-    if p_y_given_x is not None:
-        if not spec.key_independent():
-            raise ValidationError("the tight witness additionally needs an independent key")
-        witness = chain_row(spec, attack_free_witness(spec, p_y_given_x))
-    return ReductionReport(rows, witness)
+    """Dirichlet(1) kernel per (k, x) cell: the optimizer's restarts, and
+    handy for grids."""
+    ks, xs, ys = spec.k_axis.size, spec.x_axis.size, spec.y_axis.size
+    vals = rng.dirichlet(np.ones(v_size * ys), size=(ks, xs)).reshape(ks, xs, v_size, ys)
+    return AuxChannel.of(spec, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +523,11 @@ def _batch_first(m: np.ndarray) -> np.ndarray:
 
 
 class _FastEvaluator:
-    """Raw-array evaluation of the penalized objective on a stack of kernels
-    of shape (B, K, X, V, Y); skips DistTable validation inside the inner
-    loop.  Every kernel's values are bit-identical to a stack of one."""
+    """Raw-array evaluation of one problem's penalized objective on a stack
+    of kernels of shape (B, K, X, V, Y); skips DistTable validation inside the
+    inner loop.  Every kernel's values are bit-identical to a stack of one."""
 
-    def __init__(self, spec: SystemSpec, d_prime_value: float):
+    def __init__(self, spec: SystemSpec, fixed: Mapping[str, float], objective: str):
         self.lam = spec.lam
         self.xk = spec.p_xk.reorder((spec.k_axis.name, spec.x_axis.name)).values
         self.att = spec.attack_matrix
@@ -580,8 +536,16 @@ class _FastEvaluator:
         self.z_is_y = np.array_equal(self.att, np.eye(len(self.att)))
         self.cost = spec.d.cost
         self.h_u = entropy(spec.p_u)
-        self.rd = blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value)
+        self.rd = blahut_arimoto(spec.p_u, spec.d_prime, float(fixed["d_prime"]))
         self.r = self.rd.rate_bits
+        self.objective = KEYED_CONDITIONS[objective]
+        # the penalty's held conditions: c, then each fixed coordinate but the
+        # objective, in RegionPoint's field order
+        self.held = [(KEYED_CONDITIONS["embedding_rate"], self.lam * self.r)] + [
+            (KEYED_CONDITIONS[name], fixed[name])
+            for name in COORDINATES
+            if name in fixed and name != objective and name in KEYED_CONDITIONS
+        ]
 
     def quantities(self, q_kxvy: np.ndarray) -> dict[str, np.ndarray]:
         """The keyed region's quantities of each kernel in the stack.
@@ -630,25 +594,17 @@ class _FastEvaluator:
             "Ed(X,Y)": (p_xy * self.cost).sum(axis=(1, 2)),
         }
 
-    def penalty(self, fixed: Mapping[str, float], objective: str, q: dict[str, np.ndarray]) -> np.ndarray:
-        """The counting constraint's excess, then the shortfalls of c and of
-        the fixed coordinates but the objective, in RegionPoint's field order."""
-        lam, r = self.lam, self.r
-        pen = _pos(counting_excess(q, lam, r))
-        held = [("embedding_rate", lam * r)] + [
-            (name, fixed[name])
-            for name in COORDINATES
-            if name in fixed and name != objective and name in KEYED_CONDITIONS
-        ]
-        for name, attained in held:
-            c = KEYED_CONDITIONS[name]
-            pen += _pos(-_slack(c.kind, attained, c.bound(q, lam, r)))
+    def penalty(self, q: dict[str, np.ndarray]) -> np.ndarray:
+        """The counting constraint's excess, then the held conditions' shortfalls."""
+        pen = _pos(counting_excess(q, self.lam, self.r))
+        for c, attained in self.held:
+            pen += _pos(-_slack(c.kind, attained, c.bound(q, self.lam, self.r)))
         return pen
 
-    def score(self, q_kxvy: np.ndarray, fixed, objective, sign: float, penalty_weight: float) -> np.ndarray:
+    def score(self, q_kxvy: np.ndarray) -> np.ndarray:
         q = self.quantities(q_kxvy)
-        value = KEYED_CONDITIONS[objective].bound(q, self.lam, self.r)
-        return sign * value - penalty_weight * self.penalty(fixed, objective, q)
+        value = self.objective.bound(q, self.lam, self.r)
+        return self.objective.sign * value - _PENALTY_WEIGHT * self.penalty(q)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -691,9 +647,11 @@ def optimize_region(
 
     Every reported point is certified by re-evaluating the full condition set
     (inner-bound semantics: local optima are acceptable, infeasibility is
-    not): a point whose report is not ``all_satisfied`` raises
-    ``InfeasibleError`` naming the violated conditions.  ``d_prime`` must be
-    fixed since the message rate enters almost all conditions.
+    not).  The restarts are tried in score order, the first of equal scores
+    first, and the first whose penalty is at most 1e-6 and whose report is
+    ``all_satisfied`` is reported; when none is, ``InfeasibleError`` names
+    the best restart's failure.  ``d_prime`` must be fixed since the message
+    rate enters almost all conditions.
     """
     if objective not in KEYED_CONDITIONS:
         raise ValidationError(f"unknown objective {objective!r}")
@@ -704,20 +662,18 @@ def optimize_region(
         raise ValidationError("fixed coordinates must include d_prime")
     if restarts < 1:
         raise ValidationError(f"restarts must be at least 1, got {restarts}")
-    sign = KEYED_CONDITIONS[objective].sign
     bound = spec.v_cardinality_bound()
     v_size = bound if v_cardinality is None else v_cardinality
     if not 1 <= v_size <= bound:
         raise ValidationError(f"v_cardinality must lie in 1..{bound} (the support bound), got {v_size}")
-    ev = _FastEvaluator(spec, float(fixed["d_prime"]))
+    ev = _FastEvaluator(spec, fixed, objective)
 
     ks, xs, ys = spec.k_axis.size, spec.x_axis.size, spec.y_axis.size
     dim = v_size * ys
     steps = np.ldexp(1.0, -np.arange(1, 20))  # 0.5, 0.25, ...: the halvings above 1e-6
-    ss = np.random.SeedSequence(seed)
-    draws = [np.random.default_rng(c).dirichlet(np.ones(dim), size=(ks, xs)) for c in ss.spawn(restarts)]
-    q = np.stack(draws).reshape(restarts, ks, xs, v_size, ys)
-    score = ev.score(q, fixed, objective, sign, _PENALTY_WEIGHT)
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    q = np.stack([random_aux_channel(spec, v_size, np.random.default_rng(c)).table.values for c in children])
+    score = ev.score(q)
     chunk = max(1, _EVAL_CHUNK // q[0].size)
 
     def scores(rows: np.ndarray, k: int, x: int, blocks: np.ndarray) -> np.ndarray:
@@ -727,7 +683,7 @@ def optimize_region(
         for i in range(0, len(rows), chunk):
             stack = q[rows[i : i + chunk]]
             stack[:, k, x] = blocks[i : i + chunk].reshape(-1, v_size, ys)
-            out.append(ev.score(stack, fixed, objective, sign, _PENALTY_WEIGHT))
+            out.append(ev.score(stack))
         return np.concatenate(out)
 
     active = np.arange(restarts)
@@ -762,44 +718,44 @@ def optimize_region(
         if not active.size:
             break
 
-    restart_values = score.tolist()
-    best = int(np.argmax(score))  # the first restart with the highest score
-    best_so_far = list(np.maximum.accumulate(restart_values))
-    q = q[best] / q[best].sum(axis=(2, 3), keepdims=True)
-    batch = ev.quantities(q[None])
-    quantities = {name: float(v[0]) for name, v in batch.items()}
-    pen = float(ev.penalty(fixed, objective, batch)[0])
-    if pen > 1e-6:
-        raise InfeasibleError(
-            f"no feasible aux channel found for fixed={dict(fixed)} "
-            f"(best residual violation {pen:.3e})"
+    def certify(kernel: np.ndarray) -> OptimizationResult:
+        """One restart's normalized kernel as a certified result, or the
+        InfeasibleError that names its failure."""
+        batch = ev.quantities(kernel[None])
+        quantities = {name: float(v[0]) for name, v in batch.items()}
+        pen = float(ev.penalty(batch)[0])
+        if pen > 1e-6:
+            raise InfeasibleError(
+                f"no feasible aux channel found for fixed={dict(fixed)} "
+                f"(best residual violation {pen:.3e})"
+            )
+        aux = AuxChannel.of(spec, kernel)
+        # a free coordinate sits on its bound, floored at 0 (only a's and b's can be negative)
+        free = {name: max(c.bound(quantities, ev.lam, ev.r), 0.0) for name, c in KEYED_CONDITIONS.items()}
+        point = RegionPoint(
+            **{name: float(fixed[name] if name in fixed else free[name]) for name in COORDINATES}
+        )
+        report = eval_keyed_region(spec, aux, point, rd_solution=ev.rd)
+        # the penalty tolerates 1e-6 bits; the certificate holds every slack to SLACK_TOL
+        violated = {name: c.slack for name, c in report.conditions.items() if not c.satisfied}
+        if violated:
+            slacks = ", ".join(f"{name} (slack {slack:.3e})" for name, slack in violated.items())
+            raise InfeasibleError(f"the best aux channel for fixed={dict(fixed)} violates {slacks}")
+        return OptimizationResult(
+            aux=aux,
+            point=point,
+            report=report,
+            objective=objective,
+            value=ev.objective.bound(quantities, ev.lam, ev.r),
+            restart_values=score.tolist(),
+            best_so_far=list(np.maximum.accumulate(score)),
+            penalty=pen,
         )
 
-    table = DistTable(
-        (spec.k_axis, spec.x_axis, Axis("V", v_size), spec.y_axis),
-        q,
-        given=(spec.k_axis.name, spec.x_axis.name),
-    )
-    aux = AuxChannel(table)
-    # a free coordinate sits on its bound, floored at 0 (only a's and b's can be negative)
-    free = {name: max(c.bound(quantities, ev.lam, ev.r), 0.0) for name, c in KEYED_CONDITIONS.items()}
-    point = RegionPoint(
-        **{name: float(fixed[name] if name in fixed else free[name]) for name in COORDINATES}
-    )
-    report = eval_keyed_region(spec, aux, point, rd_solution=ev.rd)
-    # the penalty tolerates 1e-6 bits; the certificate holds every slack to SLACK_TOL
-    violated = {name: c.slack for name, c in report.conditions.items() if not c.satisfied}
-    if violated:
-        slacks = ", ".join(f"{name} (slack {slack:.3e})" for name, slack in violated.items())
-        raise InfeasibleError(f"the best aux channel for fixed={dict(fixed)} violates {slacks}")
-    value = KEYED_CONDITIONS[objective].bound(quantities, ev.lam, ev.r)
-    return OptimizationResult(
-        aux=aux,
-        point=point,
-        report=report,
-        objective=objective,
-        value=value,
-        restart_values=restart_values,
-        best_so_far=best_so_far,
-        penalty=pen,
-    )
+    failure = None
+    for i in np.argsort(-score, kind="stable"):
+        try:
+            return certify(q[i] / q[i].sum(axis=(2, 3), keepdims=True))
+        except InfeasibleError as e:
+            failure = failure or e
+    raise failure

@@ -4,15 +4,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secembed import cli, sim
-from secembed.config import COMMANDS, load_aux, load_system, parse_config, stable_hash
+from secembed.config import (
+    COMMANDS,
+    RunConfig,
+    aux_to_mapping,
+    load_aux,
+    load_system,
+    parse_config,
+    read_text,
+    stable_hash,
+)
 from secembed.errors import ValidationError
-from secembed.region import COORDINATES, optimize_region
+from secembed.region import COORDINATES, AuxChannel, RegionPoint, optimize_region
 
 from conftest import miss_one_condition
 
@@ -130,9 +140,9 @@ class TestSystemLoading:
             load_aux(bad, spec)
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "secembed.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "secembed.cli", *args], capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -337,6 +347,19 @@ class TestCli:
         assert "exact enumeration" in r.stderr
         assert not list(workdir.glob("x*"))  # no trials CSV and no manifest
 
+    def test_rd_cover_cap_writes_nothing(self, tmp_path):
+        # lambda n = 15 message symbols: the 31,616 x 31,616 RD cover matrix,
+        # 1 GB of booleans, is refused before it is built
+        configs = Path(__file__).parents[1] / "configs"
+        r = run_cli([
+            "simulate", "--spec", str(configs / "demo_system.yaml"), "--aux", str(configs / "demo_aux.yaml"),
+            "--n", "30", "--trials", "10", "--delta", "0.6", "--dprime", "0.0", "--seed", "1",
+            "--m2-bits", "5", "--m3-bits", "0", "--j-bits", "4", "--out", str(tmp_path / "x"),
+        ], timeout=60)
+        assert r.returncode == 4
+        assert "RD cover of 31616 candidates x 31616 source words" in r.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_key_enumeration_cap_exit_code(self, workdir, tmp_path, monkeypatch, capsys):
         # the bin audit runs; the compression audit's typical keys then pass a lowered cap
         monkeypatch.setattr(sim, "DEFAULT_KEY_ENUM_CAP", 1)
@@ -479,6 +502,41 @@ _NEEDS = {
     "region-eval": ("aux", "point"),
     "region-opt": ("objective",),
 }
+
+
+class TestAuxReload:
+    """An aux channel reloads bit for bit from what a run writes: the YAML of
+    ``aux_to_mapping``, and a manifest's JSON read back by ``run``."""
+
+    @staticmethod
+    def _assert_reloads(system, aux, point, tmp_path):
+        labels = [f"v{i}" for i in range(aux.v_cardinality)]
+        text = yaml.safe_dump(aux_to_mapping(aux, labels))
+        again, again_labels = load_aux(yaml.safe_load(text), system.spec)
+        assert again_labels == labels
+        assert again.table.values.tobytes() == aux.table.values.tobytes()
+        cfg = RunConfig("region-eval", system, aux=aux, aux_labels=labels, point=point, out=str(tmp_path / "re"))
+        assert cli.run(cfg) == cli.EXIT_OK
+        rerun = parse_config(read_text(str(tmp_path / "re.manifest.json")))
+        assert rerun.aux.table.values.tobytes() == aux.table.values.tobytes()
+
+    def test_optimizer_result(self, tmp_path):
+        system = load_system(WIDE_SYSTEM)
+        res = optimize_region(system.spec, {"d_prime": 0.25, "d": 1.0}, "embedding_rate", restarts=4, seed=0)
+        self._assert_reloads(system, res.aux, res.point, tmp_path)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_kernel_with_zeros(self, tmp_path, seed):
+        system = load_system(WIDE_SYSTEM)
+        rng = np.random.default_rng(seed)
+        kernel = rng.dirichlet(np.ones(9), size=(2, 2))
+        kernel[rng.random(kernel.shape) < 0.5] = 0.0
+        kernel[kernel.sum(axis=-1) == 0.0, 0] = 1.0
+        kernel /= kernel.sum(axis=-1, keepdims=True)
+        assert (kernel == 0.0).any()
+        aux = AuxChannel.of(system.spec, kernel.reshape(2, 2, 3, 3))
+        point = RegionPoint(d=1.0, d_prime=0.25, r_c=2.0, r_c_prime=2.0, h=0.1, h_prime=0.1)
+        self._assert_reloads(system, aux, point, tmp_path)
 
 
 @st.composite

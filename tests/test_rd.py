@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secembed import rd
-from secembed.errors import EmptyTypicalSetError, InfeasibleError, ValidationError
+from secembed.errors import EmptyTypicalSetError, InfeasibleError, ResourceCapError, ValidationError
 from secembed.rd import blahut_arimoto, build_rd_codebook, rd_curve, rd_encode
 from secembed.tables import Axis, DistTable, DistortionMeasure
 from secembed.typical import enumerate_typical
@@ -301,3 +301,12 @@ class TestCoverMatchesReference:
         cb = build_rd_codebook(BSS, HAMMING, 0.5, 4, 0.6)
         assert np.array_equal(cb.codewords[: cb.distinct_count], ref)
         assert cb.distinct_count > 1
+
+    # the typical pool's one candidate fits the cap and the whole space's 16
+    # do not, or the pool is over the cap already
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_cover_cell_cap(self, monkeypatch, fallback):
+        sources = len(enumerate_typical(BSS, 4, 0.6))
+        monkeypatch.setattr(rd, "COVER_CELL_CAP", sources if fallback else sources - 1)
+        with pytest.raises(ResourceCapError, match=f"RD cover of {16 if fallback else 1} candidates"):
+            build_rd_codebook(BSS, HAMMING, 0.5, 4, 0.6)
