@@ -41,16 +41,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, manifest_hash: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, manifest_hash: str, header: list[str], rows: list[list]) -> None:
     lines = [f"# manifest={manifest_hash}", ",".join(header)]
     lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_conditions(out: Path, digest: str, report) -> None:
+def _write_conditions(out: str, digest: str, report) -> None:
     rows = [[k, c.kind, c.attained, c.bound, c.slack, int(c.satisfied)] for k, c in report.conditions.items()]
     header = ["condition", "kind", "attained", "bound", "slack", "satisfied"]
-    _write_csv(Path(str(out) + "_conditions.csv"), digest, header, rows)
+    _write_csv(out + "_conditions.csv", digest, header, rows)
 
 
 def _quantity_rows(report) -> list[list]:
@@ -63,19 +63,21 @@ def _seq_str(arr) -> str:
 
 def run(config: RunConfig) -> int:
     """Execute one validated run configuration and write its artifacts, then
-    its manifest: a run the library rejects leaves no manifest behind."""
-    out = Path(config.out or f"secembed_{config.command}")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    its manifest: a run the library rejects leaves no manifest behind.  Each
+    artifact's name is the out name with a suffix appended, so a dot in the
+    out name stays part of it."""
+    out = config.out or f"secembed_{config.command}"
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     manifest = config.manifest()
     # the embedded digest covers the run content, not where it is written
     digest = stable_hash({k: v for k, v in manifest.items() if k != "out"})
     status = _write_artifacts(config, out, digest)
     text = json.dumps(manifest, sort_keys=True, indent=2, default=str)
-    out.with_suffix(".manifest.json").write_text(text + "\n")
+    Path(out + ".manifest.json").write_text(text + "\n")
     return status
 
 
-def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
+def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
     spec = config.system.spec
 
     def optimize(fixed):
@@ -99,9 +101,7 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
         rows = []
         for g, sol in rd_curve(spec.p_u, spec.d_prime, sorted(grid)):
             rows.append([g, sol.rate_bits, sol.distortion, sol.iterations])
-        _write_csv(
-            out.with_suffix(".csv"), digest, ["d_prime", "rate_bits", "distortion", "iterations"], rows
-        )
+        _write_csv(out + ".csv", digest, ["d_prime", "rate_bits", "distortion", "iterations"], rows)
         return EXIT_OK
 
     if config.command == "sweep":  # region sweep over one fixed coordinate grid
@@ -110,9 +110,7 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
             res = optimize({**config.fixed, "d_prime": g})
             slacks = ";".join(f"{k}={c.slack:.6g}" for k, c in res.report.conditions.items())
             rows.append([g, res.objective, res.value, slacks])
-        _write_csv(
-            out.with_suffix(".csv"), digest, ["d_prime", "objective", "value", "condition_slacks"], rows
-        )
+        _write_csv(out + ".csv", digest, ["d_prime", "objective", "value", "condition_slacks"], rows)
         return EXIT_OK
 
     if config.command == "region-eval":
@@ -121,9 +119,7 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
         else:
             report = eval_keyed_region(spec, config.aux, config.point)
         _write_conditions(out, digest, report)
-        _write_csv(
-            Path(str(out) + "_quantities.csv"), digest, ["quantity", "value"], _quantity_rows(report)
-        )
+        _write_csv(out + "_quantities.csv", digest, ["quantity", "value"], _quantity_rows(report))
         return EXIT_OK
 
     if config.command == "region-opt":
@@ -140,30 +136,28 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
         )
         for coord, val in vars(res.point).items():
             summary.append([f"point_{coord}", val])
-        _write_csv(Path(str(out) + "_summary.csv"), digest, ["metric", "value"], summary)
+        _write_csv(out + "_summary.csv", digest, ["metric", "value"], summary)
         return EXIT_OK
 
     if config.command == "simulate":
         books = build(config.seed)  # the trials and the enumeration share one build
         agg = sim.run_trials(books, config.trials, config.seed)
-        trial_rows = [
-            [
-                i,
-                r.error_event,
-                int(r.message_correct),
-                r.distortion_xy,
-                r.distortion_uuhat,
-                r.true_bin,
-                r.decoded_bin if r.decoded_bin is not None else -1,
-                _seq_str(r.u),
-                _seq_str(r.x),
-                _seq_str(r.k),
-                _seq_str(r.y),
-                _seq_str(r.z),
-                _seq_str(r.uhat),
-            ]
-            for i, r in enumerate(agg.results)
-        ]
+        columns = {  # each trials column with its cell of trial i's record r
+            "trial": lambda i, r: i,
+            "event": lambda i, r: r.error_event,
+            "message_correct": lambda i, r: int(r.message_correct),
+            "distortion_xy": lambda i, r: r.distortion_xy,
+            "distortion_uuhat": lambda i, r: r.distortion_uuhat,
+            "true_bin": lambda i, r: r.true_bin,
+            "decoded_bin": lambda i, r: -1 if r.decoded_bin is None else r.decoded_bin,
+            "u": lambda i, r: _seq_str(r.u),
+            "x": lambda i, r: _seq_str(r.x),
+            "k": lambda i, r: _seq_str(r.k),
+            "y": lambda i, r: _seq_str(r.y),
+            "z": lambda i, r: _seq_str(r.z),
+            "uhat": lambda i, r: _seq_str(r.uhat),
+        }
+        trial_rows = [[cell(i, r) for cell in columns.values()] for i, r in enumerate(agg.results)]
         summary = [["trials", agg.trials], ["message_error_rate", agg.message_error_rate]]
         summary.extend([f"freq_{e}", f] for e, f in sorted(agg.event_frequencies.items()))
         summary.append(["mean_distortion_xy", agg.mean_distortion_xy])
@@ -180,27 +174,8 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
             summary.append(["h_uhat_given_yz", est.h_uhat_given_yz])
             summary.extend([k, v] for k, v in sorted(est.extras.items()))
         # the enumeration above may hit its cap: write nothing before it is done
-        _write_csv(
-            Path(str(out) + "_trials.csv"),
-            digest,
-            [
-                "trial",
-                "event",
-                "message_correct",
-                "distortion_xy",
-                "distortion_uuhat",
-                "true_bin",
-                "decoded_bin",
-                "u",
-                "x",
-                "k",
-                "y",
-                "z",
-                "uhat",
-            ],
-            trial_rows,
-        )
-        _write_csv(Path(str(out) + "_summary.csv"), digest, ["metric", "value"], summary)
+        _write_csv(out + "_trials.csv", digest, list(columns), trial_rows)
+        _write_csv(out + "_summary.csv", digest, ["metric", "value"], summary)
         return EXIT_OK
 
     if config.command == "audit":
@@ -217,12 +192,12 @@ def _write_artifacts(config: RunConfig, out: Path, digest: str) -> int:
                 comp = sim.compression_audits(books)
                 comp_rows = [[k, v] for k, v in sorted(vars(comp).items())]
         _write_csv(
-            Path(str(out) + "_bins.csv"),
+            out + "_bins.csv",
             digest,
             ["rebuild", "seed", "max_bins_per_y", "bound", "passed", "max_bins_across_types"],
             rows,
         )
-        _write_csv(Path(str(out) + "_compression.csv"), digest, ["metric", "value"], comp_rows)
+        _write_csv(out + "_compression.csv", digest, ["metric", "value"], comp_rows)
         return EXIT_OK
 
     raise ValidationError(f"unhandled command {config.command!r}")

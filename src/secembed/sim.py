@@ -535,10 +535,7 @@ class EmbedResult:
     input_ok: bool
     search_ok: bool
     search_event: str | None  # "e2" | "e3" | None
-    type_idx: int | None
-    order: np.ndarray | None
-    v_rep: np.ndarray | None
-    j: int | None
+    j: int | None  # the bin's first typical auxiliary row, 0-based
     j_prime: int | None
 
 
@@ -721,9 +718,6 @@ def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
         input_ok=input_ok,
         search_ok=search_ok,
         search_event=search_event if (input_ok and not search_ok) else None,
-        type_idx=details.get("type_idx"),
-        order=details.get("order"),
-        v_rep=details.get("v_rep"),
         j=details.get("j"),
         j_prime=details.get("j_prime"),
     )
@@ -742,9 +736,10 @@ def attack(y_seq: np.ndarray, spec: SystemSpec, rng: np.random.Generator) -> np.
 @dataclass
 class DecodeResult:
     uhat: np.ndarray | None
-    event: str  # "ok" | "e4" | "e5"
+    event: str  # "ok" | "e4" | "e5": one bin found, none, or more
     bin_index: int | None
     bins_found: tuple[int, ...]
+    typical: np.ndarray  # (bins, M_2): whether each auxiliary row is jointly typical with the forgery
 
 
 def _sent_index(m: int | np.ndarray, pad: int | np.ndarray) -> int | np.ndarray:
@@ -757,12 +752,13 @@ def decode_many(
     z_rows: np.ndarray, k_rows: np.ndarray, codebooks: CodebookSet
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint-typicality unique-bin decoding of every forged word (row) of
-    ``z_rows`` under the key on its row of ``k_rows``, as ``(hits, uhat)``:
-    ``hits[i, m - 1]`` says bin m holds an auxiliary word jointly typical
-    with forgery i (none does under an atypical key).  No bin is e4, two or
-    more e5; one bin m decodes to ``uhat[i]``, the rate-distortion codeword
-    of index (m - 1) XOR the key's pad.  One box test per key type covers
-    its keys' forgeries against its whole auxiliary book."""
+    ``z_rows`` under the key on its row of ``k_rows``, as ``(typical, uhat)``:
+    ``typical[i, m - 1, j]`` says row j of bin m is an auxiliary word jointly
+    typical with forgery i (none is under an atypical key).  No bin with a
+    typical row is e4, two or more e5; one bin m decodes to ``uhat[i]``, the
+    rate-distortion codeword of index (m - 1) XOR the key's pad.  One box
+    test per key type covers its keys' forgeries against its whole
+    auxiliary book."""
     z_rows = np.asarray(z_rows, dtype=np.int64)
     k_rows = np.asarray(k_rows, dtype=np.int64)
     sizes = codebooks.sizes
@@ -779,21 +775,22 @@ def decode_many(
             of_type[type_idx].append(i)
     # each forged word in its key's representative frame
     z_rep = z_rows[np.arange(len(z_rows))[:, None], np.argsort(k_rows, axis=1, kind="stable")]
-    hits = np.zeros((len(z_rows), sizes.bins), dtype=bool)
+    typical = np.zeros((len(z_rows), sizes.bins, sizes.m2), dtype=bool)
     for type_idx, rows in of_type.items():
         contexts = codebooks.key_types[type_idx].representative * codebooks.z_size + z_rep[rows]
         in_box = _rows_in_boxes(codebooks.aux_masks(type_idx), contexts, codebooks.kzv_cells)
-        hits[rows] = in_box.reshape(len(rows), sizes.bins, sizes.m2).any(axis=2)
-    return hits, codebooks.rd_codebook.codewords[_sent_index(hits.argmax(axis=1) + 1, pads)]
+        typical[rows] = in_box.reshape(len(rows), sizes.bins, sizes.m2)
+    bins = typical.any(axis=2).argmax(axis=1) + 1
+    return typical, codebooks.rd_codebook.codewords[_sent_index(bins, pads)]
 
 
 def decode(z_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> DecodeResult:
     """``decode_many`` of one forged word, with its event."""
-    hits, uhat = decode_many(np.asarray(z_seq)[None], np.asarray(k_seq)[None], codebooks)
-    bins = tuple((np.flatnonzero(hits[0]) + 1).tolist())
+    typical, uhat = decode_many(np.asarray(z_seq)[None], np.asarray(k_seq)[None], codebooks)
+    bins = tuple((np.flatnonzero(typical[0].any(axis=1)) + 1).tolist())
     if len(bins) != 1:
-        return DecodeResult(None, "e5" if bins else "e4", None, bins)
-    return DecodeResult(uhat[0], "ok", bins[0], bins)
+        return DecodeResult(None, "e5" if bins else "e4", None, bins, typical[0])
+    return DecodeResult(uhat[0], "ok", bins[0], bins, typical[0])
 
 
 # ---------------------------------------------------------------------------
@@ -859,13 +856,16 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
     Every trial gets exactly one label: e1 for atypical inputs whose
     fallback embedding still produced a codebook word, encode_fallback when
     the all-zero word had to be transmitted, e2/e3 for failed searches on
-    typical inputs, e4/e5 for decode-side failures, and none otherwise.
+    typical inputs, e4 when the decoder finds the sent auxiliary word not
+    jointly typical with the forgery, e5 when it is but another bin holds a
+    typical word too, and none otherwise: then the decoder finds bin m
+    alone, and the message is correct.
 
     Trials go ``_TRIAL_CHUNK`` at a time: each draws u and (x, k) from its
     own generator, the chunk's searches run as one ``search_words`` call,
     then each trial encodes, draws its attack and decodes in turn.
     """
-    spec, n = codebooks.spec, codebooks.n
+    spec, n, n_msg = codebooks.spec, codebooks.n, codebooks.n_message
     results: list[TrialResult] = []
 
     def chunk(start: int) -> list[tuple[np.random.Generator, np.ndarray, WordSearch]]:
@@ -873,7 +873,7 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
         messages: dict[bytes, int | None] = {}
         drawn = []
         for t in range(start, min(trials, start + _TRIAL_CHUNK)):
-            rng, u, x, k = _draw_trial(spec, codebooks.n_message, n, seed, t)
+            rng, u, x, k = _draw_trial(spec, n_msg, n, seed, t)
             drawn.append((rng, u, WordSearch(codebooks, x, k, messages)))
         search_words(codebooks, [(w, [w.bin_of(w.message_index(u))[1]]) for _, u, w in drawn if w.embeds])
         return drawn
@@ -888,31 +888,20 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
             event = "e1" if enc.search_ok else "encode_fallback"
         elif enc.search_event is not None:
             event = enc.search_event
-        else:
-            # decode-side classification against the transmitted word
-            order = enc.order
-            z_rep = z[order]
-            rep = codebooks.key_types[enc.type_idx].representative
-            cells_true = (rep * codebooks.v_size + enc.v_rep) * codebooks.z_size + z_rep
-            true_ok = codebooks.kvz_box.contains(
-                np.bincount(cells_true, minlength=codebooks.k_size * codebooks.v_size * codebooks.z_size)
-            )
-            if not true_ok:
-                event = "e4"
-            elif len(dec.bins_found) > 1:
-                event = "e5"
-            else:
-                event = "none"
+        elif not dec.typical[enc.m - 1, enc.j]:  # the sent auxiliary word
+            event = "e4"
+        elif len(dec.bins_found) > 1:
+            event = "e5"
+        else:  # the decoder found bin m alone
+            event = "none"
 
-        dup = math.nan  # measured on clean trials only
-        if event == "none" and dec.uhat is not None:
-            dup = spec.d_prime.per_sequence(u, dec.uhat) / codebooks.n_message
         results.append(
             TrialResult(
                 error_event=event,
-                message_correct=dec.event == "ok" and dec.bin_index == enc.m and event == "none",
+                message_correct=event == "none",
                 distortion_xy=spec.d.per_sequence(x, enc.y) / n,
-                distortion_uuhat=dup,
+                # measured on clean trials only
+                distortion_uuhat=spec.d_prime.per_sequence(u, dec.uhat) / n_msg if event == "none" else math.nan,
                 encode_search_ok=enc.search_ok,
                 true_bin=enc.m,
                 decoded_bin=dec.bin_index,
@@ -1090,8 +1079,8 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
         fresh = {dkey: pair for dkey, pair in pairs.items() if dkey not in decode_cache}
         if fresh:
             keys, zs = zip(*fresh.values())
-            hits, uhat = decode_many(np.array(zs), np.array(keys), codebooks)
-            for dkey, ok, row in zip(fresh, (hits.sum(axis=1) == 1).tolist(), uhat):
+            typical, uhat = decode_many(np.array(zs), np.array(keys), codebooks)
+            for dkey, ok, row in zip(fresh, (typical.any(axis=2).sum(axis=1) == 1).tolist(), uhat):
                 decode_cache[dkey] = row.tobytes() if ok else b"err"
         for word, states, forgeries in batch:
             kb = word.k.tobytes()

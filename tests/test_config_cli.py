@@ -168,6 +168,16 @@ class TestCli:
         got = [float(l.split(",")[1]) for l in lines[2:]]
         assert got == pytest.approx([sol.rate_bits for _, sol in expected], abs=1e-12)
 
+    def test_rd_dotted_out_name(self, workdir):
+        out = workdir / "rd_d0.25"
+        args = ["rd", "--spec", str(workdir / "sys.yaml"), "--dprime", "0.25", "--seed", "1", "--out", str(out)]
+        assert cli.main(args) == cli.EXIT_OK
+        assert sorted(p.name for p in workdir.glob("rd_*")) == ["rd_d0.25.csv", "rd_d0.25.manifest.json"]
+        written = (workdir / "rd_d0.25.csv").read_bytes()
+        assert json.loads((workdir / "rd_d0.25.manifest.json").read_text())["out"] == str(out)
+        assert cli.main(["run", str(workdir / "rd_d0.25.manifest.json")]) == cli.EXIT_OK
+        assert (workdir / "rd_d0.25.csv").read_bytes() == written
+
     def test_simulate_deterministic(self, workdir):
         args = [
             "simulate", "--spec", str(workdir / "sys.yaml"), "--aux", str(workdir / "aux.yaml"),
@@ -751,6 +761,15 @@ class TestRegionSweep:
             assert cli.main(["region-opt", *common, "--fix", f"d_prime={g}", "--out", str(out)]) == 0
             summary = dict(l.split(",") for l in Path(f"{out}_summary.csv").read_text().splitlines()[2:])
             assert (objective, value) == (summary["objective"], summary["value"])
+        # a dot in an out name stays part of it: each run reruns from its own
+        # manifest, and no run wrote the manifest of a shorter name
+        for g, *_ in rows:
+            out = workdir / f"opt{g}"
+            written = Path(f"{out}_summary.csv").read_bytes()
+            assert json.loads(Path(f"{out}.manifest.json").read_text())["fixed"] == {"d_prime": float(g)}
+            assert cli.main(["run", f"{out}.manifest.json"]) == 0
+            assert Path(f"{out}_summary.csv").read_bytes() == written
+        assert not (workdir / "opt0.manifest.json").exists()
 
     def test_seed_required(self, workdir, capsys):
         code = cli.main(["sweep", "--spec", str(workdir / "sys.yaml"), "--objective", "h",

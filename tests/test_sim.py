@@ -26,6 +26,7 @@ from secembed.tables import Axis, DistortionMeasure, DistTable
 from secembed.typical import CountBox, _multinomial, letter_dtype
 
 from conftest import binary_spec, copy_embedder_aux, decrypt, encrypt, int_to_bits, noise_aux, sw_bits, sw_encode
+from test_sim_golden import NOISY_AUX, NOISY_SYSTEM
 
 
 def build_trend(spec, aux, n, seed=11, **kw):
@@ -1012,12 +1013,12 @@ def _decode_fields(d):
 
 def _decode_many_fields(z_rows, k_rows, books):
     """``_decode_fields`` of each row of one ``decode_many`` call, read
-    from its (hits, uhat) arrays."""
-    hits, uhat = sim.decode_many(z_rows, k_rows, books)
-    assert hits.dtype == bool and hits.shape == (len(z_rows), books.sizes.bins)
+    from its (typical, uhat) arrays."""
+    typical, uhat = sim.decode_many(z_rows, k_rows, books)
+    assert typical.dtype == bool and typical.shape == (len(z_rows), books.sizes.bins, books.sizes.m2)
     assert uhat.dtype == np.int64 and uhat.shape == (len(z_rows), books.n_message)
     out = []
-    for row_hits, row_uhat in zip(hits, uhat):
+    for row_hits, row_uhat in zip(typical.any(axis=2), uhat):
         bins = tuple(int(b) + 1 for b in np.flatnonzero(row_hits))
         if len(bins) == 1:
             out.append(("ok", bins[0], bins, row_uhat.tolist()))
@@ -1283,6 +1284,141 @@ class TestBatchedEnumeration:
         assert est.h_u_given_yz == est.extras["h_u_given_yz_bits"] / books.n_message
 
 
+def _noisy_n8_books(seed):
+    """The ``exact_noisy_n8`` golden's build, at build seed ``seed``."""
+    spec = load_system(NOISY_SYSTEM).spec
+    aux, _ = load_aux(NOISY_AUX, spec)
+    return sim.build_codebooks(spec, aux, 8, 0.6, seed, 0.0, m2_bits=3, m3_bits=1, j_bits=1)
+
+
+def _recounted_trial_event(books, r):
+    """Trial record r's event as ``run_trials`` classified it before the
+    decoder's typical table decided e4: the sent auxiliary word's (k, v, z)
+    cells recounted against the box, and e5 from the reference decoder."""
+    enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k, {}))
+    assert np.array_equal(enc.y, r.y) and enc.m == r.true_bin
+    if not enc.input_ok:
+        return "e1" if enc.search_ok else "encode_fallback"
+    if enc.search_event is not None:
+        return enc.search_event
+    _, _, details = sim.embed_in_bin(books, enc.m, r.x, r.k)
+    assert details["j"] == enc.j
+    rep = books.key_types[details["type_idx"]].representative
+    cells = (rep * books.v_size + details["v_rep"]) * books.z_size + r.z[details["order"]]
+    if not books.kvz_box.contains(np.bincount(cells, minlength=books.k_size * books.v_size * books.z_size)):
+        return "e4"
+    _, _, bins, _ = _reference_decode(r.z, r.k, books)
+    return "e5" if len(bins) > 1 else "none"
+
+
+class TestTrialRecord:
+    """Each trial event read from the encoder's and decoder's own tests,
+    against the recount it replaced, and the calls a trial makes."""
+
+    @staticmethod
+    def _assert_records(books, agg):
+        for r in agg.results:
+            assert r.error_event == _recounted_trial_event(books, r)
+            dec = sim.decode(r.z, r.k, books)
+            # the message is correct exactly on a clean trial, which decodes the sent bin
+            assert r.message_correct == (r.error_event == "none")
+            assert r.message_correct == (dec.event == "ok" and dec.bin_index == r.true_bin and r.error_event == "none")
+            assert math.isnan(r.distortion_uuhat) == (not r.message_correct)
+            # the decoder's typical table, against its own bins
+            assert dec.typical.shape == (books.sizes.bins, books.sizes.m2)
+            assert dec.bins_found == tuple(int(b) + 1 for b in np.flatnonzero(dec.typical.any(axis=1)))
+
+    @given(_enumeration_cases(), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_events_match_the_sent_word_recount(self, books, seed):
+        self._assert_records(books, sim.run_trials(books, 40, seed))
+
+    @pytest.mark.parametrize(
+        "attack, x_probs, p_u, delta, seed, d_prime, m2_bits, j_bits",
+        [
+            ([[0.5, 0.5], [0.5, 0.5]], (0.5, 0.5), [0.4, 0.6], 0.3, 16202, 0.25, 2, 1),
+            ([[1.0, 0.0], [0.0, 1.0]], (0.4, 0.6), [0.5, 0.5], 0.6, 23958, 0.0, 1, 0),
+        ],
+    )
+    def test_sent_row_after_the_bins_first(self, attack, x_probs, p_u, delta, seed, d_prime, m2_bits, j_bits):
+        """Two n=4 builds with a constant key whose trials send a row other
+        than their bin's first, where the decoder judges the sent row apart
+        from the first, so the first row alone would classify them otherwise."""
+        spec = dataclasses.replace(
+            binary_spec(x_size=2, x_probs=x_probs, k_probs=(1.0,), lam=0.5, attack=attack),
+            p_u=DistTable([Axis("U", 2)], p_u),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            books = sim.build_codebooks(
+                spec, copy_embedder_aux(spec, [0.5, 0.5]), 4, delta, seed, d_prime,
+                m2_bits=m2_bits, m3_bits=0, j_bits=j_bits,
+            )
+        agg = sim.run_trials(books, 40, 1)
+        self._assert_records(books, agg)
+        later = []
+        for r in agg.results:
+            enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k, {}))
+            table = sim.decode(r.z, r.k, books).typical
+            if enc.input_ok and enc.search_ok and table[enc.m - 1, enc.j] != table[enc.m - 1, 0]:
+                later.append(r)
+        assert later
+
+    def test_noisy_n8_events_match_the_sent_word_recount(self):
+        """The ``exact_noisy_n8`` golden's system at three build seeds, whose
+        trials reach every event but e3 (the n=4 cases reach e3), and e4
+        trials that decode one bin."""
+        events, e4_decoded = set(), 0
+        for seed in (5, 6, 7):
+            books = _noisy_n8_books(seed)
+            agg = sim.run_trials(books, 200, seed)
+            self._assert_records(books, agg)
+            events |= {r.error_event for r in agg.results}
+            e4_decoded += sum(r.error_event == "e4" and r.decoded_bin is not None for r in agg.results)
+        assert events == set(sim.EVENTS) - {"e3"} and e4_decoded > 0
+
+    def test_exact_noisy_n8_trials_decoded_yet_e4(self):
+        """Of the ``exact_noisy_n8`` golden's 40 trials, 16 are e4.  In trials
+        5 and 30 the decoder finds exactly one bin (bin 2, the sent one in
+        trial 30) through a row other than the sent one, which is not
+        jointly typical with the forgery: the trial is e4 and its message
+        incorrect."""
+        books = _noisy_n8_books(5)
+        agg = sim.run_trials(books, 40, 5)
+        assert sum(r.error_event == "e4" for r in agg.results) == 16
+        decoded = [(i, r.true_bin, r.decoded_bin) for i, r in enumerate(agg.results)
+                   if r.error_event == "e4" and r.decoded_bin is not None]
+        assert decoded == [(5, 1, 2), (30, 2, 2)]
+        for i, *_ in decoded:
+            r = agg.results[i]
+            enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k, {}))
+            dec = sim.decode(r.z, r.k, books)
+            assert dec.event == "ok" and not dec.typical[enc.m - 1, enc.j] and not r.message_correct
+
+    @given(_enumeration_cases())
+    @settings(max_examples=10, deadline=None)
+    def test_one_encode_and_decode_per_trial(self, books):
+        """Counted through the module-level names, as the benchmark's tracer
+        counts them, over more trials than one chunk holds."""
+        trials = sim._TRIAL_CHUNK + 6
+        with (
+            mock.patch.object(sim, "embed_encode", wraps=sim.embed_encode) as encode,
+            mock.patch.object(sim, "decode", wraps=sim.decode) as decode,
+        ):
+            sim.run_trials(books, trials, 3)
+        assert encode.call_count == decode.call_count == trials
+
+    @given(_enumeration_cases())
+    @settings(max_examples=10, deadline=None)
+    def test_one_encode_per_positive_probability_state(self, books):
+        spec = books.spec
+        u_words = np.count_nonzero(spec.p_u.values) ** books.n_message
+        xk_words = np.count_nonzero(spec.p_xk.values) ** books.n
+        with mock.patch.object(sim, "embed_encode", wraps=sim.embed_encode) as encode:
+            sim.estimate_equivocation(books)
+        assert encode.call_count == u_words * xk_words
+
+
 def _frozen_embed_in_bin(codebooks, m, x_arr, k_arr, key_type=None):
     """``embed_in_bin`` as it was before bins were searched in batches:
     one box test over the bin's rows, then one over its row's stegotext
@@ -1343,7 +1479,6 @@ def _frozen_embed_encode(u_arr, x_arr, k_arr, codebooks):
     return sim.EmbedResult(
         y=y, m=m, w=sim.bits_to_int(w), input_ok=input_ok, search_ok=search_ok,
         search_event=search_event if (input_ok and not search_ok) else None,
-        type_idx=details.get("type_idx"), order=details.get("order"), v_rep=details.get("v_rep"),
         j=details.get("j"), j_prime=details.get("j_prime"),
     )
 
@@ -1419,7 +1554,7 @@ class TestBatchedSearch:
                     for enc in (got, alone):
                         assert not enc.search_ok and not enc.y.any()
                         assert enc.search_event == ("e3" if enc.input_ok else None)
-                        assert enc.v_rep is not None and enc.j_prime is None
+                        assert enc.j is not None and enc.j_prime is None
                     continue
                 for f in dataclasses.fields(sim.EmbedResult):
                     assert _same(getattr(got, f.name), getattr(want, f.name)), f.name
