@@ -67,11 +67,10 @@ _BOX_CHUNK_BYTES = 1 << 18
 # decodes) run as one batch
 _TRIAL_CHUNK = 64
 _WORD_CHUNK = 8
-# entries each word-keyed cache of a CodebookSet (pads, stegotext books)
-# keeps; it drops the least recently used beyond that.  An entry is a pure
-# function of (seed, word), so a dropped one is redrawn the same.  A
-# benchmark job keeps at most about 500.  At n=16 with one stegotext word a
-# book, a full stegotext cache takes about 5.5 MB and a full pad cache 4.0 MB
+# entries each word-keyed cache of a CodebookSet (keys, message indices,
+# stegotext books) keeps; it drops the least recently used beyond that.  An
+# entry is a pure function of (build, word), so a dropped one is resolved
+# again the same.  A benchmark job keeps at most about 500 keys
 _WORD_CACHE_ENTRIES = 1 << 14
 
 
@@ -130,6 +129,20 @@ class KeyType:
     representative: np.ndarray
 
 
+@dataclass(frozen=True, slots=True)
+class Key:
+    """A typical key word's type class, the position map onto the type's
+    representative frame, and its pad.  Slot i of the representative is
+    position order[i] of the key: the stable per-letter matching, the least
+    such permutation.  The pad, the key's pre-assigned random bin index, is
+    the integer its J drawn bits spell (``bits_to_int``); it XORs the low J
+    bits of a message index."""
+
+    type_idx: int
+    order: np.ndarray
+    pad: int
+
+
 class CodebookSet:
     """Materialized random codes for one (spec, aux, n, delta, seed) tuple."""
 
@@ -182,14 +195,14 @@ class CodebookSet:
         self.kxvy_cells = _cell_bounds(self.kxvy_box, (ks, xs, vs, ys), 3)
         self.kzv_cells = _cell_bounds(self.kvz_box, (ks, vs, zs), 1)
 
-        kv = joint.marginal(k, v).values
-        pk = kv.sum(axis=1)
-        self._p_v_given_k = np.where(pk[:, None] > 0, kv / np.where(pk[:, None] > 0, pk[:, None], 1.0), 1.0 / self.v_size)
-        kvy = joint.marginal(k, v, y).values
-        pkv = kvy.sum(axis=2)
-        self._p_y_given_kv = np.where(
-            pkv[:, :, None] > 0, kvy / np.where(pkv[:, :, None] > 0, pkv[:, :, None], 1.0), 1.0 / self.y_size
-        ).reshape(self.k_size * self.v_size, self.y_size)
+        def given_the_rest(table: np.ndarray) -> np.ndarray:
+            """The table conditioned on all but its last axis, uniform where
+            the condition has no mass."""
+            mass = table.sum(axis=-1, keepdims=True)
+            return np.where(mass > 0, table / np.where(mass > 0, mass, 1.0), 1.0 / table.shape[-1])
+
+        self._p_v_given_k = given_the_rest(joint.marginal(k, v).values)
+        self._p_y_given_kv = given_the_rest(joint.marginal(k, v, y).values).reshape(-1, self.y_size)
         # the stegotext letter of each (k, v) whose row of p(y|k,v) has
         # exactly one positive entry, and -1 where a letter is drawn
         point = np.count_nonzero(self._p_y_given_kv > 0, axis=1) == 1
@@ -210,24 +223,40 @@ class CodebookSet:
             rng = np.random.default_rng(np.random.SeedSequence((seed, _AUX_TAG, type_idx)))
             self._aux_books[type_idx] = sampler.sample_rows(rng, rows)
             self._aux_masks[type_idx] = _letter_masks(self._aux_books[type_idx], self.v_size)
+        # every per-word fact, resolved on first use: one cache per word kind
+        self._keys = _LruCache(_WORD_CACHE_ENTRIES)
+        self._messages = _LruCache(_WORD_CACHE_ENTRIES)
         self._stego_books = _LruCache(_WORD_CACHE_ENTRIES)
         self._stego_samplers: dict[bytes, ConditionalTypicalSampler] = {}
-        self._pads = _LruCache(_WORD_CACHE_ENTRIES)
 
-    # -- key machinery -----------------------------------------------------
+    # -- per-word facts ------------------------------------------------------
 
-    def key_type_and_order(self, k_arr: np.ndarray) -> tuple[int, np.ndarray] | None:
-        """Type index plus the position map onto the representative frame, or
-        None when the key is atypical.
-
-        ``order`` is the lexicographically minimal position permutation from
-        the representative to this key: slot i of the representative
-        corresponds to position order[i] of the key (stable per-letter
-        matching)."""
+    def key(self, k_arr: np.ndarray) -> Key | None:
+        """The ``Key`` record of a key word, or None when it is atypical."""
         k_arr = np.asarray(k_arr, dtype=np.int64)
-        order = np.argsort(k_arr, kind="stable")
-        idx = self._type_index.get(k_arr[order].tobytes())
-        return None if idx is None else (idx, order)
+
+        def resolve() -> Key | None:
+            order = np.argsort(k_arr, kind="stable")
+            type_idx = self._type_index.get(k_arr[order].tobytes())
+            if type_idx is None:
+                return None
+            order.flags.writeable = False  # every caller shares the record
+            rng = np.random.default_rng(np.random.SeedSequence((self.seed, _SW_TAG, k_arr.astype(np.uint32))))
+            return Key(type_idx, order, bits_to_int(rng.integers(0, 2, size=self.sizes.j_bits, dtype=np.uint8)))
+
+        return self._keys.lookup(k_arr.tobytes(), resolve)
+
+    def message(self, u_arr: np.ndarray) -> int | None:
+        """The rate-distortion index of a message word, or None when the
+        word is atypical."""
+        u_arr = np.asarray(u_arr, dtype=np.int64)
+
+        def resolve() -> int | None:
+            if not self.u_box.contains(np.bincount(u_arr, minlength=self.spec.u_axis.size)):
+                return None
+            return rd_encode(u_arr, self.rd_codebook)
+
+        return self._messages.lookup(u_arr.tobytes(), resolve)
 
     def aux_book(self, type_idx: int) -> np.ndarray:
         """All M_U * M_2 auxiliary codewords of one representative, grouped by
@@ -241,27 +270,19 @@ class CodebookSet:
         return self._aux_masks[type_idx]
 
     def stego_book(self, type_idx: int, v_rep: np.ndarray) -> np.ndarray:
-        """The M_3 stegotext words attached to one auxiliary word value, with
+        """The M_3 stegotext words drawn for one auxiliary word value, with
         letters of ``letter_dtype(|Y|)`` (the books are keyed by the word
         itself in the auxiliary books' dtype, so bins sharing a word share
         its stegotext book, and so do callers holding it as int64).
 
-        A word whose (k, v) letters are all fixed has one stegotext word,
-        and its book repeats it M_3 times: a draw would only permute
-        constant letter words.  That book is built with no generator, no
-        sampler and no cache entry.
-
-        Any other draw reads the generator through each (k, v) letter's
-        count only; its positions just place the letters.  So the words are
-        drawn by the sampler of the letter-sorted (k, v) word, shared by
-        every word of that joint composition, and moved to this word's
-        positions through its stable argsort: slot i of the sorted word is
-        position order[i].  A fixed letter still takes its place in that
-        draw, as it consumes the generator like any other."""
+        A draw reads the generator through each (k, v) letter's count only;
+        its positions just place the letters.  So the words are drawn by the
+        sampler of the letter-sorted (k, v) word, shared by every word of
+        that joint composition, and moved to this word's positions through
+        its stable argsort: slot i of the sorted word is position order[i].
+        A fixed letter takes its place in that draw, as it consumes the
+        generator like any other."""
         v_rep = np.asarray(v_rep, dtype=self._v_dtype)
-        word, fixed = self.fixed_stego_words(type_idx, v_rep)
-        if fixed:
-            return np.repeat(word[None], self.sizes.m3, axis=0)
 
         def draw() -> np.ndarray:
             combined = self.key_types[type_idx].representative * self.v_size + v_rep
@@ -280,30 +301,26 @@ class CodebookSet:
     def stego_books(self, types, v_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The stegotext books of (type index, auxiliary word) pairs, given as
         broadcastable type indices and a (pairs, n) stack of words, as a
-        (pairs, M_3, n) array, and whether each book could be drawn.  The
-        books of words whose (k, v) letters are all fixed are one gather;
-        ``stego_book`` draws the others one at a time.  A book with no word
-        to draw is flagged, and its rows are meaningless."""
-        words, drawn = self.fixed_stego_words(types, v_words)
-        books = np.empty((len(v_words), self.sizes.m3, self.n), dtype=words.dtype)
-        books[drawn] = words[drawn, None]
-        types = np.broadcast_to(types, drawn.shape)
-        for i in np.flatnonzero(~drawn).tolist():
+        (pairs, M_3, n) array, and whether each book could be drawn.
+
+        A word whose (k, v) letters are all fixed has one stegotext word,
+        and its book repeats it M_3 times: a draw would only permute
+        constant letter words.  Those books are one gather, with no
+        generator, no sampler and no cache entry; ``stego_book`` draws the
+        others one at a time.  A book with no word to draw is flagged, and
+        its rows are meaningless."""
+        ys = self._y_of_kv[self._reps[types] * self.v_size + v_words]
+        built = (ys >= 0).all(axis=-1)
+        books = np.empty((len(v_words), self.sizes.m3, self.n), dtype=self._y_dtype)
+        books[built] = ys[built, None]
+        types = np.broadcast_to(types, built.shape)
+        for i in np.flatnonzero(~built).tolist():
             try:
                 books[i] = self.stego_book(int(types[i]), v_words[i])
-                drawn[i] = True
+                built[i] = True
             except EmptyTypicalSetError:
                 pass
-        return books, drawn
-
-    def fixed_stego_words(self, types, v_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For (type index, auxiliary word) pairs, given as broadcastable
-        type indices and a (..., n) stack of words, the stegotext word of
-        each pair whose (k, v) letters are all fixed, in ``letter_dtype(|Y|)``,
-        and whether each pair's letters are all fixed.  One gather for all
-        pairs; the words of the other pairs are meaningless."""
-        ys = self._y_of_kv[self._reps[types] * self.v_size + v_words]
-        return ys.astype(self._y_dtype), (ys >= 0).all(axis=-1)
+        return books, built
 
     def _stego_sampler(self, sorted_kv: np.ndarray) -> ConditionalTypicalSampler:
         """The stegotext sampler of one joint (k, v) composition, given as
@@ -317,21 +334,6 @@ class CodebookSet:
             )
             self._stego_samplers[key] = sampler
         return sampler
-
-    def pad(self, k_arr: np.ndarray) -> int:
-        """The pre-assigned random bin index of a typical key, as the integer
-        its J bits spell (``bits_to_int``), which XORs the low J bits of a
-        message index.  Uniform across the codebook ensemble, deterministic
-        per key within one build."""
-        k_arr = np.asarray(k_arr, dtype=np.int64)
-
-        def draw() -> int:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self.seed, _SW_TAG, k_arr.astype(np.uint32)))
-            )
-            return bits_to_int(rng.integers(0, 2, size=self.sizes.j_bits, dtype=np.uint8))
-
-        return self._pads.lookup(k_arr.tobytes(), draw)
 
 
 def _message_length(spec: SystemSpec, n: int) -> int:
@@ -540,24 +542,26 @@ class EmbedResult:
 
 
 def _search_bins(
-    codebooks: CodebookSet, pairs: Sequence[tuple[tuple[int, np.ndarray], np.ndarray, int]]
+    codebooks: CodebookSet, triples: Sequence[tuple[Key, np.ndarray, int]]
 ) -> list[tuple[np.ndarray | None, str | None, dict]]:
-    """The embedding search of each (key type, context, bin) pair, as
-    ``embed_in_bin`` returns it: the first auxiliary row of the bin jointly
-    typical with the (key, covertext) ``context`` word, in the frame of the
-    key type ``(type index, order)``, then the first word of that row's
-    stegotext book jointly typical with the context.  No typical row is e2;
-    no typical word, or a book with no word to draw, is e3.  Pairs of any
-    keys and key types go together: one box test covers every pair's bin
-    rows, and one the rows' books, each against its pair's context."""
-    if not pairs:
+    """The embedding search of each (typical key, covertext, bin) triple,
+    as ``embed_in_bin`` returns it: the first auxiliary row of the bin
+    jointly typical with the (key, covertext) context word, in the frame of
+    the key's type, then the first word of that row's stegotext book
+    jointly typical with the context.  No typical row is e2; no typical
+    word, or a book with no word to draw, is e3.  Triples of any keys and
+    key types go together: one box test covers every triple's bin rows,
+    and one the rows' books, each against its triple's context."""
+    if not triples:
         return []
     m2 = codebooks.sizes.m2
-    key_types, contexts, bins = zip(*pairs)
-    contexts = np.stack(contexts)
-    types = np.array([type_idx for type_idx, _ in key_types])
+    keys, xs, bins = zip(*triples)
+    types = np.array([key.type_idx for key in keys])
+    orders = np.stack([key.order for key in keys])
+    # each context word in its key type's representative frame, as cells
+    contexts = codebooks._reps[types] * codebooks.x_size + np.take_along_axis(np.stack(xs), orders, axis=1)
     rows = (np.array(bins) - 1)[:, None] * m2 + np.arange(m2)
-    # each pair's bin rows as (pairs, bytes, letters, rows) masks
+    # each triple's bin rows as (triples, bytes, letters, rows) masks
     masks = np.moveaxis(codebooks._aux_masks[types[:, None], :, :, rows], 1, -1)
     typical = _rows_in_boxes(masks, contexts, codebooks.kxv_cells)
     j = np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
@@ -565,8 +569,8 @@ def _search_bins(
     found = np.flatnonzero(j >= 0)
     books, has_book = codebooks.stego_books(types[found], v_reps[found])
     drawn, books = found[has_book], books[has_book]
-    j_prime = np.full(len(pairs), -1)
-    ys = np.empty((len(pairs), codebooks.n), dtype=np.int64)
+    j_prime = np.full(len(triples), -1)
+    ys = np.empty((len(triples), codebooks.n), dtype=np.int64)
     if drawn.size:
         hits = _rows_in_boxes(
             _letter_masks(books, codebooks.y_size),
@@ -574,27 +578,18 @@ def _search_bins(
             codebooks.kxvy_cells,
         )
         j_prime[drawn] = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
-        # each pair's first typical word, moved from the representative frame
-        # to its key's positions: slot t lands on position order[t]
-        orders = np.stack([key_types[i][1] for i in drawn])
-        ys[drawn[:, None], orders] = books[np.arange(len(drawn)), j_prime[drawn]]
+        # each triple's first typical word, moved from the representative
+        # frame to its key's positions: slot t lands on position order[t]
+        ys[drawn[:, None], orders[drawn]] = books[np.arange(len(drawn)), j_prime[drawn]]
     out = []
-    for (type_idx, order), row, row_prime, v_rep, y in zip(key_types, j.tolist(), j_prime.tolist(), v_reps, ys):
-        details = {"type_idx": type_idx, "order": order}
+    for key, row, row_prime, v_rep, y in zip(keys, j.tolist(), j_prime.tolist(), v_reps, ys):
+        details = {"type_idx": key.type_idx, "order": key.order}
         if row >= 0:
             details.update(v_rep=v_rep, j=row)
         if row_prime >= 0:
             details["j_prime"] = row_prime
         out.append((y, None, details) if row_prime >= 0 else (None, "e3" if row >= 0 else "e2", details))
     return out
-
-
-def _search_context(
-    codebooks: CodebookSet, key_type: tuple[int, np.ndarray], x_arr: np.ndarray
-) -> np.ndarray:
-    """The (key, covertext) word in the representative frame, as cells."""
-    type_idx, order = key_type
-    return codebooks.key_types[type_idx].representative * codebooks.x_size + x_arr[order]
 
 
 def embed_in_bin(
@@ -605,66 +600,36 @@ def embed_in_bin(
     typical output.  Returns (y or None, failure event, details).  Works
     entirely in the representative frame, so permuting (x, k) permutes y
     covariantly.  This is the one-bin call of ``_search_bins``."""
-    ktp = codebooks.key_type_and_order(k_arr)
-    if ktp is None:
-        return None, "e2", {}
-    context = _search_context(codebooks, ktp, np.asarray(x_arr, dtype=np.int64))
-    return _search_bins(codebooks, [(ktp, context, m)])[0]
-
-
-def _message_index(u_arr: np.ndarray, codebooks: CodebookSet) -> int | None:
-    """The encoder's work on the message word alone: its rate-distortion
-    index, or None when the word is atypical."""
-    if not codebooks.u_box.contains(np.bincount(u_arr, minlength=codebooks.spec.u_axis.size)):
-        return None
-    return rd_encode(u_arr, codebooks.rd_codebook)
+    search = WordSearch(codebooks, x_arr, k_arr)
+    return (None, "e2", {}) if search.key is None else search.result(m)
 
 
 class WordSearch:
     """The encoder's work on one (covertext, key) word, done once for every
-    message word encoded with it: the key's type and order, the (k, x) pair
-    test, the pad, the search context, and the embedding search of each
-    bin, kept once run; ``search_words`` searches many words at once.
+    message word encoded with it: the key's record (``CodebookSet.key``),
+    the (k, x) pair test, and the embedding search of each bin, kept once
+    run; ``search_words`` searches many words at once."""
 
-    ``messages`` maps each message word's bytes to its ``_message_index``;
-    the words that share it compute each index once, on its first use."""
-
-    def __init__(
-        self,
-        codebooks: CodebookSet,
-        x_seq: np.ndarray,
-        k_seq: np.ndarray,
-        messages: dict[bytes, int | None],
-    ):
+    def __init__(self, codebooks: CodebookSet, x_seq: np.ndarray, k_seq: np.ndarray):
         self.codebooks = codebooks
         self.x = np.asarray(x_seq, dtype=np.int64)
         self.k = np.asarray(k_seq, dtype=np.int64)
-        self.messages = messages
-        self.key_type = codebooks.key_type_and_order(self.k)
+        self.key = codebooks.key(self.k)
         pair_cells = self.k * codebooks.x_size + self.x
         self.pair_ok = codebooks.kx_box.contains(
             np.bincount(pair_cells, minlength=codebooks.k_size * codebooks.x_size)
         )
-        self.embeds = self.key_type is not None and self.pair_ok
-        self.pad = 0 if self.key_type is None else codebooks.pad(self.k)
-        self.context = None if self.key_type is None else _search_context(codebooks, self.key_type, self.x)
+        self.embeds = self.key is not None and self.pair_ok
         self._found: dict[int, tuple[np.ndarray | None, str | None, dict]] = {}
-
-    def message_index(self, u_arr: np.ndarray) -> int | None:
-        """``_message_index`` of an int64 message word, kept in ``messages``."""
-        key = u_arr.tobytes()
-        if key not in self.messages:
-            self.messages[key] = _message_index(u_arr, self.codebooks)
-        return self.messages[key]
 
     def bin_of(self, w: int | None) -> tuple[int, int]:
         """The index the encoder sends for message index ``w``
-        (``message_index``) and the bin (1-based) it embeds in, the sent
-        index encrypted by the pad: an atypical message or key sends the
-        all-zero index in the clear."""
-        if w is None or self.key_type is None:
+        (``CodebookSet.message``) and the bin (1-based) it embeds in, the
+        sent index encrypted by the key's pad: an atypical message or key
+        sends the all-zero index in the clear."""
+        if w is None or self.key is None:
             return 0, 1
-        return w, (w ^ self.pad) + 1
+        return w, (w ^ self.key.pad) + 1
 
     def result(self, m: int) -> tuple[np.ndarray | None, str | None, dict]:
         """``embed_in_bin``'s result for bin m, searched once.  The key must
@@ -679,7 +644,7 @@ def search_words(codebooks: CodebookSet, requests: Iterable[tuple[WordSearch, It
     its word has not searched yet, with typical keys only; every word's
     bins go in one ``_search_bins`` call, and each word keeps its results."""
     todo = [(word, m) for word, bins in requests for m in sorted(set(bins) - word._found.keys())]
-    found = _search_bins(codebooks, [(word.key_type, word.context, m) for word, m in todo])
+    found = _search_bins(codebooks, [(word.key, word.x, m) for word, m in todo])
     for (word, m), result in zip(todo, found):
         word._found[m] = result
 
@@ -692,13 +657,13 @@ def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
 
     The work is split by what it depends on:
     - per message word u: its typicality and rate-distortion index
-      (``_message_index``);
-    - per (x, k) word: the key's type and order, the (k, x) pair test, the
-      pad, and each bin's search;
+      (``CodebookSet.message``);
+    - per (x, k) word: the key's record, the (k, x) pair test and each
+      bin's search;
     - per call: the encryption, the bin choice and the result's fields.
-    ``search``, the ``WordSearch`` of the (x, k) word, carries the first two."""
-    u_arr = np.asarray(u_seq, dtype=np.int64)
-    w_typical = search.message_index(u_arr)
+    ``search``, the ``WordSearch`` of the (x, k) word, carries the codebooks
+    that resolve the first, and the second."""
+    w_typical = search.codebooks.message(u_seq)
     w, m = search.bin_of(w_typical)
     input_ok = w_typical is not None and search.pair_ok  # pair typicality implies key typicality
 
@@ -760,24 +725,18 @@ def decode_many(
     test per key type covers its keys' forgeries against its whole
     auxiliary book."""
     z_rows = np.asarray(z_rows, dtype=np.int64)
-    k_rows = np.asarray(k_rows, dtype=np.int64)
     sizes = codebooks.sizes
-    # the rows of each key type and each row's pad, once per distinct key
-    pads = np.zeros(len(k_rows), dtype=np.int64)
+    keys = [codebooks.key(k) for k in np.asarray(k_rows, dtype=np.int64)]
+    pads = np.array([0 if key is None else key.pad for key in keys], dtype=np.int64)
     of_type = defaultdict(list)
-    keys: dict[bytes, tuple[int, int] | None] = {}
-    for i, k in enumerate(k_rows):
-        if (kb := k.tobytes()) not in keys:
-            ktp = codebooks.key_type_and_order(k)
-            keys[kb] = None if ktp is None else (ktp[0], codebooks.pad(k))
-        if keys[kb] is not None:
-            type_idx, pads[i] = keys[kb]
-            of_type[type_idx].append(i)
-    # each forged word in its key's representative frame
-    z_rep = z_rows[np.arange(len(z_rows))[:, None], np.argsort(k_rows, axis=1, kind="stable")]
+    for i, key in enumerate(keys):
+        if key is not None:
+            of_type[key.type_idx].append(i)
     typical = np.zeros((len(z_rows), sizes.bins, sizes.m2), dtype=bool)
     for type_idx, rows in of_type.items():
-        contexts = codebooks.key_types[type_idx].representative * codebooks.z_size + z_rep[rows]
+        # each forged word in its key's representative frame
+        z_rep = z_rows[np.array(rows)[:, None], np.stack([keys[i].order for i in rows])]
+        contexts = codebooks.key_types[type_idx].representative * codebooks.z_size + z_rep
         in_box = _rows_in_boxes(codebooks.aux_masks(type_idx), contexts, codebooks.kzv_cells)
         typical[rows] = in_box.reshape(len(rows), sizes.bins, sizes.m2)
     bins = typical.any(axis=2).argmax(axis=1) + 1
@@ -819,6 +778,10 @@ class TrialResult:
 
 @dataclass
 class TrialAggregate:
+    """``run_trials``' summary.  ``message_error_rate`` is the share of
+    trials whose event is not none: the rate of the union of the error
+    events, an upper bound on the decoder's rate of missing the sent bin."""
+
     trials: int
     event_frequencies: dict[str, float]
     message_error_rate: float
@@ -859,7 +822,11 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
     typical inputs, e4 when the decoder finds the sent auxiliary word not
     jointly typical with the forgery, e5 when it is but another bin holds a
     typical word too, and none otherwise: then the decoder finds bin m
-    alone, and the message is correct.
+    alone, and the message is correct.  So ``message_error_rate``, the
+    share of trials whose event is not none, is the rate of the union of
+    E1-E5 and encode_fallback: an upper bound on how often the decoder
+    misses the sent bin, not that rate (trial 30 of the ``exact_noisy_n8``
+    golden run is e4, yet decodes the sent bin).
 
     Trials go ``_TRIAL_CHUNK`` at a time: each draws u and (x, k) from its
     own generator, the chunk's searches run as one ``search_words`` call,
@@ -870,12 +837,11 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
 
     def chunk(start: int) -> list[tuple[np.random.Generator, np.ndarray, WordSearch]]:
         """The chunk's trials from ``start`` on as (generator, u, searched word)."""
-        messages: dict[bytes, int | None] = {}
         drawn = []
         for t in range(start, min(trials, start + _TRIAL_CHUNK)):
             rng, u, x, k = _draw_trial(spec, n_msg, n, seed, t)
-            drawn.append((rng, u, WordSearch(codebooks, x, k, messages)))
-        search_words(codebooks, [(w, [w.bin_of(w.message_index(u))[1]]) for _, u, w in drawn if w.embeds])
+            drawn.append((rng, u, WordSearch(codebooks, x, k)))
+        search_words(codebooks, [(w, [w.bin_of(codebooks.message(u))[1]]) for _, u, w in drawn if w.embeds])
         return drawn
 
     for rng, u, word in itertools.chain.from_iterable(map(chunk, range(0, trials, _TRIAL_CHUNK))):
@@ -1007,9 +973,11 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
     estimates of seeded rebuilds with ``ensemble_mean``.
 
     The enumeration does each piece of work once per word it depends on:
-    - once per message word u: its typicality and rate-distortion index;
-    - once per (x, k) word: a ``WordSearch`` (key type and order, pair test,
-      pad), and the forged words of each distinct stegotext word;
+    - once per message word u: its typicality and rate-distortion index
+      (``CodebookSet.message``, recomputed only for a word its cache has
+      dropped);
+    - once per (x, k) word: a ``WordSearch`` (key record, pair test), and
+      the forged words of each distinct stegotext word;
     - once per ``_WORD_CHUNK`` (x, k) words: one ``search_words`` of the
       distinct bins each word's states reach, and one ``decode_many`` of
       the (key, forged word) pairs not decoded yet;
@@ -1035,8 +1003,6 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
         return (np.array(w, dtype=np.int64) for w in itertools.product(range(size), repeat=length))
 
     u_words = [(u, float(np.prod(pu[u]))) for u in words(u_size, n_msg)]
-    # the message path of each u word, once per enumeration
-    messages = {u.tobytes(): _message_index(u, codebooks) for u, _ in u_words}
     if identity_attack:
 
         def forged(y: np.ndarray) -> list[tuple[np.ndarray, float]]:
@@ -1064,15 +1030,20 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
             p_xk_word = float(np.prod(pxk[x, k]))
             if p_xk_word != 0.0:
                 live = [(u, p_u * p_xk_word) for u, p_u in u_words if p_u * p_xk_word != 0.0]
-                batch.append((WordSearch(codebooks, x, k, messages), live))
+                batch.append((WordSearch(codebooks, x, k), live))
         search_words(
             codebooks,
-            [(w, [w.bin_of(messages[u.tobytes()])[1] for u, _ in live]) for w, live in batch if w.embeds],
+            [(w, [w.bin_of(codebooks.message(u))[1] for u, _ in live]) for w, live in batch if w.embeds],
         )
         for i, (word, live) in enumerate(batch):
-            states = [(u, p_word, embed_encode(u, word)) for u, p_word in live]
+            states = []
+            for u, p_word in live:
+                enc = embed_encode(u, word)
+                # whether the message is on the encrypted path, read right
+                # after the encode that looked its index up
+                states.append((u, p_word, enc, word.key is not None and codebooks.message(u) is not None))
             # the forged words of each distinct stegotext word
-            ys = {enc.y.tobytes(): enc.y for _, _, enc in states}
+            ys = {enc.y.tobytes(): enc.y for _, _, enc, _ in states}
             batch[i] = (word, states, {ykey: forged(y) for ykey, y in ys.items()})
         # the chunk's (key, forged word) pairs not decoded yet, decoded at once
         pairs = {w.k.tobytes() + z.tobytes(): (w.k, z) for w, _, fs in batch for zs in fs.values() for z, _ in zs}
@@ -1084,8 +1055,7 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
                 decode_cache[dkey] = row.tobytes() if ok else b"err"
         for word, states, forgeries in batch:
             kb = word.k.tobytes()
-            for u, p_word, enc in states:
-                u_on_path = word.key_type is not None and messages[u.tobytes()] is not None
+            for u, p_word, enc, u_on_path in states:
                 if u_on_path:
                     enc_path_prob += p_word
                 ykey = enc.y.tobytes()

@@ -109,16 +109,34 @@ decrypt = encrypt  # modulo-2 addition is its own inverse
 
 
 def sw_bits(books, k_arr):
-    """A key's pad (``CodebookSet.pad``) as its J bits."""
-    return int_to_bits(books.pad(k_arr), books.sizes.j_bits)
+    """A typical key's pad (``CodebookSet.key(k).pad``) as its J bits."""
+    return int_to_bits(books.key(k_arr).pad, books.sizes.j_bits)
 
 
 def sw_encode(k_seq, books):
     """The key's pre-assigned random bin index as a J-bit string."""
     k_arr = np.asarray(k_seq, dtype=np.int64)
-    if books.key_type_and_order(k_arr) is None:
+    if books.key(k_arr) is None:
         raise ValidationError("key word is atypical; no bin index is assigned")
     return sw_bits(books, k_arr)
+
+
+def reference_key(books, k_seq):
+    """``CodebookSet.key`` as first written, the reference for the cached
+    key records: (type index, order, pad), or None for an atypical key.
+    The order is the key's stable argsort, the type is the one whose
+    representative the sorted key spells, and the pad is the integer of J
+    bits drawn from ``SeedSequence((seed, 3, k.astype(uint32)))``."""
+    k_arr = np.asarray(k_seq, dtype=np.int64)
+    order = np.argsort(k_arr, kind="stable")
+    types = [i for i, t in enumerate(books.key_types) if np.array_equal(t.representative, k_arr[order])]
+    if not types:
+        return None
+    pad_tag = 3
+    bits = np.random.default_rng(np.random.SeedSequence((books.seed, pad_tag, k_arr.astype(np.uint32)))).integers(
+        0, 2, size=books.sizes.j_bits, dtype=np.uint8
+    )
+    return types[0], order, sum(int(b) << i for i, b in enumerate(bits))
 
 
 @pytest.fixture

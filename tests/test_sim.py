@@ -25,7 +25,17 @@ from secembed.region import AuxChannel, SystemSpec
 from secembed.tables import Axis, DistortionMeasure, DistTable
 from secembed.typical import CountBox, _multinomial, letter_dtype
 
-from conftest import binary_spec, copy_embedder_aux, decrypt, encrypt, int_to_bits, noise_aux, sw_bits, sw_encode
+from conftest import (
+    binary_spec,
+    copy_embedder_aux,
+    decrypt,
+    encrypt,
+    int_to_bits,
+    noise_aux,
+    reference_key,
+    sw_bits,
+    sw_encode,
+)
 from test_sim_golden import NOISY_AUX, NOISY_SYSTEM
 
 
@@ -127,14 +137,46 @@ class TestKeyMachinery:
     def test_type_lookup_and_order(self, trend_spec, trend_aux):
         books = build_trend(trend_spec, trend_aux, 8)
         k = np.array([1, 0, 0, 1, 0, 0, 0, 1])
-        t_idx, order = books.key_type_and_order(k)
+        key = books.key(k)
+        t_idx, order = key.type_idx, key.order
         rep = books.key_types[t_idx].representative
         assert np.array_equal(np.sort(k), rep)
         assert np.array_equal(rep[np.argsort(order)], k)
 
     def test_atypical_key_has_no_type(self, trend_spec, trend_aux):
         books = build_trend(trend_spec, trend_aux, 8)
-        assert books.key_type_and_order(np.zeros(8, dtype=np.int64)) is None
+        assert books.key(np.zeros(8, dtype=np.int64)) is None
+
+    @given(
+        key_case=st.sampled_from([((0.5, 0.5), 8), ((1 / 3, 1 / 3, 1 / 3), 12)]),
+        seed=st.integers(0, 2**40),
+        two_entries=st.booleans(),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_key_records_match_the_reference(self, key_case, seed, two_entries, draw_seed):
+        """Typical keys (permuted representatives) and random, often
+        atypical, ones of a binary and a ternary key, looked up in order
+        and again in reverse, against ``reference_key``; with two-entry
+        caches a dropped record is resolved again the same."""
+        k_probs, n = key_case
+        spec = binary_spec(x_size=1, k_probs=k_probs, lam=0.5, d_cost=[[0.0, 1.0]])
+        entries = 2 if two_entries else sim._WORD_CACHE_ENTRIES
+        with mock.patch.object(sim, "_WORD_CACHE_ENTRIES", entries):
+            books = sim.build_codebooks(
+                spec, copy_embedder_aux(spec, [0.5, 0.5]), n, 0.6, seed, 0.0, m2_bits=1, m3_bits=0, j_bits=2
+            )
+        rng = np.random.default_rng(draw_seed)
+        keys = [rng.permutation(books.key_types[rng.integers(len(books.key_types))].representative) for _ in range(4)]
+        keys += [rng.integers(0, len(k_probs), size=n) for _ in range(4)] + [np.zeros(n, dtype=np.int64)]
+        for k in [*keys, *keys[::-1]]:
+            got, want = books.key(k), reference_key(books, k)
+            if want is None:
+                assert got is None
+                continue
+            assert (got.type_idx, got.pad) == (want[0], want[2]) and type(got.pad) is int
+            assert np.array_equal(got.order, want[1])
+        assert len(books._keys) <= min(entries, len(keys))
 
     def test_sw_is_deterministic_and_requires_typical_key(self, trend_spec, trend_aux):
         books = build_trend(trend_spec, trend_aux, 8)
@@ -223,6 +265,14 @@ def _all_letters_fixed(books, type_idx, v_rep):
     return bool((np.count_nonzero(rows > 0, axis=1) == 1).all())
 
 
+def _fetch_one(books, type_idx, v_rep):
+    """``stego_books`` of one word: its book, whether it could be built,
+    and whether the fetch drew it through ``stego_book``."""
+    with mock.patch.object(books, "stego_book", wraps=books.stego_book) as draw:
+        got, built = books.stego_books(type_idx, np.asarray(v_rep)[None])
+    return got[0], bool(built[0]), draw.called
+
+
 @contextlib.contextmanager
 def _counting_seed_sequences():
     """Count the ``SeedSequence``s built inside the block, which every
@@ -257,19 +307,21 @@ class TestStegoStream:
                 except EmptyTypicalSetError:
                     with pytest.raises(EmptyTypicalSetError):
                         books.stego_book(t, v)
+                    assert _fetch_one(books, t, v)[1:] == (False, True)
                     continue
                 entries = (len(books._stego_books), len(books._stego_samplers))
                 with _counting_seed_sequences() as made:
-                    got = books.stego_book(t, v)
+                    got, built, drawn = _fetch_one(books, t, v)
                 assert got.shape == (books.sizes.m3, books.n) and got.dtype == letter_dtype(books.y_size)
-                assert np.array_equal(got, ref)
+                assert np.array_equal(got, ref) and built
                 if _all_letters_fixed(books, t, v):
                     # no generator, no sampler and no cache entry
-                    assert not made
+                    assert not made and not drawn
                     assert (len(books._stego_books), len(books._stego_samplers)) == entries
                 else:
                     # an int64 word and a stored book row share one entry
-                    assert books.stego_book(t, v.astype(np.int64)) is got
+                    assert drawn and books.stego_book(t, v.astype(np.int64)) is books.stego_book(t, v)
+                    assert np.array_equal(books.stego_book(t, v), ref)
         # the cached books are the drawn ones, with one sampler per composition
         comps = set()
         for t, v in books._stego_books:
@@ -282,7 +334,7 @@ class TestStegoStream:
         K, X, V, Y = trend_spec.k_axis, trend_spec.x_axis, Axis("V", 2), trend_spec.y_axis
         aux = AuxChannel(DistTable([K, X, V, Y], np.full((2, 1, 2, 2), 0.25), given=("K", "X")))
         books = build_trend(trend_spec, aux, 8, m3_bits=2)
-        t, _ = books.key_type_and_order(np.repeat([0, 1], 4))
+        t = books.key(np.repeat([0, 1], 4)).type_idx
         v1 = np.array([0, 1, 0, 1, 1, 0, 1, 0])
         v2 = np.array([1, 1, 0, 0, 0, 0, 1, 1])  # the same (k, v) counts
         for v in (v1, v2):
@@ -300,16 +352,18 @@ class TestStegoStream:
             warnings.simplefilter("ignore", RuntimeWarning)
             books = build_trend(trend_spec, aux, 8, m3_bits=1)
         assert books._y_of_kv.tolist() == [-1, 1, -1, 1]
-        t, _ = books.key_type_and_order(np.repeat([0, 1], 4))
+        t = books.key(np.repeat([0, 1], 4)).type_idx
         for v in (np.ones(8, dtype=np.int64), np.array([0, 1, 1, 1, 1, 1, 1, 0]), np.zeros(8, dtype=np.int64)):
-            assert bool(books.fixed_stego_words(t, v)[1]) == (not (v == 0).any())
+            got, built, drawn = _fetch_one(books, t, v)
+            assert drawn == bool((v == 0).any())
             try:
                 ref = _reference_stego_book(books, t, v)
             except EmptyTypicalSetError:
                 with pytest.raises(EmptyTypicalSetError):
                     books.stego_book(t, v)
+                assert not built
                 continue
-            assert np.array_equal(books.stego_book(t, v), ref)
+            assert built and np.array_equal(got, ref)
         with pytest.raises(EmptyTypicalSetError):
             _reference_stego_book(books, t, np.zeros(8, dtype=np.int64))
 
@@ -322,7 +376,7 @@ class TestStegoStream:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             books = build_trend(trend_spec, aux, 8, m3_bits=2)
-        t, _ = books.key_type_and_order(np.repeat([0, 1], 4))
+        t = books.key(np.repeat([0, 1], 4)).type_idx
         v = np.array([0, 1, 1, 0, 1, 1, 0, 0])
         with _counting_seed_sequences() as made:
             got = books.stego_book(t, v)
@@ -331,14 +385,16 @@ class TestStegoStream:
         assert (got[:, v == 0] == 0).all() and len({row.tobytes() for row in got}) > 1
         drawn = 0
         for v_row in books.aux_book(t):
-            assert not books.fixed_stego_words(t, v_row)[1]
+            got, built, drew = _fetch_one(books, t, v_row)
+            assert drew
             try:
                 ref = _reference_stego_book(books, t, v_row)
             except EmptyTypicalSetError:  # a lone v1 letter admits no word
                 with pytest.raises(EmptyTypicalSetError):
                     books.stego_book(t, v_row)
+                assert not built
                 continue
-            assert np.array_equal(books.stego_book(t, v_row), ref)
+            assert built and np.array_equal(got, ref)
             drawn += 1
         assert drawn > 0
 
@@ -348,8 +404,8 @@ class TestStegoStream:
         for t in range(len(books.key_types)):
             with _counting_seed_sequences() as made:
                 books_of_type, book_of_row = sim._distinct_stego_books(books, t)
-                got = [books.stego_book(t, v) for v in books.aux_book(t)[:8]]
-            assert not made and not books._stego_books and not books._stego_samplers
+                got, built = books.stego_books(t, books.aux_book(t)[:8])
+            assert built.all() and not made and not books._stego_books and not books._stego_samplers
             assert np.array_equal(books_of_type[book_of_row], np.repeat(books.aux_book(t)[:, None], 4, axis=1))
             for book, v in zip(got, books.aux_book(t)):
                 assert np.array_equal(book, np.repeat(v[None], 4, axis=0))
@@ -372,10 +428,11 @@ class TestStegoStream:
             books = sim.build_codebooks(spec, aux, 8, 0.6, 3, 0.5, m2_bits=2, m3_bits=1, j_bits=1)
         assert books._y_of_kv.tolist() == [0, 0, 0, 0]
         for t in range(len(books.key_types)):
-            for v in books.aux_book(t)[:4]:
-                got = books.stego_book(t, v)
-                assert got.shape == (2, 8) and not got.any()
-                assert np.array_equal(got, _reference_stego_book(books, t, v))
+            got, built = books.stego_books(t, books.aux_book(t)[:4])
+            assert got.shape == (4, 2, 8) and built.all() and not got.any()
+            for book, v in zip(got, books.aux_book(t)):
+                assert np.array_equal(book, _reference_stego_book(books, t, v))
+        assert not books._stego_books and not books._stego_samplers
         audit = sim.bin_multiplicity_audit(books, 0.5)
         assert audit.max_bins_per_y == books.sizes.bins
         agg = sim.run_trials(books, 8, seed=1)
@@ -447,7 +504,7 @@ class TestEncode:
         u = np.zeros(4, dtype=np.int64)  # atypical at delta = 0.6
         k = books.key_types[2].representative
         x = np.zeros(8, dtype=np.int64)
-        enc = sim.embed_encode(u, sim.WordSearch(books, x, k, {}))
+        enc = sim.embed_encode(u, sim.WordSearch(books, x, k))
         assert not enc.input_ok
         assert enc.m == 1 and enc.w == 0
         assert not int_to_bits(enc.m - 1, books.sizes.l_bits).any()
@@ -462,7 +519,7 @@ class TestEncode:
         # H(Y|K) = 0 so the counting constraint needs a zero message rate
         books = sim.build_codebooks(spec, aux, 8, 0.6, 0, 0.5, m2_bits=2, m3_bits=1, j_bits=0)
         enc = sim.embed_encode(
-            np.array([0, 1, 0, 1]), sim.WordSearch(books, np.zeros(8, np.int64), np.zeros(8, np.int64), {})
+            np.array([0, 1, 0, 1]), sim.WordSearch(books, np.zeros(8, np.int64), np.zeros(8, np.int64))
         )
         assert enc.search_ok and enc.j == 0 and enc.j_prime == 0
 
@@ -480,7 +537,7 @@ class TestEncode:
             pair_ok = books.kx_box.contains(
                 np.bincount(pair, minlength=books.k_size * books.x_size)
             )
-            if pair_ok and books.key_type_and_order(r.k) is not None:
+            if pair_ok and books.key(r.k) is not None:
                 ran += 1
                 succeeded += int(r.encode_search_ok)
         assert ran > 150
@@ -538,7 +595,7 @@ class TestDecode:
         books = sim.build_codebooks(spec, aux, 8, 0.2, 13, 0.5, m2_bits=3, m3_bits=0, j_bits=0)
         assert books.sizes.bins == 1
         k = books.key_types[0].representative
-        enc = sim.embed_encode(np.array([0, 1, 0, 1]), sim.WordSearch(books, np.zeros(8, np.int64), k, {}))
+        enc = sim.embed_encode(np.array([0, 1, 0, 1]), sim.WordSearch(books, np.zeros(8, np.int64), k))
         assert enc.search_ok
         dec = sim.decode(enc.y, k, books)
         assert dec.event == "ok" and dec.bin_index == 1
@@ -745,8 +802,10 @@ class TestAudits:
         max_within, across = 0, {}
         for t in range(len(books.key_types)):
             per_y = {}
+            stego, built = books.stego_books(t, books.aux_book(t))
+            assert built.all()
             for row in range(s.bins * s.m2):
-                for y in books.stego_book(t, books.aux_book(t)[row]):
+                for y in stego[row]:
                     per_y.setdefault(y.tobytes(), set()).add(row // s.m2 + 1)
                     across.setdefault(y.tobytes(), set()).add((t, row // s.m2 + 1))
             max_within = max(max_within, max(len(b) for b in per_y.values()))
@@ -987,10 +1046,10 @@ def _decode_books(seed: int, n: int, m2_bits: int) -> sim.CodebookSet:
 def _reference_decode(z, k, books):
     """(event, bin, bins found, uhat) of one forged word, from the whole
     auxiliary book's (k, v, z) counts by np.add.at."""
-    ktp = books.key_type_and_order(k)
+    ktp = reference_key(books, k)
     if ktp is None:
         return "e4", None, (), None
-    t, order = ktp
+    t, order, pad = ktp
     rep = books.key_types[t].representative
     book = books.aux_book(t)
     cells = (rep * books.v_size + book) * books.z_size + z[order]
@@ -1002,8 +1061,7 @@ def _reference_decode(z, k, books):
         return "e4", None, (), None
     if len(bins) > 1:
         return "e5", None, bins, None
-    s = sw_bits(books, k)[: books.sizes.j_bits]
-    w = decrypt(int_to_bits(bins[0] - 1, books.sizes.l_bits), s)
+    w = decrypt(int_to_bits(bins[0] - 1, books.sizes.l_bits), int_to_bits(pad, books.sizes.j_bits))
     return "ok", bins[0], bins, books.rd_codebook.codewords[sim.bits_to_int(w)]
 
 
@@ -1060,7 +1118,7 @@ class TestDecodeMany:
         z_rows = rng.integers(0, 2, size=(rows, n))
         for row, k in zip(z_rows[::2], k_rows[::2]):
             u = rng.integers(0, 2, size=books.n_message)
-            row[:] = sim.embed_encode(u, sim.WordSearch(books, np.zeros(n, dtype=np.int64), k, {})).y
+            row[:] = sim.embed_encode(u, sim.WordSearch(books, np.zeros(n, dtype=np.int64), k)).y
         with mock.patch.object(sim, "_BOX_CHUNK_BYTES", 1 if one_word_chunks else sim._BOX_CHUNK_BYTES):
             batch = _decode_many_fields(z_rows, k_rows, books)
         assert len(batch) == len(z_rows)
@@ -1114,10 +1172,10 @@ class TestPad:
                 np.random.SeedSequence((books.seed, sim._SW_TAG, *k.tolist()))
             ).integers(0, 2, size=j_bits, dtype=np.uint8)
             assert np.array_equal(sw_bits(books, k), drawn) and sw_bits(books, k).dtype == np.uint8
-            assert books.pad(k) == sim.bits_to_int(sw_bits(books, k))
-            assert 0 <= books.pad(k) < 1 << j_bits
+            assert books.key(k).pad == sim.bits_to_int(sw_bits(books, k))
+            assert 0 <= books.key(k).pad < 1 << j_bits
         if width == "full":  # the pads differ across keys
-            assert len({books.pad(k) for k in keys}) > 1
+            assert len({books.key(k).pad for k in keys}) > 1
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -1131,7 +1189,7 @@ class TestPad:
         pad = data.draw(st.integers(0, (1 << j_bits) - 1))
         # the search of a typical key with this pad; bin_of reads no codebook
         search = sim.WordSearch.__new__(sim.WordSearch)
-        search.key_type, search.pad = (0, None), pad
+        search.key = sim.Key(0, None, pad)
         sent, m = search.bin_of(w)
         assert sent == w and 1 <= m <= 1 << l_bits
         assert sim._sent_index(m, pad) == w
@@ -1148,7 +1206,7 @@ class TestPad:
             z_rows = rng.integers(0, 2, size=(24, books.n))
             for row in z_rows[::2]:  # encoded words, which mostly decode
                 u = rng.integers(0, 2, size=books.n_message)
-                row[:] = sim.embed_encode(u, sim.WordSearch(books, np.zeros(books.n, dtype=np.int64), k, {})).y
+                row[:] = sim.embed_encode(u, sim.WordSearch(books, np.zeros(books.n, dtype=np.int64), k)).y
             batch = _decode_many_fields(z_rows, np.repeat(k[None], len(z_rows), axis=0), books)
             expected = [_reference_decode(z, k, books) for z in z_rows]
             assert batch == [
@@ -1192,12 +1250,12 @@ def _per_state_enumeration(codebooks):
         p_xk_word = float(np.prod(pxk[x, k]))
         if p_xk_word == 0.0:
             continue
-        k_typical = codebooks.key_type_and_order(k) is not None
+        k_typical = reference_key(codebooks, k) is not None
         for u, p_u_word in u_words:
             p_word = p_u_word * p_xk_word
             if p_word == 0.0:
                 continue
-            enc = sim.embed_encode(u, sim.WordSearch(codebooks, x, k, {}))
+            enc = sim.embed_encode(u, sim.WordSearch(codebooks, x, k))
             if identity_attack:
                 z_iter = [(enc.y, 1.0)]
             else:
@@ -1283,6 +1341,24 @@ class TestBatchedEnumeration:
         assert est.extras == expected
         assert est.h_u_given_yz == est.extras["h_u_given_yz_bits"] / books.n_message
 
+    @given(_enumeration_cases())
+    @settings(max_examples=15, deadline=None)
+    def test_message_cache_smaller_than_the_message_words(self, books):
+        """With a two-entry message cache, the enumeration over four message
+        words recomputes the indices the cache dropped, at most two
+        ``rd_encode`` calls a state (its bin request and its encode), and
+        sums the same."""
+        expected = _per_state_enumeration(books)
+        books._messages = sim._LruCache(2)
+        with (
+            mock.patch.object(sim, "rd_encode", wraps=sim.rd_encode) as rd_encode,
+            mock.patch.object(sim, "embed_encode", wraps=sim.embed_encode) as encode,
+        ):
+            est = sim.estimate_equivocation(books)
+        assert est.extras == expected
+        assert books.spec.u_axis.size ** books.n_message == 4 and len(books._messages) <= 2
+        assert rd_encode.call_count <= 2 * encode.call_count
+
 
 def _noisy_n8_books(seed):
     """The ``exact_noisy_n8`` golden's build, at build seed ``seed``."""
@@ -1295,7 +1371,7 @@ def _recounted_trial_event(books, r):
     """Trial record r's event as ``run_trials`` classified it before the
     decoder's typical table decided e4: the sent auxiliary word's (k, v, z)
     cells recounted against the box, and e5 from the reference decoder."""
-    enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k, {}))
+    enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k))
     assert np.array_equal(enc.y, r.y) and enc.m == r.true_bin
     if not enc.input_ok:
         return "e1" if enc.search_ok else "encode_fallback"
@@ -1358,7 +1434,7 @@ class TestTrialRecord:
         self._assert_records(books, agg)
         later = []
         for r in agg.results:
-            enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k, {}))
+            enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k))
             table = sim.decode(r.z, r.k, books).typical
             if enc.input_ok and enc.search_ok and table[enc.m - 1, enc.j] != table[enc.m - 1, 0]:
                 later.append(r)
@@ -1391,7 +1467,7 @@ class TestTrialRecord:
         assert decoded == [(5, 1, 2), (30, 2, 2)]
         for i, *_ in decoded:
             r = agg.results[i]
-            enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k, {}))
+            enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k))
             dec = sim.decode(r.z, r.k, books)
             assert dec.event == "ok" and not dec.typical[enc.m - 1, enc.j] and not r.message_correct
 
@@ -1423,10 +1499,10 @@ def _frozen_embed_in_bin(codebooks, m, x_arr, k_arr, key_type=None):
     """``embed_in_bin`` as it was before bins were searched in batches:
     one box test over the bin's rows, then one over its row's stegotext
     book, which raises when the book has no word to draw."""
-    ktp = codebooks.key_type_and_order(k_arr) if key_type is None else key_type
+    ktp = reference_key(codebooks, k_arr) if key_type is None else key_type
     if ktp is None:
         return None, "e2", {}
-    type_idx, order = ktp
+    type_idx, order, _ = ktp
     rep = codebooks.key_types[type_idx].representative
     x_rep = np.asarray(x_arr, dtype=np.int64)[order]
     lo_row = (m - 1) * codebooks.sizes.m2
@@ -1458,13 +1534,13 @@ def _frozen_embed_encode(u_arr, x_arr, k_arr, codebooks):
     depends on, with ``_frozen_embed_in_bin`` as its search."""
     sizes = codebooks.sizes
     typical_u = codebooks.u_box.contains(np.bincount(u_arr, minlength=codebooks.spec.u_axis.size))
-    ktp = codebooks.key_type_and_order(k_arr)
+    ktp = reference_key(codebooks, k_arr)
     pair_ok = codebooks.kx_box.contains(
         np.bincount(k_arr * codebooks.x_size + x_arr, minlength=codebooks.k_size * codebooks.x_size)
     )
     if typical_u and ktp is not None:
         w = int_to_bits(sim.rd_encode(u_arr, codebooks.rd_codebook), sizes.l_bits)
-        wt = encrypt(w, sw_bits(codebooks, k_arr)[: sizes.j_bits])
+        wt = encrypt(w, int_to_bits(ktp[2], sizes.j_bits))
     else:
         w = np.zeros(sizes.l_bits, dtype=np.uint8)
         wt = w.copy()
@@ -1540,14 +1616,13 @@ class TestBatchedSearch:
     def test_matches_frozen_one_bin_search(self, case):
         books, xs, ks = case
         u_words = [np.array(u, dtype=np.int64) for u in np.ndindex(2, 2)]
-        messages = {u.tobytes(): sim._message_index(u, books) for u in u_words}
         for x, k in zip(xs, ks):
-            search = sim.WordSearch(books, x, k, messages)
+            search = sim.WordSearch(books, x, k)
             if search.embeds:
                 sim.search_words(books, [(search, range(1, books.sizes.bins + 1))])
             for u in u_words:
                 got = sim.embed_encode(u, search)
-                alone = sim.embed_encode(u, sim.WordSearch(books, x, k, {}))
+                alone = sim.embed_encode(u, sim.WordSearch(books, x, k))
                 try:
                     want = _frozen_embed_encode(u, x, k, books)
                 except EmptyTypicalSetError:
@@ -1559,7 +1634,7 @@ class TestBatchedSearch:
                 for f in dataclasses.fields(sim.EmbedResult):
                     assert _same(getattr(got, f.name), getattr(want, f.name)), f.name
                     assert _same(getattr(alone, f.name), getattr(want, f.name)), f.name
-            if search.key_type is None:
+            if search.key is None:
                 continue
             for m in range(1, books.sizes.bins + 1):
                 _assert_frozen_bin(books, m, x, k, sim.embed_in_bin(books, m, x, k))
@@ -1595,8 +1670,8 @@ def _check_one_search_call(books, xs, ks, contexts_per_kernel_call):
     """Every bin of every (x, k) word with a typical key, of all key types,
     searched by one ``search_words`` call, with box-test kernel calls of
     one or two auxiliary contexts each or of the default size."""
-    words = [(x, k, sim.WordSearch(books, x, k, {})) for x, k in zip(xs, ks)]
-    words = [(x, k, w) for x, k, w in words if w.key_type is not None]
+    words = [(x, k, sim.WordSearch(books, x, k)) for x, k in zip(xs, ks)]
+    words = [(x, k, w) for x, k, w in words if w.key is not None]
     bins = range(1, books.sizes.bins + 1)
     chunk = sim._BOX_CHUNK_BYTES
     if contexts_per_kernel_call is not None:  # the bytes of that many contexts' bin masks
@@ -1658,7 +1733,7 @@ class TestUndrawableStegoBook:
     def test_search_fails_with_e3(self):
         books = self._books()
         k = books.key_types[self._lopsided(books)].representative
-        enc = sim.embed_encode(np.array([0, 1]), sim.WordSearch(books, np.zeros(4, dtype=np.int64), k, {}))
+        enc = sim.embed_encode(np.array([0, 1]), sim.WordSearch(books, np.zeros(4, dtype=np.int64), k))
         assert enc.input_ok and not enc.search_ok
         assert enc.search_event == "e3" and not enc.y.any()
         assert enc.j == 0 and enc.j_prime is None
@@ -1669,7 +1744,7 @@ class TestUndrawableStegoBook:
         assert est.extras == _per_state_enumeration(books)
         x = np.zeros(4, dtype=np.int64)
         events = {
-            sim.embed_encode(np.array(u), sim.WordSearch(books, x, np.array(k), {})).search_event
+            sim.embed_encode(np.array(u), sim.WordSearch(books, x, np.array(k))).search_event
             for u in np.ndindex(2, 2) for k in np.ndindex(2, 2, 2, 2)
         }
         assert "e3" in events

@@ -170,11 +170,12 @@ def test_ensemble_reuses_the_runs_build(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_two_entry_word_caches_write_the_same_bytes(name, tmp_path, monkeypatch):
-    """A pad or stegotext book is a pure function of (seed, word), so word
-    caches bounded at two entries redraw what they drop and every artifact
-    stays the golden one; no cache ever holds more than two entries.  The
-    audits of ``audit_n10`` use no pad, and its stegotext letters are all
-    fixed, so its books pass through no cache."""
+    """A key record, message index or stegotext book is a pure function of
+    (build, word), so word caches bounded at two entries resolve again what
+    they drop and every artifact stays the golden one; no cache ever holds
+    more than two entries.  The audits of ``audit_n10`` look up no key or
+    message, and its stegotext letters are all fixed, so its books pass
+    through no cache."""
     lookup = sim._LruCache.lookup
     seen: dict[int, set] = {}
     lookups = drops = redraws = 0
