@@ -713,20 +713,16 @@ def _sent_index(m: int | np.ndarray, pad: int | np.ndarray) -> int | np.ndarray:
     return (m - 1) ^ pad
 
 
-def decode_many(
+def _typical_rows(
     z_rows: np.ndarray, k_rows: np.ndarray, codebooks: CodebookSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint-typicality unique-bin decoding of every forged word (row) of
-    ``z_rows`` under the key on its row of ``k_rows``, as ``(typical, uhat)``:
-    ``typical[i, m - 1, j]`` says row j of bin m is an auxiliary word jointly
-    typical with forgery i (none is under an atypical key).  No bin with a
-    typical row is e4, two or more e5; one bin m decodes to ``uhat[i]``, the
-    rate-distortion codeword of index (m - 1) XOR the key's pad.  One box
-    test per key type covers its keys' forgeries against its whole
-    auxiliary book."""
+    """``decode_many``'s ``typical`` table, and each row's pad (0 under an
+    atypical key), resolving each distinct key word once."""
     z_rows = np.asarray(z_rows, dtype=np.int64)
     sizes = codebooks.sizes
-    keys = [codebooks.key(k) for k in np.asarray(k_rows, dtype=np.int64)]
+    words = [k.tobytes() for k in np.asarray(k_rows, dtype=np.int64)]
+    resolved = {w: codebooks.key(np.frombuffer(w, dtype=np.int64)) for w in dict.fromkeys(words)}
+    keys = [resolved[w] for w in words]
     pads = np.array([0 if key is None else key.pad for key in keys], dtype=np.int64)
     of_type = defaultdict(list)
     for i, key in enumerate(keys):
@@ -739,17 +735,34 @@ def decode_many(
         contexts = codebooks.key_types[type_idx].representative * codebooks.z_size + z_rep
         in_box = _rows_in_boxes(codebooks.aux_masks(type_idx), contexts, codebooks.kzv_cells)
         typical[rows] = in_box.reshape(len(rows), sizes.bins, sizes.m2)
+    return typical, pads
+
+
+def decode_many(
+    z_rows: np.ndarray, k_rows: np.ndarray, codebooks: CodebookSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint-typicality unique-bin decoding of every forged word (row) of
+    ``z_rows`` under the key on its row of ``k_rows``, as ``(typical, uhat)``:
+    ``typical[i, m - 1, j]`` says row j of bin m is an auxiliary word jointly
+    typical with forgery i (none is under an atypical key).  No bin with a
+    typical row is e4, two or more e5; one bin m decodes to ``uhat[i]``, the
+    rate-distortion codeword of index (m - 1) XOR the key's pad.  One box
+    test per key type covers its keys' forgeries against its whole
+    auxiliary book."""
+    typical, pads = _typical_rows(z_rows, k_rows, codebooks)
     bins = typical.any(axis=2).argmax(axis=1) + 1
     return typical, codebooks.rd_codebook.codewords[_sent_index(bins, pads)]
 
 
 def decode(z_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> DecodeResult:
-    """``decode_many`` of one forged word, with its event."""
-    typical, uhat = decode_many(np.asarray(z_seq)[None], np.asarray(k_seq)[None], codebooks)
+    """``decode_many`` of one forged word, with its event, reducing its bin
+    table once."""
+    typical, pads = _typical_rows(np.asarray(z_seq)[None], np.asarray(k_seq)[None], codebooks)
     bins = tuple((np.flatnonzero(typical[0].any(axis=1)) + 1).tolist())
     if len(bins) != 1:
         return DecodeResult(None, "e5" if bins else "e4", None, bins, typical[0])
-    return DecodeResult(uhat[0], "ok", bins[0], bins, typical[0])
+    uhat = codebooks.rd_codebook.codewords[_sent_index(bins[0], pads[0])].copy()
+    return DecodeResult(uhat, "ok", bins[0], bins, typical[0])
 
 
 # ---------------------------------------------------------------------------
@@ -800,16 +813,24 @@ def _mean(values: list[float]) -> float:
     return total / len(values) if values else math.nan
 
 
-def _draw_trial(spec: SystemSpec, n_message: int, n: int, seed: int, t: int):
-    """Trial t's generator, then the message word and the covertext and key
-    words it draws, u from p(u) and the (x, k) cells from p(x, k) in its
-    (X, K) order; the generator goes on to draw the trial's attack."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _TRIAL_TAG, t)))
-    pu = spec.p_u.values
-    pxk = spec.p_xk.values.ravel()
-    u = rng.choice(pu.size, size=n_message, p=pu)
-    cells = rng.choice(pxk.size, size=n, p=pxk)
-    return rng, u, cells // spec.k_axis.size, cells % spec.k_axis.size
+def _trial_draws(spec: SystemSpec, n_message: int, n: int, seed: int):
+    """The function of t giving trial t's generator, then the message word
+    and the covertext and key words it draws, u from p(u) and the (x, k)
+    cells from p(x, k) in its (X, K) order; the generator goes on to draw
+    the trial's attack.  Each draw is ``Generator.choice(p=)``'s, uniforms
+    searched in its table ``cdf = p.cumsum(); cdf /= cdf[-1]``, built here
+    once and without ``choice``'s per-call checks of p (the ``DistTable``s
+    were checked at load)."""
+    cdf_u, cdf_xk = (c / c[-1] for c in (np.cumsum(spec.p_u.values), np.cumsum(spec.p_xk.values)))
+    k_size = spec.k_axis.size
+
+    def draw(t: int):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, _TRIAL_TAG, t)))
+        u = cdf_u.searchsorted(rng.random(n_message), side="right")
+        cells = cdf_xk.searchsorted(rng.random(n), side="right")
+        return rng, u, cells // k_size, cells % k_size
+
+    return draw
 
 
 def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate:
@@ -833,13 +854,14 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
     then each trial encodes, draws its attack and decodes in turn.
     """
     spec, n, n_msg = codebooks.spec, codebooks.n, codebooks.n_message
+    draw = _trial_draws(spec, n_msg, n, seed)
     results: list[TrialResult] = []
 
     def chunk(start: int) -> list[tuple[np.random.Generator, np.ndarray, WordSearch]]:
         """The chunk's trials from ``start`` on as (generator, u, searched word)."""
         drawn = []
         for t in range(start, min(trials, start + _TRIAL_CHUNK)):
-            rng, u, x, k = _draw_trial(spec, n_msg, n, seed, t)
+            rng, u, x, k = draw(t)
             drawn.append((rng, u, WordSearch(codebooks, x, k)))
         search_words(codebooks, [(w, [w.bin_of(codebooks.message(u))[1]]) for _, u, w in drawn if w.embeds])
         return drawn
@@ -916,9 +938,10 @@ def input_atypicality_frequency(
     u_box = count_box(spec.p_u.values, n_message, delta)
     kx = spec.p_xk.reorder((spec.k_axis.name, spec.x_axis.name)).values.ravel()
     kx_box = count_box(kx, n, delta)
+    draw = _trial_draws(spec, n_message, n, seed)
     bad = 0
     for t in range(trials):
-        _, u, x, k = _draw_trial(spec, n_message, n, seed, t)
+        _, u, x, k = draw(t)
         ok_u = u_box.contains(np.bincount(u, minlength=spec.u_axis.size))
         ok_kx = kx_box.contains(np.bincount(k * spec.x_axis.size + x, minlength=kx.size))
         bad += int(not (ok_u and ok_kx))
@@ -974,8 +997,9 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
 
     The enumeration does each piece of work once per word it depends on:
     - once per message word u: its typicality and rate-distortion index
-      (``CodebookSet.message``, recomputed only for a word its cache has
-      dropped);
+      (``CodebookSet.message``), which the bin requests and the on-path
+      flag read; each state's encode looks it up in the cache again, and
+      recomputes it only for a word the cache has dropped;
     - once per (x, k) word: a ``WordSearch`` (key record, pair test), and
       the forged words of each distinct stegotext word;
     - once per ``_WORD_CHUNK`` (x, k) words: one ``search_words`` of the
@@ -1002,7 +1026,8 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
         """Every word over ``size`` letters, the last position fastest."""
         return (np.array(w, dtype=np.int64) for w in itertools.product(range(size), repeat=length))
 
-    u_words = [(u, float(np.prod(pu[u]))) for u in words(u_size, n_msg)]
+    # every message word with its probability and rate-distortion index
+    u_words = [(u, float(np.prod(pu[u])), codebooks.message(u)) for u in words(u_size, n_msg)]
     if identity_attack:
 
         def forged(y: np.ndarray) -> list[tuple[np.ndarray, float]]:
@@ -1029,19 +1054,16 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
             x, k = xk // spec.k_axis.size, xk % spec.k_axis.size
             p_xk_word = float(np.prod(pxk[x, k]))
             if p_xk_word != 0.0:
-                live = [(u, p_u * p_xk_word) for u, p_u in u_words if p_u * p_xk_word != 0.0]
+                live = [(u, p_u * p_xk_word, w_u) for u, p_u, w_u in u_words if p_u * p_xk_word != 0.0]
                 batch.append((WordSearch(codebooks, x, k), live))
         search_words(
             codebooks,
-            [(w, [w.bin_of(codebooks.message(u))[1] for u, _ in live]) for w, live in batch if w.embeds],
+            [(w, [w.bin_of(w_u)[1] for _, _, w_u in live]) for w, live in batch if w.embeds],
         )
         for i, (word, live) in enumerate(batch):
-            states = []
-            for u, p_word in live:
-                enc = embed_encode(u, word)
-                # whether the message is on the encrypted path, read right
-                # after the encode that looked its index up
-                states.append((u, p_word, enc, word.key is not None and codebooks.message(u) is not None))
+            # each state's encode, and whether its message is on the encrypted path
+            on_path = word.key is not None
+            states = [(u, p_word, embed_encode(u, word), on_path and w_u is not None) for u, p_word, w_u in live]
             # the forged words of each distinct stegotext word
             ys = {enc.y.tobytes(): enc.y for _, _, enc, _ in states}
             batch[i] = (word, states, {ykey: forged(y) for ykey, y in ys.items()})
@@ -1133,7 +1155,7 @@ def bin_multiplicity_audit(codebooks: CodebookSet, gamma: float) -> BinAuditResu
         held = np.unique(book_of_row * bins + np.arange(book_of_row.size) // sizes.m2)
         book_idx, bin_idx = np.divmod(held, bins)
         # each distinct stegotext word with each bin one of its books lies in
-        words, word_of = np.unique(books.reshape(-1, n), axis=0, return_inverse=True)
+        words, _, word_of = _unique_rows(books.reshape(-1, n))
         word_of = word_of.reshape(books.shape[:2])
         word_bins = np.unique(word_of[book_idx] * bins + bin_idx[:, None])
         per_word = np.bincount(word_bins // bins, minlength=len(words))
@@ -1141,8 +1163,8 @@ def bin_multiplicity_audit(codebooks: CodebookSet, gamma: float) -> BinAuditResu
         type_words.append(words)
         type_counts.append(per_word)
     # across types a word's (type, bin) pairs number its bins summed over types
-    _, word_at = np.unique(np.concatenate(type_words), axis=0, return_inverse=True)
-    across = np.bincount(word_at.ravel(), weights=np.concatenate(type_counts))
+    _, _, word_at = _unique_rows(np.concatenate(type_words))
+    across = np.bincount(word_at, weights=np.concatenate(type_counts))
     bound = 2.0 ** (n * gamma)
     k_y = codebooks.k_size * codebooks.y_size
     return BinAuditResult(
@@ -1225,11 +1247,11 @@ def _distinct_stego_books(codebooks: CodebookSet, type_idx: int) -> tuple[np.nda
     (distinct rows, M_3, n) array, and for each row of its auxiliary book
     the index of that row's book.  A book with no word to draw raises
     ``EmptyTypicalSetError``: the audits count every book."""
-    rows, book_of_row = np.unique(codebooks.aux_book(type_idx), axis=0, return_inverse=True)
+    rows, _, book_of_row = _unique_rows(codebooks.aux_book(type_idx))
     books, drawn = codebooks.stego_books(type_idx, rows)
     if not drawn.all():
         raise EmptyTypicalSetError(f"a stegotext book of key type {type_idx} has no word to draw")
-    return books, book_of_row.ravel()
+    return books, book_of_row
 
 
 def _typical_key_stego_words(codebooks: CodebookSet) -> Iterator[np.ndarray]:
@@ -1238,7 +1260,7 @@ def _typical_key_stego_words(codebooks: CodebookSet) -> Iterator[np.ndarray]:
     moved from the representative frame to each key's positions."""
     for t_idx, ktype in enumerate(codebooks.key_types):
         books, _ = _distinct_stego_books(codebooks, t_idx)
-        rep_mat = np.unique(books.reshape(-1, codebooks.n), axis=0)
+        rep_mat, _, _ = _unique_rows(books.reshape(-1, codebooks.n))
         keys = _multiset_perms(ktype.counts)
         while chunk := list(itertools.islice(keys, max(1, _AUDIT_CHUNK_ROWS // len(rep_mat)))):
             # slot i of the representative lands on position order[i] of a key
@@ -1246,14 +1268,28 @@ def _typical_key_stego_words(codebooks: CodebookSet) -> Iterator[np.ndarray]:
             yield rep_mat[:, np.argsort(order, axis=1)]
 
 
+def _row_keys(block: np.ndarray) -> np.ndarray:
+    """Each row (the last axis) of an integer array as one byte string, a
+    1-D ``np.void`` array, with letters big-endian: rows of unsigned letters
+    sort as their byte strings do, and no two rows collide."""
+    rows = np.ascontiguousarray(block, dtype=block.dtype.newbyteorder(">")).reshape(-1, block.shape[-1])
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)``
+    of a 2-D array of unsigned letters, with a 1-D inverse, sorting each
+    row as one byte string (``_row_keys``) instead of field by field."""
+    _, index, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    return rows[index], index, inverse
+
+
 def _distinct_row_count(blocks: Iterable[np.ndarray]) -> int:
     """Number of distinct length-n rows (the last axis) across arrays of one
-    dtype.  Rows are keyed by their raw bytes, so no word length or alphabet
-    size can make two different rows collide."""
+    dtype, keyed by their bytes (``_row_keys``)."""
     seen: set[bytes] = set()
     for block in blocks:
-        rows = np.ascontiguousarray(block).reshape(-1, block.shape[-1])
-        seen.update(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist())
+        seen.update(_row_keys(block).tolist())
     return len(seen)
 
 

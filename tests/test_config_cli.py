@@ -17,6 +17,7 @@ from secembed.config import (
     aux_to_mapping,
     load_aux,
     load_system,
+    load_yaml_file,
     parse_config,
     read_text,
     stable_hash,
@@ -25,6 +26,8 @@ from secembed.errors import ValidationError
 from secembed.region import COORDINATES, AuxChannel, RegionPoint, optimize_region
 
 from conftest import miss_one_condition
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 SYSTEM = {
     "alphabets": {
@@ -108,6 +111,14 @@ class TestSystemLoading:
     def test_parse_error_carries_location(self):
         with pytest.raises(ValidationError, match="line"):
             parse_config("command: [unclosed")
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_libyaml_reads_what_the_python_parser_reads(self, path):
+        text = path.read_text()
+        want = yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == want
+        assert load_yaml_file(str(path)) == want
 
     @pytest.mark.parametrize(
         "table, value",
@@ -695,6 +706,17 @@ class TestStrictFields:
     def test_missing_run_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nosuch.yaml")]) == cli.EXIT_VALIDATION
         assert "nosuch.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--spec", "--aux"])
+    def test_malformed_yaml_file_exit_code(self, workdir, capsys, flag):
+        (workdir / "bad.yaml").write_text("alphabets: [U, X\nlambda: 0.5\n")
+        files = {"--spec": "sys.yaml", "--aux": "aux.yaml", flag: "bad.yaml"}
+        args = ["simulate", "--n", "8", "--trials", "2", "--delta", "0.6", "--dprime", "0.0", "--seed", "1"]
+        for name, file in files.items():
+            args += [name, str(workdir / file)]
+        assert cli.main([*args, "--out", str(workdir / "x")]) == cli.EXIT_VALIDATION
+        assert "bad.yaml" in capsys.readouterr().err
+        assert not list(workdir.glob("x*"))
 
     def test_unknown_run_file_key_rejected(self):
         doc = {"command": "region-opt", "system": SYSTEM, "objective": "h",

@@ -1359,6 +1359,27 @@ class TestBatchedEnumeration:
         assert books.spec.u_axis.size ** books.n_message == 4 and len(books._messages) <= 2
         assert rd_encode.call_count <= 2 * encode.call_count
 
+    def test_rd_encode_once_a_state_and_once_a_message_word(self, monkeypatch):
+        """The benchmark's n=8 enumeration of the demo system, with
+        two-entry caches: the 16 message words are resolved once for the
+        bin requests and the on-path flags, and each state's encode looks
+        its word up once more, so ``rd_encode`` runs at most once a state
+        plus once a message word (6,916 calls over 4,096 states when the
+        requests and the flags looked the words up again)."""
+        configs = Path(__file__).parent.parent / "configs"
+        spec = load_system(yaml.safe_load((configs / "demo_system.yaml").read_text())).spec
+        aux, _ = load_aux(yaml.safe_load((configs / "demo_aux.yaml").read_text()), spec)
+        monkeypatch.setattr(sim, "_WORD_CACHE_ENTRIES", 2)
+        books = sim.build_codebooks(spec, aux, 8, 0.6, 10000, 0.0, m2_bits=5, m3_bits=0, j_bits=4)
+        with (
+            mock.patch.object(sim, "rd_encode", wraps=sim.rd_encode) as rd_encode,
+            mock.patch.object(sim, "embed_encode", wraps=sim.embed_encode) as encode,
+        ):
+            sim.estimate_equivocation(books)
+        message_words = spec.u_axis.size**books.n_message
+        assert (message_words, encode.call_count) == (16, 4096)
+        assert rd_encode.call_count <= encode.call_count + message_words
+
 
 def _noisy_n8_books(seed):
     """The ``exact_noisy_n8`` golden's build, at build seed ``seed``."""
@@ -1778,3 +1799,73 @@ class TestDistinctRowCount:
         expected = {tuple(row) for b in blocks for row in b.tolist()}
         assert sim._distinct_row_count(blocks) == len(expected)
         assert sim._distinct_row_count(b.astype(np.int64) for b in blocks) == len(expected)
+
+
+class TestUniqueRows:
+    @given(
+        st.sampled_from([np.uint8, np.uint16]),
+        st.integers(1, 12),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_unique_along_rows(self, dtype, n, rows, seed):
+        """Rows, order, first indices and inverse of ``np.unique`` along the
+        rows.  Rows repeat, and two words differ in one letter's high byte
+        only (a 16-bit letter's bytes compared low byte first would sort
+        them out of order), two in its low byte only."""
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, np.iinfo(dtype).max + 1, size=(5, n)).astype(dtype)
+        j = rng.integers(n)
+        words[1], words[3] = words[0], words[2]
+        words[1, j] ^= 0x100 if dtype is np.uint16 else 0x80
+        words[3, j] ^= 1
+        block = words[rng.integers(0, 5, size=rows)]
+        want_rows, want_index, want_inverse = np.unique(block, axis=0, return_index=True, return_inverse=True)
+        got_rows, got_index, got_inverse = sim._unique_rows(block)
+        assert got_rows.dtype == block.dtype and np.array_equal(got_rows, want_rows)
+        assert np.array_equal(got_index, want_index)
+        # numpy 2.0.0 shapes the inverse of a row-wise unique (rows, 1)
+        assert got_inverse.shape == (rows,) and np.array_equal(got_inverse, want_inverse.ravel())
+
+
+def _choice_trial(spec, n_message, n, seed, t):
+    """Trial t's generator and words drawn with ``Generator.choice(p=)``,
+    the reference of ``sim._trial_draws``."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, sim._TRIAL_TAG, t)))
+    pxk = spec.p_xk.values.ravel()
+    u = rng.choice(spec.p_u.values.size, size=n_message, p=spec.p_u.values)
+    cells = rng.choice(pxk.size, size=n, p=pxk)
+    return rng, u, cells // spec.k_axis.size, cells % spec.k_axis.size
+
+
+class TestTrialDraws:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.1, 0.2, 0.3, 0.4],
+            [0.0, 0.2, 0.3, 0.5],  # a zero-probability first letter
+            [0.2, 0.0, 0.3, 0.5],  # ... middle letter
+            [0.2, 0.3, 0.5, 0.0],  # ... last letter
+        ],
+    )
+    @given(seed=st.integers(0, 2**64 - 1), t=st.integers(0, 2**20))
+    @settings(max_examples=40, deadline=None)
+    def test_cdf_draws_are_choice_draws(self, p, seed, t):
+        """The message word from p and the (x, k) cells from p as a 2 x 2
+        table equal ``choice``'s draw for draw, and leave the generator
+        where ``choice`` leaves it."""
+        u_axis, x_axis = Axis("U", 4), Axis("X", 2)
+        spec = SystemSpec(
+            p_u=DistTable([u_axis], p),
+            p_xk=DistTable([x_axis, Axis("K", 2)], np.reshape(p, (2, 2))),
+            p_z_given_y=DistTable([Axis("Y", 2), Axis("Z", 2)], np.eye(2), given=("Y",)),
+            lam=0.5,
+            d=DistortionMeasure(x_axis, Axis("Y", 2), 1.0 - np.eye(2)),
+            d_prime=DistortionMeasure.hamming(u_axis, Axis("Uhat", 4)),
+        )
+        rng, *drawn = sim._trial_draws(spec, 8, 16, seed)(t)
+        want_rng, *want = _choice_trial(spec, 8, 16, seed, t)
+        for got, expected in zip(drawn, want):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
