@@ -238,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
-            cfg = parse_config(read_text(args.config))
+            cfg = parse_config(read_text(args.config), source=args.config)
         else:
             cfg = _config_from_args(args)
         return run(cfg)

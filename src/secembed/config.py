@@ -380,13 +380,15 @@ def stable_hash(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate one run-configuration document."""
+def parse_config(text: str, source: str | None = None) -> RunConfig:
+    """Parse and fully validate one run-configuration document; a parse
+    error names ``source``, the file the text was read from, if given."""
     try:
         doc = _parse_yaml(text)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        where = f" in {source}" if source is not None else ""
+        where += f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ValidationError(f"config parse error{where}: {e}") from e
     if not isinstance(doc, Mapping):
         raise ValidationError("config must be a mapping")

@@ -7,7 +7,11 @@ counting audits the achievability analysis makes checkable.
 Codebooks are stored for one representative key per type class; every other
 typical key's codebook is the permutation image of its representative, so
 encode/decode permute the query into the representative frame instead of
-materializing permuted books.  All randomness derives from one integer seed
+materializing permuted books.  A search or decode there depends only on the
+key's type and the query in that frame, so each embedding search runs once
+per (key type, covertext in the frame, bin) and each decode of the exact
+enumeration once per (key type, forged word in the frame), shared by every
+key of the type.  All randomness derives from one integer seed
 through tagged SeedSequence children, which makes every run bit-exactly
 reproducible.
 """
@@ -68,9 +72,10 @@ _BOX_CHUNK_BYTES = 1 << 18
 _TRIAL_CHUNK = 64
 _WORD_CHUNK = 8
 # entries each word-keyed cache of a CodebookSet (keys, message indices,
-# stegotext books) keeps; it drops the least recently used beyond that.  An
-# entry is a pure function of (build, word), so a dropped one is resolved
-# again the same.  A benchmark job keeps at most about 500 keys
+# stegotext books, embedding searches) keeps; it drops the least recently
+# used beyond that.  An entry is a pure function of (build, word), so a
+# dropped one is resolved again the same.  A benchmark job keeps at most
+# about 500 keys
 _WORD_CACHE_ENTRIES = 1 << 14
 
 
@@ -91,6 +96,17 @@ class _LruCache(OrderedDict):
             if len(self) > self.capacity:
                 self.popitem(last=False)
         return self[key]
+
+    def lookup_many(self, keys: Iterable, make_many) -> dict:
+        """The entries of ``keys`` by key, each as ``lookup`` finds it; the
+        missing ones come from one ``make_many(missing)`` call, which returns
+        their entries in order."""
+        keys = dict.fromkeys(keys)
+        found = {key: self.lookup(key, None) for key in keys if key in self}
+        missing = [key for key in keys if key not in found]
+        for key, entry in zip(missing, make_many(missing) if missing else ()):
+            found[key] = self.lookup(key, lambda: entry)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +224,12 @@ class CodebookSet:
         point = np.count_nonzero(self._p_y_given_kv > 0, axis=1) == 1
         self._y_of_kv = np.where(point, self._p_y_given_kv.argmax(axis=1), -1)
 
-        # books store letters in letter_dtype; words handed out are int64
+        # books, and words moved to a representative frame, store letters in
+        # letter_dtype; words handed out are int64
+        self._x_dtype = letter_dtype(self.x_size)
         self._v_dtype = letter_dtype(self.v_size)
         self._y_dtype = letter_dtype(self.y_size)
+        self._z_dtype = letter_dtype(self.z_size)
         self._reps = np.array([t.representative for t in key_types], dtype=np.int64).reshape(-1, n)
 
         # every auxiliary book, drawn in type order, and its packed letter
@@ -223,10 +242,16 @@ class CodebookSet:
             rng = np.random.default_rng(np.random.SeedSequence((seed, _AUX_TAG, type_idx)))
             self._aux_books[type_idx] = sampler.sample_rows(rng, rows)
             self._aux_masks[type_idx] = _letter_masks(self._aux_books[type_idx], self.v_size)
+        # searches hand out views of book rows, so the books are read-only
+        self._aux_books.flags.writeable = False
+        # the masks with the rows axis split into (bins, M_2): a gather of
+        # one bin per search comes out C-contiguous, bin rows last
+        self._bin_masks = self._aux_masks.reshape(*self._aux_masks.shape[:-1], sizes.bins, sizes.m2)
         # every per-word fact, resolved on first use: one cache per word kind
         self._keys = _LruCache(_WORD_CACHE_ENTRIES)
         self._messages = _LruCache(_WORD_CACHE_ENTRIES)
         self._stego_books = _LruCache(_WORD_CACHE_ENTRIES)
+        self._searches = _LruCache(_WORD_CACHE_ENTRIES)
         self._stego_samplers: dict[bytes, ConditionalTypicalSampler] = {}
 
     # -- per-word facts ------------------------------------------------------
@@ -542,53 +567,42 @@ class EmbedResult:
 
 
 def _search_bins(
-    codebooks: CodebookSet, triples: Sequence[tuple[Key, np.ndarray, int]]
-) -> list[tuple[np.ndarray | None, str | None, dict]]:
-    """The embedding search of each (typical key, covertext, bin) triple,
-    as ``embed_in_bin`` returns it: the first auxiliary row of the bin
-    jointly typical with the (key, covertext) context word, in the frame of
-    the key's type, then the first word of that row's stegotext book
-    jointly typical with the context.  No typical row is e2; no typical
-    word, or a book with no word to draw, is e3.  Triples of any keys and
-    key types go together: one box test covers every triple's bin rows,
-    and one the rows' books, each against its triple's context."""
-    if not triples:
-        return []
+    codebooks: CodebookSet, types: np.ndarray, x_reps: np.ndarray, bins: np.ndarray
+) -> list[tuple[int | None, int | None, bytes | None]]:
+    """The embedding search of each (key type, covertext in the type's
+    representative frame, bin) triple, given as arrays: the first auxiliary
+    row of the bin jointly typical with the (representative, covertext)
+    context word, then the first word of that row's stegotext book jointly
+    typical with the context.  Each triple's result is (j, j', y): the row
+    in the bin, the word in the book and the stegotext word in the
+    representative frame, as the bytes of its letters in the books' letter
+    dtype, each None from the first failure on.  No typical row is e2; no
+    typical word, or a book with no word to draw, is e3.  Triples of any key
+    types go together: one box test covers every triple's bin rows, and one
+    the rows' books, each against its triple's context."""
     m2 = codebooks.sizes.m2
-    keys, xs, bins = zip(*triples)
-    types = np.array([key.type_idx for key in keys])
-    orders = np.stack([key.order for key in keys])
-    # each context word in its key type's representative frame, as cells
-    contexts = codebooks._reps[types] * codebooks.x_size + np.take_along_axis(np.stack(xs), orders, axis=1)
-    rows = (np.array(bins) - 1)[:, None] * m2 + np.arange(m2)
-    # each triple's bin rows as (triples, bytes, letters, rows) masks
-    masks = np.moveaxis(codebooks._aux_masks[types[:, None], :, :, rows], 1, -1)
-    typical = _rows_in_boxes(masks, contexts, codebooks.kxv_cells)
-    j = np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
-    v_reps = codebooks._aux_books[types, rows[np.arange(len(rows)), j]]
-    found = np.flatnonzero(j >= 0)
-    books, has_book = codebooks.stego_books(types[found], v_reps[found])
+    contexts = codebooks._reps[types] * codebooks.x_size + x_reps
+    # each triple's bin rows as C-contiguous (triples, bytes, letters, rows) masks
+    typical = _rows_in_boxes(codebooks._bin_masks[types, :, :, bins - 1], contexts, codebooks.kxv_cells)
+    found = np.flatnonzero(typical.any(axis=1))
+    j = typical[found].argmax(axis=1)
+    v_reps = codebooks._aux_books[types[found], (bins[found] - 1) * m2 + j]
+    books, has_book = codebooks.stego_books(types[found], v_reps)
     drawn, books = found[has_book], books[has_book]
-    j_prime = np.full(len(triples), -1)
-    ys = np.empty((len(triples), codebooks.n), dtype=np.int64)
+    j_prime = np.full(len(types), -1)
+    y_reps = np.empty((len(types), codebooks.n), dtype=codebooks._y_dtype)
     if drawn.size:
         hits = _rows_in_boxes(
             _letter_masks(books, codebooks.y_size),
-            contexts[drawn] * codebooks.v_size + v_reps[drawn],
+            contexts[drawn] * codebooks.v_size + v_reps[has_book],
             codebooks.kxvy_cells,
         )
         j_prime[drawn] = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
-        # each triple's first typical word, moved from the representative
-        # frame to its key's positions: slot t lands on position order[t]
-        ys[drawn[:, None], orders[drawn]] = books[np.arange(len(drawn)), j_prime[drawn]]
-    out = []
-    for key, row, row_prime, v_rep, y in zip(keys, j.tolist(), j_prime.tolist(), v_reps, ys):
-        details = {"type_idx": key.type_idx, "order": key.order}
-        if row >= 0:
-            details.update(v_rep=v_rep, j=row)
-        if row_prime >= 0:
-            details["j_prime"] = row_prime
-        out.append((y, None, details) if row_prime >= 0 else (None, "e3" if row >= 0 else "e2", details))
+        y_reps[drawn] = books[np.arange(len(drawn)), j_prime[drawn]]
+    out: list = [(None, None, None)] * len(types)
+    for i, row in zip(found.tolist(), j.tolist()):
+        row_prime = int(j_prime[i])
+        out[i] = (row, None, None) if row_prime < 0 else (row, row_prime, y_reps[i].tobytes())
     return out
 
 
@@ -599,7 +613,7 @@ def embed_in_bin(
     auxiliary word, then that word's stegotext book for the first jointly
     typical output.  Returns (y or None, failure event, details).  Works
     entirely in the representative frame, so permuting (x, k) permutes y
-    covariantly.  This is the one-bin call of ``_search_bins``."""
+    covariantly.  This is the one-bin call of ``search_words``."""
     search = WordSearch(codebooks, x_arr, k_arr)
     return (None, "e2", {}) if search.key is None else search.result(m)
 
@@ -607,8 +621,8 @@ def embed_in_bin(
 class WordSearch:
     """The encoder's work on one (covertext, key) word, done once for every
     message word encoded with it: the key's record (``CodebookSet.key``),
-    the (k, x) pair test, and the embedding search of each bin, kept once
-    run; ``search_words`` searches many words at once."""
+    the (k, x) pair test, and the embedding search result of each bin,
+    kept once found; ``search_words`` searches many words at once."""
 
     def __init__(self, codebooks: CodebookSet, x_seq: np.ndarray, k_seq: np.ndarray):
         self.codebooks = codebooks
@@ -632,7 +646,7 @@ class WordSearch:
         return w, (w ^ self.key.pad) + 1
 
     def result(self, m: int) -> tuple[np.ndarray | None, str | None, dict]:
-        """``embed_in_bin``'s result for bin m, searched once.  The key must
+        """``embed_in_bin``'s result for bin m, found once.  The key must
         be typical."""
         if m not in self._found:
             search_words(self.codebooks, [(self, [m])])
@@ -640,13 +654,51 @@ class WordSearch:
 
 
 def search_words(codebooks: CodebookSet, requests: Iterable[tuple[WordSearch, Iterable[int]]]) -> None:
-    """Run the embedding search of each (word, bins) request in the bins
-    its word has not searched yet, with typical keys only; every word's
-    bins go in one ``_search_bins`` call, and each word keeps its results."""
-    todo = [(word, m) for word, bins in requests for m in sorted(set(bins) - word._found.keys())]
-    found = _search_bins(codebooks, [(word.key, word.x, m) for word, m in todo])
-    for (word, m), result in zip(todo, found):
-        word._found[m] = result
+    """Find the embedding search result of each (word, bins) request in the
+    bins its word has none of yet, with typical keys only.  Every typical
+    key's book is its type representative's, permuted, so a word's search
+    is its representative's: each request becomes a (key type, covertext
+    in the type's frame, bin) triple, searched once per build through the
+    codebooks' search cache, a call's new triples by one ``_search_bins``
+    call.  Each word keeps its results, the stegotext word moved to the
+    key's positions: slot t of the frame lands on position order[t]."""
+    todo = [(word, sorted(set(bins) - word._found.keys())) for word, bins in requests]
+    todo = [(word, bins) for word, bins in todo if bins]
+    if not todo:
+        return
+    words = [word for word, _ in todo]
+    types = np.array([word.key.type_idx for word in words])
+    orders = np.array([word.key.order for word in words])
+    x_reps = np.take_along_axis(np.array([word.x for word in words]), orders, axis=1).astype(codebooks._x_dtype)
+    triples = [
+        (word.key.type_idx, x.tobytes(), m) for (word, bins), x in zip(todo, x_reps) for m in bins
+    ]
+    # each triple's word, and one position of each triple
+    word_of = np.repeat(np.arange(len(words)), [len(bins) for _, bins in todo])
+    at = dict(zip(triples, range(len(triples))))
+
+    def search(missing: list) -> list:
+        i = np.array([at[triple] for triple in missing])
+        return _search_bins(codebooks, types[word_of[i]], x_reps[word_of[i]], np.array([m for *_, m in missing]))
+
+    entries = codebooks._searches.lookup_many(triples, search)
+    results = [entries[triple] for triple in triples]
+    ys = np.empty((len(triples), codebooks.n), dtype=np.int64)
+    placed = [i for i, (*_, y_rep) in enumerate(results) if y_rep is not None]
+    if placed:
+        y_reps = np.frombuffer(b"".join(results[i][2] for i in placed), dtype=codebooks._y_dtype)
+        ys[np.array(placed)[:, None], orders[word_of[placed]]] = y_reps.reshape(len(placed), codebooks.n)
+    flat = ((word, m) for word, bins in todo for m in bins)
+    for (word, m), (row, row_prime, y_rep), y in zip(flat, results, ys):
+        details = {"type_idx": word.key.type_idx, "order": word.key.order}
+        if row is not None:
+            v_rep = codebooks._aux_books[word.key.type_idx, (m - 1) * codebooks.sizes.m2 + row]
+            details.update(v_rep=v_rep, j=row)
+        if y_rep is not None:
+            details["j_prime"] = row_prime
+            word._found[m] = (y, None, details)
+        else:
+            word._found[m] = (None, "e3" if row is not None else "e2", details)
 
 
 def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
@@ -713,6 +765,15 @@ def _sent_index(m: int | np.ndarray, pad: int | np.ndarray) -> int | np.ndarray:
     return (m - 1) ^ pad
 
 
+def _typical_in_frame(codebooks: CodebookSet, type_idx: int, z_reps: np.ndarray) -> np.ndarray:
+    """(forgeries, bins, M_2): whether each row of a key type's auxiliary
+    book is jointly typical with each forged word, given in the type's
+    representative frame; one box test."""
+    contexts = codebooks.key_types[type_idx].representative * codebooks.z_size + z_reps
+    in_box = _rows_in_boxes(codebooks.aux_masks(type_idx), contexts, codebooks.kzv_cells)
+    return in_box.reshape(len(z_reps), codebooks.sizes.bins, codebooks.sizes.m2)
+
+
 def _typical_rows(
     z_rows: np.ndarray, k_rows: np.ndarray, codebooks: CodebookSet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -731,10 +792,8 @@ def _typical_rows(
     typical = np.zeros((len(z_rows), sizes.bins, sizes.m2), dtype=bool)
     for type_idx, rows in of_type.items():
         # each forged word in its key's representative frame
-        z_rep = z_rows[np.array(rows)[:, None], np.stack([keys[i].order for i in rows])]
-        contexts = codebooks.key_types[type_idx].representative * codebooks.z_size + z_rep
-        in_box = _rows_in_boxes(codebooks.aux_masks(type_idx), contexts, codebooks.kzv_cells)
-        typical[rows] = in_box.reshape(len(rows), sizes.bins, sizes.m2)
+        z_reps = z_rows[np.array(rows)[:, None], np.stack([keys[i].order for i in rows])]
+        typical[rows] = _typical_in_frame(codebooks, type_idx, z_reps)
     return typical, pads
 
 
@@ -1001,10 +1060,17 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
       flag read; each state's encode looks it up in the cache again, and
       recomputes it only for a word the cache has dropped;
     - once per (x, k) word: a ``WordSearch`` (key record, pair test), and
-      the forged words of each distinct stegotext word;
-    - once per ``_WORD_CHUNK`` (x, k) words: one ``search_words`` of the
-      distinct bins each word's states reach, and one ``decode_many`` of
-      the (key, forged word) pairs not decoded yet;
+      the forged words of each distinct stegotext word, moved into the
+      key type's representative frame;
+    - once per (key type, covertext in its frame, bin): the embedding
+      search, which ``search_words`` shares across the type's keys through
+      the codebooks' search cache;
+    - once per (key type, forged word in its frame): the decode, kept as
+      the one bin it finds, or none; a key reads its reproduction from
+      that bin through its pad;
+    - once per ``_WORD_CHUNK`` (x, k) words: one ``search_words`` call of
+      the distinct bins each word's states reach, and one decode box test
+      per key type of the forged words not decoded yet;
     - once per (u, x, k) state: one ``embed_encode`` call and the sums,
       word by word in enumeration order.
     """
@@ -1026,26 +1092,37 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
         """Every word over ``size`` letters, the last position fastest."""
         return (np.array(w, dtype=np.int64) for w in itertools.product(range(size), repeat=length))
 
-    # every message word with its probability and rate-distortion index
-    u_words = [(u, float(np.prod(pu[u])), codebooks.message(u)) for u in words(u_size, n_msg)]
+    # every message word with its bytes, probability and rate-distortion index
+    u_words = [(u, u.tobytes(), float(np.prod(pu[u])), codebooks.message(u)) for u in words(u_size, n_msg)]
     if identity_attack:
 
-        def forged(y: np.ndarray) -> list[tuple[np.ndarray, float]]:
-            return [(y, 1.0)]
+        def forged(ys: dict[bytes, np.ndarray]) -> tuple[np.ndarray, list[tuple[bytes, bytes, float]]]:
+            return np.array(list(ys.values())), [(ykey, ykey + ykey, 1.0) for ykey in ys]
 
     else:
         # every forged word, in words() order
         z_all = np.ascontiguousarray(np.indices((spec.z_axis.size,) * n).reshape(n, -1).T)
 
-        def forged(y: np.ndarray) -> list[tuple[np.ndarray, float]]:
-            """The forged words of y that have positive probability, each with it."""
-            pz = np.prod(att[y, z_all], axis=1)
-            keep = np.flatnonzero(pz > 0)
-            return list(zip(z_all[keep], pz[keep].tolist()))
+        def forged(ys: dict[bytes, np.ndarray]) -> tuple[np.ndarray, list[tuple[bytes, bytes, float]]]:
+            """The forged words of each stegotext word (by its bytes) that
+            have positive probability, as rows, and each as (stegotext
+            word's bytes, the pair's bytes, probability)."""
+            rows, flat = [], []
+            for ykey, y in ys.items():
+                pz = np.prod(att[y, z_all], axis=1)
+                keep = np.flatnonzero(pz > 0)
+                rows.append(z_all[keep])
+                flat += [(ykey, ykey + z.tobytes(), p) for z, p in zip(z_all[keep], pz[keep].tolist())]
+            return np.concatenate(rows), flat
 
     u_rows, uhat_rows, bin_rows, bin_rows_enc = (_mass_table() for _ in range(4))
     enc_path_prob = 0.0
-    decode_cache: dict[bytes, bytes] = {}
+    # by key type, each forged word in its frame decoded: the one bin with
+    # a typical row, or 0 for none or more than one
+    decoded: defaultdict[int, dict[bytes, int]] = defaultdict(dict)
+    # each message index's reproduction as an outcome, one per distinct
+    # codeword; a failed decode's outcome is -1
+    uhat_of = _unique_rows(codebooks.rd_codebook.codewords)[2]
 
     xk_words = words(xk_size, n)
     while chunk := list(itertools.islice(xk_words, _WORD_CHUNK)):
@@ -1053,39 +1130,54 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
         for xk in chunk:
             x, k = xk // spec.k_axis.size, xk % spec.k_axis.size
             p_xk_word = float(np.prod(pxk[x, k]))
-            if p_xk_word != 0.0:
-                live = [(u, p_u * p_xk_word, w_u) for u, p_u, w_u in u_words if p_u * p_xk_word != 0.0]
+            if p_xk_word == 0.0:
+                continue
+            live = [(u, ub, p_u * p_xk_word, w_u) for u, ub, p_u, w_u in u_words if p_u * p_xk_word != 0.0]
+            if live:
                 batch.append((WordSearch(codebooks, x, k), live))
         search_words(
             codebooks,
-            [(w, [w.bin_of(w_u)[1] for _, _, w_u in live]) for w, live in batch if w.embeds],
+            [(w, [w.bin_of(w_u)[1] for *_, w_u in live]) for w, live in batch if w.embeds],
         )
+        fresh = defaultdict(dict)  # by key type, its forged words in its frame not decoded yet
         for i, (word, live) in enumerate(batch):
             # each state's encode, and whether its message is on the encrypted path
             on_path = word.key is not None
-            states = [(u, p_word, embed_encode(u, word), on_path and w_u is not None) for u, p_word, w_u in live]
-            # the forged words of each distinct stegotext word
-            ys = {enc.y.tobytes(): enc.y for _, _, enc, _ in states}
-            batch[i] = (word, states, {ykey: forged(y) for ykey, y in ys.items()})
-        # the chunk's (key, forged word) pairs not decoded yet, decoded at once
-        pairs = {w.k.tobytes() + z.tobytes(): (w.k, z) for w, _, fs in batch for zs in fs.values() for z, _ in zs}
-        fresh = {dkey: pair for dkey, pair in pairs.items() if dkey not in decode_cache}
-        if fresh:
-            keys, zs = zip(*fresh.values())
-            typical, uhat = decode_many(np.array(zs), np.array(keys), codebooks)
-            for dkey, ok, row in zip(fresh, (typical.any(axis=2).sum(axis=1) == 1).tolist(), uhat):
-                decode_cache[dkey] = row.tobytes() if ok else b"err"
-        for word, states, forgeries in batch:
-            kb = word.k.tobytes()
-            for u, p_word, enc, u_on_path in states:
+            states = []
+            for u, ub, p_word, w_u in live:
+                enc = embed_encode(u, word)
+                states.append((ub, p_word, enc, enc.y.tobytes(), on_path and w_u is not None))
+            # the forged words of the distinct stegotext words, and under a
+            # typical key each one moved into its type's frame
+            z_rows, flat = forged({ykey: enc.y for _, _, enc, ykey, _ in states})
+            frames = []
+            if word.key is not None:
+                frames = [z.tobytes() for z in z_rows[:, word.key.order].astype(codebooks._z_dtype)]
+                seen = decoded[word.key.type_idx]
+                fresh[word.key.type_idx].update((z, None) for z in frames if z not in seen)
+            batch[i] = (word, states, flat, frames)
+        for type_idx, z_words in fresh.items():
+            z_reps = np.frombuffer(b"".join(z_words), dtype=codebooks._z_dtype).reshape(len(z_words), n)
+            found = _typical_in_frame(codebooks, type_idx, z_reps).any(axis=2)
+            bins = np.where(found.sum(axis=1) == 1, found.argmax(axis=1) + 1, 0)
+            decoded[type_idx].update(zip(z_words, bins.tolist()))
+        for word, states, flat, frames in batch:
+            # each forgery's reproduction, in forgery order
+            uhats = itertools.repeat(-1)
+            if frames:
+                bins = np.array([decoded[word.key.type_idx][z] for z in frames])
+                uhats = np.where(bins > 0, uhat_of[_sent_index(bins, word.key.pad)], -1).tolist()
+            # each stegotext word's forgeries as (mass-table key, probability, reproduction)
+            rows = defaultdict(list)
+            for (ykey, key, pz), uhat in zip(flat, uhats):
+                rows[ykey].append((key, pz, uhat))
+            for ub, p_word, enc, ykey, u_on_path in states:
                 if u_on_path:
                     enc_path_prob += p_word
-                ykey = enc.y.tobytes()
-                for z, pz in forgeries[ykey]:
+                for key, pz, uhat in rows[ykey]:
                     p = p_word * pz
-                    key = ykey + z.tobytes()
-                    u_rows[key][u.tobytes()] += p
-                    uhat_rows[key][decode_cache[kb + z.tobytes()]] += p
+                    u_rows[key][ub] += p
+                    uhat_rows[key][uhat] += p
                     bin_rows[ykey][enc.m] += p
                     if u_on_path:
                         bin_rows_enc[ykey][enc.m] += p

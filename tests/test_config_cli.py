@@ -718,6 +718,13 @@ class TestStrictFields:
         assert "bad.yaml" in capsys.readouterr().err
         assert not list(workdir.glob("x*"))
 
+    def test_malformed_run_file_exit_code(self, workdir, capsys):
+        path = workdir / "bad_run.yaml"
+        path.write_text("command: simulate\nseed: [1,\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"config parse error in {path} at line 3, column 1" in err
+
     def test_unknown_run_file_key_rejected(self):
         doc = {"command": "region-opt", "system": SYSTEM, "objective": "h",
                "fixed": {"d_prime": 0.25}, "seed": 0, "restart": 4}

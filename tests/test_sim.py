@@ -1690,7 +1690,9 @@ def _assert_frozen_bin(books, m, x, k, got):
 def _check_one_search_call(books, xs, ks, contexts_per_kernel_call):
     """Every bin of every (x, k) word with a typical key, of all key types,
     searched by one ``search_words`` call, with box-test kernel calls of
-    one or two auxiliary contexts each or of the default size."""
+    one or two auxiliary contexts each or of the default size.  The call
+    box-tests each distinct (key type, covertext in the type's frame, bin)
+    triple once."""
     words = [(x, k, sim.WordSearch(books, x, k)) for x, k in zip(xs, ks)]
     words = [(x, k, w) for x, k, w in words if w.key is not None]
     bins = range(1, books.sizes.bins + 1)
@@ -1698,20 +1700,86 @@ def _check_one_search_call(books, xs, ks, contexts_per_kernel_call):
     if contexts_per_kernel_call is not None:  # the bytes of that many contexts' bin masks
         masks = books.aux_masks(0)
         chunk = contexts_per_kernel_call * len(books.kxv_cells[0]) * math.prod(masks.shape[:-1]) * books.sizes.m2
+    triples = {(w.key.type_idx, tuple(x[w.key.order].tolist()), m) for x, _, w in words for m in bins}
     calls = []
     search_bins = sim._search_bins
 
-    def counted(codebooks, pairs):
-        calls.append(len(pairs))
-        return search_bins(codebooks, pairs)
+    def counted(codebooks, types, x_reps, bins):
+        calls.append(len(types))
+        return search_bins(codebooks, types, x_reps, bins)
 
     with mock.patch.object(sim, "_BOX_CHUNK_BYTES", chunk), mock.patch.object(sim, "_search_bins", counted):
         sim.search_words(books, [(w, bins) for _, _, w in words])
-        assert calls == [len(words) * len(bins)]
+        assert calls == [len(triples)]
         for x, k, w in words:
             for m in bins:
                 _assert_frozen_bin(books, m, x, k, w.result(m))
         assert len(calls) == 1  # every result came from the one call
+
+
+def _words_of_one_frame(books, type_idx, x_rep, copies, rng):
+    """``copies`` (x, k) words whose keys are distinct words of one type
+    class, each covertext moved to its key's positions so that every word
+    reads ``x_rep`` in the type's representative frame."""
+    out = []
+    for _ in range(copies):
+        k = rng.permutation(books.key_types[type_idx].representative)
+        x = np.empty(books.n, dtype=np.int64)
+        x[books.key(k).order] = x_rep
+        out.append((x, k))
+    return out
+
+
+class TestTypeClassSharing:
+    """Every typical key's codebook is its type representative's, permuted,
+    so a search depends only on (key type, covertext in the type's frame,
+    bin): keys of one type class read one search at their own positions,
+    and each such triple is box-tested once per build."""
+
+    @pytest.mark.parametrize("seed, m3_bits", [(3, 0), (4, 2)])
+    def test_permuted_words_get_permuted_results(self, seed, m3_bits):
+        books = _covariance_books(seed, m3_bits)
+        rng = np.random.default_rng(seed)
+        bins = range(1, books.sizes.bins + 1)
+        found = 0
+        for t in range(len(books.key_types)):
+            for x_rep in [books.key_types[t].representative, *rng.integers(0, 2, size=(2, books.n))]:
+                words = [sim.WordSearch(books, x, k) for x, k in _words_of_one_frame(books, t, x_rep, 3, rng)]
+                assert len({w.k.tobytes() for w in words}) > 1
+                for m in bins:
+                    results = [w.result(m) for w in words]
+                    y0, event0, details0 = results[0]
+                    for w, (y, event, details) in zip(words, results):
+                        _assert_frozen_bin(books, m, w.x, w.k, (y, event, details))
+                        assert event == event0 and (y is None) == (y0 is None)
+                        if y is not None:
+                            assert np.array_equal(y[w.key.order], y0[words[0].key.order])
+                        for field in ("type_idx", "j", "j_prime", "v_rep"):
+                            assert _same(details.get(field), details0.get(field)), field
+                    found += y0 is not None
+        assert found > 0
+
+    def test_each_triple_reaches_the_box_test_once(self):
+        books = _covariance_books.__wrapped__(5, 2)  # a build of its own, with an empty search cache
+        rng = np.random.default_rng(5)
+        tested = []
+        search_bins = sim._search_bins
+
+        def recorded(codebooks, types, x_reps, bins):
+            tested.extend(zip(types.tolist(), map(tuple, x_reps.tolist()), bins.tolist()))
+            return search_bins(codebooks, types, x_reps, bins)
+
+        wanted = set()
+        with mock.patch.object(sim, "_search_bins", recorded):
+            for t in range(len(books.key_types)):
+                x_reps = rng.integers(0, 2, size=(2, books.n))
+                for x_rep in [*x_reps, *x_reps]:  # each frame word in two calls
+                    pairs = _words_of_one_frame(books, t, x_rep, 4, rng)
+                    bins = rng.choice(np.arange(1, books.sizes.bins + 1), size=3).tolist()
+                    sim.search_words(books, [(sim.WordSearch(books, x, k), bins) for x, k in pairs])
+                    wanted.update((t, tuple(x_rep.tolist()), m) for m in bins)
+        assert len(tested) == len(set(tested)) == len(wanted)
+        assert set(tested) == wanted
 
 
 class TestUndrawableStegoBook:

@@ -64,6 +64,15 @@ CASES = {
          "--m2-bits", "3", "--j-bits", "2", "--seed", "4", "--exact-equivocation"],
         ("_summary.csv",),
     ),
+    # n=10 exact equivocation of the demo code the benchmark enumerates at
+    # n=8: its 912 typical keys fall into 5 type classes, so most keys'
+    # searches and decodes are permutations of another key's
+    "exact_n10": (
+        "simulate",
+        [*_DEMO, "--n", "10", "--trials", "10", "--dprime", "0.0",
+         "--m2-bits", "5", "--j-bits", "4", "--seed", "10000", "--exact-equivocation"],
+        ("_summary.csv",),
+    ),
     # the same run averaged over a two-build codebook ensemble
     "ensemble_n8": (
         "simulate",
@@ -170,38 +179,50 @@ def test_ensemble_reuses_the_runs_build(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_two_entry_word_caches_write_the_same_bytes(name, tmp_path, monkeypatch):
-    """A key record, message index or stegotext book is a pure function of
-    (build, word), so word caches bounded at two entries resolve again what
-    they drop and every artifact stays the golden one; no cache ever holds
-    more than two entries.  The audits of ``audit_n10`` look up no key or
-    message, and its stegotext letters are all fixed, so its books pass
-    through no cache."""
+    """A key record, message index, stegotext book or embedding search is a
+    pure function of (build, word), so word caches bounded at two entries
+    resolve again what they drop and every artifact stays the golden one;
+    no cache ever holds more than two entries.  The audits of ``audit_n10``
+    look up no key or message, and its stegotext letters are all fixed, so
+    its books pass through no cache.  Every simulation's search cache drops
+    entries, and an exact enumeration, whose chunks of words reach the same
+    searches again, searches some of them again."""
     lookup = sim._LruCache.lookup
     seen: dict[int, set] = {}
-    lookups = drops = redraws = 0
+    drops: dict[int, int] = {}
+    redraws: dict[int, int] = {}
+    builds = []
+    build = sim.build_codebooks
 
     def bounded_lookup(cache, key, make):
-        nonlocal lookups, drops, redraws
-        lookups += 1
         keys = seen.setdefault(id(cache), set())
         if key not in cache:
-            drops += len(cache) == cache.capacity
-            redraws += key in keys
+            drops[id(cache)] = drops.get(id(cache), 0) + (len(cache) == cache.capacity)
+            redraws[id(cache)] = redraws.get(id(cache), 0) + (key in keys)
         keys.add(key)
         value = lookup(cache, key, make)
         assert len(cache) <= cache.capacity == 2
         return value
 
+    def kept_build(*args, **kwargs):
+        builds.append(build(*args, **kwargs))
+        return builds[-1]
+
     monkeypatch.setattr(sim, "_WORD_CACHE_ENTRIES", 2)
     monkeypatch.setattr(sim._LruCache, "lookup", bounded_lookup)
+    monkeypatch.setattr(sim, "build_codebooks", kept_build)
     out = _run_case(name, tmp_path)
     for suffix in CASES[name][2]:
         got = Path(str(out) + suffix).read_bytes()
         assert got == (DATA / f"{name}{suffix}").read_bytes(), suffix
     if name == "audit_n10":
-        assert lookups == 0
+        assert not seen
     else:
-        assert drops > 0 and redraws > 0
+        assert sum(drops.values()) > 0 and sum(redraws.values()) > 0
+    if CASES[name][0] == "simulate":
+        assert builds and all(drops[id(books._searches)] > 0 for books in builds)
+    if "--exact-equivocation" in CASES[name][1]:
+        assert all(redraws[id(books._searches)] > 0 for books in builds)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
