@@ -90,9 +90,9 @@ def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
             v_cardinality=config.v_cardinality,
         )
 
-    def build(seed):
-        return sim.build_codebooks(
-            spec, config.aux, config.n, config.delta, seed, config.d_prime,
+    def design():  # once per run: every rebuild is a seeded draw of it
+        return sim.design_code(
+            spec, config.aux, config.n, config.delta, config.d_prime,
             m2_bits=config.m2_bits, m3_bits=config.m3_bits, j_bits=config.j_bits, eps_cov=config.eps_cov,
         )
 
@@ -140,7 +140,8 @@ def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
         return EXIT_OK
 
     if config.command == "simulate":
-        books = build(config.seed)  # the trials and the enumeration share one build
+        code = design()
+        books = sim.build_codebooks(code, config.seed)  # the trials and the enumeration share one build
         agg = sim.run_trials(books, config.trials, config.seed)
         columns = {  # each trials column with its cell of trial i's record r
             "trial": lambda i, r: i,
@@ -166,7 +167,8 @@ def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
         if config.exact_equivocation:
             est = sim.estimate_equivocation(books)
             if config.ensemble_average:  # the run's own build is the first member
-                rebuilt = map(build, range(config.seed + 1, config.seed + config.rebuilds))
+                seeds = range(config.seed + 1, config.seed + config.rebuilds)
+                rebuilt = (sim.build_codebooks(code, seed) for seed in seeds)
                 h_u, h_uhat = sim.ensemble_mean([est, *map(sim.estimate_equivocation, rebuilt)])
                 summary.append(["h_u_given_yz_ensemble", h_u])
                 summary.append(["h_uhat_given_yz_ensemble", h_uhat])
@@ -181,9 +183,10 @@ def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
     if config.command == "audit":
         rows = []
         comp_rows = []
+        code = design()
         for i in range(config.rebuilds):
             seed_i = config.seed + i
-            books = build(seed_i)
+            books = sim.build_codebooks(code, seed_i)
             audit = sim.bin_multiplicity_audit(books, config.gamma)
             rows.append(
                 [i, seed_i, audit.max_bins_per_y, audit.bound, int(audit.passed), audit.max_bins_across_types]

@@ -13,7 +13,11 @@ per (key type, covertext in the frame, bin) and each decode of the exact
 enumeration once per (key type, forged word in the frame), shared by every
 key of the type.  All randomness derives from one integer seed
 through tagged SeedSequence children, which makes every run bit-exactly
-reproducible.
+reproducible.  A run designs its code once (``design_code``): the rate
+schedule, the rate-distortion cover, the key types, the typicality boxes
+and the samplers depend on no seed.  Each seeded draw of the codebooks
+(``build_codebooks``), the run's own and every ensemble rebuild, pays only
+for its random books.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ class Key:
     representative frame, and its pad.  Slot i of the representative is
     position order[i] of the key: the stable per-letter matching, the least
     such permutation.  The pad, the key's pre-assigned random bin index, is
-    the integer its J drawn bits spell (``bits_to_int``); it XORs the low J
+    the integer its J drawn bits spell (``_key_pad``); it XORs the low J
     bits of a message index."""
 
     type_idx: int
@@ -159,8 +163,15 @@ class Key:
     pad: int
 
 
-class CodebookSet:
-    """Materialized random codes for one (spec, aux, n, delta, seed) tuple."""
+class CodeDesign:
+    """The seed-free half of a code: what the single-letter point, n, delta,
+    D' and the widths fix before any codebook is drawn.  It holds the
+    composed joint and its quantities, the rate-distortion book, the rate
+    schedule and widths (``sizes``), the key type classes, the typicality
+    boxes and their (context, value) cell bounds, the conditional tables,
+    each key type's auxiliary sampler, and one stegotext sampler per joint
+    (k, v) composition, made when a draw first needs it.  ``design_code``
+    makes one; every seeded draw of a run (``build_codebooks``) shares it."""
 
     def __init__(
         self,
@@ -168,7 +179,6 @@ class CodebookSet:
         aux: AuxChannel,
         n: int,
         delta: float,
-        seed: int,
         sizes: SimSizes,
         rd_codebook: RdCodebook,
         rd_solution: RdSolution,
@@ -181,7 +191,6 @@ class CodebookSet:
         self.n = n
         self.n_message = rd_codebook.n_symbols
         self.delta = delta
-        self.seed = seed
         self.sizes = sizes
         self.rd_codebook = rd_codebook
         self.rd_solution = rd_solution
@@ -232,16 +241,47 @@ class CodebookSet:
         self._z_dtype = letter_dtype(self.z_size)
         self._reps = np.array([t.representative for t in key_types], dtype=np.int64).reshape(-1, n)
 
+        # each key type's auxiliary sampler; an empty conditional set fails here
+        self.aux_samplers = [
+            ConditionalTypicalSampler(t.representative, self.k_size, self._p_v_given_k, delta) for t in key_types
+        ]
+        self._stego_samplers: dict[bytes, ConditionalTypicalSampler] = {}
+
+    def stego_sampler(self, sorted_kv: np.ndarray) -> ConditionalTypicalSampler:
+        """The stegotext sampler of one joint (k, v) composition, given as
+        its letter-sorted word; one per composition, so the cache is bounded
+        by their number."""
+        key = sorted_kv.tobytes()
+        sampler = self._stego_samplers.get(key)
+        if sampler is None:
+            sampler = ConditionalTypicalSampler(
+                sorted_kv, self.k_size * self.v_size, self._p_y_given_kv, self.delta
+            )
+            self._stego_samplers[key] = sampler
+        return sampler
+
+
+class CodebookSet:
+    """One seeded draw of a design's random codes: every key type's
+    auxiliary book with its letter masks, drawn at construction, and each
+    word's key record, message index, stegotext book and embedding search,
+    resolved on first use.  Every fact of the design reads through the set:
+    ``books.sizes`` is ``books.design.sizes``."""
+
+    def __init__(self, design: CodeDesign, seed: int):
+        self.design = design
+        self.seed = seed
+        sizes, n = design.sizes, design.n
         # every auxiliary book, drawn in type order, and its packed letter
         # masks, stacked by type so a search can gather rows of many types
         rows = sizes.bins * sizes.m2
-        self._aux_books = np.empty((len(key_types), rows, n), dtype=self._v_dtype)
-        self._aux_masks = np.empty((len(key_types), -(-n // 8), self.v_size, rows), dtype=np.uint8)
-        for type_idx, ktype in enumerate(key_types):
-            sampler = ConditionalTypicalSampler(ktype.representative, self.k_size, self._p_v_given_k, delta)
+        types = len(design.key_types)
+        self._aux_books = np.empty((types, rows, n), dtype=design._v_dtype)
+        self._aux_masks = np.empty((types, -(-n // 8), design.v_size, rows), dtype=np.uint8)
+        for type_idx, sampler in enumerate(design.aux_samplers):
             rng = np.random.default_rng(np.random.SeedSequence((seed, _AUX_TAG, type_idx)))
             self._aux_books[type_idx] = sampler.sample_rows(rng, rows)
-            self._aux_masks[type_idx] = _letter_masks(self._aux_books[type_idx], self.v_size)
+            self._aux_masks[type_idx] = _letter_masks(self._aux_books[type_idx], design.v_size)
         # searches hand out views of book rows, so the books are read-only
         self._aux_books.flags.writeable = False
         # the masks with the rows axis split into (bins, M_2): a gather of
@@ -252,7 +292,12 @@ class CodebookSet:
         self._messages = _LruCache(_WORD_CACHE_ENTRIES)
         self._stego_books = _LruCache(_WORD_CACHE_ENTRIES)
         self._searches = _LruCache(_WORD_CACHE_ENTRIES)
-        self._stego_samplers: dict[bytes, ConditionalTypicalSampler] = {}
+
+    def __getattr__(self, name: str):
+        """A fact of the design (called only for names the set lacks)."""
+        if name == "design":  # a set made without __init__, as a copy is, has none yet
+            raise AttributeError(name)
+        return getattr(self.design, name)
 
     # -- per-word facts ------------------------------------------------------
 
@@ -266,8 +311,7 @@ class CodebookSet:
             if type_idx is None:
                 return None
             order.flags.writeable = False  # every caller shares the record
-            rng = np.random.default_rng(np.random.SeedSequence((self.seed, _SW_TAG, k_arr.astype(np.uint32))))
-            return Key(type_idx, order, bits_to_int(rng.integers(0, 2, size=self.sizes.j_bits, dtype=np.uint8)))
+            return Key(type_idx, order, _key_pad(self.seed, k_arr, self.sizes.j_bits))
 
         return self._keys.lookup(k_arr.tobytes(), resolve)
 
@@ -312,7 +356,7 @@ class CodebookSet:
         def draw() -> np.ndarray:
             combined = self.key_types[type_idx].representative * self.v_size + v_rep
             order = np.argsort(combined, kind="stable")
-            sampler = self._stego_sampler(combined[order])
+            sampler = self.design.stego_sampler(combined[order])
             rng = np.random.default_rng(
                 np.random.SeedSequence((self.seed, _STEGO_TAG, type_idx, v_rep.astype(np.uint32)))
             )
@@ -347,19 +391,6 @@ class CodebookSet:
                 pass
         return books, built
 
-    def _stego_sampler(self, sorted_kv: np.ndarray) -> ConditionalTypicalSampler:
-        """The stegotext sampler of one joint (k, v) composition, given as
-        its letter-sorted word; one per composition, so the cache is bounded
-        by their number."""
-        key = sorted_kv.tobytes()
-        sampler = self._stego_samplers.get(key)
-        if sampler is None:
-            sampler = ConditionalTypicalSampler(
-                sorted_kv, self.k_size * self.v_size, self._p_y_given_kv, self.delta
-            )
-            self._stego_samplers[key] = sampler
-        return sampler
-
 
 def _message_length(spec: SystemSpec, n: int) -> int:
     """The message blocklength lambda * n at covertext blocklength n; it must
@@ -370,26 +401,27 @@ def _message_length(spec: SystemSpec, n: int) -> int:
     return int(round(n_message))
 
 
-def build_codebooks(
+def design_code(
     spec: SystemSpec,
     aux: AuxChannel,
     n: int,
     delta: float,
-    seed: int,
     d_prime_value: float,
     *,
     m2_bits: int | None = None,
     m3_bits: int | None = None,
     j_bits: int | None = None,
     eps_cov: float = 0.0,
-) -> CodebookSet:
-    """Generate all codebooks for one run.
+) -> CodeDesign:
+    """Design the code of one run, everything of it that no seed reads.
 
     The asymptotic rate schedule (auxiliary total, per-bin, stegotext, and
     pad widths as functions of delta) is always computed and recorded; the
     realized bit widths default to the schedule's ceilings but accept
     explicit overrides, since the schedule's slack terms demand blocklengths
     far beyond desk scale.  Overrides are logged in the schedule record.
+    Every check of the widths, the key types and the auxiliary sets fails
+    here, before any codebook is drawn.
     """
     joint = compose_system(spec, aux)
     q = system_quantities(spec, aux, joint)
@@ -474,14 +506,22 @@ def build_codebooks(
     if not key_types:
         raise EmptyTypicalSetError(f"no typical key words at n={n}, delta={delta}")
 
-    # the set draws its auxiliary books, so an empty conditional set fails the build
+    # the design makes every auxiliary sampler, so an empty conditional set fails it
     try:
-        return CodebookSet(spec, aux, n, delta, seed, sizes, rd_book, sol, joint, q, key_types)
+        return CodeDesign(spec, aux, n, delta, sizes, rd_book, sol, joint, q, key_types)
     except EmptyTypicalSetError as e:
         raise EmptyTypicalSetError(
             f"auxiliary codeword set empty at n={n}, delta={delta}: {e}; "
             "increase n or delta"
         ) from e
+
+
+def build_codebooks(design: CodeDesign, seed: int) -> CodebookSet:
+    """Draw one seeded set of a design's codebooks: its auxiliary books and
+    their masks, with every word cache empty.  Draws of one design share all
+    of its seed-free work, so an ensemble of rebuilds pays only for its
+    random draws."""
+    return CodebookSet(design, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +532,21 @@ def build_codebooks(
 def bits_to_int(bits: np.ndarray) -> int:
     """The value of little-endian 0/1 bits."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _key_pad(seed: int, k_arr: np.ndarray, j_bits: int) -> int:
+    """A typical key word's pad: the integer its J bits spell, drawn from the
+    PCG64 stream of ``SeedSequence((seed, _SW_TAG, key word as uint32))``.
+    Bit j is the top bit of byte j of the stream's raw 64-bit words read
+    little-endian, which is exactly bit j of ``Generator.integers(0, 2,
+    size=J, dtype=np.uint8)`` on that stream: numpy draws those bytes from
+    the buffered uint32 halves of the raw words, low half first, by Lemire's
+    method, which for a range of two keeps a byte's top bit and rejects
+    none.  So the pad reads the bit generator's stream, which numpy keeps
+    stable across versions, without building a ``Generator``."""
+    stream = np.random.PCG64(np.random.SeedSequence((seed, _SW_TAG, k_arr.astype(np.uint32))))
+    raw = stream.random_raw(-(-j_bits // 8))
+    return bits_to_int(raw.astype("<u8").view(np.uint8)[:j_bits] >> 7)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +573,14 @@ def _cell_bounds(box: CountBox, shape: tuple[int, ...], value_axis: int) -> tupl
 def _letter_masks(book: np.ndarray, n_val: int) -> np.ndarray:
     """(ceil(n/8), n_val, rows) uint8 bit masks: byte b of the positions
     where each book row holds each letter.  A stack of books (..., rows, n)
-    gives a stack of masks (..., ceil(n/8), n_val, rows)."""
-    letters = np.swapaxes(book, -1, -2)[..., None, :] == np.arange(n_val, dtype=book.dtype)[:, None]
-    return np.packbits(letters, axis=-3)
+    gives a stack of masks (..., ceil(n/8), n_val, rows), as a view.  Each
+    row's letter flags are padded with zeros to whole bytes, so the flags of
+    every row pack as one flat run of bits (``packbits`` along an axis pays
+    per row), and then the byte axis moves."""
+    n, width = book.shape[-1], -(-book.shape[-1] // 8) * 8
+    letters = np.zeros((*book.shape[:-2], n_val, book.shape[-2], width), dtype=bool)
+    np.equal(book[..., None, :, :], np.arange(n_val, dtype=book.dtype)[:, None, None], out=letters[..., :n])
+    return np.moveaxis(np.packbits(letters).reshape(*letters.shape[:-1], width // 8), -1, -3)
 
 
 def _rows_in_boxes(
@@ -621,8 +681,9 @@ def embed_in_bin(
 class WordSearch:
     """The encoder's work on one (covertext, key) word, done once for every
     message word encoded with it: the key's record (``CodebookSet.key``),
-    the (k, x) pair test, and the embedding search result of each bin,
-    kept once found; ``search_words`` searches many words at once."""
+    the (k, x) pair test, and the embedding search of each bin, kept once
+    found as (stegotext word or None, row j, row j'); ``search_words``
+    searches many words at once."""
 
     def __init__(self, codebooks: CodebookSet, x_seq: np.ndarray, k_seq: np.ndarray):
         self.codebooks = codebooks
@@ -634,7 +695,7 @@ class WordSearch:
             np.bincount(pair_cells, minlength=codebooks.k_size * codebooks.x_size)
         )
         self.embeds = self.key is not None and self.pair_ok
-        self._found: dict[int, tuple[np.ndarray | None, str | None, dict]] = {}
+        self._found: dict[int, tuple[np.ndarray | None, int | None, int | None]] = {}
 
     def bin_of(self, w: int | None) -> tuple[int, int]:
         """The index the encoder sends for message index ``w``
@@ -645,12 +706,28 @@ class WordSearch:
             return 0, 1
         return w, (w ^ self.key.pad) + 1
 
-    def result(self, m: int) -> tuple[np.ndarray | None, str | None, dict]:
-        """``embed_in_bin``'s result for bin m, found once.  The key must
-        be typical."""
+    def entry(self, m: int) -> tuple[np.ndarray | None, int | None, int | None]:
+        """Bin m's search, found once, as the stegotext word (None when the
+        search fails), the bin's first typical auxiliary row j (None for
+        e2) and the first typical word j' of that row's stegotext book
+        (None for e2 and e3).  The key must be typical."""
         if m not in self._found:
             search_words(self.codebooks, [(self, [m])])
         return self._found[m]
+
+    def result(self, m: int) -> tuple[np.ndarray | None, str | None, dict]:
+        """``embed_in_bin``'s result for bin m: (y or None, failure event,
+        details), the details being the key's type index and order, then
+        the auxiliary word in the type's frame and j, then j'."""
+        y, row, row_prime = self.entry(m)
+        details = {"type_idx": self.key.type_idx, "order": self.key.order}
+        if row is not None:
+            v_rep = self.codebooks._aux_books[self.key.type_idx, (m - 1) * self.codebooks.sizes.m2 + row]
+            details.update(v_rep=v_rep, j=row)
+        if y is None:
+            return None, "e2" if row is None else "e3", details
+        details["j_prime"] = row_prime
+        return y, None, details
 
 
 def search_words(codebooks: CodebookSet, requests: Iterable[tuple[WordSearch, Iterable[int]]]) -> None:
@@ -660,8 +737,9 @@ def search_words(codebooks: CodebookSet, requests: Iterable[tuple[WordSearch, It
     is its representative's: each request becomes a (key type, covertext
     in the type's frame, bin) triple, searched once per build through the
     codebooks' search cache, a call's new triples by one ``_search_bins``
-    call.  Each word keeps its results, the stegotext word moved to the
-    key's positions: slot t of the frame lands on position order[t]."""
+    call.  Each word keeps (y, j, j') per bin (``WordSearch.entry``), the
+    stegotext word y moved to the key's positions: slot t of the frame
+    lands on position order[t]."""
     todo = [(word, sorted(set(bins) - word._found.keys())) for word, bins in requests]
     todo = [(word, bins) for word, bins in todo if bins]
     if not todo:
@@ -690,15 +768,7 @@ def search_words(codebooks: CodebookSet, requests: Iterable[tuple[WordSearch, It
         ys[np.array(placed)[:, None], orders[word_of[placed]]] = y_reps.reshape(len(placed), codebooks.n)
     flat = ((word, m) for word, bins in todo for m in bins)
     for (word, m), (row, row_prime, y_rep), y in zip(flat, results, ys):
-        details = {"type_idx": word.key.type_idx, "order": word.key.order}
-        if row is not None:
-            v_rep = codebooks._aux_books[word.key.type_idx, (m - 1) * codebooks.sizes.m2 + row]
-            details.update(v_rep=v_rep, j=row)
-        if y_rep is not None:
-            details["j_prime"] = row_prime
-            word._found[m] = (y, None, details)
-        else:
-            word._found[m] = (None, "e3" if row is not None else "e2", details)
+        word._found[m] = (None if y_rep is None else y, row, row_prime)
 
 
 def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
@@ -719,11 +789,9 @@ def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
     w, m = search.bin_of(w_typical)
     input_ok = w_typical is not None and search.pair_ok  # pair typicality implies key typicality
 
-    y = None
-    search_event: str | None = None
-    details: dict = {}
+    y = j = j_prime = None
     if search.embeds:
-        y, search_event, details = search.result(m)
+        y, j, j_prime = search.entry(m)
     search_ok = y is not None
     if y is None:
         y = np.zeros(search.codebooks.n, dtype=np.int64)
@@ -734,9 +802,9 @@ def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
         w=w,
         input_ok=input_ok,
         search_ok=search_ok,
-        search_event=search_event if (input_ok and not search_ok) else None,
-        j=details.get("j"),
-        j_prime=details.get("j_prime"),
+        search_event=("e2" if j is None else "e3") if (input_ok and not search_ok) else None,
+        j=j,
+        j_prime=j_prime,
     )
 
 

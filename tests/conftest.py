@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from secembed import region
+from secembed import region, sim
 from secembed.errors import ValidationError
 from secembed.region import AuxChannel, SystemSpec
 from secembed.tables import Axis, DistTable, DistortionMeasure
@@ -65,6 +65,11 @@ def noise_aux(spec, y_probs):
     return AuxChannel(
         DistTable([spec.k_axis, spec.x_axis, V, spec.y_axis], vals, given=("K", "X"))
     )
+
+
+def build_books(spec, aux, n, delta, seed, d_prime_value, **widths):
+    """One seeded draw of a fresh design: the codebooks of one build."""
+    return sim.build_codebooks(sim.design_code(spec, aux, n, delta, d_prime_value, **widths), seed)
 
 
 def miss_one_condition(monkeypatch) -> list[str]:

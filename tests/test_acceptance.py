@@ -27,7 +27,7 @@ from secembed.region import (
 )
 from secembed.tables import Axis, DistTable, DistortionMeasure
 
-from conftest import binary_spec, copy_embedder_aux, decrypt, encrypt, int_to_bits, noise_aux
+from conftest import binary_spec, build_books, copy_embedder_aux, decrypt, encrypt, int_to_bits, noise_aux
 
 
 def report(num: int, label: str, checks: dict) -> None:
@@ -142,7 +142,7 @@ def test_criterion_05_simulator_core():
     # 1e4 no-attack trials: distortion certificate and clean round trips
     spec = binary_spec(x_size=1, lam=1 / 3, d_cost=[[0.0, 1.0]])
     aux = copy_embedder_aux(spec, [0.75, 0.25])
-    books = sim.build_codebooks(
+    books = build_books(
         spec, aux, 12, 0.4, 3, 0.0, m2_bits=5, m3_bits=0, j_bits=2
     )
     agg = sim.run_trials(books, 10_000, 77)
@@ -166,7 +166,7 @@ def test_criterion_06_error_decay_and_input_oracle(trend_spec, trend_aux):
     checks = {}
     err = {}
     for n in (8, 16):
-        books = sim.build_codebooks(
+        books = build_books(
             trend_spec, trend_aux, n, 0.6, 11, 0.0, m2_bits=5, m3_bits=0, j_bits=4
         )
         agg = sim.run_trials(books, 500, 101)
@@ -188,7 +188,7 @@ def test_criterion_07_equivocation_exact_scale():
     # (i) single bin: the composite word says nothing about the message
     spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
     aux = copy_embedder_aux(spec, [0.5, 0.5])
-    books = sim.build_codebooks(spec, aux, 4, 0.3, 5, 0.5, m2_bits=0, m3_bits=0, j_bits=0)
+    books = build_books(spec, aux, 4, 0.3, 5, 0.5, m2_bits=0, m3_bits=0, j_bits=0)
     est = sim.estimate_equivocation(books)
     checks["single bin: H(U^N|Y,Z)/N == H(U) exactly"] = (
         books.sizes.bins == 1 and est.h_u_given_yz == 1.0
@@ -197,14 +197,14 @@ def test_criterion_07_equivocation_exact_scale():
     # (ii) no pad, copy embedder, identity attack, constant key
     spec2 = binary_spec(x_size=1, k_probs=(1.0,), lam=0.5, d_cost=[[0.0, 1.0]])
     aux2 = copy_embedder_aux(spec2, [0.5, 0.5])
-    books2 = sim.build_codebooks(spec2, aux2, 4, 0.3, 5, 0.0, m2_bits=0, m3_bits=0, j_bits=0)
+    books2 = build_books(spec2, aux2, 4, 0.3, 5, 0.0, m2_bits=0, m3_bits=0, j_bits=0)
     est2 = sim.estimate_equivocation(books2)
     checks["no pad: H(Uhat^N|Y,Z) == 0 exactly"] = est2.h_uhat_given_yz == 0.0
 
     # (iii) one-time pad over two bins with a bin-blind composite word
     spec3 = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
     aux3 = noise_aux(spec3, [0.5, 0.5])
-    books3 = sim.build_codebooks(spec3, aux3, 4, 0.3, 5, 0.125, m2_bits=0, m3_bits=0, j_bits=1)
+    books3 = build_books(spec3, aux3, 4, 0.3, 5, 0.125, m2_bits=0, m3_bits=0, j_bits=1)
     est3 = sim.estimate_equivocation(books3)
     pad_bits = est3.extras["h_bin_given_y_encrypted_path"]
     checks["uniform pad: bin equivocation"] = (
@@ -230,7 +230,7 @@ def test_criterion_08_divergence_bound_and_bin_audit():
     aux = copy_embedder_aux(spec, [0.5, 0.5])
     failures = 0
     for i in range(100):
-        books = sim.build_codebooks(
+        books = build_books(
             spec, aux, 10, 0.2, 1000 + i, 0.0, m2_bits=7, m3_bits=0, j_bits=1
         )
         audit = sim.bin_multiplicity_audit(books, 0.5)
@@ -243,15 +243,15 @@ def test_criterion_08_divergence_bound_and_bin_audit():
 def test_criterion_09_compression_audits(trend_spec, trend_aux):
     checks = {}
     runs = {
-        "decay spec n=8": sim.build_codebooks(
+        "decay spec n=8": build_books(
             trend_spec, trend_aux, 8, 0.6, 11, 0.0, m2_bits=5, m3_bits=0, j_bits=4
         ),
-        "decay spec n=12": sim.build_codebooks(
+        "decay spec n=12": build_books(
             trend_spec, trend_aux, 12, 0.6, 11, 0.0, m2_bits=5, m3_bits=0, j_bits=4
         ),
     }
     spec_a = binary_spec(x_size=1, lam=0.2, d_cost=[[0.0, 1.0]])
-    runs["audit spec n=10"] = sim.build_codebooks(
+    runs["audit spec n=10"] = build_books(
         spec_a, copy_embedder_aux(spec_a, [0.5, 0.5]), 10, 0.2, 21, 0.0,
         m2_bits=7, m3_bits=0, j_bits=1,
     )

@@ -346,6 +346,49 @@ class TestCli:
         assert "infeasible" in capsys.readouterr().err
         assert not list(workdir.glob("x*"))  # no CSVs and no manifest
 
+    # each check of the code's design fails the run with its own text and
+    # exit code, before any codebook is drawn: (aux channel, widths, exit
+    # code, error line)
+    DESIGN_ERRORS = {
+        "pad wider than the message": (
+            AUX, ["--m2-bits", "5", "--m3-bits", "0", "--j-bits", "9"], cli.EXIT_VALIDATION,
+            "error: validation: pad width J = 9 exceeds the message width L = 4; this run sits in the "
+            "surplus-key regime, which the one-pad construction does not cover (evaluate it with the "
+            "extended region conditions, or override j_bits)",
+        ),
+        "auxiliary rows cap": (
+            AUX, ["--m2-bits", "40", "--m3-bits", "0", "--j-bits", "0"], cli.EXIT_RESOURCE,
+            "error: resource-cap: auxiliary codebook would need 2^44 rows (> cap 262144); override "
+            "m2_bits (the schedule width is asymptotic)",
+        ),
+        "counting constraint": (
+            {"v": ["v0"], "table": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]},
+            ["--m2-bits", "0", "--m3-bits", "0", "--j-bits", "0"], cli.EXIT_INFEASIBLE,
+            "error: infeasible: counting constraint violated: lambda R + I(X;Y,V|K) exceeds H(Y|K) by "
+            "0.5000 bits",
+        ),
+        "empty auxiliary set": (  # V ~ Bern(1/4) admits no word around a lone key letter
+            {"v": ["v0", "v1"], "table": [[[[0.75, 0.0], [0.0, 0.25]]]] * 2},
+            ["--m2-bits", "3", "--m3-bits", "0", "--j-bits", "0"], cli.EXIT_INFEASIBLE,
+            "error: infeasible: auxiliary codeword set empty at n=8, delta=0.6: conditional typical set "
+            "empty: letter 0 admits no count vector; increase n or delta",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DESIGN_ERRORS))
+    @pytest.mark.parametrize("verb", [["simulate", "--trials", "10"], ["audit", "--gamma", "0.5", "--rebuilds", "3"]])
+    def test_design_errors_keep_text_and_exit_code(self, workdir, capsys, monkeypatch, case, verb):
+        aux, widths, code, line = self.DESIGN_ERRORS[case]
+        (workdir / "case_aux.yaml").write_text(yaml.safe_dump(aux))
+        monkeypatch.setattr(sim, "build_codebooks", None)  # a run whose design fails draws nothing
+        got = cli.main([
+            *verb, "--spec", str(workdir / "sys.yaml"), "--aux", str(workdir / "case_aux.yaml"),
+            "--n", "8", "--delta", "0.6", "--dprime", "0.0", "--seed", "1", *widths, "--out", str(workdir / "x"),
+        ])
+        assert got == code
+        assert [e for e in capsys.readouterr().err.splitlines() if e.startswith("error:")] == [line]
+        assert not list(workdir.glob("x*"))  # no CSVs and no manifest
+
     def test_resource_cap_exit_code(self, workdir):
         r = run_cli([
             "simulate", "--spec", str(workdir / "sys.yaml"), "--aux", str(workdir / "aux.yaml"),

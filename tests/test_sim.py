@@ -27,6 +27,7 @@ from secembed.typical import CountBox, _multinomial, letter_dtype
 
 from conftest import (
     binary_spec,
+    build_books,
     copy_embedder_aux,
     decrypt,
     encrypt,
@@ -36,14 +37,14 @@ from conftest import (
     sw_bits,
     sw_encode,
 )
-from test_sim_golden import NOISY_AUX, NOISY_SYSTEM
+from test_sim_golden import CONFIGS, DRAWN_AUX, NOISY_AUX, NOISY_SYSTEM
 
 
 def build_trend(spec, aux, n, seed=11, **kw):
     kw.setdefault("m2_bits", 5)
     kw.setdefault("m3_bits", 0)
     kw.setdefault("j_bits", 4 if n >= 8 else 0)
-    return sim.build_codebooks(spec, aux, n, 0.6, seed, 0.0, **kw)
+    return build_books(spec, aux, n, 0.6, seed, 0.0, **kw)
 
 
 class TestBuild:
@@ -61,7 +62,7 @@ class TestBuild:
         # to materialize directly
         spec = binary_spec(x_size=1, k_probs=(1.0,), lam=1.0, d_cost=[[0.0, 1.0]])
         aux = copy_embedder_aux(spec, [0.5, 0.5])
-        books = sim.build_codebooks(spec, aux, 8, 0.1, seed=2, d_prime_value=0.0)
+        books = build_books(spec, aux, 8, 0.1, seed=2, d_prime_value=0.0)
         s = books.sizes
         assert s.j_bits == 1  # ceil(n delta) with a constant key
         assert s.m2_bits == math.ceil(8 * (0.1 * 3 + 0.1))
@@ -75,7 +76,7 @@ class TestBuild:
         configs = Path(__file__).parent.parent / "configs"
         spec = load_system(yaml.safe_load((configs / "demo_system.yaml").read_text())).spec
         aux, _ = load_aux(yaml.safe_load((configs / "demo_aux.yaml").read_text()), spec)
-        books = sim.build_codebooks(spec, aux, 16, 0.6, 1, 0.0, m2_bits=5, m3_bits=0, j_bits=4)
+        books = build_books(spec, aux, 16, 0.6, 1, 0.0, m2_bits=5, m3_bits=0, j_bits=4)
         aux_books = [books.aux_book(t) for t in range(len(books.key_types))]
         assert len(aux_books) == 9
         assert all(b.dtype == np.uint8 and b.shape == (8192, 16) for b in aux_books)
@@ -83,7 +84,7 @@ class TestBuild:
 
     def test_lambda_n_must_be_integer(self, trend_spec, trend_aux):
         with pytest.raises(ValidationError):
-            sim.build_codebooks(trend_spec, trend_aux, 7, 0.6, 0, 0.0)
+            build_books(trend_spec, trend_aux, 7, 0.6, 0, 0.0)
 
     def test_counting_constraint_enforced(self):
         # deterministic composite word given (K, X) leaves no room for the
@@ -95,17 +96,17 @@ class TestBuild:
             vals[k, :, k, k] = 1.0  # V = Y = K
         aux = AuxChannel(DistTable([spec.k_axis, spec.x_axis, V, spec.y_axis], vals, given=("K", "X")))
         with pytest.raises(InfeasibleError):
-            sim.build_codebooks(spec, aux, 8, 0.6, 0, 0.0, m2_bits=2, m3_bits=0, j_bits=0)
+            build_books(spec, aux, 8, 0.6, 0, 0.0, m2_bits=2, m3_bits=0, j_bits=0)
 
     def test_pad_wider_than_message_rejected(self, trend_spec, trend_aux):
         with pytest.raises(ValidationError):
-            sim.build_codebooks(
+            build_books(
                 trend_spec, trend_aux, 8, 0.6, 0, 0.0, m2_bits=5, m3_bits=0, j_bits=9
             )
 
     def test_aux_rows_cap(self, trend_spec, trend_aux):
         with pytest.raises(ResourceCapError):
-            sim.build_codebooks(
+            build_books(
                 trend_spec, trend_aux, 8, 0.6, 0, 0.0, m2_bits=30, m3_bits=0, j_bits=0
             )
 
@@ -114,7 +115,7 @@ class TestBuild:
         spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
         aux = copy_embedder_aux(spec, [0.75, 0.25])
         with pytest.raises(EmptyTypicalSetError):
-            sim.build_codebooks(spec, aux, 8, 0.6, 0, 0.0, m2_bits=3, m3_bits=0, j_bits=0)
+            build_books(spec, aux, 8, 0.6, 0, 0.0, m2_bits=3, m3_bits=0, j_bits=0)
 
     def test_codewords_pass_membership_reverification(self, trend_spec, trend_aux):
         from secembed.typical import is_jointly_delta_typical, SymbolSequence
@@ -131,6 +132,100 @@ class TestBuild:
             for row in book[::37]:
                 word = SymbolSequence(tuple(row), Axis("V", 2))
                 assert is_jointly_delta_typical(rep, word, p_k, cond, 0.6)
+
+
+def _drawn_n8_design() -> sim.CodeDesign:
+    """The ``exact_drawn_n8`` golden's design: the demo system with drawn
+    stegotext books of two words each, and a two-bit pad."""
+    spec = load_system(yaml.safe_load((CONFIGS / "demo_system.yaml").read_text())).spec
+    aux, _ = load_aux(DRAWN_AUX, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return sim.design_code(spec, aux, 8, 0.6, 0.25, m2_bits=3, m3_bits=1, j_bits=2)
+
+
+def _empty_caches(books) -> bool:
+    return not (books._keys or books._messages or books._stego_books or books._searches)
+
+
+def _draw_facts(books) -> dict:
+    """What one draw holds or resolves: its auxiliary books and masks, the
+    pad of every typical key, the stegotext books of every distinct
+    auxiliary row (zeroed where none can be drawn), the rate schedule, and
+    the records of a few trials."""
+    stego = []
+    for t in range(len(books.key_types)):
+        got, built = books.stego_books(t, sim._unique_rows(books.aux_book(t))[0])
+        stego.append((np.where(built[:, None, None], got, 0), built))
+    agg = sim.run_trials(books, 20, 7)
+    return {
+        "aux_books": books._aux_books.copy(),
+        "aux_masks": books._aux_masks.copy(),
+        "pads": [books.key(k).pad for k in _typical_keys(books)],
+        "stego": stego,
+        "schedule": dict(books.sizes.schedule),
+        "trials": [(r.error_event, r.y.tolist(), r.z.tolist(), r.decoded_bin) for r in agg.results],
+    }
+
+
+def _assert_same_facts(got: dict, want: dict) -> None:
+    assert np.array_equal(got["aux_books"], want["aux_books"])
+    assert np.array_equal(got["aux_masks"], want["aux_masks"])
+    assert got["pads"] == want["pads"]
+    for (books, built), (want_books, want_built) in zip(got["stego"], want["stego"], strict=True):
+        assert np.array_equal(books, want_books) and np.array_equal(built, want_built)
+    assert got["schedule"] == want["schedule"]
+    assert got["trials"] == want["trials"]
+
+
+class TestDesignAndDraw:
+    """A run designs its code once and draws it once per seed.  A draw
+    shares its design's seed-free work, stegotext samplers included, so a
+    draw made after other draws of the design have used it equals the draw
+    of a fresh design at the same seed."""
+
+    def test_draws_of_one_design_equal_draws_of_fresh_designs(self):
+        design = _drawn_n8_design()
+        assert design.sizes.m3_bits > 0 and design.sizes.j_bits > 0
+        seeds = (1, 2, 3)
+        shared = []
+        for seed in seeds:
+            books = sim.build_codebooks(design, seed)
+            assert books.design is design and books.seed == seed and _empty_caches(books)
+            shared.append(_draw_facts(books))
+        assert design._stego_samplers  # the draws above filled them
+        for seed, facts in zip(seeds, shared):
+            fresh = sim.build_codebooks(_drawn_n8_design(), seed)
+            assert _empty_caches(fresh)
+            _assert_same_facts(_draw_facts(fresh), facts)
+        # and the seeds draw different codes
+        assert not np.array_equal(shared[0]["aux_books"], shared[1]["aux_books"])
+        assert shared[0]["pads"] != shared[1]["pads"]
+
+    def test_a_draw_reads_the_designs_facts(self):
+        design = _drawn_n8_design()
+        books = sim.build_codebooks(design, 4)
+        for name in ("sizes", "key_types", "rd_codebook", "kxv_cells", "n", "spec"):
+            assert getattr(books, name) is getattr(design, name)
+        with pytest.raises(AttributeError):
+            books.no_such_fact
+
+
+class TestLetterMasks:
+    @pytest.mark.parametrize(
+        "shape, n_val", [((5, 1), 2), ((7, 8), 3), ((6, 13), 2), ((3, 4, 16), 4), ((2, 3, 17), 1), ((0, 9), 2)]
+    )
+    def test_bit_of_each_position_and_letter(self, shape, n_val):
+        """Bit 7 - t % 8 of byte t // 8 says whether position t holds the
+        letter; the bits past n are zero."""
+        book = np.random.default_rng(shape[-1]).integers(0, n_val, size=shape).astype(np.uint8)
+        masks = sim._letter_masks(book, n_val)
+        n, n_bytes = shape[-1], -(-shape[-1] // 8)
+        assert masks.shape == (*shape[:-2], n_bytes, n_val, shape[-2]) and masks.dtype == np.uint8
+        for t in range(8 * n_bytes):
+            bits = (masks[..., t // 8, :, :] >> (7 - t % 8)) & 1
+            held = book[..., None, :, t] == np.arange(n_val)[:, None] if t < n else False
+            assert np.array_equal(bits, np.broadcast_to(held, bits.shape))
 
 
 class TestKeyMachinery:
@@ -163,7 +258,7 @@ class TestKeyMachinery:
         spec = binary_spec(x_size=1, k_probs=k_probs, lam=0.5, d_cost=[[0.0, 1.0]])
         entries = 2 if two_entries else sim._WORD_CACHE_ENTRIES
         with mock.patch.object(sim, "_WORD_CACHE_ENTRIES", entries):
-            books = sim.build_codebooks(
+            books = build_books(
                 spec, copy_embedder_aux(spec, [0.5, 0.5]), n, 0.6, seed, 0.0, m2_bits=1, m3_bits=0, j_bits=2
             )
         rng = np.random.default_rng(draw_seed)
@@ -248,7 +343,7 @@ def _stego_cases(draw):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            books = sim.build_codebooks(
+            books = build_books(
                 spec, aux, n, draw(st.sampled_from([0.3, 0.6, 0.9])), draw(st.integers(0, 2**40)),
                 0.5, m2_bits=draw(st.integers(0, 2)), m3_bits=draw(st.integers(0, 2)), j_bits=0,
             )
@@ -425,7 +520,7 @@ class TestStegoStream:
         aux = AuxChannel(DistTable([K, X, V, Y], np.full((2, 1, 2, 1), 0.5), given=("K", "X")))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            books = sim.build_codebooks(spec, aux, 8, 0.6, 3, 0.5, m2_bits=2, m3_bits=1, j_bits=1)
+            books = build_books(spec, aux, 8, 0.6, 3, 0.5, m2_bits=2, m3_bits=1, j_bits=1)
         assert books._y_of_kv.tolist() == [0, 0, 0, 0]
         for t in range(len(books.key_types)):
             got, built = books.stego_books(t, books.aux_book(t)[:4])
@@ -517,7 +612,7 @@ class TestEncode:
         vals[0, 0, 0, 0] = 1.0  # Y constant
         aux = AuxChannel(DistTable([spec.k_axis, spec.x_axis, V, spec.y_axis], vals, given=("K", "X")))
         # H(Y|K) = 0 so the counting constraint needs a zero message rate
-        books = sim.build_codebooks(spec, aux, 8, 0.6, 0, 0.5, m2_bits=2, m3_bits=1, j_bits=0)
+        books = build_books(spec, aux, 8, 0.6, 0, 0.5, m2_bits=2, m3_bits=1, j_bits=0)
         enc = sim.embed_encode(
             np.array([0, 1, 0, 1]), sim.WordSearch(books, np.zeros(8, np.int64), np.zeros(8, np.int64))
         )
@@ -527,7 +622,7 @@ class TestEncode:
         # bin width far above the conditional-information cost: the first-j
         # search should almost always land, among trials where it runs
         # (delta = 0.7 keeps every key type's count boxes feasible)
-        books = sim.build_codebooks(
+        books = build_books(
             trend_spec, trend_aux, 12, 0.7, 55, 0.0, m2_bits=5, m3_bits=0, j_bits=4
         )
         agg = sim.run_trials(books, 300, 55)
@@ -592,7 +687,7 @@ class TestDecode:
         # reproduction covers every typical message within n D'
         spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
         aux = copy_embedder_aux(spec, [0.5, 0.5])
-        books = sim.build_codebooks(spec, aux, 8, 0.2, 13, 0.5, m2_bits=3, m3_bits=0, j_bits=0)
+        books = build_books(spec, aux, 8, 0.2, 13, 0.5, m2_bits=3, m3_bits=0, j_bits=0)
         assert books.sizes.bins == 1
         k = books.key_types[0].representative
         enc = sim.embed_encode(np.array([0, 1, 0, 1]), sim.WordSearch(books, np.zeros(8, np.int64), k))
@@ -702,7 +797,7 @@ def _covariance_books(seed: int, m3_bits: int) -> sim.CodebookSet:
     spec = binary_spec(x_size=2, lam=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return sim.build_codebooks(
+        return build_books(
             spec, copy_embedder_aux(spec, [0.5, 0.5]), 12, 0.6, seed, 0.0,
             m2_bits=3, m3_bits=m3_bits, j_bits=2,
         )
@@ -712,7 +807,7 @@ class TestEquivocation:
     def _exact_spec(self, d_prime, k_probs=(0.5, 0.5), v_probs=(0.5, 0.5), j_bits=0):
         spec = binary_spec(x_size=1, k_probs=k_probs, lam=0.5, d_cost=[[0.0, 1.0]])
         aux = copy_embedder_aux(spec, list(v_probs))
-        books = sim.build_codebooks(
+        books = build_books(
             spec, aux, 4, 0.3, 5, d_prime, m2_bits=0, m3_bits=0, j_bits=j_bits
         )
         return spec, aux, books
@@ -731,7 +826,7 @@ class TestEquivocation:
     def test_one_time_pad_bin_equivocation(self):
         spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
         aux = noise_aux(spec, [0.5, 0.5])
-        books = sim.build_codebooks(spec, aux, 4, 0.3, 5, 0.125, m2_bits=0, m3_bits=0, j_bits=1)
+        books = build_books(spec, aux, 4, 0.3, 5, 0.125, m2_bits=0, m3_bits=0, j_bits=1)
         assert books.sizes.bins == 2 and books.sizes.j_bits == 1
         est = sim.estimate_equivocation(books)
         assert est.extras["h_bin_given_y_encrypted_path"] == pytest.approx(1.0, abs=1e-9)
@@ -759,7 +854,7 @@ class TestEquivocation:
         spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
         aux = copy_embedder_aux(spec, [0.5, 0.5])
         builds = [
-            sim.build_codebooks(spec, aux, 4, 0.3, s, 0.5, m2_bits=0, m3_bits=0, j_bits=0) for s in (1, 2, 3)
+            build_books(spec, aux, 4, 0.3, s, 0.5, m2_bits=0, m3_bits=0, j_bits=0) for s in (1, 2, 3)
         ]
         ests = [sim.estimate_equivocation(books) for books in builds]
         h_u, _ = sim.ensemble_mean(ests)
@@ -771,12 +866,12 @@ class TestAudits:
     def _audit_books(self, seed=21):
         spec = binary_spec(x_size=1, lam=0.2, d_cost=[[0.0, 1.0]])
         aux = copy_embedder_aux(spec, [0.5, 0.5])
-        return sim.build_codebooks(spec, aux, 10, 0.2, seed, 0.0, m2_bits=7, m3_bits=0, j_bits=1)
+        return build_books(spec, aux, 10, 0.2, seed, 0.0, m2_bits=7, m3_bits=0, j_bits=1)
 
     def test_single_bin_audit_trivial(self):
         spec = binary_spec(x_size=1, lam=0.2, d_cost=[[0.0, 1.0]])
         aux = copy_embedder_aux(spec, [0.5, 0.5])
-        books = sim.build_codebooks(spec, aux, 10, 0.2, 3, 0.5, m2_bits=4, m3_bits=0, j_bits=0)
+        books = build_books(spec, aux, 10, 0.2, 3, 0.5, m2_bits=4, m3_bits=0, j_bits=0)
         assert books.sizes.bins == 1
         audit = sim.bin_multiplicity_audit(books, 0.5)
         assert audit.max_bins_per_y == 1 and audit.passed
@@ -795,7 +890,7 @@ class TestAudits:
             spec = binary_spec(x_size=1, k_probs=(1.0,), lam=0.4, d_cost=[[0.0, 1.0]])
             K, X, V, Y = spec.k_axis, spec.x_axis, Axis("V", 2), spec.y_axis
             aux = AuxChannel(DistTable([K, X, V, Y], np.full((1, 1, 2, 2), 0.25), given=("K", "X")))
-            books = sim.build_codebooks(spec, aux, 10, 0.6, 1, 0.0, m2_bits=3, m3_bits=2, j_bits=0)
+            books = build_books(spec, aux, 10, 0.6, 1, 0.0, m2_bits=3, m3_bits=2, j_bits=0)
         else:
             books = self._audit_books()
         s = books.sizes
@@ -847,7 +942,7 @@ class TestAudits:
     def test_single_key_distinct_rate_below_composite(self):
         spec = binary_spec(x_size=1, k_probs=(1.0,), lam=0.2, d_cost=[[0.0, 1.0]])
         aux = copy_embedder_aux(spec, [0.5, 0.5])
-        books = sim.build_codebooks(spec, aux, 10, 0.2, 9, 0.0, m2_bits=5, m3_bits=0, j_bits=0)
+        books = build_books(spec, aux, 10, 0.2, 9, 0.0, m2_bits=5, m3_bits=0, j_bits=0)
         comp = sim.compression_audits(books)
         assert comp.public_distinct_rate <= comp.n_c_rate + 1e-9
 
@@ -902,7 +997,7 @@ class TestInputAtypicality:
         # a skewed covertext beside a uniform key, so a draw in (K, X) cell
         # order would give other words than the trials' (X, K) order
         spec = binary_spec(x_size=2, x_probs=(0.25, 0.75), lam=0.5)
-        books = sim.build_codebooks(
+        books = build_books(
             spec, copy_embedder_aux(spec, [0.5, 0.5]), 12, 0.6, 4, 0.0, m2_bits=2, m3_bits=0, j_bits=1
         )
         agg = sim.run_trials(books, 200, 5)
@@ -1037,7 +1132,7 @@ class TestBatchedBoxKernel:
 @functools.lru_cache(maxsize=None)
 def _decode_books(seed: int, n: int, m2_bits: int) -> sim.CodebookSet:
     spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
-    return sim.build_codebooks(
+    return build_books(
         spec, copy_embedder_aux(spec, [0.5, 0.5]), n, 0.6, seed, 0.0,
         m2_bits=m2_bits, m3_bits=0, j_bits=2,
     )
@@ -1143,9 +1238,9 @@ def _pad_books(width: str) -> sim.CodebookSet:
     """A small build with no pad, or with a pad as wide as the message index."""
     spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
     aux = copy_embedder_aux(spec, [0.5, 0.5])
-    books = sim.build_codebooks(spec, aux, 8, 0.6, 2, 0.0, m2_bits=2, m3_bits=0, j_bits=0)
+    books = build_books(spec, aux, 8, 0.6, 2, 0.0, m2_bits=2, m3_bits=0, j_bits=0)
     if width == "full":
-        books = sim.build_codebooks(
+        books = build_books(
             spec, aux, 8, 0.6, 2, 0.0, m2_bits=2, m3_bits=0, j_bits=books.sizes.l_bits
         )
     return books
@@ -1176,6 +1271,20 @@ class TestPad:
             assert 0 <= books.key(k).pad < 1 << j_bits
         if width == "full":  # the pads differ across keys
             assert len({books.key(k).pad for k in keys}) > 1
+
+    def test_pad_reads_the_generators_bits(self):
+        """``_key_pad`` builds no ``Generator``, yet its bits are exactly
+        those ``Generator.integers(0, 2, size=J, dtype=np.uint8)`` draws on
+        the key's stream, the derivation the pads were first written with,
+        for J = 0 ... 64 on random keys and seeds."""
+        rng = np.random.default_rng(64)
+        for j_bits in range(65):
+            for _ in range(40):
+                k = rng.integers(0, 3, size=int(rng.integers(1, 17)))
+                seed = int(rng.integers(0, 2**40))
+                stream = np.random.SeedSequence((seed, sim._SW_TAG, k.astype(np.uint32)))
+                bits = np.random.default_rng(stream).integers(0, 2, size=j_bits, dtype=np.uint8)
+                assert sim._key_pad(seed, k, j_bits) == sum(int(b) << i for i, b in enumerate(bits))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -1322,7 +1431,7 @@ def _enumeration_cases(draw):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return sim.build_codebooks(
+            return build_books(
                 spec, aux, 4, draw(st.sampled_from([0.3, 0.6])), draw(st.integers(0, 2**16)),
                 draw(st.sampled_from([0.0, 0.25])),
                 m2_bits=draw(st.integers(0, 2)), m3_bits=draw(st.integers(0, 1)),
@@ -1370,7 +1479,7 @@ class TestBatchedEnumeration:
         spec = load_system(yaml.safe_load((configs / "demo_system.yaml").read_text())).spec
         aux, _ = load_aux(yaml.safe_load((configs / "demo_aux.yaml").read_text()), spec)
         monkeypatch.setattr(sim, "_WORD_CACHE_ENTRIES", 2)
-        books = sim.build_codebooks(spec, aux, 8, 0.6, 10000, 0.0, m2_bits=5, m3_bits=0, j_bits=4)
+        books = build_books(spec, aux, 8, 0.6, 10000, 0.0, m2_bits=5, m3_bits=0, j_bits=4)
         with (
             mock.patch.object(sim, "rd_encode", wraps=sim.rd_encode) as rd_encode,
             mock.patch.object(sim, "embed_encode", wraps=sim.embed_encode) as encode,
@@ -1385,7 +1494,7 @@ def _noisy_n8_books(seed):
     """The ``exact_noisy_n8`` golden's build, at build seed ``seed``."""
     spec = load_system(NOISY_SYSTEM).spec
     aux, _ = load_aux(NOISY_AUX, spec)
-    return sim.build_codebooks(spec, aux, 8, 0.6, seed, 0.0, m2_bits=3, m3_bits=1, j_bits=1)
+    return build_books(spec, aux, 8, 0.6, seed, 0.0, m2_bits=3, m3_bits=1, j_bits=1)
 
 
 def _recounted_trial_event(books, r):
@@ -1447,7 +1556,7 @@ class TestTrialRecord:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            books = sim.build_codebooks(
+            books = build_books(
                 spec, copy_embedder_aux(spec, [0.5, 0.5]), 4, delta, seed, d_prime,
                 m2_bits=m2_bits, m3_bits=0, j_bits=j_bits,
             )
@@ -1608,7 +1717,7 @@ def _search_cases(draw):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            books = sim.build_codebooks(
+            books = build_books(
                 spec, aux, 4, draw(st.sampled_from([0.3, 0.6])), draw(st.integers(0, 2**16)),
                 draw(st.sampled_from([0.0, 0.25])),
                 m2_bits=draw(st.integers(0, 2)), m3_bits=draw(st.integers(0, 2)),
@@ -1793,7 +1902,7 @@ class TestUndrawableStegoBook:
         spec = binary_spec(x_size=1, lam=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return sim.build_codebooks(
+            return build_books(
                 spec, noise_aux(spec, [0.5, 0.5]), 4, 0.6, 3, 0.0, m2_bits=1, m3_bits=1, j_bits=1
             )
 

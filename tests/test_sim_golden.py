@@ -121,7 +121,9 @@ CASES = {
 }
 
 
-def _run_case(name: str, workdir: Path) -> Path:
+def _run_case(name: str, workdir: Path, *extra: str) -> Path:
+    """Run a case, with ``extra`` arguments after its own (a repeated flag's
+    last value holds)."""
     verb, args, _ = CASES[name]
     paths = {"demo": str(CONFIGS / "demo_system.yaml"), "aux": str(CONFIGS / "demo_aux.yaml")}
     tables = (("audit", AUDIT_SYSTEM), ("noisy", NOISY_SYSTEM), ("noisy_aux", NOISY_AUX), ("drawn_aux", DRAWN_AUX))
@@ -129,7 +131,7 @@ def _run_case(name: str, workdir: Path) -> Path:
         paths[key] = str(workdir / f"{key}.yaml")
         Path(paths[key]).write_text(yaml.safe_dump(table))
     out = workdir / name
-    argv = [verb, *(a.format(**paths) for a in args), "--out", str(out)]
+    argv = [verb, *(a.format(**paths) for a in args), *extra, "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
     return out
 
@@ -167,7 +169,7 @@ def test_ensemble_reuses_the_runs_build(tmp_path, monkeypatch):
     build = sim.build_codebooks
 
     def counting_build(*args, **kwargs):
-        seeds.append(args[4])
+        seeds.append(args[1])
         return build(*args, **kwargs)
 
     monkeypatch.setattr(sim, "build_codebooks", counting_build)
@@ -175,6 +177,31 @@ def test_ensemble_reuses_the_runs_build(tmp_path, monkeypatch):
     assert seeds == [4, 5]
     got = Path(str(out) + "_summary.csv").read_bytes()
     assert got == (DATA / "ensemble_n8_summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, rebuilds", [("audit_n10", 4), ("ensemble_n8", 3)])
+def test_one_design_per_run_and_one_draw_per_rebuild(name, rebuilds, tmp_path, monkeypatch):
+    """An audit over rebuilds, and an exact enumeration averaged over an
+    ensemble, design their code once and draw it once per rebuild, at the
+    seeds seed, seed + 1, ..., every draw from the one design."""
+    designs, seeds = [], []
+    design_code, build = sim.design_code, sim.build_codebooks
+
+    def counting_design(*args, **kwargs):
+        designs.append(design_code(*args, **kwargs))
+        return designs[-1]
+
+    def counting_build(design, seed):
+        assert design is designs[-1]
+        seeds.append(seed)
+        return build(design, seed)
+
+    monkeypatch.setattr(sim, "design_code", counting_design)
+    monkeypatch.setattr(sim, "build_codebooks", counting_build)
+    _run_case(name, tmp_path, "--rebuilds", str(rebuilds))
+    first = int(CASES[name][1][CASES[name][1].index("--seed") + 1])
+    assert len(designs) == 1
+    assert seeds == list(range(first, first + rebuilds))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
