@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -41,10 +42,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_lines(path: str, manifest_hash: str, header: list[str], lines: Iterable[str]) -> None:
+    Path(path).write_text("\n".join([f"# manifest={manifest_hash}", ",".join(header), *lines]) + "\n")
+
+
 def _write_csv(path: str, manifest_hash: str, header: list[str], rows: list[list]) -> None:
-    lines = [f"# manifest={manifest_hash}", ",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, manifest_hash, header, (",".join(_fmt(c) for c in row) for row in rows))
 
 
 def _write_conditions(out: str, digest: str, report) -> None:
@@ -57,8 +60,33 @@ def _quantity_rows(report) -> list[list]:
     return [[k, v] for k, v in sorted(report.quantities.items())]
 
 
-def _seq_str(arr) -> str:
-    return "" if arr is None else "".join(map(str, arr.tolist()))
+def _word_cells(words: list) -> list[str]:
+    """Each word's letters one after another, "" for None; the words are of
+    one length.  When every letter is a digit, one block of ASCII digits
+    cut into cells; a letter of 10 or more is written as its number."""
+    block = np.array([w for w in words if w is not None], dtype=np.int64)
+    if block.size and block.max() < 10:
+        text, width = (block + ord("0")).astype(np.uint8).tobytes().decode(), block.shape[1]
+        cells = (text[start : start + width] for start in range(0, len(text), width))
+    else:
+        cells = ("".join(map(str, w)) for w in block.tolist())
+    return ["" if w is None else next(cells) for w in words]
+
+
+def _trial_columns(results: list[sim.TrialResult]) -> dict[str, list[str]]:
+    """The trials CSV's columns by name, each formatted once over every
+    trial's record as ``_fmt`` formats a cell: floats by ``repr``, ints by
+    ``str``, and words by ``_word_cells``."""
+    return {
+        "trial": [str(i) for i in range(len(results))],
+        "event": [r.error_event for r in results],
+        "message_correct": [str(int(r.message_correct)) for r in results],
+        "distortion_xy": [repr(float(r.distortion_xy)) for r in results],
+        "distortion_uuhat": [repr(float(r.distortion_uuhat)) for r in results],
+        "true_bin": [str(int(r.true_bin)) for r in results],
+        "decoded_bin": [str(-1 if r.decoded_bin is None else int(r.decoded_bin)) for r in results],
+        **{name: _word_cells([getattr(r, name) for r in results]) for name in ("u", "x", "k", "y", "z", "uhat")},
+    }
 
 
 def run(config: RunConfig) -> int:
@@ -143,22 +171,7 @@ def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
         code = design()
         books = sim.build_codebooks(code, config.seed)  # the trials and the enumeration share one build
         agg = sim.run_trials(books, config.trials, config.seed)
-        columns = {  # each trials column with its cell of trial i's record r
-            "trial": lambda i, r: i,
-            "event": lambda i, r: r.error_event,
-            "message_correct": lambda i, r: int(r.message_correct),
-            "distortion_xy": lambda i, r: r.distortion_xy,
-            "distortion_uuhat": lambda i, r: r.distortion_uuhat,
-            "true_bin": lambda i, r: r.true_bin,
-            "decoded_bin": lambda i, r: -1 if r.decoded_bin is None else r.decoded_bin,
-            "u": lambda i, r: _seq_str(r.u),
-            "x": lambda i, r: _seq_str(r.x),
-            "k": lambda i, r: _seq_str(r.k),
-            "y": lambda i, r: _seq_str(r.y),
-            "z": lambda i, r: _seq_str(r.z),
-            "uhat": lambda i, r: _seq_str(r.uhat),
-        }
-        trial_rows = [[cell(i, r) for cell in columns.values()] for i, r in enumerate(agg.results)]
+        columns = _trial_columns(agg.results)
         summary = [["trials", agg.trials], ["message_error_rate", agg.message_error_rate]]
         summary.extend([f"freq_{e}", f] for e, f in sorted(agg.event_frequencies.items()))
         summary.append(["mean_distortion_xy", agg.mean_distortion_xy])
@@ -176,7 +189,7 @@ def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
             summary.append(["h_uhat_given_yz", est.h_uhat_given_yz])
             summary.extend([k, v] for k, v in sorted(est.extras.items()))
         # the enumeration above may hit its cap: write nothing before it is done
-        _write_csv(out + "_trials.csv", digest, list(columns), trial_rows)
+        _write_lines(out + "_trials.csv", digest, list(columns), map(",".join, zip(*columns.values())))
         _write_csv(out + "_summary.csv", digest, ["metric", "value"], summary)
         return EXIT_OK
 

@@ -357,9 +357,8 @@ class CodebookSet:
             combined = self.key_types[type_idx].representative * self.v_size + v_rep
             order = np.argsort(combined, kind="stable")
             sampler = self.design.stego_sampler(combined[order])
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self.seed, _STEGO_TAG, type_idx, v_rep.astype(np.uint32)))
-            )
+            entropy = _entropy(self.seed, _STEGO_TAG, type_idx, word=v_rep)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy))
             book = np.empty((self.sizes.m3, self.n), dtype=self._y_dtype)
             for r in range(self.sizes.m3):
                 book[r, order] = sampler.sample(rng)
@@ -534,6 +533,21 @@ def bits_to_int(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
+def _entropy(*ints: int, word: np.ndarray | None = None) -> np.ndarray:
+    """The tuple (*ints, word as uint32) as ``SeedSequence`` coerces it, in
+    one fresh uint32 array (each stream keeps its own as its ``entropy``):
+    each int's 32-bit words, least significant first, then one word per
+    letter.  It seeds the tuple's stream at about half the tuple's cost."""
+    words = []
+    for v in ints:
+        words.append(v & 0xFFFFFFFF)
+        while v := v >> 32:
+            words.append(v & 0xFFFFFFFF)
+    if word is None:
+        return np.array(words, dtype=np.uint32)
+    return np.concatenate((words, word), dtype=np.uint32, casting="unsafe")
+
+
 def _key_pad(seed: int, k_arr: np.ndarray, j_bits: int) -> int:
     """A typical key word's pad: the integer its J bits spell, drawn from the
     PCG64 stream of ``SeedSequence((seed, _SW_TAG, key word as uint32))``.
@@ -544,7 +558,7 @@ def _key_pad(seed: int, k_arr: np.ndarray, j_bits: int) -> int:
     method, which for a range of two keeps a byte's top bit and rejects
     none.  So the pad reads the bit generator's stream, which numpy keeps
     stable across versions, without building a ``Generator``."""
-    stream = np.random.PCG64(np.random.SeedSequence((seed, _SW_TAG, k_arr.astype(np.uint32))))
+    stream = np.random.PCG64(np.random.SeedSequence(_entropy(seed, _SW_TAG, word=k_arr)))
     raw = stream.random_raw(-(-j_bits // 8))
     return bits_to_int(raw.astype("<u8").view(np.uint8)[:j_bits] >> 7)
 
@@ -842,54 +856,23 @@ def _typical_in_frame(codebooks: CodebookSet, type_idx: int, z_reps: np.ndarray)
     return in_box.reshape(len(z_reps), codebooks.sizes.bins, codebooks.sizes.m2)
 
 
-def _typical_rows(
-    z_rows: np.ndarray, k_rows: np.ndarray, codebooks: CodebookSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """``decode_many``'s ``typical`` table, and each row's pad (0 under an
-    atypical key), resolving each distinct key word once."""
-    z_rows = np.asarray(z_rows, dtype=np.int64)
-    sizes = codebooks.sizes
-    words = [k.tobytes() for k in np.asarray(k_rows, dtype=np.int64)]
-    resolved = {w: codebooks.key(np.frombuffer(w, dtype=np.int64)) for w in dict.fromkeys(words)}
-    keys = [resolved[w] for w in words]
-    pads = np.array([0 if key is None else key.pad for key in keys], dtype=np.int64)
-    of_type = defaultdict(list)
-    for i, key in enumerate(keys):
-        if key is not None:
-            of_type[key.type_idx].append(i)
-    typical = np.zeros((len(z_rows), sizes.bins, sizes.m2), dtype=bool)
-    for type_idx, rows in of_type.items():
-        # each forged word in its key's representative frame
-        z_reps = z_rows[np.array(rows)[:, None], np.stack([keys[i].order for i in rows])]
-        typical[rows] = _typical_in_frame(codebooks, type_idx, z_reps)
-    return typical, pads
-
-
-def decode_many(
-    z_rows: np.ndarray, k_rows: np.ndarray, codebooks: CodebookSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint-typicality unique-bin decoding of every forged word (row) of
-    ``z_rows`` under the key on its row of ``k_rows``, as ``(typical, uhat)``:
-    ``typical[i, m - 1, j]`` says row j of bin m is an auxiliary word jointly
-    typical with forgery i (none is under an atypical key).  No bin with a
-    typical row is e4, two or more e5; one bin m decodes to ``uhat[i]``, the
-    rate-distortion codeword of index (m - 1) XOR the key's pad.  One box
-    test per key type covers its keys' forgeries against its whole
-    auxiliary book."""
-    typical, pads = _typical_rows(z_rows, k_rows, codebooks)
-    bins = typical.any(axis=2).argmax(axis=1) + 1
-    return typical, codebooks.rd_codebook.codewords[_sent_index(bins, pads)]
-
-
 def decode(z_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> DecodeResult:
-    """``decode_many`` of one forged word, with its event, reducing its bin
-    table once."""
-    typical, pads = _typical_rows(np.asarray(z_seq)[None], np.asarray(k_seq)[None], codebooks)
-    bins = tuple((np.flatnonzero(typical[0].any(axis=1)) + 1).tolist())
+    """Joint-typicality unique-bin decoding of one forged word under a key:
+    one box test of the forgery, moved into the key type's representative
+    frame, against the type's whole auxiliary book (no row is typical under
+    an atypical key).  No bin with a typical row is e4, two or more e5; one
+    bin m decodes to the rate-distortion codeword of index (m - 1) ^ pad."""
+    key = codebooks.key(k_seq)
+    if key is None:
+        return DecodeResult(None, "e4", None, (), np.zeros((codebooks.sizes.bins, codebooks.sizes.m2), dtype=bool))
+    z_rep = np.asarray(z_seq, dtype=np.int64)[key.order]
+    typical = _typical_in_frame(codebooks, key.type_idx, z_rep[None])[0]
+    # the bin of each typical row, in row order, once each
+    bins = tuple(dict.fromkeys((np.flatnonzero(typical) // codebooks.sizes.m2 + 1).tolist()))
     if len(bins) != 1:
-        return DecodeResult(None, "e5" if bins else "e4", None, bins, typical[0])
-    uhat = codebooks.rd_codebook.codewords[_sent_index(bins[0], pads[0])].copy()
-    return DecodeResult(uhat, "ok", bins[0], bins, typical[0])
+        return DecodeResult(None, "e5" if bins else "e4", None, bins, typical)
+    uhat = codebooks.rd_codebook.codewords[_sent_index(bins[0], key.pad)].copy()
+    return DecodeResult(uhat, "ok", bins[0], bins, typical)
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +935,7 @@ def _trial_draws(spec: SystemSpec, n_message: int, n: int, seed: int):
     k_size = spec.k_axis.size
 
     def draw(t: int):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _TRIAL_TAG, t)))
+        rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed, _TRIAL_TAG, t)))
         u = cdf_u.searchsorted(rng.random(n_message), side="right")
         cells = cdf_xk.searchsorted(rng.random(n), side="right")
         return rng, u, cells // k_size, cells % k_size

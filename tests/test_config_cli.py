@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -856,3 +857,98 @@ class TestRegionSweep:
         assert code == 0
         rows = (workdir / "one.csv").read_text().splitlines()[2:]
         assert [r.split(",")[0] for r in rows] == ["0.25"]
+
+
+def _reference_trial_rows(results):
+    """The trials CSV's data lines as each cell used to be formatted, one
+    ``cli._fmt`` call per cell of one lambda per column."""
+
+    def seq_str(arr):
+        return "" if arr is None else "".join(map(str, arr.tolist()))
+
+    columns = [
+        lambda i, r: i,
+        lambda i, r: r.error_event,
+        lambda i, r: int(r.message_correct),
+        lambda i, r: r.distortion_xy,
+        lambda i, r: r.distortion_uuhat,
+        lambda i, r: r.true_bin,
+        lambda i, r: -1 if r.decoded_bin is None else r.decoded_bin,
+        *(lambda i, r, name=name: seq_str(getattr(r, name)) for name in ("u", "x", "k", "y", "z", "uhat")),
+    ]
+    return [",".join(cli._fmt(cell(i, r)) for cell in columns) for i, r in enumerate(results)]
+
+
+@st.composite
+def _trial_records(draw):
+    """Trial records as ``run_trials`` keeps them, with letters of up to
+    13-letter alphabets, atypical-input trials (no uhat, a NaN message
+    distortion) and numpy or Python numbers."""
+    n_msg, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    sizes = {name: draw(st.integers(1, 13)) for name in ("u", "x", "k", "y", "z")}
+
+    def word(name, length):
+        letters = draw(st.lists(st.integers(0, sizes[name] - 1), min_size=length, max_size=length))
+        return np.array(letters, dtype=np.int64)
+
+    def number(value):
+        return draw(st.sampled_from([value, np.float64(value)]))
+
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        clean = draw(st.booleans())
+        decoded = draw(st.one_of(st.none(), st.integers(1, 64)))
+        records.append(
+            sim.TrialResult(
+                error_event="none" if clean else draw(st.sampled_from(sim.EVENTS[1:])),
+                message_correct=clean,
+                distortion_xy=number(draw(st.floats(0, 4, allow_nan=False))),
+                distortion_uuhat=number(draw(st.floats(0, 1, allow_nan=False)) if clean else math.nan),
+                encode_search_ok=draw(st.booleans()),
+                true_bin=draw(st.sampled_from([int, np.int64]))(draw(st.integers(1, 64))),
+                decoded_bin=decoded if decoded is None else draw(st.sampled_from([int, np.int64]))(decoded),
+                u=word("u", n_msg),
+                x=word("x", n),
+                k=word("k", n),
+                y=word("y", n),
+                z=word("z", n),
+                uhat=word("u", n_msg) if clean or draw(st.booleans()) else None,
+            )
+        )
+    return records
+
+
+class TestTrialsCsv:
+    """The trials CSV, built column by column, against the per-cell
+    formatting it replaced, on records the goldens do not reach."""
+
+    HEADER = ["trial", "event", "message_correct", "distortion_xy", "distortion_uuhat", "true_bin",
+              "decoded_bin", "u", "x", "k", "y", "z", "uhat"]
+
+    @given(_trial_records())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_match_the_per_cell_format(self, records):
+        columns = cli._trial_columns(records)
+        assert list(columns) == self.HEADER
+        assert list(map(",".join, zip(*columns.values()))) == _reference_trial_rows(records)
+
+    def test_wide_alphabet_and_atypical_trial(self, tmp_path):
+        """An atypical-input trial, and letters of 10 and more, which take
+        two digits each, through the written file."""
+        u, x = np.array([10, 0, 3], dtype=np.int64), np.array([1, 0], dtype=np.int64)
+        records = [
+            sim.TrialResult("e1", False, 0.5, math.nan, True, 3, None, u, x, x, np.array([10, 12]),
+                            np.array([11, 9]), None),
+            sim.TrialResult("none", True, np.float64(0.25), 0.0, True, np.int64(2), 2, u, x, x,
+                            np.array([0, 2]), np.array([2, 0]), u),
+        ]
+        columns = cli._trial_columns(records)
+        path = tmp_path / "t_trials.csv"
+        cli._write_lines(str(path), "abc", list(columns), map(",".join, zip(*columns.values())))
+        assert path.read_text().splitlines() == [
+            "# manifest=abc",
+            ",".join(self.HEADER),
+            "0,e1,0,0.5,nan,3,-1,1003,10,10,1012,119,",
+            "1,none,1,0.25,0.0,2,2,1003,10,10,02,20,1003",
+        ]
+        assert path.read_text().splitlines()[2:] == _reference_trial_rows(records)

@@ -549,6 +549,34 @@ class TestStegoStream:
             )
 
 
+class TestEntropyWords:
+    """``sim._entropy``, the one uint32 array each word-seeded stream is
+    seeded with, against the tuple each stream was first seeded with."""
+
+    @given(
+        seed=st.integers(0, 2**80 - 1),
+        word=st.lists(st.integers(0, 2**16), max_size=20),
+        t=st.integers(0, 2**40),
+        type_idx=st.integers(0, 2**33),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_seed_the_tuples_streams(self, seed, word, t, type_idx):
+        word = np.array(word, dtype=np.int64)
+        streams = [  # (tuple, array) of the pad, the trial and the stegotext book
+            ((seed, sim._SW_TAG, word.astype(np.uint32)), sim._entropy(seed, sim._SW_TAG, word=word)),
+            ((seed, sim._TRIAL_TAG, t), sim._entropy(seed, sim._TRIAL_TAG, t)),
+            (
+                (seed, sim._STEGO_TAG, type_idx, word.astype(np.uint32)),
+                sim._entropy(seed, sim._STEGO_TAG, type_idx, word=word),
+            ),
+        ]
+        for as_tuple, as_array in streams:
+            assert as_array.dtype == np.uint32
+            assert np.array_equal(
+                np.random.SeedSequence(as_tuple).generate_state(8), np.random.SeedSequence(as_array).generate_state(8)
+            )
+
+
 class TestEncryption:
     def test_zero_pad_is_identity(self):
         w = int_to_bits(0b10110, 5)
@@ -1164,23 +1192,23 @@ def _decode_fields(d):
     return d.event, d.bin_index, d.bins_found, None if d.uhat is None else d.uhat.tolist()
 
 
-def _decode_many_fields(z_rows, k_rows, books):
-    """``_decode_fields`` of each row of one ``decode_many`` call, read
-    from its (typical, uhat) arrays."""
-    typical, uhat = sim.decode_many(z_rows, k_rows, books)
-    assert typical.dtype == bool and typical.shape == (len(z_rows), books.sizes.bins, books.sizes.m2)
-    assert uhat.dtype == np.int64 and uhat.shape == (len(z_rows), books.n_message)
+def _decode_rows(z_rows, k_rows, books):
+    """``_decode_fields`` of one ``decode`` per row, each checked to keep
+    its (bins, M_2) typical table, whose bins are the ones found."""
     out = []
-    for row_hits, row_uhat in zip(typical.any(axis=2), uhat):
-        bins = tuple(int(b) + 1 for b in np.flatnonzero(row_hits))
-        if len(bins) == 1:
-            out.append(("ok", bins[0], bins, row_uhat.tolist()))
-        else:
-            out.append(("e5" if bins else "e4", None, bins, None))
+    for z, k in zip(z_rows, k_rows):
+        dec = sim.decode(z, k, books)
+        assert dec.typical.dtype == bool and dec.typical.shape == (books.sizes.bins, books.sizes.m2)
+        assert dec.bins_found == tuple(int(b) + 1 for b in np.flatnonzero(dec.typical.any(axis=1)))
+        assert dec.uhat is None or (dec.uhat.dtype == np.int64 and dec.uhat.shape == (books.n_message,))
+        out.append(_decode_fields(dec))
     return out
 
 
 class TestDecodeMany:
+    """One-word ``decode`` over many forged words, against the whole-book
+    ``np.add.at`` recount."""
+
     @given(
         seed=st.integers(0, 3),
         n=st.sampled_from([8, 12]),
@@ -1215,10 +1243,9 @@ class TestDecodeMany:
             u = rng.integers(0, 2, size=books.n_message)
             row[:] = sim.embed_encode(u, sim.WordSearch(books, np.zeros(n, dtype=np.int64), k)).y
         with mock.patch.object(sim, "_BOX_CHUNK_BYTES", 1 if one_word_chunks else sim._BOX_CHUNK_BYTES):
-            batch = _decode_many_fields(z_rows, k_rows, books)
-        assert len(batch) == len(z_rows)
-        for z, k, got in zip(z_rows, k_rows, batch):
-            assert got == _decode_fields(sim.decode(z, k, books))
+            decoded = _decode_rows(z_rows, k_rows, books)
+        assert len(decoded) == len(z_rows)
+        for z, k, got in zip(z_rows, k_rows, decoded):
             event, bin_index, bins, uhat = _reference_decode(z, k, books)
             assert got == (event, bin_index, bins, None if uhat is None else uhat.tolist())
 
@@ -1227,10 +1254,10 @@ class TestDecodeMany:
         rng = np.random.default_rng(3)
         k = books.key_types[1].representative
         z_rows = rng.integers(0, 2, size=(200, 8))
-        batch = _decode_many_fields(z_rows, np.repeat(k[None], 200, axis=0), books)
-        assert {event for event, *_ in batch} == {"ok", "e4", "e5"}
-        assert batch == [_decode_fields(sim.decode(z, k, books)) for z in z_rows]
-        assert _decode_many_fields(np.zeros((0, 8), dtype=np.int64), np.zeros((0, 8), dtype=np.int64), books) == []
+        decoded = _decode_rows(z_rows, np.repeat(k[None], 200, axis=0), books)
+        assert {event for event, *_ in decoded} == {"ok", "e4", "e5"}
+        expected = [_reference_decode(z, k, books) for z in z_rows]
+        assert decoded == [(e, b, bins, None if uhat is None else uhat.tolist()) for e, b, bins, uhat in expected]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1316,12 +1343,12 @@ class TestPad:
             for row in z_rows[::2]:  # encoded words, which mostly decode
                 u = rng.integers(0, 2, size=books.n_message)
                 row[:] = sim.embed_encode(u, sim.WordSearch(books, np.zeros(books.n, dtype=np.int64), k)).y
-            batch = _decode_many_fields(z_rows, np.repeat(k[None], len(z_rows), axis=0), books)
+            decoded = _decode_rows(z_rows, np.repeat(k[None], len(z_rows), axis=0), books)
             expected = [_reference_decode(z, k, books) for z in z_rows]
-            assert batch == [
+            assert decoded == [
                 (e, b, bins, None if uhat is None else uhat.tolist()) for e, b, bins, uhat in expected
             ]
-            assert any(event == "ok" for event, *_ in batch)
+            assert any(event == "ok" for event, *_ in decoded)
 
 
 def _per_state_enumeration(codebooks):
