@@ -119,7 +119,7 @@ def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
         )
 
     def design():  # once per run: every rebuild is a seeded draw of it
-        return sim.design_code(
+        return sim.CodeDesign(
             spec, config.aux, config.n, config.delta, config.d_prime,
             m2_bits=config.m2_bits, m3_bits=config.m3_bits, j_bits=config.j_bits, eps_cov=config.eps_cov,
         )

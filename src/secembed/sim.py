@@ -13,7 +13,7 @@ per (key type, covertext in the frame, bin) and each decode of the exact
 enumeration once per (key type, forged word in the frame), shared by every
 key of the type.  All randomness derives from one integer seed
 through tagged SeedSequence children, which makes every run bit-exactly
-reproducible.  A run designs its code once (``design_code``): the rate
+reproducible.  A run designs its code once (``CodeDesign``): the rate
 schedule, the rate-distortion cover, the key types, the typicality boxes
 and the samplers depend on no seed.  Each seeded draw of the codebooks
 (``build_codebooks``), the run's own and every ensemble rebuild, pays only
@@ -37,7 +37,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .rd import RdCodebook, RdSolution, blahut_arimoto, build_rd_codebook, rd_encode
+from .rd import blahut_arimoto, build_rd_codebook, rd_encode
 from .region import (
     KEYED_CONDITIONS,
     AuxChannel,
@@ -164,14 +164,23 @@ class Key:
 
 
 class CodeDesign:
-    """The seed-free half of a code: what the single-letter point, n, delta,
-    D' and the widths fix before any codebook is drawn.  It holds the
-    composed joint and its quantities, the rate-distortion book, the rate
-    schedule and widths (``sizes``), the key type classes, the typicality
-    boxes and their (context, value) cell bounds, the conditional tables,
-    each key type's auxiliary sampler, and one stegotext sampler per joint
-    (k, v) composition, made when a draw first needs it.  ``design_code``
-    makes one; every seeded draw of a run (``build_codebooks``) shares it."""
+    """The code of one run, everything of it that no seed reads: what the
+    single-letter point, n, delta, D' and the widths fix before any codebook
+    is drawn.  It holds the composed joint and its quantities, the
+    rate-distortion book, the rate schedule and widths (``sizes``), the key
+    type classes, the typicality boxes and their (context, value) cell
+    bounds, the conditional tables, each key type's auxiliary sampler, and
+    one stegotext sampler per joint (k, v) composition, made when a draw
+    first needs it.  Every seeded draw of a run (``build_codebooks``) shares
+    it.
+
+    The asymptotic rate schedule (auxiliary total, per-bin, stegotext, and
+    pad widths as functions of delta) is always computed and recorded; the
+    realized bit widths default to the schedule's ceilings but accept
+    explicit overrides, since the schedule's slack terms demand blocklengths
+    far beyond desk scale.  Overrides are logged in the schedule record.
+    Every check of the widths, the key types and the auxiliary sets fails
+    here, before any codebook is drawn."""
 
     def __init__(
         self,
@@ -179,28 +188,99 @@ class CodeDesign:
         aux: AuxChannel,
         n: int,
         delta: float,
-        sizes: SimSizes,
-        rd_codebook: RdCodebook,
-        rd_solution: RdSolution,
-        joint: DistTable,
-        quantities: dict[str, float],
-        key_types: list[KeyType],
+        d_prime_value: float,
+        *,
+        m2_bits: int | None = None,
+        m3_bits: int | None = None,
+        j_bits: int | None = None,
+        eps_cov: float = 0.0,
     ):
-        self.spec = spec
-        self.aux = aux
-        self.n = n
-        self.n_message = rd_codebook.n_symbols
-        self.delta = delta
-        self.sizes = sizes
-        self.rd_codebook = rd_codebook
-        self.rd_solution = rd_solution
-        self.joint = joint
-        self.quantities = quantities
-        self.key_types = key_types
+        self.spec, self.aux, self.n, self.delta = spec, aux, n, delta
+        self.joint = joint = compose_system(spec, aux)
+        self.quantities = q = system_quantities(spec, aux, joint)
+        lam = spec.lam
+        self.n_message = _message_length(spec, n)
+
+        self.rd_solution = sol = blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value)
+        r = sol.rate_bits
+
+        excess = counting_excess(q, lam, r)
+        if excess > 1e-9:
+            raise InfeasibleError(
+                f"counting constraint violated: lambda R + I(X;Y,V|K) exceeds H(Y|K) by {excess:.4f} bits"
+            )
+
+        eps1, eps2, eps3 = epsilon_schedule(joint, delta)
+        i_xv_k = q["I(V;X|K)"]
+        i_xy_vk = q["I(X;Y,V|K)"] - q["I(V;X|K)"]
+        r1_target = q["I(V;Z|K)"] - eps3 - delta
+        r2_target = i_xv_k + eps1 + delta
+        r3_target = i_xy_vk + eps2 + delta
+        j_target = q["H(K|Y)"] + delta
+        c_slack = KEYED_CONDITIONS["embedding_rate"].bound(q, lam, r) - lam * r
+        if c_slack <= 0:
+            warnings.warn(
+                f"embedding condition is not strict (slack {c_slack:.4f} bits); the "
+                "bin arithmetic has no asymptotic headroom at this point",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+        self.rd_codebook = build_rd_codebook(
+            spec.p_u, spec.d_prime, d_prime_value, self.n_message, delta, eps_cov=eps_cov, solution=sol
+        )
+        l_bits = self.rd_codebook.index_bits
+
+        m2_real = m2_bits if m2_bits is not None else max(0, math.ceil(n * r2_target - 1e-12))
+        m3_real = m3_bits if m3_bits is not None else max(0, math.ceil(n * r3_target - 1e-12))
+        j_real = j_bits if j_bits is not None else max(0, math.ceil(n * j_target - 1e-12))
+
+        if l_bits + m2_real > int(math.log2(DEFAULT_AUX_ROWS_CAP)):
+            raise ResourceCapError(
+                f"auxiliary codebook would need 2^{l_bits + m2_real} rows (> cap {DEFAULT_AUX_ROWS_CAP}); "
+                "override m2_bits (the schedule width is asymptotic)"
+            )
+        if j_real > l_bits:
+            raise ValidationError(
+                f"pad width J = {j_real} exceeds the message width L = {l_bits}; this "
+                "run sits in the surplus-key regime, which the one-pad construction "
+                "does not cover (evaluate it with the extended region conditions, or "
+                "override j_bits)"
+            )
+
+        self.sizes = SimSizes(
+            l_bits=l_bits,
+            m2_bits=m2_real,
+            m3_bits=m3_real,
+            j_bits=j_real,
+            schedule={
+                "r1_target": r1_target,
+                "r2_target": r2_target,
+                "r3_target": r3_target,
+                "j_target_bits": n * j_target,
+                "eps1": eps1,
+                "eps2": eps2,
+                "eps3": eps3,
+                "delta": delta,
+                "rate_message": r,
+                "embedding_slack": c_slack,
+                "r1_realized": (l_bits + m2_real) / n,
+                "m2_overridden": float(m2_bits is not None),
+                "m3_overridden": float(m3_bits is not None),
+                "j_overridden": float(j_bits is not None),
+            },
+        )
+
+        k, x, v, y, z = joint.names
+        key_box = count_box(joint.marginal(k).values, n, delta)
+        letters = np.arange(spec.k_axis.size)
+        comps = _compositions(n, key_box.lo.tolist(), key_box.hi.tolist())
+        self.key_types = key_types = [KeyType(c, np.repeat(letters, c)) for c in comps]
+        if not key_types:
+            raise EmptyTypicalSetError(f"no typical key words at n={n}, delta={delta}")
         # a typical key's letters, sorted, spell its type's representative
         self._type_index = {t.representative.tobytes(): i for i, t in enumerate(key_types)}
 
-        k, x, v, y, z = joint.names
         self.k_size = spec.k_axis.size
         self.x_size = spec.x_axis.size
         self.v_size = aux.v_axis.size
@@ -241,10 +321,15 @@ class CodeDesign:
         self._z_dtype = letter_dtype(self.z_size)
         self._reps = np.array([t.representative for t in key_types], dtype=np.int64).reshape(-1, n)
 
-        # each key type's auxiliary sampler; an empty conditional set fails here
-        self.aux_samplers = [
-            ConditionalTypicalSampler(t.representative, self.k_size, self._p_v_given_k, delta) for t in key_types
-        ]
+        # each key type's auxiliary sampler; an empty conditional set fails the design
+        try:
+            self.aux_samplers = [
+                ConditionalTypicalSampler(t.representative, self.k_size, self._p_v_given_k, delta) for t in key_types
+            ]
+        except EmptyTypicalSetError as e:
+            raise EmptyTypicalSetError(
+                f"auxiliary codeword set empty at n={n}, delta={delta}: {e}; increase n or delta"
+            ) from e
         self._stego_samplers: dict[bytes, ConditionalTypicalSampler] = {}
 
     def stego_sampler(self, sorted_kv: np.ndarray) -> ConditionalTypicalSampler:
@@ -398,121 +483,6 @@ def _message_length(spec: SystemSpec, n: int) -> int:
     if abs(n_message - round(n_message)) > 1e-9 or n_message < 1:
         raise ValidationError(f"lambda * n = {n_message} must be a positive integer")
     return int(round(n_message))
-
-
-def design_code(
-    spec: SystemSpec,
-    aux: AuxChannel,
-    n: int,
-    delta: float,
-    d_prime_value: float,
-    *,
-    m2_bits: int | None = None,
-    m3_bits: int | None = None,
-    j_bits: int | None = None,
-    eps_cov: float = 0.0,
-) -> CodeDesign:
-    """Design the code of one run, everything of it that no seed reads.
-
-    The asymptotic rate schedule (auxiliary total, per-bin, stegotext, and
-    pad widths as functions of delta) is always computed and recorded; the
-    realized bit widths default to the schedule's ceilings but accept
-    explicit overrides, since the schedule's slack terms demand blocklengths
-    far beyond desk scale.  Overrides are logged in the schedule record.
-    Every check of the widths, the key types and the auxiliary sets fails
-    here, before any codebook is drawn.
-    """
-    joint = compose_system(spec, aux)
-    q = system_quantities(spec, aux, joint)
-    lam = spec.lam
-    n_message = _message_length(spec, n)
-
-    sol = blahut_arimoto(spec.p_u, spec.d_prime, d_prime_value)
-    r = sol.rate_bits
-
-    excess = counting_excess(q, lam, r)
-    if excess > 1e-9:
-        raise InfeasibleError(
-            f"counting constraint violated: lambda R + I(X;Y,V|K) exceeds H(Y|K) by {excess:.4f} bits"
-        )
-
-    eps1, eps2, eps3 = epsilon_schedule(joint, delta)
-    i_xv_k = q["I(V;X|K)"]
-    i_xy_vk = q["I(X;Y,V|K)"] - q["I(V;X|K)"]
-    r1_target = q["I(V;Z|K)"] - eps3 - delta
-    r2_target = i_xv_k + eps1 + delta
-    r3_target = i_xy_vk + eps2 + delta
-    j_target = q["H(K|Y)"] + delta
-    c_slack = KEYED_CONDITIONS["embedding_rate"].bound(q, lam, r) - lam * r
-    if c_slack <= 0:
-        warnings.warn(
-            f"embedding condition is not strict (slack {c_slack:.4f} bits); the "
-            "bin arithmetic has no asymptotic headroom at this point",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    rd_book = build_rd_codebook(
-        spec.p_u, spec.d_prime, d_prime_value, n_message, delta, eps_cov=eps_cov, solution=sol
-    )
-    l_bits = rd_book.index_bits
-
-    m2_real = m2_bits if m2_bits is not None else max(0, math.ceil(n * r2_target - 1e-12))
-    m3_real = m3_bits if m3_bits is not None else max(0, math.ceil(n * r3_target - 1e-12))
-    j_real = j_bits if j_bits is not None else max(0, math.ceil(n * j_target - 1e-12))
-
-    if l_bits + m2_real > int(math.log2(DEFAULT_AUX_ROWS_CAP)):
-        raise ResourceCapError(
-            f"auxiliary codebook would need 2^{l_bits + m2_real} rows (> cap {DEFAULT_AUX_ROWS_CAP}); "
-            "override m2_bits (the schedule width is asymptotic)"
-        )
-    if j_real > l_bits:
-        raise ValidationError(
-            f"pad width J = {j_real} exceeds the message width L = {l_bits}; this "
-            "run sits in the surplus-key regime, which the one-pad construction "
-            "does not cover (evaluate it with the extended region conditions, or "
-            "override j_bits)"
-        )
-
-    sizes = SimSizes(
-        l_bits=l_bits,
-        m2_bits=m2_real,
-        m3_bits=m3_real,
-        j_bits=j_real,
-        schedule={
-            "r1_target": r1_target,
-            "r2_target": r2_target,
-            "r3_target": r3_target,
-            "j_target_bits": n * j_target,
-            "eps1": eps1,
-            "eps2": eps2,
-            "eps3": eps3,
-            "delta": delta,
-            "rate_message": r,
-            "embedding_slack": c_slack,
-            "r1_realized": (l_bits + m2_real) / n,
-            "m2_overridden": float(m2_bits is not None),
-            "m3_overridden": float(m3_bits is not None),
-            "j_overridden": float(j_bits is not None),
-        },
-    )
-
-    k_name = joint.names[0]
-    key_box = count_box(joint.marginal(k_name).values, n, delta)
-    letters = np.arange(spec.k_axis.size)
-    comps = _compositions(n, key_box.lo.tolist(), key_box.hi.tolist())
-    key_types = [KeyType(c, np.repeat(letters, c)) for c in comps]
-    if not key_types:
-        raise EmptyTypicalSetError(f"no typical key words at n={n}, delta={delta}")
-
-    # the design makes every auxiliary sampler, so an empty conditional set fails it
-    try:
-        return CodeDesign(spec, aux, n, delta, sizes, rd_book, sol, joint, q, key_types)
-    except EmptyTypicalSetError as e:
-        raise EmptyTypicalSetError(
-            f"auxiliary codeword set empty at n={n}, delta={delta}: {e}; "
-            "increase n or delta"
-        ) from e
 
 
 def build_codebooks(design: CodeDesign, seed: int) -> CodebookSet:
@@ -867,8 +837,7 @@ def decode(z_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> Deco
         return DecodeResult(None, "e4", None, (), np.zeros((codebooks.sizes.bins, codebooks.sizes.m2), dtype=bool))
     z_rep = np.asarray(z_seq, dtype=np.int64)[key.order]
     typical = _typical_in_frame(codebooks, key.type_idx, z_rep[None])[0]
-    # the bin of each typical row, in row order, once each
-    bins = tuple(dict.fromkeys((np.flatnonzero(typical) // codebooks.sizes.m2 + 1).tolist()))
+    bins = tuple((np.flatnonzero(typical.any(axis=1)) + 1).tolist())  # each bin with a typical row
     if len(bins) != 1:
         return DecodeResult(None, "e5" if bins else "e4", None, bins, typical)
     uhat = codebooks.rd_codebook.codewords[_sent_index(bins[0], key.pad)].copy()
@@ -1120,10 +1089,10 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
       the one bin it finds, or none; a key reads its reproduction from
       that bin through its pad;
     - once per ``_WORD_CHUNK`` (x, k) words: one ``search_words`` call of
-      the distinct bins each word's states reach, and one decode box test
-      per key type of the forged words not decoded yet;
-    - once per (u, x, k) state: one ``embed_encode`` call and the sums,
-      word by word in enumeration order.
+      the distinct bins each word's states reach; then each word is
+      finished in turn, in enumeration order, with at most one decode box
+      test, of its forged words that its key type has not decoded yet;
+    - once per (u, x, k) state: one ``embed_encode`` call and the sums.
     """
     spec = codebooks.spec
     n, n_msg = codebooks.n, codebooks.n_message
@@ -1190,33 +1159,28 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
             codebooks,
             [(w, [w.bin_of(w_u)[1] for *_, w_u in live]) for w, live in batch if w.embeds],
         )
-        fresh = defaultdict(dict)  # by key type, its forged words in its frame not decoded yet
-        for i, (word, live) in enumerate(batch):
+        for word, live in batch:
             # each state's encode, and whether its message is on the encrypted path
             on_path = word.key is not None
             states = []
             for u, ub, p_word, w_u in live:
                 enc = embed_encode(u, word)
                 states.append((ub, p_word, enc, enc.y.tobytes(), on_path and w_u is not None))
-            # the forged words of the distinct stegotext words, and under a
-            # typical key each one moved into its type's frame
+            # the forged words of the distinct stegotext words, and each one's
+            # reproduction: under a typical key, its forged word moved into
+            # the type's frame, decoded once per type
             z_rows, flat = forged({ykey: enc.y for _, _, enc, ykey, _ in states})
-            frames = []
-            if word.key is not None:
-                frames = [z.tobytes() for z in z_rows[:, word.key.order].astype(codebooks._z_dtype)]
-                seen = decoded[word.key.type_idx]
-                fresh[word.key.type_idx].update((z, None) for z in frames if z not in seen)
-            batch[i] = (word, states, flat, frames)
-        for type_idx, z_words in fresh.items():
-            z_reps = np.frombuffer(b"".join(z_words), dtype=codebooks._z_dtype).reshape(len(z_words), n)
-            found = _typical_in_frame(codebooks, type_idx, z_reps).any(axis=2)
-            bins = np.where(found.sum(axis=1) == 1, found.argmax(axis=1) + 1, 0)
-            decoded[type_idx].update(zip(z_words, bins.tolist()))
-        for word, states, flat, frames in batch:
-            # each forgery's reproduction, in forgery order
             uhats = itertools.repeat(-1)
-            if frames:
-                bins = np.array([decoded[word.key.type_idx][z] for z in frames])
+            if word.key is not None:
+                z_frames = z_rows[:, word.key.order].astype(codebooks._z_dtype)
+                frames = [z.tobytes() for z in z_frames]
+                seen = decoded[word.key.type_idx]
+                # a row of each forged word the key type has not decoded yet
+                if new := {z: i for i, z in enumerate(frames) if z not in seen}:
+                    typical = _typical_in_frame(codebooks, word.key.type_idx, z_frames[list(new.values())])
+                    found = typical.any(axis=2)
+                    seen.update(zip(new, np.where(found.sum(axis=1) == 1, found.argmax(axis=1) + 1, 0).tolist()))
+                bins = np.array([seen[z] for z in frames])
                 uhats = np.where(bins > 0, uhat_of[_sent_index(bins, word.key.pad)], -1).tolist()
             # each stegotext word's forgeries as (mass-table key, probability, reproduction)
             rows = defaultdict(list)

@@ -351,13 +351,8 @@ class ConditionalTypicalSampler:
         return size
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        out = np.zeros(len(self.seq_a), dtype=np.int64)
-        for pos, table in zip(self.positions, self._tables):
-            if table is None:
-                continue
-            r = _randrange(rng, table.total)
-            out[pos] = rng.permutation(table.words[bisect.bisect_right(table.cum, r)])
-        return out
+        """One uniform word of the set, as int64: a one-row batch."""
+        return self.sample_rows(rng, 1)[0].astype(np.int64)
 
     def sample_rows(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         """``rows`` uniform words of the set, as a (rows, n) array of
@@ -365,17 +360,16 @@ class ConditionalTypicalSampler:
 
         Per conditioning letter, one ``integers`` draw picks every row's
         composition and one ``permuted`` call arranges every row's letter
-        word; a letter total above 2^62 draws each row's composition as
-        ``sample`` does.  A one-row batch draws exactly what ``sample`` draws,
-        so ``sample_rows(rng, 1)[0]`` equals ``sample(rng)``, generator state
-        included.  More rows draw all of a letter's compositions before its
-        arrangements, so they are not the words of successive ``sample``
+        word; a letter total above 2^62 draws each row's composition from
+        arbitrary-precision bytes (``_randrange``).  ``sample`` is the
+        one-row batch.  More rows draw all of a letter's compositions before
+        its arrangements, so they are not the words of successive ``sample``
         calls."""
         out = np.empty((rows, len(self.seq_a)), dtype=letter_dtype(self.b_size))
         for pos, table in zip(self.positions, self._tables):
             if table is None:
                 continue
-            if table.total > 1 << 62:  # sample's arbitrary-precision path, row by row
+            if table.total > 1 << 62:  # the arbitrary-precision path, row by row
                 idx = [bisect.bisect_right(table.cum, _randrange(rng, table.total)) for _ in range(rows)]
             elif table.total > 1:
                 idx = np.searchsorted(table.cum, rng.integers(0, table.total, size=rows), side="right")

@@ -69,7 +69,7 @@ def noise_aux(spec, y_probs):
 
 def build_books(spec, aux, n, delta, seed, d_prime_value, **widths):
     """One seeded draw of a fresh design: the codebooks of one build."""
-    return sim.build_codebooks(sim.design_code(spec, aux, n, delta, d_prime_value, **widths), seed)
+    return sim.build_codebooks(sim.CodeDesign(spec, aux, n, delta, d_prime_value, **widths), seed)
 
 
 def miss_one_condition(monkeypatch) -> list[str]:

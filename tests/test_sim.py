@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import inspect
 import math
 import warnings
 from pathlib import Path
@@ -141,7 +142,7 @@ def _drawn_n8_design() -> sim.CodeDesign:
     aux, _ = load_aux(DRAWN_AUX, spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return sim.design_code(spec, aux, 8, 0.6, 0.25, m2_bits=3, m3_bits=1, j_bits=2)
+        return sim.CodeDesign(spec, aux, 8, 0.6, 0.25, m2_bits=3, m3_bits=1, j_bits=2)
 
 
 def _empty_caches(books) -> bool:
@@ -183,6 +184,14 @@ class TestDesignAndDraw:
     shares its design's seed-free work, stegotext samplers included, so a
     draw made after other draws of the design have used it equals the draw
     of a fresh design at the same seed."""
+
+    def test_not_strict_warning_names_the_callers_line(self):
+        spec = load_system(yaml.safe_load((CONFIGS / "demo_system.yaml").read_text())).spec
+        aux, _ = load_aux(DRAWN_AUX, spec)
+        with pytest.warns(RuntimeWarning, match="embedding condition is not strict") as record:
+            line = inspect.currentframe().f_lineno + 1
+            sim.CodeDesign(spec, aux, 8, 0.6, 0.25, m2_bits=3, m3_bits=1, j_bits=2)
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
     def test_draws_of_one_design_equal_draws_of_fresh_designs(self):
         design = _drawn_n8_design()
@@ -1468,6 +1477,14 @@ def _enumeration_cases(draw):
         assume(False)
 
 
+def _demo_books(n):
+    """The benchmark's demo build at n: ``m2_bits=5, m3_bits=0, j_bits=4``,
+    build seed 10000."""
+    spec = load_system(yaml.safe_load((CONFIGS / "demo_system.yaml").read_text())).spec
+    aux, _ = load_aux(yaml.safe_load((CONFIGS / "demo_aux.yaml").read_text()), spec)
+    return build_books(spec, aux, n, 0.6, 10000, 0.0, m2_bits=5, m3_bits=0, j_bits=4)
+
+
 class TestBatchedEnumeration:
     @given(_enumeration_cases())
     @settings(max_examples=25, deadline=None)
@@ -1502,19 +1519,57 @@ class TestBatchedEnumeration:
         its word up once more, so ``rd_encode`` runs at most once a state
         plus once a message word (6,916 calls over 4,096 states when the
         requests and the flags looked the words up again)."""
-        configs = Path(__file__).parent.parent / "configs"
-        spec = load_system(yaml.safe_load((configs / "demo_system.yaml").read_text())).spec
-        aux, _ = load_aux(yaml.safe_load((configs / "demo_aux.yaml").read_text()), spec)
         monkeypatch.setattr(sim, "_WORD_CACHE_ENTRIES", 2)
-        books = build_books(spec, aux, 8, 0.6, 10000, 0.0, m2_bits=5, m3_bits=0, j_bits=4)
+        books = _demo_books(8)
         with (
             mock.patch.object(sim, "rd_encode", wraps=sim.rd_encode) as rd_encode,
             mock.patch.object(sim, "embed_encode", wraps=sim.embed_encode) as encode,
         ):
             sim.estimate_equivocation(books)
-        message_words = spec.u_axis.size**books.n_message
+        message_words = books.spec.u_axis.size**books.n_message
         assert (message_words, encode.call_count) == (16, 4096)
         assert rd_encode.call_count <= encode.call_count + message_words
+
+
+class TestOnePassEnumeration:
+    """The enumeration finishes each (x, k) word in turn, with at most one
+    decode box test, of the forged words its key type has not decoded yet:
+    no box test is of zero words, and each (key type, forged word in the
+    type's frame) is box-tested exactly once."""
+
+    @pytest.mark.parametrize("system, word_chunk", [("demo", None), ("demo", 1), ("noisy", None)])
+    def test_each_frame_word_reaches_the_box_test_once(self, system, word_chunk, monkeypatch):
+        books = _demo_books(8) if system == "demo" else _noisy_n8_books(5)
+        if word_chunk is not None:
+            monkeypatch.setattr(sim, "_WORD_CHUNK", word_chunk)
+        encoded, tested, callers = [], [], []
+        encode, typical_in_frame = sim.embed_encode, sim._typical_in_frame
+
+        def recorded_encode(u, search):
+            enc = encode(u, search)
+            encoded.append((search, enc.y))
+            return enc
+
+        def recorded_test(codebooks, type_idx, z_reps):
+            assert len(z_reps) > 0
+            search = encoded[-1][0]  # the word whose states were encoded last
+            callers.append((search.x.tobytes(), search.k.tobytes()))
+            tested.extend((type_idx, z.tobytes()) for z in z_reps)
+            return typical_in_frame(codebooks, type_idx, z_reps)
+
+        monkeypatch.setattr(sim, "embed_encode", recorded_encode)
+        monkeypatch.setattr(sim, "_typical_in_frame", recorded_test)
+        sim.estimate_equivocation(books)
+        assert 0 < len(callers) == len(set(callers))
+        # every forged word of positive probability under a typical key, in its type's frame
+        att = books.spec.attack_matrix
+        z_all = np.indices((books.z_size,) * books.n).reshape(books.n, -1).T
+        wanted = set()
+        for search, y in encoded:
+            if search.key is not None:
+                forged = z_all[np.prod(att[y, z_all], axis=1) > 0][:, search.key.order]
+                wanted.update((search.key.type_idx, z.tobytes()) for z in forged.astype(books._z_dtype))
+        assert len(tested) == len(set(tested)) and set(tested) == wanted
 
 
 def _noisy_n8_books(seed):

@@ -185,10 +185,10 @@ def test_one_design_per_run_and_one_draw_per_rebuild(name, rebuilds, tmp_path, m
     ensemble, design their code once and draw it once per rebuild, at the
     seeds seed, seed + 1, ..., every draw from the one design."""
     designs, seeds = [], []
-    design_code, build = sim.design_code, sim.build_codebooks
+    make_design, build = sim.CodeDesign, sim.build_codebooks
 
     def counting_design(*args, **kwargs):
-        designs.append(design_code(*args, **kwargs))
+        designs.append(make_design(*args, **kwargs))
         return designs[-1]
 
     def counting_build(design, seed):
@@ -196,7 +196,7 @@ def test_one_design_per_run_and_one_draw_per_rebuild(name, rebuilds, tmp_path, m
         seeds.append(seed)
         return build(design, seed)
 
-    monkeypatch.setattr(sim, "design_code", counting_design)
+    monkeypatch.setattr(sim, "CodeDesign", counting_design)
     monkeypatch.setattr(sim, "build_codebooks", counting_build)
     _run_case(name, tmp_path, "--rebuilds", str(rebuilds))
     first = int(CASES[name][1][CASES[name][1].index("--seed") + 1])

@@ -416,7 +416,8 @@ class TestSamplerMatchesReference:
 
 class TestSampleRows:
     """``sample_rows`` draws uniform members of the set in the books' letter
-    dtype, and a one-row batch is exactly one ``sample`` call."""
+    dtype, and a one-row batch, which ``sample`` is, draws exactly what the
+    reference sampler draws."""
 
     @given(_sampler_cases())
     @example(  # letter 0's total is 1: it makes no composition draw, only shuffles
@@ -434,7 +435,8 @@ class TestSampleRows:
             return  # the scalar path's own property covers empty sets
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            assert np.array_equal(sampler.sample_rows(rng, 1)[0], sampler.sample(ref_rng))
+            got = sampler.sample_rows(rng, 1)[0]
+            assert np.array_equal(got, _reference_sample(seq_a, a_size, k_matrix, delta, ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -458,14 +460,15 @@ class TestSampleRows:
     def test_replay_or_scalar_loop(self, seq_a, k_matrix, delta):
         # each case takes one draw path of a composition total: a batch holds
         # members in the letter dtype, and one-row batches keep in step with
-        # successive ``sample`` calls, generator state included
+        # successive reference draws, generator state included
         sampler = ConditionalTypicalSampler(seq_a, 1, k_matrix, delta)
         got = sampler.sample_rows(np.random.default_rng(4), 5)
         assert got.shape == (5, len(seq_a)) and got.dtype == letter_dtype(k_matrix.shape[1])
         assert all(sampler.contains(row) for row in got)
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(5):
-            assert np.array_equal(sampler.sample_rows(rng, 1)[0], sampler.sample(ref_rng))
+            got = sampler.sample_rows(rng, 1)[0]
+            assert np.array_equal(got, _reference_sample(seq_a, 1, k_matrix, delta, ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @given(_sampler_cases(), st.integers(0, 9))
