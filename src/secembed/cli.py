@@ -244,10 +244,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(prog="secembed")
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb in COMMANDS:
-        _add_common(sub.add_parser(verb))
+    verbs = {verb: sub.add_parser(verb) for verb in COMMANDS}
+    # the schema's flags go to the invoked verb alone: the first argument that is not an option
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
+    if invoked in verbs:
+        _add_common(verbs[invoked])
     runp = sub.add_parser("run", help="execute a consolidated run-config file")
     runp.add_argument("config", help="YAML run configuration")
 

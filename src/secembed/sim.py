@@ -9,11 +9,11 @@ typical key's codebook is the permutation image of its representative, so
 encode/decode permute the query into the representative frame instead of
 materializing permuted books.  A search or decode there depends only on the
 key's type and the query in that frame, so each embedding search runs once
-per (key type, covertext in the frame, bin) and each decode of the exact
-enumeration once per (key type, forged word in the frame), shared by every
-key of the type.  All randomness derives from one integer seed
-through tagged SeedSequence children, which makes every run bit-exactly
-reproducible.  A run designs its code once (``CodeDesign``): the rate
+per (key type, covertext in the frame, bin) and each decode box test once
+per (key type, forged word in the frame), shared by every key of the type
+and by the trials and the exact enumeration of one build.  All randomness
+derives from one integer seed through tagged SeedSequence children, which
+makes every run bit-exactly reproducible.  A run designs its code once (``CodeDesign``): the rate
 schedule, the rate-distortion cover, the key types, the typicality boxes
 and the samplers depend on no seed.  Each seeded draw of the codebooks
 (``build_codebooks``), the run's own and every ensemble rebuild, pays only
@@ -71,13 +71,13 @@ _AUDIT_CHUNK_ROWS = 1 << 16
 # mask bytes one box-test kernel call ANDs at once; past about 512 KB its
 # working set leaves the cache and each context word costs 3-4x as much
 _BOX_CHUNK_BYTES = 1 << 18
-# trials, and enumerated (x, k) words, whose searches (and, for words,
-# decodes) run as one batch
+# trials whose searches, attacks and decode box tests run as one batch, and
+# enumerated (x, k) words whose searches do
 _TRIAL_CHUNK = 64
 _WORD_CHUNK = 8
 # entries each word-keyed cache of a CodebookSet (keys, message indices,
-# stegotext books, embedding searches) keeps; it drops the least recently
-# used beyond that.  An entry is a pure function of (build, word), so a
+# stegotext books, embedding searches, decodes) keeps; it drops the least
+# recently used beyond that.  An entry is a pure function of (build, word), so a
 # dropped one is resolved again the same.  A benchmark job keeps at most
 # about 500 keys
 _WORD_CACHE_ENTRIES = 1 << 14
@@ -101,16 +101,16 @@ class _LruCache(OrderedDict):
                 self.popitem(last=False)
         return self[key]
 
-    def lookup_many(self, keys: Iterable, make_many) -> dict:
-        """The entries of ``keys`` by key, each as ``lookup`` finds it; the
-        missing ones come from one ``make_many(missing)`` call, which returns
-        their entries in order."""
-        keys = dict.fromkeys(keys)
-        found = {key: self.lookup(key, None) for key in keys if key in self}
-        missing = [key for key in keys if key not in found]
+    def lookup_many(self, keys: list, make_many) -> list:
+        """The entry of each of ``keys``, in order, each as ``lookup`` finds
+        it; the missing ones come from one ``make_many(missing)`` call, each
+        key once, which returns their entries in order."""
+        distinct = dict.fromkeys(keys)
+        found = {key: self.lookup(key, None) for key in distinct if key in self}
+        missing = [key for key in distinct if key not in found]
         for key, entry in zip(missing, make_many(missing) if missing else ()):
             found[key] = self.lookup(key, lambda: entry)
-        return found
+        return [found[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +349,9 @@ class CodeDesign:
 class CodebookSet:
     """One seeded draw of a design's random codes: every key type's
     auxiliary book with its letter masks, drawn at construction, and each
-    word's key record, message index, stegotext book and embedding search,
-    resolved on first use.  Every fact of the design reads through the set:
-    ``books.sizes`` is ``books.design.sizes``."""
+    word's key record, message index, stegotext book, embedding search and
+    decode, resolved on first use.  Every fact of the design reads through
+    the set: ``books.sizes`` is ``books.design.sizes``."""
 
     def __init__(self, design: CodeDesign, seed: int):
         self.design = design
@@ -377,6 +377,7 @@ class CodebookSet:
         self._messages = _LruCache(_WORD_CACHE_ENTRIES)
         self._stego_books = _LruCache(_WORD_CACHE_ENTRIES)
         self._searches = _LruCache(_WORD_CACHE_ENTRIES)
+        self._decodes = _LruCache(_WORD_CACHE_ENTRIES)
 
     def __getattr__(self, name: str):
         """A fact of the design (called only for names the set lacks)."""
@@ -498,11 +499,6 @@ def build_codebooks(design: CodeDesign, seed: int) -> CodebookSet:
 # ---------------------------------------------------------------------------
 
 
-def bits_to_int(bits: np.ndarray) -> int:
-    """The value of little-endian 0/1 bits."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 def _entropy(*ints: int, word: np.ndarray | None = None) -> np.ndarray:
     """The tuple (*ints, word as uint32) as ``SeedSequence`` coerces it, in
     one fresh uint32 array (each stream keeps its own as its ``entropy``):
@@ -522,15 +518,16 @@ def _key_pad(seed: int, k_arr: np.ndarray, j_bits: int) -> int:
     """A typical key word's pad: the integer its J bits spell, drawn from the
     PCG64 stream of ``SeedSequence((seed, _SW_TAG, key word as uint32))``.
     Bit j is the top bit of byte j of the stream's raw 64-bit words read
-    little-endian, which is exactly bit j of ``Generator.integers(0, 2,
-    size=J, dtype=np.uint8)`` on that stream: numpy draws those bytes from
-    the buffered uint32 halves of the raw words, low half first, by Lemire's
-    method, which for a range of two keeps a byte's top bit and rejects
-    none.  So the pad reads the bit generator's stream, which numpy keeps
-    stable across versions, without building a ``Generator``."""
+    little-endian, bit 8 (j mod 8) + 7 of raw word j // 8, which is exactly
+    bit j of ``Generator.integers(0, 2, size=J, dtype=np.uint8)`` on that
+    stream: numpy draws those bytes from the buffered uint32 halves of the
+    raw words, low half first, by Lemire's method, which for a range of two
+    keeps a byte's top bit and rejects none.  So the pad reads the bit
+    generator's stream, which numpy keeps stable across versions, without
+    building a ``Generator``."""
     stream = np.random.PCG64(np.random.SeedSequence(_entropy(seed, _SW_TAG, word=k_arr)))
-    raw = stream.random_raw(-(-j_bits // 8))
-    return bits_to_int(raw.astype("<u8").view(np.uint8)[:j_bits] >> 7)
+    words = stream.random_raw(-(-j_bits // 8)).tolist()
+    return sum((words[j // 8] >> (j % 8 * 8 + 7) & 1) << j for j in range(j_bits))
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +740,7 @@ def search_words(codebooks: CodebookSet, requests: Iterable[tuple[WordSearch, It
         i = np.array([at[triple] for triple in missing])
         return _search_bins(codebooks, types[word_of[i]], x_reps[word_of[i]], np.array([m for *_, m in missing]))
 
-    entries = codebooks._searches.lookup_many(triples, search)
-    results = [entries[triple] for triple in triples]
+    results = codebooks._searches.lookup_many(triples, search)
     ys = np.empty((len(triples), codebooks.n), dtype=np.int64)
     placed = [i for i, (*_, y_rep) in enumerate(results) if y_rep is not None]
     if placed:
@@ -792,13 +788,16 @@ def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
     )
 
 
-def attack(y_seq: np.ndarray, spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
-    """Memoryless per-symbol attack sampling through ``spec.attack_matrix``."""
+def attack(y_seq: np.ndarray, spec: SystemSpec, rng) -> np.ndarray:
+    """Memoryless per-symbol attack sampling through ``spec.attack_matrix``
+    of one word under one generator, or of a (words, n) stack with one
+    generator a row, each drawing its row's uniforms."""
     y = np.asarray(y_seq, dtype=np.int64)
+    rngs = [rng] if y.ndim == 1 else rng
     cum = spec.attack_matrix.cumsum(axis=1)
-    r = rng.random(y.size)
+    r = np.array([g.random(y.shape[-1]) for g in rngs]).reshape(y.shape)
     # a row may sum to just under 1; a draw above its total takes the last symbol
-    z = np.minimum((r[:, None] > cum[y]).sum(axis=1), cum.shape[1] - 1)
+    z = np.minimum((r[..., None] > cum[y]).sum(axis=-1), cum.shape[1] - 1)
     return z.astype(np.int64)
 
 
@@ -826,18 +825,45 @@ def _typical_in_frame(codebooks: CodebookSet, type_idx: int, z_reps: np.ndarray)
     return in_box.reshape(len(z_reps), codebooks.sizes.bins, codebooks.sizes.m2)
 
 
+def _typical_rows(codebooks: CodebookSet, types: Iterable[int], z_reps: np.ndarray) -> list[tuple[int, ...]]:
+    """The decode of each (key type, forged word in the type's
+    representative frame) pair, given as type indices and a stack of words
+    in the forgeries' letter dtype: the ascending flat indices, (m - 1) *
+    M_2 + j, of the type's auxiliary rows jointly typical with the word,
+    kept in the codebooks' decode memo; a call's new pairs are box-tested
+    by one ``_typical_in_frame`` call per key type."""
+    pairs = [(t, z.tobytes()) for t, z in zip(types, z_reps)]
+
+    def test(missing: list) -> list:
+        at = dict(zip(pairs, range(len(pairs))))
+        rows = {pair: [] for pair in missing}
+        for type_idx in dict.fromkeys(t for t, _ in missing):
+            group = [pair for pair in missing if pair[0] == type_idx]
+            typical = _typical_in_frame(codebooks, type_idx, z_reps[[at[pair] for pair in group]])
+            word, row = np.divmod(np.flatnonzero(typical), typical[0].size)
+            for i, r in zip(word.tolist(), row.tolist()):
+                rows[group[i]].append(r)
+        return [tuple(rows[pair]) for pair in missing]
+
+    return codebooks._decodes.lookup_many(pairs, test)
+
+
 def decode(z_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> DecodeResult:
     """Joint-typicality unique-bin decoding of one forged word under a key:
-    one box test of the forgery, moved into the key type's representative
-    frame, against the type's whole auxiliary book (no row is typical under
-    an atypical key).  No bin with a typical row is e4, two or more e5; one
-    bin m decodes to the rate-distortion codeword of index (m - 1) ^ pad."""
+    the forgery, moved into the key type's representative frame, against
+    the type's whole auxiliary book, read from the build's decode memo
+    (``_typical_rows``), which box-tests it when the memo lacks it (no row
+    is typical under an atypical key).  No bin with a typical row is e4,
+    two or more e5; one bin m decodes to the rate-distortion codeword of
+    index (m - 1) ^ pad."""
+    typical = np.zeros((codebooks.sizes.bins, codebooks.sizes.m2), dtype=bool)
     key = codebooks.key(k_seq)
     if key is None:
-        return DecodeResult(None, "e4", None, (), np.zeros((codebooks.sizes.bins, codebooks.sizes.m2), dtype=bool))
-    z_rep = np.asarray(z_seq, dtype=np.int64)[key.order]
-    typical = _typical_in_frame(codebooks, key.type_idx, z_rep[None])[0]
-    bins = tuple((np.flatnonzero(typical.any(axis=1)) + 1).tolist())  # each bin with a typical row
+        return DecodeResult(None, "e4", None, (), typical)
+    z_rep = np.asarray(z_seq)[key.order].astype(codebooks._z_dtype)
+    rows = _typical_rows(codebooks, [key.type_idx], z_rep[None])[0]
+    typical.flat[list(rows)] = True
+    bins = tuple(dict.fromkeys(r // codebooks.sizes.m2 + 1 for r in rows))  # each bin with a typical row
     if len(bins) != 1:
         return DecodeResult(None, "e5" if bins else "e4", None, bins, typical)
     uhat = codebooks.rd_codebook.codewords[_sent_index(bins[0], key.pad)].copy()
@@ -912,6 +938,20 @@ def _trial_draws(spec: SystemSpec, n_message: int, n: int, seed: int):
     return draw
 
 
+def _trial_event(enc: EmbedResult, dec: DecodeResult) -> str:
+    """A trial's one event label (``run_trials``), from its encode and its
+    decode: e4 and e5 are read against the sent auxiliary word."""
+    if not enc.input_ok:
+        return "e1" if enc.search_ok else "encode_fallback"
+    if enc.search_event is not None:
+        return enc.search_event
+    if not dec.typical[enc.m - 1, enc.j]:  # the sent auxiliary word
+        return "e4"
+    if len(dec.bins_found) > 1:
+        return "e5"
+    return "none"  # the decoder found bin m alone
+
+
 def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate:
     """Monte-Carlo end-to-end runs of one codebook draw, with per-trial
     derived seeds, every trial's record kept.
@@ -929,57 +969,36 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
     golden run is e4, yet decodes the sent bin).
 
     Trials go ``_TRIAL_CHUNK`` at a time: each draws u and (x, k) from its
-    own generator, the chunk's searches run as one ``search_words`` call,
-    then each trial encodes, draws its attack and decodes in turn.
+    own generator, the chunk's searches run as one ``search_words`` call
+    and each trial encodes; the chunk's attacks (each from its trial's
+    generator) and x-y distortions run as array passes, and one
+    ``_typical_rows`` call box-tests its forgeries under typical keys into
+    the decode memo; then each trial decodes, reading the memo.
     """
     spec, n, n_msg = codebooks.spec, codebooks.n, codebooks.n_message
     draw = _trial_draws(spec, n_msg, n, seed)
     results: list[TrialResult] = []
 
-    def chunk(start: int) -> list[tuple[np.random.Generator, np.ndarray, WordSearch]]:
-        """The chunk's trials from ``start`` on as (generator, u, searched word)."""
-        drawn = []
-        for t in range(start, min(trials, start + _TRIAL_CHUNK)):
-            rng, u, x, k = draw(t)
-            drawn.append((rng, u, WordSearch(codebooks, x, k)))
-        search_words(codebooks, [(w, [w.bin_of(codebooks.message(u))[1]]) for _, u, w in drawn if w.embeds])
-        return drawn
-
-    for rng, u, word in itertools.chain.from_iterable(map(chunk, range(0, trials, _TRIAL_CHUNK))):
-        x, k = word.x, word.k
-        enc = embed_encode(u, word)
-        z = attack(enc.y, spec, rng)
-        dec = decode(z, k, codebooks)
-
-        if not enc.input_ok:
-            event = "e1" if enc.search_ok else "encode_fallback"
-        elif enc.search_event is not None:
-            event = enc.search_event
-        elif not dec.typical[enc.m - 1, enc.j]:  # the sent auxiliary word
-            event = "e4"
-        elif len(dec.bins_found) > 1:
-            event = "e5"
-        else:  # the decoder found bin m alone
-            event = "none"
-
-        results.append(
-            TrialResult(
-                error_event=event,
-                message_correct=event == "none",
-                distortion_xy=spec.d.per_sequence(x, enc.y) / n,
-                # measured on clean trials only
-                distortion_uuhat=spec.d_prime.per_sequence(u, dec.uhat) / n_msg if event == "none" else math.nan,
-                encode_search_ok=enc.search_ok,
-                true_bin=enc.m,
-                decoded_bin=dec.bin_index,
-                u=u,
-                x=x,
-                k=k,
-                y=enc.y,
-                z=z,
-                uhat=dec.uhat,
+    for start in range(0, trials, _TRIAL_CHUNK):
+        rngs, us, xs, ks = zip(*map(draw, range(start, min(trials, start + _TRIAL_CHUNK))))
+        words = [WordSearch(codebooks, x, k) for x, k in zip(xs, ks)]
+        search_words(codebooks, [(w, [w.bin_of(codebooks.message(u))[1]]) for u, w in zip(us, words) if w.embeds])
+        encs = [embed_encode(u, word) for u, word in zip(us, words)]
+        ys = np.array([enc.y for enc in encs])
+        zs = attack(ys, spec, rngs)
+        d_xy = (spec.d.per_sequence(np.array(xs), ys) / n).tolist()
+        if typed := [i for i, word in enumerate(words) if word.key is not None]:
+            orders = np.array([words[i].key.order for i in typed])
+            z_reps = np.take_along_axis(zs[typed], orders, axis=1).astype(codebooks._z_dtype)
+            _typical_rows(codebooks, [words[i].key.type_idx for i in typed], z_reps)
+        for u, x, k, enc, z, dxy in zip(us, xs, ks, encs, zs, d_xy):
+            dec = decode(z, k, codebooks)
+            event = _trial_event(enc, dec)
+            clean = event == "none"  # the message distortion is measured on clean trials only
+            duu = spec.d_prime.per_sequence(u, dec.uhat) / n_msg if clean else math.nan
+            results.append(
+                TrialResult(event, clean, dxy, duu, enc.search_ok, enc.m, dec.bin_index, u, x, k, enc.y, z, dec.uhat)
             )
-        )
 
     events = [r.error_event for r in results]
     return TrialAggregate(
@@ -1085,17 +1104,19 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
     - once per (key type, covertext in its frame, bin): the embedding
       search, which ``search_words`` shares across the type's keys through
       the codebooks' search cache;
-    - once per (key type, forged word in its frame): the decode, kept as
-      the one bin it finds, or none; a key reads its reproduction from
-      that bin through its pad;
+    - once per (key type, forged word in its frame): the decode box test,
+      which ``_typical_rows`` keeps in the codebooks' decode memo, shared
+      with the build's trials; the word decodes to the one bin with a
+      typical row, or none, and a key reads its reproduction from that bin
+      through its pad;
     - once per ``_WORD_CHUNK`` (x, k) words: one ``search_words`` call of
       the distinct bins each word's states reach; then each word is
       finished in turn, in enumeration order, with at most one decode box
-      test, of its forged words that its key type has not decoded yet;
+      test, of its forged words that the memo lacks;
     - once per (u, x, k) state: one ``embed_encode`` call and the sums.
     """
     spec = codebooks.spec
-    n, n_msg = codebooks.n, codebooks.n_message
+    n, n_msg, m2 = codebooks.n, codebooks.n_message, codebooks.sizes.m2
     u_size = spec.u_axis.size
     xk_size = spec.x_axis.size * spec.k_axis.size
     identity_attack = spec.has_identity_attack()
@@ -1137,9 +1158,6 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
 
     u_rows, uhat_rows, bin_rows, bin_rows_enc = (_mass_table() for _ in range(4))
     enc_path_prob = 0.0
-    # by key type, each forged word in its frame decoded: the one bin with
-    # a typical row, or 0 for none or more than one
-    decoded: defaultdict[int, dict[bytes, int]] = defaultdict(dict)
     # each message index's reproduction as an outcome, one per distinct
     # codeword; a failed decode's outcome is -1
     uhat_of = _unique_rows(codebooks.rd_codebook.codewords)[2]
@@ -1168,19 +1186,14 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
                 states.append((ub, p_word, enc, enc.y.tobytes(), on_path and w_u is not None))
             # the forged words of the distinct stegotext words, and each one's
             # reproduction: under a typical key, its forged word moved into
-            # the type's frame, decoded once per type
+            # the type's frame and decoded through the decode memo, the one
+            # bin with a typical row, or 0 for none or more than one
             z_rows, flat = forged({ykey: enc.y for _, _, enc, ykey, _ in states})
             uhats = itertools.repeat(-1)
             if word.key is not None:
                 z_frames = z_rows[:, word.key.order].astype(codebooks._z_dtype)
-                frames = [z.tobytes() for z in z_frames]
-                seen = decoded[word.key.type_idx]
-                # a row of each forged word the key type has not decoded yet
-                if new := {z: i for i, z in enumerate(frames) if z not in seen}:
-                    typical = _typical_in_frame(codebooks, word.key.type_idx, z_frames[list(new.values())])
-                    found = typical.any(axis=2)
-                    seen.update(zip(new, np.where(found.sum(axis=1) == 1, found.argmax(axis=1) + 1, 0).tolist()))
-                bins = np.array([seen[z] for z in frames])
+                found = _typical_rows(codebooks, itertools.repeat(word.key.type_idx), z_frames)
+                bins = np.array([r[0] // m2 + 1 if r and r[0] // m2 == r[-1] // m2 else 0 for r in found])
                 uhats = np.where(bins > 0, uhat_of[_sent_index(bins, word.key.pad)], -1).tolist()
             # each stegotext word's forgeries as (mass-table key, probability, reproduction)
             rows = defaultdict(list)

@@ -346,9 +346,11 @@ class DistortionMeasure:
         c = 1.0 - np.eye(rows.size, cols.size)
         return cls(rows, cols, c)
 
-    def per_sequence(self, row_seq, col_seq) -> float:
-        """Additive distortion between two index sequences."""
-        return float(self.cost[np.asarray(row_seq), np.asarray(col_seq)].sum())
+    def per_sequence(self, row_seq, col_seq) -> float | np.ndarray:
+        """Additive distortion between two index sequences, or between the
+        rows of two (words, n) stacks, one float a row in an array."""
+        total = self.cost[np.asarray(row_seq), np.asarray(col_seq)].sum(axis=-1)
+        return total if total.ndim else float(total)
 
 
 def expected_distortion(joint: DistTable, d: DistortionMeasure) -> float:

@@ -94,6 +94,11 @@ def int_to_bits(value, width):
     return np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
 
 
+def bits_to_int(bits):
+    """The value of little-endian 0/1 bits: the inverse of ``int_to_bits``."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def encrypt(w_bits, s_bits):
     """The bit-level one-time pad, the reference for the simulator's integer
     pad: XOR the first J message bits with the pad; bits J+1..L pass

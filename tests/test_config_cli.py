@@ -952,3 +952,60 @@ class TestTrialsCsv:
             "1,none,1,0.25,0.0,2,2,1003,10,10,02,20,1003",
         ]
         assert path.read_text().splitlines()[2:] == _reference_trial_rows(records)
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The command line as built before each call added only its own
+    verb's flags: every verb's subparser carries every schema flag."""
+    parser = argparse.ArgumentParser(prog="secembed")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for verb in COMMANDS:
+        cli._add_common(sub.add_parser(verb))
+    runp = sub.add_parser("run", help="execute a consolidated run-config file")
+    runp.add_argument("config", help="YAML run configuration")
+    return parser
+
+
+def _help_of(argv: list[str], capsys, parse) -> tuple[int, str, str]:
+    """The exit code, standard output and standard error of parsing argv."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return stop.value.code, out, err
+
+
+class TestParser:
+    """``cli.main`` gives the schema's flags to the invoked verb alone; help,
+    usage and errors read as when every verb carried them."""
+
+    @pytest.mark.parametrize("verb", [*COMMANDS, "run"])
+    def test_each_verbs_help_lists_its_flags(self, verb, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["secembed", verb, "--help"])
+        code, out, err = _help_of(None, capsys, cli.main)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == _help_of([verb, "--help"], capsys, _reference_parser().parse_args)
+        flags = [cli.flag_of(f) for f in cli.SCHEMA] if verb != "run" else ["config"]
+        assert all(flag in out for flag in flags)
+
+    def test_help_lists_every_verb(self, capsys):
+        code, out, err = _help_of(["--help"], capsys, cli.main)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == _help_of(["--help"], capsys, _reference_parser().parse_args)
+        assert all(verb in out for verb in [*COMMANDS, "run"])
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["bogus", "--seed", "1"], []])
+    def test_unknown_or_missing_verb_exits_2(self, argv, capsys):
+        code, out, err = _help_of(argv, capsys, cli.main)
+        assert (code, out, err) == _help_of(argv, capsys, _reference_parser().parse_args)
+        assert code == 2 and out == ""
+        assert ("invalid choice: 'bogus'" in err) == bool(argv)
+
+    def test_only_the_invoked_verb_gets_the_flags(self, monkeypatch):
+        added = []
+        monkeypatch.setattr(cli, "_add_common", lambda p: added.append(p.prog))
+        monkeypatch.setattr(cli, "_config_from_args", lambda args: args)
+        monkeypatch.setattr(cli, "run", lambda config: cli.EXIT_OK)
+        assert cli.main(["simulate"]) == cli.EXIT_OK
+        assert cli.main(["region-opt"]) == cli.EXIT_OK
+        assert cli.main(["run", "missing.yaml"]) == cli.EXIT_VALIDATION
+        assert added == ["secembed simulate", "secembed region-opt"]

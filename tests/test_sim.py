@@ -28,6 +28,7 @@ from secembed.typical import CountBox, _multinomial, letter_dtype
 
 from conftest import (
     binary_spec,
+    bits_to_int,
     build_books,
     copy_embedder_aux,
     decrypt,
@@ -617,7 +618,7 @@ class TestEncryption:
         rng = np.random.default_rng(0)
         w = int_to_bits(0b1010, 4)
         draws = rng.integers(0, 2, size=(100_000, 4)).astype(np.uint8)
-        vals = [sim.bits_to_int(encrypt(w, s)) for s in draws]
+        vals = [bits_to_int(encrypt(w, s)) for s in draws]
         counts = np.bincount(vals, minlength=16)
         assert stats.chisquare(counts).pvalue > 1e-3
 
@@ -626,7 +627,7 @@ class TestEncryption:
             encrypt(np.zeros(3, np.uint8), np.zeros(4, np.uint8))
 
     def test_bit_order_little_endian(self):
-        assert sim.bits_to_int(np.array([1, 0, 1])) == 5
+        assert bits_to_int(np.array([1, 0, 1])) == 5
         assert np.array_equal(int_to_bits(5, 3), [1, 0, 1])
 
 
@@ -747,7 +748,7 @@ class TestDecode:
         for r in clean:
             assert r.message_correct
             assert r.decoded_bin == r.true_bin
-            expect = books.rd_codebook.codewords[r.true_bin - 1 if books.sizes.j_bits == 0 else sim.bits_to_int(
+            expect = books.rd_codebook.codewords[r.true_bin - 1 if books.sizes.j_bits == 0 else bits_to_int(
                 decrypt(int_to_bits(r.true_bin - 1, books.sizes.l_bits), sw_bits(books, r.k)[: books.sizes.j_bits])
             )]
             assert np.array_equal(r.uhat, expect)
@@ -1194,7 +1195,7 @@ def _reference_decode(z, k, books):
     if len(bins) > 1:
         return "e5", None, bins, None
     w = decrypt(int_to_bits(bins[0] - 1, books.sizes.l_bits), int_to_bits(pad, books.sizes.j_bits))
-    return "ok", bins[0], bins, books.rd_codebook.codewords[sim.bits_to_int(w)]
+    return "ok", bins[0], bins, books.rd_codebook.codewords[bits_to_int(w)]
 
 
 def _decode_fields(d):
@@ -1303,7 +1304,7 @@ class TestPad:
                 np.random.SeedSequence((books.seed, sim._SW_TAG, *k.tolist()))
             ).integers(0, 2, size=j_bits, dtype=np.uint8)
             assert np.array_equal(sw_bits(books, k), drawn) and sw_bits(books, k).dtype == np.uint8
-            assert books.key(k).pad == sim.bits_to_int(sw_bits(books, k))
+            assert books.key(k).pad == bits_to_int(sw_bits(books, k))
             assert 0 <= books.key(k).pad < 1 << j_bits
         if width == "full":  # the pads differ across keys
             assert len({books.key(k).pad for k in keys}) > 1
@@ -1339,7 +1340,7 @@ class TestPad:
         assert sent == w and 1 <= m <= 1 << l_bits
         assert sim._sent_index(m, pad) == w
         w_bits, s_bits = int_to_bits(w, l_bits), int_to_bits(pad, j_bits)
-        assert sim.bits_to_int(encrypt(w_bits, s_bits)) == w ^ pad == m - 1
+        assert bits_to_int(encrypt(w_bits, s_bits)) == w ^ pad == m - 1
         assert np.array_equal(decrypt(encrypt(w_bits, s_bits), s_bits), w_bits)
 
     @pytest.mark.parametrize("width", ["zero", "full"])
@@ -1531,45 +1532,75 @@ class TestBatchedEnumeration:
         assert rd_encode.call_count <= encode.call_count + message_words
 
 
+def _recorded_box_tests(books, monkeypatch):
+    """Run the enumeration of ``books`` recording its encodes and decode
+    box tests; returns the (x, k) word encoded last before each box test,
+    each box-tested (key type, frame word) pair, and every forged word of
+    positive probability under a typical key, in its type's frame."""
+    encoded, tested, callers = [], [], []
+    encode, typical_in_frame = sim.embed_encode, sim._typical_in_frame
+
+    def recorded_encode(u, search):
+        enc = encode(u, search)
+        encoded.append((search, enc.y))
+        return enc
+
+    def recorded_test(codebooks, type_idx, z_reps):
+        assert len(z_reps) > 0
+        search = encoded[-1][0]  # the word whose states were encoded last
+        callers.append((search.x.tobytes(), search.k.tobytes()))
+        tested.extend((type_idx, z.tobytes()) for z in z_reps)
+        return typical_in_frame(codebooks, type_idx, z_reps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "embed_encode", recorded_encode)
+        patch.setattr(sim, "_typical_in_frame", recorded_test)
+        sim.estimate_equivocation(books)
+    att = books.spec.attack_matrix
+    z_all = np.indices((books.z_size,) * books.n).reshape(books.n, -1).T
+    wanted = set()
+    for search, y in encoded:
+        if search.key is not None:
+            forged = z_all[np.prod(att[y, z_all], axis=1) > 0][:, search.key.order]
+            wanted.update((search.key.type_idx, z.tobytes()) for z in forged.astype(books._z_dtype))
+    return callers, tested, wanted
+
+
 class TestOnePassEnumeration:
     """The enumeration finishes each (x, k) word in turn, with at most one
-    decode box test, of the forged words its key type has not decoded yet:
-    no box test is of zero words, and each (key type, forged word in the
-    type's frame) is box-tested exactly once."""
+    decode box test, of the forged words the build's decode memo lacks: no
+    box test is of zero words, and each (key type, forged word in the
+    type's frame) is box-tested exactly once per build, by the trials or
+    by the enumeration."""
 
     @pytest.mark.parametrize("system, word_chunk", [("demo", None), ("demo", 1), ("noisy", None)])
     def test_each_frame_word_reaches_the_box_test_once(self, system, word_chunk, monkeypatch):
         books = _demo_books(8) if system == "demo" else _noisy_n8_books(5)
         if word_chunk is not None:
             monkeypatch.setattr(sim, "_WORD_CHUNK", word_chunk)
-        encoded, tested, callers = [], [], []
-        encode, typical_in_frame = sim.embed_encode, sim._typical_in_frame
+        callers, tested, wanted = _recorded_box_tests(books, monkeypatch)
+        assert 0 < len(callers) == len(set(callers))
+        assert len(tested) == len(set(tested)) and set(tested) == wanted
 
-        def recorded_encode(u, search):
-            enc = encode(u, search)
-            encoded.append((search, enc.y))
-            return enc
+    @pytest.mark.parametrize("system", ["demo", "noisy"])
+    def test_trials_first_share_the_box_tests(self, system, monkeypatch):
+        """Trials run first on the same build leave the enumeration only
+        the frame words they did not decode."""
+        books = _demo_books(8) if system == "demo" else _noisy_n8_books(5)
+        by_trials = []
+        typical_in_frame = sim._typical_in_frame
 
         def recorded_test(codebooks, type_idx, z_reps):
-            assert len(z_reps) > 0
-            search = encoded[-1][0]  # the word whose states were encoded last
-            callers.append((search.x.tobytes(), search.k.tobytes()))
-            tested.extend((type_idx, z.tobytes()) for z in z_reps)
+            by_trials.extend((type_idx, z.tobytes()) for z in z_reps)
             return typical_in_frame(codebooks, type_idx, z_reps)
 
-        monkeypatch.setattr(sim, "embed_encode", recorded_encode)
-        monkeypatch.setattr(sim, "_typical_in_frame", recorded_test)
-        sim.estimate_equivocation(books)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_typical_in_frame", recorded_test)
+            sim.run_trials(books, 100, 3)
+        callers, tested, wanted = _recorded_box_tests(books, monkeypatch)
+        assert len(by_trials) == len(set(by_trials)) and set(by_trials) & wanted
         assert 0 < len(callers) == len(set(callers))
-        # every forged word of positive probability under a typical key, in its type's frame
-        att = books.spec.attack_matrix
-        z_all = np.indices((books.z_size,) * books.n).reshape(books.n, -1).T
-        wanted = set()
-        for search, y in encoded:
-            if search.key is not None:
-                forged = z_all[np.prod(att[y, z_all], axis=1) > 0][:, search.key.order]
-                wanted.update((search.key.type_idx, z.tobytes()) for z in forged.astype(books._z_dtype))
-        assert len(tested) == len(set(tested)) and set(tested) == wanted
+        assert len(tested) == len(set(tested)) and set(tested) == wanted - set(by_trials)
 
 
 def _noisy_n8_books(seed):
@@ -1597,6 +1628,98 @@ def _recounted_trial_event(books, r):
         return "e4"
     _, _, bins, _ = _reference_decode(r.z, r.k, books)
     return "e5" if len(bins) > 1 else "none"
+
+
+def _trial_fields(agg):
+    """Each trial record's (event, y, z, decoded bin, uhat), words as lists."""
+    return [
+        (r.error_event, r.y.tolist(), r.z.tolist(), r.decoded_bin, None if r.uhat is None else r.uhat.tolist())
+        for r in agg.results
+    ]
+
+
+def _decode_fields_of(dec):
+    return dec.event, dec.bin_index, dec.bins_found, dec.typical.tolist(), None if dec.uhat is None else dec.uhat.tolist()
+
+
+class TestTrialChunks:
+    """A chunk's attacks, distortions and decode box tests run as batches,
+    and each trial's ``decode`` reads the build's decode memo; neither the
+    chunk size nor the word caches' size changes a trial."""
+
+    CASES = {"demo": (lambda: _demo_books(16), 150, 1), "noisy": (lambda: _noisy_n8_books(7), 200, 7)}
+
+    @pytest.mark.parametrize("system", sorted(CASES))
+    def test_chunking_and_cache_size_leave_trials_unchanged(self, system, monkeypatch):
+        make, trials, seed = self.CASES[system]
+        runs = {}
+        for chunk in (1, 5, 64):
+            for entries in (2, sim._WORD_CACHE_ENTRIES):
+                monkeypatch.setattr(sim, "_TRIAL_CHUNK", chunk)
+                monkeypatch.setattr(sim, "_WORD_CACHE_ENTRIES", entries)
+                books = make()
+                agg = sim.run_trials(books, trials, seed)
+                assert len(books._decodes) <= entries
+                runs[chunk, entries] = (_trial_fields(agg), [(r.distortion_xy, r.distortion_uuhat) for r in agg.results])
+        first = runs[1, 2]
+        assert all(run == first for run in runs.values())
+        events = {event for event, *_ in first[0]}
+        assert events >= ({"none", "e5"} if system == "demo" else {"none", "e4", "e5"})
+        assert all(isinstance(d, float) for pair in first[1] for d in pair)
+
+    @pytest.mark.parametrize("system", sorted(CASES))
+    def test_trials_decode_from_their_chunks_fill(self, system, monkeypatch):
+        """Each chunk's forgeries under typical keys are box-tested before
+        its decodes, one box test per key type, so no ``decode`` of a trial
+        box-tests, and no pair is box-tested twice."""
+        make, trials, seed = self.CASES[system]
+        books = make()
+        decode, typical_in_frame = sim.decode, sim._typical_in_frame
+        calls, tested, decoding = [], [], []
+
+        def recorded_decode(z, k, codebooks):
+            decoding.append(True)
+            try:
+                return decode(z, k, codebooks)
+            finally:
+                decoding.pop()
+
+        def recorded_test(codebooks, type_idx, z_reps):
+            assert not decoding
+            calls.append(type_idx)
+            tested.extend((type_idx, z.tobytes()) for z in z_reps)
+            return typical_in_frame(codebooks, type_idx, z_reps)
+
+        monkeypatch.setattr(sim, "decode", recorded_decode)
+        monkeypatch.setattr(sim, "_typical_in_frame", recorded_test)
+        sim.run_trials(books, trials, seed)
+        chunks = -(-trials // sim._TRIAL_CHUNK)
+        assert len(tested) == len(set(tested)) == len(books._decodes)
+        assert chunks <= len(calls) <= chunks * len(books.key_types)
+
+    @pytest.mark.parametrize("system", sorted(CASES))
+    def test_cold_decode_equals_decode_after_a_batch_fill(self, system, monkeypatch):
+        """Trial forgeries, and random ones under typical and atypical keys:
+        ``decode`` on a fresh build box-tests each forgery itself, and after
+        one batch fill of every pair by ``_typical_rows`` it reads the memo
+        alone."""
+        make, _, seed = self.CASES[system]
+        cold, filled = make(), make()
+        rng = np.random.default_rng(11)
+        keys = [rng.permutation(cold.key_types[rng.integers(len(cold.key_types))].representative) for _ in range(20)]
+        keys += [np.zeros(cold.n, dtype=np.int64)] * 2  # atypical
+        forgeries = list(rng.integers(0, cold.z_size, size=(len(keys), cold.n)))
+        for r in sim.run_trials(make(), 60, seed).results:
+            keys.append(r.k)
+            forgeries.append(r.z)
+        want = [_decode_fields_of(sim.decode(z, k, cold)) for z, k in zip(forgeries, keys)]
+        typed = [(filled.key(k), z) for z, k in zip(forgeries, keys) if filled.key(k) is not None]
+        z_reps = np.array([z[key.order] for key, z in typed]).astype(filled._z_dtype)
+        sim._typical_rows(filled, [key.type_idx for key, _ in typed], z_reps)
+        assert len(filled._decodes) == len({(key.type_idx, z.tobytes()) for (key, _), z in zip(typed, z_reps)})
+        monkeypatch.setattr(sim, "_typical_in_frame", None)  # the memo answers every decode
+        assert [_decode_fields_of(sim.decode(z, k, filled)) for z, k in zip(forgeries, keys)] == want
+        assert {e for e, *_ in want} >= {"e4", "e5", "ok"}
 
 
 class TestTrialRecord:
@@ -1765,7 +1888,7 @@ def _frozen_embed_encode(u_arr, x_arr, k_arr, codebooks):
     if y is None:
         y = np.zeros(codebooks.n, dtype=np.int64)
     return sim.EmbedResult(
-        y=y, m=m, w=sim.bits_to_int(w), input_ok=input_ok, search_ok=search_ok,
+        y=y, m=m, w=bits_to_int(w), input_ok=input_ok, search_ok=search_ok,
         search_event=search_event if (input_ok and not search_ok) else None,
         j=details.get("j"), j_prime=details.get("j_prime"),
     )
