@@ -599,12 +599,9 @@ def _rows_in_boxes(
 class EmbedResult:
     y: np.ndarray
     m: int  # the bin, 1-based: the sent index encrypted by the pad, plus 1
-    w: int  # the sent index: the message's rate-distortion index, or 0
     input_ok: bool
     search_ok: bool
-    search_event: str | None  # "e2" | "e3" | None
-    j: int | None  # the bin's first typical auxiliary row, 0-based
-    j_prime: int | None
+    j: int | None  # the bin's first typical auxiliary row, 0-based: None for e2
 
 
 def _search_bins(
@@ -652,17 +649,30 @@ def embed_in_bin(
 ) -> tuple[np.ndarray | None, str | None, dict]:
     """The embedding unit: scan bin m for the first jointly typical
     auxiliary word, then that word's stegotext book for the first jointly
-    typical output.  Returns (y or None, failure event, details).  Works
-    entirely in the representative frame, so permuting (x, k) permutes y
-    covariantly.  This is the one-bin call of ``search_words``."""
+    typical output.  Returns (y or None, failure event, details), the
+    details being the key's type index and order, then the auxiliary word
+    in the type's frame and j, then j'.  Works entirely in the
+    representative frame, so permuting (x, k) permutes y covariantly.  This
+    is the one-bin call of ``search_words``."""
     search = WordSearch(codebooks, x_arr, k_arr)
-    return (None, "e2", {}) if search.key is None else search.result(m)
+    if search.key is None:
+        return None, "e2", {}
+    y, row, row_prime = search.entry(m)
+    type_idx = search.key.type_idx
+    details = {"type_idx": type_idx, "order": search.key.order}
+    if row is not None:
+        details.update(v_rep=codebooks._aux_books[type_idx, (m - 1) * codebooks.sizes.m2 + row], j=row)
+    if y is None:
+        return None, "e2" if row is None else "e3", details
+    details["j_prime"] = row_prime
+    return y, None, details
 
 
 class WordSearch:
     """The encoder's work on one (covertext, key) word, done once for every
     message word encoded with it: the key's record (``CodebookSet.key``),
-    the (k, x) pair test, and the embedding search of each bin, kept once
+    the (k, x) pair test, the search key ``frame`` (key type, covertext in
+    the type's frame as bytes) and each bin's embedding search, kept once
     found as (stegotext word or None, row j, row j'); ``search_words``
     searches many words at once."""
 
@@ -676,16 +686,17 @@ class WordSearch:
             np.bincount(pair_cells, minlength=codebooks.k_size * codebooks.x_size)
         )
         self.embeds = self.key is not None and self.pair_ok
+        self.frame = None if self.key is None else (
+            self.key.type_idx, self.x[self.key.order].astype(codebooks._x_dtype).tobytes()
+        )
         self._found: dict[int, tuple[np.ndarray | None, int | None, int | None]] = {}
 
-    def bin_of(self, w: int | None) -> tuple[int, int]:
-        """The index the encoder sends for message index ``w``
-        (``CodebookSet.message``) and the bin (1-based) it embeds in, the
-        sent index encrypted by the key's pad: an atypical message or key
-        sends the all-zero index in the clear."""
-        if w is None or self.key is None:
-            return 0, 1
-        return w, (w ^ self.key.pad) + 1
+    def bin_of(self, w: int | None) -> int:
+        """The bin (1-based) the encoder embeds message index ``w``
+        (``CodebookSet.message``) in, the sent index encrypted by the key's
+        pad: an atypical message or key sends the all-zero index in the
+        clear."""
+        return 1 if w is None or self.key is None else (w ^ self.key.pad) + 1
 
     def entry(self, m: int) -> tuple[np.ndarray | None, int | None, int | None]:
         """Bin m's search, found once, as the stegotext word (None when the
@@ -696,58 +707,32 @@ class WordSearch:
             search_words(self.codebooks, [(self, [m])])
         return self._found[m]
 
-    def result(self, m: int) -> tuple[np.ndarray | None, str | None, dict]:
-        """``embed_in_bin``'s result for bin m: (y or None, failure event,
-        details), the details being the key's type index and order, then
-        the auxiliary word in the type's frame and j, then j'."""
-        y, row, row_prime = self.entry(m)
-        details = {"type_idx": self.key.type_idx, "order": self.key.order}
-        if row is not None:
-            v_rep = self.codebooks._aux_books[self.key.type_idx, (m - 1) * self.codebooks.sizes.m2 + row]
-            details.update(v_rep=v_rep, j=row)
-        if y is None:
-            return None, "e2" if row is None else "e3", details
-        details["j_prime"] = row_prime
-        return y, None, details
-
 
 def search_words(codebooks: CodebookSet, requests: Iterable[tuple[WordSearch, Iterable[int]]]) -> None:
     """Find the embedding search result of each (word, bins) request in the
     bins its word has none of yet, with typical keys only.  Every typical
     key's book is its type representative's, permuted, so a word's search
     is its representative's: each request becomes a (key type, covertext
-    in the type's frame, bin) triple, searched once per build through the
-    codebooks' search cache, a call's new triples by one ``_search_bins``
-    call.  Each word keeps (y, j, j') per bin (``WordSearch.entry``), the
-    stegotext word y moved to the key's positions: slot t of the frame
-    lands on position order[t]."""
-    todo = [(word, sorted(set(bins) - word._found.keys())) for word, bins in requests]
-    todo = [(word, bins) for word, bins in todo if bins]
-    if not todo:
-        return
-    words = [word for word, _ in todo]
-    types = np.array([word.key.type_idx for word in words])
-    orders = np.array([word.key.order for word in words])
-    x_reps = np.take_along_axis(np.array([word.x for word in words]), orders, axis=1).astype(codebooks._x_dtype)
-    triples = [
-        (word.key.type_idx, x.tobytes(), m) for (word, bins), x in zip(todo, x_reps) for m in bins
-    ]
-    # each triple's word, and one position of each triple
-    word_of = np.repeat(np.arange(len(words)), [len(bins) for _, bins in todo])
-    at = dict(zip(triples, range(len(triples))))
+    in the type's frame, bin) triple (``WordSearch.frame`` and the bin),
+    searched once per build through the codebooks' search cache, a call's
+    new triples by one ``_search_bins`` call.  Each word keeps (y, j, j')
+    per bin (``WordSearch.entry``), the stegotext word y moved to the key's
+    positions: slot t of the frame lands on position order[t]."""
+    todo = [(word, m) for word, bins in requests for m in sorted(set(bins) - word._found.keys())]
 
     def search(missing: list) -> list:
-        i = np.array([at[triple] for triple in missing])
-        return _search_bins(codebooks, types[word_of[i]], x_reps[word_of[i]], np.array([m for *_, m in missing]))
+        types, frames, bins = zip(*missing)
+        x_reps = np.frombuffer(b"".join(frames), dtype=codebooks._x_dtype).reshape(len(missing), codebooks.n)
+        return _search_bins(codebooks, np.array(types), x_reps, np.array(bins))
 
-    results = codebooks._searches.lookup_many(triples, search)
-    ys = np.empty((len(triples), codebooks.n), dtype=np.int64)
+    results = codebooks._searches.lookup_many([(*word.frame, m) for word, m in todo], search)
+    ys = np.empty((len(todo), codebooks.n), dtype=np.int64)
     placed = [i for i, (*_, y_rep) in enumerate(results) if y_rep is not None]
     if placed:
         y_reps = np.frombuffer(b"".join(results[i][2] for i in placed), dtype=codebooks._y_dtype)
-        ys[np.array(placed)[:, None], orders[word_of[placed]]] = y_reps.reshape(len(placed), codebooks.n)
-    flat = ((word, m) for word, bins in todo for m in bins)
-    for (word, m), (row, row_prime, y_rep), y in zip(flat, results, ys):
+        orders = np.array([todo[i][0].key.order for i in placed])
+        ys[np.array(placed)[:, None], orders] = y_reps.reshape(len(placed), codebooks.n)
+    for (word, m), (row, row_prime, y_rep), y in zip(todo, results, ys):
         word._found[m] = (None if y_rep is None else y, row, row_prime)
 
 
@@ -766,12 +751,12 @@ def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
     ``search``, the ``WordSearch`` of the (x, k) word, carries the codebooks
     that resolve the first, and the second."""
     w_typical = search.codebooks.message(u_seq)
-    w, m = search.bin_of(w_typical)
+    m = search.bin_of(w_typical)
     input_ok = w_typical is not None and search.pair_ok  # pair typicality implies key typicality
 
-    y = j = j_prime = None
+    y = j = None
     if search.embeds:
-        y, j, j_prime = search.entry(m)
+        y, j, _ = search.entry(m)
     search_ok = y is not None
     if y is None:
         y = np.zeros(search.codebooks.n, dtype=np.int64)
@@ -779,12 +764,9 @@ def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
     return EmbedResult(
         y=y,
         m=m,
-        w=w,
         input_ok=input_ok,
         search_ok=search_ok,
-        search_event=("e2" if j is None else "e3") if (input_ok and not search_ok) else None,
         j=j,
-        j_prime=j_prime,
     )
 
 
@@ -796,8 +778,9 @@ def attack(y_seq: np.ndarray, spec: SystemSpec, rng) -> np.ndarray:
     rngs = [rng] if y.ndim == 1 else rng
     cum = spec.attack_matrix.cumsum(axis=1)
     r = np.array([g.random(y.shape[-1]) for g in rngs]).reshape(y.shape)
-    # a row may sum to just under 1; a draw above its total takes the last symbol
-    z = np.minimum((r[..., None] > cum[y]).sum(axis=-1), cum.shape[1] - 1)
+    # as Generator.choice does, a draw on a cumulative entry skips its letter; a row
+    # may sum to just under 1, and a draw above its total takes the last symbol
+    z = np.minimum((r[..., None] >= cum[y]).sum(axis=-1), cum.shape[1] - 1)
     return z.astype(np.int64)
 
 
@@ -806,8 +789,12 @@ class DecodeResult:
     uhat: np.ndarray | None
     event: str  # "ok" | "e4" | "e5": one bin found, none, or more
     bin_index: int | None
-    bins_found: tuple[int, ...]
-    typical: np.ndarray  # (bins, M_2): whether each auxiliary row is jointly typical with the forgery
+    rows: tuple[int, ...]  # the auxiliary rows jointly typical with the forgery (``_typical_rows``)
+
+
+def _one_bin(rows: tuple[int, ...], m2: int) -> int | None:
+    """The decoded bin: the one that ascending flat rows (m - 1) * M_2 + j all lie in, or None."""
+    return rows[0] // m2 + 1 if rows and rows[0] // m2 == rows[-1] // m2 else None
 
 
 def _sent_index(m: int | np.ndarray, pad: int | np.ndarray) -> int | np.ndarray:
@@ -817,12 +804,11 @@ def _sent_index(m: int | np.ndarray, pad: int | np.ndarray) -> int | np.ndarray:
 
 
 def _typical_in_frame(codebooks: CodebookSet, type_idx: int, z_reps: np.ndarray) -> np.ndarray:
-    """(forgeries, bins, M_2): whether each row of a key type's auxiliary
-    book is jointly typical with each forged word, given in the type's
+    """(forgeries, rows): whether each row of a key type's auxiliary book is
+    jointly typical with each forged word, given in the type's
     representative frame; one box test."""
     contexts = codebooks.key_types[type_idx].representative * codebooks.z_size + z_reps
-    in_box = _rows_in_boxes(codebooks.aux_masks(type_idx), contexts, codebooks.kzv_cells)
-    return in_box.reshape(len(z_reps), codebooks.sizes.bins, codebooks.sizes.m2)
+    return _rows_in_boxes(codebooks.aux_masks(type_idx), contexts, codebooks.kzv_cells)
 
 
 def _typical_rows(codebooks: CodebookSet, types: Iterable[int], z_reps: np.ndarray) -> list[tuple[int, ...]]:
@@ -835,12 +821,12 @@ def _typical_rows(codebooks: CodebookSet, types: Iterable[int], z_reps: np.ndarr
     pairs = [(t, z.tobytes()) for t, z in zip(types, z_reps)]
 
     def test(missing: list) -> list:
-        at = dict(zip(pairs, range(len(pairs))))
         rows = {pair: [] for pair in missing}
         for type_idx in dict.fromkeys(t for t, _ in missing):
             group = [pair for pair in missing if pair[0] == type_idx]
-            typical = _typical_in_frame(codebooks, type_idx, z_reps[[at[pair] for pair in group]])
-            word, row = np.divmod(np.flatnonzero(typical), typical[0].size)
+            words = np.frombuffer(b"".join(z for _, z in group), dtype=z_reps.dtype).reshape(len(group), -1)
+            typical = _typical_in_frame(codebooks, type_idx, words)
+            word, row = np.divmod(np.flatnonzero(typical), typical.shape[1])
             for i, r in zip(word.tolist(), row.tolist()):
                 rows[group[i]].append(r)
         return [tuple(rows[pair]) for pair in missing]
@@ -854,20 +840,17 @@ def decode(z_seq: np.ndarray, k_seq: np.ndarray, codebooks: CodebookSet) -> Deco
     the type's whole auxiliary book, read from the build's decode memo
     (``_typical_rows``), which box-tests it when the memo lacks it (no row
     is typical under an atypical key).  No bin with a typical row is e4,
-    two or more e5; one bin m decodes to the rate-distortion codeword of
-    index (m - 1) ^ pad."""
-    typical = np.zeros((codebooks.sizes.bins, codebooks.sizes.m2), dtype=bool)
+    two or more e5; one bin m (``_one_bin``) decodes to the rate-distortion
+    codeword of index (m - 1) ^ pad."""
     key = codebooks.key(k_seq)
     if key is None:
-        return DecodeResult(None, "e4", None, (), typical)
+        return DecodeResult(None, "e4", None, ())
     z_rep = np.asarray(z_seq)[key.order].astype(codebooks._z_dtype)
     rows = _typical_rows(codebooks, [key.type_idx], z_rep[None])[0]
-    typical.flat[list(rows)] = True
-    bins = tuple(dict.fromkeys(r // codebooks.sizes.m2 + 1 for r in rows))  # each bin with a typical row
-    if len(bins) != 1:
-        return DecodeResult(None, "e5" if bins else "e4", None, bins, typical)
-    uhat = codebooks.rd_codebook.codewords[_sent_index(bins[0], key.pad)].copy()
-    return DecodeResult(uhat, "ok", bins[0], bins, typical)
+    m = _one_bin(rows, codebooks.sizes.m2)
+    if m is None:
+        return DecodeResult(None, "e5" if rows else "e4", None, rows)
+    return DecodeResult(codebooks.rd_codebook.codewords[_sent_index(m, key.pad)].copy(), "ok", m, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -938,16 +921,16 @@ def _trial_draws(spec: SystemSpec, n_message: int, n: int, seed: int):
     return draw
 
 
-def _trial_event(enc: EmbedResult, dec: DecodeResult) -> str:
+def _trial_event(enc: EmbedResult, dec: DecodeResult, m2: int) -> str:
     """A trial's one event label (``run_trials``), from its encode and its
-    decode: e4 and e5 are read against the sent auxiliary word."""
+    decode: e4 and e5 are read against the sent auxiliary row."""
     if not enc.input_ok:
         return "e1" if enc.search_ok else "encode_fallback"
-    if enc.search_event is not None:
-        return enc.search_event
-    if not dec.typical[enc.m - 1, enc.j]:  # the sent auxiliary word
+    if not enc.search_ok:
+        return "e2" if enc.j is None else "e3"
+    if (enc.m - 1) * m2 + enc.j not in dec.rows:  # the sent auxiliary row
         return "e4"
-    if len(dec.bins_found) > 1:
+    if dec.bin_index is None:
         return "e5"
     return "none"  # the decoder found bin m alone
 
@@ -982,7 +965,7 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
     for start in range(0, trials, _TRIAL_CHUNK):
         rngs, us, xs, ks = zip(*map(draw, range(start, min(trials, start + _TRIAL_CHUNK))))
         words = [WordSearch(codebooks, x, k) for x, k in zip(xs, ks)]
-        search_words(codebooks, [(w, [w.bin_of(codebooks.message(u))[1]]) for u, w in zip(us, words) if w.embeds])
+        search_words(codebooks, [(w, [w.bin_of(codebooks.message(u))]) for u, w in zip(us, words) if w.embeds])
         encs = [embed_encode(u, word) for u, word in zip(us, words)]
         ys = np.array([enc.y for enc in encs])
         zs = attack(ys, spec, rngs)
@@ -993,7 +976,7 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
             _typical_rows(codebooks, [words[i].key.type_idx for i in typed], z_reps)
         for u, x, k, enc, z, dxy in zip(us, xs, ks, encs, zs, d_xy):
             dec = decode(z, k, codebooks)
-            event = _trial_event(enc, dec)
+            event = _trial_event(enc, dec, codebooks.sizes.m2)
             clean = event == "none"  # the message distortion is measured on clean trials only
             duu = spec.d_prime.per_sequence(u, dec.uhat) / n_msg if clean else math.nan
             results.append(
@@ -1175,7 +1158,7 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
                 batch.append((WordSearch(codebooks, x, k), live))
         search_words(
             codebooks,
-            [(w, [w.bin_of(w_u)[1] for *_, w_u in live]) for w, live in batch if w.embeds],
+            [(w, [w.bin_of(w_u) for *_, w_u in live]) for w, live in batch if w.embeds],
         )
         for word, live in batch:
             # each state's encode, and whether its message is on the encrypted path
@@ -1193,7 +1176,7 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
             if word.key is not None:
                 z_frames = z_rows[:, word.key.order].astype(codebooks._z_dtype)
                 found = _typical_rows(codebooks, itertools.repeat(word.key.type_idx), z_frames)
-                bins = np.array([r[0] // m2 + 1 if r and r[0] // m2 == r[-1] // m2 else 0 for r in found])
+                bins = np.array([_one_bin(r, m2) or 0 for r in found])
                 uhats = np.where(bins > 0, uhat_of[_sent_index(bins, word.key.pad)], -1).tolist()
             # each stegotext word's forgeries as (mass-table key, probability, reproduction)
             rows = defaultdict(list)

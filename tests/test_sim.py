@@ -639,7 +639,7 @@ class TestEncode:
         x = np.zeros(8, dtype=np.int64)
         enc = sim.embed_encode(u, sim.WordSearch(books, x, k))
         assert not enc.input_ok
-        assert enc.m == 1 and enc.w == 0
+        assert enc.m == 1 and books.message(u) is None  # the all-zero index, in the clear
         assert not int_to_bits(enc.m - 1, books.sizes.l_bits).any()
 
     def test_deterministic_channels_find_first_entry(self):
@@ -651,10 +651,9 @@ class TestEncode:
         aux = AuxChannel(DistTable([spec.k_axis, spec.x_axis, V, spec.y_axis], vals, given=("K", "X")))
         # H(Y|K) = 0 so the counting constraint needs a zero message rate
         books = build_books(spec, aux, 8, 0.6, 0, 0.5, m2_bits=2, m3_bits=1, j_bits=0)
-        enc = sim.embed_encode(
-            np.array([0, 1, 0, 1]), sim.WordSearch(books, np.zeros(8, np.int64), np.zeros(8, np.int64))
-        )
-        assert enc.search_ok and enc.j == 0 and enc.j_prime == 0
+        search = sim.WordSearch(books, np.zeros(8, np.int64), np.zeros(8, np.int64))
+        enc = sim.embed_encode(np.array([0, 1, 0, 1]), search)
+        assert enc.search_ok and enc.j == 0 and search.entry(enc.m)[2] == 0  # j' = 0
 
     def test_search_success_rate_with_ample_bin(self, trend_spec, trend_aux):
         # bin width far above the conditional-information cost: the first-j
@@ -717,6 +716,25 @@ class TestAttack:
         spec = binary_spec(attack=[[1.0, 0.0], [0.5, 0.5 - 5e-13]])
         z = sim.attack(np.array([0, 1, 1]), spec, TopDraw())
         assert z.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("attack", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.5, 0.5]]])
+    @pytest.mark.parametrize("draw", [0.0, 0.5])
+    def test_draw_on_a_cumulative_entry_skips_its_letter(self, attack, draw):
+        """A uniform exactly on a cumulative entry takes the next letter, as
+        ``Generator.choice`` does (``searchsorted(side="right")``), so no
+        letter of zero probability is drawn: the swap attack and the
+        ``exact_noisy_n8`` golden's attack under draws of 0.0 and 0.5."""
+
+        class TieDraw:
+            def random(self, size):
+                return np.full(size, draw)
+
+        spec = binary_spec(attack=attack)
+        y = np.array([0, 1, 0, 1])
+        z = sim.attack(y, spec, TieDraw())
+        cum = spec.attack_matrix.cumsum(axis=1)
+        assert z.tolist() == [int(np.searchsorted(cum[letter], draw, side="right")) for letter in y]
+        assert (spec.attack_matrix[y, z] > 0).all()
 
 
 class TestDecode:
@@ -1177,8 +1195,9 @@ def _decode_books(seed: int, n: int, m2_bits: int) -> sim.CodebookSet:
 
 
 def _reference_decode(z, k, books):
-    """(event, bin, bins found, uhat) of one forged word, from the whole
-    auxiliary book's (k, v, z) counts by np.add.at."""
+    """(event, bin, typical rows, uhat) of one forged word, from the whole
+    auxiliary book's (k, v, z) counts by np.add.at: the rows are the flat
+    indices (m - 1) * M_2 + j of the book's rows in the box, ascending."""
     ktp = reference_key(books, k)
     if ktp is None:
         return "e4", None, (), None
@@ -1189,27 +1208,39 @@ def _reference_decode(z, k, books):
     counts = np.zeros((len(book), books.k_size * books.v_size * books.z_size), dtype=np.int64)
     np.add.at(counts, (np.arange(len(book))[:, None], cells), 1)
     hits = np.flatnonzero((counts >= books.kvz_box.lo).all(axis=1) & (counts <= books.kvz_box.hi).all(axis=1))
-    bins = tuple(sorted({int(h) // books.sizes.m2 + 1 for h in hits}))
+    rows = tuple(hits.tolist())
+    bins = tuple(sorted({h // books.sizes.m2 + 1 for h in rows}))
     if not bins:
-        return "e4", None, (), None
+        return "e4", None, rows, None
     if len(bins) > 1:
-        return "e5", None, bins, None
+        return "e5", None, rows, None
     w = decrypt(int_to_bits(bins[0] - 1, books.sizes.l_bits), int_to_bits(pad, books.sizes.j_bits))
-    return "ok", bins[0], bins, books.rd_codebook.codewords[bits_to_int(w)]
+    return "ok", bins[0], rows, books.rd_codebook.codewords[bits_to_int(w)]
 
 
 def _decode_fields(d):
-    return d.event, d.bin_index, d.bins_found, None if d.uhat is None else d.uhat.tolist()
+    return d.event, d.bin_index, d.rows, None if d.uhat is None else d.uhat.tolist()
+
+
+def _assert_rows(dec, books):
+    """A decode's typical rows are ascending distinct flat indices of the
+    auxiliary book, as ints, and the bins they lie in are the ones its
+    event and bin read: none is e4, more than one e5."""
+    rows, m2 = dec.rows, books.sizes.m2
+    assert type(rows) is tuple and all(type(r) is int for r in rows)
+    assert list(rows) == sorted(set(rows)) and all(0 <= r < books.sizes.bins * m2 for r in rows)
+    bins = sorted({r // m2 + 1 for r in rows})
+    assert dec.event == ("e4" if not bins else "ok" if len(bins) == 1 else "e5")
+    assert dec.bin_index == (bins[0] if len(bins) == 1 else None)
 
 
 def _decode_rows(z_rows, k_rows, books):
     """``_decode_fields`` of one ``decode`` per row, each checked to keep
-    its (bins, M_2) typical table, whose bins are the ones found."""
+    its typical rows, whose bins are the ones found (``_assert_rows``)."""
     out = []
     for z, k in zip(z_rows, k_rows):
         dec = sim.decode(z, k, books)
-        assert dec.typical.dtype == bool and dec.typical.shape == (books.sizes.bins, books.sizes.m2)
-        assert dec.bins_found == tuple(int(b) + 1 for b in np.flatnonzero(dec.typical.any(axis=1)))
+        _assert_rows(dec, books)
         assert dec.uhat is None or (dec.uhat.dtype == np.int64 and dec.uhat.shape == (books.n_message,))
         out.append(_decode_fields(dec))
     return out
@@ -1256,8 +1287,8 @@ class TestDecodeMany:
             decoded = _decode_rows(z_rows, k_rows, books)
         assert len(decoded) == len(z_rows)
         for z, k, got in zip(z_rows, k_rows, decoded):
-            event, bin_index, bins, uhat = _reference_decode(z, k, books)
-            assert got == (event, bin_index, bins, None if uhat is None else uhat.tolist())
+            event, bin_index, rows, uhat = _reference_decode(z, k, books)
+            assert got == (event, bin_index, rows, None if uhat is None else uhat.tolist())
 
     def test_batch_covers_every_event(self):
         books = _decode_books(0, 8, 2)
@@ -1267,7 +1298,25 @@ class TestDecodeMany:
         decoded = _decode_rows(z_rows, np.repeat(k[None], 200, axis=0), books)
         assert {event for event, *_ in decoded} == {"ok", "e4", "e5"}
         expected = [_reference_decode(z, k, books) for z in z_rows]
-        assert decoded == [(e, b, bins, None if uhat is None else uhat.tolist()) for e, b, bins, uhat in expected]
+        assert decoded == [(e, b, rows, None if uhat is None else uhat.tolist()) for e, b, rows, uhat in expected]
+
+
+class TestOneBin:
+    """``_one_bin``, the decoded bin of ``decode`` and of the exact
+    enumeration, against the two rules it replaced."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_decoders_and_the_enumerations_rules(self, data):
+        m2 = data.draw(st.integers(1, 64))
+        bins = data.draw(st.integers(1, 16))
+        rows = tuple(sorted(data.draw(st.sets(st.integers(0, bins * m2 - 1), max_size=3 * m2))))
+        # decode's: each bin with a typical row, the one bin when exactly one is found
+        found = tuple(dict.fromkeys(r // m2 + 1 for r in rows))
+        by_decode = found[0] if len(found) == 1 else None
+        # the enumeration's: the first row's bin when the last row lies in it, else 0
+        by_enumeration = rows[0] // m2 + 1 if rows and rows[0] // m2 == rows[-1] // m2 else 0
+        assert sim._one_bin(rows, m2) == by_decode == (by_enumeration or None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1336,8 +1385,8 @@ class TestPad:
         # the search of a typical key with this pad; bin_of reads no codebook
         search = sim.WordSearch.__new__(sim.WordSearch)
         search.key = sim.Key(0, None, pad)
-        sent, m = search.bin_of(w)
-        assert sent == w and 1 <= m <= 1 << l_bits
+        m = search.bin_of(w)
+        assert 1 <= m <= 1 << l_bits
         assert sim._sent_index(m, pad) == w
         w_bits, s_bits = int_to_bits(w, l_bits), int_to_bits(pad, j_bits)
         assert bits_to_int(encrypt(w_bits, s_bits)) == w ^ pad == m - 1
@@ -1356,7 +1405,7 @@ class TestPad:
             decoded = _decode_rows(z_rows, np.repeat(k[None], len(z_rows), axis=0), books)
             expected = [_reference_decode(z, k, books) for z in z_rows]
             assert decoded == [
-                (e, b, bins, None if uhat is None else uhat.tolist()) for e, b, bins, uhat in expected
+                (e, b, rows, None if uhat is None else uhat.tolist()) for e, b, rows, uhat in expected
             ]
             assert any(event == "ok" for event, *_ in decoded)
 
@@ -1612,22 +1661,23 @@ def _noisy_n8_books(seed):
 
 def _recounted_trial_event(books, r):
     """Trial record r's event as ``run_trials`` classified it before the
-    decoder's typical table decided e4: the sent auxiliary word's (k, v, z)
-    cells recounted against the box, and e5 from the reference decoder."""
+    decoder's typical rows decided e4: e2 and e3 from the one-bin search,
+    the sent auxiliary word's (k, v, z) cells recounted against the box,
+    and e5 from the reference decoder."""
     enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k))
     assert np.array_equal(enc.y, r.y) and enc.m == r.true_bin
     if not enc.input_ok:
         return "e1" if enc.search_ok else "encode_fallback"
-    if enc.search_event is not None:
-        return enc.search_event
-    _, _, details = sim.embed_in_bin(books, enc.m, r.x, r.k)
-    assert details["j"] == enc.j
+    _, event, details = sim.embed_in_bin(books, enc.m, r.x, r.k)
+    assert details.get("j") == enc.j and (event is None) == enc.search_ok
+    if event is not None:
+        return event
     rep = books.key_types[details["type_idx"]].representative
     cells = (rep * books.v_size + details["v_rep"]) * books.z_size + r.z[details["order"]]
     if not books.kvz_box.contains(np.bincount(cells, minlength=books.k_size * books.v_size * books.z_size)):
         return "e4"
-    _, _, bins, _ = _reference_decode(r.z, r.k, books)
-    return "e5" if len(bins) > 1 else "none"
+    _, _, rows, _ = _reference_decode(r.z, r.k, books)
+    return "e5" if len({row // books.sizes.m2 for row in rows}) > 1 else "none"
 
 
 def _trial_fields(agg):
@@ -1639,7 +1689,7 @@ def _trial_fields(agg):
 
 
 def _decode_fields_of(dec):
-    return dec.event, dec.bin_index, dec.bins_found, dec.typical.tolist(), None if dec.uhat is None else dec.uhat.tolist()
+    return dec.event, dec.bin_index, dec.rows, None if dec.uhat is None else dec.uhat.tolist()
 
 
 class TestTrialChunks:
@@ -1735,9 +1785,8 @@ class TestTrialRecord:
             assert r.message_correct == (r.error_event == "none")
             assert r.message_correct == (dec.event == "ok" and dec.bin_index == r.true_bin and r.error_event == "none")
             assert math.isnan(r.distortion_uuhat) == (not r.message_correct)
-            # the decoder's typical table, against its own bins
-            assert dec.typical.shape == (books.sizes.bins, books.sizes.m2)
-            assert dec.bins_found == tuple(int(b) + 1 for b in np.flatnonzero(dec.typical.any(axis=1)))
+            # the decoder's typical rows, against its own bins
+            _assert_rows(dec, books)
 
     @given(_enumeration_cases(), st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
@@ -1770,8 +1819,8 @@ class TestTrialRecord:
         later = []
         for r in agg.results:
             enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k))
-            table = sim.decode(r.z, r.k, books).typical
-            if enc.input_ok and enc.search_ok and table[enc.m - 1, enc.j] != table[enc.m - 1, 0]:
+            rows, first = sim.decode(r.z, r.k, books).rows, (enc.m - 1) * books.sizes.m2
+            if enc.input_ok and enc.search_ok and (first + enc.j in rows) != (first in rows):
                 later.append(r)
         assert later
 
@@ -1804,7 +1853,8 @@ class TestTrialRecord:
             r = agg.results[i]
             enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k))
             dec = sim.decode(r.z, r.k, books)
-            assert dec.event == "ok" and not dec.typical[enc.m - 1, enc.j] and not r.message_correct
+            sent = (enc.m - 1) * books.sizes.m2 + enc.j
+            assert dec.event == "ok" and sent not in dec.rows and not r.message_correct
 
     @given(_enumeration_cases())
     @settings(max_examples=10, deadline=None)
@@ -1881,17 +1931,13 @@ def _frozen_embed_encode(u_arr, x_arr, k_arr, codebooks):
         wt = w.copy()
     m = int(sum(int(b) << i for i, b in enumerate(wt))) + 1
     input_ok = bool(typical_u and pair_ok)
-    y, search_event, details = None, None, {}
+    y, details = None, {}
     if ktp is not None and pair_ok:
-        y, search_event, details = _frozen_embed_in_bin(codebooks, m, x_arr, k_arr, ktp)
+        y, _, details = _frozen_embed_in_bin(codebooks, m, x_arr, k_arr, ktp)
     search_ok = y is not None
     if y is None:
         y = np.zeros(codebooks.n, dtype=np.int64)
-    return sim.EmbedResult(
-        y=y, m=m, w=bits_to_int(w), input_ok=input_ok, search_ok=search_ok,
-        search_event=search_event if (input_ok and not search_ok) else None,
-        j=details.get("j"), j_prime=details.get("j_prime"),
-    )
+    return sim.EmbedResult(y=y, m=m, input_ok=input_ok, search_ok=search_ok, j=details.get("j"))
 
 
 def _same(a, b):
@@ -1963,8 +2009,8 @@ class TestBatchedSearch:
                 except EmptyTypicalSetError:
                     for enc in (got, alone):
                         assert not enc.search_ok and not enc.y.any()
-                        assert enc.search_event == ("e3" if enc.input_ok else None)
-                        assert enc.j is not None and enc.j_prime is None
+                        _, event, details = sim.embed_in_bin(books, enc.m, x, k)
+                        assert event == "e3" and "j_prime" not in details and enc.j is not None
                     continue
                 for f in dataclasses.fields(sim.EmbedResult):
                     assert _same(getattr(got, f.name), getattr(want, f.name)), f.name
@@ -1972,8 +2018,9 @@ class TestBatchedSearch:
             if search.key is None:
                 continue
             for m in range(1, books.sizes.bins + 1):
-                _assert_frozen_bin(books, m, x, k, sim.embed_in_bin(books, m, x, k))
-                _assert_frozen_bin(books, m, x, k, search.result(m))
+                _assert_frozen_bin(books, m, x, k, got := sim.embed_in_bin(books, m, x, k))
+                assert m in search._found or not search.embeds  # the all-bins call filled it
+                _assert_entry(search, m, got)
 
     @given(_search_cases(), st.sampled_from([1, 2, None]))
     @settings(max_examples=60, deadline=None)
@@ -1999,6 +2046,14 @@ def _assert_frozen_bin(books, m, x, k, got):
     assert _same(y, want[0]) and event == want[1]
     assert details.keys() == want[2].keys()
     assert all(_same(details[key], want[2][key]) for key in details)
+
+
+def _assert_entry(word, m, got):
+    """Bin m's (y, j, j') kept in the ``WordSearch`` ``word`` against
+    ``embed_in_bin``'s result for that bin, field by field."""
+    y, _, details = got
+    entry = word.entry(m)
+    assert _same(entry[0], y) and _same(entry[1], details.get("j")) and _same(entry[2], details.get("j_prime"))
 
 
 def _check_one_search_call(books, xs, ks, contexts_per_kernel_call):
@@ -2027,7 +2082,9 @@ def _check_one_search_call(books, xs, ks, contexts_per_kernel_call):
         assert calls == [len(triples)]
         for x, k, w in words:
             for m in bins:
-                _assert_frozen_bin(books, m, x, k, w.result(m))
+                _assert_frozen_bin(books, m, x, k, got := sim.embed_in_bin(books, m, x, k))
+                assert m in w._found  # placed by the one call
+                _assert_entry(w, m, got)
         assert len(calls) == 1  # every result came from the one call
 
 
@@ -2061,10 +2118,11 @@ class TestTypeClassSharing:
                 words = [sim.WordSearch(books, x, k) for x, k in _words_of_one_frame(books, t, x_rep, 3, rng)]
                 assert len({w.k.tobytes() for w in words}) > 1
                 for m in bins:
-                    results = [w.result(m) for w in words]
+                    results = [sim.embed_in_bin(books, m, w.x, w.k) for w in words]
                     y0, event0, details0 = results[0]
                     for w, (y, event, details) in zip(words, results):
                         _assert_frozen_bin(books, m, w.x, w.k, (y, event, details))
+                        _assert_entry(w, m, (y, event, details))
                         assert event == event0 and (y is None) == (y0 is None)
                         if y is not None:
                             assert np.array_equal(y[w.key.order], y0[words[0].key.order])
@@ -2136,20 +2194,24 @@ class TestUndrawableStegoBook:
     def test_search_fails_with_e3(self):
         books = self._books()
         k = books.key_types[self._lopsided(books)].representative
-        enc = sim.embed_encode(np.array([0, 1]), sim.WordSearch(books, np.zeros(4, dtype=np.int64), k))
+        x = np.zeros(4, dtype=np.int64)
+        enc = sim.embed_encode(np.array([0, 1]), sim.WordSearch(books, x, k))
         assert enc.input_ok and not enc.search_ok
-        assert enc.search_event == "e3" and not enc.y.any()
-        assert enc.j == 0 and enc.j_prime is None
+        _, event, details = sim.embed_in_bin(books, enc.m, x, k)
+        assert event == "e3" and not enc.y.any()
+        assert enc.j == 0 and "j_prime" not in details
 
     def test_enumeration_completes(self):
         books = self._books()
         est = sim.estimate_equivocation(books)
         assert est.extras == _per_state_enumeration(books)
         x = np.zeros(4, dtype=np.int64)
-        events = {
-            sim.embed_encode(np.array(u), sim.WordSearch(books, x, np.array(k))).search_event
-            for u in np.ndindex(2, 2) for k in np.ndindex(2, 2, 2, 2)
-        }
+        events = set()
+        for u in np.ndindex(2, 2):
+            for k in map(np.array, np.ndindex(2, 2, 2, 2)):
+                enc = sim.embed_encode(np.array(u), sim.WordSearch(books, x, k))
+                if enc.input_ok and not enc.search_ok:
+                    events.add(sim.embed_in_bin(books, enc.m, x, k)[1])
         assert "e3" in events
 
 
