@@ -279,11 +279,14 @@ def build_rd_codebook(
     )
 
 
-def rd_encode(u_seq: np.ndarray, codebook: RdCodebook) -> int:
-    """Index of the minimum-distortion codeword (first index on ties)."""
+def rd_encode(u_seq: np.ndarray, codebook: RdCodebook) -> int | np.ndarray:
+    """Index of the minimum-distortion codeword (first index on ties); of
+    each row of a (words, n) stack, as an int64 array.  Each row's
+    distortions sum the same axis as a single word's."""
     u = np.asarray(u_seq)
-    if u.shape != (codebook.n_symbols,):
-        raise ValidationError(f"expected a length-{codebook.n_symbols} word")
-    dists = codebook.distortion.cost[u[None, :], codebook.codewords].sum(axis=1)
-    return int(np.argmin(dists))
+    if u.ndim not in (1, 2) or u.shape[-1] != codebook.n_symbols:
+        raise ValidationError(f"expected a length-{codebook.n_symbols} word or a stack of them")
+    dists = codebook.distortion.cost[u[..., None, :], codebook.codewords].sum(axis=-1)
+    best = np.argmin(dists, axis=-1)
+    return int(best) if u.ndim == 1 else best
 

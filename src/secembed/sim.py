@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -71,10 +71,11 @@ _AUDIT_CHUNK_ROWS = 1 << 16
 # mask bytes one box-test kernel call ANDs at once; past about 512 KB its
 # working set leaves the cache and each context word costs 3-4x as much
 _BOX_CHUNK_BYTES = 1 << 18
-# trials whose searches, attacks and decode box tests run as one batch, and
-# enumerated (x, k) words whose searches do
+# trials whose draws, word set-ups, searches, attacks and decode box tests
+# run as one batch, and enumerated (x, k) words whose set-ups, searches,
+# forged-word decodes and mass-table entries do
 _TRIAL_CHUNK = 64
-_WORD_CHUNK = 8
+_WORD_CHUNK = 32
 # entries each word-keyed cache of a CodebookSet (keys, message indices,
 # stegotext books, embedding searches, decodes) keeps; it drops the least
 # recently used beyond that.  An entry is a pure function of (build, word), so a
@@ -91,6 +92,12 @@ class _LruCache(OrderedDict):
         super().__init__()
         self.capacity = capacity
 
+    def read(self, key):
+        """The entry of ``key``, now the most recently used; KeyError when
+        there is none."""
+        self.move_to_end(key)
+        return self[key]
+
     def lookup(self, key, make):
         """The entry of ``key``; when there is none, ``make()``, kept."""
         try:
@@ -102,12 +109,18 @@ class _LruCache(OrderedDict):
         return self[key]
 
     def lookup_many(self, keys: list, make_many) -> list:
-        """The entry of each of ``keys``, in order, each as ``lookup`` finds
-        it; the missing ones come from one ``make_many(missing)`` call, each
-        key once, which returns their entries in order."""
-        distinct = dict.fromkeys(keys)
-        found = {key: self.lookup(key, None) for key in distinct if key in self}
-        missing = [key for key in distinct if key not in found]
+        """The entry of each of ``keys``, in order: hits read as ``read``
+        reads, the missing keys made by one ``make_many(missing)`` call,
+        each key once, and kept by ``lookup``."""
+        found = dict.fromkeys(keys)
+        missing = []
+        for key in found:
+            try:
+                self.move_to_end(key)
+            except KeyError:
+                missing.append(key)
+            else:
+                found[key] = self[key]
         for key, entry in zip(missing, make_many(missing) if missing else ()):
             found[key] = self.lookup(key, lambda: entry)
         return [found[key] for key in keys]
@@ -387,31 +400,57 @@ class CodebookSet:
 
     # -- per-word facts ------------------------------------------------------
 
+    def keys(self, k_words: np.ndarray) -> list[Key | None]:
+        """The ``Key`` record of each row of a (words, n) stack of key words,
+        None where atypical.  The words the cache lacks are resolved by one
+        stable argsort, the type of each sorted row and a pad each."""
+        k_words = np.asarray(k_words, dtype=np.int64)
+
+        def resolve(missing: list[bytes]) -> list[Key | None]:
+            words = np.frombuffer(b"".join(missing), dtype=np.int64).reshape(len(missing), self.n)
+            orders = np.argsort(words, axis=1, kind="stable")
+            orders.flags.writeable = False  # every caller shares the records
+            sorted_words = np.take_along_axis(words, orders, axis=1)
+            out: list[Key | None] = [None] * len(missing)
+            for i, (k_arr, order, letters) in enumerate(zip(words, orders, sorted_words)):
+                if (type_idx := self._type_index.get(letters.tobytes())) is not None:
+                    out[i] = Key(type_idx, order, _key_pad(self.seed, k_arr, self.sizes.j_bits))
+            return out
+
+        return self._keys.lookup_many([k.tobytes() for k in k_words], resolve)
+
     def key(self, k_arr: np.ndarray) -> Key | None:
-        """The ``Key`` record of a key word, or None when it is atypical."""
+        """``keys`` of one word: a cache read, or the one-row case."""
         k_arr = np.asarray(k_arr, dtype=np.int64)
+        try:
+            return self._keys.read(k_arr.tobytes())
+        except KeyError:
+            return self.keys(k_arr[None])[0]
 
-        def resolve() -> Key | None:
-            order = np.argsort(k_arr, kind="stable")
-            type_idx = self._type_index.get(k_arr[order].tobytes())
-            if type_idx is None:
-                return None
-            order.flags.writeable = False  # every caller shares the record
-            return Key(type_idx, order, _key_pad(self.seed, k_arr, self.sizes.j_bits))
+    def messages(self, u_words: np.ndarray) -> list[int | None]:
+        """The rate-distortion index of each row of a stack of message
+        words, None where atypical.  The words the cache lacks are resolved
+        by one box test (``_row_counts``) and one ``rd_encode`` stack."""
+        u_words = np.asarray(u_words, dtype=np.int64)
 
-        return self._keys.lookup(k_arr.tobytes(), resolve)
+        def resolve(missing: list[bytes]) -> list[int | None]:
+            words = np.frombuffer(b"".join(missing), dtype=np.int64).reshape(len(missing), self.n_message)
+            typical = self.u_box.contains(_row_counts(words, self.spec.u_axis.size))
+            out: list[int | None] = [None] * len(missing)
+            if typical.any():
+                for i, w in zip(np.flatnonzero(typical).tolist(), rd_encode(words[typical], self.rd_codebook).tolist()):
+                    out[i] = w
+            return out
+
+        return self._messages.lookup_many([u.tobytes() for u in u_words], resolve)
 
     def message(self, u_arr: np.ndarray) -> int | None:
-        """The rate-distortion index of a message word, or None when the
-        word is atypical."""
+        """``messages`` of one word: a cache read, or the one-row case."""
         u_arr = np.asarray(u_arr, dtype=np.int64)
-
-        def resolve() -> int | None:
-            if not self.u_box.contains(np.bincount(u_arr, minlength=self.spec.u_axis.size)):
-                return None
-            return rd_encode(u_arr, self.rd_codebook)
-
-        return self._messages.lookup(u_arr.tobytes(), resolve)
+        try:
+            return self._messages.read(u_arr.tobytes())
+        except KeyError:
+            return self.messages(u_arr[None])[0]
 
     def aux_book(self, type_idx: int) -> np.ndarray:
         """All M_U * M_2 auxiliary codewords of one representative, grouped by
@@ -450,7 +489,7 @@ class CodebookSet:
                 book[r, order] = sampler.sample(rng)
             return book
 
-        return self._stego_books.lookup((type_idx, v_rep.tobytes()), draw)
+        return self._stego_books.lookup_many([(type_idx, v_rep.tobytes())], lambda _: [draw()])[0]
 
     def stego_books(self, types, v_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The stegotext books of (type index, auxiliary word) pairs, given as
@@ -514,6 +553,13 @@ def _entropy(*ints: int, word: np.ndarray | None = None) -> np.ndarray:
     return np.concatenate((words, word), dtype=np.uint32, casting="unsafe")
 
 
+def _row_counts(cells: np.ndarray, size: int) -> np.ndarray:
+    """(rows, size) counts of each row's cells 0 .. size - 1: one bincount,
+    row r's cells offset by r * size."""
+    offsets = size * np.arange(len(cells))[:, None]
+    return np.bincount((cells + offsets).ravel(), minlength=len(cells) * size).reshape(len(cells), size)
+
+
 def _key_pad(seed: int, k_arr: np.ndarray, j_bits: int) -> int:
     """A typical key word's pad: the integer its J bits spell, drawn from the
     PCG64 stream of ``SeedSequence((seed, _SW_TAG, key word as uint32))``.
@@ -537,17 +583,19 @@ def _key_pad(seed: int, k_arr: np.ndarray, j_bits: int) -> int:
 
 def _cell_bounds(box: CountBox, shape: tuple[int, ...], value_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """A count box over the row-major cells of ``shape`` as (context, value)
-    tables: the value axis moved last, the other axes flattened row-major
-    into the context.  A count lies in 0..n, so the bounds are clipped to
-    0..n+1, a cell whose upper bound is negative gets the unreachable lower
-    bound n+1, and the tables take the smallest unsigned type holding n+1."""
+    tables of each cell's lower bound and width: the value axis moved last,
+    the other axes flattened row-major into the context.  The tables take
+    the smallest unsigned type holding n+1, so a count c in 0..n lies in
+    the box when c - lo, wrapping below lo past every width, is at most the
+    width; a cell no count can meet gets lo = n+1 and width 0."""
     n = box.n
-    lo = np.where(box.hi < 0, n + 1, np.clip(box.lo, 0, n + 1))
-    hi = np.clip(box.hi, 0, n)
+    lo, hi = np.clip(box.lo, 0, None), np.clip(box.hi, None, n)
+    empty = lo > hi
+    lo, width = np.where(empty, n + 1, lo), np.where(empty, 0, hi - lo)
     dtype = np.min_scalar_type(n + 1)
     return tuple(
         np.moveaxis(b.reshape(shape), value_axis, -1).reshape(-1, shape[value_axis]).astype(dtype)
-        for b in (lo, hi)
+        for b in (lo, width)
     )
 
 
@@ -571,16 +619,19 @@ def _rows_in_boxes(
     letter masks, has its (context, value) cell counts in the box against
     each context word.  Row r counts cell (c, v) once per position t with
     context[t] == c and book[r, t] == v, and every cell, including those of
-    contexts no position has, must lie in lo[c, v] .. hi[c, v].
+    contexts no position has, must lie in its bounds (``_cell_bounds``).
 
     ``masks`` is one book's masks, tested against every context, or a stack
     of books' masks, one per context, each tested against its own context.
     A count is the popcount of the context's position mask ANDed with the
-    row's letter mask, summed over the masks' bytes.  A kernel call ANDs at
-    most ``_BOX_CHUNK_BYTES`` of masks, so longer stacks go in chunks."""
-    lo, hi = bounds
+    row's letter mask, summed over the masks' bytes; the last value
+    letter's is the context's position count less the others'.  A kernel
+    call ANDs at most ``_BOX_CHUNK_BYTES`` of masks, so longer stacks go in
+    chunks."""
+    lo, width = bounds
     stacked = masks.ndim == 4
-    chunk = max(1, _BOX_CHUNK_BYTES // (lo.shape[0] * math.prod(masks.shape[-3:])))
+    n_bytes, letters, rows = masks.shape[-3:]
+    chunk = max(1, _BOX_CHUNK_BYTES // (lo.shape[0] * n_bytes * max(1, letters - 1) * rows))
     if len(contexts) > chunk:
         starts = range(0, len(contexts), chunk)
         parts = [(masks[s : s + chunk] if stacked else masks, contexts[s : s + chunk]) for s in starts]
@@ -588,11 +639,14 @@ def _rows_in_boxes(
     place = np.packbits(contexts[:, None, :] == np.arange(lo.shape[0])[:, None], axis=-1)
     if stacked:
         masks = masks[:, None]
-    both = place[:, :, :, None, None] & masks
-    counts = np.add.reduce(np.bitwise_count(both, out=both), axis=2, dtype=lo.dtype)
-    ok = counts >= lo[:, :, None]
-    ok &= counts <= hi[:, :, None]
-    return np.logical_and.reduce(ok, axis=(1, 2))
+    counts = np.empty((*place.shape[:2], *masks.shape[-2:]), dtype=lo.dtype)
+    both = place[:, :, :, None, None] & masks[..., :-1, :]
+    np.add.reduce(np.bitwise_count(both, out=both), axis=2, dtype=lo.dtype, out=counts[:, :, :-1])
+    positions = np.add.reduce(np.bitwise_count(place), axis=2, dtype=lo.dtype)
+    others = np.add.reduce(counts[:, :, :-1], axis=2, dtype=lo.dtype)
+    np.subtract(positions[:, :, None], others, out=counts[:, :, -1])
+    counts -= lo[:, :, None]
+    return np.logical_and.reduce(counts <= width[:, :, None], axis=(1, 2))
 
 
 @dataclass
@@ -673,23 +727,38 @@ class WordSearch:
     message word encoded with it: the key's record (``CodebookSet.key``),
     the (k, x) pair test, the search key ``frame`` (key type, covertext in
     the type's frame as bytes) and each bin's embedding search, kept once
-    found as (stegotext word or None, row j, row j'); ``search_words``
-    searches many words at once."""
+    found as (stegotext word or None, row j, row j'); ``stack`` sets up
+    many words, ``search_words`` searches many."""
 
     def __init__(self, codebooks: CodebookSet, x_seq: np.ndarray, k_seq: np.ndarray):
-        self.codebooks = codebooks
-        self.x = np.asarray(x_seq, dtype=np.int64)
-        self.k = np.asarray(k_seq, dtype=np.int64)
-        self.key = codebooks.key(self.k)
-        pair_cells = self.k * codebooks.x_size + self.x
-        self.pair_ok = codebooks.kx_box.contains(
-            np.bincount(pair_cells, minlength=codebooks.k_size * codebooks.x_size)
-        )
-        self.embeds = self.key is not None and self.pair_ok
-        self.frame = None if self.key is None else (
-            self.key.type_idx, self.x[self.key.order].astype(codebooks._x_dtype).tobytes()
-        )
-        self._found: dict[int, tuple[np.ndarray | None, int | None, int | None]] = {}
+        """One word's set-up: the one-row case of ``stack``."""
+        x, k = (np.asarray(a, dtype=np.int64)[None] for a in (x_seq, k_seq))
+        vars(self).update(vars(WordSearch.stack(codebooks, x, k)[0]))
+
+    @classmethod
+    def stack(cls, codebooks: CodebookSet, x_words: np.ndarray, k_words: np.ndarray) -> list[WordSearch]:
+        """The ``WordSearch`` of each row of (words, n) stacks of covertext
+        and key words, in one pass: the keys' records, one pair count and
+        the frames gathered by the keys' orders."""
+        xs = np.asarray(x_words, dtype=np.int64)
+        ks = np.asarray(k_words, dtype=np.int64)
+        keys = codebooks.keys(ks)
+        pair_cells = ks * codebooks.x_size + xs
+        pair_ok = codebooks.kx_box.contains(_row_counts(pair_cells, codebooks.k_size * codebooks.x_size)).tolist()
+        frames = [None] * len(keys)
+        if typed := [i for i, key in enumerate(keys) if key is not None]:
+            orders = np.array([keys[i].order for i in typed])
+            x_reps = np.take_along_axis(xs[typed], orders, axis=1).astype(codebooks._x_dtype)
+            for i, x_rep in zip(typed, x_reps):
+                frames[i] = (keys[i].type_idx, x_rep.tobytes())
+        words = []
+        for x, k, key, ok, frame in zip(xs, ks, keys, pair_ok, frames):
+            word = cls.__new__(cls)
+            word.codebooks, word.x, word.k, word.key, word.pair_ok, word.frame = codebooks, x, k, key, ok, frame
+            word.embeds = key is not None and ok
+            word._found = {}
+            words.append(word)
+        return words
 
     def bin_of(self, w: int | None) -> int:
         """The bin (1-based) the encoder embeds message index ``w``
@@ -776,12 +845,12 @@ def attack(y_seq: np.ndarray, spec: SystemSpec, rng) -> np.ndarray:
     generator a row, each drawing its row's uniforms."""
     y = np.asarray(y_seq, dtype=np.int64)
     rngs = [rng] if y.ndim == 1 else rng
+    # Generator.choice's table, each row over its total, so no draw passes it
     cum = spec.attack_matrix.cumsum(axis=1)
+    cum /= cum[:, -1:]
     r = np.array([g.random(y.shape[-1]) for g in rngs]).reshape(y.shape)
-    # as Generator.choice does, a draw on a cumulative entry skips its letter; a row
-    # may sum to just under 1, and a draw above its total takes the last symbol
-    z = np.minimum((r[..., None] >= cum[y]).sum(axis=-1), cum.shape[1] - 1)
-    return z.astype(np.int64)
+    # as choice does, a draw on a cumulative entry skips its letter
+    return (r[..., None] >= cum[y]).sum(axis=-1).astype(np.int64)
 
 
 @dataclass
@@ -902,21 +971,24 @@ def _mean(values: list[float]) -> float:
 
 
 def _trial_draws(spec: SystemSpec, n_message: int, n: int, seed: int):
-    """The function of t giving trial t's generator, then the message word
-    and the covertext and key words it draws, u from p(u) and the (x, k)
-    cells from p(x, k) in its (X, K) order; the generator goes on to draw
-    the trial's attack.  Each draw is ``Generator.choice(p=)``'s, uniforms
-    searched in its table ``cdf = p.cumsum(); cdf /= cdf[-1]``, built here
-    once and without ``choice``'s per-call checks of p (the ``DistTable``s
-    were checked at load)."""
+    """The function of a range of trials giving each trial's generator,
+    then the message, covertext and key words they draw, a trial a row: u
+    from p(u) and the (x, k) cells from p(x, k) in its (X, K) order; each
+    generator goes on to draw its trial's attack.  Each draw is
+    ``Generator.choice(p=)``'s, uniforms searched in its table ``cdf =
+    p.cumsum(); cdf /= cdf[-1]``, built here once and without ``choice``'s
+    per-call checks of p (the ``DistTable``s were checked at load); a
+    generator's uniforms are one call, as two calls draw them, and each
+    table is searched once a range."""
     cdf_u, cdf_xk = (c / c[-1] for c in (np.cumsum(spec.p_u.values), np.cumsum(spec.p_xk.values)))
     k_size = spec.k_axis.size
 
-    def draw(t: int):
-        rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed, _TRIAL_TAG, t)))
-        u = cdf_u.searchsorted(rng.random(n_message), side="right")
-        cells = cdf_xk.searchsorted(rng.random(n), side="right")
-        return rng, u, cells // k_size, cells % k_size
+    def draw(trials: range):
+        rngs = [np.random.default_rng(np.random.SeedSequence(_entropy(seed, _TRIAL_TAG, t))) for t in trials]
+        uniforms = np.array([rng.random(n_message + n) for rng in rngs]).reshape(len(rngs), n_message + n)
+        u = cdf_u.searchsorted(uniforms[:, :n_message], side="right")
+        cells = cdf_xk.searchsorted(uniforms[:, n_message:], side="right")
+        return rngs, u, cells // k_size, cells % k_size
 
     return draw
 
@@ -952,24 +1024,26 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
     golden run is e4, yet decodes the sent bin).
 
     Trials go ``_TRIAL_CHUNK`` at a time: each draws u and (x, k) from its
-    own generator, the chunk's searches run as one ``search_words`` call
-    and each trial encodes; the chunk's attacks (each from its trial's
-    generator) and x-y distortions run as array passes, and one
-    ``_typical_rows`` call box-tests its forgeries under typical keys into
-    the decode memo; then each trial decodes, reading the memo.
+    own generator, the chunk's words are resolved as stacks and searched by
+    one ``search_words`` call, and each trial encodes; the chunk's attacks
+    (each from its trial's generator) and x-y distortions run as array
+    passes, and one ``_typical_rows`` call box-tests its forgeries under
+    typical keys into the decode memo; then each trial decodes, reading the
+    memo.
     """
     spec, n, n_msg = codebooks.spec, codebooks.n, codebooks.n_message
     draw = _trial_draws(spec, n_msg, n, seed)
     results: list[TrialResult] = []
 
     for start in range(0, trials, _TRIAL_CHUNK):
-        rngs, us, xs, ks = zip(*map(draw, range(start, min(trials, start + _TRIAL_CHUNK))))
-        words = [WordSearch(codebooks, x, k) for x, k in zip(xs, ks)]
-        search_words(codebooks, [(w, [w.bin_of(codebooks.message(u))]) for u, w in zip(us, words) if w.embeds])
+        rngs, us, xs, ks = draw(range(start, min(trials, start + _TRIAL_CHUNK)))
+        words = WordSearch.stack(codebooks, xs, ks)
+        indices = codebooks.messages(us)
+        search_words(codebooks, [(w, [w.bin_of(i)]) for i, w in zip(indices, words) if w.embeds])
         encs = [embed_encode(u, word) for u, word in zip(us, words)]
         ys = np.array([enc.y for enc in encs])
         zs = attack(ys, spec, rngs)
-        d_xy = (spec.d.per_sequence(np.array(xs), ys) / n).tolist()
+        d_xy = (spec.d.per_sequence(xs, ys) / n).tolist()
         if typed := [i for i, word in enumerate(words) if word.key is not None]:
             orders = np.array([words[i].key.order for i in typed])
             z_reps = np.take_along_axis(zs[typed], orders, axis=1).astype(codebooks._z_dtype)
@@ -1021,11 +1095,11 @@ def input_atypicality_frequency(
     kx_box = count_box(kx, n, delta)
     draw = _trial_draws(spec, n_message, n, seed)
     bad = 0
-    for t in range(trials):
-        _, u, x, k = draw(t)
-        ok_u = u_box.contains(np.bincount(u, minlength=spec.u_axis.size))
-        ok_kx = kx_box.contains(np.bincount(k * spec.x_axis.size + x, minlength=kx.size))
-        bad += int(not (ok_u and ok_kx))
+    for start in range(0, trials, _TRIAL_CHUNK):
+        _, u, x, k = draw(range(start, min(trials, start + _TRIAL_CHUNK)))
+        ok_u = u_box.contains(_row_counts(u, spec.u_axis.size))
+        ok_kx = kx_box.contains(_row_counts(k * spec.x_axis.size + x, kx.size))
+        bad += int(np.count_nonzero(~(ok_u & ok_kx)))
     return bad / trials if trials else 0.0
 
 
@@ -1044,27 +1118,54 @@ class EquivocationEstimate:
     extras: dict[str, float] = field(default_factory=dict)
 
 
-def _mass_table() -> defaultdict:
-    """Unnormalized masses by key, then by outcome, each in first-seen order
-    (``_entropy_of_rows`` sums them in that order)."""
-    return defaultdict(lambda: defaultdict(float))
+def _entropy_of_rows(masses: np.ndarray, rows: np.ndarray) -> float:
+    """Sum over rows of P(row) H(outcome | row), from the masses of cells
+    listed row by row, ``rows`` giving each cell's row as an integer: each
+    row's masses added left to right, as ``_mean`` adds, then each term
+    -P(row) q log2(q) of a positive mass, with ``math.log2``, in order."""
+    p_row = np.zeros(rows.max() + 1 if len(rows) else 0)
+    np.add.at(p_row, rows, masses)
+    positive = masses > 0
+    p_key = p_row[rows[positive]]
+    q = masses[positive] / p_key
+    terms = p_key * q * np.array([math.log2(v) for v in q.tolist()])
+    h = np.zeros(1)
+    np.add.at(h, np.zeros(len(terms), dtype=np.intp), -terms)
+    return float(h[0])
 
 
-def _entropy_of_rows(table: dict) -> float:
-    """Sum over keys of P(key) H(outcome | key), from unnormalized masses,
-    each key's masses added left to right as ``_mean`` adds."""
-    h = 0.0
-    for outcomes in table.values():
-        p_key = 0.0
-        for p in outcomes.values():
-            p_key += p
-        if p_key <= 0:
-            continue
-        for p in outcomes.values():
-            if p > 0:
-                q = p / p_key
-                h -= p_key * q * math.log2(q)
-    return h
+class _MassTable:
+    """Masses by (row, outcome) cell, as integer codes, the outcomes in
+    ``low`` .. ``low + span - 1``.  A cell's mass adds its inputs in input
+    order, as ``+=`` adds (an ordered ``np.bincount``), and rows and each
+    row's cells go in the order first seen."""
+
+    def __init__(self, low: int, span: int):
+        self._low, self._span = low, span
+        self._cells: list[np.ndarray] = []
+        self._masses: list[np.ndarray] = []
+
+    def add(self, rows: np.ndarray, outcomes: np.ndarray, masses: np.ndarray) -> None:
+        self._cells.append(rows * self._span + (outcomes - self._low))
+        self._masses.append(masses)
+
+    def entropy(self) -> float:
+        """``_entropy_of_rows`` of the table."""
+        cells, first, cell_of = np.unique(
+            np.concatenate([np.zeros(0, dtype=np.int64), *self._cells]), return_index=True, return_inverse=True
+        )
+        mass = np.bincount(cell_of, weights=np.concatenate([np.zeros(0), *self._masses]), minlength=len(cells))
+        seen = np.argsort(first)  # the cells as first seen
+        _, row_first, row_of = np.unique(cells[seen] // self._span, return_index=True, return_inverse=True)
+        by_row = np.argsort(row_first[row_of], kind="stable")
+        return _entropy_of_rows(mass[seen][by_row], row_first[row_of][by_row])
+
+
+def _words(size: int, length: int, start: int, stop: int) -> np.ndarray:
+    """Words start .. stop - 1 of ``length`` letters over ``size``, in
+    ``itertools.product`` order, a word a row."""
+    index = np.arange(start, stop, dtype=np.int64)
+    return index[:, None] // size ** np.arange(length - 1, -1, -1, dtype=np.int64) % size
 
 
 def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
@@ -1076,133 +1177,127 @@ def estimate_equivocation(codebooks: CodebookSet) -> EquivocationEstimate:
     single-build numbers as conditional on the draw, and average the
     estimates of seeded rebuilds with ``ensemble_mean``.
 
-    The enumeration does each piece of work once per word it depends on:
-    - once per message word u: its typicality and rate-distortion index
-      (``CodebookSet.message``), which the bin requests and the on-path
-      flag read; each state's encode looks it up in the cache again, and
-      recomputes it only for a word the cache has dropped;
-    - once per (x, k) word: a ``WordSearch`` (key record, pair test), and
-      the forged words of each distinct stegotext word, moved into the
-      key type's representative frame;
-    - once per (key type, covertext in its frame, bin): the embedding
-      search, which ``search_words`` shares across the type's keys through
-      the codebooks' search cache;
-    - once per (key type, forged word in its frame): the decode box test,
-      which ``_typical_rows`` keeps in the codebooks' decode memo, shared
-      with the build's trials; the word decodes to the one bin with a
-      typical row, or none, and a key reads its reproduction from that bin
-      through its pad;
-    - once per ``_WORD_CHUNK`` (x, k) words: one ``search_words`` call of
-      the distinct bins each word's states reach; then each word is
-      finished in turn, in enumeration order, with at most one decode box
-      test, of its forged words that the memo lacks;
-    - once per (u, x, k) state: one ``embed_encode`` call and the sums.
+    The (x, k) words of positive probability go ``_WORD_CHUNK`` at a time,
+    as arrays, each word's (u, x, k) states in message-word order.  Every
+    message word's index is one ``CodebookSet.messages`` stack.  A chunk's
+    words are set up by one ``WordSearch.stack`` call and their bins
+    searched by one ``search_words`` call, each state encodes
+    (``embed_encode``), and one ``_typical_rows`` fill decodes the chunk's
+    forged words under typical keys in their key types' frames, through
+    the decode memo shared with the build's trials: a word decodes to the
+    one bin with a typical row, or none, read through the key's pad.  The
+    four mass tables (``_MassTable``) and the encrypted path's probability
+    add each (state, forged word) pair's mass in state order, as the
+    per-state loop did.
     """
     spec = codebooks.spec
     n, n_msg, m2 = codebooks.n, codebooks.n_message, codebooks.sizes.m2
-    u_size = spec.u_axis.size
-    xk_size = spec.x_axis.size * spec.k_axis.size
+    u_size, k_size = spec.u_axis.size, spec.k_axis.size
+    xk_size = spec.x_axis.size * k_size
     identity_attack = spec.has_identity_attack()
     z_states = 1 if identity_attack else spec.z_axis.size**n
     cost = u_size**n_msg * xk_size**n * z_states
     if cost > DEFAULT_ENUM_CAP:
         raise ResourceCapError(f"exact enumeration needs {cost} states (> cap {DEFAULT_ENUM_CAP})")
 
-    pu = spec.p_u.values
     pxk = spec.p_xk.values  # (X, K)
     att = spec.attack_matrix
-
-    def words(size: int, length: int) -> Iterator[np.ndarray]:
-        """Every word over ``size`` letters, the last position fastest."""
-        return (np.array(w, dtype=np.int64) for w in itertools.product(range(size), repeat=length))
-
-    # every message word with its bytes, probability and rate-distortion index
-    u_words = [(u, u.tobytes(), float(np.prod(pu[u])), codebooks.message(u)) for u in words(u_size, n_msg)]
-    if identity_attack:
-
-        def forged(ys: dict[bytes, np.ndarray]) -> tuple[np.ndarray, list[tuple[bytes, bytes, float]]]:
-            return np.array(list(ys.values())), [(ykey, ykey + ykey, 1.0) for ykey in ys]
-
-    else:
-        # every forged word, in words() order
-        z_all = np.ascontiguousarray(np.indices((spec.z_axis.size,) * n).reshape(n, -1).T)
-
-        def forged(ys: dict[bytes, np.ndarray]) -> tuple[np.ndarray, list[tuple[bytes, bytes, float]]]:
-            """The forged words of each stegotext word (by its bytes) that
-            have positive probability, as rows, and each as (stegotext
-            word's bytes, the pair's bytes, probability)."""
-            rows, flat = [], []
-            for ykey, y in ys.items():
-                pz = np.prod(att[y, z_all], axis=1)
-                keep = np.flatnonzero(pz > 0)
-                rows.append(z_all[keep])
-                flat += [(ykey, ykey + z.tobytes(), p) for z, p in zip(z_all[keep], pz[keep].tolist())]
-            return np.concatenate(rows), flat
-
-    u_rows, uhat_rows, bin_rows, bin_rows_enc = (_mass_table() for _ in range(4))
-    enc_path_prob = 0.0
+    # every message word with its probability and rate-distortion index, -1 when atypical
+    u_all = _words(u_size, n_msg, 0, u_size**n_msg)
+    p_u = np.prod(spec.p_u.values[u_all], axis=1)
+    w_u = np.array([-1 if w is None else w for w in codebooks.messages(u_all)], dtype=np.int64)
+    z_all = None if identity_attack else _words(spec.z_axis.size, n, 0, z_states)
     # each message index's reproduction as an outcome, one per distinct
     # codeword; a failed decode's outcome is -1
     uhat_of = _unique_rows(codebooks.rd_codebook.codewords)[2]
+    bins = codebooks.sizes.bins
 
-    xk_words = words(xk_size, n)
-    while chunk := list(itertools.islice(xk_words, _WORD_CHUNK)):
-        batch = []  # the chunk's (x, k) words of positive probability, with their states
-        for xk in chunk:
-            x, k = xk // spec.k_axis.size, xk % spec.k_axis.size
-            p_xk_word = float(np.prod(pxk[x, k]))
-            if p_xk_word == 0.0:
-                continue
-            live = [(u, ub, p_u * p_xk_word, w_u) for u, ub, p_u, w_u in u_words if p_u * p_xk_word != 0.0]
-            if live:
-                batch.append((WordSearch(codebooks, x, k), live))
-        search_words(
-            codebooks,
-            [(w, [w.bin_of(w_u) for *_, w_u in live]) for w, live in batch if w.embeds],
-        )
-        for word, live in batch:
-            # each state's encode, and whether its message is on the encrypted path
-            on_path = word.key is not None
-            states = []
-            for u, ub, p_word, w_u in live:
-                enc = embed_encode(u, word)
-                states.append((ub, p_word, enc, enc.y.tobytes(), on_path and w_u is not None))
-            # the forged words of the distinct stegotext words, and each one's
-            # reproduction: under a typical key, its forged word moved into
-            # the type's frame and decoded through the decode memo, the one
-            # bin with a typical row, or 0 for none or more than one
-            z_rows, flat = forged({ykey: enc.y for _, _, enc, ykey, _ in states})
-            uhats = itertools.repeat(-1)
-            if word.key is not None:
-                z_frames = z_rows[:, word.key.order].astype(codebooks._z_dtype)
-                found = _typical_rows(codebooks, itertools.repeat(word.key.type_idx), z_frames)
-                bins = np.array([_one_bin(r, m2) or 0 for r in found])
-                uhats = np.where(bins > 0, uhat_of[_sent_index(bins, word.key.pad)], -1).tolist()
-            # each stegotext word's forgeries as (mass-table key, probability, reproduction)
-            rows = defaultdict(list)
-            for (ykey, key, pz), uhat in zip(flat, uhats):
-                rows[ykey].append((key, pz, uhat))
-            for ub, p_word, enc, ykey, u_on_path in states:
-                if u_on_path:
-                    enc_path_prob += p_word
-                for key, pz, uhat in rows[ykey]:
-                    p = p_word * pz
-                    u_rows[key][ub] += p
-                    uhat_rows[key][uhat] += p
-                    bin_rows[ykey][enc.m] += p
-                    if u_on_path:
-                        bin_rows_enc[ykey][enc.m] += p
+    def xk_chunks() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The (x, k) words of positive probability in ``_words`` order,
+        ``_WORD_CHUNK`` at a time, as covertext words, key words and their
+        probabilities."""
+        total, block = xk_size**n, 64 * _WORD_CHUNK
+        for start in range(0, total, block):
+            xk = _words(xk_size, n, start, min(total, start + block))
+            x, k = xk // k_size, xk % k_size
+            p = np.prod(pxk[x, k], axis=1)
+            live = np.flatnonzero(p != 0)
+            for s in range(0, len(live), _WORD_CHUNK):
+                chunk = live[s : s + _WORD_CHUNK]
+                yield x[chunk], k[chunk], p[chunk]
 
-    h_u = _entropy_of_rows(u_rows)
-    h_uhat = _entropy_of_rows(uhat_rows)
-    h_bin = _entropy_of_rows(bin_rows)
-    h_bin_enc = _entropy_of_rows(bin_rows_enc)
+    u_rows, uhat_rows = _MassTable(0, len(u_all)), _MassTable(-1, int(uhat_of.max()) + 2)
+    bin_rows, bin_rows_enc = _MassTable(1, bins), _MassTable(1, bins)
+    enc_path_prob = np.zeros(1)
+    y_codes: dict[bytes, int] = {}  # each stegotext word met, numbered
+
+    for x, k, p_xk in xk_chunks():
+        words = WordSearch.stack(codebooks, x, k)
+        # the chunk's states of positive probability, word by word, each
+        # word's message words in order
+        word_of, u_of = np.nonzero(p_xk[:, None] * p_u != 0)
+        if not len(word_of):
+            continue
+        p_state = p_xk[word_of] * p_u[u_of]
+        types = np.array([-1 if w.key is None else w.key.type_idx for w in words])
+        pads = np.array([0 if w.key is None else w.key.pad for w in words])
+        orders = np.array([np.arange(n) if w.key is None else w.key.order for w in words])
+        # whether each state's message is on the encrypted path, and the
+        # bins each word's states reach
+        on_path = (types[word_of] >= 0) & (w_u[u_of] >= 0)
+        reached = np.where(on_path, (w_u[u_of] ^ pads[word_of]) + 1, 1)
+        starts = np.flatnonzero(np.diff(word_of, prepend=-1))
+        requests = zip(word_of[starts].tolist(), np.split(reached, starts[1:]))
+        search_words(codebooks, [(words[i], ms.tolist()) for i, ms in requests if words[i].embeds])
+        encs = [embed_encode(u_all[u], words[i]) for i, u in zip(word_of.tolist(), u_of.tolist())]
+        ys = np.array([enc.y for enc in encs])
+        ms = np.array([enc.m for enc in encs])
+        np.add.at(enc_path_prob, np.zeros(np.count_nonzero(on_path), dtype=np.intp), p_state[on_path])
+
+        # each state's stegotext word, numbered over the whole enumeration,
+        # and its forged words of positive probability as (state, forged
+        # word) pairs, in state order, each state's in z_all order
+        y_keys = _row_keys(ys.astype(codebooks._y_dtype))
+        distinct, first, y_of = np.unique(y_keys, return_index=True, return_inverse=True)
+        y_code = np.array([y_codes.setdefault(key, len(y_codes)) for key in distinct.tolist()])[y_of]
+        if identity_attack:  # a state's one forged word is its stegotext word
+            pair_state, z_words, z_of, p_pair = np.arange(len(ys)), ys[first], y_of, p_state
+            pair_row = y_code
+        else:
+            forged = [np.prod(att[y, z_all], axis=1) for y in ys[first]]
+            keep = [np.flatnonzero(pz > 0) for pz in forged]
+            pair_state = np.repeat(np.arange(len(ys)), [len(keep[d]) for d in y_of.tolist()])
+            z_words, z_of = z_all, np.concatenate([keep[d] for d in y_of.tolist()])
+            p_pair = p_state[pair_state] * np.concatenate([forged[d][keep[d]] for d in y_of.tolist()])
+            pair_row = y_code[pair_state] * z_states + z_of
+
+        # each pair's reproduction: under a typical key, its forged word moved
+        # into the key type's frame and decoded through the decode memo, the
+        # one bin with a typical row read through the key's pad, else -1
+        combos, combo_of = np.unique(word_of[pair_state] * len(z_words) + z_of, return_inverse=True)
+        c_word, c_z = np.divmod(combos, len(z_words))
+        uhat = np.full(len(combos), -1)
+        if (c_typed := np.flatnonzero(types[c_word] >= 0)).size:
+            c_word, c_z = c_word[c_typed], c_z[c_typed]
+            z_frames = np.take_along_axis(z_words[c_z], orders[c_word], axis=1).astype(codebooks._z_dtype)
+            decoded = _typical_rows(codebooks, types[c_word].tolist(), z_frames)
+            found = np.array([_one_bin(rows, m2) or 0 for rows in decoded])
+            uhat[c_typed] = np.where(found > 0, uhat_of[_sent_index(found, pads[c_word])], -1)
+
+        u_rows.add(pair_row, u_of[pair_state], p_pair)
+        uhat_rows.add(pair_row, uhat[combo_of], p_pair)
+        pair_y, pair_m, enc_pairs = y_code[pair_state], ms[pair_state], on_path[pair_state]
+        bin_rows.add(pair_y, pair_m, p_pair)
+        bin_rows_enc.add(pair_y[enc_pairs], pair_m[enc_pairs], p_pair[enc_pairs])
+
+    h_u, h_uhat, h_bin, h_bin_enc = (t.entropy() for t in (u_rows, uhat_rows, bin_rows, bin_rows_enc))
+    path_prob = float(enc_path_prob[0])
     extras = {
         "h_u_given_yz_bits": h_u,
         "h_uhat_given_yz_bits": h_uhat,
         "h_bin_given_y": h_bin,
-        "h_bin_given_y_encrypted_path": (h_bin_enc / enc_path_prob) if enc_path_prob > 0 else 0.0,
-        "encrypted_path_probability": enc_path_prob,
+        "h_bin_given_y_encrypted_path": (h_bin_enc / path_prob) if path_prob > 0 else 0.0,
+        "encrypted_path_probability": path_prob,
     }
     return EquivocationEstimate(
         h_u_given_yz=h_u / n_msg,

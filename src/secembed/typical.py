@@ -60,9 +60,12 @@ class CountBox:
     hi: np.ndarray
     n: int
 
-    def contains(self, counts: np.ndarray) -> bool:
+    def contains(self, counts: np.ndarray) -> bool | np.ndarray:
+        """Whether the cell counts lie in the box; of each row of a (rows,
+        cells) stack, as a boolean array."""
         c = np.asarray(counts)
-        return bool(((c >= self.lo) & (c <= self.hi)).all())
+        inside = ((c >= self.lo) & (c <= self.hi)).all(axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 def count_box(probs: np.ndarray, n: int, delta: float) -> CountBox:

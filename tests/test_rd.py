@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -193,6 +194,43 @@ class TestEncodeDecode:
             dists = [HAMMING.per_sequence(w, cw) for cw in self.cb.codewords]
             assert dists[i] == min(dists)
             assert i == int(np.argmin(dists))
+
+    @given(
+        n=st.sampled_from([2, 7, 8, 9, 17]),
+        letters=st.integers(1, 3),
+        rows=st.integers(1, 6),
+        words=st.integers(0, 12),
+        integer_costs=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stack_equals_row_by_row_calls(self, n, letters, rows, words, integer_costs, seed):
+        """A (words, n) stack encodes to the row-by-row indices, as an int64
+        array, ties (repeated codewords, and 0/1 costs that sum alike)
+        included, with lengths on both sides of numpy's eight-term pairwise
+        blocks; the one-word call returns an int."""
+        rng = np.random.default_rng(seed)
+        axis_u, axis_uhat = Axis("U", letters), Axis("Uhat", letters)
+        cost = rng.integers(0, 2, size=(letters, letters)) if integer_costs else rng.random((letters, letters))
+        codewords = rng.integers(0, letters, size=(rows, n))
+        codewords = codewords[rng.integers(0, rows, size=rows + 2)]  # repeated rows tie
+        cb = dataclasses.replace(
+            self.cb, codewords=codewords, n_symbols=n, distortion=DistortionMeasure(axis_u, axis_uhat, cost)
+        )
+        stack = rng.integers(0, letters, size=(words, n))
+        got = rd_encode(stack, cb)
+        singles = [rd_encode(u, cb) for u in stack]
+        assert got.dtype == np.int64 and got.shape == (words,) and got.tolist() == singles
+        assert all(type(i) is int for i in singles)
+        for u, i in zip(stack, singles):
+            dists = [cb.distortion.cost[u, c].sum() for c in codewords]
+            assert i == dists.index(min(dists))
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValidationError):
+            rd_encode(np.zeros((2, 3, self.cb.n_symbols), dtype=np.int64), self.cb)
+        with pytest.raises(ValidationError):
+            rd_encode(np.zeros((2, self.cb.n_symbols + 1), dtype=np.int64), self.cb)
 
     def test_roundtrip_within_certificate(self):
         for t in enumerate_typical(BSS, 8, 0.25):

@@ -305,6 +305,98 @@ class TestKeyMachinery:
         assert np.all(np.abs(freq - 0.5) < 0.05)
 
 
+@st.composite
+def _stack_cases(draw):
+    """A build with a binary or ternary key and a unary or binary
+    covertext, with default or two-entry word caches, and stacks of key,
+    covertext and message words: typical keys (permuted representatives),
+    random, often atypical, ones and the constant key, random covertexts
+    and message words, then some rows again."""
+    k_probs, n = draw(st.sampled_from([((0.5, 0.5), 8), ((1 / 3, 1 / 3, 1 / 3), 12)]))
+    x_probs = draw(st.sampled_from([(1.0,), (0.5, 0.5)]))
+    spec = binary_spec(x_size=len(x_probs), x_probs=x_probs, k_probs=k_probs, lam=0.5)
+    entries = 2 if draw(st.booleans()) else sim._WORD_CACHE_ENTRIES
+    try:
+        with warnings.catch_warnings(), mock.patch.object(sim, "_WORD_CACHE_ENTRIES", entries):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            aux = copy_embedder_aux(spec, [0.5, 0.5])
+            design = sim.CodeDesign(spec, aux, n, 0.6, 0.0, m2_bits=1, m3_bits=0, j_bits=2)
+            seed = draw(st.integers(0, 2**40))
+            books, fresh = sim.build_codebooks(design, seed), sim.build_codebooks(design, seed)
+    except (EmptyTypicalSetError, InfeasibleError, ValidationError):
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ks = [rng.permutation(books.key_types[rng.integers(len(books.key_types))].representative) for _ in range(5)]
+    ks += [*rng.integers(0, len(k_probs), size=(4, n)), np.zeros(n, dtype=np.int64)]
+    ks = np.array([*ks, *(ks[i] for i in rng.integers(0, len(ks), size=4))])
+    xs = rng.integers(0, len(x_probs), size=ks.shape)
+    us = rng.integers(0, 2, size=(len(ks), books.n_message))
+    us[-3:] = us[rng.integers(0, len(us) - 3, size=3)]
+    return books, fresh, entries, xs, ks, us
+
+
+class TestStackedResolvers:
+    """``CodebookSet.keys``, ``CodebookSet.messages`` and
+    ``WordSearch.stack`` resolve a stack of words as one pass each; every
+    row equals the one-word reference, and the one-word calls on a second
+    draw of the same codes, field by field."""
+
+    @given(_stack_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_the_one_word_references(self, case):
+        books, fresh, entries, xs, ks, us = case
+        for k, got in zip(ks, books.keys(ks)):
+            want, alone = reference_key(books, k), fresh.key(k)
+            if want is None:
+                assert got is None and alone is None
+                continue
+            for key in (got, alone):
+                assert (key.type_idx, key.pad) == (want[0], want[2]) and type(key.pad) is int
+                assert np.array_equal(key.order, want[1]) and not key.order.flags.writeable
+        for u, got in zip(us, books.messages(us)):
+            typical = books.u_box.contains(np.bincount(u, minlength=books.spec.u_axis.size))
+            want = sim.rd_encode(u, books.rd_codebook) if typical else None
+            assert got == want == fresh.message(u) and type(got) is type(want)
+        for x, k, word in zip(xs, ks, sim.WordSearch.stack(books, xs, ks)):
+            alone = sim.WordSearch(fresh, x, k)
+            key = reference_key(books, k)
+            pair_ok = books.kx_box.contains(np.bincount(k * books.x_size + x, minlength=books.k_size * books.x_size))
+            frame = None if key is None else (key[0], x[key[1]].astype(books._x_dtype).tobytes())
+            for search in (word, alone):
+                assert np.array_equal(search.x, x) and np.array_equal(search.k, k)
+                assert search.pair_ok is pair_ok and search.frame == frame
+                assert search.embeds is (key is not None and pair_ok)
+                assert (search.key is None) == (key is None) and search._found == {}
+                if key is not None:
+                    assert (search.key.type_idx, search.key.pad) == (key[0], key[2])
+                    assert np.array_equal(search.key.order, key[1])
+        for cache in (books._keys, books._messages, fresh._keys, fresh._messages):
+            assert len(cache) <= entries
+
+
+class TestLruCache:
+    def test_lookup_many_keeps_lru_order_and_capacity(self):
+        """Hits become the most recently used in their first-seen order,
+        then the missing keys are made by one call, each once, in first-seen
+        order, and kept, the least recently used dropped past capacity."""
+        cache = sim._LruCache(3)
+        made = []
+
+        def make(missing):
+            made.append(list(missing))
+            return [key.upper() for key in missing]
+
+        assert cache.lookup_many(["a", "b", "c"], make) == ["A", "B", "C"]
+        assert cache.lookup_many(["d", "b", "a", "d", "e", "b"], make) == ["D", "B", "A", "D", "E", "B"]
+        assert made == [["a", "b", "c"], ["d", "e"]]
+        # b and a read, then d and e kept: c and b dropped, least recently used first
+        assert list(cache.items()) == [("a", "A"), ("d", "D"), ("e", "E")]
+        assert cache.read("a") == "A" and list(cache) == ["d", "e", "a"]
+        with pytest.raises(KeyError):
+            cache.read("b")
+        assert cache.lookup_many([], make) == [] and len(made) == 2
+
+
 def _reference_stego_book(books, type_idx, v_rep):
     """``CodebookSet.stego_book`` as first written, kept as the reference for
     the composition-shared samplers and the array entropy: one sampler per
@@ -717,6 +809,28 @@ class TestAttack:
         z = sim.attack(np.array([0, 1, 1]), spec, TopDraw())
         assert z.tolist() == [0, 1, 1]
 
+    def test_draw_in_normalization_gap_takes_no_zero_probability_letter(self):
+        """A row summing to 1 - 5e-13 is divided by its total, as
+        ``Generator.choice`` divides its table, so a uniform of 1 - 1e-13
+        above that total draws the row's last letter of positive
+        probability, z = 1, not the zero-probability letter 2."""
+
+        class TopDraw:
+            def random(self, size):
+                return np.full(size, 1.0 - 1e-13)
+
+        y_axis, z_axis = Axis("Y", 2), Axis("Z", 3)
+        spec = dataclasses.replace(
+            binary_spec(),
+            p_z_given_y=DistTable([y_axis, z_axis], [[1.0, 0.0, 0.0], [0.5, 0.5 - 5e-13, 0.0]], given=("Y",)),
+        )
+        assert spec.attack_matrix[1].sum() < 1.0 - 1e-13
+        z = sim.attack(np.array([0, 1, 1]), spec, TopDraw())
+        assert z.tolist() == [0, 1, 1]
+        cdf = spec.attack_matrix[1].cumsum()
+        cdf /= cdf[-1]
+        assert z[1] == cdf.searchsorted(1.0 - 1e-13, side="right")
+
     @pytest.mark.parametrize("attack", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.5, 0.5]]])
     @pytest.mark.parametrize("draw", [0.0, 0.5])
     def test_draw_on_a_cumulative_entry_skips_its_letter(self, attack, draw):
@@ -895,7 +1009,8 @@ class TestEquivocation:
 
     def test_entropy_of_rows_adds_masses_left_to_right(self):
         # 1.0 left to right, but 1.0000000000000002 compensated, as the
-        # built-in sum adds from Python 3.12 on
+        # built-in sum adds from Python 3.12 on; the terms too are added
+        # left to right, each row's after the previous row's
         masses = [1.0, 1e-16, 1e-16]
         assert math.fsum(masses) != 1.0
         p_key = 0.0
@@ -904,7 +1019,19 @@ class TestEquivocation:
         want = 0.0
         for p in masses:
             want -= p_key * (p / p_key) * math.log2(p / p_key)
-        assert sim._entropy_of_rows({"key": dict(zip("abc", masses))}) == want
+        assert sim._entropy_of_rows(np.array(masses), np.zeros(3, dtype=np.intp)) == want
+        rows = [[0.3, 0.0, 0.1], [1e-16], [0.25, 0.5, 1e-16, 0.7]]
+        want = 0.0
+        for row in rows:
+            p_key = 0.0
+            for p in row:
+                p_key += p
+            for p in row:
+                if p > 0:
+                    want -= p_key * (p / p_key) * math.log2(p / p_key)
+        cells = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        assert sim._entropy_of_rows(np.concatenate(rows), cells) == want
+        assert sim._entropy_of_rows(np.zeros(0), np.zeros(0, dtype=np.intp)) == 0.0
 
     def test_ensemble_average(self):
         spec = binary_spec(x_size=1, lam=0.5, d_cost=[[0.0, 1.0]])
@@ -1070,11 +1197,15 @@ class TestInputAtypicality:
 
 
 @st.composite
-def _box_cases(draw):
+def _box_cases(draw, value_letters=None):
     """A book over one axis of a cell grid, each position's context on the
-    other axes, and a count box around one row's counts."""
-    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    other axes, and a count box around one row's counts; the value axis
+    has ``value_letters`` letters when given."""
+    shape = list(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
     value_axis = draw(st.integers(0, len(shape) - 1))
+    if value_letters is not None:
+        shape[value_axis] = value_letters
+    shape = tuple(shape)
     n = draw(st.integers(1, 12))
     rows = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -1100,6 +1231,19 @@ class TestBoxCountKernel:
     @given(_box_cases())
     @settings(max_examples=200, deadline=None)
     def test_matches_add_at_reference(self, case):
+        self._check(case)
+
+    @pytest.mark.parametrize("value_letters", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_value_alphabets_of_one_to_three_letters(self, value_letters, data):
+        """The last value letter's count is derived from the context's
+        position count, so a one-letter value alphabet reads no letter
+        masks at all."""
+        self._check(data.draw(_box_cases(value_letters)))
+
+    @staticmethod
+    def _check(case):
         book, ctx_idx, shape, value_axis, box = case
         cells = _reference_cells(book, ctx_idx, shape, value_axis)
         counts = np.zeros((book.shape[0], math.prod(shape)), dtype=np.int64)
@@ -1115,13 +1259,17 @@ class TestBoxCountKernel:
 
 
 @st.composite
-def _batched_box_cases(draw):
+def _batched_box_cases(draw, value_letters=None):
     """A book of near-copies of one word over one axis of a cell grid, a few
     near-copies of one context word over the other axes, and a count box
     around the first row's counts against the first context; n runs up to
-    200, so the masks run to 25 bytes."""
-    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    200, so the masks run to 25 bytes.  The value axis has
+    ``value_letters`` letters when given."""
+    shape = list(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
     value_axis = draw(st.integers(0, len(shape) - 1))
+    if value_letters is not None:
+        shape[value_axis] = value_letters
+    shape = tuple(shape)
     n = draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     others = [s for i, s in enumerate(shape) if i != value_axis]
@@ -1160,6 +1308,19 @@ class TestBatchedBoxKernel:
     @given(_batched_box_cases())
     @settings(max_examples=200, deadline=None)
     def test_matches_single_calls_and_add_at_reference(self, case):
+        self._check(case)
+
+    @pytest.mark.parametrize("value_letters", [1, 2, 3])
+    @given(data=st.data(), one_context_chunks=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_value_alphabets_of_one_to_three_letters(self, value_letters, data, one_context_chunks):
+        """With kernel chunks of one context each or the default ones."""
+        case = data.draw(_batched_box_cases(value_letters))
+        with mock.patch.object(sim, "_BOX_CHUNK_BYTES", 1 if one_context_chunks else sim._BOX_CHUNK_BYTES):
+            self._check(case)
+
+    @staticmethod
+    def _check(case):
         book, ctx_words, shape, value_axis, box = case
         others = [s for i, s in enumerate(shape) if i != value_axis]
         bounds = sim._cell_bounds(box, shape, value_axis)
@@ -1410,6 +1571,14 @@ class TestPad:
             assert any(event == "ok" for event, *_ in decoded)
 
 
+def _entropy_of_table(table: dict) -> float:
+    """``sim._entropy_of_rows`` of nested dicts of masses by row, then by
+    outcome, rows and outcomes in insertion order."""
+    masses = [p for outcomes in table.values() for p in outcomes.values()]
+    rows = [i for i, outcomes in enumerate(table.values()) for _ in outcomes]
+    return sim._entropy_of_rows(np.array(masses, dtype=float), np.array(rows, dtype=np.intp))
+
+
 def _per_state_enumeration(codebooks):
     """The extras of ``estimate_equivocation``'s exact enumeration as the
     per-state loop computed them before the decode was batched per key word:
@@ -1481,11 +1650,11 @@ def _per_state_enumeration(codebooks):
                     bin_rows_enc.setdefault(ykey, {}).setdefault(enc.m, 0.0)
                     bin_rows_enc[ykey][enc.m] += p
 
-    h_bin_enc = sim._entropy_of_rows(bin_rows_enc)
+    h_bin_enc = _entropy_of_table(bin_rows_enc)
     return {
-        "h_u_given_yz_bits": sim._entropy_of_rows(u_rows),
-        "h_uhat_given_yz_bits": sim._entropy_of_rows(uhat_rows),
-        "h_bin_given_y": sim._entropy_of_rows(bin_rows),
+        "h_u_given_yz_bits": _entropy_of_table(u_rows),
+        "h_uhat_given_yz_bits": _entropy_of_table(uhat_rows),
+        "h_bin_given_y": _entropy_of_table(bin_rows),
         "h_bin_given_y_encrypted_path": (h_bin_enc / enc_path_prob) if enc_path_prob > 0 else 0.0,
         "encrypted_path_probability": enc_path_prob,
     }
@@ -1548,9 +1717,9 @@ class TestBatchedEnumeration:
     @settings(max_examples=15, deadline=None)
     def test_message_cache_smaller_than_the_message_words(self, books):
         """With a two-entry message cache, the enumeration over four message
-        words recomputes the indices the cache dropped, at most two
-        ``rd_encode`` calls a state (its bin request and its encode), and
-        sums the same."""
+        words recomputes the indices the cache dropped, ``rd_encode``
+        encoding at most two words a state (its bin request and its encode),
+        and sums the same."""
         expected = _per_state_enumeration(books)
         books._messages = sim._LruCache(2)
         with (
@@ -1560,15 +1729,15 @@ class TestBatchedEnumeration:
             est = sim.estimate_equivocation(books)
         assert est.extras == expected
         assert books.spec.u_axis.size ** books.n_message == 4 and len(books._messages) <= 2
-        assert rd_encode.call_count <= 2 * encode.call_count
+        assert _rd_encoded_words(rd_encode) <= 2 * encode.call_count
 
     def test_rd_encode_once_a_state_and_once_a_message_word(self, monkeypatch):
         """The benchmark's n=8 enumeration of the demo system, with
-        two-entry caches: the 16 message words are resolved once for the
-        bin requests and the on-path flags, and each state's encode looks
-        its word up once more, so ``rd_encode`` runs at most once a state
-        plus once a message word (6,916 calls over 4,096 states when the
-        requests and the flags looked the words up again)."""
+        two-entry caches: the 16 message words are resolved once, as one
+        stack, for the bin requests and the on-path flags, and each state's
+        encode looks its word up once more, so ``rd_encode`` encodes at most
+        one word a state plus each message word once (6,916 words over 4,096
+        states when the requests and the flags looked the words up again)."""
         monkeypatch.setattr(sim, "_WORD_CACHE_ENTRIES", 2)
         books = _demo_books(8)
         with (
@@ -1578,14 +1747,21 @@ class TestBatchedEnumeration:
             sim.estimate_equivocation(books)
         message_words = books.spec.u_axis.size**books.n_message
         assert (message_words, encode.call_count) == (16, 4096)
-        assert rd_encode.call_count <= encode.call_count + message_words
+        assert _rd_encoded_words(rd_encode) <= encode.call_count + message_words
+
+
+def _rd_encoded_words(rd_encode) -> int:
+    """The message words a wrapped ``rd_encode`` encoded over its calls, a
+    stack counting its rows."""
+    return sum(1 if np.ndim(call.args[0]) == 1 else len(call.args[0]) for call in rd_encode.call_args_list)
 
 
 def _recorded_box_tests(books, monkeypatch):
     """Run the enumeration of ``books`` recording its encodes and decode
     box tests; returns the (x, k) word encoded last before each box test,
-    each box-tested (key type, frame word) pair, and every forged word of
-    positive probability under a typical key, in its type's frame."""
+    with the key type tested, each box-tested (key type, frame word) pair,
+    and every forged word of positive probability under a typical key, in
+    its type's frame."""
     encoded, tested, callers = [], [], []
     encode, typical_in_frame = sim.embed_encode, sim._typical_in_frame
 
@@ -1597,7 +1773,7 @@ def _recorded_box_tests(books, monkeypatch):
     def recorded_test(codebooks, type_idx, z_reps):
         assert len(z_reps) > 0
         search = encoded[-1][0]  # the word whose states were encoded last
-        callers.append((search.x.tobytes(), search.k.tobytes()))
+        callers.append((search.x.tobytes(), search.k.tobytes(), type_idx))
         tested.extend((type_idx, z.tobytes()) for z in z_reps)
         return typical_in_frame(codebooks, type_idx, z_reps)
 
@@ -1616,11 +1792,11 @@ def _recorded_box_tests(books, monkeypatch):
 
 
 class TestOnePassEnumeration:
-    """The enumeration finishes each (x, k) word in turn, with at most one
-    decode box test, of the forged words the build's decode memo lacks: no
-    box test is of zero words, and each (key type, forged word in the
-    type's frame) is box-tested exactly once per build, by the trials or
-    by the enumeration."""
+    """The enumeration finishes each chunk of (x, k) words in turn, with at
+    most one decode box test per key type, of the forged words the build's
+    decode memo lacks: no box test is of zero words, and each (key type,
+    forged word in the type's frame) is box-tested exactly once per build,
+    by the trials or by the enumeration."""
 
     @pytest.mark.parametrize("system, word_chunk", [("demo", None), ("demo", 1), ("noisy", None)])
     def test_each_frame_word_reaches_the_box_test_once(self, system, word_chunk, monkeypatch):
@@ -2067,8 +2243,9 @@ def _check_one_search_call(books, xs, ks, contexts_per_kernel_call):
     bins = range(1, books.sizes.bins + 1)
     chunk = sim._BOX_CHUNK_BYTES
     if contexts_per_kernel_call is not None:  # the bytes of that many contexts' bin masks
-        masks = books.aux_masks(0)
-        chunk = contexts_per_kernel_call * len(books.kxv_cells[0]) * math.prod(masks.shape[:-1]) * books.sizes.m2
+        masks = books.aux_masks(0)  # the kernel reads every value letter's masks but the last
+        letters_read = max(1, books.v_size - 1)
+        chunk = contexts_per_kernel_call * len(books.kxv_cells[0]) * masks.shape[0] * letters_read * books.sizes.m2
     triples = {(w.key.type_idx, tuple(x[w.key.order].tolist()), m) for x, _, w in words for m in bins}
     calls = []
     search_bins = sim._search_bins
@@ -2296,9 +2473,9 @@ class TestTrialDraws:
     @given(seed=st.integers(0, 2**64 - 1), t=st.integers(0, 2**20))
     @settings(max_examples=40, deadline=None)
     def test_cdf_draws_are_choice_draws(self, p, seed, t):
-        """The message word from p and the (x, k) cells from p as a 2 x 2
-        table equal ``choice``'s draw for draw, and leave the generator
-        where ``choice`` leaves it."""
+        """The message words from p and the (x, k) cells from p as a 2 x 2
+        table, three trials stacked, equal ``choice``'s draw for draw, each
+        trial's row, and leave each generator where ``choice`` leaves it."""
         u_axis, x_axis = Axis("U", 4), Axis("X", 2)
         spec = SystemSpec(
             p_u=DistTable([u_axis], p),
@@ -2308,8 +2485,10 @@ class TestTrialDraws:
             d=DistortionMeasure(x_axis, Axis("Y", 2), 1.0 - np.eye(2)),
             d_prime=DistortionMeasure.hamming(u_axis, Axis("Uhat", 4)),
         )
-        rng, *drawn = sim._trial_draws(spec, 8, 16, seed)(t)
-        want_rng, *want = _choice_trial(spec, 8, 16, seed, t)
-        for got, expected in zip(drawn, want):
-            assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        assert rng.bit_generator.state == want_rng.bit_generator.state
+        rngs, *drawn = sim._trial_draws(spec, 8, 16, seed)(range(t, t + 3))
+        assert len(rngs) == 3 and all(len(rows) == 3 for rows in drawn)
+        for i, rng in enumerate(rngs):
+            want_rng, *want = _choice_trial(spec, 8, 16, seed, t + i)
+            for rows, expected in zip(drawn, want):
+                assert rows[i].dtype == expected.dtype and np.array_equal(rows[i], expected)
+            assert rng.bit_generator.state == want_rng.bit_generator.state
