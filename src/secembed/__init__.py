@@ -43,16 +43,28 @@ from .tables import (
     expected_distortion,
     mutual_information,
 )
-from .typical import (
-    SymbolSequence,
-    enumerate_typical,
-    epsilon_from_delta,
-    epsilon_schedule,
-    is_delta_typical,
-    is_jointly_delta_typical,
-    typical_distortion_bound,
-    typical_set_probability,
-    typicality_size_bounds,
+
+# the typical-set names resolve on first use (PEP 562): region math never loads
+# the simulator's typical-set module
+_TYPICAL_EXPORTS = (
+    "SymbolSequence",
+    "enumerate_typical",
+    "epsilon_from_delta",
+    "epsilon_schedule",
+    "is_delta_typical",
+    "is_jointly_delta_typical",
+    "typical_distortion_bound",
+    "typical_set_probability",
+    "typicality_size_bounds",
 )
+
+
+def __getattr__(name: str):
+    if name in _TYPICAL_EXPORTS:
+        from . import typical
+
+        return getattr(typical, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -13,11 +13,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from . import sim
 from .config import COMMANDS, SCHEMA, RunConfig, flag_of, from_document, parse_config, read_text, stable_hash
 from .errors import (
     InfeasibleError,
@@ -27,6 +26,9 @@ from .errors import (
 )
 from .rd import rd_curve
 from .region import eval_extended, eval_keyed_region, optimize_region
+
+if TYPE_CHECKING:  # the simulator loads in the verbs that run it, not at import
+    from . import sim
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -118,12 +120,6 @@ def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
             v_cardinality=config.v_cardinality,
         )
 
-    def design():  # once per run: every rebuild is a seeded draw of it
-        return sim.CodeDesign(
-            spec, config.aux, config.n, config.delta, config.d_prime,
-            m2_bits=config.m2_bits, m3_bits=config.m3_bits, j_bits=config.j_bits, eps_cov=config.eps_cov,
-        )
-
     grid = config.grid or [config.d_prime]
     if config.command in ("rd", "sweep") and config.objective is None:
         rows = []
@@ -167,8 +163,16 @@ def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
         _write_csv(out + "_summary.csv", digest, ["metric", "value"], summary)
         return EXIT_OK
 
+    if config.command not in ("simulate", "audit"):
+        raise ValidationError(f"unhandled command {config.command!r}")
+    from . import sim  # only the simulator's verbs pay for loading it
+
+    # designed once per run: every rebuild is a seeded draw of it
+    code = sim.CodeDesign(
+        spec, config.aux, config.n, config.delta, config.d_prime,
+        m2_bits=config.m2_bits, m3_bits=config.m3_bits, j_bits=config.j_bits, eps_cov=config.eps_cov,
+    )
     if config.command == "simulate":
-        code = design()
         books = sim.build_codebooks(code, config.seed)  # the trials and the enumeration share one build
         agg = sim.run_trials(books, config.trials, config.seed)
         columns = _trial_columns(agg.results)
@@ -193,30 +197,24 @@ def _write_artifacts(config: RunConfig, out: str, digest: str) -> int:
         _write_csv(out + "_summary.csv", digest, ["metric", "value"], summary)
         return EXIT_OK
 
-    if config.command == "audit":
-        rows = []
-        comp_rows = []
-        code = design()
-        for i in range(config.rebuilds):
-            seed_i = config.seed + i
-            books = sim.build_codebooks(code, seed_i)
-            audit = sim.bin_multiplicity_audit(books, config.gamma)
-            rows.append(
-                [i, seed_i, audit.max_bins_per_y, audit.bound, int(audit.passed), audit.max_bins_across_types]
-            )
-            if i == 0:
-                comp = sim.compression_audits(books)
-                comp_rows = [[k, v] for k, v in sorted(vars(comp).items())]
-        _write_csv(
-            out + "_bins.csv",
-            digest,
-            ["rebuild", "seed", "max_bins_per_y", "bound", "passed", "max_bins_across_types"],
-            rows,
-        )
-        _write_csv(out + "_compression.csv", digest, ["metric", "value"], comp_rows)
-        return EXIT_OK
-
-    raise ValidationError(f"unhandled command {config.command!r}")
+    rows = []
+    comp_rows = []
+    for i in range(config.rebuilds):
+        seed_i = config.seed + i
+        books = sim.build_codebooks(code, seed_i)
+        audit = sim.bin_multiplicity_audit(books, config.gamma)
+        rows.append([i, seed_i, audit.max_bins_per_y, audit.bound, int(audit.passed), audit.max_bins_across_types])
+        if i == 0:
+            comp = sim.compression_audits(books)
+            comp_rows = [[k, v] for k, v in sorted(vars(comp).items())]
+    _write_csv(
+        out + "_bins.csv",
+        digest,
+        ["rebuild", "seed", "max_bins_per_y", "bound", "passed", "max_bins_across_types"],
+        rows,
+    )
+    _write_csv(out + "_compression.csv", digest, ["metric", "value"], comp_rows)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import ConvergenceError, EmptyTypicalSetError, InfeasibleError, ResourceCapError, ValidationError
 from .tables import DistTable, DistortionMeasure, LOG_ZERO_CUTOFF
-from .typical import DEFAULT_ENUMERATION_CAP, enumerate_typical
 
 RATE_TOL = 1e-9
 MAX_ITERATIONS = 100_000
@@ -197,6 +196,8 @@ def build_rd_codebook(
     keeps downstream accounting honest.  Ties always break toward the lowest
     index.
     """
+    from .typical import DEFAULT_ENUMERATION_CAP, enumerate_typical  # here, so region math never loads typical
+
     sol = solution or blahut_arimoto(p_u, d_prime, target_d)
     src = enumerate_typical(p_u, n_symbols, delta)
     if len(src) == 0:

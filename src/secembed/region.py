@@ -22,13 +22,14 @@ from .tables import (
     Axis,
     DistTable,
     DistortionMeasure,
+    RowEntropies,
+    Workspace,
     compose_joint,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
     expected_distortion,
     mutual_information,
-    row_entropies,
 )
 
 SLACK_TOL = 1e-9
@@ -535,6 +536,9 @@ class _FastEvaluator:
         # rows whose products are no longer exact
         self.z_is_y = np.array_equal(self.att, np.eye(len(self.att)))
         self.cost = spec.d.cost
+        # every array that grows with the stack is written into these buffers,
+        # which the optimizer's own per-block arrays share
+        self.ws, self.entropies = Workspace(), RowEntropies()
         self.h_u = entropy(spec.p_u)
         self.rd = blahut_arimoto(spec.p_u, spec.d_prime, float(fixed["d_prime"]))
         self.r = self.rd.rate_bits
@@ -561,25 +565,32 @@ class _FastEvaluator:
         When the attack is exactly the identity, the Z marginals and their
         entropies are the Y ones: each term is a Y slice times 1.0 or 0.0,
         and adding +0.0 to a sum of nonnegative terms leaves its bits."""
-        j4 = self.xk[:, :, None, None] * q_kxvy  # (B,K,X,V,Y)
+        ws = self.ws
+        j4 = np.multiply(self.xk[:, :, None, None], q_kxvy, out=ws.take("j4", q_kxvy.shape))  # (B,K,X,V,Y)
         vs, ys, att = j4.shape[3], j4.shape[4], self.att
-        jb = j4.transpose(1, 2, 3, 4, 0).copy()  # (K,X,V,Y,B), C-contiguous
+        jb = ws.take("jb", (*j4.shape[1:], len(j4)))  # (K,X,V,Y,B), C-contiguous
+        np.copyto(jb, j4.transpose(1, 2, 3, 4, 0))
         if ys > 1:
-            p_ky, p_kvy = _batch_first(jb.sum(axis=(1, 2))), _batch_first(jb.sum(axis=1))
+            p_ky, p_kvy = _batch_first(ws.sum("ky", jb, (1, 2))), _batch_first(ws.sum("kvy", jb, 1))
             p_xy = np.ascontiguousarray(_batch_first(jb.sum(axis=(0, 2))))  # Ed(X,Y) sums it pairwise
         else:
-            p_ky, p_kvy, p_xy = j4.sum(axis=(2, 3)), j4.sum(axis=2), j4.sum(axis=(1, 3))
-        p_kxv = _batch_first(jb.sum(axis=3)) if ys < 8 else j4.sum(axis=4)
-        p_kv = p_kxv.sum(axis=2) if ys < 8 and vs > 1 else j4.sum(axis=(2, 4))
+            p_ky, p_kvy, p_xy = ws.sum("ky", j4, (2, 3)), ws.sum("kvy", j4, 2), j4.sum(axis=(1, 3))
+        if ys < 8:
+            kxvb = ws.sum("kxv", jb, 3)  # (K,X,V,B)
+            p_kxv = _batch_first(kxvb)
+            p_kv = _batch_first(ws.sum("kv", kxvb, 1)) if vs > 1 else ws.sum("kv", j4, (2, 4))
+        else:
+            p_kxv, p_kv = ws.sum("kxv", j4, 4), ws.sum("kv", j4, (2, 4))
         if self.z_is_y:
             z_stacks = ()
         elif att.shape[1] > 1:
-            j5 = jb[:, :, :, :, None] * att[:, :, None]  # (K,X,V,Y,Z,B)
-            z_stacks = (_batch_first(j5.sum(axis=(1, 2, 3))), _batch_first(j5.sum(axis=(1, 3))))
+            j5_shape = (*jb.shape[:4], att.shape[1], len(j4))  # (K,X,V,Y,Z,B)
+            j5 = np.multiply(jb[:, :, :, :, None], att[:, :, None], out=ws.take("j5", j5_shape))
+            z_stacks = (_batch_first(ws.sum("kz", j5, (1, 2, 3))), _batch_first(ws.sum("kvz", j5, (1, 3))))
         else:
-            j5 = j4[..., None] * att  # (B,K,X,V,Y,1)
-            z_stacks = (j5.sum(axis=(2, 3, 4)), j5.sum(axis=(2, 4)))
-        h_k, h_ky, h_y, h_kv, h_kx, h_kxv, h_kyv, h_j, *h_z = row_entropies(
+            j5 = np.multiply(j4[..., None], att, out=ws.take("j5", (*j4.shape, 1)))  # (B,K,X,V,Y,1)
+            z_stacks = (ws.sum("kz", j5, (2, 3, 4)), ws.sum("kvz", j5, (2, 4)))
+        h_k, h_ky, h_y, h_kv, h_kx, h_kxv, h_kyv, h_j, *h_z = self.entropies(
             j4.sum(axis=(2, 3, 4)), p_ky, p_ky.sum(axis=1), p_kv, j4.sum(axis=(3, 4)), p_kxv, p_kvy, j4, *z_stacks
         )
         h_kz, h_kvz = h_z or (h_ky, h_kyv)
@@ -607,12 +618,18 @@ class _FastEvaluator:
         return self.objective.sign * value - _PENALTY_WEIGHT * self.penalty(q)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    a = -np.sort(-v, axis=1)
-    cssv = (np.cumsum(a, axis=1) - 1.0) / np.arange(1, v.shape[1] + 1)
+def _project_simplex(v: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Euclidean projection of each row onto the probability simplex, written
+    into ``ws``."""
+    a = np.negative(v, out=ws.take("sorted", v.shape))
+    a.sort(axis=1)
+    np.negative(a, out=a)  # each row in descending order
+    cssv = np.cumsum(a, axis=1, out=ws.take("cssv", v.shape))
+    cssv -= 1.0
+    cssv /= np.arange(1, v.shape[1] + 1)
     rho = v.shape[1] - 1 - np.argmax((a > cssv)[:, ::-1], axis=1)
-    return np.maximum(v - cssv[np.arange(len(v)), rho, None], 0.0)
+    out = np.subtract(v, cssv[np.arange(len(v)), rho, None], out=ws.take("projected", v.shape))
+    return np.maximum(out, 0.0, out=out)
 
 
 @dataclass
@@ -667,6 +684,7 @@ def optimize_region(
     if not 1 <= v_size <= bound:
         raise ValidationError(f"v_cardinality must lie in 1..{bound} (the support bound), got {v_size}")
     ev = _FastEvaluator(spec, fixed, objective)
+    ws = ev.ws  # the per-block arrays below share the evaluator's buffers
 
     ks, xs, ys = spec.k_axis.size, spec.x_axis.size, spec.y_axis.size
     dim = v_size * ys
@@ -681,7 +699,8 @@ def optimize_region(
         the rows of ``blocks``, built and evaluated a chunk at a time."""
         out = []
         for i in range(0, len(rows), chunk):
-            stack = q[rows[i : i + chunk]]
+            part = rows[i : i + chunk]
+            stack = np.take(q, part, axis=0, out=ws.take("stack", (len(part), *q.shape[1:])))
             stack[:, k, x] = blocks[i : i + chunk].reshape(-1, v_size, ys)
             out.append(ev.score(stack))
         return np.concatenate(out)
@@ -693,9 +712,11 @@ def optimize_region(
             for x in range(xs):
                 block, base = q[active, k, x].reshape(-1, dim), score[active]
                 # forward differences: one perturbed copy per (restart, coordinate)
-                trial = np.repeat(block, dim, axis=0)
-                trial[np.arange(len(trial)), np.tile(np.arange(dim), len(active))] += 1e-6
-                grad = (scores(np.repeat(active, dim), k, x, trial).reshape(-1, dim) - base[:, None]) / 1e-6
+                trial = ws.take("trial", (len(active), dim, dim))
+                trial[...] = block[:, None]
+                trial.reshape(len(active), -1)[:, :: dim + 1] += 1e-6  # copy i moves coordinate i
+                trial_score = scores(np.repeat(active, dim), k, x, trial.reshape(-1, dim))
+                grad = (trial_score.reshape(-1, dim) - base[:, None]) / 1e-6
                 # line search: the first step size that improves by more than
                 # 1e-12; the full step usually does, so the shorter ones are
                 # scored only for the restarts it fails
@@ -703,8 +724,10 @@ def optimize_region(
                 for part in (steps[:1], steps[1:]):
                     if not rows.size:
                         break
-                    moved = block[rows, None] + part[:, None] * grad[rows, None]
-                    cand = _project_simplex(moved.reshape(-1, dim))
+                    moved = ws.take("moved", (len(rows), part.size, dim))
+                    np.multiply(part[:, None], grad[rows, None], out=moved)
+                    moved += block[rows, None]  # step plus block: the bits of block plus step
+                    cand = _project_simplex(moved.reshape(-1, dim), ws)
                     cand_score = scores(np.repeat(active[rows], part.size), k, x, cand).reshape(-1, part.size)
                     ok = cand_score > base[rows, None] + 1e-12
                     hit = ok.any(axis=1)

@@ -1349,13 +1349,14 @@ def bin_multiplicity_audit(codebooks: CodebookSet, gamma: float) -> BinAuditResu
     type_words, type_counts = [], []
     for t in range(len(codebooks.key_types)):
         books, book_of_row = _distinct_stego_books(codebooks, t)
-        # each distinct auxiliary row with each bin it lies in
-        held = np.unique(book_of_row * bins + np.arange(book_of_row.size) // sizes.m2)
+        # each distinct auxiliary row with each bin it lies in; a bare np.unique
+        # imports numpy.ma (16 ms), the sorting path with return_index does not
+        held = np.unique(book_of_row * bins + np.arange(book_of_row.size) // sizes.m2, return_index=True)[0]
         book_idx, bin_idx = np.divmod(held, bins)
         # each distinct stegotext word with each bin one of its books lies in
         words, _, word_of = _unique_rows(books.reshape(-1, n))
         word_of = word_of.reshape(books.shape[:2])
-        word_bins = np.unique(word_of[book_idx] * bins + bin_idx[:, None])
+        word_bins = np.unique(word_of[book_idx] * bins + bin_idx[:, None], return_index=True)[0]
         per_word = np.bincount(word_bins // bins, minlength=len(words))
         max_within = max(max_within, int(per_word.max()))
         type_words.append(words)

@@ -13,6 +13,7 @@ simulator) works on these tables.  Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +24,7 @@ from .errors import NumericalConsistencyError, ValidationError
 NORMALIZATION_ATOL = 1e-12
 LOG_ZERO_CUTOFF = 1e-15
 MI_NEGATIVE_TOL = 1e-12
+_PACK_PIECE = 1 << 13  # entries of RowEntropies' buffer gathered at once: 64 KB of float64
 
 
 @dataclass(frozen=True)
@@ -165,30 +167,109 @@ class DistTable:
 # ---------------------------------------------------------------------------
 
 
-def row_entropies(*stacks: np.ndarray) -> list[np.ndarray]:
+class Workspace:
+    """Flat buffers by name, each grown to the largest array taken from it and
+    then reused, so a loop of evaluations of one size writes into pages it
+    has already touched instead of freshly allocated ones.  An array taken
+    from a name holds undefined values and is valid until that name's next
+    use; each (name, shape) view is made once."""
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}  # (name, ...) -> a view of the name's buffer
+
+    def _view(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+            self._views = {key: v for key, v in self._views.items() if key[0] != name}
+        return buf[:size].reshape(shape)
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A C-contiguous array of ``shape`` in buffer ``name``."""
+        view = self._views.get((name, shape, dtype))
+        if view is None:
+            view = self._views[name, shape, dtype] = self._view(name, shape, dtype)
+        return view
+
+    def sum(self, name: str, a: np.ndarray, axis: int | tuple[int, ...]) -> np.ndarray:
+        """``a.sum(axis=axis)`` written into buffer ``name``.  For a
+        C-contiguous ``a`` that is the layout numpy gives the sum itself, so
+        the sum adds in the same order and keeps its bits."""
+        out = self._views.get((name, a.shape, axis))
+        if out is None:
+            axes = (axis,) if isinstance(axis, int) else axis
+            shape = tuple(n for i, n in enumerate(a.shape) if i not in axes)
+            out = self._views[name, a.shape, axis] = self._view(name, shape, np.float64)
+        return a.sum(axis=axis, out=out)
+
+
+class RowEntropies:
     """Entropy of each row of each (B, ...) stack; stacks may differ in row
     count and width, and need not be contiguous.  Every row goes into one
     buffer after a lead 1.0, so its nonzero terms follow a lead term
     1 * log2(1) = +0.0, and ``reduceat`` adds the rest of a segment to its
     first element with numpy's pairwise sum: a row gets 0.0 + pairwise(its
-    terms) whatever the batch, the bits of ``.sum()`` over them alone."""
-    rows, widths = [len(s) for s in stacks], [s[0].size + 1 for s in stacks]
-    lengths = np.repeat(widths, rows)
-    starts = np.cumsum(lengths) - lengths
-    buf = np.empty(starts[-1] + lengths[-1])
-    buf[starts] = 1.0
-    offsets = itertools.accumulate((n * w for n, w in zip(rows, widths)), initial=0)
-    for s, n, w, at in zip(stacks, rows, widths, offsets):
-        # splitting the row axis of a view never copies, so this writes into buf
-        buf[at : at + n * w].reshape(n, w)[:, 1:].reshape(s.shape)[...] = s
-    mask = buf > LOG_ZERO_CUTOFF
-    nz = buf[mask]
-    counts = np.add.reduceat(mask, starts, dtype=np.int32)  # a cast copy of the mask: int32 halves it
-    terms = np.log2(nz, out=buf[: nz.size])  # into pages already touched, not fresh ones
-    terms *= nz
-    out = np.add.reduceat(terms, np.cumsum(counts) - counts)
-    np.negative(out, out=out, where=counts > 1)  # a row of no terms keeps +0.0
-    return [out[end - n : end] for n, end in zip(rows, itertools.accumulate(rows))]
+    terms) whatever the batch, the bits of ``.sum()`` over them alone.
+
+    The buffers, and the layout of each set of stack shapes seen, are kept
+    between calls, so a caller that evaluates stacks of one size again and
+    again allocates nothing large after the first call; each call's results
+    are views of them, valid until the next call."""
+
+    def __init__(self) -> None:
+        self._ws = Workspace()
+        self._layouts: dict[tuple, tuple] = {}  # stack shapes -> (starts, buffers, stack slots, result rows)
+
+    def _layout(self, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+        rows, widths = [s[0] for s in shapes], [math.prod(s[1:]) + 1 for s in shapes]
+        lengths = np.repeat(widths, rows)
+        starts = np.cumsum(lengths) - lengths
+        buf = self._ws.take("buf", (int(starts[-1] + lengths[-1]),))
+        mask = self._ws.take("mask", buf.shape, np.bool_)
+        flags = self._ws.take("flags", buf.shape, np.int32)
+        counts = self._ws.take("counts", starts.shape, np.int32)
+        out = self._ws.take("out", starts.shape)
+        offsets = itertools.accumulate((n * w for n, w in zip(rows, widths)), initial=0)
+        # splitting the row axis of a view never copies, so each slot is a view of buf
+        slots = [
+            buf[at : at + n * w].reshape(n, w)[:, 1:].reshape(shape)
+            for shape, n, w, at in zip(shapes, rows, widths, offsets)
+        ]
+        results = [out[end - n : end] for n, end in zip(rows, itertools.accumulate(rows))]
+        return starts, buf, mask, flags, counts, out, slots, results
+
+    def __call__(self, *stacks: np.ndarray) -> list[np.ndarray]:
+        shapes = tuple(s.shape for s in stacks)
+        layout = self._layouts.get(shapes)
+        if layout is None:
+            layout = self._layouts[shapes] = self._layout(shapes)
+        starts, buf, mask, flags, counts, out, slots, results = layout
+        buf[starts] = 1.0
+        for s, slot in zip(stacks, slots):
+            slot[...] = s
+        np.greater(buf, LOG_ZERO_CUTOFF, out=mask)
+        np.copyto(flags, mask)  # reduceat would add a cast copy of its own
+        np.add.reduceat(flags, starts, out=counts)
+        # the nonzero terms p log2 p, packed from the front of buf a piece at a
+        # time: the packed run never passes the piece being read, and no
+        # gather outgrows a piece
+        packed = 0
+        for at in range(0, buf.size, _PACK_PIECE):
+            nz = buf[at : at + _PACK_PIECE][mask[at : at + _PACK_PIECE]]
+            terms = np.log2(nz, out=buf[packed : packed + nz.size])
+            terms *= nz
+            packed += nz.size
+            del nz  # freed before the next piece is gathered
+        np.add.reduceat(buf[:packed], np.cumsum(counts) - counts, out=out)
+        np.negative(out, out=out, where=counts > 1)  # a row of no terms keeps +0.0
+        return list(results)
+
+
+def row_entropies(*stacks: np.ndarray) -> list[np.ndarray]:
+    """``RowEntropies`` called once: each row's entropy, in arrays of its own."""
+    return RowEntropies()(*stacks)
 
 
 def entropy(p: DistTable, axes: Sequence[str] | None = None) -> float:

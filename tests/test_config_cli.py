@@ -569,6 +569,83 @@ _NEEDS = {
 }
 
 
+# every name the package re-exported while it imported typical eagerly
+PACKAGE_NAMES = [
+    "AuxChannel", "Axis", "ConditionReport", "ConvergenceError", "DistTable", "DistortionMeasure",
+    "EmptyTypicalSetError", "InfeasibleError", "NumericalConsistencyError", "RdCodebook", "RdSolution",
+    "RegionPoint", "ResourceCapError", "SymbolSequence", "SystemSpec", "ValidationError", "WorkbenchError",
+    "attack_free_witness", "blahut_arimoto", "build_rd_codebook", "compose_joint", "compose_system",
+    "conditional_entropy", "conditional_mutual_information", "entropy", "enumerate_typical",
+    "epsilon_from_delta", "epsilon_schedule", "eval_attack_free_region", "eval_extended", "eval_keyed_region",
+    "eval_lossless_region", "expected_distortion", "inherent_constraint_check", "is_delta_typical",
+    "is_jointly_delta_typical", "mutual_information", "optimize_region", "random_aux_channel", "rd_curve",
+    "rd_encode", "system_quantities", "typical_distortion_bound", "typical_set_probability",
+    "typicality_size_bounds",
+]
+SIMULATOR_MODULES = {"secembed.sim", "secembed.typical"}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The secembed and numpy.ma modules a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport sys\nprint(*(m for m in sys.modules if m.startswith(('secembed', 'numpy.ma'))))"
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    return set(r.stdout.split())
+
+
+class TestImportSurface:
+    """Region verbs load only region math: the simulator's modules load with
+    the verbs that run them, each check in a fresh interpreter."""
+
+    def test_importing_the_cli_loads_no_simulator_module(self):
+        loaded = _modules_after("import secembed.cli")
+        assert "secembed.cli" in loaded and "secembed.region" in loaded
+        assert not loaded & SIMULATOR_MODULES
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["region-opt", "--objective", "embedding_rate", "--fix", "d_prime=0.25,d=1.0", "--restarts", "2"],
+            ["rd", "--grid", "0.1,0.2"],
+        ],
+        ids=["region-opt", "rd"],
+    )
+    def test_a_region_verb_loads_no_simulator_module(self, workdir, args):
+        argv = [*args, "--spec", str(workdir / "sys.yaml"), "--seed", "1", "--out", str(workdir / "r")]
+        loaded = _modules_after(f"from secembed import cli\nassert cli.main({argv!r}) == 0")
+        assert not loaded & SIMULATOR_MODULES
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--n", "8", "--trials", "4", "--delta", "0.6"],
+            ["audit", "--n", "8", "--delta", "0.6", "--gamma", "0.5", "--rebuilds", "2"],
+        ],
+        ids=["simulate", "audit"],
+    )
+    def test_a_simulator_verb_loads_sim(self, workdir, args):
+        argv = [
+            *args, "--spec", str(workdir / "sys.yaml"), "--aux", str(workdir / "aux.yaml"), "--dprime", "0.0",
+            "--m2-bits", "5", "--m3-bits", "0", "--j-bits", "2", "--seed", "1", "--out", str(workdir / "s"),
+        ]
+        loaded = _modules_after(f"from secembed import cli\nassert cli.main({argv!r}) == 0")
+        assert SIMULATOR_MODULES <= loaded
+        # neither imports numpy.ma: the bin audit's np.unique calls take the sorting path
+        assert "numpy.ma" not in loaded
+
+    def test_every_package_name_still_resolves(self):
+        code = (
+            "import sys, secembed\n"
+            "assert 'secembed.typical' not in sys.modules\n"
+            f"missing = [name for name in {PACKAGE_NAMES!r} if not hasattr(secembed, name)]\n"
+            "assert not missing, missing\n"
+            "from secembed import enumerate_typical, typical\n"
+            "assert enumerate_typical is typical.enumerate_typical\n"
+            "assert not hasattr(secembed, 'no_such_name')"
+        )
+        assert "secembed.typical" in _modules_after(code)
+
+
 class TestAuxReload:
     """An aux channel reloads bit for bit from what a run writes: the YAML of
     ``aux_to_mapping``, and a manifest's JSON read back by ``run``."""

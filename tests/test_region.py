@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,6 +515,63 @@ class TestFastEvaluator:
             assert _bits(got[b]) == _bits(want)
 
 
+    @staticmethod
+    def _chunk_kernels(spec):
+        """The optimizer's chunk: stacks of this many full-|V| kernels hold
+        ``_EVAL_CHUNK`` (B, K, X, V, Y) entries."""
+        v_size = spec.v_cardinality_bound()
+        return v_size, region._EVAL_CHUNK // (spec.k_axis.size * spec.x_axis.size * v_size * spec.y_axis.size)
+
+    # the identity attack shares the Y marginals; the BSC takes the general (K,X,V,Y,Z) path
+    @pytest.mark.parametrize("attack", [None, [[0.9, 0.1], [0.2, 0.8]]])
+    def test_a_reused_workspace_gives_a_fresh_evaluators_bits(self, attack):
+        spec = binary_spec(attack=attack)
+        v_size, chunk = self._chunk_kernels(spec)
+        rng = np.random.default_rng(11)
+        ev = region._FastEvaluator(spec, ALL_FIXED, "h")
+        # each stack takes views of other sizes of the same buffers, or the same views again
+        for batch in (1, chunk, 7, chunk):
+            q = _random_kernels(rng, spec, v_size, batch, 0.3)
+            fresh = region._FastEvaluator(spec, ALL_FIXED, "h")
+            got, want = ev.quantities(q), fresh.quantities(q)
+            for name in want:
+                assert np.array_equal(_bits(got[name]), _bits(want[name])), (batch, name)
+            assert np.array_equal(_bits(ev.score(q)), _bits(fresh.score(q))), batch
+
+    def test_results_do_not_alias_the_workspace(self):
+        spec = binary_spec(attack=[[0.9, 0.1], [0.2, 0.8]])
+        v_size, chunk = self._chunk_kernels(spec)
+        rng = np.random.default_rng(12)
+        ev = region._FastEvaluator(spec, ALL_FIXED, "h")
+        first = ev.quantities(_random_kernels(rng, spec, v_size, chunk, 0.3))
+        kept = {name: values.copy() for name, values in first.items()}
+        ev.quantities(_random_kernels(rng, spec, v_size, chunk, 0.3))
+        for name, values in kept.items():
+            assert np.array_equal(_bits(first[name]), _bits(values)), name
+
+    # the benchmark's binary system, and one past numpy's 8-element pairwise
+    # block in |Y|; both have an identity attack, so numpy's own iteration
+    # buffers for a broadcast (K,X,V,Y,Z) product do not enter the peak
+    @pytest.mark.parametrize("y_size", [2, 9])
+    def test_a_warm_evaluation_allocates_less_than_one_stack(self, y_size):
+        rng = np.random.default_rng(y_size)
+        if y_size == 2:
+            spec = binary_spec()
+        else:
+            spec = _random_system(rng, (2, 2, y_size, y_size), 0.3, attack=np.eye(y_size))
+        v_size, chunk = self._chunk_kernels(spec)
+        q = _random_kernels(rng, spec, v_size, chunk, 0.3)
+        ev = region._FastEvaluator(spec, ALL_FIXED, "h")
+        ev.score(q)  # the warm-up sizes the workspace
+        tracemalloc.start()
+        try:
+            ev.score(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < q.nbytes
+
+
 def _frozen_quantities(ev, q_kxvy):
     """``_FastEvaluator.quantities`` as it stood with the whole
     (B,K,X,V,Y,Z) joint built and every marginal taken by ``.sum``."""
@@ -649,7 +707,7 @@ def _sequential_optimize(spec, fixed, objective, v_size, restarts, seed):
                     while step > 1e-6:
                         cand = q.copy()
                         moved = (block + step * grad)[None]
-                        cand[k, x] = region._project_simplex(moved).reshape(v_size, ys)
+                        cand[k, x] = region._project_simplex(moved, tables.Workspace()).reshape(v_size, ys)
                         cand_score = score(cand)
                         if cand_score > s + 1e-12:
                             improved += cand_score - s
