@@ -13,7 +13,8 @@ per (key type, covertext in the frame, bin) and each decode box test once
 per (key type, forged word in the frame), shared by every key of the type
 and by the trials and the exact enumeration of one build.  All randomness
 derives from one integer seed through tagged SeedSequence children, which
-makes every run bit-exactly reproducible.  A run designs its code once (``CodeDesign``): the rate
+makes every run bit-exactly reproducible; the streams of a trial chunk and
+of a stack of keys are computed as arrays, bit for bit numpy's.  A run designs its code once (``CodeDesign``): the rate
 schedule, the rate-distortion cover, the key types, the typicality boxes
 and the samplers depend on no seed.  Each seeded draw of the codebooks
 (``build_codebooks``), the run's own and every ensemble rebuild, pays only
@@ -22,7 +23,7 @@ for its random books.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import warnings
 from collections import OrderedDict
@@ -50,9 +51,9 @@ from .tables import DistTable
 from .typical import (
     ConditionalTypicalSampler,
     CountBox,
+    _arrangements,
     _compositions,
     _multinomial,
-    _multiset_perms,
     count_box,
     epsilon_schedule,
     letter_dtype,
@@ -168,7 +169,7 @@ class Key:
     representative frame, and its pad.  Slot i of the representative is
     position order[i] of the key: the stable per-letter matching, the least
     such permutation.  The pad, the key's pre-assigned random bin index, is
-    the integer its J drawn bits spell (``_key_pad``); it XORs the low J
+    the integer its J drawn bits spell (``_key_pads``); it XORs the low J
     bits of a message index."""
 
     type_idx: int
@@ -403,7 +404,8 @@ class CodebookSet:
     def keys(self, k_words: np.ndarray) -> list[Key | None]:
         """The ``Key`` record of each row of a (words, n) stack of key words,
         None where atypical.  The words the cache lacks are resolved by one
-        stable argsort, the type of each sorted row and a pad each."""
+        stable argsort, the type of each sorted row and one ``_key_pads``
+        call for the typical ones."""
         k_words = np.asarray(k_words, dtype=np.int64)
 
         def resolve(missing: list[bytes]) -> list[Key | None]:
@@ -411,10 +413,11 @@ class CodebookSet:
             orders = np.argsort(words, axis=1, kind="stable")
             orders.flags.writeable = False  # every caller shares the records
             sorted_words = np.take_along_axis(words, orders, axis=1)
+            types = [self._type_index.get(letters.tobytes()) for letters in sorted_words]
+            typed = [i for i, type_idx in enumerate(types) if type_idx is not None]
             out: list[Key | None] = [None] * len(missing)
-            for i, (k_arr, order, letters) in enumerate(zip(words, orders, sorted_words)):
-                if (type_idx := self._type_index.get(letters.tobytes())) is not None:
-                    out[i] = Key(type_idx, order, _key_pad(self.seed, k_arr, self.sizes.j_bits))
+            for i, pad in zip(typed, _key_pads(self.seed, words[typed], self.sizes.j_bits)):
+                out[i] = Key(types[i], orders[i], pad)
             return out
 
         return self._keys.lookup_many([k.tobytes() for k in k_words], resolve)
@@ -537,6 +540,15 @@ def build_codebooks(design: CodeDesign, seed: int) -> CodebookSet:
 # bit plumbing
 # ---------------------------------------------------------------------------
 
+# numpy's SeedSequence: its pool of four uint32 words, the hash constants of
+# its pool mixing (A) and of its state words (B), and its mixing multipliers
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# numpy's PCG64, the 128-bit LCG of XSL-RR 128/64, and its multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
 
 def _entropy(*ints: int, word: np.ndarray | None = None) -> np.ndarray:
     """The tuple (*ints, word as uint32) as ``SeedSequence`` coerces it, in
@@ -545,12 +557,19 @@ def _entropy(*ints: int, word: np.ndarray | None = None) -> np.ndarray:
     letter.  It seeds the tuple's stream at about half the tuple's cost."""
     words = []
     for v in ints:
-        words.append(v & 0xFFFFFFFF)
+        words.append(v & _M32)
         while v := v >> 32:
-            words.append(v & 0xFFFFFFFF)
+            words.append(v & _M32)
     if word is None:
         return np.array(words, dtype=np.uint32)
     return np.concatenate((words, word), dtype=np.uint32, casting="unsafe")
+
+
+def _headed_rows(head: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """(rows, len(head) + width): the uint32 entropy ``head`` followed by
+    each row of a (rows, width) stack of words, one row a stream."""
+    heads = np.broadcast_to(head, (len(tails), len(head)))
+    return np.concatenate((heads, tails), axis=1, dtype=np.uint32, casting="unsafe")
 
 
 def _row_counts(cells: np.ndarray, size: int) -> np.ndarray:
@@ -560,20 +579,134 @@ def _row_counts(cells: np.ndarray, size: int) -> np.ndarray:
     return np.bincount((cells + offsets).ravel(), minlength=len(cells) * size).reshape(len(cells), size)
 
 
-def _key_pad(seed: int, k_arr: np.ndarray, j_bits: int) -> int:
-    """A typical key word's pad: the integer its J bits spell, drawn from the
-    PCG64 stream of ``SeedSequence((seed, _SW_TAG, key word as uint32))``.
-    Bit j is the top bit of byte j of the stream's raw 64-bit words read
-    little-endian, bit 8 (j mod 8) + 7 of raw word j // 8, which is exactly
-    bit j of ``Generator.integers(0, 2, size=J, dtype=np.uint8)`` on that
-    stream: numpy draws those bytes from the buffered uint32 halves of the
-    raw words, low half first, by Lemire's method, which for a range of two
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``calls`` successive hashmix calls
+    from hash constant ``init``: call i xors h_i and multiplies by h_i+1,
+    where h_0 = init and h_i+1 = h_i * mult mod 2^32."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & _M32)
+    return np.array(h[:-1], dtype=np.uint32), np.array(h[1:], dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 values under broadcast constants."""
+    values = (values ^ xors) * mults
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 pool words, elementwise."""
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ out >> 16
+
+
+def _pools(entropy: np.ndarray) -> np.ndarray:
+    """The (rows, 4) uint32 pools of ``SeedSequence(row)`` for each row of a
+    (rows, L) uint32 entropy array, all rows mixed at once: the hash
+    constants of ``mix_entropy`` do not depend on the data, only on L.  Four
+    initial hashes (zeros past L), then each pool word hashed into the other
+    three, then each entropy word past the fourth into all four: those
+    words' hashes read no pool word, so they are one array op."""
+    rows, length = entropy.shape
+    xors, mults = _hash_constants(_INIT_A, _MULT_A, 16 + _POOL_SIZE * max(0, length - _POOL_SIZE))
+    pool = np.zeros((rows, _POOL_SIZE), dtype=np.uint32)
+    pool[:, : min(length, _POOL_SIZE)] = entropy[:, :_POOL_SIZE]
+    pool = _hashmix(pool, xors[:4], mults[:4])
+    step = 4
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], xors[step : step + 3], mults[step : step + 3]))
+        step += 3
+    hashed = _hashmix(entropy[:, _POOL_SIZE:, None], xors[step:].reshape(-1, 4), mults[step:].reshape(-1, 4))
+    for word_hashes in hashed.transpose(1, 0, 2):
+        pool = _mix(pool, word_hashes)
+    return pool
+
+
+def _halves(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit ints as their (high, low) uint64 halves."""
+    return np.array([v >> 64 for v in values], dtype=np.uint64), np.array([v & _M64 for v in values], dtype=np.uint64)
+
+
+def _mul_high(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of uint64 arrays, from their
+    32-bit limbs."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    p01 = a0 * b1
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + a1 * b0
+    return a1 * b1 + (p01 >> 32) + (mid >> 32)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """Products mod 2^128 of 128-bit values held as uint64 halves."""
+    return _mul_high(a_lo, b_lo) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+@functools.lru_cache(maxsize=None)
+def _pcg_jumps(count: int) -> tuple[np.ndarray, ...]:
+    """The halves of A_j = M^j and C_j = M^(j-1) + ... + M + 1 mod 2^128
+    for j = 2 .. count + 1, M the PCG64 multiplier: j LCG steps take x to
+    A_j x + C_j inc."""
+    a, c, a_js, c_js = _PCG_MULT, 1, [], []
+    for _ in range(count):
+        a, c = a * _PCG_MULT & _M128, (c * _PCG_MULT + 1) & _M128
+        a_js.append(a)
+        c_js.append(c)
+    return (*_halves(a_js), *_halves(c_js))
+
+
+def _raw_words(entropy: np.ndarray, count: int) -> np.ndarray:
+    """(rows, count) uint64: ``PCG64(SeedSequence(row)).random_raw(count)``
+    of each row of a (rows, L) uint32 entropy array, computed for all rows
+    at once with no stream object.
+
+    ``generate_state(4, uint64)`` hashes the pool into the seed s (words 0
+    and 1, high first) and the sequence (words 2 and 3); numpy's
+    ``pcg64_set_seed`` makes inc = (sequence << 1) | 1 and the state one LCG
+    step from s + inc.  Draw k steps the state first, so it reads the state
+    k + 1 steps from s + inc, A_k+1 (s + inc) + C_k+1 inc (``_pcg_jumps``),
+    through XSL-RR: the two halves xored, rotated right by the top 6 bits."""
+    xors, mults = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hashmix(np.tile(_pools(entropy), 2), xors, mults).astype(np.uint64)
+    words = state[:, 0::2] | state[:, 1::2] << 32
+    s_hi, s_lo, q_hi, q_lo = (words[:, i, None] for i in range(4))
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    x_lo = s_lo + inc_lo
+    x_hi = s_hi + inc_hi + (x_lo < s_lo)
+    a_hi, a_lo, c_hi, c_lo = _pcg_jumps(count)
+    (ax_hi, ax_lo), (ci_hi, ci_lo) = _mul128(x_hi, x_lo, a_hi, a_lo), _mul128(inc_hi, inc_lo, c_hi, c_lo)
+    lo = ax_lo + ci_lo
+    hi = ax_hi + ci_hi + (lo < ax_lo)
+    folded, rot = hi ^ lo, hi >> 58
+    return folded >> rot | folded << (-rot & 63)
+
+
+def _uniforms(entropy: np.ndarray, count: int) -> np.ndarray:
+    """(rows, count) float64: ``default_rng(SeedSequence(row)).random(count)``
+    of each row of a (rows, L) uint32 entropy array: the top 53 bits of each
+    raw word, times 2^-53."""
+    return (_raw_words(entropy, count) >> 11) * 2.0**-53
+
+
+def _key_pads(seed: int, k_words: np.ndarray, j_bits: int) -> list[int]:
+    """Each typical key word's pad, a row of a (words, n) stack: the integer
+    its J bits spell, drawn from the PCG64 stream of ``SeedSequence((seed,
+    _SW_TAG, key word as uint32))``, every word's stream at once
+    (``_raw_words``); J = 0 derives no stream.  Bit j is the top bit of
+    byte j of the stream's raw 64-bit words read little-endian, bit
+    8 (j mod 8) + 7 of raw word j // 8, which is exactly bit j of
+    ``Generator.integers(0, 2, size=J, dtype=np.uint8)`` on that stream:
+    numpy draws those bytes from the buffered uint32 halves of the raw
+    words, low half first, by Lemire's method, which for a range of two
     keeps a byte's top bit and rejects none.  So the pad reads the bit
-    generator's stream, which numpy keeps stable across versions, without
-    building a ``Generator``."""
-    stream = np.random.PCG64(np.random.SeedSequence(_entropy(seed, _SW_TAG, word=k_arr)))
-    words = stream.random_raw(-(-j_bits // 8)).tolist()
-    return sum((words[j // 8] >> (j % 8 * 8 + 7) & 1) << j for j in range(j_bits))
+    generator's stream, which numpy keeps stable across versions."""
+    if not j_bits or not len(k_words):
+        return [0] * len(k_words)
+    raw = _raw_words(_headed_rows(_entropy(seed, _SW_TAG), k_words), -(-j_bits // 8))
+    bits = raw.astype("<u8").view(np.uint8)[:, :j_bits] >> 7
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
 # ---------------------------------------------------------------------------
@@ -839,18 +972,16 @@ def embed_encode(u_seq: np.ndarray, search: WordSearch) -> EmbedResult:
     )
 
 
-def attack(y_seq: np.ndarray, spec: SystemSpec, rng) -> np.ndarray:
+def attack(y_seq: np.ndarray, spec: SystemSpec, uniforms: np.ndarray) -> np.ndarray:
     """Memoryless per-symbol attack sampling through ``spec.attack_matrix``
-    of one word under one generator, or of a (words, n) stack with one
-    generator a row, each drawing its row's uniforms."""
+    of one word, or of a (words, n) stack, each letter from its own uniform
+    in [0, 1) of ``uniforms``, shaped as the letters."""
     y = np.asarray(y_seq, dtype=np.int64)
-    rngs = [rng] if y.ndim == 1 else rng
     # Generator.choice's table, each row over its total, so no draw passes it
     cum = spec.attack_matrix.cumsum(axis=1)
     cum /= cum[:, -1:]
-    r = np.array([g.random(y.shape[-1]) for g in rngs]).reshape(y.shape)
     # as choice does, a draw on a cumulative entry skips its letter
-    return (r[..., None] >= cum[y]).sum(axis=-1).astype(np.int64)
+    return (np.asarray(uniforms)[..., None] >= cum[y]).sum(axis=-1).astype(np.int64)
 
 
 @dataclass
@@ -970,25 +1101,40 @@ def _mean(values: list[float]) -> float:
     return total / len(values) if values else math.nan
 
 
+def _trial_uniforms(seed: int, trials: range, count: int) -> np.ndarray:
+    """(trials, count): the first ``count`` uniforms of each trial t's
+    stream, ``default_rng(SeedSequence((seed, _TRIAL_TAG, t))).random``,
+    every stream of a range at once (``_uniforms``).  Trial indices below
+    2^32 take one entropy word and the others two, so a range crossing
+    2^32 is two batches; indices stay below 2^64."""
+    head = _entropy(seed, _TRIAL_TAG)
+    out = np.empty((len(trials), count))
+    for lo, hi, width in ((trials.start, min(trials.stop, 1 << 32), 1), (max(trials.start, 1 << 32), trials.stop, 2)):
+        if lo < hi:
+            t = np.arange(lo, hi, dtype=np.uint64)[:, None]
+            words = t >> np.arange(0, 32 * width, 32, dtype=np.uint64) & _M32
+            out[lo - trials.start : hi - trials.start] = _uniforms(_headed_rows(head, words), count)
+    return out
+
+
 def _trial_draws(spec: SystemSpec, n_message: int, n: int, seed: int):
-    """The function of a range of trials giving each trial's generator,
-    then the message, covertext and key words they draw, a trial a row: u
-    from p(u) and the (x, k) cells from p(x, k) in its (X, K) order; each
-    generator goes on to draw its trial's attack.  Each draw is
+    """The function of a range of trials giving each trial's attack
+    uniforms, then its message, covertext and key words, a trial a row: u
+    from p(u) and the (x, k) cells from p(x, k) in its (X, K) order.  A
+    trial's stream draws lambda n + 2 n uniforms (``_trial_uniforms``): u,
+    the cells, then the attack's n.  Each word draw is
     ``Generator.choice(p=)``'s, uniforms searched in its table ``cdf =
     p.cumsum(); cdf /= cdf[-1]``, built here once and without ``choice``'s
-    per-call checks of p (the ``DistTable``s were checked at load); a
-    generator's uniforms are one call, as two calls draw them, and each
-    table is searched once a range."""
+    per-call checks of p (the ``DistTable``s were checked at load), and
+    each table is searched once a range."""
     cdf_u, cdf_xk = (c / c[-1] for c in (np.cumsum(spec.p_u.values), np.cumsum(spec.p_xk.values)))
     k_size = spec.k_axis.size
 
     def draw(trials: range):
-        rngs = [np.random.default_rng(np.random.SeedSequence(_entropy(seed, _TRIAL_TAG, t))) for t in trials]
-        uniforms = np.array([rng.random(n_message + n) for rng in rngs]).reshape(len(rngs), n_message + n)
+        uniforms = _trial_uniforms(seed, trials, n_message + 2 * n)
         u = cdf_u.searchsorted(uniforms[:, :n_message], side="right")
-        cells = cdf_xk.searchsorted(uniforms[:, n_message:], side="right")
-        return rngs, u, cells // k_size, cells % k_size
+        cells = cdf_xk.searchsorted(uniforms[:, n_message : n_message + n], side="right")
+        return uniforms[:, n_message + n :], u, cells // k_size, cells % k_size
 
     return draw
 
@@ -1023,38 +1169,45 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
     misses the sent bin, not that rate (trial 30 of the ``exact_noisy_n8``
     golden run is e4, yet decodes the sent bin).
 
-    Trials go ``_TRIAL_CHUNK`` at a time: each draws u and (x, k) from its
-    own generator, the chunk's words are resolved as stacks and searched by
-    one ``search_words`` call, and each trial encodes; the chunk's attacks
-    (each from its trial's generator) and x-y distortions run as array
-    passes, and one ``_typical_rows`` call box-tests its forgeries under
-    typical keys into the decode memo; then each trial decodes, reading the
-    memo.
+    Trials go ``_TRIAL_CHUNK`` at a time: the chunk's streams are one
+    array pass (``_trial_draws``), each trial drawing u, (x, k) and its
+    attack's uniforms from its own stream; the chunk's words are resolved
+    as stacks and searched by one ``search_words`` call, and each trial
+    encodes; the chunk's attacks and x-y distortions run as array passes,
+    and one ``_typical_rows`` call box-tests its forgeries under typical
+    keys into the decode memo; then each trial decodes, reading the memo,
+    and the clean trials' message distortions are one stacked sum.
     """
     spec, n, n_msg = codebooks.spec, codebooks.n, codebooks.n_message
     draw = _trial_draws(spec, n_msg, n, seed)
     results: list[TrialResult] = []
 
     for start in range(0, trials, _TRIAL_CHUNK):
-        rngs, us, xs, ks = draw(range(start, min(trials, start + _TRIAL_CHUNK)))
+        r_attack, us, xs, ks = draw(range(start, min(trials, start + _TRIAL_CHUNK)))
         words = WordSearch.stack(codebooks, xs, ks)
         indices = codebooks.messages(us)
         search_words(codebooks, [(w, [w.bin_of(i)]) for i, w in zip(indices, words) if w.embeds])
         encs = [embed_encode(u, word) for u, word in zip(us, words)]
         ys = np.array([enc.y for enc in encs])
-        zs = attack(ys, spec, rngs)
+        zs = attack(ys, spec, r_attack)
         d_xy = (spec.d.per_sequence(xs, ys) / n).tolist()
         if typed := [i for i, word in enumerate(words) if word.key is not None]:
             orders = np.array([words[i].key.order for i in typed])
             z_reps = np.take_along_axis(zs[typed], orders, axis=1).astype(codebooks._z_dtype)
             _typical_rows(codebooks, [words[i].key.type_idx for i in typed], z_reps)
-        for u, x, k, enc, z, dxy in zip(us, xs, ks, encs, zs, d_xy):
-            dec = decode(z, k, codebooks)
-            event = _trial_event(enc, dec, codebooks.sizes.m2)
-            clean = event == "none"  # the message distortion is measured on clean trials only
-            duu = spec.d_prime.per_sequence(u, dec.uhat) / n_msg if clean else math.nan
+        decs = [decode(z, k, codebooks) for z, k in zip(zs, ks)]
+        events = [_trial_event(enc, dec, codebooks.sizes.m2) for enc, dec in zip(encs, decs)]
+        # the message distortion is measured on clean trials only
+        d_uu = [math.nan] * len(events)
+        if clean := [i for i, event in enumerate(events) if event == "none"]:
+            uhats = np.array([decs[i].uhat for i in clean])
+            for i, duu in zip(clean, (spec.d_prime.per_sequence(us[clean], uhats) / n_msg).tolist()):
+                d_uu[i] = duu
+        for u, x, k, enc, dec, event, z, dxy, duu in zip(us, xs, ks, encs, decs, events, zs, d_xy, d_uu):
             results.append(
-                TrialResult(event, clean, dxy, duu, enc.search_ok, enc.m, dec.bin_index, u, x, k, enc.y, z, dec.uhat)
+                TrialResult(
+                    event, event == "none", dxy, duu, enc.search_ok, enc.m, dec.bin_index, u, x, k, enc.y, z, dec.uhat
+                )
             )
 
     events = [r.error_event for r in results]
@@ -1460,10 +1613,11 @@ def _typical_key_stego_words(codebooks: CodebookSet) -> Iterator[np.ndarray]:
     for t_idx, ktype in enumerate(codebooks.key_types):
         books, _ = _distinct_stego_books(codebooks, t_idx)
         rep_mat, _, _ = _unique_rows(books.reshape(-1, codebooks.n))
-        keys = _multiset_perms(ktype.counts)
-        while chunk := list(itertools.islice(keys, max(1, _AUDIT_CHUNK_ROWS // len(rep_mat)))):
+        keys = _arrangements([ktype.counts], codebooks.n, letter_dtype(codebooks.k_size))
+        step = max(1, _AUDIT_CHUNK_ROWS // len(rep_mat))
+        for start in range(0, len(keys), step):
             # slot i of the representative lands on position order[i] of a key
-            order = np.argsort(np.array(chunk), axis=1, kind="stable")
+            order = np.argsort(keys[start : start + step], axis=1, kind="stable")
             yield rep_mat[:, np.argsort(order, axis=1)]
 
 

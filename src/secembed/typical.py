@@ -172,24 +172,23 @@ def _multinomial(n: int, counts: Sequence[int]) -> int:
     return out
 
 
-def _multiset_perms(counts: Sequence[int]) -> Iterator[np.ndarray]:
-    m = len(counts)
-    n = sum(counts)
-    word = np.zeros(n, dtype=np.int64)
-    c = list(counts)
-
-    def rec(t: int) -> Iterator[np.ndarray]:
-        if t == n:
-            yield word.copy()
-            return
-        for s in range(m):
-            if c[s] > 0:
-                c[s] -= 1
-                word[t] = s
-                yield from rec(t + 1)
-                c[s] += 1
-
-    yield from rec(0)
+def _arrangements(comps: Sequence[Sequence[int]], n: int, dtype=np.int64) -> np.ndarray:
+    """Every word of n letters spelling each composition of ``comps`` (count
+    vectors of total n), as a (words, n) array of ``dtype``: the
+    compositions in order, each one's words in lexicographic order.  Built
+    one position at a time as arrays: every prefix goes on with each
+    letter it has left, in letter order (the (row, letter) pairs of
+    ``np.nonzero``), and that letter's count drops."""
+    if not len(comps):
+        return np.empty((0, n), dtype=dtype)
+    left = np.array(comps, dtype=np.int64)
+    words = np.empty((len(left), n), dtype=dtype)
+    for pos in range(n):
+        rows, letters = np.nonzero(left)
+        words, left = words[rows], left[rows]
+        words[:, pos] = letters
+        left[np.arange(len(rows)), letters] -= 1
+    return words
 
 
 def enumerate_typical(p: DistTable, n: int, delta: float) -> np.ndarray:
@@ -207,7 +206,7 @@ def enumerate_typical(p: DistTable, n: int, delta: float) -> np.ndarray:
         raise ResourceCapError(f"|A|^n = {m}**{n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     box = count_box(p.values, n, delta)
     comps = _compositions(n, box.lo.tolist(), box.hi.tolist())
-    words = np.array([w for c in comps for w in _multiset_perms(c)], dtype=np.int64).reshape(-1, n)
+    words = _arrangements(list(comps), n)
     return words[np.lexsort(words.T[::-1])]
 
 
@@ -284,11 +283,14 @@ class _LetterTable:
     composition, the running sum of their arrangement counts, and the letter
     word each composition spells before it is permuted (one row per
     composition, in ``letter_dtype``: a shuffle draws the same whatever the
-    dtype, and ``sample_rows`` gathers and shuffles a row per book row)."""
+    dtype, and ``sample_rows`` gathers and shuffles a row per book row).
+    Up to a total of 2^62 the running sums are also an int64 array, which
+    ``sample_rows`` searches with no conversion; past it, None."""
 
     comps: tuple[tuple[int, ...], ...]
     cum: tuple[int, ...]
     words: np.ndarray
+    cum_int64: np.ndarray | None
 
     @property
     def total(self) -> int:
@@ -309,7 +311,10 @@ def _letter_table(count: int, row: tuple[float, ...], delta: float) -> _LetterTa
     words = np.array([np.repeat(letters, c) for c in comps], dtype=letter_dtype(len(row)))
     words = words.reshape(len(comps), count)
     words.flags.writeable = False  # shared by every sampler with this letter
-    return _LetterTable(comps, cum, words)
+    cum_int64 = np.array(cum, dtype=np.int64) if cum and cum[-1] <= 1 << 62 else None
+    if cum_int64 is not None:
+        cum_int64.flags.writeable = False
+    return _LetterTable(comps, cum, words, cum_int64)
 
 
 class ConditionalTypicalSampler:
@@ -375,7 +380,7 @@ class ConditionalTypicalSampler:
             if table.total > 1 << 62:  # the arbitrary-precision path, row by row
                 idx = [bisect.bisect_right(table.cum, _randrange(rng, table.total)) for _ in range(rows)]
             elif table.total > 1:
-                idx = np.searchsorted(table.cum, rng.integers(0, table.total, size=rows), side="right")
+                idx = table.cum_int64.searchsorted(rng.integers(0, table.total, size=rows), side="right")
             else:  # a lone composition takes no draw
                 idx = np.zeros(rows, dtype=np.intp)
             out[:, pos] = rng.permuted(table.words[idx], axis=1)
@@ -400,9 +405,7 @@ class ConditionalTypicalSampler:
         for pos, table in zip(self.positions, self._tables):
             if table is None:
                 continue
-            arrangements: list[np.ndarray] = []
-            for comp in table.comps:
-                arrangements.extend(_multiset_perms(comp))
+            arrangements = _arrangements(table.comps, len(pos))
             nxt = []
             for base in partial:
                 for arr in arrangements:

@@ -67,6 +67,28 @@ def noise_aux(spec, y_probs):
     )
 
 
+def multiset_perms(counts):
+    """Every word of sum(counts) letters spelling the composition
+    ``counts``, by recursion, in lexicographic order: the reference of
+    ``typical._arrangements``."""
+    n = sum(counts)
+    word = np.zeros(n, dtype=np.int64)
+    c = list(counts)
+
+    def rec(t):
+        if t == n:
+            yield word.copy()
+            return
+        for s in range(len(c)):
+            if c[s] > 0:
+                c[s] -= 1
+                word[t] = s
+                yield from rec(t + 1)
+                c[s] += 1
+
+    yield from rec(0)
+
+
 def build_books(spec, aux, n, delta, seed, d_prime_value, **widths):
     """One seeded draw of a fresh design: the codebooks of one build."""
     return sim.build_codebooks(sim.CodeDesign(spec, aux, n, delta, d_prime_value, **widths), seed)

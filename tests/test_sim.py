@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -34,6 +34,7 @@ from conftest import (
     decrypt,
     encrypt,
     int_to_bits,
+    multiset_perms,
     noise_aux,
     reference_key,
     sw_bits,
@@ -294,11 +295,9 @@ class TestKeyMachinery:
     def test_sw_uniform_across_keys(self, trend_spec, trend_aux):
         # random binning: bit frequencies across typical keys near half
         books = build_trend(trend_spec, trend_aux, 12, m2_bits=4)
-        from secembed.typical import _multiset_perms
-
         bits = []
         for ktype in books.key_types:
-            for word in _multiset_perms(ktype.counts):
+            for word in multiset_perms(ktype.counts):
                 bits.append(sw_bits(books, word))
         arr = np.array(bits)
         freq = arr.mean(axis=0)
@@ -679,6 +678,57 @@ class TestEntropyWords:
             )
 
 
+class TestArrayStreams:
+    """The array streams, every row's stream at once, against numpy's own
+    stream objects row for row: ``_pools`` against ``SeedSequence.pool``,
+    ``_raw_words`` against ``PCG64.random_raw`` and ``_uniforms`` and
+    ``_trial_uniforms`` against ``Generator.random``."""
+
+    @given(
+        seed=st.integers(0, 2**80 - 1),
+        t=st.one_of(st.integers(0, 2**20), st.integers(2**32 - 8, 2**40)),
+        rows=st.integers(1, 5),
+        letters=st.integers(0, 20),
+        count=st.integers(1, 64),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(seed=2**64 + 5, t=2**32 - 2, rows=5, letters=0, count=64, data=None)
+    def test_streams_are_numpys(self, seed, t, rows, letters, count, data):
+        """Seeds of one to three words, trial indices past 2^32, key words
+        of 0 to 20 letters, so entropy shorter and longer than the pool of
+        four, and 1 to 64 words a stream."""
+        if data is None:
+            words = np.arange(rows * letters).reshape(rows, letters)
+        else:
+            letter = st.integers(0, 2**32 - 1)
+            words = np.array(
+                data.draw(st.lists(st.lists(letter, min_size=letters, max_size=letters), min_size=rows, max_size=rows)),
+                dtype=np.int64,
+            ).reshape(rows, letters)
+        entropy = sim._headed_rows(sim._entropy(seed, sim._SW_TAG), words)
+        pools, raw, uniforms = sim._pools(entropy), sim._raw_words(entropy, count), sim._uniforms(entropy, count)
+        assert raw.dtype == np.uint64 and raw.shape == uniforms.shape == (rows, count)
+        for i, word in enumerate(words):
+            stream = np.random.SeedSequence((seed, sim._SW_TAG, word.astype(np.uint32)))
+            assert np.array_equal(pools[i], stream.pool)
+            assert np.array_equal(raw[i], np.random.PCG64(stream).random_raw(count))
+            assert np.array_equal(uniforms[i], np.random.default_rng(stream).random(count))
+        trials = sim._trial_uniforms(seed, range(t, t + rows), count)
+        for i, trial in enumerate(range(t, t + rows)):
+            stream = np.random.SeedSequence((seed, sim._TRIAL_TAG, trial))
+            assert np.array_equal(trials[i], np.random.default_rng(stream).random(count))
+
+    def test_a_trial_range_builds_no_stream_object(self, trend_spec, trend_aux):
+        """A chunk's draws build no ``SeedSequence``, so neither a
+        ``Generator`` nor a ``PCG64``, and neither do the trials' pads."""
+        books = build_trend(trend_spec, trend_aux, 8, j_bits=2)
+        with _counting_seed_sequences() as made:
+            sim._trial_draws(books.spec, books.n_message, books.n, 3)(range(0, 64))
+            sim.run_trials(books, 70, seed=3)
+        assert not made
+
+
 class TestEncryption:
     def test_zero_pad_is_identity(self):
         w = int_to_bits(0b10110, 5)
@@ -779,14 +829,14 @@ class TestAttack:
     def test_identity(self, trend_spec):
         rng = np.random.default_rng(0)
         y = rng.integers(0, 2, 50)
-        z = sim.attack(y, trend_spec, rng)
+        z = sim.attack(y, trend_spec, rng.random(y.shape))
         assert np.array_equal(y, z)
 
     def test_independent_output_matches_marginal(self):
         spec = binary_spec(attack=[[0.3, 0.7], [0.3, 0.7]])
         rng = np.random.default_rng(1)
         y = rng.integers(0, 2, 100_000)
-        z = sim.attack(y, spec, rng)
+        z = sim.attack(y, spec, rng.random(y.shape))
         counts = np.bincount(z, minlength=2)
         assert stats.chisquare(counts, [30_000, 70_000]).pvalue > 1e-3
 
@@ -794,19 +844,16 @@ class TestAttack:
         spec = binary_spec(attack=[[0.9, 0.1], [0.1, 0.9]])
         rng = np.random.default_rng(2)
         y = rng.integers(0, 2, 100_000)
-        z = sim.attack(y, spec, rng)
+        z = sim.attack(y, spec, rng.random(y.shape))
         flips = float(np.mean(y != z))
         assert abs(flips - 0.1) < 0.01
 
     def test_draw_in_normalization_gap_stays_in_range(self):
         # a row may sum to 1 - 5e-13 (within the tables' tolerance); a draw
         # above its cumulative total still picks the last forgery symbol
-        class TopDraw:
-            def random(self, size):
-                return np.full(size, 1.0 - 1e-13)
-
+        top_draws = np.full(3, 1.0 - 1e-13)
         spec = binary_spec(attack=[[1.0, 0.0], [0.5, 0.5 - 5e-13]])
-        z = sim.attack(np.array([0, 1, 1]), spec, TopDraw())
+        z = sim.attack(np.array([0, 1, 1]), spec, top_draws)
         assert z.tolist() == [0, 1, 1]
 
     def test_draw_in_normalization_gap_takes_no_zero_probability_letter(self):
@@ -814,18 +861,14 @@ class TestAttack:
         ``Generator.choice`` divides its table, so a uniform of 1 - 1e-13
         above that total draws the row's last letter of positive
         probability, z = 1, not the zero-probability letter 2."""
-
-        class TopDraw:
-            def random(self, size):
-                return np.full(size, 1.0 - 1e-13)
-
+        top_draws = np.full(3, 1.0 - 1e-13)
         y_axis, z_axis = Axis("Y", 2), Axis("Z", 3)
         spec = dataclasses.replace(
             binary_spec(),
             p_z_given_y=DistTable([y_axis, z_axis], [[1.0, 0.0, 0.0], [0.5, 0.5 - 5e-13, 0.0]], given=("Y",)),
         )
         assert spec.attack_matrix[1].sum() < 1.0 - 1e-13
-        z = sim.attack(np.array([0, 1, 1]), spec, TopDraw())
+        z = sim.attack(np.array([0, 1, 1]), spec, top_draws)
         assert z.tolist() == [0, 1, 1]
         cdf = spec.attack_matrix[1].cumsum()
         cdf /= cdf[-1]
@@ -838,14 +881,9 @@ class TestAttack:
         ``Generator.choice`` does (``searchsorted(side="right")``), so no
         letter of zero probability is drawn: the swap attack and the
         ``exact_noisy_n8`` golden's attack under draws of 0.0 and 0.5."""
-
-        class TieDraw:
-            def random(self, size):
-                return np.full(size, draw)
-
         spec = binary_spec(attack=attack)
         y = np.array([0, 1, 0, 1])
-        z = sim.attack(y, spec, TieDraw())
+        z = sim.attack(y, spec, np.full(y.shape, draw))
         cum = spec.attack_matrix.cumsum(axis=1)
         assert z.tolist() == [int(np.searchsorted(cum[letter], draw, side="right")) for letter in y]
         assert (spec.attack_matrix[y, z] > 0).all()
@@ -1494,9 +1532,7 @@ def _pad_books(width: str) -> sim.CodebookSet:
 
 
 def _typical_keys(books):
-    from secembed.typical import _multiset_perms
-
-    return [np.array(w, dtype=np.int64) for t in books.key_types for w in _multiset_perms(t.counts)]
+    return [np.array(w, dtype=np.int64) for t in books.key_types for w in multiset_perms(t.counts)]
 
 
 class TestPad:
@@ -1520,18 +1556,43 @@ class TestPad:
             assert len({books.key(k).pad for k in keys}) > 1
 
     def test_pad_reads_the_generators_bits(self):
-        """``_key_pad`` builds no ``Generator``, yet its bits are exactly
-        those ``Generator.integers(0, 2, size=J, dtype=np.uint8)`` draws on
-        the key's stream, the derivation the pads were first written with,
-        for J = 0 ... 64 on random keys and seeds."""
+        """``_key_pads`` builds no stream object, yet each pad's bits are
+        exactly those ``Generator.integers(0, 2, size=J, dtype=np.uint8)``
+        draws on the key's stream, the derivation the pads were first
+        written with, for J = 0 ... 64 on random keys and seeds, several
+        keys of one length at once."""
         rng = np.random.default_rng(64)
         for j_bits in range(65):
-            for _ in range(40):
-                k = rng.integers(0, 3, size=int(rng.integers(1, 17)))
+            for _ in range(10):
+                ks = rng.integers(0, 3, size=(4, int(rng.integers(1, 17))))
                 seed = int(rng.integers(0, 2**40))
-                stream = np.random.SeedSequence((seed, sim._SW_TAG, k.astype(np.uint32)))
-                bits = np.random.default_rng(stream).integers(0, 2, size=j_bits, dtype=np.uint8)
-                assert sim._key_pad(seed, k, j_bits) == sum(int(b) << i for i, b in enumerate(bits))
+                want = []
+                for k in ks:
+                    stream = np.random.SeedSequence((seed, sim._SW_TAG, k.astype(np.uint32)))
+                    bits = np.random.default_rng(stream).integers(0, 2, size=j_bits, dtype=np.uint8)
+                    want.append(sum(int(b) << i for i, b in enumerate(bits)))
+                with _counting_seed_sequences() as made:
+                    assert sim._key_pads(seed, ks, j_bits) == want
+                assert not made
+
+    @pytest.mark.parametrize("width", ["zero", "full"])
+    def test_keys_derive_their_pads_in_one_pass(self, width, monkeypatch):
+        """``CodebookSet.keys`` derives the pads of a stack's new typical
+        keys by one stream pass, builds no ``SeedSequence``, and a J = 0
+        build derives no stream at all."""
+        books = sim.build_codebooks(_pad_books(width).design, 2)  # its key cache empty
+        passes, raw_words = [], sim._raw_words
+
+        def counting(entropy, count):
+            passes.append(len(entropy))
+            return raw_words(entropy, count)
+
+        monkeypatch.setattr(sim, "_raw_words", counting)
+        keys = np.array(_typical_keys(books))
+        with _counting_seed_sequences() as made:
+            records = books.keys(np.concatenate([keys, np.zeros((1, books.n), dtype=np.int64)]))
+        assert not made and records[-1] is None and all(records[:-1])
+        assert passes == ([] if width == "zero" else [len(keys)])
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -2472,10 +2533,12 @@ class TestTrialDraws:
     )
     @given(seed=st.integers(0, 2**64 - 1), t=st.integers(0, 2**20))
     @settings(max_examples=40, deadline=None)
+    @example(seed=7, t=2**32 - 2)  # a range whose indices pass 2^32
     def test_cdf_draws_are_choice_draws(self, p, seed, t):
         """The message words from p and the (x, k) cells from p as a 2 x 2
         table, three trials stacked, equal ``choice``'s draw for draw, each
-        trial's row, and leave each generator where ``choice`` leaves it."""
+        trial's row, and each trial's attack uniforms are the next n its
+        generator draws after ``choice``'s draws."""
         u_axis, x_axis = Axis("U", 4), Axis("X", 2)
         spec = SystemSpec(
             p_u=DistTable([u_axis], p),
@@ -2485,10 +2548,10 @@ class TestTrialDraws:
             d=DistortionMeasure(x_axis, Axis("Y", 2), 1.0 - np.eye(2)),
             d_prime=DistortionMeasure.hamming(u_axis, Axis("Uhat", 4)),
         )
-        rngs, *drawn = sim._trial_draws(spec, 8, 16, seed)(range(t, t + 3))
-        assert len(rngs) == 3 and all(len(rows) == 3 for rows in drawn)
-        for i, rng in enumerate(rngs):
+        r_attack, *drawn = sim._trial_draws(spec, 8, 16, seed)(range(t, t + 3))
+        assert r_attack.shape == (3, 16) and all(len(rows) == 3 for rows in drawn)
+        for i in range(3):
             want_rng, *want = _choice_trial(spec, 8, 16, seed, t + i)
             for rows, expected in zip(drawn, want):
                 assert rows[i].dtype == expected.dtype and np.array_equal(rows[i], expected)
-            assert rng.bit_generator.state == want_rng.bit_generator.state
+            assert np.array_equal(r_attack[i], want_rng.random(16))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import multiset_perms
 from secembed import typical
 from secembed.errors import EmptyTypicalSetError, ResourceCapError, ValidationError
 from secembed.tables import Axis, DistTable, DistortionMeasure, expected_distortion
@@ -158,6 +159,28 @@ class TestEnumeration:
             ]
             assert mine.dtype == np.int64 and mine.shape == (len(brute), n)
             assert [tuple(w) for w in mine.tolist()] == brute
+
+    @given(
+        weights=st.lists(st.integers(0, 6), min_size=1, max_size=4).filter(any),
+        n=st.integers(1, 8),
+        delta=st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(weights=[2, 0, 3], n=6, delta=0.5)  # a zero-probability letter
+    @example(weights=[1, 3], n=2, delta=0.5)  # a box that admits no word
+    def test_array_build_matches_the_recursion(self, weights, n, delta):
+        """The position-by-position array build gives the rows, order and
+        dtype the recursive arrangements did, before and after the sort."""
+        p = DistTable([Axis("L", len(weights))], np.array(weights) / sum(weights))
+        box = count_box(p.values, n, delta)
+        comps = list(typical._compositions(n, box.lo.tolist(), box.hi.tolist()))
+        by_comp = np.array([w for c in comps for w in multiset_perms(c)], dtype=np.int64).reshape(-1, n)
+        got = typical._arrangements(comps, n)
+        assert got.dtype == np.int64 and np.array_equal(got, by_comp)
+        assert np.array_equal(typical._arrangements(comps, n, np.uint8), by_comp)
+        want = by_comp[np.lexsort(by_comp.T[::-1])]
+        mine = enumerate_typical(p, n, delta)
+        assert mine.dtype == want.dtype and mine.shape == want.shape and np.array_equal(mine, want)
 
     def test_cap_enforced(self, monkeypatch):
         p = DistTable([A], [0.5, 0.5])
