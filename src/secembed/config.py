@@ -27,9 +27,12 @@ COMMANDS = ("rd", "region-eval", "region-opt", "simulate", "audit", "sweep")
 
 # the random stream that simulate and audit draw codebooks from, recorded in
 # their manifests: stream 1 drew an auxiliary book's rows as successive
-# `ConditionalTypicalSampler.sample` calls, stream 2 draws each book with one
-# `sample_rows` batch.  A manifest of another stream cannot be reproduced.
-RANDOM_STREAM = 2
+# `ConditionalTypicalSampler.sample` calls, stream 2 drew each book with one
+# `sample_rows` batch and each trial from its own seed, and stream 3 draws a
+# small letter set's words as uniform ranks into its table, each stegotext
+# book as one batch, and a run's trials from one generator.  A manifest of
+# another stream cannot be reproduced.
+RANDOM_STREAM = 3
 
 _REQUIRED_AXES = ("U", "X", "K", "Y", "Z", "Uhat")
 

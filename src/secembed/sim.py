@@ -13,8 +13,9 @@ per (key type, covertext in the frame, bin) and each decode box test once
 per (key type, forged word in the frame), shared by every key of the type
 and by the trials and the exact enumeration of one build.  All randomness
 derives from one integer seed through tagged SeedSequence children, which
-makes every run bit-exactly reproducible; the streams of a trial chunk and
-of a stack of keys are computed as arrays, bit for bit numpy's.  A run designs its code once (``CodeDesign``): the rate
+makes every run bit-exactly reproducible: a run's trials read one
+generator, and the pad streams of a stack of keys are computed as arrays,
+bit for bit numpy's.  A run designs its code once (``CodeDesign``): the rate
 schedule, the rate-distortion cover, the key types, the typicality boxes
 and the samplers depend on no seed.  Each seeded draw of the codebooks
 (``build_codebooks``), the run's own and every ensemble rebuild, pays only
@@ -473,12 +474,12 @@ class CodebookSet:
         its stegotext book, and so do callers holding it as int64).
 
         A draw reads the generator through each (k, v) letter's count only;
-        its positions just place the letters.  So the words are drawn by the
-        sampler of the letter-sorted (k, v) word, shared by every word of
-        that joint composition, and moved to this word's positions through
-        its stable argsort: slot i of the sorted word is position order[i].
-        A fixed letter takes its place in that draw, as it consumes the
-        generator like any other."""
+        its positions just place the letters.  So the book is one
+        ``sample_rows`` batch of the sampler of the letter-sorted (k, v)
+        word, shared by every word of that joint composition, moved to this
+        word's positions through its stable argsort: slot i of the sorted
+        word is position order[i].  A fixed letter, a one-word set, takes
+        its place with no draw."""
         v_rep = np.asarray(v_rep, dtype=self._v_dtype)
 
         def draw() -> np.ndarray:
@@ -488,8 +489,7 @@ class CodebookSet:
             entropy = _entropy(self.seed, _STEGO_TAG, type_idx, word=v_rep)
             rng = np.random.default_rng(np.random.SeedSequence(entropy))
             book = np.empty((self.sizes.m3, self.n), dtype=self._y_dtype)
-            for r in range(self.sizes.m3):
-                book[r, order] = sampler.sample(rng)
+            book[:, order] = sampler.sample_rows(rng, self.sizes.m3)
             return book
 
         return self._stego_books.lookup_many([(type_idx, v_rep.tobytes())], lambda _: [draw()])[0]
@@ -681,13 +681,6 @@ def _raw_words(entropy: np.ndarray, count: int) -> np.ndarray:
     hi = ax_hi + ci_hi + (lo < ax_lo)
     folded, rot = hi ^ lo, hi >> 58
     return folded >> rot | folded << (-rot & 63)
-
-
-def _uniforms(entropy: np.ndarray, count: int) -> np.ndarray:
-    """(rows, count) float64: ``default_rng(SeedSequence(row)).random(count)``
-    of each row of a (rows, L) uint32 entropy array: the top 53 bits of each
-    raw word, times 2^-53."""
-    return (_raw_words(entropy, count) >> 11) * 2.0**-53
 
 
 def _key_pads(seed: int, k_words: np.ndarray, j_bits: int) -> list[int]:
@@ -1101,37 +1094,25 @@ def _mean(values: list[float]) -> float:
     return total / len(values) if values else math.nan
 
 
-def _trial_uniforms(seed: int, trials: range, count: int) -> np.ndarray:
-    """(trials, count): the first ``count`` uniforms of each trial t's
-    stream, ``default_rng(SeedSequence((seed, _TRIAL_TAG, t))).random``,
-    every stream of a range at once (``_uniforms``).  Trial indices below
-    2^32 take one entropy word and the others two, so a range crossing
-    2^32 is two batches; indices stay below 2^64."""
-    head = _entropy(seed, _TRIAL_TAG)
-    out = np.empty((len(trials), count))
-    for lo, hi, width in ((trials.start, min(trials.stop, 1 << 32), 1), (max(trials.start, 1 << 32), trials.stop, 2)):
-        if lo < hi:
-            t = np.arange(lo, hi, dtype=np.uint64)[:, None]
-            words = t >> np.arange(0, 32 * width, 32, dtype=np.uint64) & _M32
-            out[lo - trials.start : hi - trials.start] = _uniforms(_headed_rows(head, words), count)
-    return out
-
-
 def _trial_draws(spec: SystemSpec, n_message: int, n: int, seed: int):
-    """The function of a range of trials giving each trial's attack
-    uniforms, then its message, covertext and key words, a trial a row: u
-    from p(u) and the (x, k) cells from p(x, k) in its (X, K) order.  A
-    trial's stream draws lambda n + 2 n uniforms (``_trial_uniforms``): u,
-    the cells, then the attack's n.  Each word draw is
+    """The function of a trial count giving the next that many trials'
+    attack uniforms, then their message, covertext and key words, a trial a
+    row: u from p(u) and the (x, k) cells from p(x, k) in its (X, K) order.
+    All trials read one generator, ``default_rng(SeedSequence((seed,
+    _TRIAL_TAG)))``: a trial's lambda n + 2 n uniforms (u, the cells, then
+    the attack's n) are the next row of its ``random`` draws.  ``random``
+    reads one 64-bit word per double, so trial t's row is the same however
+    the trials are split into calls.  Each word draw is
     ``Generator.choice(p=)``'s, uniforms searched in its table ``cdf =
     p.cumsum(); cdf /= cdf[-1]``, built here once and without ``choice``'s
     per-call checks of p (the ``DistTable``s were checked at load), and
-    each table is searched once a range."""
+    each table is searched once a call."""
     cdf_u, cdf_xk = (c / c[-1] for c in (np.cumsum(spec.p_u.values), np.cumsum(spec.p_xk.values)))
     k_size = spec.k_axis.size
+    rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed, _TRIAL_TAG)))
 
-    def draw(trials: range):
-        uniforms = _trial_uniforms(seed, trials, n_message + 2 * n)
+    def draw(trials: int):
+        uniforms = rng.random((trials, n_message + 2 * n))
         u = cdf_u.searchsorted(uniforms[:, :n_message], side="right")
         cells = cdf_xk.searchsorted(uniforms[:, n_message : n_message + n], side="right")
         return uniforms[:, n_message + n :], u, cells // k_size, cells % k_size
@@ -1154,8 +1135,8 @@ def _trial_event(enc: EmbedResult, dec: DecodeResult, m2: int) -> str:
 
 
 def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate:
-    """Monte-Carlo end-to-end runs of one codebook draw, with per-trial
-    derived seeds, every trial's record kept.
+    """Monte-Carlo end-to-end runs of one codebook draw, every trial's
+    record kept.
 
     Every trial gets exactly one label: e1 for atypical inputs whose
     fallback embedding still produced a codebook word, encode_fallback when
@@ -1166,12 +1147,12 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
     alone, and the message is correct.  So ``message_error_rate``, the
     share of trials whose event is not none, is the rate of the union of
     E1-E5 and encode_fallback: an upper bound on how often the decoder
-    misses the sent bin, not that rate (trial 30 of the ``exact_noisy_n8``
-    golden run is e4, yet decodes the sent bin).
+    misses the sent bin, not that rate (trial 183 of the ``exact_noisy_n8``
+    golden's build and trial seed is e4, yet decodes the sent bin).
 
-    Trials go ``_TRIAL_CHUNK`` at a time: the chunk's streams are one
-    array pass (``_trial_draws``), each trial drawing u, (x, k) and its
-    attack's uniforms from its own stream; the chunk's words are resolved
+    Trials go ``_TRIAL_CHUNK`` at a time: the chunk's u, (x, k) and attack
+    uniforms are the next rows of the run's one trial generator
+    (``_trial_draws``), so the chunk size changes no trial; its words are resolved
     as stacks and searched by one ``search_words`` call, and each trial
     encodes; the chunk's attacks and x-y distortions run as array passes,
     and one ``_typical_rows`` call box-tests its forgeries under typical
@@ -1183,7 +1164,7 @@ def run_trials(codebooks: CodebookSet, trials: int, seed: int) -> TrialAggregate
     results: list[TrialResult] = []
 
     for start in range(0, trials, _TRIAL_CHUNK):
-        r_attack, us, xs, ks = draw(range(start, min(trials, start + _TRIAL_CHUNK)))
+        r_attack, us, xs, ks = draw(min(trials - start, _TRIAL_CHUNK))
         words = WordSearch.stack(codebooks, xs, ks)
         indices = codebooks.messages(us)
         search_words(codebooks, [(w, [w.bin_of(i)]) for i, w in zip(indices, words) if w.embeds])
@@ -1249,7 +1230,7 @@ def input_atypicality_frequency(
     draw = _trial_draws(spec, n_message, n, seed)
     bad = 0
     for start in range(0, trials, _TRIAL_CHUNK):
-        _, u, x, k = draw(range(start, min(trials, start + _TRIAL_CHUNK)))
+        _, u, x, k = draw(min(trials - start, _TRIAL_CHUNK))
         ok_u = u_box.contains(_row_counts(u, spec.u_axis.size))
         ok_kx = kx_box.contains(_row_counts(k * spec.x_axis.size + x, kx.size))
         bad += int(np.count_nonzero(~(ok_u & ok_kx)))

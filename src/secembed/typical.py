@@ -280,16 +280,20 @@ def _randrange(rng: np.random.Generator, n: int) -> int:
 @dataclass(frozen=True)
 class _LetterTable:
     """The admissible b-count vectors of one conditioning letter: each
-    composition, the running sum of their arrangement counts, and the letter
-    word each composition spells before it is permuted (one row per
-    composition, in ``letter_dtype``: a shuffle draws the same whatever the
-    dtype, and ``sample_rows`` gathers and shuffles a row per book row).
-    Up to a total of 2^62 the running sums are also an int64 array, which
-    ``sample_rows`` searches with no conversion; past it, None."""
+    composition and the running sum of their arrangement counts.  Up to
+    ``_LETTER_WORDS_BYTES``, ``words`` holds every word of the letter's
+    conditional set once, in rank order (the compositions in box order,
+    each one's words in lexicographic order, as ``enumerate`` lists them),
+    in ``letter_dtype``, and a draw is one uniform rank.  Past it, ``words``
+    is None and ``spelled`` holds the letter word each composition spells
+    before it is permuted, one row per composition, with the running sums
+    also as an int64 array up to a total of 2^62 (else None), which
+    ``sample_rows`` searches with no conversion."""
 
     comps: tuple[tuple[int, ...], ...]
     cum: tuple[int, ...]
-    words: np.ndarray
+    words: np.ndarray | None
+    spelled: np.ndarray | None
     cum_int64: np.ndarray | None
 
     @property
@@ -300,6 +304,15 @@ class _LetterTable:
 # one entry per (letter count, channel row, delta): a codebook build touches
 # a few dozen, and every word it samples reuses them
 _LETTER_TABLES_MAXSIZE = 256
+# bytes of the largest letter set kept as its words: the benchmark's largest
+# set, 3,938 words of 12 letters, takes 47 KB, while at n=30 a letter of the
+# demo system's key types admits up to 136,136 words of 18 letters, 2.4 MB
+_LETTER_WORDS_BYTES = 1 << 18
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # shared by every sampler with this letter
+    return a
 
 
 @functools.lru_cache(maxsize=_LETTER_TABLES_MAXSIZE)
@@ -307,14 +320,13 @@ def _letter_table(count: int, row: tuple[float, ...], delta: float) -> _LetterTa
     box = conditional_count_box(np.array([count]), np.array([row]), delta)
     comps = tuple(_compositions(count, box.lo.tolist(), box.hi.tolist()))
     cum = tuple(itertools.accumulate(_multinomial(count, c) for c in comps))
+    dtype = letter_dtype(len(row))
+    if cum and cum[-1] * count * dtype.itemsize <= _LETTER_WORDS_BYTES:
+        return _LetterTable(comps, cum, _read_only(_arrangements(comps, count, dtype)), None, None)
     letters = np.arange(len(row))
-    words = np.array([np.repeat(letters, c) for c in comps], dtype=letter_dtype(len(row)))
-    words = words.reshape(len(comps), count)
-    words.flags.writeable = False  # shared by every sampler with this letter
-    cum_int64 = np.array(cum, dtype=np.int64) if cum and cum[-1] <= 1 << 62 else None
-    if cum_int64 is not None:
-        cum_int64.flags.writeable = False
-    return _LetterTable(comps, cum, words, cum_int64)
+    spelled = np.array([np.repeat(letters, c) for c in comps], dtype=dtype).reshape(len(comps), count)
+    cum_int64 = _read_only(np.array(cum, dtype=np.int64)) if cum and cum[-1] <= 1 << 62 else None
+    return _LetterTable(comps, cum, None, _read_only(spelled), cum_int64)
 
 
 class ConditionalTypicalSampler:
@@ -323,11 +335,13 @@ class ConditionalTypicalSampler:
     The set factorizes over the conditioning letters: for each letter a with
     N(a) occurrences, the admissible b-count vectors form a box-constrained
     composition family, and arrangements within the a-positions are free.
-    Sampling therefore draws one composition per letter (weighted by its
-    multinomial arrangement count) and then a uniformly random arrangement,
-    which is exactly uniform over the whole set.  A letter's compositions
-    depend only on its count, its channel row and delta, so samplers share
-    them through a bounded cache.
+    A letter whose set is small enough is tabulated, every word once in rank
+    order, and draws a uniform rank into it; a larger one draws a
+    composition (weighted by its multinomial arrangement count) and then a
+    uniformly random arrangement.  Either way each letter's word, and so the
+    whole word, is exactly uniform over its set.  A letter's table depends
+    only on its count, its channel row and delta, so samplers share it
+    through a bounded cache.
     """
 
     def __init__(self, seq_a: np.ndarray, a_size: int, k_matrix: np.ndarray, delta: float):
@@ -366,24 +380,27 @@ class ConditionalTypicalSampler:
         """``rows`` uniform words of the set, as a (rows, n) array of
         ``letter_dtype(b_size)``.
 
-        Per conditioning letter, one ``integers`` draw picks every row's
-        composition and one ``permuted`` call arranges every row's letter
-        word; a letter total above 2^62 draws each row's composition from
-        arbitrary-precision bytes (``_randrange``).  ``sample`` is the
-        one-row batch.  More rows draw all of a letter's compositions before
-        its arrangements, so they are not the words of successive ``sample``
-        calls."""
+        Per conditioning letter, in letter order: a tabulated letter makes
+        one ``integers(0, total, size=rows)`` draw of ranks and gathers
+        their words, and a one-word set makes no draw.  A letter past the
+        table cap makes one ``integers`` draw that picks every row's
+        composition (from arbitrary-precision bytes, row by row, when its
+        total passes 2^62: ``_randrange``) and one ``permuted`` call that
+        arranges every row's letter word.  ``sample`` is the one-row batch.
+        A letter draws all rows at once, so more rows are not the words of
+        successive ``sample`` calls."""
         out = np.empty((rows, len(self.seq_a)), dtype=letter_dtype(self.b_size))
         for pos, table in zip(self.positions, self._tables):
             if table is None:
                 continue
+            if table.words is not None:
+                out[:, pos] = table.words[rng.integers(0, table.total, size=rows) if table.total > 1 else 0]
+                continue
             if table.total > 1 << 62:  # the arbitrary-precision path, row by row
                 idx = [bisect.bisect_right(table.cum, _randrange(rng, table.total)) for _ in range(rows)]
-            elif table.total > 1:
+            else:
                 idx = table.cum_int64.searchsorted(rng.integers(0, table.total, size=rows), side="right")
-            else:  # a lone composition takes no draw
-                idx = np.zeros(rows, dtype=np.intp)
-            out[:, pos] = rng.permuted(table.words[idx], axis=1)
+            out[:, pos] = rng.permuted(table.spelled[idx], axis=1)
         return out
 
     def contains(self, seq_b: np.ndarray) -> bool:

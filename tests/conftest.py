@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from secembed import region, sim
+from secembed import region, sim, typical
 from secembed.errors import ValidationError
 from secembed.region import AuxChannel, SystemSpec
 from secembed.tables import Axis, DistTable, DistortionMeasure
@@ -169,6 +169,16 @@ def reference_key(books, k_seq):
         0, 2, size=books.sizes.j_bits, dtype=np.uint8
     )
     return types[0], order, sum(int(b) << i for i, b in enumerate(bits))
+
+
+@pytest.fixture
+def letter_table_cache():
+    """``typical._letter_table``'s cache, empty before the test and after
+    it, so a test may change the table cap and leave no table built under
+    it."""
+    typical._letter_table.cache_clear()
+    yield
+    typical._letter_table.cache_clear()
 
 
 @pytest.fixture

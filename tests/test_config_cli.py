@@ -220,7 +220,7 @@ class TestCli:
             "--m2-bits", "5", "--m3-bits", "0", "--j-bits", "2", "--out", str(workdir / "orig"),
         ]
         assert run_cli(args).returncode == 0
-        assert json.loads((workdir / "orig.manifest.json").read_text())["random_stream"] == 2
+        assert json.loads((workdir / "orig.manifest.json").read_text())["random_stream"] == 3
         original = (workdir / "orig_trials.csv").read_bytes()
         (workdir / "orig_trials.csv").unlink()
         r = run_cli(["run", str(workdir / "orig.manifest.json")])
@@ -231,10 +231,10 @@ class TestCli:
         doc = {"command": "simulate", "system": SYSTEM, "aux": AUX, "n": 8, "trials": 5,
                "delta": 0.6, "d_prime": 0.0, "seed": 6, "out": str(workdir / "x")}
         manifest = parse_config(yaml.safe_dump(doc)).manifest()
-        assert manifest["random_stream"] == 2
-        (workdir / "old.manifest.json").write_text(json.dumps({**manifest, "random_stream": 1}))
+        assert manifest["random_stream"] == 3
+        (workdir / "old.manifest.json").write_text(json.dumps({**manifest, "random_stream": 2}))
         assert cli.main(["run", str(workdir / "old.manifest.json")]) == cli.EXIT_VALIDATION
-        assert "'random_stream' is 1, but this version draws codebooks from stream 2" in capsys.readouterr().err
+        assert "'random_stream' is 2, but this version draws codebooks from stream 3" in capsys.readouterr().err
         assert not list(workdir.glob("x*"))
 
     def test_missing_seed_exit_code(self, workdir):
@@ -535,7 +535,7 @@ class TestCli:
         assert len(lines) == 2 + 3
         assert all(l.split(",")[4] == "1" for l in lines[2:])
         assert (workdir / "aud_compression.csv").exists()
-        assert json.loads((workdir / "aud.manifest.json").read_text())["random_stream"] == 2
+        assert json.loads((workdir / "aud.manifest.json").read_text())["random_stream"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import functools
 import inspect
 import math
 import warnings
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from secembed import sim
+from secembed import sim, typical
 from secembed.config import load_aux, load_system
 from secembed.errors import (
     EmptyTypicalSetError,
@@ -24,7 +25,7 @@ from secembed.errors import (
 )
 from secembed.region import AuxChannel, SystemSpec
 from secembed.tables import Axis, DistortionMeasure, DistTable
-from secembed.typical import CountBox, _multinomial, letter_dtype
+from secembed.typical import ConditionalTypicalSampler, CountBox, _multinomial, letter_dtype
 
 from conftest import (
     binary_spec,
@@ -59,6 +60,23 @@ class TestBuild:
         assert sched["m2_overridden"] == 1.0
         assert sched["r2_target"] == pytest.approx(0.6 * (1 + 1 + 1) + 0.6)
         assert sched["embedding_slack"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("cap", [typical._LETTER_WORDS_BYTES, 0], ids=["tabulated", "past-cap"])
+    def test_aux_rows_uniform_over_the_conditional_set(self, trend_spec, trend_aux, cap, monkeypatch, letter_table_cache):
+        # chi-square against the exact uniform law over the 196 auxiliary
+        # words of the balanced key type, with its letters' words tabulated
+        # and with none: 2^14 rows of one build
+        monkeypatch.setattr(typical, "_LETTER_WORDS_BYTES", cap)
+        books = build_trend(trend_spec, trend_aux, 8, m2_bits=10)
+        t = books.key(np.repeat([0, 1], 4)).type_idx
+        sampler = books.aux_samplers[t]
+        assert all((table.words is None) == (cap == 0) for table in sampler._tables)
+        members = [tuple(m.tolist()) for m in sampler.enumerate()]
+        assert len(members) == 196 and len(books.aux_book(t)) == 1 << 14
+        c = Counter(map(tuple, books.aux_book(t).tolist()))
+        assert set(c) <= set(members)
+        chi = stats.chisquare([c.get(m, 0) for m in members])
+        assert chi.pvalue > 1e-3
 
     def test_formula_sizes_without_overrides(self):
         # degenerate covertext and key: every schedule width is small enough
@@ -399,7 +417,8 @@ class TestLruCache:
 def _reference_stego_book(books, type_idx, v_rep):
     """``CodebookSet.stego_book`` as first written, kept as the reference for
     the composition-shared samplers and the array entropy: one sampler per
-    word over the word's own positions, seeded from a tuple of ints."""
+    word over the word's own positions, seeded from a tuple of ints, and
+    its M_3 rows one ``sample_rows`` batch."""
     from secembed.typical import ConditionalTypicalSampler
 
     rep = books.key_types[type_idx].representative
@@ -411,10 +430,7 @@ def _reference_stego_book(books, type_idx, v_rep):
     rng = np.random.default_rng(
         np.random.SeedSequence((books.seed, stego_tag, type_idx, *map(int, v_rep)))
     )
-    book = np.empty((books.sizes.m3, books.n), dtype=np.int64)
-    for r in range(books.sizes.m3):
-        book[r] = sampler.sample(rng)
-    return book
+    return sampler.sample_rows(rng, books.sizes.m3).astype(np.int64)
 
 
 @st.composite
@@ -537,6 +553,24 @@ class TestStegoStream:
             assert np.array_equal(books.stego_book(t, v), _reference_stego_book(books, t, v))
         assert books.sizes.m3 == 4 and len(books._stego_samplers) == 1
 
+    def test_batched_stegotext_words_uniform(self, trend_spec):
+        # Y is uniform noise beside V; one book of M_3 = 2^14 rows, one
+        # sample_rows batch, against the exact uniform law over the word's
+        # 16 stegotext words, each (k, v) letter admitting two
+        K, X, V, Y = trend_spec.k_axis, trend_spec.x_axis, Axis("V", 2), trend_spec.y_axis
+        aux = AuxChannel(DistTable([K, X, V, Y], np.full((2, 1, 2, 2), 0.25), given=("K", "X")))
+        books = build_trend(trend_spec, aux, 8, m3_bits=14)
+        t = books.key(np.repeat([0, 1], 4)).type_idx
+        v = np.array([0, 1, 0, 1, 1, 0, 1, 0])
+        combined = books.key_types[t].representative * books.v_size + v
+        sampler = ConditionalTypicalSampler(combined, books.k_size * books.v_size, books._p_y_given_kv, books.delta)
+        members = [tuple(m.tolist()) for m in sampler.enumerate()]
+        assert len(members) == 16
+        c = Counter(map(tuple, books.stego_book(t, v).tolist()))
+        assert set(c) <= set(members)
+        chi = stats.chisquare([c.get(m, 0) for m in members])
+        assert chi.pvalue > 1e-3
+
     def test_near_point_mass_row_is_drawn(self, trend_spec):
         # p(y|k,v0) puts 1e-13 on y1: two positive entries, so v0 letters
         # are drawn, and no count of them admits the 1e-13 letter; v1
@@ -657,15 +691,14 @@ class TestEntropyWords:
     @given(
         seed=st.integers(0, 2**80 - 1),
         word=st.lists(st.integers(0, 2**16), max_size=20),
-        t=st.integers(0, 2**40),
         type_idx=st.integers(0, 2**33),
     )
     @settings(max_examples=200, deadline=None)
-    def test_arrays_seed_the_tuples_streams(self, seed, word, t, type_idx):
+    def test_arrays_seed_the_tuples_streams(self, seed, word, type_idx):
         word = np.array(word, dtype=np.int64)
-        streams = [  # (tuple, array) of the pad, the trial and the stegotext book
+        streams = [  # (tuple, array) of the pad, the run's trials and the stegotext book
             ((seed, sim._SW_TAG, word.astype(np.uint32)), sim._entropy(seed, sim._SW_TAG, word=word)),
-            ((seed, sim._TRIAL_TAG, t), sim._entropy(seed, sim._TRIAL_TAG, t)),
+            ((seed, sim._TRIAL_TAG), sim._entropy(seed, sim._TRIAL_TAG)),
             (
                 (seed, sim._STEGO_TAG, type_idx, word.astype(np.uint32)),
                 sim._entropy(seed, sim._STEGO_TAG, type_idx, word=word),
@@ -679,25 +712,23 @@ class TestEntropyWords:
 
 
 class TestArrayStreams:
-    """The array streams, every row's stream at once, against numpy's own
-    stream objects row for row: ``_pools`` against ``SeedSequence.pool``,
-    ``_raw_words`` against ``PCG64.random_raw`` and ``_uniforms`` and
-    ``_trial_uniforms`` against ``Generator.random``."""
+    """The pads' array streams, every row's stream at once, against numpy's
+    own stream objects row for row: ``_pools`` against ``SeedSequence.pool``
+    and ``_raw_words`` against ``PCG64.random_raw``."""
 
     @given(
         seed=st.integers(0, 2**80 - 1),
-        t=st.one_of(st.integers(0, 2**20), st.integers(2**32 - 8, 2**40)),
         rows=st.integers(1, 5),
         letters=st.integers(0, 20),
         count=st.integers(1, 64),
         data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    @example(seed=2**64 + 5, t=2**32 - 2, rows=5, letters=0, count=64, data=None)
-    def test_streams_are_numpys(self, seed, t, rows, letters, count, data):
-        """Seeds of one to three words, trial indices past 2^32, key words
-        of 0 to 20 letters, so entropy shorter and longer than the pool of
-        four, and 1 to 64 words a stream."""
+    @example(seed=2**64 + 5, rows=5, letters=0, count=64, data=None)
+    def test_streams_are_numpys(self, seed, rows, letters, count, data):
+        """Seeds of one to three words, key words of 0 to 20 letters, so
+        entropy shorter and longer than the pool of four, and 1 to 64 words
+        a stream."""
         if data is None:
             words = np.arange(rows * letters).reshape(rows, letters)
         else:
@@ -707,26 +738,33 @@ class TestArrayStreams:
                 dtype=np.int64,
             ).reshape(rows, letters)
         entropy = sim._headed_rows(sim._entropy(seed, sim._SW_TAG), words)
-        pools, raw, uniforms = sim._pools(entropy), sim._raw_words(entropy, count), sim._uniforms(entropy, count)
-        assert raw.dtype == np.uint64 and raw.shape == uniforms.shape == (rows, count)
+        pools, raw = sim._pools(entropy), sim._raw_words(entropy, count)
+        assert raw.dtype == np.uint64 and raw.shape == (rows, count)
         for i, word in enumerate(words):
             stream = np.random.SeedSequence((seed, sim._SW_TAG, word.astype(np.uint32)))
             assert np.array_equal(pools[i], stream.pool)
             assert np.array_equal(raw[i], np.random.PCG64(stream).random_raw(count))
-            assert np.array_equal(uniforms[i], np.random.default_rng(stream).random(count))
-        trials = sim._trial_uniforms(seed, range(t, t + rows), count)
-        for i, trial in enumerate(range(t, t + rows)):
-            stream = np.random.SeedSequence((seed, sim._TRIAL_TAG, trial))
-            assert np.array_equal(trials[i], np.random.default_rng(stream).random(count))
 
     def test_a_trial_range_builds_no_stream_object(self, trend_spec, trend_aux):
-        """A chunk's draws build no ``SeedSequence``, so neither a
-        ``Generator`` nor a ``PCG64``, and neither do the trials' pads."""
+        """A run's trials read one generator, seeded from ``(seed,
+        _TRIAL_TAG)``, and its chunks build no ``SeedSequence``, so neither
+        a ``Generator`` nor a ``PCG64``, and neither do the trials' pads;
+        so does ``input_atypicality_frequency``."""
         books = build_trend(trend_spec, trend_aux, 8, j_bits=2)
         with _counting_seed_sequences() as made:
-            sim._trial_draws(books.spec, books.n_message, books.n, 3)(range(0, 64))
-            sim.run_trials(books, 70, seed=3)
+            draw = sim._trial_draws(books.spec, books.n_message, books.n, 3)
+        assert len(made) == 1 and np.array_equal(made[0][0], sim._entropy(3, sim._TRIAL_TAG))
+        with _counting_seed_sequences() as made:
+            draw(64)
+            draw(6)
         assert not made
+        for run in (
+            lambda: sim.run_trials(books, 70, seed=3),
+            lambda: sim.input_atypicality_frequency(books.spec, books.n, books.delta, 70, 3),
+        ):
+            with _counting_seed_sequences() as made:
+                run()
+            assert len(made) == 1 and np.array_equal(made[0][0], sim._entropy(3, sim._TRIAL_TAG))
 
 
 class TestEncryption:
@@ -1925,6 +1963,12 @@ def _trial_fields(agg):
     ]
 
 
+def _distortion_bits(agg):
+    """Each trial record's (d(x, y), d'(u, uhat)) as the bytes of its
+    float64s, so two NaNs of one bit pattern compare equal."""
+    return [np.array([r.distortion_xy, r.distortion_uuhat]).tobytes() for r in agg.results]
+
+
 def _decode_fields_of(dec):
     return dec.event, dec.bin_index, dec.rows, None if dec.uhat is None else dec.uhat.tolist()
 
@@ -1947,12 +1991,24 @@ class TestTrialChunks:
                 books = make()
                 agg = sim.run_trials(books, trials, seed)
                 assert len(books._decodes) <= entries
-                runs[chunk, entries] = (_trial_fields(agg), [(r.distortion_xy, r.distortion_uuhat) for r in agg.results])
+                runs[chunk, entries] = (_trial_fields(agg), _distortion_bits(agg))
         first = runs[1, 2]
         assert all(run == first for run in runs.values())
         events = {event for event, *_ in first[0]}
         assert events >= ({"none", "e5"} if system == "demo" else {"none", "e4", "e5"})
-        assert all(isinstance(d, float) for pair in first[1] for d in pair)
+        assert all(isinstance(d, float) for r in agg.results for d in (r.distortion_xy, r.distortion_uuhat))
+
+    def test_one_generator_whatever_the_chunk(self, monkeypatch):
+        """The benchmark's 500 n=16 trials on the demo build: one chunk a
+        trial, 64 trials a chunk and one chunk of all 500 write the same
+        records, words, distortions and events."""
+        runs = []
+        for chunk in (1, 64, 500):
+            monkeypatch.setattr(sim, "_TRIAL_CHUNK", chunk)
+            agg = sim.run_trials(_demo_books(16), 500, 10000)
+            words = [np.concatenate([r.u, r.x, r.k]).tolist() for r in agg.results]
+            runs.append((_trial_fields(agg), words, _distortion_bits(agg), agg.event_frequencies))
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("system", sorted(CASES))
     def test_trials_decode_from_their_chunks_fill(self, system, monkeypatch):
@@ -2040,7 +2096,9 @@ class TestTrialRecord:
     def test_sent_row_after_the_bins_first(self, attack, x_probs, p_u, delta, seed, d_prime, m2_bits, j_bits):
         """Two n=4 builds with a constant key whose trials send a row other
         than their bin's first, where the decoder judges the sent row apart
-        from the first, so the first row alone would classify them otherwise."""
+        from the first, so the first row alone would classify them otherwise.
+        The first build's trial stream has one such trial in its first 120,
+        trial 112, and the second's its first at trial 8."""
         spec = dataclasses.replace(
             binary_spec(x_size=2, x_probs=x_probs, k_probs=(1.0,), lam=0.5, attack=attack),
             p_u=DistTable([Axis("U", 2)], p_u),
@@ -2051,7 +2109,7 @@ class TestTrialRecord:
                 spec, copy_embedder_aux(spec, [0.5, 0.5]), 4, delta, seed, d_prime,
                 m2_bits=m2_bits, m3_bits=0, j_bits=j_bits,
             )
-        agg = sim.run_trials(books, 40, 1)
+        agg = sim.run_trials(books, 120, 1)
         self._assert_records(books, agg)
         later = []
         for r in agg.results:
@@ -2075,17 +2133,19 @@ class TestTrialRecord:
         assert events == set(sim.EVENTS) - {"e3"} and e4_decoded > 0
 
     def test_exact_noisy_n8_trials_decoded_yet_e4(self):
-        """Of the ``exact_noisy_n8`` golden's 40 trials, 16 are e4.  In trials
-        5 and 30 the decoder finds exactly one bin (bin 2, the sent one in
-        trial 30) through a row other than the sent one, which is not
-        jointly typical with the forgery: the trial is e4 and its message
-        incorrect."""
+        """Of the ``exact_noisy_n8`` golden's 40 trials, 18 are e4, and none
+        of them decodes a bin.  Its build and trial stream, run on to 200
+        trials (the golden's 40 first), has two e4 trials in which the
+        decoder finds exactly one bin through a row other than the sent one,
+        which is not jointly typical with the forgery: trial 68 decodes
+        bin 2 and trial 183 the sent bin 1, yet each trial is e4 and its
+        message incorrect."""
         books = _noisy_n8_books(5)
-        agg = sim.run_trials(books, 40, 5)
-        assert sum(r.error_event == "e4" for r in agg.results) == 16
+        agg = sim.run_trials(books, 200, 5)
+        assert sum(r.error_event == "e4" for r in agg.results[:40]) == 18
         decoded = [(i, r.true_bin, r.decoded_bin) for i, r in enumerate(agg.results)
                    if r.error_event == "e4" and r.decoded_bin is not None]
-        assert decoded == [(5, 1, 2), (30, 2, 2)]
+        assert decoded == [(68, 1, 2), (183, 1, 1)]
         for i, *_ in decoded:
             r = agg.results[i]
             enc = sim.embed_encode(r.u, sim.WordSearch(books, r.x, r.k))
@@ -2511,14 +2571,18 @@ class TestUniqueRows:
         assert got_inverse.shape == (rows,) and np.array_equal(got_inverse, want_inverse.ravel())
 
 
-def _choice_trial(spec, n_message, n, seed, t):
-    """Trial t's generator and words drawn with ``Generator.choice(p=)``,
-    the reference of ``sim._trial_draws``."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, sim._TRIAL_TAG, t)))
+def _choice_trials(spec, n_message, n, seed, trials):
+    """The first ``trials`` trials of a run, each one's attack uniforms and
+    its words drawn with ``Generator.choice(p=)``, trial after trial from
+    the run's one generator: the reference of ``sim._trial_draws``."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, sim._TRIAL_TAG)))
     pxk = spec.p_xk.values.ravel()
-    u = rng.choice(spec.p_u.values.size, size=n_message, p=spec.p_u.values)
-    cells = rng.choice(pxk.size, size=n, p=pxk)
-    return rng, u, cells // spec.k_axis.size, cells % spec.k_axis.size
+    out = []
+    for _ in range(trials):
+        u = rng.choice(spec.p_u.values.size, size=n_message, p=spec.p_u.values)
+        cells = rng.choice(pxk.size, size=n, p=pxk)
+        out.append((rng.random(n), u, cells // spec.k_axis.size, cells % spec.k_axis.size))
+    return out
 
 
 class TestTrialDraws:
@@ -2531,14 +2595,14 @@ class TestTrialDraws:
             [0.2, 0.3, 0.5, 0.0],  # ... last letter
         ],
     )
-    @given(seed=st.integers(0, 2**64 - 1), t=st.integers(0, 2**20))
+    @given(seed=st.integers(0, 2**64 - 1), chunks=st.lists(st.integers(1, 5), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
-    @example(seed=7, t=2**32 - 2)  # a range whose indices pass 2^32
-    def test_cdf_draws_are_choice_draws(self, p, seed, t):
+    @example(seed=2**64 - 1, chunks=[1, 5, 1])
+    def test_cdf_draws_are_choice_draws(self, p, seed, chunks):
         """The message words from p and the (x, k) cells from p as a 2 x 2
-        table, three trials stacked, equal ``choice``'s draw for draw, each
-        trial's row, and each trial's attack uniforms are the next n its
-        generator draws after ``choice``'s draws."""
+        table, drawn in chunks of trials, equal ``choice``'s draw for draw,
+        trial after trial from one generator, and each trial's attack
+        uniforms are the next n that generator draws after its words."""
         u_axis, x_axis = Axis("U", 4), Axis("X", 2)
         spec = SystemSpec(
             p_u=DistTable([u_axis], p),
@@ -2548,10 +2612,11 @@ class TestTrialDraws:
             d=DistortionMeasure(x_axis, Axis("Y", 2), 1.0 - np.eye(2)),
             d_prime=DistortionMeasure.hamming(u_axis, Axis("Uhat", 4)),
         )
-        r_attack, *drawn = sim._trial_draws(spec, 8, 16, seed)(range(t, t + 3))
-        assert r_attack.shape == (3, 16) and all(len(rows) == 3 for rows in drawn)
-        for i in range(3):
-            want_rng, *want = _choice_trial(spec, 8, 16, seed, t + i)
-            for rows, expected in zip(drawn, want):
-                assert rows[i].dtype == expected.dtype and np.array_equal(rows[i], expected)
-            assert np.array_equal(r_attack[i], want_rng.random(16))
+        draw = sim._trial_draws(spec, 8, 16, seed)
+        want = iter(_choice_trials(spec, 8, 16, seed, sum(chunks)))
+        for chunk in chunks:
+            drawn = draw(chunk)
+            assert drawn[0].shape == (chunk, 16) and all(len(rows) == chunk for rows in drawn)
+            for i in range(chunk):
+                for rows, expected in zip(drawn, next(want)):
+                    assert rows[i].dtype == expected.dtype and np.array_equal(rows[i], expected)

@@ -1,9 +1,10 @@
 """Byte-level regression of `simulate` and `audit` artifacts.
 
 The files under ``tests/data/`` were last written when the codebooks moved
-to random stream 2, which draws each auxiliary book with one
-``ConditionalTypicalSampler.sample_rows`` batch per conditioning letter
-instead of successive ``sample`` calls.  Rewrites for speed keep the random
+to random stream 3, which draws each word of a tabulated letter set as one
+uniform rank into its table, each stegotext book as one
+``ConditionalTypicalSampler.sample_rows`` batch, and a run's trials from one
+generator.  Rewrites for speed keep the random
 stream and every decision exactly as they were, so every artifact must stay
 identical to the byte.
 
@@ -83,7 +84,7 @@ CASES = {
     ),
     # n=8 exact equivocation under the noisy attack, with a binary covertext
     # and two stegotext words per auxiliary word; its trials include e1, e4,
-    # encode_fallback and clean decodes
+    # e5 and encode_fallback
     "exact_noisy_n8": (
         "simulate",
         ["--spec", "{noisy}", "--aux", "{noisy_aux}", "--n", "8", "--trials", "40",
@@ -110,7 +111,7 @@ CASES = {
         ("_bins.csv", "_compression.csv"),
     ),
     # n=8 exact equivocation over drawn stegotext books, some of which admit
-    # no word; its trials include e3, e5 and encode_fallback
+    # no word; its trials include e3, encode_fallback and a clean decode
     "exact_drawn_n8": (
         "simulate",
         ["--spec", "{demo}", "--aux", "{drawn_aux}", "--n", "8", "--trials", "20",

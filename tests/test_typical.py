@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -346,11 +346,37 @@ class TestEpsilonSchedule:
         assert epsilon_from_delta(0.25, 4000) == pytest.approx(0.5 + 0.0625)
 
 
+def _unrank(counts, r):
+    """The rank-r word, in lexicographic order, of the words spelling the
+    composition ``counts``: each position takes the least letter whose
+    words, counted by the multinomial, pass rank r."""
+    from secembed.typical import _multinomial
+
+    left, word = list(counts), []
+    for _ in range(sum(counts)):
+        for s, c in enumerate(left):
+            if c:
+                left[s] -= 1
+                block = _multinomial(sum(left), left)
+                if r < block:
+                    word.append(s)
+                    break
+                r -= block
+                left[s] += 1
+    return word
+
+
 def _reference_sample(seq_a, a_size, k_matrix, delta, rng):
     """The sampler as first written, kept as the reference for the cached
-    tables: every table rebuilt from the count box, a hand-written
-    bisection, and the letter word rebuilt per draw."""
-    from secembed.typical import _compositions, _multinomial, _randrange, conditional_count_box
+    tables: every table rebuilt from the count box and each letter drawn in
+    letter order.  A letter whose words fit ``_LETTER_WORDS_BYTES`` draws a
+    rank r below its set's size, none when the set is one word, and takes
+    the rank-r word of the compositions in box order, each one's words in
+    lexicographic order (``_unrank``), which is ``_arrangements``' order;
+    a larger one draws as random stream 2 did, a rank picking the
+    composition by a hand-written bisection and then a shuffle of its
+    letter word."""
+    from secembed.typical import _LETTER_WORDS_BYTES, _compositions, _multinomial, _randrange, conditional_count_box
 
     counts_a = np.bincount(seq_a, minlength=a_size)
     box = conditional_count_box(counts_a, k_matrix, delta)
@@ -367,6 +393,11 @@ def _reference_sample(seq_a, a_size, k_matrix, delta, rng):
         if not comps:
             raise EmptyTypicalSetError(f"letter {a} admits no count vector")
         cum = list(itertools.accumulate(_multinomial(na, c) for c in comps))
+        if cum[-1] * na * letter_dtype(b_size).itemsize <= _LETTER_WORDS_BYTES:
+            r = int(rng.integers(0, cum[-1])) if cum[-1] > 1 else 0
+            first = next(i for i, c in enumerate(cum) if r < c)
+            out[pos] = _unrank(comps[first], r - (cum[first - 1] if first else 0))
+            continue
         r = _randrange(rng, cum[-1])
         first, last = 0, len(cum) - 1
         while first < last:
@@ -433,17 +464,21 @@ class TestSamplerMatchesReference:
         s1 = ConditionalTypicalSampler(np.array([0, 0, 1, 1, 0, 1, 1, 1]), 2, kmat, 0.5)
         s2 = ConditionalTypicalSampler(np.array([1, 1, 0, 1, 1, 0, 0, 1]), 2, kmat, 0.5)
         assert s1._tables[0] is s2._tables[0] and s1._tables[1] is s2._tables[1]
-        assert not any(w.flags.writeable for w in s1._tables[1].words)
+        assert not s1._tables[1].words.flags.writeable
         assert _letter_table.cache_info().maxsize is not None
+        # a letter past the table cap shares its read-only composition words
+        past = ConditionalTypicalSampler(np.zeros(36, dtype=np.int64), 1, np.full((1, 2), 0.5), 0.05)._tables[0]
+        assert past.words is None and not past.spelled.flags.writeable and not past.cum_int64.flags.writeable
 
 
 class TestSampleRows:
     """``sample_rows`` draws uniform members of the set in the books' letter
-    dtype, and a one-row batch, which ``sample`` is, draws exactly what the
-    reference sampler draws."""
+    dtype, a tabulated letter's words at one draw of ranks, and a one-row
+    batch, which ``sample`` is, draws exactly what the reference sampler
+    draws."""
 
     @given(_sampler_cases())
-    @example(  # letter 0's total is 1: it makes no composition draw, only shuffles
+    @example(  # letter 0's set is one word: it makes no draw
         case=(np.array([0, 1, 0, 0, 1, 1]), 2, np.array([[1.0, 0.0], [0.5, 0.5]]), 0.8, 5)
     )
     @example(  # letter 0 has a single position
@@ -465,23 +500,24 @@ class TestSampleRows:
     @pytest.mark.parametrize(
         "seq_a, k_matrix, delta",
         [
-            # one composition with 40! / 5!^8 > 2^62 arrangements: big integers
+            # past the table cap, one composition with 40! / 5!^8 > 2^62
+            # arrangements: big integers
             (np.zeros(40, dtype=np.int64), np.full((1, 8), 0.125), 0.05),
-            # one composition with C(36, 18) arrangements, in (2^32, 2^62]
+            # past the cap, one composition with C(36, 18) arrangements, in (2^32, 2^62]
             (np.zeros(36, dtype=np.int64), np.full((1, 2), 0.5), 0.05),
-            # 2^32 - 2 arrangements in all, in 32 draws a row
+            # past the cap, 2^32 - 2 arrangements in all, in 32 draws a row
             (np.zeros(32, dtype=np.int64), np.full((1, 2), 0.5), 0.99),
-            # 33 draws a row: one composition draw among 33, then 32 swaps
+            # 33 words of 33 letters, tabulated: one rank draw a row
             (np.zeros(33, dtype=np.int64), np.array([[0.97, 0.03]]), 0.5),
-            # no composition draw: only shuffles
+            # one word of 12 letters: no draw
             (np.zeros(12, dtype=np.int64), np.array([[1.0, 0.0]]), 0.5),
-            # one composition in one position: no draw at all
+            # one word in one position: no draw
             (np.zeros(1, dtype=np.int64), np.array([[1.0, 0.0]]), 0.5),
         ],
-        ids=["big-integer", "64-bit", "32-bit", "33-draws", "shuffles-only", "no-draws"],
+        ids=["big-integer", "64-bit", "32-bit", "tabulated", "one-word", "no-draws"],
     )
     def test_replay_or_scalar_loop(self, seq_a, k_matrix, delta):
-        # each case takes one draw path of a composition total: a batch holds
+        # each case takes one draw path of a letter set: a batch holds
         # members in the letter dtype, and one-row batches keep in step with
         # successive reference draws, generator state included
         sampler = ConditionalTypicalSampler(seq_a, 1, k_matrix, delta)
@@ -520,3 +556,41 @@ class TestSampleRows:
         assert set(c) <= set(members)
         chi = stats.chisquare([c.get(m, 0) for m in members])
         assert chi.pvalue > 1e-3
+
+    def test_rows_uniform_past_the_table_cap(self, monkeypatch, letter_table_cache):
+        # the same set and bound with no letter tabulated: each row draws a
+        # composition and shuffles its letter word, as random stream 2 did
+        monkeypatch.setattr(typical, "_LETTER_WORDS_BYTES", 0)
+        kmat = np.array([[0.5, 0.5], [0.25, 0.75]])
+        sampler = ConditionalTypicalSampler(np.array([0, 0, 1, 1, 1, 1, 0, 1]), 2, kmat, 0.9)
+        assert all(table.words is None for table in sampler._tables)
+        members = [tuple(m.tolist()) for m in sampler.enumerate()]
+        c = Counter(map(tuple, sampler.sample_rows(np.random.default_rng(5), 20000).tolist()))
+        assert set(c) <= set(members)
+        chi = stats.chisquare([c.get(m, 0) for m in members])
+        assert chi.pvalue > 1e-3
+
+    @given(_sampler_cases(), st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_ranks_into_the_letter_tables(self, case, rows):
+        """A tabulated letter holds every word of its set once, and a batch
+        is, letter by letter, its words at one ``integers(0, total,
+        size=rows)`` draw (none for a one-word set), generator state
+        included."""
+        seq_a, a_size, k_matrix, delta, seed = case
+        try:
+            sampler = ConditionalTypicalSampler(seq_a, a_size, k_matrix, delta)
+        except EmptyTypicalSetError:
+            return
+        tables = [(pos, table) for pos, table in zip(sampler.positions, sampler._tables) if table is not None]
+        assume(all(table.words is not None for _, table in tables))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sampler.sample_rows(rng, rows)
+        for pos, table in tables:
+            words = table.words.astype(np.int64)
+            counts = (words[:, :, None] == np.arange(sampler.b_size)).sum(axis=1)
+            assert len(np.unique(words, axis=0)) == len(words) == table.total
+            assert set(map(tuple, counts.tolist())) == set(table.comps)
+            ranks = ref_rng.integers(0, table.total, size=rows) if table.total > 1 else np.zeros(rows, dtype=np.intp)
+            assert np.array_equal(got[:, pos], table.words[ranks])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
