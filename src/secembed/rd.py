@@ -18,6 +18,9 @@ MAX_ITERATIONS = 100_000
 # bytes of candidate-to-source distances the cover builds at once; the n=16
 # demo build's 3.6 MB of distances are taken in four chunks
 _COVER_CHUNK_BYTES = 1 << 20
+# bytes of the (words, codewords, letters) cost gather one ``rd_encode`` pass
+# holds; the n=16 demo code's 256 codewords of 8 letters take 16 KB a word
+_ENCODE_CHUNK_BYTES = 1 << 18
 # candidate x source cells of a cover matrix, one byte each: 3,938 x 3,938
 # at 12 binary message symbols fits, 8,008 x 8,008 at 13 does not
 COVER_CELL_CAP = 2**24
@@ -283,11 +286,18 @@ def build_rd_codebook(
 def rd_encode(u_seq: np.ndarray, codebook: RdCodebook) -> int | np.ndarray:
     """Index of the minimum-distortion codeword (first index on ties); of
     each row of a (words, n) stack, as an int64 array.  Each row's
-    distortions sum the same axis as a single word's."""
+    distortions sum the same axis as a single word's, so a stack goes
+    ``_ENCODE_CHUNK_BYTES`` of cost gather at a time with the same
+    indices."""
     u = np.asarray(u_seq)
     if u.ndim not in (1, 2) or u.shape[-1] != codebook.n_symbols:
         raise ValidationError(f"expected a length-{codebook.n_symbols} word or a stack of them")
-    dists = codebook.distortion.cost[u[..., None, :], codebook.codewords].sum(axis=-1)
-    best = np.argmin(dists, axis=-1)
-    return int(best) if u.ndim == 1 else best
+    cost, codewords = codebook.distortion.cost, codebook.codewords
+    if u.ndim == 1:
+        return int(np.argmin(cost[u, codewords].sum(axis=-1)))
+    chunk = max(1, _ENCODE_CHUNK_BYTES // (codewords.size * cost.itemsize))
+    best = np.empty(len(u), dtype=np.int64)
+    for s in range(0, len(u), chunk):
+        best[s : s + chunk] = np.argmin(cost[u[s : s + chunk, None, :], codewords].sum(axis=-1), axis=-1)
+    return best
 

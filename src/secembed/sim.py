@@ -75,8 +75,10 @@ _AUDIT_CHUNK_ROWS = 1 << 16
 _BOX_CHUNK_BYTES = 1 << 18
 # trials whose draws, word set-ups, searches, attacks and decode box tests
 # run as one batch, and enumerated (x, k) words whose set-ups, searches,
-# forged-word decodes and mass-table entries do
-_TRIAL_CHUNK = 64
+# forged-word decodes and mass-table entries do.  A batch pays its set-up
+# once, and what grows with it is bounded by bytes (``rd._ENCODE_CHUNK_BYTES``,
+# ``_BOX_CHUNK_BYTES``), so the benchmark's 500 trials are one batch
+_TRIAL_CHUNK = 512
 _WORD_CHUNK = 32
 # entries each word-keyed cache of a CodebookSet (keys, message indices,
 # stegotext books, embedding searches, decodes) keeps; it drops the least
@@ -683,11 +685,85 @@ def _raw_words(entropy: np.ndarray, count: int) -> np.ndarray:
     return folded >> rot | folded << (-rot & 63)
 
 
+# the pool's four words as 128-bit lanes of one Python int (``_row_raw_words``)
+_LANE = 128
+_LANE_MASK = sum(_M32 << _LANE * i for i in range(_POOL_SIZE))
+# key stacks of fewer words than this derive their pads a row at a time in
+# Python ints (``_row_raw_words``): the array pass's fixed cost is about that
+# many rows
+_PAD_ARRAY_ROWS = 16
+# bit 56 - 7i for i = 0 .. 7: moves bit 8i of a word to bit 56 + i (``_top_bits``)
+_GATHER = sum(1 << 56 - 7 * i for i in range(8))
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _head_lanes(head: tuple[int, ...]) -> int:
+    """The pool of four entropy words (zeros past the row's end) after
+    ``mix_entropy``'s initial hashes and cross-mixing (``_pools``), as
+    lanes."""
+    pool = _pools(np.array([head], dtype=np.uint32))[0].tolist()
+    return sum(word << _LANE * i for i, word in enumerate(pool))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _word_lanes(position: int, word: int) -> int:
+    """2^63 - R hashmix(word) as each pool word's lane, for entropy word
+    ``position`` (four or more) mixed into the pool: mix(p, h) is the
+    xor-shift of L p - R h mod 2^32, and 2^63, 0 mod 2^32, keeps each lane's
+    L p + 2^63 - R h positive and below 2^65."""
+    xors, mults = _hash_constants(_INIT_A, _MULT_A, 16 + _POOL_SIZE * (position - _POOL_SIZE + 1))
+    hashes = _hashmix(np.uint32(word), xors[-_POOL_SIZE:], mults[-_POOL_SIZE:]).tolist()
+    return sum((1 << 63) - int(_MIX_R) * h << _LANE * i for i, h in enumerate(hashes))
+
+
+@functools.lru_cache(maxsize=None)
+def _state_constants() -> tuple[tuple[int, int], ...]:
+    """The (xor, multiply) pairs of ``generate_state``'s eight hashes, as
+    Python ints."""
+    return tuple(zip(*(c.tolist() for c in _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))))
+
+
+def _row_raw_words(entropy: list[int], count: int) -> list[int]:
+    """``_raw_words`` of one entropy row of uint32 words, in Python ints with
+    no array pass: each word past the fourth mixes into all four pool words
+    at once, one multiply, add and xor-shift of their lanes; then the state
+    words, the seeding and the draws as ``_raw_words`` makes them."""
+    lanes = _head_lanes(tuple(entropy[:_POOL_SIZE]) + (0,) * (_POOL_SIZE - len(entropy)))
+    mix, mask = int(_MIX_L), _LANE_MASK
+    for position, word in enumerate(entropy[_POOL_SIZE:], _POOL_SIZE):
+        lanes = mix * lanes + _word_lanes(position, word) & mask
+        lanes = (lanes ^ lanes >> 16) & mask
+    pool = [lanes >> _LANE * i & _M32 for i in range(_POOL_SIZE)]
+    state = []
+    for word, (xor, mult) in zip(pool * 2, _state_constants()):
+        word = (word ^ xor) * mult & _M32
+        state.append(word ^ word >> 16)
+    s, q = ((state[i] | state[i + 1] << 32) << 64 | state[i + 2] | state[i + 3] << 32 for i in (0, 4))
+    inc = (q << 1 | 1) & _M128
+    x = ((s + inc) * _PCG_MULT + inc) & _M128
+    words = []
+    for _ in range(count):
+        x = (x * _PCG_MULT + inc) & _M128
+        folded, rot = (x >> 64 ^ x) & _M64, x >> 122
+        words.append((folded >> rot | folded << 64 - rot) & _M64)
+    return words
+
+
+def _top_bits(words: list[int]) -> int:
+    """The integer whose bit j is the top bit of byte j of 64-bit ``words``
+    read little-endian: each word's eight top bits, moved to bits 0, 8,
+    ..., 56, land on bits 56 .. 63 of their product with ``_GATHER``, whose
+    other partial products all fall on distinct lower bits."""
+    return sum(((w >> 7 & 0x0101010101010101) * _GATHER >> 56 & 0xFF) << 8 * i for i, w in enumerate(words))
+
+
 def _key_pads(seed: int, k_words: np.ndarray, j_bits: int) -> list[int]:
     """Each typical key word's pad, a row of a (words, n) stack: the integer
     its J bits spell, drawn from the PCG64 stream of ``SeedSequence((seed,
     _SW_TAG, key word as uint32))``, every word's stream at once
-    (``_raw_words``); J = 0 derives no stream.  Bit j is the top bit of
+    (``_raw_words``), or a row at a time in Python ints for a stack of
+    fewer than ``_PAD_ARRAY_ROWS`` words (``_row_raw_words``); J = 0
+    derives no stream.  Bit j is the top bit of
     byte j of the stream's raw 64-bit words read little-endian, bit
     8 (j mod 8) + 7 of raw word j // 8, which is exactly bit j of
     ``Generator.integers(0, 2, size=J, dtype=np.uint8)`` on that stream:
@@ -697,9 +773,13 @@ def _key_pads(seed: int, k_words: np.ndarray, j_bits: int) -> list[int]:
     generator's stream, which numpy keeps stable across versions."""
     if not j_bits or not len(k_words):
         return [0] * len(k_words)
-    raw = _raw_words(_headed_rows(_entropy(seed, _SW_TAG), k_words), -(-j_bits // 8))
-    bits = raw.astype("<u8").view(np.uint8)[:, :j_bits] >> 7
-    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(bits, axis=1, bitorder="little")]
+    count = -(-j_bits // 8)
+    if len(k_words) < _PAD_ARRAY_ROWS:
+        head = _entropy(seed, _SW_TAG).tolist()
+        raw = [_row_raw_words(head + word, count) for word in np.asarray(k_words).astype(np.uint32).tolist()]
+    else:
+        raw = _raw_words(_headed_rows(_entropy(seed, _SW_TAG), k_words), count).tolist()
+    return [_top_bits(words) & (1 << j_bits) - 1 for words in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -749,30 +829,36 @@ def _rows_in_boxes(
 
     ``masks`` is one book's masks, tested against every context, or a stack
     of books' masks, one per context, each tested against its own context.
-    A count is the popcount of the context's position mask ANDed with the
-    row's letter mask, summed over the masks' bytes; the last value
-    letter's is the context's position count less the others'.  A kernel
-    call ANDs at most ``_BOX_CHUNK_BYTES`` of masks, so longer stacks go in
-    chunks."""
+    The table is ``_box_tables``' kernel calls, stacked."""
+    tables = [table for _, table in _box_tables(masks, contexts, bounds)]
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+
+
+def _box_tables(
+    masks: np.ndarray, contexts: np.ndarray, bounds: tuple[np.ndarray, np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``_rows_in_boxes`` one kernel call at a time: each call's first
+    context and its (contexts, rows) table.  A count is the popcount of the
+    context's position mask ANDed with the row's letter mask, summed over
+    the masks' bytes; the last value letter's is the context's position
+    count less the others'.  A kernel call ANDs at most
+    ``_BOX_CHUNK_BYTES`` of masks, so longer stacks go in chunks."""
     lo, width = bounds
     stacked = masks.ndim == 4
     n_bytes, letters, rows = masks.shape[-3:]
     chunk = max(1, _BOX_CHUNK_BYTES // (lo.shape[0] * n_bytes * max(1, letters - 1) * rows))
-    if len(contexts) > chunk:
-        starts = range(0, len(contexts), chunk)
-        parts = [(masks[s : s + chunk] if stacked else masks, contexts[s : s + chunk]) for s in starts]
-        return np.concatenate([_rows_in_boxes(m, c, bounds) for m, c in parts])
-    place = np.packbits(contexts[:, None, :] == np.arange(lo.shape[0])[:, None], axis=-1)
-    if stacked:
-        masks = masks[:, None]
-    counts = np.empty((*place.shape[:2], *masks.shape[-2:]), dtype=lo.dtype)
-    both = place[:, :, :, None, None] & masks[..., :-1, :]
-    np.add.reduce(np.bitwise_count(both, out=both), axis=2, dtype=lo.dtype, out=counts[:, :, :-1])
-    positions = np.add.reduce(np.bitwise_count(place), axis=2, dtype=lo.dtype)
-    others = np.add.reduce(counts[:, :, :-1], axis=2, dtype=lo.dtype)
-    np.subtract(positions[:, :, None], others, out=counts[:, :, -1])
-    counts -= lo[:, :, None]
-    return np.logical_and.reduce(counts <= width[:, :, None], axis=(1, 2))
+    for start in range(0, max(1, len(contexts)), chunk):
+        part = contexts[start : start + chunk]
+        place = np.packbits(part[:, None, :] == np.arange(lo.shape[0])[:, None], axis=-1)
+        part_masks = masks[start : start + chunk, None] if stacked else masks
+        counts = np.empty((*place.shape[:2], *part_masks.shape[-2:]), dtype=lo.dtype)
+        both = place[:, :, :, None, None] & part_masks[..., :-1, :]
+        np.add.reduce(np.bitwise_count(both, out=both), axis=2, dtype=lo.dtype, out=counts[:, :, :-1])
+        positions = np.add.reduce(np.bitwise_count(place), axis=2, dtype=lo.dtype)
+        others = np.add.reduce(counts[:, :, :-1], axis=2, dtype=lo.dtype)
+        np.subtract(positions[:, :, None], others, out=counts[:, :, -1])
+        counts -= lo[:, :, None]
+        yield start, np.logical_and.reduce(counts <= width[:, :, None], axis=(1, 2))
 
 
 @dataclass
@@ -996,12 +1082,19 @@ def _sent_index(m: int | np.ndarray, pad: int | np.ndarray) -> int | np.ndarray:
     return (m - 1) ^ pad
 
 
-def _typical_in_frame(codebooks: CodebookSet, type_idx: int, z_reps: np.ndarray) -> np.ndarray:
-    """(forgeries, rows): whether each row of a key type's auxiliary book is
-    jointly typical with each forged word, given in the type's
-    representative frame; one box test."""
+def _typical_in_frame(
+    codebooks: CodebookSet, type_idx: int, z_reps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (forgery, row) pairs, in row-major order, of a key type's
+    auxiliary book rows jointly typical with forged words given in the
+    type's representative frame, as two index arrays; one box test, whose
+    (forgeries, rows) table is read a kernel call at a time
+    (``_box_tables``), so it is never held whole."""
     contexts = codebooks.key_types[type_idx].representative * codebooks.z_size + z_reps
-    return _rows_in_boxes(codebooks.aux_masks(type_idx), contexts, codebooks.kzv_cells)
+    masks = codebooks.aux_masks(type_idx)
+    rows = masks.shape[-1]
+    hits = [start * rows + np.flatnonzero(table) for start, table in _box_tables(masks, contexts, codebooks.kzv_cells)]
+    return np.divmod(np.concatenate(hits), rows)
 
 
 def _typical_rows(codebooks: CodebookSet, types: Iterable[int], z_reps: np.ndarray) -> list[tuple[int, ...]]:
@@ -1018,8 +1111,7 @@ def _typical_rows(codebooks: CodebookSet, types: Iterable[int], z_reps: np.ndarr
         for type_idx in dict.fromkeys(t for t, _ in missing):
             group = [pair for pair in missing if pair[0] == type_idx]
             words = np.frombuffer(b"".join(z for _, z in group), dtype=z_reps.dtype).reshape(len(group), -1)
-            typical = _typical_in_frame(codebooks, type_idx, words)
-            word, row = np.divmod(np.flatnonzero(typical), typical.shape[1])
+            word, row = _typical_in_frame(codebooks, type_idx, words)
             for i, r in zip(word.tolist(), row.tolist()):
                 rows[group[i]].append(r)
         return [tuple(rows[pair]) for pair in missing]

@@ -209,6 +209,42 @@ class TestEncodeDecode:
         array, ties (repeated codewords, and 0/1 costs that sum alike)
         included, with lengths on both sides of numpy's eight-term pairwise
         blocks; the one-word call returns an int."""
+        cb, stack = self._tie_case(n, letters, rows, words, integer_costs, seed)
+        got = rd_encode(stack, cb)
+        singles = [rd_encode(u, cb) for u in stack]
+        assert got.dtype == np.int64 and got.shape == (words,) and got.tolist() == singles
+        assert all(type(i) is int for i in singles)
+        for u, i in zip(stack, singles):
+            dists = [cb.distortion.cost[u, c].sum() for c in cb.codewords]
+            assert i == dists.index(min(dists))
+
+    @given(
+        n=st.sampled_from([2, 7, 8, 9, 17]),
+        letters=st.integers(1, 3),
+        rows=st.integers(1, 6),
+        words=st.integers(6, 40),
+        chunk_words=st.integers(1, 5),
+        integer_costs=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_spanning_byte_chunks_equals_row_by_row_calls(
+        self, n, letters, rows, words, chunk_words, integer_costs, seed
+    ):
+        """With ``rd._ENCODE_CHUNK_BYTES`` the cost gather of one to five
+        words, a stack of 6 to 40 words encodes in two or more chunks, a
+        last one short or not, to the row-by-row indices, ties and real
+        costs included."""
+        cb, stack = self._tie_case(n, letters, rows, words, integer_costs, seed)
+        chunk_bytes = chunk_words * cb.codewords.size * cb.distortion.cost.itemsize
+        with mock.patch.object(rd, "_ENCODE_CHUNK_BYTES", chunk_bytes):
+            got = rd_encode(stack, cb)
+        assert got.dtype == np.int64 and got.tolist() == [rd_encode(u, cb) for u in stack]
+
+    def _tie_case(self, n, letters, rows, words, integer_costs, seed):
+        """A codebook of ``rows`` random codewords over ``letters`` letters,
+        two repeated, under random 0/1 or real costs, and a random stack of
+        ``words`` message words."""
         rng = np.random.default_rng(seed)
         axis_u, axis_uhat = Axis("U", letters), Axis("Uhat", letters)
         cost = rng.integers(0, 2, size=(letters, letters)) if integer_costs else rng.random((letters, letters))
@@ -217,14 +253,7 @@ class TestEncodeDecode:
         cb = dataclasses.replace(
             self.cb, codewords=codewords, n_symbols=n, distortion=DistortionMeasure(axis_u, axis_uhat, cost)
         )
-        stack = rng.integers(0, letters, size=(words, n))
-        got = rd_encode(stack, cb)
-        singles = [rd_encode(u, cb) for u in stack]
-        assert got.dtype == np.int64 and got.shape == (words,) and got.tolist() == singles
-        assert all(type(i) is int for i in singles)
-        for u, i in zip(stack, singles):
-            dists = [cb.distortion.cost[u, c].sum() for c in codewords]
-            assert i == dists.index(min(dists))
+        return cb, rng.integers(0, letters, size=(words, n))
 
     def test_stack_shape_checked(self):
         with pytest.raises(ValidationError):

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -1264,6 +1265,16 @@ class TestInputAtypicality:
         assert 0 < share < 1
         assert sim.input_atypicality_frequency(spec, 12, 0.6, trials=200, seed=5) == share
 
+    def test_frequency_is_the_same_at_every_batch_size(self, trend_spec, monkeypatch):
+        """One trial a chunk, 5, 64 and the default batch give the same
+        frequency over a run 100 trials longer than one default batch."""
+        trials = sim._TRIAL_CHUNK + 100
+        frequencies = []
+        for chunk in (1, 5, 64, sim._TRIAL_CHUNK):
+            monkeypatch.setattr(sim, "_TRIAL_CHUNK", chunk)
+            frequencies.append(sim.input_atypicality_frequency(trend_spec, 20, 0.2, trials=trials, seed=3))
+        assert len(set(frequencies)) == 1 and 0 < frequencies[0] < 1
+
     @pytest.mark.parametrize("n", [3, 1])  # lambda n = 1.5 and 0.5
     def test_frequency_validates_message_length_like_the_oracle(self, trend_spec, n):
         with pytest.raises(ValidationError, match="lambda"):
@@ -1670,6 +1681,49 @@ class TestPad:
             assert any(event == "ok" for event, *_ in decoded)
 
 
+class TestRowPads:
+    """Key stacks below ``sim._PAD_ARRAY_ROWS`` words derive their pads a
+    row at a time in Python ints (``_row_raw_words``), with no stream
+    object: each row's raw words are numpy's, and a key's pad is the same
+    in a stack of one, in a short stack and in an array pass."""
+
+    @given(
+        seed=st.integers(0, 2**80 - 1),
+        letters=st.integers(0, 20),
+        count=st.integers(1, 64),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_words_are_numpys(self, seed, letters, count, data):
+        """Seeds of one to three words and key words of 0 to 20 letters up
+        to 2^32 - 1, so entropy shorter and longer than the pool of four,
+        and 1 to 64 words a stream."""
+        word = np.array(data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=letters, max_size=letters)))
+        entropy = sim._entropy(seed, sim._SW_TAG, word=word)
+        want = np.random.PCG64(np.random.SeedSequence(entropy)).random_raw(count).tolist()
+        assert sim._row_raw_words(entropy.tolist(), count) == want
+
+    @pytest.mark.parametrize("j_bits", [1, 4, 8, 9, 33, 64])
+    def test_a_keys_pad_does_not_depend_on_its_stack(self, j_bits, monkeypatch):
+        rng = np.random.default_rng(j_bits)
+        ks = rng.integers(0, 3, size=(sim._PAD_ARRAY_ROWS + 5, 16))
+        seed = int(rng.integers(0, 2**40))
+        pads = sim._key_pads(seed, ks, j_bits)  # one array pass
+        with _counting_seed_sequences() as made:
+            assert [sim._key_pads(seed, k[None], j_bits)[0] for k in ks] == pads
+            assert sim._key_pads(seed, ks[: sim._PAD_ARRAY_ROWS - 1], j_bits) == pads[: sim._PAD_ARRAY_ROWS - 1]
+        assert not made
+        monkeypatch.setattr(sim, "_PAD_ARRAY_ROWS", len(ks) + 1)
+        assert sim._key_pads(seed, ks, j_bits) == pads
+        assert all(0 <= pad < 1 << j_bits for pad in pads) and len(set(pads)) > 1
+
+    @pytest.mark.parametrize("words", [1, sim._PAD_ARRAY_ROWS - 1])
+    def test_short_key_stacks_make_no_array_pass(self, words, monkeypatch):
+        monkeypatch.setattr(sim, "_raw_words", None)
+        ks = np.random.default_rng(words).integers(0, 2, size=(words, 16))
+        assert len(sim._key_pads(3, ks, 4)) == words
+
+
 def _entropy_of_table(table: dict) -> float:
     """``sim._entropy_of_rows`` of nested dicts of masses by row, then by
     outcome, rows and outcomes in insertion order."""
@@ -1984,7 +2038,7 @@ class TestTrialChunks:
     def test_chunking_and_cache_size_leave_trials_unchanged(self, system, monkeypatch):
         make, trials, seed = self.CASES[system]
         runs = {}
-        for chunk in (1, 5, 64):
+        for chunk in (1, 5, 64, sim._TRIAL_CHUNK):
             for entries in (2, sim._WORD_CACHE_ENTRIES):
                 monkeypatch.setattr(sim, "_TRIAL_CHUNK", chunk)
                 monkeypatch.setattr(sim, "_WORD_CACHE_ENTRIES", entries)
@@ -1999,16 +2053,38 @@ class TestTrialChunks:
         assert all(isinstance(d, float) for r in agg.results for d in (r.distortion_xy, r.distortion_uuhat))
 
     def test_one_generator_whatever_the_chunk(self, monkeypatch):
-        """The benchmark's 500 n=16 trials on the demo build: one chunk a
-        trial, 64 trials a chunk and one chunk of all 500 write the same
-        records, words, distortions and events."""
-        runs = []
-        for chunk in (1, 64, 500):
-            monkeypatch.setattr(sim, "_TRIAL_CHUNK", chunk)
-            agg = sim.run_trials(_demo_books(16), 500, 10000)
-            words = [np.concatenate([r.u, r.x, r.k]).tolist() for r in agg.results]
-            runs.append((_trial_fields(agg), words, _distortion_bits(agg), agg.event_frequencies))
-        assert runs[0] == runs[1] == runs[2]
+        """n=16 trials on the demo build, at the benchmark's seed: one chunk
+        a trial, 64 trials a chunk, chunks of 500 and the default batch
+        write the same records, words, distortions and events, over the
+        benchmark's 500 trials and over a run 88 trials longer than one
+        default batch."""
+        batch = sim._TRIAL_CHUNK
+        for trials in (500, batch + 88):
+            runs = []
+            for chunk in (1, 64, 500, batch):
+                monkeypatch.setattr(sim, "_TRIAL_CHUNK", chunk)
+                agg = sim.run_trials(_demo_books(16), trials, 10000)
+                words = [np.concatenate([r.u, r.x, r.k]).tolist() for r in agg.results]
+                runs.append((_trial_fields(agg), words, _distortion_bits(agg), agg.event_frequencies))
+            assert len(runs[0][0]) == trials and all(run == runs[0] for run in runs)
+
+    def test_the_benchmarks_trials_trace_a_bounded_peak(self):
+        """The benchmark's 500 n=16 demo trials, one batch, on a fresh build
+        of a warm design: the run keeps every record, but the message
+        encoder's cost gather (``rd._ENCODE_CHUNK_BYTES``) and each decode
+        fill's typical-row tables (``sim._box_tables``) are bounded by bytes,
+        so the traced peak stays below 2.9 MB, about a fifth above the 2.4 MB
+        of 64-trial batches; with neither bounded it is 4.7 MB."""
+        books = _demo_books(16)
+        sim.run_trials(books, 500, 10000)  # the design's samplers and the pad caches
+        fresh = sim.build_codebooks(books.design, 10000)
+        tracemalloc.start()
+        try:
+            sim.run_trials(fresh, 500, 10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_900_000
 
     @pytest.mark.parametrize("system", sorted(CASES))
     def test_trials_decode_from_their_chunks_fill(self, system, monkeypatch):
@@ -2157,9 +2233,11 @@ class TestTrialRecord:
     @settings(max_examples=10, deadline=None)
     def test_one_encode_and_decode_per_trial(self, books):
         """Counted through the module-level names, as the benchmark's tracer
-        counts them, over more trials than one chunk holds."""
-        trials = sim._TRIAL_CHUNK + 6
+        counts them, over more trials than one chunk holds: a chunk of 8
+        trials, so 14 trials cross it."""
+        trials = 8 + 6
         with (
+            mock.patch.object(sim, "_TRIAL_CHUNK", 8),
             mock.patch.object(sim, "embed_encode", wraps=sim.embed_encode) as encode,
             mock.patch.object(sim, "decode", wraps=sim.decode) as decode,
         ):
